@@ -15,6 +15,12 @@
 #include "util/table.h"
 #include "util/trace.h"
 
+// Set by bench/CMakeLists.txt; builds that compile this file on their own
+// (servebench/) record no commit.
+#ifndef ELITENET_SOURCE_COMMIT
+#define ELITENET_SOURCE_COMMIT "unknown"
+#endif
+
 namespace elitenet {
 namespace bench {
 
@@ -91,8 +97,12 @@ std::string CsvPath(const BenchArgs& args, const std::string& name) {
 }
 
 void WriteEnvironmentJson(std::FILE* f) {
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n  \"threads\": %d,\n",
-               std::thread::hardware_concurrency(), util::ThreadCount());
+  std::fprintf(f,
+               "  \"commit\": \"%s\",\n"
+               "  \"hardware_concurrency\": %u,\n  \"nproc\": %d,\n"
+               "  \"threads\": %d,\n",
+               ELITENET_SOURCE_COMMIT, std::thread::hardware_concurrency(),
+               util::AvailableCpus(), util::ThreadCount());
   const uint64_t current = util::CurrentRssBytes();
   const uint64_t delta =
       current > g_baseline_rss ? current - g_baseline_rss : 0;

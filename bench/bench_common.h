@@ -26,7 +26,7 @@ struct BenchArgs {
   /// "bench_out".
   std::string out_dir = "bench_out";
   /// Worker threads for the parallel kernels (`--threads=N`). 0 = auto
-  /// (ELITENET_THREADS env, else hardware_concurrency). Results are
+  /// (ELITENET_THREADS env, else util::AvailableCpus). Results are
   /// bit-identical for any value.
   int threads = 0;
   /// Chrome trace-event output (`--trace=FILE`); empty = tracing off.
@@ -52,9 +52,11 @@ core::VerifiedStudy MakeStudy(const BenchArgs& args);
 std::string CsvPath(const BenchArgs& args, const std::string& name);
 
 /// Writes the execution-environment fields every BENCH_*.json carries —
-/// hardware_concurrency, effective threads, peak_rss_bytes (process
-/// high-water mark at write time) and resident_delta_bytes (RSS growth
-/// since ParseArgs) — so a result read in isolation says what
+/// commit (`git describe --always --dirty` of the source tree when CMake
+/// last configured the build), hardware_concurrency, nproc
+/// (util::AvailableCpus: the CPUs the affinity mask allows), effective
+/// threads, peak_rss_bytes (process high-water mark at write time) and
+/// resident_delta_bytes (RSS growth since ParseArgs) — so a result read in isolation says what
 /// parallelism *and* memory footprint produced it (a 1x speedup on a
 /// single-core container is expected, not a regression; a bench whose
 /// residency doubles is one even when its latency holds). Call inside an

@@ -3,9 +3,10 @@
 // verified network, at 1/2/4/8 worker threads — every cell of the grid
 // must produce the same relabel-invariant checksum (per-source reached
 // counts, distance sums, eccentricities), or the process exits non-zero.
-// Also times the rewired WCC and k-core kernels against bench-local copies
-// of their pre-kernel implementations (union-find, per-node heap vectors)
-// with full output equality checks. Emits BENCH_graph_kernels.json.
+// Also times the rewired WCC, k-core and clustering kernels against
+// bench-local copies of their pre-kernel implementations (union-find,
+// per-node heap vectors, per-node sorted-row intersection) with full output
+// equality checks. Emits BENCH_graph_kernels.json.
 //
 // MTEPS follows the GAP convention: sources * m / seconds / 1e6 regardless
 // of edges actually probed, so the direction-optimizing kernel's
@@ -215,6 +216,113 @@ analysis::KCoreResult ClassicKCore(const graph::DiGraph& g) {
   return out;
 }
 
+// Clustering before the degree-oriented kernel: every evaluated node
+// intersects its undirected row with each neighbour's, rebuilt per call
+// unless the exact path's all-nodes cache is given.
+uint64_t SortedIntersectionSize(const std::vector<graph::NodeId>& a,
+                                const std::vector<graph::NodeId>& b) {
+  uint64_t count = 0;
+  size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] < b[j]) {
+      ++i;
+    } else if (a[i] > b[j]) {
+      ++j;
+    } else {
+      ++count;
+      ++i;
+      ++j;
+    }
+  }
+  return count;
+}
+
+struct ClassicClusteringPartial {
+  double coeff_sum = 0.0;
+  uint64_t nodes_evaluated = 0;
+  uint64_t closed = 0;
+  uint64_t open_pairs = 0;
+};
+
+analysis::ClusteringStats ClassicClusteringSweep(
+    const graph::DiGraph& g, const std::vector<graph::NodeId>& nodes,
+    const std::vector<std::vector<graph::NodeId>>* cache) {
+  const auto row = [&](graph::NodeId u) {
+    return cache != nullptr ? (*cache)[u]
+                            : analysis::UndirectedNeighbors(g, u);
+  };
+  const ClassicClusteringPartial total = util::ParallelReduce(
+      0, nodes.size(), 0, ClassicClusteringPartial{},
+      [&](size_t lo, size_t hi) {
+        ClassicClusteringPartial p;
+        for (size_t i = lo; i < hi; ++i) {
+          const std::vector<graph::NodeId> nu = row(nodes[i]);
+          if (nu.size() < 2) continue;
+          uint64_t linked = 0;
+          for (graph::NodeId v : nu) {
+            linked += SortedIntersectionSize(nu, row(v));
+          }
+          const double possible = static_cast<double>(nu.size()) *
+                                  static_cast<double>(nu.size() - 1);
+          ++p.nodes_evaluated;
+          p.coeff_sum += static_cast<double>(linked) / possible;
+          p.closed += linked;
+          p.open_pairs += nu.size() * (nu.size() - 1);
+        }
+        return p;
+      },
+      [](ClassicClusteringPartial a, ClassicClusteringPartial b) {
+        a.coeff_sum += b.coeff_sum;
+        a.nodes_evaluated += b.nodes_evaluated;
+        a.closed += b.closed;
+        a.open_pairs += b.open_pairs;
+        return a;
+      });
+  analysis::ClusteringStats s;
+  s.nodes_evaluated = total.nodes_evaluated;
+  if (s.nodes_evaluated > 0) {
+    s.average_local =
+        total.coeff_sum / static_cast<double>(s.nodes_evaluated);
+  }
+  s.triangles = total.closed / 6;
+  if (total.open_pairs > 0) {
+    s.transitivity = static_cast<double>(total.closed) /
+                     static_cast<double>(total.open_pairs);
+  }
+  return s;
+}
+
+analysis::ClusteringStats ClassicClustering(const graph::DiGraph& g) {
+  const graph::NodeId n = g.num_nodes();
+  std::vector<std::vector<graph::NodeId>> adj(n);
+  std::vector<graph::NodeId> nodes(n);
+  for (graph::NodeId u = 0; u < n; ++u) {
+    adj[u] = analysis::UndirectedNeighbors(g, u);
+    nodes[u] = u;
+  }
+  return ClassicClusteringSweep(g, nodes, &adj);
+}
+
+analysis::ClusteringStats ClassicClusteringSampled(const graph::DiGraph& g,
+                                                   uint32_t samples,
+                                                   util::Rng* rng) {
+  std::vector<graph::NodeId> eligible;
+  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+    if (g.OutDegree(u) + g.InDegree(u) >= 2) eligible.push_back(u);
+  }
+  if (eligible.size() <= samples) return ClassicClustering(g);
+  rng->Shuffle(&eligible);
+  eligible.resize(samples);
+  return ClassicClusteringSweep(g, eligible, nullptr);
+}
+
+bool SameClustering(const analysis::ClusteringStats& a,
+                    const analysis::ClusteringStats& b) {
+  return a.average_local == b.average_local &&
+         a.transitivity == b.transitivity && a.triangles == b.triangles &&
+         a.nodes_evaluated == b.nodes_evaluated;
+}
+
 }  // namespace
 }  // namespace bench
 }  // namespace elitenet
@@ -353,6 +461,27 @@ int main(int argc, char** argv) {
                            kcore_classic.max_core == kcore_opt.max_core &&
                            kcore_classic.innermost_size ==
                                kcore_opt.innermost_size;
+  // Clustering, exact and at the fingerprint's sample depth and seed.
+  constexpr uint32_t kClusteringSamples = 4000;
+  constexpr uint64_t kClusteringSeed = 99;
+  sw.Reset();
+  const auto clust_classic = bench::ClassicClustering(g);
+  const double clust_classic_sec = sw.Seconds();
+  sw.Reset();
+  const auto clust_opt = analysis::ComputeClustering(g);
+  const double clust_opt_sec = sw.Seconds();
+  util::Rng classic_rng(kClusteringSeed);
+  sw.Reset();
+  const auto sampled_classic =
+      bench::ClassicClusteringSampled(g, kClusteringSamples, &classic_rng);
+  const double sampled_classic_sec = sw.Seconds();
+  util::Rng opt_rng(kClusteringSeed);
+  sw.Reset();
+  const auto sampled_opt =
+      analysis::ComputeClusteringSampled(g, kClusteringSamples, &opt_rng);
+  const double sampled_opt_sec = sw.Seconds();
+  const bool clust_equal = bench::SameClustering(clust_classic, clust_opt) &&
+                           bench::SameClustering(sampled_classic, sampled_opt);
   util::SetThreadCount(0);
 
   std::printf("bfs: diropt %.2fx classic (1 thread, original layout); "
@@ -369,6 +498,14 @@ int main(int argc, char** argv) {
               kcore_classic_sec, kcore_opt_sec,
               kcore_opt_sec > 0.0 ? kcore_classic_sec / kcore_opt_sec : 0.0,
               kcore_equal ? "equal" : "DIFFER");
+  std::printf("clustering: per-node rows %.4fs -> oriented %.4fs (%.2fx); "
+              "%u-sample %.4fs -> %.4fs (%.2fx), outputs %s\n",
+              clust_classic_sec, clust_opt_sec,
+              clust_opt_sec > 0.0 ? clust_classic_sec / clust_opt_sec : 0.0,
+              kClusteringSamples, sampled_classic_sec, sampled_opt_sec,
+              sampled_opt_sec > 0.0 ? sampled_classic_sec / sampled_opt_sec
+                                    : 0.0,
+              clust_equal ? "equal" : "DIFFER");
   std::printf("relabel: %.4fs; checksums identical across grid: %s\n",
               relabel_seconds, checksums_identical ? "yes" : "NO");
 
@@ -414,6 +551,17 @@ int main(int argc, char** argv) {
                kcore_classic_sec, kcore_opt_sec,
                kcore_opt_sec > 0.0 ? kcore_classic_sec / kcore_opt_sec : 0.0,
                kcore_equal ? "true" : "false");
+  std::fprintf(f, "  \"clustering\": {\"classic_seconds\": %.5f, "
+               "\"optimized_seconds\": %.5f, \"speedup\": %.3f, "
+               "\"samples\": %u, \"sampled_classic_seconds\": %.5f, "
+               "\"sampled_optimized_seconds\": %.5f, "
+               "\"sampled_speedup\": %.3f, \"outputs_equal\": %s},\n",
+               clust_classic_sec, clust_opt_sec,
+               clust_opt_sec > 0.0 ? clust_classic_sec / clust_opt_sec : 0.0,
+               kClusteringSamples, sampled_classic_sec, sampled_opt_sec,
+               sampled_opt_sec > 0.0 ? sampled_classic_sec / sampled_opt_sec
+                                     : 0.0,
+               clust_equal ? "true" : "false");
   std::fprintf(f, "  \"relabel_seconds\": %.5f,\n", relabel_seconds);
   std::fprintf(f, "  \"checksums_identical\": %s\n",
                checksums_identical ? "true" : "false");
@@ -421,6 +569,7 @@ int main(int argc, char** argv) {
   std::fclose(f);
   std::printf("wrote %s\n", json_path.c_str());
 
-  const bool ok = checksums_identical && wcc_equal && kcore_equal;
+  const bool ok =
+      checksums_identical && wcc_equal && kcore_equal && clust_equal;
   return ok ? 0 : 2;
 }

@@ -5,8 +5,11 @@
 #   2. tsan:   ThreadSanitizer build, "tsan"-labelled tests (parallel
 #              scheduler, traversal kernels, serving cache + executor,
 #              live delta-overlay reader/writer/compactor hammer, QoS
-#              executor + sharded-router concurrent submit/admin hammer);
-#   3. perf:   the "perf"-labelled ctest smoke benches (graph kernels,
+#              executor + sharded-router concurrent submit/admin hammer,
+#              clustering + fingerprint per-chunk scratch);
+#   3. asan:   AddressSanitizer + UBSan build, every test except the
+#              "perf"-labelled smoke benches;
+#   4. perf:   the "perf"-labelled ctest smoke benches (graph kernels,
 #              serving load, sharded serving + QoS overload, cold start,
 #              distance oracle, telemetry overhead, out-of-core scale,
 #              live mutations) — each is a hard-asserting harness that
@@ -17,7 +20,7 @@
 #              byte identity / RSS ceiling.
 #
 # Usage: scripts/check.sh [--skip-tsan]
-# Runs from any cwd; builds live in build/ and build-tsan/.
+# Runs from any cwd; builds live in build/, build-tsan/ and build-asan/.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -45,6 +48,13 @@ if [[ "$SKIP_TSAN" -eq 0 ]]; then
 else
   echo "== tsan: skipped (--skip-tsan) =="
 fi
+
+echo "== asan: every non-perf test under AddressSanitizer + UBSan =="
+cmake -B build-asan -S . -DELITENET_ENABLE_ASAN=ON >/dev/null
+cmake --build build-asan -j "$JOBS"
+# halt_on_error turns a UBSan report into a test failure.
+(cd build-asan && UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
+  ctest -LE perf --output-on-failure -j "$JOBS")
 
 echo "== perf: smoke benches (kernels, serving, cold start, oracle, telemetry, mutations) =="
 (cd build && ctest -L perf --output-on-failure -j "$JOBS")

@@ -1,7 +1,9 @@
 #include "analysis/clustering.h"
 
 #include <algorithm>
+#include <bit>
 
+#include "graph/frontier.h"
 #include "util/check.h"
 #include "util/metrics.h"
 #include "util/parallel.h"
@@ -25,56 +27,108 @@ std::vector<NodeId> UndirectedNeighbors(const DiGraph& g, NodeId u) {
 
 namespace {
 
-// Number of elements common to two sorted ranges.
-uint64_t SortedIntersectionSize(const std::vector<NodeId>& a,
-                                const std::vector<NodeId>& b) {
-  uint64_t count = 0;
+// Calls fn(v) once for every v in N(u) = out(u) ∪ in(u), ascending; the
+// sorted rows make the merge a dedup. The merge steps by comparison
+// results rather than branches: interleaved rows mispredict a branchy one.
+template <typename Fn>
+void ForEachNeighbor(const DiGraph& g, NodeId u, Fn&& fn) {
+  const auto outs = g.OutNeighbors(u);
+  const auto ins = g.InNeighbors(u);
   size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      ++count;
-      ++i;
-      ++j;
-    }
+  while (i < outs.size() && j < ins.size()) {
+    const NodeId a = outs[i], b = ins[j];
+    fn(a < b ? a : b);
+    i += a <= b;
+    j += b <= a;
   }
-  return count;
+  for (; i < outs.size(); ++i) fn(outs[i]);
+  for (; j < ins.size(); ++j) fn(ins[j]);
 }
 
-struct NodeClustering {
-  double coefficient = 0.0;
-  uint64_t closed_pairs = 0;  // ordered neighbor pairs that are linked
-  uint64_t degree = 0;
-  bool eligible = false;  // undirected degree >= 2
+uint64_t TotalDegree(const DiGraph& g, NodeId v) {
+  return uint64_t{g.OutDegree(v)} + g.InDegree(v);
+}
+
+// The touched set T = ∪ N(u) over the evaluated nodes: an n-bit membership
+// bitmap plus a rank per 64-bit word, so Slot() numbers T's members
+// 0..|T|-1 in id order at 1.5 bits per graph node.
+class TouchedSet {
+ public:
+  TouchedSet(const DiGraph& g, const std::vector<NodeId>& nodes)
+      : bits_(g.num_nodes()) {
+    for (NodeId u : nodes) {
+      for (NodeId v : g.OutNeighbors(u)) bits_.Set(v);
+      for (NodeId v : g.InNeighbors(u)) bits_.Set(v);
+    }
+    const std::vector<uint64_t>& words = bits_.words();
+    rank_.resize(words.size());
+    uint32_t total = 0;
+    for (size_t i = 0; i < words.size(); ++i) {
+      rank_[i] = total;
+      total += static_cast<uint32_t>(std::popcount(words[i]));
+    }
+    members_.reserve(total);
+    graph::ExtractSetBits(bits_, &members_);
+  }
+
+  bool Contains(NodeId v) const { return bits_.Test(v); }
+  /// Rank of v among T's members; requires Contains(v).
+  uint32_t Slot(NodeId v) const {
+    const uint64_t below = (uint64_t{1} << (v & 63)) - 1;
+    const uint64_t word = bits_.words()[v >> 6];
+    return rank_[v >> 6] + static_cast<uint32_t>(std::popcount(word & below));
+  }
+  const std::vector<NodeId>& members() const { return members_; }
+
+ private:
+  graph::NodeBitmap bits_;
+  std::vector<uint32_t> rank_;
+  std::vector<NodeId> members_;  // slot -> node id
 };
 
-NodeClustering LocalClustering(
-    const DiGraph& g, NodeId u,
-    const std::vector<std::vector<NodeId>>* cache) {
-  NodeClustering out;
-  const std::vector<NodeId> nu =
-      cache != nullptr ? (*cache)[u] : UndirectedNeighbors(g, u);
-  out.degree = nu.size();
-  if (nu.size() < 2) return out;
-  out.eligible = true;
+// Oriented rows over T, as slots: row(s) = {Slot(w) : w ∈ N(v) ∩ T,
+// key(v) < key(w)} for v = members()[s], where key(x) = (TotalDegree(x), x).
+// Every linked pair of T lands in exactly one row, its lower-key
+// endpoint's, and a hub's row holds only the few nodes above it.
+struct OrientedRows {
+  std::vector<uint64_t> offsets;  // |T| + 1
+  std::vector<uint32_t> slots;
 
-  uint64_t linked = 0;  // ordered pairs (v, w) in N(u) x N(u) with v~w
-  for (NodeId v : nu) {
-    const std::vector<NodeId> nv =
-        cache != nullptr ? (*cache)[v] : UndirectedNeighbors(g, v);
-    linked += SortedIntersectionSize(nu, nv);
+  OrientedRows(const DiGraph& g, const TouchedSet& t) {
+    const std::vector<NodeId>& members = t.members();
+    // Calls fn(w, up) for every w in N(v), up = w is a row entry. The
+    // test uses & and | rather than && and ||: it fails about half the
+    // time, unpredictably.
+    const auto for_each_candidate = [&](size_t s, auto&& fn) {
+      const NodeId v = members[s];
+      const uint64_t dv = TotalDegree(g, v);
+      ForEachNeighbor(g, v, [&](NodeId w) {
+        const uint64_t dw = TotalDegree(g, w);
+        fn(w, t.Contains(w) & ((dw > dv) | ((dw == dv) & (w > v))));
+      });
+    };
+    // Count, prefix-sum, fill: every slot's row is written by exactly one
+    // chunk, so both passes are race-free and thread-count independent.
+    offsets.assign(members.size() + 1, 0);
+    util::ParallelFor(0, members.size(), 0, [&](size_t lo, size_t hi) {
+      for (size_t s = lo; s < hi; ++s) {
+        uint64_t count = 0;
+        for_each_candidate(s, [&](NodeId, bool up) { count += up; });
+        offsets[s + 1] = count;
+      }
+    });
+    for (size_t s = 0; s < members.size(); ++s) offsets[s + 1] += offsets[s];
+    slots.resize(offsets.back());
+    util::ParallelFor(0, members.size(), 0, [&](size_t lo, size_t hi) {
+      for (size_t s = lo; s < hi; ++s) {
+        uint32_t* out = slots.data() + offsets[s];
+        for_each_candidate(s, [&](NodeId w, bool up) {
+          if (up) *out++ = t.Slot(w);
+        });
+      }
+    });
   }
-  // Each unordered linked neighbor pair was counted twice (once from each
-  // endpoint); u itself is never in nu so no self-correction is needed.
-  out.closed_pairs = linked;
-  const double possible =
-      static_cast<double>(nu.size()) * static_cast<double>(nu.size() - 1);
-  out.coefficient = static_cast<double>(linked) / possible;
-  return out;
-}
+};
 
 // Per-chunk tallies of the clustering sweep. coeff_sum is the only
 // floating-point member; folding partials in chunk order keeps the average
@@ -87,23 +141,42 @@ struct ClusteringPartial {
   uint64_t open_pairs = 0;
 };
 
-// Shared finalization + sweep driver: evaluates LocalClustering over
-// `nodes[lo, hi)` chunks in parallel and folds the partials in chunk order.
+// Shared kernel + sweep driver for the exact and sampled paths. For each
+// u in `nodes`, closed_pairs(u) — the ordered pairs of linked neighbours —
+// is 2 * Σ_{v ∈ N(u)} |row(v) ∩ N(u)|, with N(u) marked in a per-chunk
+// bitmap over T. Chunks are folded in chunk order.
 ClusteringStats SweepClustering(const DiGraph& g,
-                                const std::vector<NodeId>& nodes,
-                                const std::vector<std::vector<NodeId>>* cache) {
+                                const std::vector<NodeId>& nodes) {
   ELITENET_COUNT("analysis.clustering.nodes_swept", nodes.size());
+  const TouchedSet touched(g, nodes);
+  const OrientedRows rows(g, touched);
   const ClusteringPartial total = util::ParallelReduce(
       0, nodes.size(), 0, ClusteringPartial{},
       [&](size_t lo, size_t hi) {
         ClusteringPartial p;
+        graph::NodeBitmap marked(touched.members().size());
+        std::vector<uint32_t> nu;
         for (size_t i = lo; i < hi; ++i) {
-          const NodeClustering c = LocalClustering(g, nodes[i], cache);
-          if (!c.eligible) continue;  // can collapse below degree 2
+          nu.clear();
+          ForEachNeighbor(g, nodes[i],
+                          [&](NodeId v) { nu.push_back(touched.Slot(v)); });
+          const uint64_t degree = nu.size();
+          if (degree < 2) continue;  // can collapse below degree 2
+          for (uint32_t s : nu) marked.Set(s);
+          uint64_t linked = 0;  // unordered linked pairs in N(u)
+          for (uint32_t s : nu) {
+            for (uint64_t e = rows.offsets[s]; e < rows.offsets[s + 1]; ++e) {
+              linked += marked.Test(rows.slots[e]);
+            }
+          }
+          for (uint32_t s : nu) marked.Clear(s);
+          const uint64_t closed = 2 * linked;
           ++p.nodes_evaluated;
-          p.coeff_sum += c.coefficient;
-          p.closed += c.closed_pairs;
-          p.open_pairs += c.degree * (c.degree - 1);
+          p.coeff_sum += static_cast<double>(closed) /
+                         (static_cast<double>(degree) *
+                          static_cast<double>(degree - 1));
+          p.closed += closed;
+          p.open_pairs += degree * (degree - 1);
         }
         return p;
       },
@@ -135,18 +208,9 @@ ClusteringStats SweepClustering(const DiGraph& g,
 
 ClusteringStats ComputeClustering(const DiGraph& g) {
   ELITENET_SPAN("analysis.clustering");
-  const NodeId n = g.num_nodes();
-  std::vector<std::vector<NodeId>> adj(n);
-  // Each entry is written by exactly one chunk: safe and deterministic.
-  util::ParallelFor(0, n, 0, [&](size_t lo, size_t hi) {
-    for (size_t u = lo; u < hi; ++u) {
-      adj[u] = UndirectedNeighbors(g, static_cast<NodeId>(u));
-    }
-  });
-
-  std::vector<NodeId> nodes(n);
-  for (NodeId u = 0; u < n; ++u) nodes[u] = u;
-  return SweepClustering(g, nodes, &adj);
+  std::vector<NodeId> nodes(g.num_nodes());
+  for (NodeId u = 0; u < g.num_nodes(); ++u) nodes[u] = u;
+  return SweepClustering(g, nodes);
 }
 
 ClusteringStats ComputeClusteringSampled(const DiGraph& g, uint32_t samples,
@@ -162,7 +226,7 @@ ClusteringStats ComputeClusteringSampled(const DiGraph& g, uint32_t samples,
 
   rng->Shuffle(&eligible);
   eligible.resize(samples);
-  return SweepClustering(g, eligible, nullptr);
+  return SweepClustering(g, eligible);
 }
 
 }  // namespace analysis

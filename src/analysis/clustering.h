@@ -23,13 +23,17 @@ struct ClusteringStats {
   uint64_t triangles = 0;  ///< total closed-triple count / not deduplicated
 };
 
-/// Exact computation. O(Σ d_u²) worst case — fine up to a few hundred
-/// thousand nodes at the paper's density.
+/// Exact computation over a loop-free graph: every linked neighbour pair is
+/// counted once, from its endpoint of lower (total degree, id), so the
+/// work is O(m·√m) and memory O(n + m).
 ClusteringStats ComputeClustering(const graph::DiGraph& g);
 
 /// Approximates the average local coefficient by evaluating `samples`
 /// uniformly random nodes of undirected degree >= 2 (exact per node).
 /// Falls back to the exact value when the graph has fewer eligible nodes.
+/// Beyond the eligible-node list, the kernel needs a 1.5-bit-per-node
+/// bitmap plus oriented rows over the sampled nodes' neighbours only, so
+/// it stays small when samples << n.
 ClusteringStats ComputeClusteringSampled(const graph::DiGraph& g,
                                          uint32_t samples, util::Rng* rng);
 

@@ -58,8 +58,8 @@ struct StudyConfig {
   uint64_t analysis_seed = 1234;
   /// Worker threads for the parallel kernels (generation, BFS sampling,
   /// centrality sweeps, clustering, bootstrap). 0 = automatic: the
-  /// ELITENET_THREADS environment variable if set, else
-  /// hardware_concurrency. Results are bit-identical for any value.
+  /// ELITENET_THREADS environment variable if set, else the number of
+  /// CPUs in the affinity mask. Results are bit-identical for any value.
   int threads = 0;
 
   // ---- Observability (util/trace.h, util/metrics.h) ---------------------

@@ -1,5 +1,7 @@
 #include "util/parallel.h"
 
+#include <sched.h>
+
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -36,8 +38,7 @@ void RecordShardMetrics(int slot, uint64_t chunks, uint64_t busy_ns) {
 }
 
 int AutoThreadCount() {
-  const unsigned hc = std::thread::hardware_concurrency();
-  const int fallback = hc == 0 ? 1 : static_cast<int>(hc);
+  const int fallback = AvailableCpus();
   if (const char* env = std::getenv("ELITENET_THREADS");
       env != nullptr && *env != '\0') {
     const int parsed = ParseThreadCount(env, -1);
@@ -71,6 +72,18 @@ class ParallelRegionGuard {
 };
 
 }  // namespace
+
+int AvailableCpus() {
+  // The mask, not hardware_concurrency: under taskset, a cpuset or a
+  // one-CPU pin, a pool sized to the machine only time-slices.
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    const int count = CPU_COUNT(&allowed);
+    if (count > 0) return count;
+  }
+  const unsigned hc = std::thread::hardware_concurrency();
+  return hc == 0 ? 1 : static_cast<int>(hc);
+}
 
 int ParseThreadCount(const char* text, int fallback) {
   if (text == nullptr || *text == '\0') return fallback;

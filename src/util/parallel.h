@@ -15,9 +15,11 @@
 // its own RNG substream derived from a base seed and the chunk index — see
 // util::SubstreamSeed in util/rng.h.
 //
-// The global thread count defaults to std::thread::hardware_concurrency,
-// can be overridden by the ELITENET_THREADS environment variable, and is
-// adjustable at runtime via SetThreadCount (bench flag: --threads=).
+// The global thread count defaults to the number of CPUs in the calling
+// thread's affinity mask (std::thread::hardware_concurrency where that is
+// unavailable), can be overridden by the ELITENET_THREADS environment
+// variable, and is adjustable at runtime via SetThreadCount (bench flag:
+// --threads=).
 
 #ifndef ELITENET_UTIL_PARALLEL_H_
 #define ELITENET_UTIL_PARALLEL_H_
@@ -38,6 +40,11 @@ namespace util {
 /// Effective global thread count (always >= 1).
 int ThreadCount();
 
+/// CPUs the calling thread may run on: the size of its affinity mask, or
+/// std::thread::hardware_concurrency where the mask is unavailable
+/// (always >= 1). The automatic thread count.
+int AvailableCpus();
+
 /// Upper bound accepted for thread-count overrides; larger requests are
 /// rejected as misconfiguration (no machine this library targets has more
 /// hardware threads, and a pool that size would only thrash).
@@ -53,8 +60,8 @@ int ParseThreadCount(const char* text, int fallback);
 
 /// Sets the global thread count used by ParallelFor/ParallelReduce.
 /// n <= 0 restores the automatic default (ELITENET_THREADS env var if set,
-/// else hardware_concurrency). Do not call concurrently with running
-/// parallel loops.
+/// else the CPU count of the calling thread's affinity mask). Do not call
+/// concurrently with running parallel loops.
 void SetThreadCount(int n);
 
 /// True while the calling thread is executing inside a pool task; nested

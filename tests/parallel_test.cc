@@ -5,10 +5,13 @@
 #include "util/parallel.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace elitenet {
@@ -29,6 +32,28 @@ TEST(ThreadCountTest, AlwaysPositive) {
   EXPECT_EQ(ThreadCount(), 3);
   SetThreadCount(0);  // back to auto
   EXPECT_GE(ThreadCount(), 1);
+}
+
+TEST(ThreadCountTest, AutoFollowsAffinityMask) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  // ELITENET_THREADS outranks the mask; lift it for the test's duration.
+  const char* env = std::getenv("ELITENET_THREADS");
+  const bool had_env = env != nullptr;
+  const std::string saved_env = had_env ? env : "";
+  unsetenv("ELITENET_THREADS");
+  SetThreadCount(0);
+  const int pinned = ThreadCount();
+  EXPECT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  if (had_env) setenv("ELITENET_THREADS", saved_env.c_str(), 1);
+  SetThreadCount(0);
+  EXPECT_EQ(pinned, 1);
 }
 
 TEST(ParseThreadCountTest, AcceptsPlainIntegers) {
