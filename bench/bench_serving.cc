@@ -85,13 +85,12 @@ struct RunResult {
   TypeLatencies latency[kNumTypes];
 };
 
-// Replays `mix` closed-loop against any server exposing Submit():
+// Replays `mix` closed-loop through a front door (engine or router):
 // a window of `threads` requests in flight, reaped in submission order
 // so the checksum (and every latency sample's index) is independent of
 // scheduling. Shared by the engine grid and the router grid — the
 // identical replay is what makes their checksums comparable.
-template <typename Server>
-RunResult ReplayClosedLoop(Server* server,
+RunResult ReplayClosedLoop(serve::FrontDoor* server,
                            const std::vector<serve::Request>& mix,
                            int threads) {
   RunResult out;

@@ -1,0 +1,54 @@
+# Drives `elitenet_cli serve` end to end (run by the example_cli_serve
+# ctest): writes a small edge list, pipes one request file through the
+# unsharded engine and through a 2-shard router, requires identical
+# output, and checks that bad serve flags exit 2 before any graph loads.
+#
+#   cmake -DCLI=<path to elitenet_cli> -DWORK=<scratch dir> -P cli_serve_test.cmake
+
+file(REMOVE_RECURSE "${WORK}")
+file(MAKE_DIRECTORY "${WORK}")
+# Mutual pair, cycle, tail to a sink.
+file(WRITE "${WORK}/edges.txt" "0 1\n1 0\n1 2\n2 0\n2 3\n3 4\n")
+file(WRITE "${WORK}/requests.txt"
+  "ego 0\nego 4\ntopk 3\ndist 1 4\ndist 4 0\nneighbors 2 out 8\n"
+  "neighbors 0 in\nfingerprint\nego 99\nfrobnicate 1\nego 1 @3\n"
+  "#recent five\n# a plain comment\nego 2 !batch\nquit\nego 3\n")
+
+function(serve_once out)
+  execute_process(
+    COMMAND "${CLI}" serve "${WORK}/edges.txt" ${ARGN}
+    INPUT_FILE "${WORK}/requests.txt"
+    OUTPUT_FILE "${WORK}/${out}"
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "serve ${ARGN} exited ${rc}:\n${err}")
+  endif()
+endfunction()
+
+serve_once(unsharded.out 2)
+serve_once(sharded.out --shards=2 --shard-threads=2 --hubs=2)
+file(READ "${WORK}/unsharded.out" unsharded)
+file(READ "${WORK}/sharded.out" sharded)
+if(NOT unsharded STREQUAL sharded)
+  message(FATAL_ERROR "sharded output differs:\n${unsharded}\n---\n${sharded}")
+endif()
+string(REGEX MATCHALL "\n" lines "${unsharded}")
+list(LENGTH lines n)
+if(NOT n EQUAL 13)
+  message(FATAL_ERROR "expected 13 response lines, got ${n}:\n${unsharded}")
+endif()
+
+# Bad flags fail with exit 2 — even when the graph does not exist, since
+# flags are parsed before the graph loads.
+foreach(bad "--shards=abc" "--threads=0" "--sample=4294967296"
+            "--flight-recorder=99999999999999999999" "--bogus")
+  foreach(graph "${WORK}/edges.txt" "${WORK}/missing.txt")
+    execute_process(COMMAND "${CLI}" serve "${graph}" ${bad}
+      INPUT_FILE "${WORK}/requests.txt"
+      OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 2)
+      message(FATAL_ERROR "serve ${graph} ${bad} exited ${rc}, want 2")
+    endif()
+  endforeach()
+endforeach()

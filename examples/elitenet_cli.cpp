@@ -9,8 +9,11 @@
 //   elitenet_cli distance <graph>      separation distribution (Fig. 3)
 //   elitenet_cli fingerprint <graph>   signature + similarity to the paper
 //   elitenet_cli rank <graph> [k]      top-k users by PageRank
-//   elitenet_cli serve <graph> [N]     query engine on stdin/stdout (N
-//                                      workers; also --metrics=<path>,
+//   elitenet_cli serve <graph> [N]     query server on stdin/stdout, one
+//                                      JSON line per request (N workers,
+//                                      or --threads=N; --cache=N entries;
+//                                      --no-widx skips the .widx/.pidx
+//                                      sidecars; --metrics=<path>,
 //                                      --metrics-interval=<ms>,
 //                                      --flight-recorder=<K>, --slow-ms=<t>,
 //                                      --sample=<N>, --no-telemetry; admin
@@ -18,7 +21,7 @@
 //                                      #trace <id> answer with JSON;
 //                                      --shards=N serves through the
 //                                      scatter-gather router with N
-//                                      degree-partitioned shard engines —
+//                                      degree-partitioned shards —
 //                                      byte-identical responses, plus
 //                                      --shard-threads=N and --hubs=K)
 //   elitenet_cli convert <in> <out>    edge list <-> binary snapshot
@@ -47,6 +50,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -59,7 +63,6 @@
 #include "core/fingerprint.h"
 #include "graph/io.h"
 #include "serve/delta_overlay.h"
-#include "serve/partition.h"
 #include "serve/router.h"
 #include "serve/server.h"
 #include "serve/warm_index_cache.h"
@@ -206,90 +209,50 @@ int CmdRank(const graph::DiGraph& g, uint32_t k) {
   return 0;
 }
 
-int CmdServe(graph::DiGraph g, const std::string& graph_path, int argc,
-             char** argv) {
-  serve::EngineOptions opts;
-  serve::ApplyServeEnv(&opts);  // env first; explicit flags override
-  opts.warm_index_path = serve::WarmIndexPathFor(graph_path);
-  int shards = 0;  // 0 = unsharded QueryEngine
-  serve::RouterOptions ropts;
-  for (int i = 0; i < argc; ++i) {
-    if (serve::ParseServeFlag(argv[i], &opts)) continue;
-    if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = std::atoi(argv[i] + 9);
-      continue;
+int CmdServe(graph::DiGraph g, const serve::RouterOptions& opts) {
+  // Either backend is a FrontDoor; past startup, serving and the
+  // shutdown summary do not care which one answers.
+  std::unique_ptr<serve::FrontDoor> front;
+  Status started;
+  char shape[128] = "";
+  if (opts.num_shards > 0) {
+    // Scatter-gather path: N shard compute units behind the QoS router,
+    // with byte-identical responses (serve/router.h).
+    auto router = serve::ShardedRouter::Create(std::move(g), opts);
+    if (router.ok()) {
+      std::snprintf(shape, sizeof(shape),
+                    ", %s; %d shards x %d threads, %llu hub replicas",
+                    (*router)->partition_from_cache() ? "partition restored"
+                                                      : "partition built",
+                    (*router)->num_shards(), opts.shard_threads,
+                    static_cast<unsigned long long>(
+                        (*router)->partition().hubs.size()));
+      front = std::move(*router);
+    } else {
+      started = router.status();
     }
-    if (std::strncmp(argv[i], "--shard-threads=", 16) == 0) {
-      ropts.shard_threads = std::atoi(argv[i] + 16);
-      continue;
+  } else {
+    auto engine = serve::QueryEngine::Create(std::move(g), opts.engine);
+    if (engine.ok()) {
+      front = std::move(*engine);
+    } else {
+      started = engine.status();
     }
-    if (std::strncmp(argv[i], "--hubs=", 7) == 0) {
-      ropts.hub_count =
-          static_cast<uint32_t>(std::strtoul(argv[i] + 7, nullptr, 10));
-      continue;
-    }
-    if (argv[i][0] != '-') {
-      opts.threads = std::atoi(argv[i]);  // positional worker count
-      continue;
-    }
-    std::fprintf(stderr, "unknown serve flag: %s\n", argv[i]);
-    return 2;
   }
-  if (shards > 0) {
-    // Scatter-gather path: N shard engines behind the QoS router, with
-    // byte-identical responses (serve/router.h).
-    ropts.num_shards = shards;
-    ropts.engine = opts;
-    ropts.partition_path = serve::PartitionPathFor(graph_path);
-    auto router = serve::ShardedRouter::Create(std::move(g), ropts);
-    if (!router.ok()) {
-      std::fprintf(stderr, "router startup failed: %s\n",
-                   router.status().ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr,
-                 "warm in %.2fs (%s, %s); %d shards x %d threads, %d "
-                 "router workers, %llu hub replicas\n",
-                 (*router)->warmup_seconds(),
-                 (*router)->warm_index_from_cache() ? "indexes restored"
-                                                    : "indexes built",
-                 (*router)->partition_from_cache() ? "partition restored"
-                                                   : "partition built",
-                 (*router)->num_shards(), ropts.shard_threads,
-                 (*router)->threads(),
-                 static_cast<unsigned long long>(
-                     (*router)->partition().hubs.size()));
-    const serve::ServeStats stats =
-        serve::ServeLines(router->get(), stdin, stdout);
-    std::fprintf(stderr,
-                 "served %llu requests (%llu errors, %llu degraded, "
-                 "%llu admin), cache %llu hits / %llu misses\n",
-                 static_cast<unsigned long long>(stats.requests),
-                 static_cast<unsigned long long>(stats.errors),
-                 static_cast<unsigned long long>(stats.degraded),
-                 static_cast<unsigned long long>(stats.admin),
-                 static_cast<unsigned long long>((*router)->cache_hits()),
-                 static_cast<unsigned long long>((*router)->cache_misses()));
-    std::fputs(serve::RenderSummaryText((*router)->telemetry()).c_str(),
-               stderr);
-    return 0;
-  }
-  auto engine = serve::QueryEngine::Create(std::move(g), opts);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "engine startup failed: %s\n",
-                 engine.status().ToString().c_str());
+  if (!started.ok()) {
+    std::fprintf(stderr, "serve startup failed: %s\n",
+                 started.ToString().c_str());
     return 1;
   }
   std::fprintf(stderr,
-               "warm in %.2fs (%s); %d workers; protocol: ego <n> | "
+               "warm in %.2fs (%s%s); %d workers; protocol: ego <n> | "
                "topk <k> | dist <s> <t> [deadline_us] | neighbors <n> "
                "out|in [limit] | fingerprint | quit\n",
-               (*engine)->warmup_seconds(),
-               (*engine)->warm_index_from_cache() ? "restored from .widx"
-                                                  : "built fresh",
-               (*engine)->threads());
-  const serve::ServeStats stats =
-      serve::ServeLines(engine->get(), stdin, stdout);
+               front->warmup_seconds(),
+               front->warm_index_from_cache() ? "indexes restored"
+                                              : "indexes built",
+               shape, front->threads());
+  const serve::ServeStats stats = serve::ServeLines(front.get(), stdin, stdout);
   std::fprintf(stderr,
                "served %llu requests (%llu errors, %llu degraded, "
                "%llu admin), cache %llu hits / %llu misses\n",
@@ -297,10 +260,9 @@ int CmdServe(graph::DiGraph g, const std::string& graph_path, int argc,
                static_cast<unsigned long long>(stats.errors),
                static_cast<unsigned long long>(stats.degraded),
                static_cast<unsigned long long>(stats.admin),
-               static_cast<unsigned long long>((*engine)->cache_hits()),
-               static_cast<unsigned long long>((*engine)->cache_misses()));
-  std::fputs(serve::RenderSummaryText((*engine)->telemetry()).c_str(),
-             stderr);
+               static_cast<unsigned long long>(front->cache_hits()),
+               static_cast<unsigned long long>(front->cache_misses()));
+  std::fputs(serve::RenderSummaryText(front->telemetry()).c_str(), stderr);
   return 0;
 }
 
@@ -458,6 +420,10 @@ void Usage() {
       "    zero-copy mmap snapshot, .eng the legacy ENG1 format, anything\n"
       "    else a text edge list; --budget-mb streams the .eng2 write\n"
       "    through an N-MiB external sort (same bytes, bounded memory)\n"
+      "  serve <graph> [N] [--threads=N] [--cache=N] [--no-widx]\n"
+      "    [--shards=N] [--shard-threads=N] [--hubs=K] [--metrics=PATH]\n"
+      "    [--metrics-interval=MS] [--flight-recorder=K] [--slow-ms=T]\n"
+      "    [--sample=N] [--no-telemetry]: line-protocol query server\n"
       "  warmup <graph>: precompute the <graph>.widx warm-index sidecar\n"
       "  mutate <graph> <trace> [--out=PATH]: replay an EMUT\n"
       "    follow/unfollow trace through the live delta overlay and\n"
@@ -473,6 +439,17 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string command = argv[1];
+  // Serve flags are checked before the (possibly multi-GiB) graph loads,
+  // so a typo fails in milliseconds.
+  serve::RouterOptions serve_opts;
+  if (command == "serve") {
+    const Status s =
+        serve::ParseServeArgs(argv[2], argc - 3, argv + 3, &serve_opts);
+    if (!s.ok()) {
+      std::fprintf(stderr, "%s\n", s.ToString().c_str());
+      return 2;
+    }
+  }
   core::GraphLoadInfo load_info;
   auto g = core::LoadAnyGraph(argv[2], &load_info);
   if (!g.ok()) {
@@ -494,9 +471,7 @@ int main(int argc, char** argv) {
         argc > 3 ? static_cast<uint32_t>(std::atoi(argv[3])) : 10;
     return CmdRank(*g, k);
   }
-  if (command == "serve") {
-    return CmdServe(std::move(*g), argv[2], argc - 3, argv + 3);
-  }
+  if (command == "serve") return CmdServe(std::move(*g), serve_opts);
   if (command == "convert") {
     if (argc < 4) {
       Usage();

@@ -1,0 +1,445 @@
+#include "serve/compute.h"
+
+#include <algorithm>
+
+#include "util/metrics.h"
+#include "util/trace.h"
+
+namespace elitenet {
+namespace serve {
+
+using graph::DiGraph;
+using graph::NodeId;
+
+namespace {
+
+void AppendU64(std::string* out, uint64_t v) { *out += std::to_string(v); }
+
+void AppendI64(std::string* out, int64_t v) { *out += std::to_string(v); }
+
+void AppendBool(std::string* out, bool v) { *out += v ? "true" : "false"; }
+
+// Live responses carry the snapshot version they answered at and the
+// base version the epoch's warm indexes were computed at — the staleness
+// bound for warm-index fields. Static responses stay byte-for-byte what
+// they were before live mode existed.
+void AppendVersionFields(std::string* j, const LiveSnapshot* snap) {
+  if (snap == nullptr) return;
+  *j += ",\"version\":";
+  AppendU64(j, snap->version());
+  *j += ",\"as_of\":";
+  AppendU64(j, snap->base_version());
+}
+
+// Adjacency adapters so the shared bounded search
+// (serve/bounded_distance.h) runs over either a static DiGraph or a live
+// MVCC snapshot. Both iterate neighbors in ascending id order, so the
+// expansion order — and therefore the bytes of a completed answer — is
+// identical across the two backings. PrepareLevel is the router's
+// batched-gather hook; in-memory backings need none.
+struct GraphAdj {
+  const DiGraph* g;
+  void PrepareLevel(const std::vector<NodeId>&, bool) const {}
+  template <typename Fn>
+  void ForEachOut(NodeId u, Fn&& fn) const {
+    for (NodeId v : g->OutNeighbors(u)) fn(v);
+  }
+  template <typename Fn>
+  void ForEachIn(NodeId u, Fn&& fn) const {
+    for (NodeId v : g->InNeighbors(u)) fn(v);
+  }
+};
+
+struct SnapAdj {
+  const LiveSnapshot* s;
+  void PrepareLevel(const std::vector<NodeId>&, bool) const {}
+  template <typename Fn>
+  void ForEachOut(NodeId u, Fn&& fn) const {
+    s->ForEachOut(u, std::forward<Fn>(fn));
+  }
+  template <typename Fn>
+  void ForEachIn(NodeId u, Fn&& fn) const {
+    s->ForEachIn(u, std::forward<Fn>(fn));
+  }
+};
+
+// Distinct nodes within <= 2 follows of u, excluding u, marked in `a`.
+// Both levels expand in ascending id order over either backing, so the
+// count is identical on a static graph and an untouched snapshot.
+template <typename Adj>
+uint64_t TwoHopReach(const Adj& adj, NodeId u, graph::ScratchArena* a) {
+  a->BeginEpoch();
+  a->Visit(u, 0, graph::kNoParent);
+  uint64_t reach = 0;
+  adj.ForEachOut(u, [&](NodeId v) {
+    if (!a->Visited(v)) {
+      a->Visit(v, 1, u);
+      ++reach;
+    }
+  });
+  adj.ForEachOut(u, [&](NodeId v) {
+    adj.ForEachOut(v, [&](NodeId w) {
+      if (!a->Visited(w)) {
+        a->Visit(w, 2, v);
+        ++reach;
+      }
+    });
+  });
+  return reach;
+}
+
+}  // namespace
+
+std::unique_ptr<ScratchPool::Scratch> ScratchPool::Borrow() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!pool_.empty()) {
+      std::unique_ptr<Scratch> s = std::move(pool_.back());
+      pool_.pop_back();
+      return s;
+    }
+  }
+  return std::make_unique<Scratch>(num_nodes_);
+}
+
+void ScratchPool::Return(std::unique_ptr<Scratch> s) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  pool_.push_back(std::move(s));
+}
+
+std::string ErrorJson(std::string_view code, std::string_view message,
+                      std::optional<std::string_view> request) {
+  std::string j = "{\"type\":\"error\",\"code\":\"";
+  j += code;
+  j += "\",\"message\":\"";
+  j += JsonEscape(message);
+  if (request.has_value()) {
+    j += "\",\"request\":\"";
+    j += JsonEscape(*request);
+  }
+  j += "\"}";
+  return j;
+}
+
+QueryResponse ErrorResponse(const Request& r, const Status& status) {
+  ELITENET_COUNT("serve.errors", 1);
+  QueryResponse resp;
+  resp.ok = false;
+  resp.json = ErrorJson(StatusCodeToString(status.code()), status.message(),
+                        CanonicalEncoding(r));
+  return resp;
+}
+
+std::string RenderTopKJson(const WarmIndexes& warm, uint32_t k,
+                           std::span<const std::pair<uint32_t, uint32_t>>
+                               in_out_degrees,
+                           const LiveSnapshot* snap) {
+  const uint32_t returned =
+      std::min<uint32_t>(k, static_cast<uint32_t>(warm.rank_order.size()));
+  std::string j = "{\"type\":\"topk\",\"k\":";
+  AppendU64(&j, k);
+  j += ",\"returned\":";
+  AppendU64(&j, returned);
+  AppendVersionFields(&j, snap);
+  j += ",\"rows\":[";
+  for (uint32_t i = 0; i < returned; ++i) {
+    const NodeId u = warm.rank_order[i];
+    if (i > 0) j += ',';
+    j += "{\"rank\":";
+    AppendU64(&j, i + 1);
+    j += ",\"node\":";
+    AppendU64(&j, u);
+    j += ",\"score\":";
+    j += JsonDouble(warm.pagerank[u]);
+    j += ",\"in_degree\":";
+    AppendU64(&j, in_out_degrees[i].first);
+    j += ",\"out_degree\":";
+    AppendU64(&j, in_out_degrees[i].second);
+    j += '}';
+  }
+  j += "],\"degraded\":false}";
+  return j;
+}
+
+QueryResponse MakeDistanceResponse(const Request& r,
+                                   const BoundedDistanceResult& d,
+                                   const LiveSnapshot* snap) {
+  QueryResponse resp;
+  resp.degraded = !d.completed;
+  if (resp.degraded) ELITENET_COUNT("serve.degraded", 1);
+  std::string& j = resp.json;
+  j = "{\"type\":\"dist\",\"src\":";
+  AppendU64(&j, r.node);
+  j += ",\"dst\":";
+  AppendU64(&j, r.target);
+  AppendVersionFields(&j, snap);
+  if (d.completed) {
+    // Note: no traversal-cost field here — a completed answer must be a
+    // pure function of (graph, request) so the oracle and BFS paths stay
+    // byte-identical (and cacheable interchangeably).
+    const bool reachable = d.distance != UINT32_MAX;
+    j += ",\"reachable\":";
+    AppendBool(&j, reachable);
+    j += ",\"distance\":";
+    AppendI64(&j, reachable ? static_cast<int64_t>(d.distance) : -1);
+  } else {
+    // Deadline hit (BFS fallback only): the true distance is unknown but
+    // provably at least lower_bound (every completed level failed to
+    // meet). Degraded responses are never cached, so the diagnostic
+    // expansion count is safe to include.
+    j += ",\"reachable\":null,\"distance\":-1,\"lower_bound\":";
+    AppendU64(&j, d.lower_bound);
+    j += ",\"expanded\":";
+    AppendU64(&j, d.expanded);
+  }
+  j += ",\"degraded\":";
+  AppendBool(&j, resp.degraded);
+  j += '}';
+  return resp;
+}
+
+ComputeUnit::ComputeUnit(DiGraph g)
+    : graph_(std::move(g)), scratch_(graph_.num_nodes()) {}
+
+QueryResponse ComputeUnit::Compute(const Request& r,
+                                   const util::Deadline& deadline,
+                                   const WarmIndexes& warm,
+                                   const LiveSnapshot* snap) {
+  ELITENET_SPAN("serve.compute");
+  switch (r.type) {
+    case RequestType::kEgoSummary:
+      return DoEgoSummary(r, warm, snap);
+    case RequestType::kTopKRank:
+      return DoTopKRank(r, warm, snap);
+    case RequestType::kDistance:
+      return DoDistance(r, deadline, warm, snap);
+    case RequestType::kNeighbors:
+      return DoNeighbors(r, snap);
+    case RequestType::kFingerprint:
+      return DoFingerprint(warm, snap);
+  }
+  return ErrorResponse(r, Status::Internal("unhandled request type"));
+}
+
+QueryResponse ComputeUnit::DoEgoSummary(const Request& r,
+                                        const WarmIndexes& warm,
+                                        const LiveSnapshot* snap) {
+  const NodeId u = r.node;
+  if (u >= graph_.num_nodes()) {
+    return ErrorResponse(
+        r, Status::NotFound("node " + std::to_string(u) + " not in graph"));
+  }
+  // Two-hop out-reach (distinct nodes within <= 2 follows, excluding u):
+  // the per-user audience estimate verification-style lookups want. Marked
+  // in a pooled arena so hub queries do not allocate O(n) scratch. Live
+  // engines traverse the snapshot — exact at the request's version even
+  // when only a neighbor-of-a-neighbor was touched.
+  std::unique_ptr<ScratchPool::Scratch> scratch = scratch_.Borrow();
+  uint32_t out_deg = 0;
+  uint32_t in_deg = 0;
+  uint64_t reach = 0;
+  // Exact unless u was touched: with neither u's follows nor its
+  // followers changed since the base, the warm count still holds.
+  uint64_t mutual = warm.mutual_degree[u];
+  if (snap != nullptr) {
+    reach = TwoHopReach(SnapAdj{snap}, u, &scratch->fwd);
+    out_deg = snap->OutDegree(u);
+    in_deg = snap->InDegree(u);
+    if (snap->Touched(u)) {
+      // Either direction at u changed: the warm count may be stale, so
+      // recount at the snapshot version (deg(u) containment probes).
+      mutual = 0;
+      snap->ForEachOut(u, [&](NodeId v) {
+        if (snap->HasEdge(v, u)) ++mutual;
+      });
+    }
+  } else {
+    reach = TwoHopReach(GraphAdj{&graph_}, u, &scratch->fwd);
+    out_deg = graph_.OutDegree(u);
+    in_deg = graph_.InDegree(u);
+  }
+  scratch_.Return(std::move(scratch));
+
+  QueryResponse resp;
+  std::string& j = resp.json;
+  j = "{\"type\":\"ego\",\"node\":";
+  AppendU64(&j, u);
+  AppendVersionFields(&j, snap);
+  j += ",\"out_degree\":";
+  AppendU64(&j, out_deg);
+  j += ",\"in_degree\":";
+  AppendU64(&j, in_deg);
+  j += ",\"mutual\":";
+  AppendU64(&j, mutual);
+  j += ",\"reach_2hop\":";
+  AppendU64(&j, reach);
+  j += ",\"pagerank\":";
+  j += JsonDouble(warm.pagerank[u]);
+  j += ",\"rank\":";
+  AppendU64(&j, warm.rank_of[u]);
+  j += ",\"wcc_id\":";
+  AppendU64(&j, warm.wcc.label[u]);
+  j += ",\"wcc_size\":";
+  AppendU64(&j, warm.wcc.sizes[warm.wcc.label[u]]);
+  j += ",\"scc_id\":";
+  AppendU64(&j, warm.scc.label[u]);
+  j += ",\"scc_size\":";
+  AppendU64(&j, warm.scc.sizes[warm.scc.label[u]]);
+  j += ",\"is_sink\":";
+  AppendBool(&j, out_deg == 0 && in_deg > 0);
+  j += ",\"is_isolated\":";
+  AppendBool(&j, out_deg == 0 && in_deg == 0);
+  j += ",\"degraded\":false}";
+  return resp;
+}
+
+QueryResponse ComputeUnit::DoTopKRank(const Request& r,
+                                      const WarmIndexes& warm,
+                                      const LiveSnapshot* snap) {
+  const uint32_t returned =
+      std::min<uint32_t>(r.k, static_cast<uint32_t>(warm.rank_order.size()));
+  // Ordering and scores are as-of the warm bundle (the epoch base on a
+  // live engine, "as_of"); the degree columns are read off this unit's
+  // graph, or exact at the snapshot version. The router instead gathers
+  // the same columns per home shard, merging into the very same bytes.
+  std::vector<std::pair<uint32_t, uint32_t>> degs;
+  degs.reserve(returned);
+  for (uint32_t i = 0; i < returned; ++i) {
+    const NodeId u = warm.rank_order[i];
+    if (snap != nullptr) {
+      degs.emplace_back(snap->InDegree(u), snap->OutDegree(u));
+    } else {
+      degs.emplace_back(graph_.InDegree(u), graph_.OutDegree(u));
+    }
+  }
+  QueryResponse resp;
+  resp.json = RenderTopKJson(warm, r.k, degs, snap);
+  return resp;
+}
+
+QueryResponse ComputeUnit::DoDistance(const Request& r,
+                                      const util::Deadline& deadline,
+                                      const WarmIndexes& warm,
+                                      const LiveSnapshot* snap) {
+  if (r.node >= graph_.num_nodes() || r.target >= graph_.num_nodes()) {
+    return ErrorResponse(r, Status::NotFound("distance endpoint not in graph"));
+  }
+  // The hub-label oracle answers as-of the epoch base. On a live engine
+  // it stays in charge only while both endpoints are untouched at the
+  // snapshot version (bounded staleness: intermediate churn may shift the
+  // true distance, endpoint churn may not go unseen); a touched endpoint
+  // routes to the overlay-aware BFS, exact at the snapshot version. The
+  // choice is a pure function of (epoch, version, request), so pinned
+  // replays stay deterministic.
+  const bool oracle_ok =
+      !warm.hub_labels.empty() &&
+      (snap == nullptr || (!snap->Touched(r.node) && !snap->Touched(r.target)));
+  BoundedDistanceResult d;
+  if (oracle_ok) {
+    // Oracle fast path: exact distance by label intersection, no graph
+    // traversal, no deadline interaction — it cannot degrade.
+    ELITENET_COUNT("serve.dist.oracle_hit", 1);
+    util::SpanTimer intersect_timer;
+    d.distance = warm.hub_labels.Distance(r.node, r.target);
+    ELITENET_HISTOGRAM("serve.dist.intersect_us",
+                       static_cast<uint64_t>(intersect_timer.Seconds() * 1e6));
+  } else {
+    ELITENET_COUNT("serve.dist.bfs_fallback", 1);
+    std::unique_ptr<ScratchPool::Scratch> scratch = scratch_.Borrow();
+    if (snap != nullptr) {
+      d = BoundedBidirectionalDistance(SnapAdj{snap}, r.node, r.target,
+                                       deadline, &scratch->fwd, &scratch->bwd);
+    } else {
+      d = BoundedBidirectionalDistance(GraphAdj{&graph_}, r.node, r.target,
+                                       deadline, &scratch->fwd, &scratch->bwd);
+    }
+    scratch_.Return(std::move(scratch));
+  }
+  QueryResponse resp = MakeDistanceResponse(r, d, snap);
+  resp.oracle_fallback = !oracle_ok;
+  return resp;
+}
+
+QueryResponse ComputeUnit::DoNeighbors(const Request& r,
+                                       const LiveSnapshot* snap) {
+  const NodeId u = r.node;
+  if (u >= graph_.num_nodes()) {
+    return ErrorResponse(
+        r, Status::NotFound("node " + std::to_string(u) + " not in graph"));
+  }
+  // Live engines materialize the merged row at the snapshot version; its
+  // order (ascending) matches the static CSR row, so a node untouched
+  // since the base was built lists identically on both paths.
+  std::vector<NodeId> merged;
+  if (snap != nullptr) {
+    if (r.direction == NeighborDirection::kOut) {
+      snap->CollectOut(u, &merged);
+    } else {
+      snap->CollectIn(u, &merged);
+    }
+  }
+  const std::span<const NodeId> all =
+      snap != nullptr ? std::span<const NodeId>(merged)
+      : r.direction == NeighborDirection::kOut ? graph_.OutNeighbors(u)
+                                               : graph_.InNeighbors(u);
+  const size_t returned = std::min<size_t>(r.limit, all.size());
+  QueryResponse resp;
+  std::string& j = resp.json;
+  j = "{\"type\":\"neighbors\",\"node\":";
+  AppendU64(&j, u);
+  AppendVersionFields(&j, snap);
+  j += ",\"dir\":\"";
+  j += r.direction == NeighborDirection::kOut ? "out" : "in";
+  j += "\",\"total\":";
+  AppendU64(&j, all.size());
+  j += ",\"returned\":";
+  AppendU64(&j, returned);
+  j += ",\"nodes\":[";
+  for (size_t i = 0; i < returned; ++i) {
+    if (i > 0) j += ',';
+    AppendU64(&j, all[i]);
+  }
+  j += "],\"degraded\":false}";
+  return resp;
+}
+
+QueryResponse ComputeUnit::DoFingerprint(const WarmIndexes& warm,
+                                         const LiveSnapshot* snap) {
+  if (!warm.fingerprint_ok) {
+    Request r;
+    r.type = RequestType::kFingerprint;
+    return ErrorResponse(
+        r, Status::FailedPrecondition("fingerprint unavailable: " +
+                                      warm.fingerprint_error));
+  }
+  QueryResponse resp;
+  std::string& j = resp.json;
+  // Every fingerprint field is a whole-graph statistic as-of the epoch
+  // base — "as_of" is the honest timestamp; "version" says when it was
+  // asked.
+  j = "{\"type\":\"fingerprint\"";
+  AppendVersionFields(&j, snap);
+  j += ",\"density\":";
+  j += JsonDouble(warm.fingerprint.density);
+  j += ",\"reciprocity\":";
+  j += JsonDouble(warm.fingerprint.reciprocity);
+  j += ",\"clustering\":";
+  j += JsonDouble(warm.fingerprint.clustering);
+  j += ",\"assortativity\":";
+  j += JsonDouble(warm.fingerprint.assortativity);
+  j += ",\"giant_scc_fraction\":";
+  j += JsonDouble(warm.fingerprint.giant_scc_fraction);
+  j += ",\"mean_distance\":";
+  j += JsonDouble(warm.fingerprint.mean_distance);
+  j += ",\"powerlaw_alpha\":";
+  j += JsonDouble(warm.fingerprint.powerlaw_alpha);
+  j += ",\"attracting_fraction\":";
+  j += JsonDouble(warm.fingerprint.attracting_fraction);
+  j += ",\"similarity_to_paper\":";
+  j += JsonDouble(warm.fingerprint_similarity);
+  j += ",\"degraded\":false}";
+  return resp;
+}
+
+}  // namespace serve
+}  // namespace elitenet

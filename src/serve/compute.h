@@ -1,0 +1,139 @@
+// The compute unit: the five query handlers (ego, topk, dist, neighbors,
+// fingerprint) over one graph, answering from a warm-index bundle and,
+// on a live engine, at one MVCC snapshot. It owns no admission plane —
+// no executor, cache or telemetry — so the unsharded QueryEngine and
+// every router shard run the very same handler code behind the one
+// front door (serve/front_door.h), which is how shard bytes stay
+// identical to the engine's.
+//
+// The response renderers live here too and take the optional live
+// snapshot: a live response carries `"version"`/`"as_of"`, a static one
+// carries neither.
+
+#ifndef ELITENET_SERVE_COMPUTE_H_
+#define ELITENET_SERVE_COMPUTE_H_
+
+#include <cstdint>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <span>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "graph/digraph.h"
+#include "graph/frontier.h"
+#include "serve/bounded_distance.h"
+#include "serve/delta_overlay.h"
+#include "serve/request.h"
+#include "serve/warm_index_cache.h"
+#include "util/deadline.h"
+#include "util/status.h"
+
+namespace elitenet {
+namespace serve {
+
+struct QueryResponse {
+  /// Single-line JSON. Errors render as {"type":"error",...}.
+  std::string json;
+  bool ok = true;
+  /// True when a deadline cut the computation short; json carries the
+  /// best bound found. Never cached.
+  bool degraded = false;
+  /// True when served from the result cache (diagnostic only — the bytes
+  /// are identical either way, so this flag never appears in json).
+  bool cache_hit = false;
+  /// True when a dist query was answered by bidirectional BFS instead of
+  /// the hub-label oracle (diagnostic only, like cache_hit) — the choice
+  /// the compute path actually made, which the front door records.
+  bool oracle_fallback = false;
+};
+
+/// Two BFS arenas sized for one graph's node count, pooled across
+/// requests so hub queries do not allocate O(n) scratch.
+class ScratchPool {
+ public:
+  struct Scratch {
+    explicit Scratch(graph::NodeId n) : fwd(n), bwd(n) {}
+    graph::ScratchArena fwd;
+    graph::ScratchArena bwd;
+  };
+
+  explicit ScratchPool(graph::NodeId num_nodes) : num_nodes_(num_nodes) {}
+
+  /// Borrows a scratch, creating one on first use; hand it back with
+  /// Return.
+  std::unique_ptr<Scratch> Borrow();
+  void Return(std::unique_ptr<Scratch> s);
+
+ private:
+  const graph::NodeId num_nodes_;
+  std::mutex mutex_;
+  std::vector<std::unique_ptr<Scratch>> pool_;
+};
+
+/// The query handlers over one graph. Thread-safe: Compute only reads
+/// the graph and borrows scratch from the pool.
+class ComputeUnit {
+ public:
+  explicit ComputeUnit(graph::DiGraph g);
+
+  const graph::DiGraph& graph() const { return graph_; }
+
+  /// Answers `r` from `warm`. With `snap` (live engines) adjacency facts
+  /// are read at the snapshot version; without it, from graph().
+  QueryResponse Compute(const Request& r, const util::Deadline& deadline,
+                        const WarmIndexes& warm, const LiveSnapshot* snap);
+
+ private:
+  QueryResponse DoEgoSummary(const Request& r, const WarmIndexes& warm,
+                             const LiveSnapshot* snap);
+  QueryResponse DoTopKRank(const Request& r, const WarmIndexes& warm,
+                           const LiveSnapshot* snap);
+  QueryResponse DoDistance(const Request& r, const util::Deadline& deadline,
+                           const WarmIndexes& warm, const LiveSnapshot* snap);
+  QueryResponse DoNeighbors(const Request& r, const LiveSnapshot* snap);
+  QueryResponse DoFingerprint(const WarmIndexes& warm,
+                              const LiveSnapshot* snap);
+
+  const graph::DiGraph graph_;
+  ScratchPool scratch_;
+};
+
+/// Renders the "topk" response. `in_out_degrees[i]` carries
+/// {in_degree, out_degree} of warm.rank_order[i] and must cover at least
+/// min(k, rank_order.size()) rows. The compute unit fills it from its
+/// graph (or snapshot); the router gathers it from each node's home
+/// shard. A non-null `snap` adds the version fields.
+std::string RenderTopKJson(const WarmIndexes& warm, uint32_t k,
+                           std::span<const std::pair<uint32_t, uint32_t>>
+                               in_out_degrees,
+                           const LiveSnapshot* snap = nullptr);
+
+/// The one error-line shape on the wire:
+/// {"type":"error","code":"<code>","message":"<message>"[,"request":
+/// "<request>"]}. Request errors, sheds, parse failures and bad admin
+/// arguments all render through it.
+std::string ErrorJson(std::string_view code, std::string_view message,
+                      std::optional<std::string_view> request = {});
+
+/// The well-formed error response for a *parsed* request
+/// ({"type":"error",...,"request":"<canonical>"}), shared by the
+/// handlers and the front door so error bytes match on every backend.
+QueryResponse ErrorResponse(const Request& r, const Status& status);
+
+/// Renders the "dist" response from a bounded-search result — completed
+/// (reachable/distance) or degraded (lower_bound/expanded). The oracle,
+/// the local BFS and the router's scatter-gather BFS all feed this one
+/// renderer, so their bytes cannot drift. A non-null `snap` adds the
+/// version fields.
+QueryResponse MakeDistanceResponse(const Request& r,
+                                   const BoundedDistanceResult& d,
+                                   const LiveSnapshot* snap = nullptr);
+
+}  // namespace serve
+}  // namespace elitenet
+
+#endif  // ELITENET_SERVE_COMPUTE_H_

@@ -1,24 +1,17 @@
 #include "serve/engine.h"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <mutex>
-#include <optional>
 #include <utility>
 
 #include "analysis/components.h"
 #include "analysis/degree.h"
 #include "analysis/reciprocity.h"
-#include "graph/frontier.h"
-#include "serve/bounded_distance.h"
 #include "graph/io.h"
-#include "graph/traversal.h"
 #include "util/metrics.h"
 #include "util/parallel.h"
-#include "util/string_utils.h"
 #include "util/trace.h"
 
 namespace elitenet {
@@ -26,48 +19,6 @@ namespace serve {
 
 using graph::DiGraph;
 using graph::NodeId;
-
-namespace {
-
-void AppendU64(std::string* out, uint64_t v) { *out += std::to_string(v); }
-
-void AppendI64(std::string* out, int64_t v) { *out += std::to_string(v); }
-
-void AppendBool(std::string* out, bool v) { *out += v ? "true" : "false"; }
-
-// Adjacency adapters so the shared bounded search
-// (serve/bounded_distance.h) runs over either a static DiGraph or a live
-// MVCC snapshot. Both iterate neighbors in ascending id order, so the
-// expansion order — and therefore the bytes of a completed answer — is
-// identical across the two backings. PrepareLevel is the router's
-// batched-gather hook; in-memory backings need none.
-struct GraphAdj {
-  const DiGraph* g;
-  void PrepareLevel(const std::vector<NodeId>&, bool) const {}
-  template <typename Fn>
-  void ForEachOut(NodeId u, Fn&& fn) const {
-    for (NodeId v : g->OutNeighbors(u)) fn(v);
-  }
-  template <typename Fn>
-  void ForEachIn(NodeId u, Fn&& fn) const {
-    for (NodeId v : g->InNeighbors(u)) fn(v);
-  }
-};
-
-struct SnapAdj {
-  const LiveSnapshot* s;
-  void PrepareLevel(const std::vector<NodeId>&, bool) const {}
-  template <typename Fn>
-  void ForEachOut(NodeId u, Fn&& fn) const {
-    s->ForEachOut(u, std::forward<Fn>(fn));
-  }
-  template <typename Fn>
-  void ForEachIn(NodeId u, Fn&& fn) const {
-    s->ForEachIn(u, std::forward<Fn>(fn));
-  }
-};
-
-}  // namespace
 
 // The full warm-index build as a pure function of (graph, options) — the
 // Create() path runs it over the loaded base, a live engine's compactor
@@ -130,15 +81,26 @@ Status ComputeWarmIndexes(const DiGraph& g, const EngineOptions& options,
   return Status::OK();
 }
 
+namespace {
+
+// The sidecar identity of `g` warmed under `options`.
+WarmIndexKey WarmKeyFor(const DiGraph& g, const EngineOptions& options) {
+  WarmIndexKey key;
+  key.graph_checksum = graph::GraphChecksum(g);
+  key.config_hash = WarmConfigHash(options.pagerank, options.fingerprint,
+                                   options.distance_oracle);
+  return key;
+}
+
+}  // namespace
+
 Result<WarmIndexes> LoadOrBuildWarmIndexes(const DiGraph& g,
                                            const EngineOptions& options,
                                            bool* from_cache) {
   *from_cache = false;
   WarmIndexKey key;
   if (!options.warm_index_path.empty()) {
-    key.graph_checksum = graph::GraphChecksum(g);
-    key.config_hash = WarmConfigHash(options.pagerank, options.fingerprint,
-                                     options.distance_oracle);
+    key = WarmKeyFor(g, options);
     ELITENET_SPAN("serve.warm.widx_load");
     auto restored = LoadWarmIndexes(options.warm_index_path, key,
                                     g.num_nodes());
@@ -161,51 +123,8 @@ Result<WarmIndexes> LoadOrBuildWarmIndexes(const DiGraph& g,
   return warm;
 }
 
-struct QueryEngine::Scratch {
-  explicit Scratch(NodeId n) : fwd(n), bwd(n) {}
-  graph::ScratchArena fwd;
-  graph::ScratchArena bwd;
-};
-
-struct QueryEngine::Impl {
-  /// One queued request. Held by shared_ptr because std::function is
-  /// copyable and std::promise is not.
-  struct Job {
-    Request req;
-    util::Deadline deadline;
-    std::promise<QueryResponse> promise;
-    uint64_t seq = 0;  ///< Telemetry sequence, assigned at submission.
-    std::chrono::steady_clock::time_point submitted;
-    /// Live engines: MVCC snapshot captured at submission (see
-    /// RequestMeta::snap_resolved).
-    bool snap_resolved = false;
-    Status snap_status;
-    LiveSnapshot snap;
-  };
-
-  std::unique_ptr<util::ShardedLruCache<std::string, std::string>> cache;
-
-  std::mutex scratch_mutex;
-  std::vector<std::unique_ptr<Scratch>> scratch_pool;
-
-  /// QoS worker pool: priority dispatch + admission control
-  /// (serve/scheduler.h). Replaced the FIFO deque; uniform traffic still
-  /// dispatches in exact submission order (the heap's seq tie-break).
-  std::unique_ptr<QosExecutor> executor;
-  std::atomic<int64_t> inflight{0};
-};
-
 QueryEngine::QueryEngine(DiGraph g, const EngineOptions& options)
-    : graph_(std::move(g)),
-      options_(options),
-      impl_(new Impl),
-      telemetry_(new Telemetry(options.telemetry)) {
-  if (options_.cache_capacity > 0) {
-    impl_->cache =
-        std::make_unique<util::ShardedLruCache<std::string, std::string>>(
-            options_.cache_capacity, std::max<size_t>(1, options_.cache_shards));
-  }
-}
+    : FrontDoor(options), unit_(std::move(g)) {}
 
 QueryEngine::~QueryEngine() {
   // Stop the compactor first: it calls back into CompactNow, which needs
@@ -218,51 +137,36 @@ QueryEngine::~QueryEngine() {
     compactor_cv_.notify_all();
     compactor_.join();
   }
-  // Stop the exporter next: its final snapshot must run while the
-  // engine (cache counters, inflight gauge) is still alive.
-  exporter_.reset();
-  // Drains queued jobs (their promises must be fulfilled) and joins the
-  // workers.
-  impl_->executor.reset();
+  Close();
 }
 
-Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
+Result<std::unique_ptr<QueryEngine>> QueryEngine::Warmed(
     DiGraph g, const EngineOptions& options) {
   if (g.num_nodes() == 0) {
     return Status::InvalidArgument("cannot serve an empty graph");
   }
-  std::unique_ptr<QueryEngine> engine(
-      new QueryEngine(std::move(g), options));
-  EN_RETURN_IF_ERROR(engine->Warmup());
-  engine->StartWorkers();
-  if (!options.metrics_path.empty()) {
-    // Exposition implies recording: flip the util metrics switch so the
-    // macro-based counters/sketches the snapshots embed are live.
-    util::SetMetricsEnabled(true);
-    QueryEngine* raw = engine.get();
-    engine->exporter_ = std::make_unique<TelemetryExporter>(
-        engine->telemetry_.get(), options.metrics_path,
-        options.metrics_interval_ms,
-        [raw] { return raw->StatsContext(); });
-  }
+  std::unique_ptr<QueryEngine> engine(new QueryEngine(std::move(g), options));
+  util::SpanTimer timer("serve.warmup");
+  auto warm = LoadOrBuildWarmIndexes(engine->graph(), options,
+                                     &engine->warm_from_cache_);
+  if (!warm.ok()) return warm.status();
+  engine->warm_ = std::move(*warm);
+  engine->warmup_seconds_ = timer.Seconds();
+  return engine;
+}
+
+Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
+    DiGraph g, const EngineOptions& options) {
+  auto engine = Warmed(std::move(g), options);
+  if (engine.ok()) (*engine)->Open();
   return engine;
 }
 
 Result<std::unique_ptr<QueryEngine>> QueryEngine::CreateLive(
     DiGraph g, const LiveEngineOptions& live, const EngineOptions& options) {
-  if (g.num_nodes() == 0) {
-    return Status::InvalidArgument("cannot serve an empty graph");
-  }
-  if (options.shared_warm != nullptr) {
-    // A live engine owns its bundle (it moves into the epoch payload so
-    // compaction can swap base + indexes atomically) — an external one
-    // cannot follow the epochs.
-    return Status::InvalidArgument(
-        "shared_warm requires a static engine (live engines own their "
-        "warm bundle per epoch)");
-  }
-  std::unique_ptr<QueryEngine> engine(new QueryEngine(std::move(g), options));
-  EN_RETURN_IF_ERROR(engine->Warmup());
+  auto warmed = Warmed(std::move(g), options);
+  if (!warmed.ok()) return warmed.status();
+  std::unique_ptr<QueryEngine> engine = std::move(*warmed);
   // The warm bundle moves into the epoch payload: requests reach it
   // through their admission snapshot, so a compaction can publish a fresh
   // bundle together with its base while in-flight requests keep reading
@@ -275,19 +179,12 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::CreateLive(
   lopt.compact_stream = live.compact_stream;
   // DiGraph copies share storage, so the overlay's base is the same CSR
   // the engine's graph() exposes — no second copy of the graph.
-  auto lg = LiveGraph::Create(engine->graph_, lopt,
+  auto lg = LiveGraph::Create(engine->graph(), lopt,
                               std::shared_ptr<const void>(payload));
   if (!lg.ok()) return lg.status();
   engine->live_ = std::move(*lg);
   engine->live_options_ = live;
-  engine->StartWorkers();
-  if (!options.metrics_path.empty()) {
-    util::SetMetricsEnabled(true);
-    QueryEngine* raw = engine.get();
-    engine->exporter_ = std::make_unique<TelemetryExporter>(
-        engine->telemetry_.get(), options.metrics_path,
-        options.metrics_interval_ms, [raw] { return raw->StatsContext(); });
-  }
+  engine->Open();
   if (live.compact_after > 0 && !live.compact_path.empty()) {
     QueryEngine* raw = engine.get();
     engine->compactor_ = std::thread([raw] { raw->CompactorLoop(); });
@@ -295,768 +192,32 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::CreateLive(
   return engine;
 }
 
-Status QueryEngine::Warmup() {
-  util::SpanTimer timer("serve.warmup");
-  if (options_.shared_warm != nullptr) {
-    // Adopt the external bundle (the router's global warmup): no build,
-    // no sidecar traffic — and identical bytes on every shard engine.
-    active_warm_ = options_.shared_warm;
-    warmup_seconds_ = timer.Seconds();
-    return Status::OK();
-  }
-  bool from_cache = false;
-  auto warm = LoadOrBuildWarmIndexes(graph_, options_, &from_cache);
-  if (!warm.ok()) return warm.status();
-  warm_ = std::move(*warm);
-  warm_from_cache_ = from_cache;
-  warmup_seconds_ = timer.Seconds();
-  return Status::OK();
-}
-
-void QueryEngine::StartWorkers() {
-  impl_->executor = std::make_unique<QosExecutor>(
-      std::max(1, options_.threads), options_.qos);
-}
-
-std::future<QueryResponse> QueryEngine::Submit(const Request& r) {
-  auto job = std::make_shared<Impl::Job>();
-  job->req = r;
-  job->deadline = r.deadline_us > 0 ? util::Deadline::After(r.deadline_us)
-                                    : util::Deadline::Infinite();
-  // Sequence numbers are claimed at submission (not execution) so a
-  // replayed request stream maps to the same trace ids no matter how the
-  // workers interleave.
-  if (telemetry_->enabled()) job->seq = telemetry_->NextSeq();
-  if (live_ != nullptr) {
-    // Admission-time capture: the version a queued request answers at is
-    // fixed here, before any queueing delay — so a request admitted at
-    // version V answers at V no matter how long it waits or how many
-    // mutations land meanwhile.
-    job->snap_resolved = true;
-    auto snap = ResolveSnapshot(r);
-    if (snap.ok()) {
-      job->snap = std::move(*snap);
-    } else {
-      job->snap_status = snap.status();
-    }
-  }
-  job->submitted = std::chrono::steady_clock::now();
-  std::future<QueryResponse> fut = job->promise.get_future();
-  const bool admitted = impl_->executor->Submit(
-      r.qos, job->deadline, [this, job] {
-        RequestMeta meta;
-        meta.seq = job->seq;
-        meta.queued = true;
-        meta.snap_resolved = job->snap_resolved;
-        meta.snap_status = std::move(job->snap_status);
-        meta.snap = std::move(job->snap);
-        meta.queue_wait_us = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - job->submitted)
-                .count());
-        ELITENET_SKETCH("serve.queue.wait_us", meta.queue_wait_us);
-        job->promise.set_value(
-            ExecuteWithDeadline(job->req, job->deadline, meta));
-      });
-  if (!admitted) {
-    // Shed at admission: the class backlog is at its cap. The request
-    // never executes (the scheduler tallied the shed); the caller gets
-    // the overloaded error immediately instead of a timeout.
-    ELITENET_COUNT("serve.requests", 1);
-    job->promise.set_value(MakeOverloadedResponse(r));
-  }
-  return fut;
-}
-
-void QueryEngine::SubmitTask(std::function<void()> fn) {
-  impl_->executor->SubmitExempt(std::move(fn));
-}
-
-QueryResponse QueryEngine::Execute(const Request& r) {
-  return ExecuteWithDeadline(r,
-                             r.deadline_us > 0
-                                 ? util::Deadline::After(r.deadline_us)
-                                 : util::Deadline::Infinite(),
-                             RequestMeta());
-}
-
-QueryResponse QueryEngine::Execute(const Request& r,
-                                   const util::Deadline& deadline) {
-  return ExecuteWithDeadline(r, deadline, RequestMeta());
-}
-
-QueryResponse QueryEngine::ComputeRaw(const Request& r,
-                                      const util::Deadline& deadline) {
-  QueryCtx ctx;
-  ctx.warm = active_warm_;
-  return Compute(r, deadline, ctx);
-}
-
-QueryResponse QueryEngine::ExecuteLine(std::string_view line) {
-  auto parsed = ParseRequest(line);
-  if (!parsed.ok()) return LineParseErrorResponse(line, parsed.status());
-  return Execute(*parsed);
-}
-
-QueryResponse LineParseErrorResponse(std::string_view line,
-                                     const Status& status) {
-  ELITENET_COUNT("serve.requests", 1);
-  ELITENET_COUNT("serve.errors", 1);
-  QueryResponse resp;
-  resp.ok = false;
-  resp.json = "{\"type\":\"error\",\"code\":\"";
-  resp.json += StatusCodeToString(status.code());
-  resp.json += "\",\"message\":\"";
-  resp.json += JsonEscape(status.message());
-  resp.json += "\",\"request\":\"";
-  resp.json += JsonEscape(util::StripAsciiWhitespace(line));
-  resp.json += "\"}";
-  return resp;
-}
-
-QueryResponse MakeOverloadedResponse(const Request& r) {
-  ELITENET_COUNT("serve.errors", 1);
-  QueryResponse resp;
-  resp.ok = false;
-  resp.json = "{\"type\":\"error\",\"code\":\"overloaded\",\"message\":\"";
-  resp.json += QosClassName(r.qos);
-  resp.json +=
-      " queue at capacity; request shed by admission control\","
-      "\"request\":\"";
-  resp.json += JsonEscape(CanonicalEncoding(r));
-  resp.json += "\"}";
-  return resp;
-}
-
-namespace {
-
-const char* SpanNameFor(RequestType type) {
-  switch (type) {
-    case RequestType::kEgoSummary:
-      return "serve.ego";
-    case RequestType::kTopKRank:
-      return "serve.topk";
-    case RequestType::kDistance:
-      return "serve.dist";
-    case RequestType::kNeighbors:
-      return "serve.neighbors";
-    case RequestType::kFingerprint:
-      return "serve.fingerprint";
-  }
-  return "serve.unknown";
-}
-
-// Distinct macro call sites per type: the metrics macros cache their
-// metric pointer per call site, so one shared site with a runtime name
-// would bind every type to the first sketch it saw. Sketches (not the
-// power-of-two histograms) so the exported snapshots carry live
-// p50/p95/p99 per type at O(1) memory.
-void RecordLatency(RequestType type, uint64_t micros) {
-  switch (type) {
-    case RequestType::kEgoSummary:
-      ELITENET_SKETCH("serve.latency_us.ego", micros);
-      break;
-    case RequestType::kTopKRank:
-      ELITENET_SKETCH("serve.latency_us.topk", micros);
-      break;
-    case RequestType::kDistance:
-      ELITENET_SKETCH("serve.latency_us.dist", micros);
-      break;
-    case RequestType::kNeighbors:
-      ELITENET_SKETCH("serve.latency_us.neighbors", micros);
-      break;
-    case RequestType::kFingerprint:
-      ELITENET_SKETCH("serve.latency_us.fingerprint", micros);
-      break;
-  }
+Result<LiveSnapshot> QueryEngine::Admit(const Request& r) const {
+  if (live_ == nullptr) return FrontDoor::Admit(r);
+  if (r.version == 0) return live_->Snapshot();
+  return live_->SnapshotAt(r.version);
 }
 
 // Live result-cache key: the epoch disambiguates bases (the same version
 // number can name different logical states across compaction lineages of
 // different WALs), the resolved version makes unpinned requests cacheable
 // — two unpinned requests admitted at the same version share an entry.
-std::string LiveCacheKey(const LiveSnapshot& snap, const Request& r) {
+std::string QueryEngine::CacheKeyFor(const Request& r,
+                                     const LiveSnapshot& snap) const {
+  if (live_ == nullptr) return CacheKey(r);
   char buf[64];
   std::snprintf(buf, sizeof(buf), "e%" PRIu64 "@%" PRIu64 " ",
                 snap.epoch_seq(), snap.version());
   return buf + CacheKey(r);
 }
 
-}  // namespace
-
-QueryResponse ErrorResponse(const Request& r, const Status& status) {
-  ELITENET_COUNT("serve.errors", 1);
-  QueryResponse resp;
-  resp.ok = false;
-  resp.json = "{\"type\":\"error\",\"code\":\"";
-  resp.json += StatusCodeToString(status.code());
-  resp.json += "\",\"message\":\"";
-  resp.json += JsonEscape(status.message());
-  resp.json += "\",\"request\":\"";
-  resp.json += JsonEscape(CanonicalEncoding(r));
-  resp.json += "\"}";
-  return resp;
-}
-
-QueryResponse QueryEngine::ExecuteWithDeadline(const Request& r,
-                                               const util::Deadline& deadline,
-                                               const RequestMeta& meta) {
-  ELITENET_COUNT("serve.requests", 1);
-  Telemetry* tel =
-      telemetry_->enabled() ? telemetry_.get() : nullptr;
-  uint64_t seq = 0;
-  uint64_t trace_id = 0;
-  bool sampled = false;
-  if (tel != nullptr) {
-    // Synchronous Execute() claims its sequence here; Submit() claimed it
-    // at enqueue time so trace ids follow submission order.
-    seq = meta.seq != 0 ? meta.seq : tel->NextSeq();
-    trace_id = TraceIdFor(seq);
-    sampled = tel->Sampled(trace_id);
-  }
-  // Sampled requests capture their span tree via the thread-local sink;
-  // unsampled ones pay only the null-pointer check inside each span.
-  std::optional<util::SpanCapture> capture;
-  if (sampled) capture.emplace();
-
-  const int64_t inflight =
-      impl_->inflight.fetch_add(1, std::memory_order_relaxed) + 1;
-  ELITENET_GAUGE_SET("serve.inflight", inflight);
-  util::SpanTimer timer;
-
-  QueryResponse resp;
-  {
-    util::ScopedSpan span(SpanNameFor(r.type));
-    // Admission: live engines fix the MVCC snapshot (Submit resolved it
-    // already; synchronous Execute resolves here); static engines reject
-    // version pins — there is no version history to pin into.
-    Status admit;
-    LiveSnapshot snap;
-    if (live_ != nullptr) {
-      if (meta.snap_resolved) {
-        admit = meta.snap_status;
-        if (admit.ok()) snap = meta.snap;
-      } else {
-        auto got = ResolveSnapshot(r);
-        if (got.ok()) {
-          snap = std::move(*got);
-        } else {
-          admit = got.status();
-        }
-      }
-    } else if (r.version != 0) {
-      admit = Status::FailedPrecondition(
-          "version pins require a live engine (static graph has no "
-          "version history)");
-    }
-    if (!admit.ok()) {
-      resp = ErrorResponse(r, admit);
-    } else {
-      QueryCtx ctx;
-      if (live_ != nullptr) {
-        ctx.snap = &snap;
-        ctx.warm = static_cast<const WarmIndexes*>(snap.warm_payload());
-      } else {
-        ctx.warm = active_warm_;
-      }
-      std::string key;
-      bool from_cache = false;
-      if (impl_->cache != nullptr) {
-        key = live_ != nullptr ? LiveCacheKey(snap, r) : CacheKey(r);
-        std::string cached;
-        if (impl_->cache->Get(key, &cached)) {
-          ELITENET_COUNT("serve.cache.hit", 1);
-          resp.json = std::move(cached);
-          resp.cache_hit = true;
-          from_cache = true;
-        } else {
-          ELITENET_COUNT("serve.cache.miss", 1);
-        }
-      }
-      if (!from_cache) {
-        resp = Compute(r, deadline, ctx);
-        if (resp.ok && !resp.degraded && impl_->cache != nullptr) {
-          impl_->cache->Put(key, resp.json);
-        }
-      }
-    }
-  }  // root span closes here so a sampled capture sees its duration
-
-  const uint64_t latency_us = static_cast<uint64_t>(timer.Seconds() * 1e6);
-  RecordLatency(r.type, latency_us);
-  // Keep the fetch_sub outside the macro: ELITENET_GAUGE_SET skips its
-  // value argument when metrics are disabled, and the matching fetch_add
-  // above runs unconditionally.
-  const int64_t now_inflight =
-      impl_->inflight.fetch_sub(1, std::memory_order_relaxed) - 1;
-  ELITENET_GAUGE_SET("serve.inflight", now_inflight);
-  if (tel != nullptr) {
-    RequestRecord record;
-    record.trace_id = trace_id;
-    record.seq = seq;
-    record.request = r;
-    record.ok = resp.ok;
-    record.degraded = resp.degraded;
-    record.cache_hit = resp.cache_hit;
-    record.sampled = sampled;
-    record.queued = meta.queued;
-    record.queue_wait_us = meta.queue_wait_us;
-    record.latency_us = latency_us;
-    record.deadline_slack_us = deadline.RemainingMicros();
-    record.deadline_missed =
-        !deadline.infinite() && record.deadline_slack_us == 0;
-    record.oracle_fallback = r.type == RequestType::kDistance &&
-                             !resp.cache_hit && !distance_oracle_active();
-    if (capture.has_value()) {
-      record.spans = capture->Take();
-      record.spans_truncated = capture->truncated();
-    }
-    tel->Record(std::move(record));
-  }
-  return resp;
-}
-
 QueryResponse QueryEngine::Compute(const Request& r,
                                    const util::Deadline& deadline,
-                                   const QueryCtx& ctx) {
-  ELITENET_SPAN("serve.compute");
-  switch (r.type) {
-    case RequestType::kEgoSummary:
-      return DoEgoSummary(r, ctx);
-    case RequestType::kTopKRank:
-      return DoTopKRank(r, ctx);
-    case RequestType::kDistance:
-      return DoDistance(r, deadline, ctx);
-    case RequestType::kNeighbors:
-      return DoNeighbors(r, ctx);
-    case RequestType::kFingerprint:
-      return DoFingerprint(ctx);
-  }
-  return ErrorResponse(r, Status::Internal("unhandled request type"));
-}
-
-namespace {
-
-// Live responses carry the snapshot version they answered at and the
-// base version the epoch's warm indexes were computed at — the staleness
-// bound for warm-index fields. Static responses stay byte-for-byte what
-// they were before live mode existed.
-void AppendVersionFields(std::string* j, const LiveSnapshot* snap) {
-  if (snap == nullptr) return;
-  *j += ",\"version\":";
-  AppendU64(j, snap->version());
-  *j += ",\"as_of\":";
-  AppendU64(j, snap->base_version());
-}
-
-}  // namespace
-
-QueryResponse QueryEngine::DoEgoSummary(const Request& r, const QueryCtx& ctx) {
-  const NodeId u = r.node;
-  if (u >= graph_.num_nodes()) {
-    return ErrorResponse(
-        r, Status::NotFound("node " + std::to_string(u) + " not in graph"));
-  }
-  const WarmIndexes& warm = *ctx.warm;
-  const LiveSnapshot* snap = ctx.snap;
-  // Two-hop out-reach (distinct nodes within <= 2 follows, excluding u):
-  // the per-user audience estimate verification-style lookups want. Marked
-  // in a pooled arena so hub queries do not allocate O(n) scratch. Live
-  // engines traverse the snapshot — exact at the request's version even
-  // when only a neighbor-of-a-neighbor was touched.
-  std::unique_ptr<Scratch> scratch = BorrowScratch();
-  graph::ScratchArena& a = scratch->fwd;
-  a.BeginEpoch();
-  a.Visit(u, 0, graph::kNoParent);
-  uint64_t reach = 0;
-  uint32_t out_deg = 0;
-  uint32_t in_deg = 0;
-  uint64_t mutual = 0;
-  if (snap != nullptr) {
-    std::vector<NodeId> first;
-    snap->CollectOut(u, &first);
-    for (NodeId v : first) {
-      if (!a.Visited(v)) {
-        a.Visit(v, 1, u);
-        ++reach;
-      }
-    }
-    for (NodeId v : first) {
-      snap->ForEachOut(v, [&](NodeId w) {
-        if (!a.Visited(w)) {
-          a.Visit(w, 2, v);
-          ++reach;
-        }
-      });
-    }
-    out_deg = static_cast<uint32_t>(first.size());
-    in_deg = snap->InDegree(u);
-    if (snap->Touched(u)) {
-      // Either direction at u changed: the warm count may be stale, so
-      // recount at the snapshot version (deg(u) containment probes).
-      for (NodeId v : first) {
-        if (snap->HasEdge(v, u)) ++mutual;
-      }
-    } else {
-      // Untouched in both directions at this version: neither u's
-      // follows nor its followers changed, so the warm count is exact.
-      mutual = warm.mutual_degree[u];
-    }
-  } else {
-    for (NodeId v : graph_.OutNeighbors(u)) {
-      if (!a.Visited(v)) {
-        a.Visit(v, 1, u);
-        ++reach;
-      }
-    }
-    for (NodeId v : graph_.OutNeighbors(u)) {
-      for (NodeId w : graph_.OutNeighbors(v)) {
-        if (!a.Visited(w)) {
-          a.Visit(w, 2, v);
-          ++reach;
-        }
-      }
-    }
-    out_deg = graph_.OutDegree(u);
-    in_deg = graph_.InDegree(u);
-    mutual = warm.mutual_degree[u];
-  }
-  ReturnScratch(std::move(scratch));
-
-  QueryResponse resp;
-  std::string& j = resp.json;
-  j = "{\"type\":\"ego\",\"node\":";
-  AppendU64(&j, u);
-  AppendVersionFields(&j, snap);
-  j += ",\"out_degree\":";
-  AppendU64(&j, out_deg);
-  j += ",\"in_degree\":";
-  AppendU64(&j, in_deg);
-  j += ",\"mutual\":";
-  AppendU64(&j, mutual);
-  j += ",\"reach_2hop\":";
-  AppendU64(&j, reach);
-  j += ",\"pagerank\":";
-  j += JsonDouble(warm.pagerank[u]);
-  j += ",\"rank\":";
-  AppendU64(&j, warm.rank_of[u]);
-  j += ",\"wcc_id\":";
-  AppendU64(&j, warm.wcc.label[u]);
-  j += ",\"wcc_size\":";
-  AppendU64(&j, warm.wcc.sizes[warm.wcc.label[u]]);
-  j += ",\"scc_id\":";
-  AppendU64(&j, warm.scc.label[u]);
-  j += ",\"scc_size\":";
-  AppendU64(&j, warm.scc.sizes[warm.scc.label[u]]);
-  j += ",\"is_sink\":";
-  AppendBool(&j, out_deg == 0 && in_deg > 0);
-  j += ",\"is_isolated\":";
-  AppendBool(&j, out_deg == 0 && in_deg == 0);
-  j += ",\"degraded\":false}";
-  return resp;
-}
-
-std::string RenderTopKJson(const WarmIndexes& warm, uint32_t k,
-                           std::span<const std::pair<uint32_t, uint32_t>>
-                               in_out_degrees) {
-  const uint32_t returned =
-      std::min<uint32_t>(k, static_cast<uint32_t>(warm.rank_order.size()));
-  std::string j = "{\"type\":\"topk\",\"k\":";
-  AppendU64(&j, k);
-  j += ",\"returned\":";
-  AppendU64(&j, returned);
-  j += ",\"rows\":[";
-  for (uint32_t i = 0; i < returned; ++i) {
-    const NodeId u = warm.rank_order[i];
-    if (i > 0) j += ',';
-    j += "{\"rank\":";
-    AppendU64(&j, i + 1);
-    j += ",\"node\":";
-    AppendU64(&j, u);
-    j += ",\"score\":";
-    j += JsonDouble(warm.pagerank[u]);
-    j += ",\"in_degree\":";
-    AppendU64(&j, in_out_degrees[i].first);
-    j += ",\"out_degree\":";
-    AppendU64(&j, in_out_degrees[i].second);
-    j += '}';
-  }
-  j += "],\"degraded\":false}";
-  return j;
-}
-
-QueryResponse MakeDistanceResponse(const Request& r,
-                                   const BoundedDistanceResult& d) {
-  QueryResponse resp;
-  resp.degraded = !d.completed;
-  if (resp.degraded) ELITENET_COUNT("serve.degraded", 1);
-  std::string& j = resp.json;
-  j = "{\"type\":\"dist\",\"src\":";
-  AppendU64(&j, r.node);
-  j += ",\"dst\":";
-  AppendU64(&j, r.target);
-  if (d.completed) {
-    // Note: no traversal-cost field here — a completed answer must be a
-    // pure function of (graph, request) so the oracle and BFS paths stay
-    // byte-identical (and cacheable interchangeably).
-    const bool reachable = d.distance != UINT32_MAX;
-    j += ",\"reachable\":";
-    AppendBool(&j, reachable);
-    j += ",\"distance\":";
-    AppendI64(&j, reachable ? static_cast<int64_t>(d.distance) : -1);
-  } else {
-    // Deadline hit (BFS fallback only): the true distance is unknown but
-    // provably at least lower_bound (every completed level failed to
-    // meet). Degraded responses are never cached, so the diagnostic
-    // expansion count is safe to include.
-    j += ",\"reachable\":null,\"distance\":-1,\"lower_bound\":";
-    AppendU64(&j, d.lower_bound);
-    j += ",\"expanded\":";
-    AppendU64(&j, d.expanded);
-  }
-  j += ",\"degraded\":";
-  AppendBool(&j, resp.degraded);
-  j += '}';
-  return resp;
-}
-
-QueryResponse QueryEngine::DoTopKRank(const Request& r, const QueryCtx& ctx) {
-  const WarmIndexes& warm = *ctx.warm;
-  const uint32_t returned =
-      std::min<uint32_t>(r.k, static_cast<uint32_t>(warm.rank_order.size()));
-  if (ctx.snap == nullptr) {
-    // Static path: the shared renderer, with the degree columns read off
-    // this engine's graph — rows the router instead gathers per home
-    // shard, merging into the very same bytes.
-    std::vector<std::pair<uint32_t, uint32_t>> degs;
-    degs.reserve(returned);
-    for (uint32_t i = 0; i < returned; ++i) {
-      const NodeId u = warm.rank_order[i];
-      degs.emplace_back(graph_.InDegree(u), graph_.OutDegree(u));
-    }
-    QueryResponse resp;
-    resp.json = RenderTopKJson(warm, r.k, degs);
-    return resp;
-  }
-  QueryResponse resp;
-  std::string& j = resp.json;
-  j = "{\"type\":\"topk\",\"k\":";
-  AppendU64(&j, r.k);
-  j += ",\"returned\":";
-  AppendU64(&j, returned);
-  AppendVersionFields(&j, ctx.snap);
-  j += ",\"rows\":[";
-  for (uint32_t i = 0; i < returned; ++i) {
-    const NodeId u = warm.rank_order[i];
-    if (i > 0) j += ',';
-    j += "{\"rank\":";
-    AppendU64(&j, i + 1);
-    j += ",\"node\":";
-    AppendU64(&j, u);
-    j += ",\"score\":";
-    j += JsonDouble(warm.pagerank[u]);
-    j += ",\"in_degree\":";
-    // Ordering and scores are as-of the epoch base ("as_of"); the degree
-    // columns are exact at the snapshot version.
-    AppendU64(&j, ctx.snap->InDegree(u));
-    j += ",\"out_degree\":";
-    AppendU64(&j, ctx.snap->OutDegree(u));
-    j += '}';
-  }
-  j += "],\"degraded\":false}";
-  return resp;
-}
-
-QueryResponse QueryEngine::DoDistance(const Request& r,
-                                      const util::Deadline& deadline,
-                                      const QueryCtx& ctx) {
-  if (r.node >= graph_.num_nodes() || r.target >= graph_.num_nodes()) {
-    return ErrorResponse(r, Status::NotFound("distance endpoint not in graph"));
-  }
-  const WarmIndexes& warm = *ctx.warm;
-  // The hub-label oracle answers as-of the epoch base. On a live engine
-  // it stays in charge only while both endpoints are untouched at the
-  // snapshot version (bounded staleness: intermediate churn may shift the
-  // true distance, endpoint churn may not go unseen); a touched endpoint
-  // routes to the overlay-aware BFS, exact at the snapshot version. The
-  // choice is a pure function of (epoch, version, request), so pinned
-  // replays stay deterministic.
-  const bool oracle_ok =
-      !warm.hub_labels.empty() &&
-      (ctx.snap == nullptr ||
-       (!ctx.snap->Touched(r.node) && !ctx.snap->Touched(r.target)));
-  BoundedDistanceResult d;
-  if (oracle_ok) {
-    // Oracle fast path: exact distance by label intersection, no graph
-    // traversal, no deadline interaction — it cannot degrade.
-    ELITENET_COUNT("serve.dist.oracle_hit", 1);
-    util::SpanTimer intersect_timer;
-    d.distance = warm.hub_labels.Distance(r.node, r.target);
-    ELITENET_HISTOGRAM("serve.dist.intersect_us",
-                       static_cast<uint64_t>(intersect_timer.Seconds() * 1e6));
-  } else {
-    ELITENET_COUNT("serve.dist.bfs_fallback", 1);
-    std::unique_ptr<Scratch> scratch = BorrowScratch();
-    if (ctx.snap != nullptr) {
-      d = BoundedBidirectionalDistance(SnapAdj{ctx.snap}, r.node, r.target,
-                                       deadline, &scratch->fwd, &scratch->bwd);
-    } else {
-      d = BoundedBidirectionalDistance(GraphAdj{&graph_}, r.node, r.target,
-                                       deadline, &scratch->fwd, &scratch->bwd);
-    }
-    ReturnScratch(std::move(scratch));
-  }
-
-  if (ctx.snap == nullptr) return MakeDistanceResponse(r, d);
-  QueryResponse resp;
-  resp.degraded = !d.completed;
-  if (resp.degraded) ELITENET_COUNT("serve.degraded", 1);
-  std::string& j = resp.json;
-  j = "{\"type\":\"dist\",\"src\":";
-  AppendU64(&j, r.node);
-  j += ",\"dst\":";
-  AppendU64(&j, r.target);
-  AppendVersionFields(&j, ctx.snap);
-  if (d.completed) {
-    // Note: no traversal-cost field here — a completed answer must be a
-    // pure function of (graph, request) so the oracle and BFS paths stay
-    // byte-identical (and cacheable interchangeably).
-    const bool reachable = d.distance != UINT32_MAX;
-    j += ",\"reachable\":";
-    AppendBool(&j, reachable);
-    j += ",\"distance\":";
-    AppendI64(&j, reachable ? static_cast<int64_t>(d.distance) : -1);
-  } else {
-    // Deadline hit (BFS fallback only): the true distance is unknown but
-    // provably at least lower_bound (every completed level failed to
-    // meet). Degraded responses are never cached, so the diagnostic
-    // expansion count is safe to include.
-    j += ",\"reachable\":null,\"distance\":-1,\"lower_bound\":";
-    AppendU64(&j, d.lower_bound);
-    j += ",\"expanded\":";
-    AppendU64(&j, d.expanded);
-  }
-  j += ",\"degraded\":";
-  AppendBool(&j, resp.degraded);
-  j += '}';
-  return resp;
-}
-
-QueryResponse QueryEngine::DoNeighbors(const Request& r, const QueryCtx& ctx) {
-  const NodeId u = r.node;
-  if (u >= graph_.num_nodes()) {
-    return ErrorResponse(
-        r, Status::NotFound("node " + std::to_string(u) + " not in graph"));
-  }
-  // Live engines materialize the merged row at the snapshot version; its
-  // order (ascending) matches the static CSR row, so a node untouched
-  // since the base was built lists identically on both paths.
-  std::vector<NodeId> merged;
-  if (ctx.snap != nullptr) {
-    if (r.direction == NeighborDirection::kOut) {
-      ctx.snap->CollectOut(u, &merged);
-    } else {
-      ctx.snap->CollectIn(u, &merged);
-    }
-  }
-  const std::span<const NodeId> all =
-      ctx.snap != nullptr ? std::span<const NodeId>(merged)
-      : r.direction == NeighborDirection::kOut ? graph_.OutNeighbors(u)
-                                               : graph_.InNeighbors(u);
-  const size_t returned = std::min<size_t>(r.limit, all.size());
-  QueryResponse resp;
-  std::string& j = resp.json;
-  j = "{\"type\":\"neighbors\",\"node\":";
-  AppendU64(&j, u);
-  AppendVersionFields(&j, ctx.snap);
-  j += ",\"dir\":\"";
-  j += r.direction == NeighborDirection::kOut ? "out" : "in";
-  j += "\",\"total\":";
-  AppendU64(&j, all.size());
-  j += ",\"returned\":";
-  AppendU64(&j, returned);
-  j += ",\"nodes\":[";
-  for (size_t i = 0; i < returned; ++i) {
-    if (i > 0) j += ',';
-    AppendU64(&j, all[i]);
-  }
-  j += "],\"degraded\":false}";
-  return resp;
-}
-
-QueryResponse QueryEngine::DoFingerprint(const QueryCtx& ctx) {
-  const WarmIndexes& warm = *ctx.warm;
-  if (!warm.fingerprint_ok) {
-    Request r;
-    r.type = RequestType::kFingerprint;
-    return ErrorResponse(
-        r, Status::FailedPrecondition("fingerprint unavailable: " +
-                                      warm.fingerprint_error));
-  }
-  QueryResponse resp;
-  std::string& j = resp.json;
-  // Every fingerprint field is a whole-graph statistic as-of the epoch
-  // base — "as_of" is the honest timestamp; "version" says when it was
-  // asked.
-  j = "{\"type\":\"fingerprint\"";
-  AppendVersionFields(&j, ctx.snap);
-  j += ",\"density\":";
-  j += JsonDouble(warm.fingerprint.density);
-  j += ",\"reciprocity\":";
-  j += JsonDouble(warm.fingerprint.reciprocity);
-  j += ",\"clustering\":";
-  j += JsonDouble(warm.fingerprint.clustering);
-  j += ",\"assortativity\":";
-  j += JsonDouble(warm.fingerprint.assortativity);
-  j += ",\"giant_scc_fraction\":";
-  j += JsonDouble(warm.fingerprint.giant_scc_fraction);
-  j += ",\"mean_distance\":";
-  j += JsonDouble(warm.fingerprint.mean_distance);
-  j += ",\"powerlaw_alpha\":";
-  j += JsonDouble(warm.fingerprint.powerlaw_alpha);
-  j += ",\"attracting_fraction\":";
-  j += JsonDouble(warm.fingerprint.attracting_fraction);
-  j += ",\"similarity_to_paper\":";
-  j += JsonDouble(warm.fingerprint_similarity);
-  j += ",\"degraded\":false}";
-  return resp;
-}
-
-std::unique_ptr<QueryEngine::Scratch> QueryEngine::BorrowScratch() {
-  {
-    std::lock_guard<std::mutex> lock(impl_->scratch_mutex);
-    if (!impl_->scratch_pool.empty()) {
-      std::unique_ptr<Scratch> s = std::move(impl_->scratch_pool.back());
-      impl_->scratch_pool.pop_back();
-      return s;
-    }
-  }
-  return std::make_unique<Scratch>(graph_.num_nodes());
-}
-
-void QueryEngine::ReturnScratch(std::unique_ptr<Scratch> s) {
-  std::lock_guard<std::mutex> lock(impl_->scratch_mutex);
-  impl_->scratch_pool.push_back(std::move(s));
-}
-
-int QueryEngine::threads() const {
-  return impl_->executor != nullptr ? impl_->executor->threads() : 0;
-}
-
-uint64_t QueryEngine::cache_hits() const {
-  return impl_->cache != nullptr ? impl_->cache->hits() : 0;
-}
-
-uint64_t QueryEngine::cache_misses() const {
-  return impl_->cache != nullptr ? impl_->cache->misses() : 0;
-}
-
-void QueryEngine::ClearResultCache() {
-  if (impl_->cache != nullptr) impl_->cache->Clear();
-}
-
-void QueryEngine::SetTelemetryEnabled(bool on) {
-  telemetry_->set_enabled(on);
+                                   const LiveSnapshot& snap) {
+  if (live_ == nullptr) return unit_.Compute(r, deadline, warm_, nullptr);
+  return unit_.Compute(r, deadline,
+                       *static_cast<const WarmIndexes*>(snap.warm_payload()),
+                       &snap);
 }
 
 bool QueryEngine::distance_oracle_active() const {
@@ -1065,12 +226,7 @@ bool QueryEngine::distance_oracle_active() const {
     const auto* warm = static_cast<const WarmIndexes*>(snap.warm_payload());
     return warm != nullptr && !warm->hub_labels.empty();
   }
-  return !active_warm_->hub_labels.empty();
-}
-
-Result<LiveSnapshot> QueryEngine::ResolveSnapshot(const Request& r) const {
-  if (r.version == 0) return live_->Snapshot();
-  return live_->SnapshotAt(r.version);
+  return !warm_.hub_labels.empty();
 }
 
 Result<ApplyOutcome> QueryEngine::Apply(const Mutation& m) {
@@ -1103,12 +259,7 @@ Result<CompactionStats> QueryEngine::CompactNow() {
         EN_RETURN_IF_ERROR(ComputeWarmIndexes(g, options_, &w));
         // Best-effort sidecar next to the snapshot: a restart from the
         // compacted file warm-starts instead of recomputing.
-        WarmIndexKey key;
-        key.graph_checksum = graph::GraphChecksum(g);
-        key.config_hash = WarmConfigHash(options_.pagerank,
-                                         options_.fingerprint,
-                                         options_.distance_oracle);
-        (void)SaveWarmIndexes(path + ".widx", key, w);
+        (void)SaveWarmIndexes(path + ".widx", WarmKeyFor(g, options_), w);
         return std::shared_ptr<const void>(
             std::make_shared<const WarmIndexes>(std::move(w)));
       });
@@ -1148,52 +299,15 @@ LiveSnapshot QueryEngine::live_snapshot() const {
   return live_ != nullptr ? live_->Snapshot() : LiveSnapshot();
 }
 
-EngineStatsContext QueryEngine::StatsContext() const {
-  EngineStatsContext ctx;
-  ctx.nodes = graph_.num_nodes();
-  ctx.edges = graph_.num_edges();
-  ctx.workers = threads();
-  ctx.oracle_active = distance_oracle_active();
-  ctx.cache_hits = cache_hits();
-  ctx.cache_misses = cache_misses();
-  ctx.warmup_seconds = warmup_seconds_;
-  ctx.warm_from_cache = warm_from_cache_;
-  ctx.inflight = impl_->inflight.load(std::memory_order_relaxed);
-  if (impl_->executor != nullptr) {
-    ctx.qos = true;
-    for (size_t i = 0; i < kNumQosClasses; ++i) {
-      const QosClass cls = QosClassAt(i);
-      ctx.classes[i] = impl_->executor->class_stats(cls);
-      ctx.class_deadline_miss[i] = telemetry_->class_deadline_miss(cls);
-    }
-  }
+void QueryEngine::AddStats(EngineStatsContext* ctx) const {
+  ctx->nodes = graph().num_nodes();
+  ctx->edges = graph().num_edges();
+  ctx->oracle_active = distance_oracle_active();
   if (live_ != nullptr) {
-    ctx.live = true;
-    ctx.overlay = live_->Stats();
-    ctx.edges = ctx.overlay.live_edges;
+    ctx->live = true;
+    ctx->overlay = live_->Stats();
+    ctx->edges = ctx->overlay.live_edges;
   }
-  return ctx;
-}
-
-std::string QueryEngine::AdminResponse(const AdminCommand& cmd) const {
-  switch (cmd.kind) {
-    case AdminCommand::Kind::kStats:
-      return RenderStatsJson(*telemetry_, StatsContext());
-    case AdminCommand::Kind::kHealthz:
-      return RenderHealthzJson(*telemetry_, StatsContext());
-    case AdminCommand::Kind::kRecent:
-      return RenderRecentJson(*telemetry_, cmd.n);
-    case AdminCommand::Kind::kSlow:
-      return RenderSlowJson(*telemetry_, cmd.n);
-    case AdminCommand::Kind::kTrace:
-      return RenderTraceJson(*telemetry_, cmd.trace_id);
-    case AdminCommand::Kind::kVersion:
-      return RenderVersionJson(StatsContext());
-    case AdminCommand::Kind::kOverlay:
-      return RenderOverlayJson(StatsContext());
-  }
-  return "{\"type\":\"error\",\"code\":\"internal\",\"message\":\"unhandled "
-         "admin command\"}";
 }
 
 }  // namespace serve

@@ -10,22 +10,18 @@
 //     1-based rank position,
 //   * WCC and SCC labelings (component id + size per node),
 //   * per-node mutual-edge counts (reciprocity flags),
-//   * the graph fingerprint and its similarity to the paper's signature.
+//   * the graph fingerprint and its similarity to the paper's signature,
+//   * the hub-label distance oracle (graph/hub_labels.h).
 //
-// Query execution layers three serving mechanics on top:
-//   * a sharded LRU result cache keyed by the canonical request encoding
-//     (serve/request.h). Only complete, non-degraded, non-error responses
-//     are inserted, so a hit is always byte-identical to a recompute;
-//   * per-request deadlines (util/deadline.h). Distance queries answer
-//     from the warm hub-label oracle (graph/hub_labels.h) by label
-//     intersection — exact and microseconds, never degraded. When the
-//     oracle is disabled or its construction blew the label budget, they
-//     fall back to bidirectional BFS, polling the deadline per level and
-//     degrading to the best lower bound found with degraded=true;
-//     warm-index queries cost microseconds and always complete;
-//   * a thread-pool executor (Submit) for concurrent clients, with
-//     in-flight gauge, queue-depth histogram, per-type latency
-//     histograms, and cache hit/miss counters via util/metrics.
+// The engine is a FrontDoor backend (serve/front_door.h): the front door
+// owns the QoS executor, the result cache, per-request deadlines and
+// telemetry; the engine supplies admission (the live MVCC snapshot),
+// the cache key, and compute through its ComputeUnit
+// (serve/compute.h). Distance queries answer from the oracle by label
+// intersection — exact and microseconds, never degraded. When the
+// oracle is disabled or its construction blew the label budget, they
+// fall back to bidirectional BFS, polling the deadline per level and
+// degrading to the best lower bound found with degraded=true.
 //
 // Determinism: every non-degraded response is a pure function of the
 // graph and the request — no timings, thread ids, or cache state leak
@@ -38,72 +34,24 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
-#include <string_view>
 #include <thread>
-#include <utility>
-#include <vector>
 
-#include "analysis/centrality.h"
-#include "core/fingerprint.h"
 #include "graph/digraph.h"
-#include "serve/bounded_distance.h"
+#include "serve/compute.h"
 #include "serve/delta_overlay.h"
+#include "serve/front_door.h"
 #include "serve/mutation_log.h"
 #include "serve/request.h"
-#include "serve/scheduler.h"
 #include "serve/telemetry.h"
 #include "serve/warm_index_cache.h"
 #include "util/deadline.h"
-#include "util/lru_cache.h"
 #include "util/status.h"
 
 namespace elitenet {
 namespace serve {
-
-struct EngineOptions {
-  /// Executor worker threads (Submit). Execute() always runs on the
-  /// calling thread regardless.
-  int threads = 1;
-  /// Per-class admission caps for the QoS executor (serve/scheduler.h).
-  QosOptions qos;
-  /// When non-null, Create() skips the warm-index build and serves from
-  /// this externally owned bundle (must outlive the engine). The sharded
-  /// router warms the *global* graph once and hands the same bundle to
-  /// every shard engine — both for the memory win and because identical
-  /// warm bytes are what make shard responses byte-identical to the
-  /// unsharded engine's. Static engines only (CreateLive rejects it).
-  const WarmIndexes* shared_warm = nullptr;
-  /// Result-cache entries across all shards; 0 disables caching.
-  size_t cache_capacity = 4096;
-  size_t cache_shards = 8;
-  analysis::PageRankOptions pagerank;
-  core::FingerprintOptions fingerprint;
-  /// Build the hub-label distance oracle at warmup so dist answers by
-  /// label intersection instead of traversing. Construction falls back
-  /// cleanly (dist reverts to bidirectional BFS) if the pruned labeling
-  /// exceeds its size budget — see graph::HubLabelOptions.
-  bool distance_oracle = true;
-  /// When non-empty, Create() tries to restore the warm indexes from this
-  /// `.widx` sidecar (keyed by graph checksum + index config) before
-  /// computing them, and writes the sidecar back after a fresh build. A
-  /// stale or corrupt sidecar degrades to a rebuild, never an error.
-  std::string warm_index_path;
-  /// Live telemetry plane (trace ids, flight recorder, latency sketches,
-  /// SLO counters). Telemetry observes but never decides, so response
-  /// bytes are identical with it enabled, disabled, or sampled.
-  TelemetryOptions telemetry;
-  /// When non-empty, a background exporter thread writes a JSON snapshot
-  /// here (and Prometheus text to `metrics_path + ".prom"`) every
-  /// metrics_interval_ms; also turns on util metrics recording.
-  std::string metrics_path;
-  int metrics_interval_ms = 1000;
-};
 
 /// Configuration for a live (mutable) engine — see CreateLive.
 struct LiveEngineOptions {
@@ -124,19 +72,10 @@ struct LiveEngineOptions {
   uint64_t compact_after = 0;
 };
 
-struct QueryResponse {
-  /// Single-line JSON. Errors render as {"type":"error",...}.
-  std::string json;
-  bool ok = true;
-  /// True when a deadline cut the computation short; json carries the
-  /// best bound found. Never cached.
-  bool degraded = false;
-  /// True when served from the result cache (diagnostic only — the bytes
-  /// are identical either way, so this flag never appears in json).
-  bool cache_hit = false;
-};
-
-class QueryEngine {
+/// The unsharded backend: one graph, one warm bundle, one compute unit
+/// behind the front door (Execute, ExecuteLine, Submit, the cache, the
+/// admin verbs and telemetry are all FrontDoor's).
+class QueryEngine : public FrontDoor {
  public:
   /// Builds every warm index (the expensive part — O(iterations * m) for
   /// PageRank, O(n + m) per component labeling) and starts the executor.
@@ -160,46 +99,10 @@ class QueryEngine {
       graph::DiGraph g, const LiveEngineOptions& live,
       const EngineOptions& options = {});
 
-  /// Stops the executor and joins its workers (and, for live engines, the
-  /// background compactor).
-  ~QueryEngine();
+  /// Stops the background compactor (live engines), then the front door.
+  ~QueryEngine() override;
 
-  QueryEngine(const QueryEngine&) = delete;
-  QueryEngine& operator=(const QueryEngine&) = delete;
-
-  /// Synchronously answers `r` on the calling thread. Thread-safe.
-  QueryResponse Execute(const Request& r);
-
-  /// Synchronous execution under an externally owned deadline — the
-  /// sharded router admits a request once, then runs the shard-side work
-  /// under the *remaining* budget instead of restarting the clock.
-  QueryResponse Execute(const Request& r, const util::Deadline& deadline);
-
-  /// Parses one protocol line and answers it; parse failures become
-  /// well-formed error responses (never a crash or empty line).
-  QueryResponse ExecuteLine(std::string_view line);
-
-  /// Computes `r` on the calling thread with no admission control,
-  /// caching, request counting, or telemetry — the sharded router's
-  /// shard-side entry point (the router performs that bookkeeping once
-  /// at its own front door, so a shard doing it again would double every
-  /// counter). Static engines only.
-  QueryResponse ComputeRaw(const Request& r, const util::Deadline& deadline);
-
-  /// Enqueues `r` for the worker pool, subject to QoS admission control:
-  /// a request whose class backlog is at its cap is shed — the future
-  /// resolves immediately with the "overloaded" error response and the
-  /// request never executes. The deadline starts counting at submission,
-  /// so time spent queued burns budget — the behaviour a latency SLO
-  /// wants.
-  std::future<QueryResponse> Submit(const Request& r);
-
-  /// Cap-exempt internal task on the worker pool (router sub-requests,
-  /// test barriers). Runs at interactive priority; never shed.
-  void SubmitTask(std::function<void()> fn);
-
-  const graph::DiGraph& graph() const { return graph_; }
-  int threads() const;
+  const graph::DiGraph& graph() const { return unit_.graph(); }
 
   /// True for engines built by CreateLive.
   bool is_live() const { return live_ != nullptr; }
@@ -225,32 +128,10 @@ class QueryEngine {
   /// static engines).
   LiveSnapshot live_snapshot() const;
 
-  /// Result-cache tallies since startup (also exported as the
-  /// serve.cache.hit / serve.cache.miss metrics counters).
-  uint64_t cache_hits() const;
-  uint64_t cache_misses() const;
-
-  /// Drops every result-cache entry (tallies are preserved). Lets
-  /// benchmarks replay cold-cache traffic against one long-lived engine
-  /// instead of rebuilding it per run.
-  void ClearResultCache();
-
-  /// Flips the telemetry plane's live master switch (responses are
-  /// byte-identical either way). An A/B overhead measurement toggles
-  /// this on one engine so both arms share the same heap layout.
-  void SetTelemetryEnabled(bool on);
-
-  /// Seconds spent building (or restoring) warm indexes in Create().
-  double warmup_seconds() const { return warmup_seconds_; }
-
-  /// True when the warm indexes were restored from the `.widx` sidecar
-  /// instead of computed (diagnostic; the served bytes are identical).
-  bool warm_index_from_cache() const { return warm_from_cache_; }
-
   /// The warm-index bundle (immutable after Create). Static engines only:
   /// a live engine hangs its bundle off the current epoch (so compaction
   /// can swap base and indexes atomically) and this returns an empty one.
-  const WarmIndexes& warm_indexes() const { return *active_warm_; }
+  const WarmIndexes& warm_indexes() const { return warm_; }
 
   /// True when dist queries are answered by the hub-label oracle; false
   /// when it is disabled by options or construction blew its budget (in
@@ -258,86 +139,30 @@ class QueryEngine {
   /// consult the current epoch's bundle.
   bool distance_oracle_active() const;
 
-  /// The engine's telemetry plane (always present; inert when
-  /// options.telemetry.enabled is false).
-  const Telemetry& telemetry() const { return *telemetry_; }
-
-  /// Engine-side facts for the admin/stats renderers.
-  EngineStatsContext StatsContext() const;
-
-  /// Answers one parsed admin command as a single JSON line.
-  std::string AdminResponse(const AdminCommand& cmd) const;
+ protected:
+  Result<LiveSnapshot> Admit(const Request& r) const override;
+  std::string CacheKeyFor(const Request& r,
+                          const LiveSnapshot& snap) const override;
+  QueryResponse Compute(const Request& r, const util::Deadline& deadline,
+                        const LiveSnapshot& snap) override;
+  void AddStats(EngineStatsContext* ctx) const override;
 
  private:
   QueryEngine(graph::DiGraph g, const EngineOptions& options);
 
-  /// Load-or-build: consult the sidecar when configured, else compute
-  /// every index and (best-effort) persist it for the next cold start.
-  /// With options.shared_warm set, neither — the external bundle is
-  /// adopted as-is.
-  Status Warmup();
-  void StartWorkers();
+  /// Constructs the engine and warms it (load-or-build: consult the
+  /// sidecar when configured, else compute every index and best-effort
+  /// persist it for the next cold start). The front door is not open yet.
+  static Result<std::unique_ptr<QueryEngine>> Warmed(
+      graph::DiGraph g, const EngineOptions& options);
   void CompactorLoop();
 
-  /// What one request reads: the warm bundle and (live engines only) the
-  /// MVCC snapshot it was admitted against.
-  struct QueryCtx {
-    const WarmIndexes* warm = nullptr;
-    const LiveSnapshot* snap = nullptr;  ///< Null on static engines.
-  };
-
-  /// The snapshot a request executes against (honours "@<version>" pins).
-  /// Live engines only.
-  Result<LiveSnapshot> ResolveSnapshot(const Request& r) const;
-
-  /// Computes (never consults the cache) — the miss path.
-  QueryResponse Compute(const Request& r, const util::Deadline& deadline,
-                        const QueryCtx& ctx);
-
-  QueryResponse DoEgoSummary(const Request& r, const QueryCtx& ctx);
-  QueryResponse DoTopKRank(const Request& r, const QueryCtx& ctx);
-  QueryResponse DoDistance(const Request& r, const util::Deadline& deadline,
-                           const QueryCtx& ctx);
-  QueryResponse DoNeighbors(const Request& r, const QueryCtx& ctx);
-  QueryResponse DoFingerprint(const QueryCtx& ctx);
-
-  /// Executor-side facts about a request that exist before execution.
-  struct RequestMeta {
-    uint64_t seq = 0;  ///< Pre-assigned sequence number (0 = assign now).
-    uint64_t queue_wait_us = 0;
-    bool queued = false;
-    /// Live engines resolve the MVCC snapshot at submission (Submit), so
-    /// time spent queued never moves the version a request observes.
-    bool snap_resolved = false;
-    Status snap_status;
-    LiveSnapshot snap;
-  };
-
-  QueryResponse ExecuteWithDeadline(const Request& r,
-                                    const util::Deadline& deadline,
-                                    const RequestMeta& meta);
-
-  struct Scratch;
-  /// Borrows a scratch (two arenas) from the pool, creating one on first
-  /// use; returned by ReturnScratch.
-  std::unique_ptr<Scratch> BorrowScratch();
-  void ReturnScratch(std::unique_ptr<Scratch> s);
-
-  const graph::DiGraph graph_;
-  const EngineOptions options_;
+  ComputeUnit unit_;
 
   // Warm indexes (immutable after Warmup; read concurrently). Restored
   // from the sidecar or computed — either way the same bytes, which is
-  // what keeps responses identical across load paths. Queries read
-  // through active_warm_, which points at warm_ unless Create adopted an
-  // external shared bundle (options.shared_warm).
+  // what keeps responses identical across load paths.
   WarmIndexes warm_;
-  const WarmIndexes* active_warm_ = &warm_;
-  bool warm_from_cache_ = false;
-  double warmup_seconds_ = 0.0;
-
-  struct Impl;  // executor queue, scratch pool, cache
-  std::unique_ptr<Impl> impl_;
 
   // Live-mutation plane (CreateLive only; null on static engines).
   std::unique_ptr<LiveGraph> live_;
@@ -346,16 +171,7 @@ class QueryEngine {
   std::condition_variable compactor_cv_;
   bool compactor_stop_ = false;  ///< Guarded by compactor_mutex_.
   std::thread compactor_;
-
-  std::unique_ptr<Telemetry> telemetry_;
-  // Declared (and reset in ~QueryEngine) after everything it reads.
-  std::unique_ptr<TelemetryExporter> exporter_;
 };
-
-// ---------------------------------------------------------------------------
-// Shared building blocks: the sharded router (serve/router.cc) assembles
-// responses from the same functions the engine uses, which is how its
-// bytes stay identical to the unsharded engine's at every shard count.
 
 /// The full warm-index build as a pure function of (graph, options): the
 /// engine's Create() path, the live compactor, and the router's one-time
@@ -369,36 +185,6 @@ Status ComputeWarmIndexes(const graph::DiGraph& g, const EngineOptions& options,
 Result<WarmIndexes> LoadOrBuildWarmIndexes(const graph::DiGraph& g,
                                            const EngineOptions& options,
                                            bool* from_cache);
-
-/// Renders the static-path "topk" response. `in_out_degrees[i]` carries
-/// {in_degree, out_degree} of warm.rank_order[i] and must cover at least
-/// min(k, rank_order.size()) rows. The engine fills it from its graph;
-/// the router gathers it from each node's home shard.
-std::string RenderTopKJson(const WarmIndexes& warm, uint32_t k,
-                           std::span<const std::pair<uint32_t, uint32_t>>
-                               in_out_degrees);
-
-/// The well-formed error response for a *parsed* request
-/// ({"type":"error",...,"request":"<canonical>"}), shared by the
-/// engine's handlers and the router's front door so error bytes match at
-/// every shard count.
-QueryResponse ErrorResponse(const Request& r, const Status& status);
-
-/// Renders the static-path "dist" response from a bounded-search result
-/// — completed (reachable/distance) or degraded (lower_bound/expanded).
-/// The engine's BFS fallback and the router's scatter-gather BFS both
-/// feed this one renderer, so their bytes cannot drift.
-QueryResponse MakeDistanceResponse(const Request& r,
-                                   const BoundedDistanceResult& d);
-
-/// The admission-control shed response:
-/// {"type":"error","code":"overloaded",...}. Never cached.
-QueryResponse MakeOverloadedResponse(const Request& r);
-
-/// The well-formed error response for an unparseable protocol line
-/// (shared by QueryEngine::ExecuteLine and the router's line front end).
-QueryResponse LineParseErrorResponse(std::string_view line,
-                                     const Status& status);
 
 }  // namespace serve
 }  // namespace elitenet

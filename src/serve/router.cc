@@ -1,15 +1,10 @@
 #include "serve/router.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <mutex>
-#include <optional>
+#include <future>
 #include <utility>
 
-#include "graph/frontier.h"
 #include "serve/bounded_distance.h"
-#include "serve/scheduler.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -21,47 +16,36 @@ using graph::NodeId;
 
 namespace {
 
-const char* SpanNameFor(RequestType type) {
-  switch (type) {
-    case RequestType::kEgoSummary:
-      return "serve.ego";
-    case RequestType::kTopKRank:
-      return "serve.topk";
-    case RequestType::kDistance:
-      return "serve.dist";
-    case RequestType::kNeighbors:
-      return "serve.neighbors";
-    case RequestType::kFingerprint:
-      return "serve.fingerprint";
-  }
-  return "serve.unknown";
-}
+using Shards = std::vector<std::unique_ptr<ShardedRouter::Shard>>;
 
-// Same per-type sketches the unsharded engine feeds (distinct call sites
-// are required — the metrics macros cache their pointer per site).
-void RecordLatency(RequestType type, uint64_t micros) {
-  switch (type) {
-    case RequestType::kEgoSummary:
-      ELITENET_SKETCH("serve.latency_us.ego", micros);
-      break;
-    case RequestType::kTopKRank:
-      ELITENET_SKETCH("serve.latency_us.topk", micros);
-      break;
-    case RequestType::kDistance:
-      ELITENET_SKETCH("serve.latency_us.dist", micros);
-      break;
-    case RequestType::kNeighbors:
-      ELITENET_SKETCH("serve.latency_us.neighbors", micros);
-      break;
-    case RequestType::kFingerprint:
-      ELITENET_SKETCH("serve.latency_us.fingerprint", micros);
-      break;
+// Scatter-gather over `n` slots: slot i belongs to shard home_of(i), and
+// each shard runs fn(its graph, its slots) once, as one batched task on
+// its own workers (never the router's, so a saturated router queue
+// cannot deadlock its own sub-requests). Returns when every batch is
+// done. Results land in fixed slots, so the merge is independent of
+// shard count and completion order.
+template <typename HomeOf, typename Fn>
+void FanOut(const Shards& shards, uint32_t n, HomeOf home_of, const Fn& fn) {
+  std::vector<std::vector<uint32_t>> by_shard(shards.size());
+  for (uint32_t i = 0; i < n; ++i) by_shard[home_of(i)].push_back(i);
+  std::vector<std::future<void>> waits;
+  for (size_t s = 0; s < by_shard.size(); ++s) {
+    if (by_shard[s].empty()) continue;
+    auto done = std::make_shared<std::promise<void>>();
+    waits.push_back(done->get_future());
+    ShardedRouter::Shard* shard = shards[s].get();
+    // `fn` and the slot list outlive the task: this call waits below.
+    shard->workers.SubmitExempt([shard, slots = &by_shard[s], &fn, done] {
+      fn(shard->unit.graph(), *slots);
+      done->set_value();
+    });
   }
+  for (auto& w : waits) w.wait();
 }
 
 // The distributed-BFS adjacency: PrepareLevel fetches the whole frontier
 // level's rows from each node's home shard (one batched sub-task per
-// shard, in parallel on the shard executors — the stand-in for the RPC a
+// shard, in parallel on the shard workers — the stand-in for the RPC a
 // networked deployment would make), then ForEachOut/ForEachIn replay
 // them in frontier order. The home shard holds both exact rows of its
 // nodes (partition rules R1+R2), so the replayed rows equal the base
@@ -69,39 +53,23 @@ void RecordLatency(RequestType type, uint64_t micros) {
 // order as the unsharded engine's local BFS.
 class ScatterAdj {
  public:
-  ScatterAdj(const std::vector<std::unique_ptr<QueryEngine>>* shards,
-             const std::vector<uint8_t>* home)
+  ScatterAdj(const Shards* shards, const std::vector<uint8_t>* home)
       : shards_(shards), home_(home) {}
 
   void PrepareLevel(const std::vector<NodeId>& frontier, bool forward) const {
     ELITENET_SPAN("serve.router.gather_level");
     rows_.assign(frontier.size(), {});
     cursor_ = 0;
-    std::vector<std::vector<uint32_t>> by_shard(shards_->size());
-    for (uint32_t i = 0; i < frontier.size(); ++i) {
-      by_shard[(*home_)[frontier[i]]].push_back(i);
-    }
-    std::vector<std::future<void>> waits;
-    for (size_t s = 0; s < by_shard.size(); ++s) {
-      if (by_shard[s].empty()) continue;
-      auto done = std::make_shared<std::promise<void>>();
-      waits.push_back(done->get_future());
-      auto positions =
-          std::make_shared<std::vector<uint32_t>>(std::move(by_shard[s]));
-      QueryEngine* engine = (*shards_)[s].get();
-      auto* rows = &rows_;
-      const std::vector<NodeId>* nodes = &frontier;
-      engine->SubmitTask([engine, positions, rows, nodes, forward, done] {
-        const DiGraph& g = engine->graph();
-        for (uint32_t i : *positions) {
-          const NodeId u = (*nodes)[i];
-          const auto row = forward ? g.OutNeighbors(u) : g.InNeighbors(u);
-          (*rows)[i].assign(row.begin(), row.end());
-        }
-        done->set_value();
-      });
-    }
-    for (auto& w : waits) w.wait();
+    FanOut(
+        *shards_, static_cast<uint32_t>(frontier.size()),
+        [&](uint32_t i) { return (*home_)[frontier[i]]; },
+        [&](const DiGraph& g, const std::vector<uint32_t>& slots) {
+          for (uint32_t i : slots) {
+            const auto row = forward ? g.OutNeighbors(frontier[i])
+                                     : g.InNeighbors(frontier[i]);
+            rows_[i].assign(row.begin(), row.end());
+          }
+        });
   }
 
   template <typename Fn>
@@ -114,7 +82,7 @@ class ScatterAdj {
   }
 
  private:
-  const std::vector<std::unique_ptr<QueryEngine>>* shards_;
+  const Shards* shards_;
   const std::vector<uint8_t>* home_;
   // Per-level row buffers, indexed by frontier position; the search
   // consumes each exactly once, in order (hence the cursor).
@@ -124,67 +92,17 @@ class ScatterAdj {
 
 }  // namespace
 
-struct ShardedRouter::Impl {
-  struct Scratch {
-    explicit Scratch(NodeId n) : fwd(n), bwd(n) {}
-    graph::ScratchArena fwd;
-    graph::ScratchArena bwd;
-  };
-
-  /// One queued request (shared_ptr: std::function is copyable,
-  /// std::promise is not).
-  struct Job {
-    Request req;
-    util::Deadline deadline;
-    std::promise<QueryResponse> promise;
-    uint64_t seq = 0;
-    std::chrono::steady_clock::time_point submitted;
-  };
-
-  std::unique_ptr<util::ShardedLruCache<std::string, std::string>> cache;
-
-  std::mutex scratch_mutex;
-  std::vector<std::unique_ptr<Scratch>> scratch_pool;
-
-  std::unique_ptr<QosExecutor> executor;
-  std::atomic<int64_t> inflight{0};
-
-  std::unique_ptr<Scratch> BorrowScratch(NodeId n) {
-    {
-      std::lock_guard<std::mutex> lock(scratch_mutex);
-      if (!scratch_pool.empty()) {
-        auto s = std::move(scratch_pool.back());
-        scratch_pool.pop_back();
-        return s;
-      }
-    }
-    return std::make_unique<Scratch>(n);
-  }
-
-  void ReturnScratch(std::unique_ptr<Scratch> s) {
-    std::lock_guard<std::mutex> lock(scratch_mutex);
-    scratch_pool.push_back(std::move(s));
-  }
-};
-
-ShardedRouter::ShardedRouter(const RouterOptions& options)
-    : options_(options),
-      impl_(new Impl),
-      telemetry_(new Telemetry(options.engine.telemetry)) {
-  if (options_.engine.cache_capacity > 0) {
-    impl_->cache =
-        std::make_unique<util::ShardedLruCache<std::string, std::string>>(
-            options_.engine.cache_capacity,
-            std::max<size_t>(1, options_.engine.cache_shards));
-  }
-}
+ShardedRouter::ShardedRouter(const RouterOptions& options, uint64_t nodes,
+                             uint64_t edges)
+    : FrontDoor(options.engine),
+      num_nodes_(nodes),
+      num_edges_(edges),
+      scratch_(static_cast<NodeId>(nodes)) {}
 
 ShardedRouter::~ShardedRouter() {
-  // The exporter's final snapshot reads shard stats, so stop it first;
-  // then drain the router executor (queued jobs still reach the shards,
-  // whose own executors are joined when shards_ is destroyed last).
-  exporter_.reset();
-  impl_->executor.reset();
+  // The exporter's final snapshot reads shard stats, and queued jobs
+  // still reach the shards, so close the front door while they live.
+  Close();
 }
 
 Result<std::unique_ptr<ShardedRouter>> ShardedRouter::Create(
@@ -192,15 +110,14 @@ Result<std::unique_ptr<ShardedRouter>> ShardedRouter::Create(
   if (g.num_nodes() == 0) {
     return Status::InvalidArgument("cannot serve an empty graph");
   }
-  std::unique_ptr<ShardedRouter> router(new ShardedRouter(options));
-  router->num_nodes_ = g.num_nodes();
-  router->num_edges_ = g.num_edges();
+  std::unique_ptr<ShardedRouter> router(
+      new ShardedRouter(options, g.num_nodes(), g.num_edges()));
 
   util::SpanTimer timer("serve.router.warmup");
   {
-    // One warm build over the *global* graph; every shard serves from
-    // this bundle (EngineOptions::shared_warm), which is what makes
-    // PageRank/component/hub-label bytes identical across shard counts.
+    // One warm build over the *global* graph; every shard answers from
+    // this bundle, which is what makes PageRank/component/hub-label
+    // bytes identical across shard counts.
     ELITENET_SPAN("serve.router.warm_global");
     auto warm =
         LoadOrBuildWarmIndexes(g, options.engine, &router->warm_from_cache_);
@@ -221,335 +138,95 @@ Result<std::unique_ptr<ShardedRouter>> ShardedRouter::Create(
     ELITENET_SPAN("serve.router.build_shard");
     auto sg = BuildShardGraph(g, router->partition_, s);
     if (!sg.ok()) return sg.status();
-    EngineOptions sopt = options.engine;
-    sopt.threads = std::max(1, options.shard_threads);
-    // Admission, caching, and telemetry live at the router's front door
-    // only — a shard doing any of it again would double every counter
-    // (and shard sub-requests are cap-exempt by design).
-    sopt.qos = QosOptions{};
-    sopt.shared_warm = &router->warm_;
-    sopt.cache_capacity = 0;
-    sopt.telemetry.enabled = false;
-    sopt.metrics_path.clear();
-    sopt.warm_index_path.clear();
-    auto engine = QueryEngine::Create(std::move(*sg), sopt);
-    if (!engine.ok()) return engine.status();
-    router->shards_.push_back(std::move(*engine));
+    router->shards_.push_back(
+        std::make_unique<Shard>(std::move(*sg), options.shard_threads));
   }
   router->warmup_seconds_ = timer.Seconds();
   // The base CSR dies with `g` here: steady-state memory is the shard
   // subgraphs plus one warm bundle. Everything the router still needs
   // from the base graph is its two scalars.
-
-  router->impl_->executor = std::make_unique<QosExecutor>(
-      std::max(1, options.engine.threads), options.engine.qos);
-
-  if (!options.engine.metrics_path.empty()) {
-    util::SetMetricsEnabled(true);
-    ShardedRouter* raw = router.get();
-    router->exporter_ = std::make_unique<TelemetryExporter>(
-        router->telemetry_.get(), options.engine.metrics_path,
-        options.engine.metrics_interval_ms,
-        [raw] { return raw->StatsContext(); });
-  }
+  router->Open();
   return router;
 }
 
-QueryResponse ShardedRouter::Execute(const Request& r) {
-  return ExecuteTracked(r,
-                        r.deadline_us > 0 ? util::Deadline::After(r.deadline_us)
-                                          : util::Deadline::Infinite(),
-                        /*seq=*/0, /*queue_wait_us=*/0, /*queued=*/false);
-}
-
-QueryResponse ShardedRouter::Execute(const Request& r,
-                                     const util::Deadline& deadline) {
-  return ExecuteTracked(r, deadline, 0, 0, false);
-}
-
-QueryResponse ShardedRouter::ExecuteLine(std::string_view line) {
-  auto parsed = ParseRequest(line);
-  if (!parsed.ok()) return LineParseErrorResponse(line, parsed.status());
-  return Execute(*parsed);
-}
-
-std::future<QueryResponse> ShardedRouter::Submit(const Request& r) {
-  auto job = std::make_shared<Impl::Job>();
-  job->req = r;
-  job->deadline = r.deadline_us > 0 ? util::Deadline::After(r.deadline_us)
-                                    : util::Deadline::Infinite();
-  if (telemetry_->enabled()) job->seq = telemetry_->NextSeq();
-  job->submitted = std::chrono::steady_clock::now();
-  std::future<QueryResponse> fut = job->promise.get_future();
-  const bool admitted =
-      impl_->executor->Submit(r.qos, job->deadline, [this, job] {
-        const uint64_t wait_us = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - job->submitted)
-                .count());
-        ELITENET_SKETCH("serve.queue.wait_us", wait_us);
-        job->promise.set_value(ExecuteTracked(job->req, job->deadline,
-                                              job->seq, wait_us,
-                                              /*queued=*/true));
-      });
-  if (!admitted) {
-    ELITENET_COUNT("serve.requests", 1);
-    job->promise.set_value(MakeOverloadedResponse(r));
+QueryResponse ShardedRouter::Compute(const Request& r,
+                                     const util::Deadline& deadline,
+                                     const LiveSnapshot&) {
+  if (r.type == RequestType::kTopKRank) return DoTopK(r);
+  if (r.type == RequestType::kDistance && r.node < num_nodes_ &&
+      r.target < num_nodes_ && !distance_oracle_active()) {
+    return ScatterDistance(r, deadline);
   }
-  return fut;
-}
-
-QueryResponse ShardedRouter::ExecuteTracked(const Request& r,
-                                            const util::Deadline& deadline,
-                                            uint64_t seq0,
-                                            uint64_t queue_wait_us,
-                                            bool queued) {
-  ELITENET_COUNT("serve.requests", 1);
-  Telemetry* tel = telemetry_->enabled() ? telemetry_.get() : nullptr;
-  uint64_t seq = 0;
-  uint64_t trace_id = 0;
-  bool sampled = false;
-  if (tel != nullptr) {
-    seq = seq0 != 0 ? seq0 : tel->NextSeq();
-    trace_id = TraceIdFor(seq);
-    sampled = tel->Sampled(trace_id);
-  }
-  std::optional<util::SpanCapture> capture;
-  if (sampled) capture.emplace();
-
-  const int64_t inflight =
-      impl_->inflight.fetch_add(1, std::memory_order_relaxed) + 1;
-  ELITENET_GAUGE_SET("serve.inflight", inflight);
-  util::SpanTimer timer;
-
-  QueryResponse resp;
-  {
-    util::ScopedSpan span(SpanNameFor(r.type));
-    if (r.version != 0) {
-      // Same rejection (and bytes) as a static engine: the shards are
-      // static, there is no version history to pin into.
-      resp = ErrorResponse(
-          r, Status::FailedPrecondition(
-                 "version pins require a live engine (static graph has no "
-                 "version history)"));
-    } else {
-      std::string key;
-      bool from_cache = false;
-      if (impl_->cache != nullptr) {
-        key = CacheKey(r);
-        std::string cached;
-        if (impl_->cache->Get(key, &cached)) {
-          ELITENET_COUNT("serve.cache.hit", 1);
-          resp.json = std::move(cached);
-          resp.cache_hit = true;
-          from_cache = true;
-        } else {
-          ELITENET_COUNT("serve.cache.miss", 1);
-        }
-      }
-      if (!from_cache) {
-        resp = Route(r, deadline);
-        if (resp.ok && !resp.degraded && impl_->cache != nullptr) {
-          impl_->cache->Put(key, resp.json);
-        }
-      }
-    }
-  }
-
-  const uint64_t latency_us = static_cast<uint64_t>(timer.Seconds() * 1e6);
-  RecordLatency(r.type, latency_us);
-  const int64_t now_inflight =
-      impl_->inflight.fetch_sub(1, std::memory_order_relaxed) - 1;
-  ELITENET_GAUGE_SET("serve.inflight", now_inflight);
-  if (tel != nullptr) {
-    RequestRecord record;
-    record.trace_id = trace_id;
-    record.seq = seq;
-    record.request = r;
-    record.ok = resp.ok;
-    record.degraded = resp.degraded;
-    record.cache_hit = resp.cache_hit;
-    record.sampled = sampled;
-    record.queued = queued;
-    record.queue_wait_us = queue_wait_us;
-    record.latency_us = latency_us;
-    record.deadline_slack_us = deadline.RemainingMicros();
-    record.deadline_missed =
-        !deadline.infinite() && record.deadline_slack_us == 0;
-    record.oracle_fallback = r.type == RequestType::kDistance &&
-                             !resp.cache_hit && !distance_oracle_active();
-    if (capture.has_value()) {
-      record.spans = capture->Take();
-      record.spans_truncated = capture->truncated();
-    }
-    tel->Record(std::move(record));
-  }
-  return resp;
-}
-
-QueryResponse ShardedRouter::Route(const Request& r,
-                                   const util::Deadline& deadline) {
-  switch (r.type) {
-    case RequestType::kEgoSummary:
-    case RequestType::kNeighbors:
-      // Single-shard: the home shard's rows (and, for ego's 2-hop
-      // reach, its halo rows) are exact. Out-of-range nodes go to shard
-      // 0, whose num_nodes equals the base graph's — identical NotFound
-      // bytes.
-      return shards_[HomeShard(r.node)]->ComputeRaw(r, deadline);
-    case RequestType::kTopKRank:
-      return DoTopK(r);
-    case RequestType::kDistance:
-      return DoDistance(r, deadline);
-    case RequestType::kFingerprint:
-      // Answered from the shared warm bundle; any shard renders the
-      // same bytes.
-      return shards_[0]->ComputeRaw(r, deadline);
-  }
-  return ErrorResponse(r, Status::Internal("unhandled request type"));
+  // Single-shard: the home shard's rows (and, for ego's 2-hop reach, its
+  // halo rows) are exact; fingerprint and the hub-label oracle read only
+  // the global warm bundle, so any shard renders the same bytes. Shard
+  // graphs share the base num_nodes, so out-of-range nodes (routed to
+  // shard 0) get identical NotFound bytes.
+  return shards_[HomeShard(r.node)]->unit.Compute(r, deadline, warm_,
+                                                  nullptr);
 }
 
 QueryResponse ShardedRouter::DoTopK(const Request& r) {
   ELITENET_SPAN("serve.router.scatter_topk");
   const uint32_t returned =
       std::min<uint32_t>(r.k, static_cast<uint32_t>(warm_.rank_order.size()));
-  // Rank order and scores come from the shared warm bundle; only the
+  // Rank order and scores come from the global warm bundle; only the
   // degree columns need the graph, and each row's home shard holds both
-  // of its rows exactly. Gather per shard in parallel, merge by rank
-  // position — a fixed slot per row, so the merged bytes are independent
-  // of shard count and completion order.
+  // of its rows exactly. Gather per shard in parallel into one slot per
+  // rank position.
   std::vector<std::pair<uint32_t, uint32_t>> degrees(returned);
-  std::vector<std::vector<uint32_t>> by_shard(shards_.size());
-  for (uint32_t i = 0; i < returned; ++i) {
-    by_shard[HomeShard(warm_.rank_order[i])].push_back(i);
-  }
-  std::vector<std::future<void>> waits;
-  for (size_t s = 0; s < by_shard.size(); ++s) {
-    if (by_shard[s].empty()) continue;
-    auto done = std::make_shared<std::promise<void>>();
-    waits.push_back(done->get_future());
-    auto positions =
-        std::make_shared<std::vector<uint32_t>>(std::move(by_shard[s]));
-    QueryEngine* engine = shards_[s].get();
-    const WarmIndexes* warm = &warm_;
-    auto* out = &degrees;
-    engine->SubmitTask([engine, positions, warm, out, done] {
-      const DiGraph& g = engine->graph();
-      for (uint32_t i : *positions) {
-        const NodeId u = warm->rank_order[i];
-        (*out)[i] = {g.InDegree(u), g.OutDegree(u)};
-      }
-      done->set_value();
-    });
-  }
-  for (auto& w : waits) w.wait();
+  FanOut(
+      shards_, returned,
+      [&](uint32_t i) { return HomeShard(warm_.rank_order[i]); },
+      [&](const DiGraph& g, const std::vector<uint32_t>& slots) {
+        for (uint32_t i : slots) {
+          const NodeId u = warm_.rank_order[i];
+          degrees[i] = {g.InDegree(u), g.OutDegree(u)};
+        }
+      });
   QueryResponse resp;
   resp.json = RenderTopKJson(warm_, r.k, degrees);
   return resp;
 }
 
-QueryResponse ShardedRouter::DoDistance(const Request& r,
-                                        const util::Deadline& deadline) {
-  if (r.node >= num_nodes_ || r.target >= num_nodes_) {
-    // Identical NotFound bytes (shard graphs share the base num_nodes).
-    return shards_[0]->ComputeRaw(r, deadline);
-  }
-  if (distance_oracle_active()) {
-    // The hub-label oracle reads only the shared warm bundle — any shard
-    // answers identically; the home shard keeps the routing rule simple.
-    return shards_[HomeShard(r.node)]->ComputeRaw(r, deadline);
-  }
+QueryResponse ShardedRouter::ScatterDistance(const Request& r,
+                                             const util::Deadline& deadline) {
   // BFS fallback: the shared bounded search over the scatter-gather
   // adjacency — same expansion order as an unsharded engine's local BFS,
   // rendered by the same function, so completed *and* degraded bytes
   // match at every shard count.
   ELITENET_COUNT("serve.dist.bfs_fallback", 1);
   ELITENET_SPAN("serve.router.scatter_bfs");
-  auto scratch = impl_->BorrowScratch(static_cast<NodeId>(num_nodes_));
+  auto scratch = scratch_.Borrow();
   ScatterAdj adj(&shards_, &partition_.home);
   const BoundedDistanceResult d = BoundedBidirectionalDistance(
       adj, r.node, r.target, deadline, &scratch->fwd, &scratch->bwd);
-  impl_->ReturnScratch(std::move(scratch));
-  return MakeDistanceResponse(r, d);
+  scratch_.Return(std::move(scratch));
+  QueryResponse resp = MakeDistanceResponse(r, d);
+  resp.oracle_fallback = true;
+  return resp;
 }
 
-int ShardedRouter::threads() const {
-  return impl_->executor != nullptr ? impl_->executor->threads() : 0;
-}
-
-uint64_t ShardedRouter::cache_hits() const {
-  return impl_->cache != nullptr ? impl_->cache->hits() : 0;
-}
-
-uint64_t ShardedRouter::cache_misses() const {
-  return impl_->cache != nullptr ? impl_->cache->misses() : 0;
-}
-
-void ShardedRouter::ClearResultCache() {
-  if (impl_->cache != nullptr) impl_->cache->Clear();
-}
-
-void ShardedRouter::SetTelemetryEnabled(bool on) {
-  telemetry_->set_enabled(on);
-}
-
-EngineStatsContext ShardedRouter::StatsContext() const {
-  EngineStatsContext ctx;
-  ctx.nodes = num_nodes_;
-  ctx.edges = num_edges_;
-  ctx.workers = threads();
-  ctx.oracle_active = distance_oracle_active();
-  ctx.cache_hits = cache_hits();
-  ctx.cache_misses = cache_misses();
-  ctx.warmup_seconds = warmup_seconds_;
-  ctx.warm_from_cache = warm_from_cache_;
-  ctx.inflight = impl_->inflight.load(std::memory_order_relaxed);
-  if (impl_->executor != nullptr) {
-    ctx.qos = true;
-    for (size_t i = 0; i < kNumQosClasses; ++i) {
-      const QosClass cls = QosClassAt(i);
-      ctx.classes[i] = impl_->executor->class_stats(cls);
-      ctx.class_deadline_miss[i] = telemetry_->class_deadline_miss(cls);
-    }
-  }
-  ctx.shards.reserve(shards_.size());
+void ShardedRouter::AddStats(EngineStatsContext* ctx) const {
+  ctx->nodes = num_nodes_;
+  ctx->edges = num_edges_;
+  ctx->oracle_active = distance_oracle_active();
+  ctx->shards.reserve(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
-    const EngineStatsContext sc = shards_[s]->StatsContext();
+    // Shards cache nothing (the front door does), so their cache
+    // tallies stay zero.
     EngineStatsContext::ShardEntry entry;
     entry.id = static_cast<int>(s);
     entry.nodes = partition_.home_nodes[s];
-    entry.edges = shards_[s]->graph().num_edges();
-    entry.cache_hits = sc.cache_hits;
-    entry.cache_misses = sc.cache_misses;
+    entry.edges = shards_[s]->unit.graph().num_edges();
     for (size_t i = 0; i < kNumQosClasses; ++i) {
-      entry.queue_depth += sc.classes[i].queue_depth;
-      entry.executed += sc.classes[i].executed;
+      const QosClassStats cs = shards_[s]->workers.class_stats(QosClassAt(i));
+      entry.queue_depth += cs.queue_depth;
+      entry.executed += cs.executed;
     }
-    ctx.shards.push_back(entry);
+    ctx->shards.push_back(entry);
   }
-  ctx.hub_replicas = partition_.hubs.size();
-  return ctx;
-}
-
-std::string ShardedRouter::AdminResponse(const AdminCommand& cmd) const {
-  switch (cmd.kind) {
-    case AdminCommand::Kind::kStats:
-      return RenderStatsJson(*telemetry_, StatsContext());
-    case AdminCommand::Kind::kHealthz:
-      return RenderHealthzJson(*telemetry_, StatsContext());
-    case AdminCommand::Kind::kRecent:
-      return RenderRecentJson(*telemetry_, cmd.n);
-    case AdminCommand::Kind::kSlow:
-      return RenderSlowJson(*telemetry_, cmd.n);
-    case AdminCommand::Kind::kTrace:
-      return RenderTraceJson(*telemetry_, cmd.trace_id);
-    case AdminCommand::Kind::kVersion:
-      return RenderVersionJson(StatsContext());
-    case AdminCommand::Kind::kOverlay:
-      return RenderOverlayJson(StatsContext());
-  }
-  return "{\"type\":\"error\",\"code\":\"internal\",\"message\":\"unhandled "
-         "admin command\"}";
+  ctx->hub_replicas = partition_.hubs.size();
 }
 
 }  // namespace serve

@@ -1,28 +1,29 @@
-// Scale-out serving: N shard query engines behind one scatter-gather
+// Scale-out serving: N shard compute units behind one scatter-gather
 // router.
 //
-// The router is the process's single front door. It owns the admission
-// plane an unsharded QueryEngine would own — the QoS executor
-// (serve/scheduler.h), the result cache, and the telemetry plane — and
-// delegates graph work to per-shard engines built over the subgraphs a
-// degree-aware partition (serve/partition.h) carves out of one base CSR.
-// Shard engines run with that plane disabled (no cache, no telemetry,
-// cap-exempt executors) so every request is admitted, counted, and
-// cached exactly once.
+// The router is a FrontDoor backend (serve/front_door.h): the one
+// admission plane — QoS executor, result cache, telemetry, admin verbs —
+// sits in front of it exactly as it sits in front of an unsharded
+// QueryEngine, so every request is admitted, counted and cached exactly
+// once. Behind it, each shard is a ComputeUnit (serve/compute.h) over
+// the subgraph a degree-aware partition (serve/partition.h) carves out
+// of one base CSR, plus a small cap-exempt worker pool for fan-out.
+// Shards own no admission plane of their own.
 //
 // The contract that makes sharding an implementation detail: **response
 // bytes are identical to the unsharded engine's at every shard count**,
 // including error, degraded, and cached paths. Three mechanisms carry
 // it:
 //
-//   * Warm indexes are computed once, over the *global* graph, and
-//     shared with every shard engine (EngineOptions::shared_warm) — so
-//     PageRank scores, component labels, hub labels, and the
-//     fingerprint are the same bytes everywhere.
+//   * Warm indexes are computed once, over the *global* graph, and every
+//     shard's compute unit answers from that one bundle — so PageRank
+//     scores, component labels, hub labels, and the fingerprint are the
+//     same bytes everywhere.
 //   * Single-node queries (ego, neighbors) route to the node's home
 //     shard, where the partition guarantees both adjacency rows — and,
-//     via the halo rule, every neighbor's out-row — are exact.
-//   * Multi-shard queries reuse the engine's own renderers
+//     via the halo rule, every neighbor's out-row — are exact. The shard
+//     runs the engine's own handlers.
+//   * Multi-shard queries reuse the compute unit's renderers
 //     (RenderTopKJson, MakeDistanceResponse) over data gathered from
 //     the shards in deterministic order: topk degree columns are
 //     fetched from each row's home shard and merged by rank position;
@@ -32,25 +33,25 @@
 //     in frontier order — the same expansion order as the local BFS,
 //     hence the same bytes, completed or degraded.
 //
-// Fan-out runs on the shard executors (QueryEngine::SubmitTask), never
-// on the router's workers, so a saturated router queue cannot deadlock
-// its own sub-requests.
+// Fan-out runs on the per-shard workers, never on the router's workers,
+// so a saturated router queue cannot deadlock its own sub-requests.
 
 #ifndef ELITENET_SERVE_ROUTER_H_
 #define ELITENET_SERVE_ROUTER_H_
 
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <string>
-#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "graph/digraph.h"
+#include "serve/compute.h"
 #include "serve/engine.h"
+#include "serve/front_door.h"
 #include "serve/partition.h"
 #include "serve/request.h"
-#include "serve/telemetry.h"
+#include "serve/scheduler.h"
 #include "util/deadline.h"
 #include "util/status.h"
 
@@ -61,128 +62,89 @@ struct RouterOptions {
   /// Shard count, 1..255. One shard is legal (and byte-identical to an
   /// unsharded engine — the degenerate case the identity tests pin).
   int num_shards = 2;
-  /// Worker threads per shard executor (scatter-gather sub-requests).
+  /// Worker threads per shard (scatter-gather sub-requests).
   int shard_threads = 1;
   /// Top-degree rows replicated on every shard (PartitionOptions).
   uint32_t hub_count = 64;
   /// When non-empty, the partition is restored from / persisted to this
   /// ".pidx" sidecar (PartitionPathFor gives the convention).
   std::string partition_path;
-  /// Router-plane engine options: `threads` sizes the router's QoS
-  /// executor, `qos` sets its admission caps, `cache_capacity` its
-  /// result cache, `telemetry`/`metrics_path` its observability, and
-  /// `warm_index_path` the *global* warm sidecar. Shard engines inherit
-  /// the index-shaping fields (pagerank, fingerprint, distance_oracle)
-  /// and have the rest forced off.
+  /// Front-door options: `threads` sizes the router's QoS executor,
+  /// `qos` sets its admission caps, `cache_capacity` its result cache,
+  /// `telemetry`/`metrics_path` its observability; `warm_index_path`
+  /// and the index-shaping fields (pagerank, fingerprint,
+  /// distance_oracle) shape the *global* warm bundle.
   EngineOptions engine;
 };
 
 /// The scatter-gather router. Thread-safe; one instance per served
-/// graph, like QueryEngine (whose query/admin API it mirrors so the
-/// line-protocol front ends can drive either).
-class ShardedRouter {
+/// graph, like QueryEngine — both are FrontDoors, so the line-protocol
+/// front end drives either.
+class ShardedRouter : public FrontDoor {
  public:
-  /// Builds the partition, the global warm bundle, and one engine per
-  /// shard. The base CSR is released once the shard subgraphs are built:
-  /// the router retains only its scalars, so steady-state memory is the
-  /// shards plus one warm bundle.
+  /// Builds the partition, the global warm bundle, and one compute unit
+  /// per shard. The base CSR is released once the shard subgraphs are
+  /// built: the router retains only its scalars, so steady-state memory
+  /// is the shards plus one warm bundle.
   static Result<std::unique_ptr<ShardedRouter>> Create(
       graph::DiGraph g, const RouterOptions& options = {});
 
-  ~ShardedRouter();
-
-  ShardedRouter(const ShardedRouter&) = delete;
-  ShardedRouter& operator=(const ShardedRouter&) = delete;
-
-  /// Synchronously answers `r` on the calling thread (admission-plane
-  /// bookkeeping included; the shed caps apply only to Submit).
-  QueryResponse Execute(const Request& r);
-
-  /// Synchronous execution under an externally owned deadline.
-  QueryResponse Execute(const Request& r, const util::Deadline& deadline);
-
-  /// Parses one protocol line and answers it (engine-identical bytes,
-  /// including parse errors).
-  QueryResponse ExecuteLine(std::string_view line);
-
-  /// Enqueues `r` for the router's worker pool under QoS admission
-  /// control — same contract as QueryEngine::Submit, including the
-  /// immediate "overloaded" resolution on shed.
-  std::future<QueryResponse> Submit(const Request& r);
+  ~ShardedRouter() override;
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
   uint64_t num_nodes() const { return num_nodes_; }
   uint64_t num_edges() const { return num_edges_; }
-  int threads() const;
 
   /// The node→shard map and hub set in force.
   const Partition& partition() const { return partition_; }
 
-  /// Shard engine `i` (tests: hub-replication and row-exactness
-  /// invariants are asserted against these).
-  const QueryEngine& shard(int i) const { return *shards_[i]; }
+  /// Shard `i`'s compute unit (tests: hub-replication and row-exactness
+  /// invariants are asserted against its graph()).
+  const ComputeUnit& shard(int i) const { return shards_[i]->unit; }
 
   /// The global warm bundle every shard serves from.
   const WarmIndexes& warm_indexes() const { return warm_; }
 
   bool distance_oracle_active() const { return !warm_.hub_labels.empty(); }
 
-  uint64_t cache_hits() const;
-  uint64_t cache_misses() const;
-  void ClearResultCache();
-
-  double warmup_seconds() const { return warmup_seconds_; }
-  bool warm_index_from_cache() const { return warm_from_cache_; }
   bool partition_from_cache() const { return partition_from_cache_; }
 
-  const Telemetry& telemetry() const { return *telemetry_; }
-  void SetTelemetryEnabled(bool on);
+  /// One shard: its compute unit and the cap-exempt workers its fan-out
+  /// runs on (declared last, so they join before the unit dies).
+  struct Shard {
+    Shard(graph::DiGraph g, int threads)
+        : unit(std::move(g)), workers(threads, QosOptions{}) {}
+    ComputeUnit unit;
+    QosExecutor workers;
+  };
 
-  /// Router-plane stats: global graph identity, router QoS classes, and
-  /// one ShardEntry per shard engine.
-  EngineStatsContext StatsContext() const;
-
-  /// Answers one parsed admin command (same verbs as the engine; #stats
-  /// additionally carries the "shards" array).
-  std::string AdminResponse(const AdminCommand& cmd) const;
+ protected:
+  /// The routing table (see file comment) — the front door's miss path.
+  QueryResponse Compute(const Request& r, const util::Deadline& deadline,
+                        const LiveSnapshot& snap) override;
+  /// Global graph identity, oracle, and one ShardEntry per shard.
+  void AddStats(EngineStatsContext* ctx) const override;
 
  private:
-  ShardedRouter(const RouterOptions& options);
+  ShardedRouter(const RouterOptions& options, uint64_t nodes, uint64_t edges);
 
   int HomeShard(graph::NodeId u) const {
     return u < num_nodes_ ? partition_.home[u] : 0;
   }
 
-  /// The routing table (see file comment). Runs after admission, cache
-  /// lookup, and the version-pin check — the miss path.
-  QueryResponse Route(const Request& r, const util::Deadline& deadline);
-
   QueryResponse DoTopK(const Request& r);
-  QueryResponse DoDistance(const Request& r, const util::Deadline& deadline);
+  /// dist without the oracle: the shared bounded BFS over shard rows.
+  QueryResponse ScatterDistance(const Request& r,
+                                const util::Deadline& deadline);
 
-  /// Admission-plane wrapper mirroring the engine's: counting, trace
-  /// ids, cache get/put, latency recording, flight-recorder entry.
-  QueryResponse ExecuteTracked(const Request& r,
-                               const util::Deadline& deadline, uint64_t seq,
-                               uint64_t queue_wait_us, bool queued);
-
-  struct Impl;  // executor, cache, scratch pool — see router.cc
-  friend struct Impl;
-
-  const RouterOptions options_;
-  uint64_t num_nodes_ = 0;
-  uint64_t num_edges_ = 0;
+  const uint64_t num_nodes_;
+  const uint64_t num_edges_;
   WarmIndexes warm_;
   Partition partition_;
-  bool warm_from_cache_ = false;
   bool partition_from_cache_ = false;
-  double warmup_seconds_ = 0.0;
-
-  std::vector<std::unique_ptr<QueryEngine>> shards_;
-  std::unique_ptr<Impl> impl_;
-  std::unique_ptr<Telemetry> telemetry_;
-  // Declared (and reset in the destructor) after everything it reads.
-  std::unique_ptr<TelemetryExporter> exporter_;
+  std::vector<std::unique_ptr<Shard>> shards_;
+  /// Arenas for the scatter-gather BFS (sized for the global graph).
+  ScratchPool scratch_;
 };
 
 }  // namespace serve

@@ -1,21 +1,27 @@
 // Line-protocol front-end: newline-delimited requests in, one JSON object
-// per line out. This is the transport the `elitenet_serve` example and the
-// `elitenet_cli serve` subcommand share — they differ only in how the
-// graph is loaded and which FILE*s are wired up (stdin/stdout for both
-// today; a socket accept loop can hand its FILE*s straight in).
+// per line out, over any FrontDoor (serve/front_door.h) — the static or
+// live QueryEngine or the sharded router. `elitenet_cli serve` wires it
+// to stdin/stdout; a socket accept loop can hand its FILE*s straight in.
+//
+// The one serve command line lives here too: ParseServeArgs accepts the
+// positional worker count, --threads= --cache= --no-widx --shards=
+// --shard-threads= --hubs=, and the telemetry flags, and rejects
+// unknown flags and non-numeric, overflowing or out-of-range values.
 
 #ifndef ELITENET_SERVE_SERVER_H_
 #define ELITENET_SERVE_SERVER_H_
 
 #include <cstdint>
 #include <cstdio>
+#include <string>
+#include <string_view>
 
-#include "serve/engine.h"
+#include "serve/front_door.h"
+#include "serve/router.h"
+#include "util/status.h"
 
 namespace elitenet {
 namespace serve {
-
-class ShardedRouter;
 
 struct ServeStats {
   uint64_t requests = 0;
@@ -32,25 +38,34 @@ struct ServeStats {
 /// path) and comments otherwise, preserving the old comment syntax.
 /// Malformed requests and bad admin arguments produce
 /// {"type":"error",...} lines, never a crash or a silent drop. Returns
-/// tallies for the session.
-ServeStats ServeLines(QueryEngine* engine, std::FILE* in, std::FILE* out);
+/// tallies for the session. By the router's contract, a QueryEngine and
+/// a ShardedRouter over the same graph write identical lines.
+ServeStats ServeLines(FrontDoor* front, std::FILE* in, std::FILE* out);
 
-/// Same loop over a sharded router (serve/router.h) — identical wire
-/// protocol and, by the router's contract, identical response bytes.
-ServeStats ServeLines(ShardedRouter* router, std::FILE* in, std::FILE* out);
-
-/// Parses one telemetry-related command-line flag shared by
-/// `elitenet_serve` and `elitenet_cli serve` into `options`:
+/// Parses one telemetry-related command-line flag into `options`:
 ///   --metrics=<path> --metrics-interval=<ms> --flight-recorder=<K>
 ///   --slow-ms=<t> --sample=<N> --no-telemetry
-/// Returns false (options untouched) when `arg` is not one of these.
+/// Returns false (options untouched) when `arg` is not one of these or
+/// its value is non-numeric, overflows, or is out of range (the flight
+/// recorder is capped at kMaxRecorderCapacity).
 bool ParseServeFlag(std::string_view arg, EngineOptions* options);
 
 /// Applies the telemetry environment fallbacks (ELITENET_METRICS,
 /// ELITENET_METRICS_INTERVAL_MS, ELITENET_FLIGHT_RECORDER,
-/// ELITENET_SLOW_MS) — StudyConfig parity for the serving front-ends.
-/// Call before flag parsing so explicit flags win.
-void ApplyServeEnv(EngineOptions* options);
+/// ELITENET_SLOW_MS) — StudyConfig parity for the serving front-end.
+/// Values are checked like the matching flags; a bad one is
+/// InvalidArgument. Call before flag parsing so explicit flags win.
+Status ApplyServeEnv(EngineOptions* options);
+
+/// Parses the `elitenet_cli serve` arguments that follow <graph>, after
+/// the environment fallbacks. Engine and telemetry flags land in
+/// `options->engine`. options->num_shards is the --shards value, 1..255,
+/// or 0 (the default here) to serve unsharded through a QueryEngine.
+/// Unless --no-widx, the warm-index and partition sidecar paths are
+/// derived from `graph_path`. InvalidArgument names the first bad
+/// argument.
+Status ParseServeArgs(const std::string& graph_path, int argc,
+                      const char* const* argv, RouterOptions* options);
 
 }  // namespace serve
 }  // namespace elitenet

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "util/check.h"
 #include "util/string_utils.h"
 
 namespace elitenet {
@@ -16,7 +17,10 @@ void AppendU64(std::string* out, uint64_t v) { *out += std::to_string(v); }
 
 void AppendBool(std::string* out, bool v) { *out += v ? "true" : "false"; }
 
-size_t RoundUpPow2(size_t v) {
+// Ring size: `v` rounded up to a power of two, minimum 1. The cap keeps
+// the doubling loop finite and the slot array allocatable.
+size_t RingCapacity(size_t v) {
+  EN_CHECK(v <= kMaxRecorderCapacity);
   size_t p = 1;
   while (p < v) p <<= 1;
   return p;
@@ -66,7 +70,7 @@ bool ParseTraceId(std::string_view s, uint64_t* out) {
 // FlightRecorder
 
 FlightRecorder::FlightRecorder(size_t capacity)
-    : capacity_(RoundUpPow2(std::max<size_t>(1, capacity))),
+    : capacity_(RingCapacity(capacity)),
       mask_(capacity_ - 1),
       slots_(new Slot[capacity_]) {}
 

@@ -61,6 +61,11 @@ std::string TraceIdHex(uint64_t trace_id);
 /// and an optional 0x prefix). Returns false on empty/invalid input.
 bool ParseTraceId(std::string_view s, uint64_t* out);
 
+/// Largest ring a FlightRecorder accepts, in records: 2^20 slots take
+/// about 176 MiB on x86-64 before any span vectors. Front-ends reject
+/// larger --flight-recorder / ELITENET_FLIGHT_RECORDER values.
+inline constexpr size_t kMaxRecorderCapacity = size_t{1} << 20;
+
 struct TelemetryOptions {
   /// Master switch: when false, requests skip recording entirely (the
   /// engine still answers identically — asserted by tests).
@@ -68,7 +73,8 @@ struct TelemetryOptions {
   /// Capture the full span tree for 1 in N requests (by trace id);
   /// 0 disables span capture, 1 captures every request.
   uint32_t sample_every = 64;
-  /// Flight-recorder ring capacity (rounded up to a power of two).
+  /// Flight-recorder ring capacity (rounded up to a power of two; at
+  /// most kMaxRecorderCapacity).
   size_t recorder_capacity = 256;
   /// Slow-query ring capacity (rounded up to a power of two).
   size_t slow_capacity = 64;
@@ -88,7 +94,7 @@ struct RequestRecord {
   bool sampled = false;
   bool queued = false;  ///< Went through Submit (vs synchronous Execute).
   bool deadline_missed = false;
-  bool oracle_fallback = false;  ///< dist answered by BFS, oracle absent.
+  bool oracle_fallback = false;  ///< dist answered by BFS, not the oracle.
   uint64_t latency_us = 0;
   uint64_t queue_wait_us = 0;  ///< Submit-to-drain delay (queued only).
   /// Deadline budget left at completion; UINT64_MAX = no deadline.
@@ -105,7 +111,8 @@ struct RequestRecord {
 /// ever is kept alongside, so "dropped = total - capacity" is exact.
 class FlightRecorder {
  public:
-  /// Capacity is rounded up to a power of two, minimum 1.
+  /// Capacity is rounded up to a power of two, minimum 1; capacities
+  /// above kMaxRecorderCapacity are a fatal EN_CHECK.
   explicit FlightRecorder(size_t capacity);
 
   void Push(RequestRecord record);
@@ -145,7 +152,7 @@ struct SloCounters {
 
 /// The serving telemetry plane: sequence numbers, sampling decisions,
 /// SLO counters, per-type latency sketches, and the two rings. One
-/// instance per QueryEngine; all methods are thread-safe.
+/// instance per FrontDoor; all methods are thread-safe.
 class Telemetry {
  public:
   explicit Telemetry(const TelemetryOptions& options);
@@ -271,16 +278,17 @@ struct EngineStatsContext {
   bool qos = false;
   QosClassStats classes[kNumQosClasses] = {};
   uint64_t class_deadline_miss[kNumQosClasses] = {};
-  /// Sharded-router facts: one entry per shard engine (empty on a plain
+  /// Sharded-router facts: one entry per shard (empty on a plain
   /// engine). RenderStatsJson emits a "shards" array when non-empty.
   struct ShardEntry {
     int id = 0;
     uint64_t nodes = 0;
     uint64_t edges = 0;  ///< Shard subgraph edges (replicas included).
+    /// Always 0: shards cache nothing (the front door caches once).
     uint64_t cache_hits = 0;
     uint64_t cache_misses = 0;
-    uint64_t queue_depth = 0;  ///< Shard executor backlog (sub-requests).
-    uint64_t executed = 0;     ///< Tasks the shard executor has run.
+    uint64_t queue_depth = 0;  ///< Shard worker backlog (sub-requests).
+    uint64_t executed = 0;     ///< Tasks the shard workers have run.
   };
   std::vector<ShardEntry> shards;
   /// Hub rows replicated on every shard (router only; 0 otherwise).

@@ -185,6 +185,27 @@ TEST(LiveEngineTest, DistanceFallsBackToExactBfsForTouchedNodes) {
   EXPECT_TRUE(Contains(back.json, "\"distance\":3")) << back.json;
 }
 
+// oracle_fallback telemetry follows the path dist actually took: the
+// oracle stays active engine-wide, yet a touched endpoint forces the
+// overlay-aware BFS, and only that request counts as a fallback.
+TEST(LiveEngineTest, OracleFallbackTelemetryFollowsTheBfsChoice) {
+  const graph::DiGraph g = TestGraph();
+  auto engine = MakeLiveEngine(g);
+  ASSERT_TRUE(engine->distance_oracle_active());
+  ASSERT_TRUE(engine->ExecuteLine("dist 0 3").ok);
+  EXPECT_EQ(engine->telemetry().oracle_fallbacks(), 0u);
+
+  ASSERT_TRUE(engine->Apply(Follow(0, 3)).ok());
+  const QueryResponse touched = engine->ExecuteLine("dist 0 3");
+  ASSERT_TRUE(touched.ok) << touched.json;
+  EXPECT_EQ(engine->telemetry().oracle_fallbacks(), 1u);
+
+  // Neither 1 nor 2 was touched: the oracle answers, the tally holds.
+  const QueryResponse untouched = engine->ExecuteLine("dist 1 2");
+  ASSERT_TRUE(untouched.ok) << untouched.json;
+  EXPECT_EQ(engine->telemetry().oracle_fallbacks(), 1u);
+}
+
 TEST(LiveEngineTest, PinnedResponsesByteIdenticalAcrossWorkerCounts) {
   const graph::DiGraph g = TestGraph();
   const std::vector<Mutation> muts = {Follow(5, 1), Unfollow(2, 3),

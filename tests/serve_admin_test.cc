@@ -9,10 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "graph/builder.h"
+#include "serve/partition.h"
+#include "serve/router.h"
 #include "serve/telemetry.h"
 
 namespace elitenet {
@@ -214,6 +217,76 @@ TEST(ServeAdminTest, FlagParsingConfiguresTelemetry) {
   EXPECT_FALSE(opts.telemetry.enabled);
   EXPECT_FALSE(ParseServeFlag("--unknown=1", &opts));
   EXPECT_FALSE(ParseServeFlag("ego 5", &opts));
+
+  // Overflowing, non-numeric and out-of-range values are rejected and
+  // leave the options untouched (2^32 must not wrap to sample_every=0).
+  EXPECT_FALSE(ParseServeFlag("--sample=4294967296", &opts));
+  EXPECT_FALSE(ParseServeFlag("--sample=99999999999999999999", &opts));
+  EXPECT_FALSE(ParseServeFlag("--sample=8x", &opts));
+  EXPECT_FALSE(ParseServeFlag("--sample=", &opts));
+  EXPECT_EQ(opts.telemetry.sample_every, 8u);
+  EXPECT_TRUE(ParseServeFlag("--sample=4294967295", &opts));
+  EXPECT_EQ(opts.telemetry.sample_every, 4294967295u);
+  EXPECT_FALSE(ParseServeFlag(
+      "--flight-recorder=" + std::to_string(kMaxRecorderCapacity + 1), &opts));
+  EXPECT_FALSE(ParseServeFlag("--flight-recorder=9223372036854775809", &opts));
+  EXPECT_EQ(opts.telemetry.recorder_capacity, 1024u);
+  EXPECT_TRUE(ParseServeFlag(
+      "--flight-recorder=" + std::to_string(kMaxRecorderCapacity), &opts));
+  EXPECT_FALSE(ParseServeFlag("--slow-ms=18446744073709552", &opts));
+  EXPECT_EQ(opts.telemetry.slow_us, 20000u);
+  EXPECT_FALSE(ParseServeFlag("--metrics-interval=2147483648", &opts));
+  EXPECT_FALSE(ParseServeFlag("--metrics-interval=-5", &opts));
+  EXPECT_EQ(opts.metrics_interval_ms, 250);
+}
+
+// The one serve command line: every flag of the union, the positional
+// worker count, sidecar paths, and exit-2 rejections of bad values.
+TEST(ServeAdminTest, ServeArgsParseTheWholeFlagSet) {
+  auto parse = [](std::vector<const char*> args, RouterOptions* opts) {
+    return ParseServeArgs("g.eng2", static_cast<int>(args.size()),
+                          args.data(), opts);
+  };
+  RouterOptions opts;
+  ASSERT_TRUE(parse({"3", "--cache=17", "--sample=4"}, &opts).ok());
+  EXPECT_EQ(opts.num_shards, 0);  // unsharded
+  EXPECT_EQ(opts.engine.threads, 3);
+  EXPECT_EQ(opts.engine.cache_capacity, 17u);
+  EXPECT_EQ(opts.engine.telemetry.sample_every, 4u);
+  EXPECT_EQ(opts.engine.warm_index_path, "g.eng2.widx");
+  EXPECT_EQ(opts.partition_path, PartitionPathFor("g.eng2"));
+
+  RouterOptions ropts;
+  ASSERT_TRUE(parse({"--threads=2", "--shards=4", "--shard-threads=3",
+                     "--hubs=9", "--no-widx"},
+                    &ropts)
+                  .ok());
+  EXPECT_EQ(ropts.num_shards, 4);
+  EXPECT_EQ(ropts.shard_threads, 3);
+  EXPECT_EQ(ropts.hub_count, 9u);
+  EXPECT_EQ(ropts.engine.threads, 2);
+  EXPECT_TRUE(ropts.engine.warm_index_path.empty());
+  EXPECT_TRUE(ropts.partition_path.empty());
+
+  for (const char* bad :
+       {"--shards=abc", "--shards=256", "--shards=-1", "--threads=0",
+        "--threads=4294967297", "--shard-threads=", "--hubs=4294967296",
+        "--cache=18446744073709551616", "abc", "0", "--sample=4294967296",
+        "--flight-recorder=18446744073709551615", "--bogus"}) {
+    RouterOptions o;
+    const Status s = parse({bad}, &o);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(s.message().find(bad), std::string::npos) << s.message();
+  }
+
+  // The environment fallbacks are checked like their flags.
+  ASSERT_EQ(setenv("ELITENET_FLIGHT_RECORDER", "99999999999999999999", 1), 0);
+  RouterOptions env_opts;
+  EXPECT_FALSE(parse({}, &env_opts).ok());
+  ASSERT_EQ(setenv("ELITENET_FLIGHT_RECORDER", "512", 1), 0);
+  ASSERT_TRUE(parse({}, &env_opts).ok());
+  EXPECT_EQ(env_opts.engine.telemetry.recorder_capacity, 512u);
+  ASSERT_EQ(unsetenv("ELITENET_FLIGHT_RECORDER"), 0);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <future>
 #include <memory>
 #include <string>
@@ -23,6 +24,7 @@
 #include "serve/partition.h"
 #include "serve/request.h"
 #include "serve/router.h"
+#include "serve/server.h"
 #include "serve/telemetry.h"
 #include "util/deadline.h"
 #include "util/rng.h"
@@ -214,6 +216,71 @@ TEST(ShardedRouterTest, DegradedDistanceBytesMatchEngine) {
   const QueryResponse got = router->Execute(*r, expired);
   ASSERT_TRUE(Contains(want.json, "\"degraded\":true")) << want.json;
   EXPECT_EQ(got.json, want.json);
+}
+
+// Runs `script` through one ServeLines session over `front`; returns the
+// output lines with #stats answers dropped (their graph/shard sections
+// legitimately differ between backends).
+std::vector<std::string> ServeScript(FrontDoor* front,
+                                     const std::string& script,
+                                     ServeStats* stats) {
+  std::FILE* in = std::tmpfile();
+  std::FILE* out = std::tmpfile();
+  EXPECT_NE(in, nullptr);
+  EXPECT_NE(out, nullptr);
+  std::fputs(script.c_str(), in);
+  std::rewind(in);
+  *stats = ServeLines(front, in, out);
+  std::rewind(out);
+  std::vector<std::string> lines;
+  std::string line;
+  for (int c; (c = std::fgetc(out)) != EOF;) {
+    if (c != '\n') {
+      line.push_back(static_cast<char>(c));
+      continue;
+    }
+    if (!Contains(line, "\"type\":\"stats\"")) lines.push_back(line);
+    line.clear();
+  }
+  std::fclose(in);
+  std::fclose(out);
+  return lines;
+}
+
+TEST(ShardedRouterTest, ServeLinesMatchesEngineLineForLine) {
+  const DiGraph g = BigGraph();
+  const std::string script =
+      "ego 0\n"
+      "topk 5\n"
+      "dist 1 0\n"
+      "neighbors 2 out 16\n"
+      "fingerprint\n"
+      "frobnicate 1\n"  // parse error
+      "ego 1 @3\n"      // version pin on a static backend
+      "#recent five\n"  // bad admin argument
+      "# a plain comment\n"
+      "#stats\n"
+      "ego 7 !batch\n"
+      "quit\n"
+      "ego 9\n";  // after quit: never answered
+  auto engine = Baseline(g);
+  auto router = MakeRouter(g, 2, 2);
+  ServeStats engine_stats, router_stats;
+  const std::vector<std::string> want =
+      ServeScript(engine.get(), script, &engine_stats);
+  const std::vector<std::string> got =
+      ServeScript(router.get(), script, &router_stats);
+  ASSERT_EQ(want.size(), 9u);
+  EXPECT_EQ(got, want);
+  EXPECT_TRUE(Contains(want[6], "version pins require a live engine"))
+      << want[6];
+  EXPECT_EQ(engine_stats.requests, 8u);
+  EXPECT_EQ(engine_stats.errors, 3u);
+  EXPECT_EQ(engine_stats.admin, 2u);
+  EXPECT_EQ(router_stats.requests, engine_stats.requests);
+  EXPECT_EQ(router_stats.errors, engine_stats.errors);
+  EXPECT_EQ(router_stats.degraded, engine_stats.degraded);
+  EXPECT_EQ(router_stats.admin, engine_stats.admin);
 }
 
 TEST(ShardedRouterTest, BatchShedsUnderOverloadWhileInteractiveHolds) {

@@ -86,6 +86,14 @@ TEST(FlightRecorderTest, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(FlightRecorder(257).capacity(), 512u);
 }
 
+// Above the stated maximum the ring refuses outright: rounding 2^63+1 up
+// to a power of two would never terminate.
+TEST(FlightRecorderDeathTest, CapacityAboveMaximumIsFatal) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(FlightRecorder(kMaxRecorderCapacity + 1), "EN_CHECK");
+  EXPECT_DEATH(FlightRecorder((size_t{1} << 63) + 1), "EN_CHECK");
+}
+
 TEST(FlightRecorderTest, RecentIsNewestFirstAfterWrap) {
   FlightRecorder ring(8);
   for (uint64_t seq = 1; seq <= 20; ++seq) ring.Push(MakeRecord(seq));
