@@ -190,7 +190,9 @@ RunResult RunShardedClosedLoop(const graph::DiGraph& g,
 // interactive never sheds, and interactive latency stays bounded by
 // service time + one queue slot rather than the batch backlog.
 struct OverloadResult {
-  double capacity_qps = 0.0;  ///< Closed-loop capacity before the flood.
+  /// Closed-loop capacity of the flood's own configuration, measured
+  /// before the flood on a fresh router.
+  double capacity_qps = 0.0;
   double offered_qps = 0.0;   ///< Batch submission rate during the flood.
   uint64_t batch_submitted = 0;
   uint64_t batch_shed = 0;
@@ -201,14 +203,19 @@ struct OverloadResult {
 };
 
 OverloadResult RunOverload(const graph::DiGraph& g,
-                           const std::vector<serve::Request>& mix,
-                           double capacity_qps) {
+                           const std::vector<serve::Request>& mix) {
+  constexpr int kShards = 2;
   constexpr int kWorkers = 2;
   constexpr size_t kBatchCap = 256;
-  auto router = MakeRouter(g, 2, kWorkers, kBatchCap);
 
+  // The offered rate is compared against the capacity of exactly the
+  // router under flood: same shard count, same worker count, same closed
+  // loop. A capacity taken at another worker count measures a different
+  // router and puts the ">= 2x capacity" check at the mercy of core count.
   OverloadResult out;
-  out.capacity_qps = capacity_qps;
+  out.capacity_qps = RunShardedClosedLoop(g, mix, kShards, kWorkers).qps;
+
+  auto router = MakeRouter(g, kShards, kWorkers, kBatchCap);
 
   // Interactive-only view of the mix (ego/neighbors — the latency-
   // sensitive single-node lookups a frontend makes).
@@ -465,11 +472,8 @@ int main(int argc, char** argv) {
                    "baseline\n");
     }
 
-    double capacity = 0.0;
-    for (const bench::RunResult& r : sharded_runs) {
-      if (r.shards == 2) capacity = std::max(capacity, r.qps);
-    }
-    overload = bench::RunOverload(g, mix, capacity);
+    overload = bench::RunOverload(g, mix);
+    const double capacity = overload.capacity_qps;
     const double offered_ratio =
         capacity > 0.0 ? overload.offered_qps / capacity : 0.0;
     std::printf("  overload: offered %.0f qps (%.1fx capacity), batch "

@@ -25,9 +25,9 @@
 // thread count; chunk boundaries come from util::EffectiveGrain and never
 // depend on the thread count.
 //
-// The flat representation is CSR-shaped (offsets + packed entry array)
-// specifically so the serving layer can persist it as two pairs of
-// checksummed `.widx` sections and mmap it back without re-deriving
+// The flat representation is CSR-shaped (offsets + two parallel entry
+// arrays per direction) specifically so the serving layer can persist it
+// as checksummed `.widx` sections and mmap it back without re-deriving
 // anything (serve/warm_index_cache.h).
 
 #ifndef ELITENET_GRAPH_HUB_LABELS_H_
@@ -43,32 +43,46 @@
 namespace elitenet {
 namespace graph {
 
-/// Packs one label entry: high 32 bits the hub's rank in the degree order
-/// (rank 0 = biggest hub), low 32 bits the BFS distance. Rows sorted by
-/// packed value are sorted by hub rank, so intersection is a linear merge
-/// and persistence is a plain u64 array.
-using HubLabelEntry = uint64_t;
+/// Label entries are stored split, not packed: a row is a run of u32 hub
+/// ranks (rank 0 = biggest hub in the degree order) and a parallel run of
+/// u8 BFS distances. Rows are sorted ascending by rank, so intersection
+/// is a linear merge, and an entry costs 5 bytes instead of the 8 of a
+/// packed (rank<<32)|dist word. The prune scan during construction reads
+/// those same runs, so the narrower layout is also what makes it fast.
+///
+/// One byte holds every distance up to kMaxHubLabelDist. The short
+/// diameter of the verified network keeps real labels far below that; a
+/// graph that needs a deeper BFS gets no labeling at all (see
+/// BuildHubLabels), never a truncated distance.
+inline constexpr uint32_t kMaxHubLabelDist = 254;
+/// "No label" in the dense per-root distance view the prune check reads.
+inline constexpr uint8_t kHubDistInfinite = 255;
 
-inline constexpr HubLabelEntry PackHubLabel(uint32_t hub_rank,
-                                            uint32_t dist) {
-  return (static_cast<uint64_t>(hub_rank) << 32) | dist;
-}
-inline constexpr uint32_t HubLabelRank(HubLabelEntry e) {
-  return static_cast<uint32_t>(e >> 32);
-}
-inline constexpr uint32_t HubLabelDist(HubLabelEntry e) {
-  return static_cast<uint32_t>(e);
-}
+/// One direction of the flat labeling: row u is entries
+/// [offsets[u], offsets[u+1]) of the parallel `ranks` and `dists` arrays.
+struct HubLabelArrays {
+  std::vector<EdgeIdx> offsets;  ///< n+1, or empty when not built
+  std::vector<uint32_t> ranks;
+  std::vector<uint8_t> dists;
+};
+
+/// A view of one node's row.
+struct HubLabelRow {
+  std::span<const uint32_t> ranks;
+  std::span<const uint8_t> dists;
+  size_t size() const { return ranks.size(); }
+};
 
 struct HubLabelOptions {
   /// Construction budget: abort (returning an unbuilt oracle) once the
   /// average label count per node per direction exceeds this. Guards the
-  /// pathological shapes where pruning cannot win — a long directed chain
-  /// drives total label size toward O(n^2) — so callers degrade to
+  /// pathological shapes where pruning cannot win — dense long-diameter
+  /// graphs drive total label size toward O(n^2) — so callers degrade to
   /// query-time BFS instead of stalling startup. The default clears the
   /// verified network at bench scale (measured ~486/543 avg out/in
-  /// entries at 40k users) with headroom, while a 20k-node chain still
-  /// trips it within the first ~800 hubs. 0 disables the budget.
+  /// entries at 40k users) with headroom. (A long directed chain stops
+  /// even earlier, at the kMaxHubLabelDist depth cap.) 0 disables the
+  /// budget.
   uint32_t max_avg_label_entries = 768;
 };
 
@@ -83,17 +97,17 @@ struct HubLabelStats {
   uint64_t bytes = 0;  ///< flat arrays, offsets included
 };
 
-/// The flat 2-hop labeling. Default-constructed (or budget-aborted) state
-/// is "not built": empty() is true and Distance must not be called.
+/// The flat 2-hop labeling. Default-constructed (or aborted) state is
+/// "not built": empty() is true and Distance must not be called.
 class HubLabels {
  public:
   /// Node count the labeling describes; 0 when not built.
   NodeId num_nodes() const {
-    return out_offsets_.empty()
+    return out_.offsets.empty()
                ? 0
-               : static_cast<NodeId>(out_offsets_.size() - 1);
+               : static_cast<NodeId>(out_.offsets.size() - 1);
   }
-  bool empty() const { return out_offsets_.empty(); }
+  bool empty() const { return out_.offsets.empty(); }
 
   /// Exact directed distance s -> t by label intersection;
   /// UINT32_MAX (graph::kInfiniteDistance) when t is unreachable from s.
@@ -102,53 +116,45 @@ class HubLabels {
 
   HubLabelStats Stats() const;
 
-  std::span<const HubLabelEntry> OutLabels(NodeId u) const {
-    return {out_entries_.data() + out_offsets_[u],
-            out_entries_.data() + out_offsets_[u + 1]};
-  }
-  std::span<const HubLabelEntry> InLabels(NodeId u) const {
-    return {in_entries_.data() + in_offsets_[u],
-            in_entries_.data() + in_offsets_[u + 1]};
-  }
+  HubLabelRow OutLabels(NodeId u) const { return Row(out_, u); }
+  HubLabelRow InLabels(NodeId u) const { return Row(in_, u); }
 
-  /// Raw arrays for persistence (serve/warm_index_cache.cc).
-  const std::vector<EdgeIdx>& out_offsets() const { return out_offsets_; }
-  const std::vector<HubLabelEntry>& out_entries() const {
-    return out_entries_;
-  }
-  const std::vector<EdgeIdx>& in_offsets() const { return in_offsets_; }
-  const std::vector<HubLabelEntry>& in_entries() const {
-    return in_entries_;
-  }
+  /// Raw arrays for persistence (serve/warm_index_cache.cc). Rows are
+  /// indexed by *original* node id; entries carry hub ranks.
+  const HubLabelArrays& out() const { return out_; }
+  const HubLabelArrays& in() const { return in_; }
 
   /// Adopts restored arrays (the sidecar load path). The caller must have
   /// run ValidateHubLabels first; this does no checking of its own.
-  static HubLabels FromArrays(std::vector<EdgeIdx> out_offsets,
-                              std::vector<HubLabelEntry> out_entries,
-                              std::vector<EdgeIdx> in_offsets,
-                              std::vector<HubLabelEntry> in_entries);
+  static HubLabels FromArrays(HubLabelArrays out, HubLabelArrays in);
 
  private:
   friend HubLabels BuildHubLabels(const DiGraph& g,
                                   const HubLabelOptions& options);
 
-  // Rows indexed by *original* node id; entries carry hub ranks.
-  std::vector<EdgeIdx> out_offsets_;   ///< n+1, or empty when not built
-  std::vector<HubLabelEntry> out_entries_;
-  std::vector<EdgeIdx> in_offsets_;
-  std::vector<HubLabelEntry> in_entries_;
+  static HubLabelRow Row(const HubLabelArrays& a, NodeId u) {
+    const size_t lo = a.offsets[u];
+    const size_t len = a.offsets[u + 1] - lo;
+    return {{a.ranks.data() + lo, len}, {a.dists.data() + lo, len}};
+  }
+
+  HubLabelArrays out_;  ///< L_out rows
+  HubLabelArrays in_;   ///< L_in rows
 };
 
 /// Builds the pruned labeling. Returns an empty (unbuilt) HubLabels when
-/// the construction budget is exceeded — never a partial labeling.
+/// the construction budget is exceeded, or when some pruned BFS would
+/// label a node deeper than kMaxHubLabelDist — never a partial labeling.
 /// Bit-identical output at any util::ThreadCount().
 HubLabels BuildHubLabels(const DiGraph& g,
                          const HubLabelOptions& options = {});
 
 /// Structural validation for labelings restored from disk: offsets are
-/// monotone and sized n+1, hub ranks are < n, distances are < n, and every
-/// row is strictly ascending by hub rank. An empty labeling (all four
-/// arrays empty) is valid — it means "oracle not built".
+/// monotone and sized n+1, the rank and distance arrays both have
+/// offsets[n] entries, hub ranks are < n, distances are < n and at most
+/// kMaxHubLabelDist, and every row is strictly ascending by hub rank. An
+/// empty labeling (all six arrays empty) is valid — it means "oracle not
+/// built".
 Status ValidateHubLabels(const HubLabels& labels, NodeId expected_nodes);
 
 }  // namespace graph

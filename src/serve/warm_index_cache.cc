@@ -15,18 +15,19 @@ namespace serve {
 namespace {
 
 constexpr char kMagic[4] = {'W', 'I', 'D', 'X'};
-// v2: four distance-oracle (hub label) sections appended after
-// fingerprint_error. v1 readers see version 2 and bail with NotSupported;
-// this reader does the same for v1 files — both directions of skew
-// degrade to a rebuild.
-constexpr uint32_t kVersion = 2;
+// v3: each direction's hub labels are three sections — offsets, u32 hub
+// ranks, u8 distances — where v2 had offsets and packed u64 entries.
+// Older readers see version 3 and bail with NotSupported; this reader
+// does the same for v1 and v2 files — both directions of skew degrade to
+// a rebuild.
+constexpr uint32_t kVersion = 3;
 constexpr uint64_t kAlignment = 64;
 constexpr uint64_t kFnvBasis = 0xCBF29CE484222325ULL;
-constexpr uint32_t kNumSections = 14;
+constexpr uint32_t kNumSections = 16;
 /// Bumped whenever the scalar block layout or section set changes, so
 /// sidecars written by an older layout fail the config hash instead of
 /// being misread.
-constexpr uint64_t kFormatGeneration = 2;
+constexpr uint64_t kFormatGeneration = 3;
 
 enum SectionId : uint32_t {
   kScalars = 0,
@@ -40,16 +41,18 @@ enum SectionId : uint32_t {
   kRankOf = 8,
   kFingerprintError = 9,
   kHubOutOffsets = 10,
-  kHubOutEntries = 11,
-  kHubInOffsets = 12,
-  kHubInEntries = 13,
+  kHubOutRanks = 11,
+  kHubOutDists = 12,
+  kHubInOffsets = 13,
+  kHubInRanks = 14,
+  kHubInDists = 15,
 };
 
 constexpr const char* kSectionNames[kNumSections] = {
     "scalars",     "mutual_degree",   "wcc_label",       "wcc_sizes",
     "scc_label",   "scc_sizes",       "pagerank",        "rank_order",
-    "rank_of",     "fingerprint_error", "hub_out_offsets", "hub_out_entries",
-    "hub_in_offsets", "hub_in_entries",
+    "rank_of",     "fingerprint_error", "hub_out_offsets", "hub_out_ranks",
+    "hub_out_dists", "hub_in_offsets",  "hub_in_ranks",    "hub_in_dists",
 };
 
 struct FileCloser {
@@ -232,6 +235,8 @@ std::string WarmIndexPathFor(const std::string& graph_path) {
 Status SaveWarmIndexes(const std::string& path, const WarmIndexKey& key,
                        const WarmIndexes& w) {
   const std::vector<uint64_t> scalars = EncodeScalars(w);
+  const graph::HubLabelArrays& hub_out = w.hub_labels.out();
+  const graph::HubLabelArrays& hub_in = w.hub_labels.in();
 
   struct SectionData {
     const void* data;
@@ -248,14 +253,12 @@ Status SaveWarmIndexes(const std::string& path, const WarmIndexKey& key,
       {w.rank_order.data(), w.rank_order.size() * sizeof(graph::NodeId)},
       {w.rank_of.data(), w.rank_of.size() * sizeof(uint32_t)},
       {w.fingerprint_error.data(), w.fingerprint_error.size()},
-      {w.hub_labels.out_offsets().data(),
-       w.hub_labels.out_offsets().size() * sizeof(graph::EdgeIdx)},
-      {w.hub_labels.out_entries().data(),
-       w.hub_labels.out_entries().size() * sizeof(graph::HubLabelEntry)},
-      {w.hub_labels.in_offsets().data(),
-       w.hub_labels.in_offsets().size() * sizeof(graph::EdgeIdx)},
-      {w.hub_labels.in_entries().data(),
-       w.hub_labels.in_entries().size() * sizeof(graph::HubLabelEntry)},
+      {hub_out.offsets.data(), hub_out.offsets.size() * sizeof(graph::EdgeIdx)},
+      {hub_out.ranks.data(), hub_out.ranks.size() * sizeof(uint32_t)},
+      {hub_out.dists.data(), hub_out.dists.size()},
+      {hub_in.offsets.data(), hub_in.offsets.size() * sizeof(graph::EdgeIdx)},
+      {hub_in.ranks.data(), hub_in.ranks.size() * sizeof(uint32_t)},
+      {hub_in.dists.data(), hub_in.dists.size()},
   };
 
   HeaderV1 header = {};
@@ -397,19 +400,17 @@ Result<WarmIndexes> LoadWarmIndexes(const std::string& path,
       reinterpret_cast<const char*>(base + table[kFingerprintError].offset),
       table[kFingerprintError].length);
 
-  std::vector<graph::EdgeIdx> hub_out_offsets;
-  std::vector<graph::HubLabelEntry> hub_out_entries;
-  std::vector<graph::EdgeIdx> hub_in_offsets;
-  std::vector<graph::HubLabelEntry> hub_in_entries;
+  graph::HubLabelArrays hub_out;
+  graph::HubLabelArrays hub_in;
   EN_RETURN_IF_ERROR(
-      CopySection(base, table[kHubOutOffsets], &hub_out_offsets));
-  EN_RETURN_IF_ERROR(
-      CopySection(base, table[kHubOutEntries], &hub_out_entries));
-  EN_RETURN_IF_ERROR(CopySection(base, table[kHubInOffsets], &hub_in_offsets));
-  EN_RETURN_IF_ERROR(CopySection(base, table[kHubInEntries], &hub_in_entries));
-  w.hub_labels = graph::HubLabels::FromArrays(
-      std::move(hub_out_offsets), std::move(hub_out_entries),
-      std::move(hub_in_offsets), std::move(hub_in_entries));
+      CopySection(base, table[kHubOutOffsets], &hub_out.offsets));
+  EN_RETURN_IF_ERROR(CopySection(base, table[kHubOutRanks], &hub_out.ranks));
+  EN_RETURN_IF_ERROR(CopySection(base, table[kHubOutDists], &hub_out.dists));
+  EN_RETURN_IF_ERROR(CopySection(base, table[kHubInOffsets], &hub_in.offsets));
+  EN_RETURN_IF_ERROR(CopySection(base, table[kHubInRanks], &hub_in.ranks));
+  EN_RETURN_IF_ERROR(CopySection(base, table[kHubInDists], &hub_in.dists));
+  w.hub_labels =
+      graph::HubLabels::FromArrays(std::move(hub_out), std::move(hub_in));
   EN_RETURN_IF_ERROR(graph::ValidateHubLabels(
       w.hub_labels, static_cast<graph::NodeId>(n)));
 

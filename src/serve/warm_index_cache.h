@@ -23,12 +23,19 @@
 //   sections:      scalars | mutual_degree | wcc_label | wcc_sizes |
 //                  scc_label | scc_sizes | pagerank | rank_order |
 //                  rank_of | fingerprint_error | hub_out_offsets |
-//                  hub_out_entries | hub_in_offsets | hub_in_entries
+//                  hub_out_ranks | hub_out_dists | hub_in_offsets |
+//                  hub_in_ranks | hub_in_dists
+//   The six hub-label sections are graph::HubLabelArrays per direction:
+//   u64 offsets (n+1, or empty when the oracle is not built), u32 hub
+//   ranks and u8 distances, the last two of equal length offsets[n].
 //
-// Version history: v1 had the first ten sections; v2 added the four
-// distance-oracle (hub label) sections. Readers reject other versions
-// with NotSupported — the engine treats that exactly like corruption and
-// rebuilds, so version skew in either direction degrades cleanly.
+// Version history: v1 had the first ten sections; v2 added four
+// distance-oracle (hub label) sections, offsets plus packed u64
+// (rank<<32)|dist entries per direction; v3 splits each entry section
+// into a u32 rank and a u8 distance section (5 bytes per label entry
+// instead of 8). Readers reject other versions with NotSupported — the
+// engine treats that exactly like corruption and rebuilds, so version
+// skew in either direction degrades cleanly.
 
 #ifndef ELITENET_SERVE_WARM_INDEX_CACHE_H_
 #define ELITENET_SERVE_WARM_INDEX_CACHE_H_

@@ -1,9 +1,9 @@
 // Pruned landmark labeling tests: the oracle must agree with BFS on
 // every (s, t) pair of randomized digraphs — exactness is the whole
 // contract — the label arrays must satisfy the structural invariants
-// ValidateHubLabels enforces on load, and the construction budget must
-// abort cleanly (empty result, never a partial one) on graphs where
-// labels would grow superlinearly.
+// ValidateHubLabels enforces on load, the labels of the generator graph
+// must match a recorded digest, and the construction budget and depth
+// cap must abort cleanly (empty result, never a partial one).
 
 #include "graph/hub_labels.h"
 
@@ -16,6 +16,7 @@
 #include "graph/builder.h"
 #include "graph/frontier.h"
 #include "graph/traversal.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace elitenet {
@@ -98,6 +99,28 @@ TEST(HubLabelsTest, DirectedPathIsAsymmetric) {
   }
 }
 
+// A 300-node directed path needs labels deeper than one byte holds: the
+// builder must refuse it outright rather than store a truncated distance.
+TEST(HubLabelsTest, PathDeeperThanDepthCapBuildsNoLabels) {
+  constexpr NodeId kLen = 300;
+  static_assert(kLen - 1 > kMaxHubLabelDist);
+  GraphBuilder b(kLen);
+  for (NodeId u = 0; u + 1 < kLen; ++u) {
+    ASSERT_TRUE(b.AddEdge(u, u + 1).ok());
+  }
+  auto g = b.Build();
+  ASSERT_TRUE(g.ok());
+  HubLabelOptions no_budget;
+  no_budget.max_avg_label_entries = 0;  // the cap alone must stop it
+  for (const HubLabelOptions& opts : {HubLabelOptions{}, no_budget}) {
+    const HubLabels labels = BuildHubLabels(*g, opts);
+    EXPECT_TRUE(labels.empty());
+    EXPECT_TRUE(labels.out().offsets.empty());
+    EXPECT_TRUE(labels.in().ranks.empty());
+    EXPECT_TRUE(ValidateHubLabels(labels, kLen).ok());
+  }
+}
+
 TEST(HubLabelsTest, MatchesBfsOnRandomDigraphs) {
   // Sparse through dense, several seeds each: disconnected fragments,
   // one giant SCC, and everything between.
@@ -137,24 +160,66 @@ TEST(HubLabelsTest, MatchesBfsOnGeneratedNetwork) {
   }
 }
 
+// FNV-1a over every node's rows, out then in: row length, then each
+// entry's hub rank and distance as u64 words. Independent of how the
+// arrays encode an entry, so it pins the label set, not the layout.
+uint64_t LabelDigest(const HubLabels& labels) {
+  uint64_t h = 0xCBF29CE484222325ULL;
+  auto mix = [&h](uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xFF;
+      h *= 0x100000001B3ULL;
+    }
+  };
+  for (NodeId u = 0; u < labels.num_nodes(); ++u) {
+    for (const HubLabelRow row : {labels.OutLabels(u), labels.InLabels(u)}) {
+      mix(row.size());
+      for (size_t i = 0; i < row.size(); ++i) {
+        mix(row.ranks[i]);
+        mix(row.dists[i]);
+      }
+    }
+  }
+  return h;
+}
+
+// Golden labels for the 4k-user generator graph (default config). The
+// digest was recorded from the packed u64 layout that preceded the split
+// rank/distance arrays: a layout or speed change must reproduce the
+// exact same (rank, dist) rows at any thread count.
+TEST(HubLabelsTest, GeneratedNetworkMatchesGoldenDigest) {
+  gen::VerifiedNetworkConfig cfg;
+  cfg.num_users = 4000;
+  auto net = gen::GenerateVerifiedNetwork(cfg);
+  ASSERT_TRUE(net.ok()) << net.status().ToString();
+  for (const int threads : {1, 4}) {
+    util::SetThreadCount(threads);
+    const HubLabels labels = BuildHubLabels(net->graph);
+    ASSERT_FALSE(labels.empty()) << threads;
+    const HubLabelStats stats = labels.Stats();
+    EXPECT_EQ(stats.out_entries, 124822u) << threads;
+    EXPECT_EQ(stats.in_entries, 112630u) << threads;
+    EXPECT_EQ(LabelDigest(labels), 0x82ea4ecd501c8a4dULL) << threads;
+  }
+  util::SetThreadCount(0);
+}
+
 TEST(HubLabelsTest, StatsDescribeTheLabelArrays) {
   const DiGraph g = RandomDigraph(50, 0.1, 3);
   const HubLabels labels = BuildHubLabels(g);
   ASSERT_FALSE(labels.empty());
   const HubLabelStats stats = labels.Stats();
-  EXPECT_EQ(stats.out_entries, labels.out_entries().size());
-  EXPECT_EQ(stats.in_entries, labels.in_entries().size());
+  EXPECT_EQ(stats.out_entries, labels.out().ranks.size());
+  EXPECT_EQ(stats.in_entries, labels.in().ranks.size());
   // Every node carries at least its own hub in both directions.
   EXPECT_GE(stats.out_entries, static_cast<uint64_t>(g.num_nodes()));
   EXPECT_GE(stats.in_entries, static_cast<uint64_t>(g.num_nodes()));
   EXPECT_GE(stats.max_out_entries, 1u);
   EXPECT_GE(stats.avg_out_entries, 1.0);
-  EXPECT_EQ(stats.bytes, (labels.out_entries().size() +
-                          labels.in_entries().size()) *
-                                 sizeof(HubLabelEntry) +
-                             (labels.out_offsets().size() +
-                              labels.in_offsets().size()) *
-                                 sizeof(EdgeIdx));
+  // 8 bytes per offset, 4 per hub rank and 1 per distance.
+  EXPECT_EQ(stats.bytes,
+            (labels.out().offsets.size() + labels.in().offsets.size()) * 8 +
+                (stats.out_entries + stats.in_entries) * (4 + 1));
 }
 
 TEST(HubLabelsTest, BudgetAbortReturnsEmptyNotPartial) {
@@ -163,10 +228,11 @@ TEST(HubLabelsTest, BudgetAbortReturnsEmptyNotPartial) {
   opts.max_avg_label_entries = 1;  // impossible: self-labels alone hit it
   const HubLabels labels = BuildHubLabels(g, opts);
   EXPECT_TRUE(labels.empty());
-  EXPECT_TRUE(labels.out_offsets().empty());
-  EXPECT_TRUE(labels.out_entries().empty());
-  EXPECT_TRUE(labels.in_offsets().empty());
-  EXPECT_TRUE(labels.in_entries().empty());
+  for (const HubLabelArrays* a : {&labels.out(), &labels.in()}) {
+    EXPECT_TRUE(a->offsets.empty());
+    EXPECT_TRUE(a->ranks.empty());
+    EXPECT_TRUE(a->dists.empty());
+  }
   // "Not built" is a valid persisted state.
   EXPECT_TRUE(ValidateHubLabels(labels, g.num_nodes()).ok());
 }
@@ -177,63 +243,79 @@ TEST(HubLabelsTest, ValidateRejectsStructuralDamage) {
   ASSERT_FALSE(good.empty());
   const NodeId n = g.num_nodes();
 
-  auto arrays = [&](auto mutate) {
-    std::vector<EdgeIdx> oo(good.out_offsets().begin(),
-                            good.out_offsets().end());
-    std::vector<HubLabelEntry> oe(good.out_entries().begin(),
-                                  good.out_entries().end());
-    std::vector<EdgeIdx> io(good.in_offsets().begin(),
-                            good.in_offsets().end());
-    std::vector<HubLabelEntry> ie(good.in_entries().begin(),
-                                  good.in_entries().end());
-    mutate(oo, oe, io, ie);
-    return HubLabels::FromArrays(std::move(oo), std::move(oe), std::move(io),
-                                 std::move(ie));
+  // A copy of `good` with `mutate` applied to its out and in arrays.
+  auto damaged = [&](auto mutate) {
+    HubLabelArrays out = good.out();
+    HubLabelArrays in = good.in();
+    mutate(out, in);
+    return HubLabels::FromArrays(std::move(out), std::move(in));
   };
-  using OffV = std::vector<EdgeIdx>;
-  using EntV = std::vector<HubLabelEntry>;
+  // The first row with at least two entries (a rank pair to reorder).
+  auto long_row = [](const HubLabelArrays& a) {
+    size_t u = 0;
+    while (a.offsets[u + 1] - a.offsets[u] < 2) ++u;
+    return a.offsets[u];
+  };
+  using A = HubLabelArrays;
 
   // Wrong offsets length.
   EXPECT_FALSE(ValidateHubLabels(
-                   arrays([](OffV& oo, EntV&, OffV&, EntV&) {
-                     oo.pop_back();
-                   }),
-                   n)
+                   damaged([](A& out, A&) { out.offsets.pop_back(); }), n)
                    .ok());
   // Offsets not monotone.
+  EXPECT_FALSE(ValidateHubLabels(damaged([](A& out, A&) {
+                                   std::swap(out.offsets[1], out.offsets[2]);
+                                 }),
+                                 n)
+                   .ok());
+  // Rank and distance arrays of different lengths, each way round, and
+  // both shorter than offsets[n].
   EXPECT_FALSE(ValidateHubLabels(
-                   arrays([](OffV& oo, EntV&, OffV&, EntV&) {
-                     std::swap(oo[1], oo[2]);
-                   }),
-                   n)
+                   damaged([](A& out, A&) { out.dists.pop_back(); }), n)
+                   .ok());
+  EXPECT_FALSE(ValidateHubLabels(
+                   damaged([](A&, A& in) { in.ranks.pop_back(); }), n)
+                   .ok());
+  EXPECT_FALSE(ValidateHubLabels(damaged([](A&, A& in) {
+                                   in.ranks.pop_back();
+                                   in.dists.pop_back();
+                                 }),
+                                 n)
+                   .ok());
+  // A distance of 255 (the "infinite" marker, never a label).
+  EXPECT_FALSE(ValidateHubLabels(
+                   damaged([](A& out, A&) { out.dists[0] = 255; }), n)
+                   .ok());
+  EXPECT_FALSE(ValidateHubLabels(
+                   damaged([](A&, A& in) { in.dists.back() = 255; }), n)
                    .ok());
   // Hub rank out of range.
   EXPECT_FALSE(ValidateHubLabels(
-                   arrays([&](OffV&, EntV& oe, OffV&, EntV&) {
-                     oe[0] = PackHubLabel(n, 0);
-                   }),
-                   n)
+                   damaged([&](A& out, A&) { out.ranks[0] = n; }), n)
                    .ok());
-  // Ranks within a row not strictly ascending.
   EXPECT_FALSE(ValidateHubLabels(
-                   arrays([&](OffV& oo, EntV& oe, OffV&, EntV&) {
-                     for (NodeId u = 0; u < n; ++u) {
-                       if (oo[u + 1] - oo[u] >= 2) {
-                         std::swap(oe[oo[u]], oe[oo[u] + 1]);
-                         break;
-                       }
-                     }
-                   }),
-                   n)
+                   damaged([&](A&, A& in) { in.ranks.back() = n; }), n)
+                   .ok());
+  // Ranks within a row not strictly ascending: swapped, or repeated.
+  EXPECT_FALSE(ValidateHubLabels(damaged([&](A& out, A&) {
+                                   const size_t i = long_row(out);
+                                   std::swap(out.ranks[i], out.ranks[i + 1]);
+                                 }),
+                                 n)
+                   .ok());
+  EXPECT_FALSE(ValidateHubLabels(damaged([&](A&, A& in) {
+                                   const size_t i = long_row(in);
+                                   in.ranks[i + 1] = in.ranks[i];
+                                 }),
+                                 n)
                    .ok());
   // One direction present, the other missing: partial state is invalid.
-  EXPECT_FALSE(ValidateHubLabels(
-                   arrays([](OffV&, EntV&, OffV& io, EntV& ie) {
-                     io.clear();
-                     ie.clear();
-                   }),
-                   n)
-                   .ok());
+  EXPECT_FALSE(
+      ValidateHubLabels(damaged([](A&, A& in) { in = HubLabelArrays{}; }), n)
+          .ok());
+  // The untouched copy still validates: each rejection above is the
+  // damage, not the copy.
+  EXPECT_TRUE(ValidateHubLabels(damaged([](A&, A&) {}), n).ok());
   // Node-count mismatch against the caller's graph.
   EXPECT_FALSE(ValidateHubLabels(good, n + 1).ok());
 }

@@ -185,8 +185,8 @@ TEST_F(ParallelDeterminismTest, Clustering) {
 
 // The distance-oracle labels are persisted and checksummed, so the
 // construction must be a pure function of the graph: bit-identical
-// offset and entry arrays at every thread count (the acceptance grid is
-// 1/2/4/8; 3 rides along to catch non-power-of-two chunking bugs).
+// offset, rank and distance arrays at every thread count (the acceptance
+// grid is 1/2/4/8; 3 rides along to catch non-power-of-two chunking bugs).
 TEST_F(ParallelDeterminismTest, HubLabels) {
   const graph::DiGraph& g = Network().graph;
   util::SetThreadCount(1);
@@ -196,10 +196,12 @@ TEST_F(ParallelDeterminismTest, HubLabels) {
   for (int threads : {2, 3, 4, 8}) {
     util::SetThreadCount(threads);
     const graph::HubLabels labels = graph::BuildHubLabels(g);
-    EXPECT_EQ(labels.out_offsets(), base.out_offsets()) << threads;
-    EXPECT_EQ(labels.out_entries(), base.out_entries()) << threads;
-    EXPECT_EQ(labels.in_offsets(), base.in_offsets()) << threads;
-    EXPECT_EQ(labels.in_entries(), base.in_entries()) << threads;
+    EXPECT_EQ(labels.out().offsets, base.out().offsets) << threads;
+    EXPECT_EQ(labels.out().ranks, base.out().ranks) << threads;
+    EXPECT_EQ(labels.out().dists, base.out().dists) << threads;
+    EXPECT_EQ(labels.in().offsets, base.in().offsets) << threads;
+    EXPECT_EQ(labels.in().ranks, base.in().ranks) << threads;
+    EXPECT_EQ(labels.in().dists, base.in().dists) << threads;
   }
 }
 

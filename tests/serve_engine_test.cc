@@ -147,6 +147,40 @@ TEST(QueryEngineTest, OracleAndBfsFallbackAreByteIdentical) {
   }
 }
 
+// A 300-node directed path needs label distances past the one-byte cap,
+// so the oracle is not built and dist answers by BFS — with the same
+// bytes an engine with the oracle switched off gives.
+TEST(QueryEngineTest, PathPastLabelDepthCapAnswersByBfs) {
+  constexpr graph::NodeId kLen = 300;
+  graph::GraphBuilder b(kLen);
+  for (graph::NodeId u = 0; u + 1 < kLen; ++u) {
+    ASSERT_TRUE(b.AddEdge(u, u + 1).ok());
+  }
+  auto g = b.Build();
+  ASSERT_TRUE(g.ok());
+  auto capped = MakeEngine(*g);
+  EXPECT_FALSE(capped->distance_oracle_active());
+
+  EngineOptions bfs_opts;
+  bfs_opts.threads = 1;
+  bfs_opts.distance_oracle = false;
+  auto bfs = QueryEngine::Create(*g, bfs_opts);
+  ASSERT_TRUE(bfs.ok()) << bfs.status().ToString();
+
+  for (graph::NodeId u = 0; u < kLen; u += 23) {
+    for (graph::NodeId v = 0; v < kLen; ++v) {
+      const std::string line =
+          "dist " + std::to_string(u) + " " + std::to_string(v);
+      const QueryResponse a = capped->ExecuteLine(line);
+      ASSERT_TRUE(a.ok) << line << ": " << a.json;
+      EXPECT_EQ(a.json, (*bfs)->ExecuteLine(line).json) << line;
+    }
+  }
+  // The far end of the path: a distance no u8 label could hold.
+  EXPECT_TRUE(Contains(capped->ExecuteLine("dist 0 299").json,
+                       "\"distance\":299"));
+}
+
 TEST(QueryEngineTest, UnreachableDistanceIsCompleteNotDegraded) {
   const graph::DiGraph g = TestGraph();
   auto engine = MakeEngine(g);

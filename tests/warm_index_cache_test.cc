@@ -119,12 +119,13 @@ TEST(WarmIndexCacheTest, RoundTripRestoresEveryIndex) {
   EXPECT_EQ(restored->fingerprint_error, built.fingerprint_error);
   EXPECT_EQ(restored->fingerprint_similarity, built.fingerprint_similarity);
   ASSERT_FALSE(built.hub_labels.empty());
-  EXPECT_EQ(restored->hub_labels.out_offsets(),
-            built.hub_labels.out_offsets());
-  EXPECT_EQ(restored->hub_labels.out_entries(),
-            built.hub_labels.out_entries());
-  EXPECT_EQ(restored->hub_labels.in_offsets(), built.hub_labels.in_offsets());
-  EXPECT_EQ(restored->hub_labels.in_entries(), built.hub_labels.in_entries());
+  const graph::HubLabels& labels = restored->hub_labels;
+  EXPECT_EQ(labels.out().offsets, built.hub_labels.out().offsets);
+  EXPECT_EQ(labels.out().ranks, built.hub_labels.out().ranks);
+  EXPECT_EQ(labels.out().dists, built.hub_labels.out().dists);
+  EXPECT_EQ(labels.in().offsets, built.hub_labels.in().offsets);
+  EXPECT_EQ(labels.in().ranks, built.hub_labels.in().ranks);
+  EXPECT_EQ(labels.in().dists, built.hub_labels.in().dists);
 }
 
 TEST(WarmIndexCacheTest, StaleGraphChecksumIsFailedPrecondition) {
@@ -179,56 +180,66 @@ TEST(WarmIndexCacheTest, VersionSkewIsNotSupported) {
       StatusCode::kNotSupported);
 }
 
-// Forward compatibility, old side: a sidecar written by the previous
-// format generation (version 1, no hub-label sections) must be refused
-// with NotSupported — never misparsed — and the engine must degrade it
-// to a rebuild that rewrites the file in the current format.
+uint32_t SidecarVersion(const std::string& path) {
+  uint32_t version = 0;
+  std::ifstream f(path, std::ios::binary);
+  EXPECT_TRUE(f.good()) << path;
+  f.seekg(4);  // u32 version follows the magic
+  f.read(reinterpret_cast<char*>(&version), sizeof(version));
+  return version;
+}
+
+// Forward compatibility, old side: a sidecar written by an earlier format
+// generation — version 1 (no hub-label sections) or version 2 (packed u64
+// hub-label entries) — must be refused with NotSupported — never
+// misparsed — and the engine must degrade it to a rebuild that rewrites
+// the file in the current format.
 TEST(WarmIndexCacheTest, OldFormatSidecarDegradesToRebuildAndRewrite) {
   const graph::DiGraph g = TestGraph();
   const std::string widx = TempPath("old_format.widx");
-  std::remove(widx.c_str());
-  EngineWithSidecar(g, widx);
+  for (const uint32_t old_version : {1u, 2u}) {
+    std::remove(widx.c_str());
+    EngineWithSidecar(g, widx);
 
-  // Rewind the header's version field (u32 at offset 4) from 2 to 1,
-  // simulating a file left behind by the previous release.
-  {
-    std::fstream f(widx, std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(f.good());
-    const uint32_t v1 = 1;
-    f.seekp(4);
-    f.write(reinterpret_cast<const char*>(&v1), sizeof(v1));
+    // Rewind the header's version field (u32 at offset 4) from 3,
+    // simulating a file left behind by an earlier release.
+    {
+      std::fstream f(widx, std::ios::in | std::ios::out | std::ios::binary);
+      ASSERT_TRUE(f.good());
+      f.seekp(4);
+      f.write(reinterpret_cast<const char*>(&old_version),
+              sizeof(old_version));
+    }
+    ASSERT_EQ(SidecarVersion(widx), old_version);
+
+    EngineOptions opts;
+    EXPECT_EQ(
+        LoadWarmIndexes(widx, KeyFor(g, opts), g.num_nodes()).status().code(),
+        StatusCode::kNotSupported)
+        << old_version;
+
+    auto engine = EngineWithSidecar(g, widx);  // must not fail
+    EXPECT_FALSE(engine->warm_index_from_cache()) << old_version;
+    EXPECT_EQ(SidecarVersion(widx), 3u) << "the rebuild rewrote v3";
+    auto next = EngineWithSidecar(g, widx);
+    EXPECT_TRUE(next->warm_index_from_cache()) << old_version;
   }
-
-  EngineOptions opts;
-  EXPECT_EQ(
-      LoadWarmIndexes(widx, KeyFor(g, opts), g.num_nodes()).status().code(),
-      StatusCode::kNotSupported);
-
-  auto engine = EngineWithSidecar(g, widx);  // must not fail
-  EXPECT_FALSE(engine->warm_index_from_cache());
-  auto next = EngineWithSidecar(g, widx);  // the rebuild rewrote v2
-  EXPECT_TRUE(next->warm_index_from_cache());
 }
 
 // Forward compatibility, new side: an oracle-bearing sidecar must be
-// cleanly rejected by readers that predate the hub-label sections. The
-// v1 reader's first check is `version == 1` (NotSupported on mismatch),
-// so it suffices that the on-disk version advanced; a reader that only
-// differs in config (oracle disabled) is caught by the key instead.
+// cleanly rejected by readers that predate its hub-label sections. The
+// v1 and v2 readers' first check is `version == 1` or `version == 2`
+// (NotSupported on mismatch), so it suffices that the on-disk version
+// advanced; a reader that only differs in config (oracle disabled) is
+// caught by the key instead.
 TEST(WarmIndexCacheTest, NewSectionsAreInvisibleToOldReaders) {
   const graph::DiGraph g = TestGraph();
   const std::string widx = TempPath("new_sections.widx");
   std::remove(widx.c_str());
   EngineWithSidecar(g, widx);
 
-  uint32_t version = 0;
-  {
-    std::ifstream f(widx, std::ios::binary);
-    ASSERT_TRUE(f.good());
-    f.seekg(4);
-    f.read(reinterpret_cast<char*>(&version), sizeof(version));
-  }
-  EXPECT_EQ(version, 2u) << "hub-label sections must bump the format version";
+  EXPECT_EQ(SidecarVersion(widx), 3u)
+      << "the split hub-label sections must bump the format version";
 
   EngineOptions no_oracle;
   no_oracle.distance_oracle = false;
@@ -253,10 +264,10 @@ TEST(WarmIndexCacheTest, DamageIsCorruption) {
             StatusCode::kCorruption);
 
   // Payload bit flip (first section starts after the 64 B header and the
-  // 14-entry * 32 B table, aligned to 512).
+  // 16-entry * 32 B table, aligned to 640).
   std::remove(widx.c_str());
   EngineWithSidecar(g, widx);
-  FlipByte(widx, 512);
+  FlipByte(widx, 640);
   EXPECT_EQ(LoadWarmIndexes(widx, key, g.num_nodes()).status().code(),
             StatusCode::kCorruption);
 
@@ -283,6 +294,44 @@ TEST(WarmIndexCacheTest, DamageIsCorruption) {
   std::remove(widx.c_str());
   EXPECT_EQ(LoadWarmIndexes(widx, key, g.num_nodes()).status().code(),
             StatusCode::kIoError);
+
+  // Damaged hub-label arrays behind valid checksums: the decoder itself
+  // must reject them, not just the section checksums.
+  EngineWithSidecar(g, widx);
+  auto good = LoadWarmIndexes(widx, key, g.num_nodes());
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  ASSERT_FALSE(good->hub_labels.empty());
+  using A = graph::HubLabelArrays;
+  auto rejects = [&](const char* what, auto mutate) {
+    WarmIndexes w = *good;
+    A out = w.hub_labels.out();
+    A in = w.hub_labels.in();
+    mutate(out, in);
+    w.hub_labels = graph::HubLabels::FromArrays(std::move(out), std::move(in));
+    ASSERT_TRUE(SaveWarmIndexes(widx, key, w).ok()) << what;
+    EXPECT_EQ(LoadWarmIndexes(widx, key, g.num_nodes()).status().code(),
+              StatusCode::kCorruption)
+        << what;
+  };
+  const graph::NodeId n = g.num_nodes();
+  rejects("rank and distance lengths differ",
+          [](A& out, A&) { out.ranks.pop_back(); });
+  rejects("distance array longer than the ranks",
+          [](A&, A& in) { in.dists.push_back(1); });
+  rejects("both arrays shorter than offsets[n]", [](A& out, A&) {
+    out.ranks.pop_back();
+    out.dists.pop_back();
+  });
+  rejects("distance 255", [](A& out, A&) { out.dists[0] = 255; });
+  rejects("rank >= n", [n](A&, A& in) { in.ranks[0] = n; });
+  rejects("ranks not strictly ascending", [](A& out, A&) {
+    size_t u = 0;
+    while (out.offsets[u + 1] - out.offsets[u] < 2) ++u;
+    out.ranks[out.offsets[u] + 1] = out.ranks[out.offsets[u]];
+  });
+  // The round trip of the undamaged copy still loads.
+  ASSERT_TRUE(SaveWarmIndexes(widx, key, *good).ok());
+  EXPECT_TRUE(LoadWarmIndexes(widx, key, n).ok());
 }
 
 TEST(WarmIndexCacheTest, SecondEngineStartRestoresFromSidecar) {
