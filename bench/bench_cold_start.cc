@@ -1,8 +1,7 @@
-// Cold-start bench: time-to-first-query (TTFQ) across the four graph
+// Cold-start bench: time-to-first-query (TTFQ) across the three graph
 // load paths the tools support, over the same underlying graph:
 //
 //   edge-list   text parse, then full warm-index build
-//   eng1        legacy binary deserialize into heap vectors, full build
 //   eng2        zero-copy mmap snapshot, full warm-index build
 //   eng2+widx   zero-copy mmap + persisted warm indexes (.widx sidecar)
 //
@@ -12,12 +11,12 @@
 // pages the queries touch).
 //
 // Two hard assertions make the bench a correctness harness:
-//   * all four paths produce byte-identical responses to the same probe
+//   * all three paths produce byte-identical responses to the same probe
 //     request stream (order-sensitive FNV over the JSON bytes) — the
 //     snapshot and sidecar formats may change *where* bytes come from,
 //     never *what* is served;
 //   * eng2+widx TTFQ is at least `--min-speedup=` (default 10) times
-//     faster than the eng1 rebuild path.
+//     faster than the eng2 full-rebuild path.
 // Either failing exits non-zero; the ctest smoke run (label "perf")
 // turns that into CI coverage.
 //
@@ -206,7 +205,6 @@ int main(int argc, char** argv) {
   // generated one (text is the lossiest format: it cannot represent
   // trailing isolated nodes), so every path serves exactly the same graph.
   const std::string edges_path = bench::CsvPath(args, "cold_start.edges");
-  const std::string eng1_path = bench::CsvPath(args, "cold_start.eng");
   const std::string eng2_path = bench::CsvPath(args, "cold_start.eng2");
   const std::string widx_path = serve::WarmIndexPathFor(eng2_path);
   if (Status s = graph::WriteEdgeListText(net->graph, edges_path); !s.ok()) {
@@ -217,10 +215,6 @@ int main(int argc, char** argv) {
   if (!canonical.ok()) {
     std::fprintf(stderr, "roundtrip failed: %s\n",
                  canonical.status().ToString().c_str());
-    return 1;
-  }
-  if (Status s = graph::SaveBinary(*canonical, eng1_path); !s.ok()) {
-    std::fprintf(stderr, "eng1 write failed: %s\n", s.ToString().c_str());
     return 1;
   }
   if (Status s = graph::SaveBinaryV2(*canonical, eng2_path); !s.ok()) {
@@ -251,7 +245,6 @@ int main(int argc, char** argv) {
 
   std::vector<bench::ColdStartResult> runs;
   runs.push_back(bench::RunColdStart("edge-list", edges_path, "", probes));
-  runs.push_back(bench::RunColdStart("eng1", eng1_path, "", probes));
   runs.push_back(bench::RunColdStart("eng2", eng2_path, "", probes));
   runs.push_back(
       bench::RunColdStart("eng2+widx", eng2_path, widx_path, probes));
@@ -279,10 +272,10 @@ int main(int argc, char** argv) {
       ok = false;
     }
   }
-  const double speedup = runs[3].ttfq_seconds > 0.0
-                             ? runs[1].ttfq_seconds / runs[3].ttfq_seconds
+  const double speedup = runs[2].ttfq_seconds > 0.0
+                             ? runs[1].ttfq_seconds / runs[2].ttfq_seconds
                              : 0.0;
-  std::printf("  TTFQ speedup eng2+widx over eng1: %.1fx (need >= %.1fx)\n",
+  std::printf("  TTFQ speedup eng2+widx over eng2: %.1fx (need >= %.1fx)\n",
               speedup, min_speedup);
   if (speedup < min_speedup) {
     std::fprintf(stderr, "FAIL: cold-start speedup %.1fx below %.1fx\n",
@@ -321,7 +314,7 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"responses_identical\": %s,\n",
                identical ? "true" : "false");
-  std::fprintf(f, "  \"ttfq_speedup_widx_over_eng1\": %.2f,\n", speedup);
+  std::fprintf(f, "  \"ttfq_speedup_widx_over_eng2\": %.2f,\n", speedup);
   std::fprintf(f, "  \"min_speedup_required\": %.2f,\n", min_speedup);
   std::fprintf(f, "  \"pass\": %s\n", ok ? "true" : "false");
   std::fprintf(f, "}\n");

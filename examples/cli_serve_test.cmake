@@ -1,7 +1,9 @@
-# Drives `elitenet_cli serve` end to end (run by the example_cli_serve
-# ctest): writes a small edge list, pipes one request file through the
-# unsharded engine and through a 2-shard router, requires identical
-# output, and checks that bad serve flags exit 2 before any graph loads.
+# Drives `elitenet_cli serve` and `convert` end to end (run by the
+# example_cli_serve ctest): writes a small edge list, pipes one request
+# file through the unsharded engine and through a 2-shard router, converts
+# the edge list to ENG2 in memory and through the streamed writer
+# (byte-identical files), serves the snapshot with identical output, and
+# checks that bad serve flags exit 2 before any graph loads.
 #
 #   cmake -DCLI=<path to elitenet_cli> -DWORK=<scratch dir> -P cli_serve_test.cmake
 
@@ -14,9 +16,9 @@ file(WRITE "${WORK}/requests.txt"
   "neighbors 0 in\nfingerprint\nego 99\nfrobnicate 1\nego 1 @3\n"
   "#recent five\n# a plain comment\nego 2 !batch\nquit\nego 3\n")
 
-function(serve_once out)
+function(serve_once graph out)
   execute_process(
-    COMMAND "${CLI}" serve "${WORK}/edges.txt" ${ARGN}
+    COMMAND "${CLI}" serve "${WORK}/${graph}" ${ARGN}
     INPUT_FILE "${WORK}/requests.txt"
     OUTPUT_FILE "${WORK}/${out}"
     ERROR_VARIABLE err
@@ -26,8 +28,8 @@ function(serve_once out)
   endif()
 endfunction()
 
-serve_once(unsharded.out 2)
-serve_once(sharded.out --shards=2 --shard-threads=2 --hubs=2)
+serve_once(edges.txt unsharded.out 2)
+serve_once(edges.txt sharded.out --shards=2 --shard-threads=2 --hubs=2)
 file(READ "${WORK}/unsharded.out" unsharded)
 file(READ "${WORK}/sharded.out" sharded)
 if(NOT unsharded STREQUAL sharded)
@@ -37,6 +39,31 @@ string(REGEX MATCHALL "\n" lines "${unsharded}")
 list(LENGTH lines n)
 if(NOT n EQUAL 13)
   message(FATAL_ERROR "expected 13 response lines, got ${n}:\n${unsharded}")
+endif()
+
+# convert: the in-memory and the streamed (1 MiB budget) ENG2 writers must
+# produce the same bytes, and the snapshot must serve what the text did.
+function(convert_once out)
+  execute_process(
+    COMMAND "${CLI}" convert "${WORK}/edges.txt" "${WORK}/${out}" ${ARGN}
+    OUTPUT_QUIET ERROR_VARIABLE err RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "convert ${out} ${ARGN} exited ${rc}:\n${err}")
+  endif()
+endfunction()
+
+convert_once(a.eng2)
+convert_once(b.eng2 --budget-mb=1)
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files "${WORK}/a.eng2" "${WORK}/b.eng2"
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "in-memory and streamed ENG2 files differ")
+endif()
+serve_once(a.eng2 snapshot.out 2)
+file(READ "${WORK}/snapshot.out" snapshot)
+if(NOT unsharded STREQUAL snapshot)
+  message(FATAL_ERROR "ENG2 output differs:\n${unsharded}\n---\n${snapshot}")
 endif()
 
 # Bad flags fail with exit 2 — even when the graph does not exist, since

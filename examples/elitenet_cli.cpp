@@ -25,9 +25,9 @@
 //                                      byte-identical responses, plus
 //                                      --shard-threads=N and --hubs=K)
 //   elitenet_cli convert <in> <out>    edge list <-> binary snapshot
-//                                      (.eng2 = zero-copy mmap format,
-//                                       .eng = legacy ENG1, else text;
-//                                       --budget-mb=N streams the .eng2
+//                                      (.eng2 or .eng = ENG2 zero-copy
+//                                       mmap format, else text;
+//                                       --budget-mb=N streams the ENG2
 //                                       write through an N-MiB external
 //                                       sort — same bytes, bounded RSS)
 //   elitenet_cli warmup <graph>        build/refresh the <graph>.widx
@@ -41,10 +41,9 @@
 //                                      (default PATH: <graph>.mutated.eng2)
 //
 // <graph> is loaded through core::LoadAnyGraph: a dataset directory
-// (SaveDataset layout), a ".eng"/".eng2" binary snapshot (magic-sniffed;
-// ENG2 is mmapped zero-copy), or a text edge list. `serve` and `warmup`
-// key the sidecar to the graph's checksum, so a stale .widx silently
-// rebuilds.
+// (SaveDataset layout), a ".eng"/".eng2" ENG2 snapshot (mmapped
+// zero-copy), or a text edge list. `serve` and `warmup` key the sidecar
+// to the graph's checksum, so a stale .widx silently rebuilds.
 
 #include <chrono>
 #include <cstdio>
@@ -270,7 +269,7 @@ int CmdConvert(const graph::DiGraph& g, const std::string& out,
                int64_t budget_mb) {
   const char* kind = "text edge list";
   Status s;
-  if (util::EndsWith(out, ".eng2")) {
+  if (util::EndsWith(out, ".eng") || util::EndsWith(out, ".eng2")) {
     if (budget_mb >= 0) {
       // Out-of-core path: external-sort the edges under the budget and
       // stream the snapshot (byte-identical to the in-memory writer).
@@ -293,9 +292,6 @@ int CmdConvert(const graph::DiGraph& g, const std::string& out,
     }
     kind = "ENG2 zero-copy snapshot";
     s = graph::SaveBinaryV2(g, out);
-  } else if (util::EndsWith(out, ".eng")) {
-    kind = "ENG1 snapshot (legacy)";
-    s = graph::SaveBinary(g, out);
   } else {
     s = graph::WriteEdgeListText(g, out);
   }
@@ -416,10 +412,10 @@ void Usage() {
       "serve|convert|warmup|mutate> <graph> [args]\n"
       "  graph: text edge list, .eng/.eng2 binary snapshot, or dataset "
       "dir\n"
-      "  convert <in> <out> [--budget-mb=N]: out ending .eng2 writes the\n"
-      "    zero-copy mmap snapshot, .eng the legacy ENG1 format, anything\n"
-      "    else a text edge list; --budget-mb streams the .eng2 write\n"
-      "    through an N-MiB external sort (same bytes, bounded memory)\n"
+      "  convert <in> <out> [--budget-mb=N]: out ending .eng2 or .eng\n"
+      "    writes the ENG2 zero-copy mmap snapshot, anything else a text\n"
+      "    edge list; --budget-mb streams the ENG2 write through an N-MiB\n"
+      "    external sort (same bytes, bounded memory)\n"
       "  serve <graph> [N] [--threads=N] [--cache=N] [--no-widx]\n"
       "    [--shards=N] [--shard-threads=N] [--hubs=K] [--metrics=PATH]\n"
       "    [--metrics-interval=MS] [--flight-recorder=K] [--slow-ms=T]\n"

@@ -20,7 +20,10 @@ namespace core {
 namespace {
 
 constexpr char kUsersMagic[8] = {'E', 'N', 'U', 'S', 'E', 'R', 'S', '1'};
-constexpr char kManifestHeader[] = "elitenet-dataset v1";
+// v2: the graph is an ENG2 snapshot (graph.eng2). A v1 directory, whose
+// graph.eng is the retired ENG1 format, fails at the manifest check.
+constexpr char kManifestHeader[] = "elitenet-dataset v2";
+constexpr char kGraphFile[] = "/graph.eng2";
 
 struct FileCloser {
   void operator()(std::FILE* f) const {
@@ -234,7 +237,7 @@ Status SaveDataset(const StudyDataset& d, const std::string& dir) {
   if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
     return Status::IoError("cannot create directory " + dir);
   }
-  EN_RETURN_IF_ERROR(graph::SaveBinary(d.network.graph, dir + "/graph.eng"));
+  EN_RETURN_IF_ERROR(graph::SaveBinaryV2(d.network.graph, dir + kGraphFile));
   EN_RETURN_IF_ERROR(WriteUsersFile(d, dir + "/users.bin"));
   EN_RETURN_IF_ERROR(WriteBios(d, dir + "/bios.txt"));
   EN_RETURN_IF_ERROR(WriteActivity(d, dir + "/activity.csv"));
@@ -250,8 +253,8 @@ uint64_t FileSizeOr0(const std::string& path) {
                                         : 0;
 }
 
-// The dispatch behind LoadAnyGraph; `format` is filled with what the
-// bytes turned out to be, independent of the extension.
+// The dispatch behind LoadAnyGraph; `format` is filled with the path
+// that was taken.
 Result<graph::DiGraph> LoadAnyGraphImpl(const std::string& path,
                                         std::string* format,
                                         uint64_t* bytes) {
@@ -259,29 +262,15 @@ Result<graph::DiGraph> LoadAnyGraphImpl(const std::string& path,
   if (::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode)) {
     ELITENET_SPAN("serve.load.dataset_dir");
     *format = "dataset-dir";
-    *bytes = FileSizeOr0(path + "/graph.eng");
+    *bytes = FileSizeOr0(path + kGraphFile);
     EN_ASSIGN_OR_RETURN(StudyDataset d, LoadDataset(path));
     return std::move(d.network.graph);
   }
   *bytes = FileSizeOr0(path);
   if (util::EndsWith(path, ".eng") || util::EndsWith(path, ".eng2")) {
-    EN_ASSIGN_OR_RETURN(const graph::SnapshotFormat snap,
-                        graph::SniffSnapshot(path));
-    switch (snap) {
-      case graph::SnapshotFormat::kV1: {
-        ELITENET_SPAN("serve.load.eng1");
-        *format = "eng1";
-        return graph::LoadBinary(path);
-      }
-      case graph::SnapshotFormat::kV2: {
-        ELITENET_SPAN("serve.load.eng2_mmap");
-        *format = "eng2-mmap";
-        return graph::MapBinary(path);
-      }
-      case graph::SnapshotFormat::kNotSnapshot:
-        return Status::Corruption(
-            "snapshot extension but no ENG1/ENG2 magic: " + path);
-    }
+    ELITENET_SPAN("serve.load.eng2_mmap");
+    *format = "eng2-mmap";
+    return graph::MapBinary(path);
   }
   ELITENET_SPAN("serve.load.edge_list");
   *format = "edge-list";
@@ -311,8 +300,7 @@ Result<graph::DiGraph> LoadAnyGraph(const std::string& path,
 Result<StudyDataset> LoadDataset(const std::string& dir) {
   EN_ASSIGN_OR_RETURN(const auto manifest, ReadManifest(dir + "/MANIFEST"));
   StudyDataset d;
-  EN_ASSIGN_OR_RETURN(d.network.graph,
-                      graph::LoadBinary(dir + "/graph.eng"));
+  EN_ASSIGN_OR_RETURN(d.network.graph, graph::MapBinary(dir + kGraphFile));
   if (d.network.graph.num_nodes() != manifest.first ||
       d.network.graph.num_edges() != manifest.second) {
     return Status::Corruption("graph disagrees with manifest");

@@ -6,11 +6,11 @@
 // intended to release its crawl "once we have pursued all our inquiries").
 //
 // Layout:
-//   <dir>/graph.eng        binary CSR snapshot (graph/io.h format)
+//   <dir>/graph.eng2       ENG2 CSR snapshot (graph/io.h), mapped zero-copy
 //   <dir>/users.bin        versioned binary: roles, popularity, profiles
 //   <dir>/bios.txt         one bio per line, in node-id order
 //   <dir>/activity.csv     date,value rows
-//   <dir>/MANIFEST         "elitenet-dataset v1", counts and checksums
+//   <dir>/MANIFEST         "elitenet-dataset v2", counts and checksums
 
 #ifndef ELITENET_CORE_DATASET_H_
 #define ELITENET_CORE_DATASET_H_
@@ -46,9 +46,9 @@ Result<StudyDataset> LoadDataset(const std::string& dir);
 /// serve.load_micros gauges, so cold-start cost is visible to the
 /// observability layer.
 struct GraphLoadInfo {
-  /// "dataset-dir", "eng1", "eng2-mmap", or "edge-list".
+  /// "dataset-dir", "eng2-mmap", or "edge-list".
   std::string format;
-  /// Size of the loaded file (for a dataset dir: its graph.eng).
+  /// Size of the loaded file (for a dataset dir: its graph.eng2).
   uint64_t bytes = 0;
   double seconds = 0.0;
 };
@@ -56,10 +56,10 @@ struct GraphLoadInfo {
 /// Loads a graph from any source the tools accept, with one dispatch
 /// rule shared by `elitenet_cli` and the serving front-ends:
 ///   * a directory         -> SaveDataset layout; returns its graph,
-///   * "*.eng" / "*.eng2"  -> snapshot; the magic is sniffed, so an ENG1
-///                            file deserializes (graph/io.h LoadBinary)
-///                            and an ENG2 file is mmapped zero-copy
-///                            (MapBinary) regardless of extension,
+///   * "*.eng" / "*.eng2"  -> ENG2 snapshot, mmapped zero-copy
+///                            (graph/io.h MapBinary); any other bytes,
+///                            a retired ENG1 file included, are
+///                            Corruption,
 ///   * anything else       -> SNAP-style text edge list.
 /// Corrupt inputs surface as a clean Status (Corruption/IoError) with no
 /// partial graph. `info`, when non-null, receives what was detected.

@@ -18,9 +18,7 @@ namespace graph {
 
 namespace {
 
-constexpr char kMagicV1[4] = {'E', 'N', 'G', '1'};
 constexpr char kMagicV2[4] = {'E', 'N', 'G', '2'};
-constexpr uint32_t kVersionV1 = 1;
 constexpr uint32_t kVersionV2 = 2;
 constexpr uint64_t kAlignment = 64;
 constexpr uint64_t kFnvBasis = 0xCBF29CE484222325ULL;
@@ -47,30 +45,9 @@ uint64_t ChecksumSpan(std::span<const T> v, uint64_t seed) {
   return Fnv1a(v.data(), v.size() * sizeof(T), seed);
 }
 
-template <typename T>
-Status WriteSpan(std::FILE* f, std::span<const T> v) {
-  const size_t bytes = v.size() * sizeof(T);
-  if (bytes == 0) return Status::OK();
-  if (std::fwrite(v.data(), 1, bytes, f) != bytes) {
-    return Status::IoError("short write");
-  }
-  return Status::OK();
-}
-
-template <typename T>
-Status ReadVector(std::FILE* f, size_t count, std::vector<T>* out) {
-  out->resize(count);
-  const size_t bytes = count * sizeof(T);
-  if (bytes == 0) return Status::OK();
-  if (std::fread(out->data(), 1, bytes, f) != bytes) {
-    return Status::Corruption("truncated array section");
-  }
-  return Status::OK();
-}
-
-/// The CSR invariants every loader must establish before handing memory
+/// The CSR invariants MapBinary must establish before handing the mapping
 /// to DiGraph: offsets monotone from 0 to m on both sides, all targets
-/// in [0, n). Shared by the heap (ENG1) and mapped (ENG2) paths.
+/// in [0, n).
 Status ValidateCsr(std::span<const EdgeIdx> out_offsets,
                    std::span<const NodeId> out_targets,
                    std::span<const EdgeIdx> in_offsets,
@@ -194,90 +171,6 @@ Result<DiGraph> ReadEdgeListText(const std::string& path, NodeId num_nodes) {
   return builder.Build();
 }
 
-Status SaveBinary(const DiGraph& g, const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) return Status::IoError("cannot open for writing: " + path);
-
-  const uint64_t n = g.num_nodes();
-  const uint64_t m = g.num_edges();
-  const uint64_t checksum = GraphChecksum(g);
-  const uint32_t reserved = 0;
-
-  if (std::fwrite(kMagicV1, 1, 4, f.get()) != 4 ||
-      std::fwrite(&kVersionV1, sizeof(kVersionV1), 1, f.get()) != 1 ||
-      std::fwrite(&reserved, sizeof(reserved), 1, f.get()) != 1 ||
-      std::fwrite(&n, sizeof(n), 1, f.get()) != 1 ||
-      std::fwrite(&m, sizeof(m), 1, f.get()) != 1 ||
-      std::fwrite(&checksum, sizeof(checksum), 1, f.get()) != 1) {
-    return Status::IoError("header write failed");
-  }
-  EN_RETURN_IF_ERROR(WriteSpan(f.get(), g.out_offsets()));
-  EN_RETURN_IF_ERROR(WriteSpan(f.get(), g.out_targets()));
-  EN_RETURN_IF_ERROR(WriteSpan(f.get(), g.in_offsets()));
-  EN_RETURN_IF_ERROR(WriteSpan(f.get(), g.in_targets()));
-  return Status::OK();
-}
-
-Result<DiGraph> LoadBinary(const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::IoError("cannot open for reading: " + path);
-
-  char magic[4];
-  uint32_t version = 0, reserved = 0;
-  uint64_t n = 0, m = 0, checksum = 0;
-  if (std::fread(magic, 1, 4, f.get()) != 4 ||
-      std::fread(&version, sizeof(version), 1, f.get()) != 1 ||
-      std::fread(&reserved, sizeof(reserved), 1, f.get()) != 1 ||
-      std::fread(&n, sizeof(n), 1, f.get()) != 1 ||
-      std::fread(&m, sizeof(m), 1, f.get()) != 1 ||
-      std::fread(&checksum, sizeof(checksum), 1, f.get()) != 1) {
-    return Status::Corruption("truncated header: " + path);
-  }
-  if (std::memcmp(magic, kMagicV1, 4) != 0) {
-    return Status::Corruption("bad magic: " + path);
-  }
-  if (version != kVersionV1) {
-    return Status::NotSupported("unsupported snapshot version " +
-                                std::to_string(version));
-  }
-  if (n > UINT32_MAX) return Status::Corruption("node count overflow");
-
-  // Validate the claimed sizes against the actual file length before any
-  // allocation: a corrupted count field must not trigger a huge resize.
-  constexpr uint64_t kHeaderBytes = 4 + 4 + 4 + 8 + 8 + 8;
-  if (std::fseek(f.get(), 0, SEEK_END) != 0) {
-    return Status::IoError("seek failed");
-  }
-  const long file_size = std::ftell(f.get());
-  if (file_size < 0) return Status::IoError("tell failed");
-  const uint64_t expected =
-      kHeaderBytes + 2 * (n + 1) * sizeof(EdgeIdx) + 2 * m * sizeof(NodeId);
-  if (n + 1 < n ||  // overflow guard
-      static_cast<uint64_t>(file_size) != expected) {
-    return Status::Corruption("file size disagrees with header counts");
-  }
-  if (std::fseek(f.get(), static_cast<long>(kHeaderBytes), SEEK_SET) != 0) {
-    return Status::IoError("seek failed");
-  }
-
-  std::vector<EdgeIdx> out_offsets, in_offsets;
-  std::vector<NodeId> out_targets, in_targets;
-  EN_RETURN_IF_ERROR(ReadVector(f.get(), n + 1, &out_offsets));
-  EN_RETURN_IF_ERROR(ReadVector(f.get(), m, &out_targets));
-  EN_RETURN_IF_ERROR(ReadVector(f.get(), n + 1, &in_offsets));
-  EN_RETURN_IF_ERROR(ReadVector(f.get(), m, &in_targets));
-
-  EN_RETURN_IF_ERROR(ValidateCsr(out_offsets, out_targets, in_offsets,
-                                 in_targets, n, m));
-
-  DiGraph g(std::move(out_offsets), std::move(out_targets),
-            std::move(in_offsets), std::move(in_targets));
-  if (GraphChecksum(g) != checksum) {
-    return Status::Corruption("checksum mismatch: " + path);
-  }
-  return g;
-}
-
 Status SaveBinaryV2(const DiGraph& g, const std::string& path) {
   EN_RETURN_IF_ERROR(CheckLittleEndianHost());
   FilePtr f(std::fopen(path.c_str(), "wb"));
@@ -363,6 +256,13 @@ Result<DiGraph> MapBinary(const std::string& path) {
   const uint64_t n = header.num_nodes;
   const uint64_t m = header.num_edges;
   if (n > UINT32_MAX) return Status::Corruption("node count overflow");
+  // The four sections hold 2(n+1) offsets and 2m targets. Bound both
+  // counts by the file size before any length arithmetic: an m near 2^62
+  // would wrap m * sizeof(NodeId) to a zero-length section that passes.
+  if ((n + 1) * sizeof(EdgeIdx) > size / 2 ||
+      m > size / (2 * sizeof(NodeId))) {
+    return Status::Corruption("node/edge counts exceed file size: " + path);
+  }
   if (header.section_count != kNumSections) {
     return Status::Corruption("unexpected section count");
   }
@@ -680,32 +580,6 @@ Result<StreamWriteStats> SaveStreamedV2(const DiGraph& g,
     }
   }
   return WriteStreamedV2(&forward, g.num_nodes(), path, options);
-}
-
-Result<SnapshotFormat> SniffSnapshot(const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::IoError("cannot open for reading: " + path);
-  char magic[4];
-  if (std::fread(magic, 1, 4, f.get()) != 4) {
-    return SnapshotFormat::kNotSnapshot;
-  }
-  if (std::memcmp(magic, kMagicV1, 4) == 0) return SnapshotFormat::kV1;
-  if (std::memcmp(magic, kMagicV2, 4) == 0) return SnapshotFormat::kV2;
-  return SnapshotFormat::kNotSnapshot;
-}
-
-Result<DiGraph> LoadSnapshot(const std::string& path) {
-  EN_ASSIGN_OR_RETURN(const SnapshotFormat format, SniffSnapshot(path));
-  switch (format) {
-    case SnapshotFormat::kV1:
-      return LoadBinary(path);
-    case SnapshotFormat::kV2:
-      return MapBinary(path);
-    case SnapshotFormat::kNotSnapshot:
-      break;
-  }
-  return Status::Corruption("not an elitenet snapshot (no ENG1/ENG2 magic): " +
-                            path);
 }
 
 }  // namespace graph

@@ -1,17 +1,15 @@
 // Graph persistence.
 //
-// Three formats:
+// Two formats:
 //  * Text edge list — one "src dst" pair per line, '#' comments, the format
 //    SNAP datasets ship in. Interoperable but slow.
-//  * ENG1 binary CSR snapshot (legacy, read/write) — versioned header with
-//    magic + whole-graph checksum, then the four CSR arrays verbatim.
-//    Loads at memcpy speed into heap vectors.
 //  * ENG2 zero-copy snapshot — a 64-byte-aligned, little-endian, sectioned
 //    file (magic, section table, per-section FNV checksums) whose CSR
 //    arrays are consumed *in place*: MapBinary mmaps the file read-only
 //    (util/mmap_file.h) and returns a DiGraph whose spans point straight
 //    into the page cache, so cold start pays validation, not
-//    deserialization. The serving path and every bench prefer ENG2.
+//    deserialization. Every binary graph file the tools read or write —
+//    ".eng" and ".eng2" paths, dataset directories — is ENG2.
 
 #ifndef ELITENET_GRAPH_IO_H_
 #define ELITENET_GRAPH_IO_H_
@@ -35,20 +33,10 @@ Result<DiGraph> ReadEdgeListText(const std::string& path,
                                  NodeId num_nodes = 0);
 
 /// 64-bit FNV-1a chained over the four CSR arrays — the identity of a
-/// graph's exact byte content. Stored in both snapshot headers and used
+/// graph's exact byte content. Stored in the ENG2 header and used
 /// as the invalidation key for persisted warm indexes
 /// (serve/warm_index_cache.h).
 uint64_t GraphChecksum(const DiGraph& g);
-
-/// ENG1 binary snapshot (legacy, kept read/write for compatibility).
-/// Layout (little-endian):
-///   magic "ENG1" | u32 version | u32 reserved | u64 num_nodes |
-///   u64 num_edges | u64 checksum | out_offsets | out_targets |
-///   in_offsets | in_targets
-/// The checksum is GraphChecksum; Load verifies it and returns Corruption
-/// on mismatch.
-Status SaveBinary(const DiGraph& g, const std::string& path);
-Result<DiGraph> LoadBinary(const std::string& path);
 
 /// ENG2 sectioned snapshot. Layout (little-endian, every section start
 /// 64-byte aligned):
@@ -65,10 +53,11 @@ Status SaveBinaryV2(const DiGraph& g, const std::string& path);
 
 /// Maps an ENG2 snapshot read-only and returns a borrowed-storage DiGraph
 /// over the mapping (kept alive for the graph's lifetime and every copy).
-/// Validates magic, version, section table bounds and alignment,
-/// per-section checksums, the header graph checksum, and the CSR
-/// structural invariants before returning; any mismatch is a clean
-/// Corruption/NotSupported with no partial graph.
+/// Validates magic, version, the node/edge counts against the file size,
+/// section table bounds and alignment, per-section checksums, the header
+/// graph checksum, and the CSR structural invariants before returning;
+/// any mismatch is a clean Corruption/NotSupported with no partial graph.
+/// A file in the retired ENG1 format fails the magic check (Corruption).
 Result<DiGraph> MapBinary(const std::string& path);
 
 /// Tuning for the out-of-core ENG2 writer.
@@ -117,21 +106,6 @@ Result<StreamWriteStats> WriteStreamedV2(util::ExtSorter* forward,
 Result<StreamWriteStats> SaveStreamedV2(const DiGraph& g,
                                         const std::string& path,
                                         const StreamWriteOptions& options = {});
-
-/// Which snapshot family a file's magic declares.
-enum class SnapshotFormat {
-  kNotSnapshot,  ///< no recognizable magic (likely a text edge list)
-  kV1,           ///< "ENG1"
-  kV2,           ///< "ENG2"
-};
-
-/// Reads the first four bytes of `path` and classifies them. IoError when
-/// the file cannot be opened; a short file is kNotSnapshot.
-Result<SnapshotFormat> SniffSnapshot(const std::string& path);
-
-/// Sniffs the magic and dispatches to LoadBinary (ENG1) or MapBinary
-/// (ENG2). Corruption when the file carries neither magic.
-Result<DiGraph> LoadSnapshot(const std::string& path);
 
 }  // namespace graph
 }  // namespace elitenet

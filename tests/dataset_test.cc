@@ -1,5 +1,6 @@
 #include "core/dataset.h"
 
+#include <cstdio>
 #include <fstream>
 
 #include <gtest/gtest.h>
@@ -73,8 +74,25 @@ TEST(DatasetTest, UserCountMismatchRejected) {
   const std::string dir = TempDirFor("dataset_badcount");
   ASSERT_TRUE(SaveDataset(d, dir).ok());
   std::ofstream(dir + "/MANIFEST")
-      << "elitenet-dataset v1\nusers 999\nedges 1\ndays 1\n";
+      << "elitenet-dataset v2\nusers 999\nedges 1\ndays 1\n";
   EXPECT_EQ(LoadDataset(dir).status().code(), StatusCode::kCorruption);
+}
+
+TEST(DatasetTest, V1DirectoryFailsAtManifest) {
+  // A directory from before ENG2 datasets: v1 manifest, ENG1 graph.eng.
+  // It must stop at the manifest header, not at a missing graph.eng2.
+  const StudyDataset d = SmallDataset();
+  const std::string dir = TempDirFor("dataset_v1");
+  ASSERT_TRUE(SaveDataset(d, dir).ok());
+  ASSERT_EQ(std::rename((dir + "/graph.eng2").c_str(),
+                        (dir + "/graph.eng").c_str()),
+            0);
+  std::ofstream(dir + "/MANIFEST")
+      << "elitenet-dataset v1\nusers " << d.network.graph.num_nodes()
+      << "\nedges " << d.network.graph.num_edges() << "\ndays 1\n";
+  const Status s = LoadDataset(dir).status();
+  EXPECT_EQ(s.code(), StatusCode::kCorruption);
+  EXPECT_NE(s.ToString().find("manifest"), std::string::npos) << s.ToString();
 }
 
 TEST(DatasetTest, TruncatedBiosRejected) {

@@ -1,13 +1,13 @@
+// Text edge-list reader and writer. The ENG2 snapshot has its own suite
+// (io_v2_test.cc).
+
 #include "graph/io.h"
 
-#include <cstdio>
 #include <fstream>
 
 #include <gtest/gtest.h>
 
-#include "gen/generators.h"
 #include "graph/builder.h"
-#include "util/rng.h"
 
 namespace elitenet {
 namespace graph {
@@ -75,73 +75,6 @@ TEST(EdgeListTextTest, EmptyFileGivesEmptyGraph) {
   auto g = ReadEdgeListText(path);
   ASSERT_TRUE(g.ok());
   EXPECT_EQ(g->num_nodes(), 0u);
-}
-
-TEST(BinarySnapshotTest, RoundTrip) {
-  const DiGraph g = SmallGraph();
-  const std::string path = TempPath("snapshot.eng");
-  ASSERT_TRUE(SaveBinary(g, path).ok());
-  auto loaded = LoadBinary(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(*loaded, g);
-}
-
-TEST(BinarySnapshotTest, RoundTripLargerRandomGraph) {
-  util::Rng rng(99);
-  auto g = gen::ErdosRenyi(500, 3000, &rng);
-  ASSERT_TRUE(g.ok());
-  const std::string path = TempPath("snapshot_big.eng");
-  ASSERT_TRUE(SaveBinary(*g, path).ok());
-  auto loaded = LoadBinary(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(*loaded, *g);
-}
-
-TEST(BinarySnapshotTest, EmptyGraphRoundTrip) {
-  DiGraph g;
-  const std::string path = TempPath("snapshot_empty.eng");
-  ASSERT_TRUE(SaveBinary(g, path).ok());
-  auto loaded = LoadBinary(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->num_nodes(), 0u);
-}
-
-TEST(BinarySnapshotTest, DetectsBitFlipCorruption) {
-  const DiGraph g = SmallGraph();
-  const std::string path = TempPath("snapshot_flip.eng");
-  ASSERT_TRUE(SaveBinary(g, path).ok());
-  // Flip one byte in the payload (past the 32-byte header).
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(40);
-    char c;
-    f.seekg(40);
-    f.get(c);
-    f.seekp(40);
-    f.put(static_cast<char>(c ^ 0x01));
-  }
-  EXPECT_EQ(LoadBinary(path).status().code(), StatusCode::kCorruption);
-}
-
-TEST(BinarySnapshotTest, BadMagicRejected) {
-  const std::string path = TempPath("snapshot_magic.eng");
-  std::ofstream(path, std::ios::binary) << "NOPE some bytes here";
-  const Status s = LoadBinary(path).status();
-  EXPECT_EQ(s.code(), StatusCode::kCorruption);
-}
-
-TEST(BinarySnapshotTest, TruncatedFileRejected) {
-  const DiGraph g = SmallGraph();
-  const std::string path = TempPath("snapshot_trunc.eng");
-  ASSERT_TRUE(SaveBinary(g, path).ok());
-  // Rewrite keeping only the first 20 bytes.
-  std::string contents;
-  {
-    std::ifstream in(path, std::ios::binary);
-    contents.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  std::ofstream(path, std::ios::binary) << contents.substr(0, 20);
-  EXPECT_EQ(LoadBinary(path).status().code(), StatusCode::kCorruption);
 }
 
 }  // namespace

@@ -93,9 +93,9 @@ TEST_P(GraphPropertyTest, TransposeInvariants) {
 
 TEST_P(GraphPropertyTest, BinarySnapshotRoundTrips) {
   const DiGraph g = MakeParamGraph();
-  const std::string path = testing::TempDir() + "/prop_snapshot.eng";
-  ASSERT_TRUE(graph::SaveBinary(g, path).ok());
-  auto loaded = graph::LoadBinary(path);
+  const std::string path = testing::TempDir() + "/prop_snapshot.eng2";
+  ASSERT_TRUE(graph::SaveBinaryV2(g, path).ok());
+  auto loaded = graph::MapBinary(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(*loaded, g);
 }

@@ -8,12 +8,15 @@
 #include "graph/io.h"
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
 
+#include "core/dataset.h"
+#include "eng2_bytes.h"
 #include "gen/generators.h"
 #include "graph/builder.h"
 #include "util/rng.h"
@@ -148,9 +151,73 @@ TEST(SnapshotV2Test, VersionSkewIsNotSupported) {
 }
 
 TEST(SnapshotV2Test, Eng1FileIsCorruptionNotCrash) {
-  const std::string path = TempPath("v2_eng1.eng2");
-  ASSERT_TRUE(SaveBinary(SmallGraph(), path).ok());  // ENG1 bytes
-  EXPECT_EQ(MapBinary(path).status().code(), StatusCode::kCorruption);
+  // A file in the retired ENG1 format, written by hand: the 36-byte
+  // header (magic | u32 version | u32 reserved | u64 n | u64 m |
+  // u64 checksum) and the four CSR arrays verbatim.
+  const DiGraph g = SmallGraph();
+  std::string bytes = "ENG1";
+  const uint32_t version = 1, reserved = 0;
+  const uint64_t n = g.num_nodes(), m = g.num_edges();
+  const uint64_t checksum = GraphChecksum(g);
+  bytes.append(reinterpret_cast<const char*>(&version), 4);
+  bytes.append(reinterpret_cast<const char*>(&reserved), 4);
+  bytes.append(reinterpret_cast<const char*>(&n), 8);
+  bytes.append(reinterpret_cast<const char*>(&m), 8);
+  bytes.append(reinterpret_cast<const char*>(&checksum), 8);
+  ASSERT_EQ(bytes.size(), 36u);
+  const auto append = [&bytes](auto span) {
+    bytes.append(reinterpret_cast<const char*>(span.data()),
+                 span.size_bytes());
+  };
+  append(g.out_offsets());
+  append(g.out_targets());
+  append(g.in_offsets());
+  append(g.in_targets());
+
+  // Both snapshot extensions go straight to MapBinary, which rejects the
+  // magic cleanly.
+  for (const char* name : {"v2_eng1.eng", "v2_eng1.eng2"}) {
+    const std::string path = TempPath(name);
+    eng2_bytes::WriteFileBytes(path, bytes);
+    EXPECT_EQ(MapBinary(path).status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(core::LoadAnyGraph(path).status().code(),
+              StatusCode::kCorruption)
+        << name;
+  }
+}
+
+TEST(SnapshotV2Test, EdgeCountWhoseByteLengthWrapsIsCorruption) {
+  // n = 1, m = 2^62: m * sizeof(NodeId) wraps to 0, so zero-length target
+  // sections would match the "expected" lengths. Offsets run 0 -> m, the
+  // checksums are valid, and the whole file is 320 bytes — the counts
+  // alone must sink it.
+  using namespace eng2_bytes;
+  const uint64_t m = uint64_t{1} << 62;
+  std::string bytes(320, '\0');
+  std::memcpy(bytes.data(), "ENG2", 4);
+  Put<uint32_t>(&bytes, 4, 2);
+  Put<uint64_t>(&bytes, kNumNodesAt, 1);
+  Put<uint64_t>(&bytes, kNumEdgesAt, m);
+  Put<uint32_t>(&bytes, kSectionCountAt, 4);
+  const uint64_t offsets[kNumSections] = {192, 256, 256, 320};
+  const uint64_t lengths[kNumSections] = {16, 0, 16, 0};
+  for (uint32_t i = 0; i < kNumSections; ++i) {
+    Put<uint32_t>(&bytes, EntryAt(i), i);
+    Put(&bytes, OffsetAt(i), offsets[i]);
+    Put(&bytes, LengthAt(i), lengths[i]);
+  }
+  for (uint64_t at : {offsets[0], offsets[2]}) {  // {0, m} per direction
+    Put<uint64_t>(&bytes, at, 0);
+    Put<uint64_t>(&bytes, at + 8, m);
+  }
+  Reseal(&bytes);
+  const std::string path = TempPath("v2_wrapped_edges.eng2");
+  WriteFileBytes(path, bytes);
+  const auto mapped = MapBinary(path);
+  EXPECT_EQ(mapped.status().code(), StatusCode::kCorruption)
+      << (mapped.ok() ? "mapped with num_edges " +
+                            std::to_string(mapped->num_edges())
+                      : mapped.status().ToString());
 }
 
 TEST(SnapshotV2Test, TruncationAnywhereIsCorruption) {
@@ -186,51 +253,6 @@ TEST(SnapshotV2Test, SectionTableBitFlipIsCorruption) {
   ASSERT_TRUE(SaveBinaryV2(g, path).ok());
   FlipByte(path, 64 + 8);  // first section entry's offset field
   EXPECT_EQ(MapBinary(path).status().code(), StatusCode::kCorruption);
-}
-
-TEST(SniffSnapshotTest, ClassifiesAllFormats) {
-  const DiGraph g = SmallGraph();
-  const std::string v1 = TempPath("sniff.eng");
-  const std::string v2 = TempPath("sniff.eng2");
-  const std::string txt = TempPath("sniff.txt");
-  ASSERT_TRUE(SaveBinary(g, v1).ok());
-  ASSERT_TRUE(SaveBinaryV2(g, v2).ok());
-  ASSERT_TRUE(WriteEdgeListText(g, txt).ok());
-
-  auto s1 = SniffSnapshot(v1);
-  ASSERT_TRUE(s1.ok());
-  EXPECT_EQ(*s1, SnapshotFormat::kV1);
-  auto s2 = SniffSnapshot(v2);
-  ASSERT_TRUE(s2.ok());
-  EXPECT_EQ(*s2, SnapshotFormat::kV2);
-  auto st = SniffSnapshot(txt);
-  ASSERT_TRUE(st.ok());
-  EXPECT_EQ(*st, SnapshotFormat::kNotSnapshot);
-  EXPECT_EQ(SniffSnapshot("/no/such/file").status().code(),
-            StatusCode::kIoError);
-}
-
-TEST(LoadSnapshotTest, DispatchesOnMagicNotExtension) {
-  const DiGraph g = SmallGraph();
-  // Deliberately swapped extensions: the magic decides.
-  const std::string v1_as_eng2 = TempPath("swap.eng2");
-  const std::string v2_as_eng = TempPath("swap.eng");
-  ASSERT_TRUE(SaveBinary(g, v1_as_eng2).ok());
-  ASSERT_TRUE(SaveBinaryV2(g, v2_as_eng).ok());
-
-  auto a = LoadSnapshot(v1_as_eng2);
-  ASSERT_TRUE(a.ok()) << a.status().ToString();
-  EXPECT_EQ(*a, g);
-  EXPECT_FALSE(a->borrows_storage());  // ENG1 deserializes into vectors
-
-  auto b = LoadSnapshot(v2_as_eng);
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-  EXPECT_EQ(*b, g);
-  EXPECT_TRUE(b->borrows_storage());  // ENG2 maps in place
-
-  const std::string txt = TempPath("swap.txt");
-  ASSERT_TRUE(WriteEdgeListText(g, txt).ok());
-  EXPECT_EQ(LoadSnapshot(txt).status().code(), StatusCode::kCorruption);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // core::LoadAnyGraph is the one loading path shared by elitenet_cli and
-// the serving front-ends: dataset directory, ".eng" binary snapshot, or
-// text edge list. These tests pin the dispatch rule and — the part that
+// the serving front-ends: dataset directory, ".eng"/".eng2" ENG2
+// snapshot, or text edge list. These tests pin the dispatch rule and — the part that
 // matters for a long-lived server — that corrupt inputs surface a clean
 // Status instead of crashing or yielding a half-loaded graph.
 
@@ -67,16 +67,17 @@ void TruncateFile(const std::string& path, long keep_bytes) {
 }
 
 TEST(LoadAnyGraphTest, DispatchesToBinarySnapshot) {
+  // ".eng" is the same ENG2 snapshot as ".eng2", mapped zero-copy.
   const graph::DiGraph g = SmallGraph();
   const std::string path = testing::TempDir() + "/any_graph.eng";
-  ASSERT_TRUE(graph::SaveBinary(g, path).ok());
+  ASSERT_TRUE(graph::SaveBinaryV2(g, path).ok());
   GraphLoadInfo info;
   auto loaded = LoadAnyGraph(path, &info);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(*loaded, g);
-  EXPECT_EQ(info.format, "eng1");
+  EXPECT_EQ(info.format, "eng2-mmap");
   EXPECT_GT(info.bytes, 0u);
-  EXPECT_FALSE(loaded->borrows_storage());
+  EXPECT_TRUE(loaded->borrows_storage());
 }
 
 TEST(LoadAnyGraphTest, DispatchesToZeroCopySnapshot) {
@@ -90,24 +91,6 @@ TEST(LoadAnyGraphTest, DispatchesToZeroCopySnapshot) {
   EXPECT_EQ(info.format, "eng2-mmap");
   EXPECT_GT(info.bytes, 0u);
   EXPECT_TRUE(loaded->borrows_storage());
-}
-
-TEST(LoadAnyGraphTest, SnapshotDispatchSniffsMagicNotExtension) {
-  // An ENG2 file behind a ".eng" name still maps zero-copy, and vice
-  // versa — the front-ends promise the magic decides.
-  const graph::DiGraph g = SmallGraph();
-  const std::string v2_as_eng = testing::TempDir() + "/sniffed.eng";
-  ASSERT_TRUE(graph::SaveBinaryV2(g, v2_as_eng).ok());
-  GraphLoadInfo info;
-  auto loaded = LoadAnyGraph(v2_as_eng, &info);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(info.format, "eng2-mmap");
-
-  const std::string v1_as_eng2 = testing::TempDir() + "/sniffed.eng2";
-  ASSERT_TRUE(graph::SaveBinary(g, v1_as_eng2).ok());
-  auto loaded1 = LoadAnyGraph(v1_as_eng2, &info);
-  ASSERT_TRUE(loaded1.ok()) << loaded1.status().ToString();
-  EXPECT_EQ(info.format, "eng1");
 }
 
 TEST(LoadAnyGraphTest, DispatchesToEdgeListText) {
@@ -125,9 +108,13 @@ TEST(LoadAnyGraphTest, DispatchesToDatasetDirectory) {
   const StudyDataset d = SmallDataset();
   const std::string dir = TempDirFor("any_graph_dataset");
   ASSERT_TRUE(SaveDataset(d, dir).ok());
-  auto loaded = LoadAnyGraph(dir);
+  GraphLoadInfo info;
+  auto loaded = LoadAnyGraph(dir, &info);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(*loaded, d.network.graph);
+  EXPECT_EQ(info.format, "dataset-dir");
+  EXPECT_GT(info.bytes, 0u);  // the size of graph.eng2
+  EXPECT_TRUE(loaded->borrows_storage());  // mapped zero-copy
 }
 
 TEST(LoadAnyGraphTest, MissingPathIsCleanError) {
@@ -140,12 +127,12 @@ TEST(LoadAnyGraphTest, MissingPathIsCleanError) {
 TEST(LoadAnyGraphTest, TruncatedBinarySnapshotIsCorruption) {
   const graph::DiGraph g = SmallGraph();
   const std::string path = testing::TempDir() + "/truncated.eng";
-  ASSERT_TRUE(graph::SaveBinary(g, path).ok());
-  // Cut mid-array: the header parses but the payload is short.
-  TruncateFile(path, 40);
+  ASSERT_TRUE(graph::SaveBinaryV2(g, path).ok());
+  // Cut mid-table: the header parses but the section table is short.
+  TruncateFile(path, 100);
   EXPECT_EQ(LoadAnyGraph(path).status().code(), StatusCode::kCorruption);
   // Cut mid-header too.
-  ASSERT_TRUE(graph::SaveBinary(g, path).ok());
+  ASSERT_TRUE(graph::SaveBinaryV2(g, path).ok());
   TruncateFile(path, 3);
   EXPECT_EQ(LoadAnyGraph(path).status().code(), StatusCode::kCorruption);
 }
@@ -179,7 +166,7 @@ TEST(LoadAnyGraphTest, TruncatedDatasetGraphIsCorruption) {
   const StudyDataset d = SmallDataset();
   const std::string dir = TempDirFor("any_graph_truncated");
   ASSERT_TRUE(SaveDataset(d, dir).ok());
-  TruncateFile(dir + "/graph.eng", 64);
+  TruncateFile(dir + "/graph.eng2", 64);
   EXPECT_EQ(LoadAnyGraph(dir).status().code(), StatusCode::kCorruption);
 }
 
@@ -188,7 +175,7 @@ TEST(LoadAnyGraphTest, ManifestCountMismatchIsCorruption) {
   const std::string dir = TempDirFor("any_graph_badmanifest");
   ASSERT_TRUE(SaveDataset(d, dir).ok());
   std::ofstream(dir + "/MANIFEST")
-      << "elitenet-dataset v1\nusers 999\nedges 1\ndays 1\n";
+      << "elitenet-dataset v2\nusers 999\nedges 1\ndays 1\n";
   EXPECT_EQ(LoadAnyGraph(dir).status().code(), StatusCode::kCorruption);
 }
 
