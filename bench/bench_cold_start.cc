@@ -36,42 +36,12 @@
 #include "serve/engine.h"
 #include "serve/warm_index_cache.h"
 #include "util/rng.h"
+#include "util/rss.h"
 #include "util/trace.h"
 
 namespace elitenet {
 namespace bench {
 namespace {
-
-uint64_t FnvString(const std::string& s) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-uint64_t FnvMix(uint64_t h, uint64_t x) {
-  h ^= x;
-  return h * 0x100000001b3ULL;
-}
-
-// Resident set size from /proc/self/status, in KiB; 0 when unavailable
-// (non-Linux), in which case the rss_delta column reads 0 everywhere.
-int64_t RssKb() {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return 0;
-  char line[256];
-  int64_t kb = 0;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::strncmp(line, "VmRSS:", 6) == 0) {
-      kb = std::strtoll(line + 6, nullptr, 10);
-      break;
-    }
-  }
-  std::fclose(f);
-  return kb;
-}
 
 // Deterministic probe stream touching every query type, spread across the
 // id space so component/rank/degree lookups exercise varied nodes.
@@ -131,7 +101,8 @@ ColdStartResult RunColdStart(const std::string& name, const std::string& path,
                              const std::vector<serve::Request>& probes) {
   ColdStartResult out;
   out.name = name;
-  const int64_t rss_before = RssKb();
+  // VmRSS is 0 where unreadable (non-Linux): rss_delta then reads 0.
+  const int64_t rss_before = static_cast<int64_t>(util::CurrentRssBytes());
   util::SpanTimer total;
 
   core::GraphLoadInfo info;
@@ -167,7 +138,8 @@ ColdStartResult RunColdStart(const std::string& name, const std::string& path,
   }
   out.checksum = checksum;
   out.total_seconds = total.Seconds();
-  out.rss_delta_kb = RssKb() - rss_before;
+  out.rss_delta_kb =
+      (static_cast<int64_t>(util::CurrentRssBytes()) - rss_before) / 1024;
   return out;
 }
 

@@ -49,11 +49,6 @@ struct SourceTally {
   uint32_t max_dist = 0;
 };
 
-uint64_t FnvMix(uint64_t h, uint64_t x) {
-  h ^= x;
-  return h * 0x100000001b3ULL;
-}
-
 uint64_t ChecksumTallies(const std::vector<SourceTally>& tallies) {
   uint64_t h = 0xcbf29ce484222325ULL;
   for (const SourceTally& t : tallies) {

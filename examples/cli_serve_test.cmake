@@ -2,8 +2,9 @@
 # example_cli_serve ctest): writes a small edge list, pipes one request
 # file through the unsharded engine and through a 2-shard router, converts
 # the edge list to ENG2 in memory and through the streamed writer
-# (byte-identical files), serves the snapshot with identical output, and
-# checks that bad serve flags exit 2 before any graph loads.
+# (byte-identical files), converts a snapshot onto itself, serves the
+# snapshots with identical output, and checks that bad serve and convert
+# flags exit 2 before any graph loads.
 #
 #   cmake -DCLI=<path to elitenet_cli> -DWORK=<scratch dir> -P cli_serve_test.cmake
 
@@ -66,6 +67,27 @@ if(NOT unsharded STREQUAL snapshot)
   message(FATAL_ERROR "ENG2 output differs:\n${unsharded}\n---\n${snapshot}")
 endif()
 
+# Converting a snapshot onto itself rewrites the file the input graph is
+# mapped from: the writer's temp file + rename must leave the mapping
+# intact and the same bytes behind.
+execute_process(
+  COMMAND "${CLI}" convert "${WORK}/a.eng2" "${WORK}/a.eng2"
+  OUTPUT_QUIET ERROR_VARIABLE err RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "convert a.eng2 a.eng2 exited ${rc}:\n${err}")
+endif()
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files "${WORK}/a.eng2" "${WORK}/b.eng2"
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "converting a.eng2 onto itself changed its bytes")
+endif()
+serve_once(a.eng2 self.out 2)
+file(READ "${WORK}/self.out" self)
+if(NOT unsharded STREQUAL self)
+  message(FATAL_ERROR "self-converted output differs:\n${unsharded}\n---\n${self}")
+endif()
+
 # Bad flags fail with exit 2 — even when the graph does not exist, since
 # flags are parsed before the graph loads.
 foreach(bad "--shards=abc" "--threads=0" "--sample=4294967296"
@@ -79,3 +101,18 @@ foreach(bad "--shards=abc" "--threads=0" "--sample=4294967296"
     endif()
   endforeach()
 endforeach()
+# --budget-mb takes a MiB count whose byte size fits in 64 bits.
+foreach(bad "--budget-mb=abc" "--budget-mb=-3" "--budget-mb="
+            "--budget-mb=17592186044416" "--budget-mb=99999999999999999999"
+            "--bogus")
+  foreach(graph "${WORK}/edges.txt" "${WORK}/missing.txt")
+    execute_process(COMMAND "${CLI}" convert "${graph}" "${WORK}/bad.eng2" ${bad}
+      OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 2)
+      message(FATAL_ERROR "convert ${graph} ${bad} exited ${rc}, want 2")
+    endif()
+  endforeach()
+endforeach()
+if(EXISTS "${WORK}/bad.eng2")
+  message(FATAL_ERROR "a rejected convert wrote its output")
+endif()

@@ -446,6 +446,21 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  // So are convert's: --budget-mb must be a MiB count whose byte size
+  // fits in 64 bits.
+  int64_t budget_mb = -1;  // -1 = in-memory writer
+  if (command == "convert") {
+    for (int i = 4; i < argc; ++i) {
+      uint64_t mb = 0;
+      if (std::strncmp(argv[i], "--budget-mb=", 12) != 0 ||
+          !util::ParseUint64(argv[i] + 12, &mb) || mb > (UINT64_MAX >> 20)) {
+        std::fprintf(stderr, "unknown convert flag or bad value: %s\n",
+                     argv[i]);
+        return 2;
+      }
+      budget_mb = static_cast<int64_t>(mb);
+    }
+  }
   core::GraphLoadInfo load_info;
   auto g = core::LoadAnyGraph(argv[2], &load_info);
   if (!g.ok()) {
@@ -472,15 +487,6 @@ int main(int argc, char** argv) {
     if (argc < 4) {
       Usage();
       return 2;
-    }
-    int64_t budget_mb = -1;  // -1 = in-memory writer
-    for (int i = 4; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--budget-mb=", 12) == 0) {
-        budget_mb = std::atoll(argv[i] + 12);
-      } else {
-        std::fprintf(stderr, "unknown convert flag: %s\n", argv[i]);
-        return 2;
-      }
     }
     return CmdConvert(*g, argv[3], budget_mb);
   }

@@ -33,14 +33,13 @@ struct LabelRows {
 // to cover a cache miss behind the short scans of pruned candidates.
 constexpr size_t kPrefetchAhead = 16;
 
-// The prune check for candidates[i] at `depth`, used by both level paths
-// of PrunedBfs. Prefetches the row of the candidate kPrefetchAhead places
-// on (bounded by `end`, so a parallel worker only touches the rows of its
-// own chunk), then scans v's row for a hub ranked before the root that
-// certifies d(root, v) <= depth. Only that boolean matters, so the scan
-// stops at the first certificate — rows lead with the highest-degree
-// hubs, which certify almost every pruned candidate in one or two probes.
-// On survival appends (root, depth) to v's row and returns true.
+// The prune check for candidates[i] at `depth`. Prefetches the row of
+// the candidate kPrefetchAhead places on, then scans v's row for a hub
+// ranked before the root that certifies d(root, v) <= depth. Only that
+// boolean matters, so the scan stops at the first certificate — rows
+// lead with the highest-degree hubs, which certify almost every pruned
+// candidate in one or two probes. On survival appends (root, depth) to
+// v's row and returns true.
 //
 // root_dist[h] is kHubDistInfinite (255) for hubs the root's opposite
 // row lacks. PrunedBfs never runs a level deeper than kMaxHubLabelDist,
@@ -48,10 +47,9 @@ constexpr size_t kPrefetchAhead = 16;
 static_assert(kHubDistInfinite > kMaxHubLabelDist);
 inline bool LabelIfUnpruned(LabelRows& rows,
                             const std::vector<NodeId>& candidates, size_t i,
-                            size_t end, NodeId root,
-                            const std::vector<uint8_t>& root_dist,
+                            NodeId root, const std::vector<uint8_t>& root_dist,
                             uint32_t depth) {
-  if (i + kPrefetchAhead < end) {
+  if (i + kPrefetchAhead < candidates.size()) {
     const NodeId ahead = candidates[i + kPrefetchAhead];
     __builtin_prefetch(rows.ranks[ahead].data());
     __builtin_prefetch(rows.dists[ahead].data());
@@ -73,34 +71,22 @@ inline bool LabelIfUnpruned(LabelRows& rows,
 // row set plus the dense distance view of the root's *opposite* label set
 // (root_dist[h] = d(root->h) forward, d(h->root) backward).
 //
-// Level-synchronous with three parallel-safe phases per level:
-//   A (parallel) gather unvisited neighbors per fixed-boundary frontier
-//     chunk into chunk-local buffers — reads the arena, writes nothing
-//     shared;
-//   B (serial) walk the chunk buffers in chunk order, first-come dedupe via
-//     arena.Visit — the only phase that mutates traversal state;
-//   C (parallel) per deduped candidate, run the prune query against its own
-//     row and append the new label on survival — rows are disjoint per
-//     node, so no two workers ever touch the same vector;
-//   D (serial) compact survivors into the next frontier.
-// Chunk boundaries come from EffectiveGrain, so every phase computes the
-// same thing at any thread count.
+// Level-synchronous: each level first collects the unvisited neighbors
+// of the frontier as candidates (marking them visited, in frontier
+// order), then runs the prune check over the candidates in that order;
+// survivors form the next frontier.
 //
 // Prune soundness: a candidate's row holds only hubs ranked before `root`
 // (a (root, ·) entry would mean the node was already visited in this BFS),
 // and root_dist is densified from rows that this BFS never appends to, so
-// the query is exactly Query_{root-1} — fixed for the whole BFS, which is
-// what lets level-parallel evaluation match the sequential algorithm
-// label-for-label.
+// the query is exactly Query_{root-1} — fixed for the whole BFS.
 //
 // Adds the number of labels appended to *appended. Returns false, leaving
 // the rows unusable, when the frontier is still non-empty at depth
 // kMaxHubLabelDist + 1: a distance the u8 label cannot hold.
 bool PrunedBfs(const DiGraph& rg, NodeId root, bool forward, LabelRows& rows,
                const std::vector<uint8_t>& root_dist, ScratchArena& arena,
-               std::vector<NodeId>& candidates, std::vector<uint8_t>& keep,
-               std::vector<std::vector<NodeId>>& chunk_buf,
-               uint64_t* appended) {
+               std::vector<NodeId>& candidates, uint64_t* appended) {
   arena.BeginEpoch();
   arena.Visit(root, 0, root);
   // The root is never prunable: hubs before it cannot certify distance 0.
@@ -111,84 +97,21 @@ bool PrunedBfs(const DiGraph& rg, NodeId root, bool forward, LabelRows& rows,
   frontier.clear();
   frontier.push_back(root);
 
-  // Below this frontier width the phased machinery costs more than the
-  // level itself (two closure dispatches per level bites hard on
-  // high-diameter graphs, where every frontier is a handful of nodes).
-  // The serial path walks the frontier in index order — the exact order
-  // the chunked phases produce — so the two paths are interchangeable
-  // without affecting output.
-  constexpr size_t kSerialFrontier = 256;
-  // With one worker the phases degrade to three extra passes over the
-  // candidate set (plus duplicate neighbor writes into the chunk
-  // buffers), so a solo pool always takes the serial path.
-  const bool serial_pool = util::ThreadCount() <= 1;
-
   for (uint32_t depth = 1; !frontier.empty(); ++depth) {
     if (depth > kMaxHubLabelDist) return false;
-    if (serial_pool || frontier.size() <= kSerialFrontier) {
-      candidates.clear();
-      for (const NodeId u : frontier) {
-        for (const NodeId v :
-             forward ? rg.OutNeighbors(u) : rg.InNeighbors(u)) {
-          if (!arena.Visited(v)) {
-            arena.Visit(v, depth, v);
-            candidates.push_back(v);
-          }
-        }
-      }
-      if (candidates.empty()) break;
-      frontier.clear();
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        if (LabelIfUnpruned(rows, candidates, i, candidates.size(), root,
-                            root_dist, depth)) {
-          frontier.push_back(candidates[i]);
-          ++*appended;
-        }
-      }
-      continue;
-    }
-
-    // Phase A: gather candidate neighbors per chunk.
-    const size_t step = util::EffectiveGrain(frontier.size(), 0);
-    const size_t chunks = (frontier.size() + step - 1) / step;
-    if (chunk_buf.size() < chunks) chunk_buf.resize(chunks);
-    util::ParallelFor(0, frontier.size(), step, [&](size_t lo, size_t hi) {
-      std::vector<NodeId>& buf = chunk_buf[lo / step];
-      buf.clear();
-      for (size_t i = lo; i < hi; ++i) {
-        const NodeId u = frontier[i];
-        for (const NodeId v :
-             forward ? rg.OutNeighbors(u) : rg.InNeighbors(u)) {
-          if (!arena.Visited(v)) buf.push_back(v);
-        }
-      }
-    });
-
-    // Phase B: first-come dedupe in chunk order; mark visited.
     candidates.clear();
-    for (size_t c = 0; c < chunks; ++c) {
-      for (const NodeId v : chunk_buf[c]) {
+    for (const NodeId u : frontier) {
+      for (const NodeId v :
+           forward ? rg.OutNeighbors(u) : rg.InNeighbors(u)) {
         if (!arena.Visited(v)) {
           arena.Visit(v, depth, v);
           candidates.push_back(v);
         }
       }
     }
-    if (candidates.empty()) break;
-
-    // Phase C: prune query + label append, disjoint row per candidate.
-    keep.assign(candidates.size(), 0);
-    util::ParallelFor(0, candidates.size(), 0, [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        keep[i] =
-            LabelIfUnpruned(rows, candidates, i, hi, root, root_dist, depth);
-      }
-    });
-
-    // Phase D: survivors become the next frontier.
     frontier.clear();
     for (size_t i = 0; i < candidates.size(); ++i) {
-      if (keep[i]) {
+      if (LabelIfUnpruned(rows, candidates, i, root, root_dist, depth)) {
         frontier.push_back(candidates[i]);
         ++*appended;
       }
@@ -316,8 +239,6 @@ HubLabels BuildHubLabels(const DiGraph& g, const HubLabelOptions& options) {
   ScratchArena arena(n);
   std::vector<uint8_t> root_dist(n, kHubDistInfinite);
   std::vector<NodeId> candidates;
-  std::vector<uint8_t> keep;
-  std::vector<std::vector<NodeId>> chunk_buf;
 
   for (NodeId r = 0; r < n; ++r) {
     // Forward: L_out(r) (hubs before r that r reaches) densifies the prune
@@ -326,7 +247,7 @@ HubLabels BuildHubLabels(const DiGraph& g, const HubLabelOptions& options) {
     Densify(out_rows, r, root_dist, /*set=*/true);
     const bool forward_ok =
         PrunedBfs(rg, r, /*forward=*/true, in_rows, root_dist, arena,
-                  candidates, keep, chunk_buf, &total_in);
+                  candidates, &total_in);
     Densify(out_rows, r, root_dist, /*set=*/false);
     if (!forward_ok || total_in > budget) return HubLabels{};
 
@@ -334,7 +255,7 @@ HubLabels BuildHubLabels(const DiGraph& g, const HubLabelOptions& options) {
     Densify(in_rows, r, root_dist, /*set=*/true);
     const bool backward_ok =
         PrunedBfs(rg, r, /*forward=*/false, out_rows, root_dist, arena,
-                  candidates, keep, chunk_buf, &total_out);
+                  candidates, &total_out);
     Densify(in_rows, r, root_dist, /*set=*/false);
     if (!backward_ok || total_out > budget) return HubLabels{};
   }

@@ -19,11 +19,9 @@
 //
 // Determinism: the label set is a pure function of (graph, hub order) —
 // pruning consults only labels of earlier hubs, which are fixed for the
-// whole BFS of hub k. Construction parallelizes *within* each BFS level
-// (discover candidates per fixed-boundary chunk, dedupe in chunk order,
-// then evaluate prune checks per node), so output is bit-identical at any
-// thread count; chunk boundaries come from util::EffectiveGrain and never
-// depend on the thread count.
+// whole BFS of hub k. The pruned BFSs run serially, one after another
+// (only the final flatten into CSR arrays is parallel), so output is
+// bit-identical at any thread count.
 //
 // The flat representation is CSR-shaped (offsets + two parallel entry
 // arrays per direction) specifically so the serving layer can persist it

@@ -1,16 +1,14 @@
 #include "graph/io.h"
 
 #include <algorithm>
-#include <bit>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "graph/builder.h"
-#include "util/mmap_file.h"
+#include "util/sectioned_file.h"
 #include "util/string_utils.h"
 
 namespace elitenet {
@@ -18,10 +16,10 @@ namespace graph {
 
 namespace {
 
-constexpr char kMagicV2[4] = {'E', 'N', 'G', '2'};
-constexpr uint32_t kVersionV2 = 2;
-constexpr uint64_t kAlignment = 64;
-constexpr uint64_t kFnvBasis = 0xCBF29CE484222325ULL;
+// ENG2 in the sectioned container (util/sectioned_file.h): header words
+// {num_nodes, num_edges, graph_checksum}, sections out_offsets,
+// out_targets, in_offsets, in_targets.
+constexpr util::SectionedFormat kEng2 = {{'E', 'N', 'G', '2'}, 2, 4};
 
 struct FileCloser {
   void operator()(std::FILE* f) const {
@@ -30,19 +28,9 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
-uint64_t Fnv1a(const void* data, size_t len, uint64_t seed) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  uint64_t h = seed;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
 template <typename T>
 uint64_t ChecksumSpan(std::span<const T> v, uint64_t seed) {
-  return Fnv1a(v.data(), v.size() * sizeof(T), seed);
+  return util::Fnv1a(v.data(), v.size() * sizeof(T), seed);
 }
 
 /// The CSR invariants MapBinary must establish before handing the mapping
@@ -72,44 +60,10 @@ Status ValidateCsr(std::span<const EdgeIdx> out_offsets,
   return Status::OK();
 }
 
-// ENG2 on-disk structures. Both are naturally aligned and padded to their
-// exact on-disk size; static_asserts pin the layout the format promises.
-struct SnapshotHeaderV2 {
-  char magic[4];
-  uint32_t version;
-  uint64_t num_nodes;
-  uint64_t num_edges;
-  uint64_t graph_checksum;
-  uint32_t section_count;
-  uint8_t padding[28];
-};
-static_assert(sizeof(SnapshotHeaderV2) == 64, "ENG2 header is 64 bytes");
-
-struct SectionEntryV2 {
-  uint32_t id;
-  uint32_t reserved;
-  uint64_t offset;
-  uint64_t length;
-  uint64_t checksum;
-};
-static_assert(sizeof(SectionEntryV2) == 32, "ENG2 section entry is 32 bytes");
-
-constexpr uint32_t kNumSections = 4;
-
-uint64_t AlignUp(uint64_t v) { return (v + kAlignment - 1) & ~(kAlignment - 1); }
-
-Status CheckLittleEndianHost() {
-  if constexpr (std::endian::native != std::endian::little) {
-    return Status::NotSupported(
-        "ENG2 snapshots are little-endian; this host is not");
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 uint64_t GraphChecksum(const DiGraph& g) {
-  uint64_t h = kFnvBasis;
+  uint64_t h = util::kFnvBasis;
   h = ChecksumSpan(g.out_offsets(), h);
   h = ChecksumSpan(g.out_targets(), h);
   h = ChecksumSpan(g.in_offsets(), h);
@@ -172,89 +126,21 @@ Result<DiGraph> ReadEdgeListText(const std::string& path, NodeId num_nodes) {
 }
 
 Status SaveBinaryV2(const DiGraph& g, const std::string& path) {
-  EN_RETURN_IF_ERROR(CheckLittleEndianHost());
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) return Status::IoError("cannot open for writing: " + path);
-
-  const uint64_t n = g.num_nodes();
-  const uint64_t m = g.num_edges();
-
-  SnapshotHeaderV2 header = {};
-  std::memcpy(header.magic, kMagicV2, 4);
-  header.version = kVersionV2;
-  header.num_nodes = n;
-  header.num_edges = m;
-  header.graph_checksum = GraphChecksum(g);
-  header.section_count = kNumSections;
-
-  struct SectionData {
-    const void* data;
-    uint64_t length;
-  };
-  const SectionData sections[kNumSections] = {
-      {g.out_offsets().data(), (n + 1) * sizeof(EdgeIdx)},
-      {g.out_targets().data(), m * sizeof(NodeId)},
-      {g.in_offsets().data(), (n + 1) * sizeof(EdgeIdx)},
-      {g.in_targets().data(), m * sizeof(NodeId)},
-  };
-
-  SectionEntryV2 table[kNumSections] = {};
-  uint64_t offset =
-      AlignUp(sizeof(SnapshotHeaderV2) + kNumSections * sizeof(SectionEntryV2));
-  for (uint32_t i = 0; i < kNumSections; ++i) {
-    table[i].id = i;
-    table[i].offset = offset;
-    table[i].length = sections[i].length;
-    table[i].checksum =
-        Fnv1a(sections[i].data, sections[i].length, kFnvBasis);
-    offset = AlignUp(offset + sections[i].length);
-  }
-
-  if (std::fwrite(&header, sizeof(header), 1, f.get()) != 1 ||
-      std::fwrite(table, sizeof(SectionEntryV2), kNumSections, f.get()) !=
-          kNumSections) {
-    return Status::IoError("header write failed: " + path);
-  }
-  uint64_t written = sizeof(header) + kNumSections * sizeof(SectionEntryV2);
-  const char zeros[kAlignment] = {};
-  for (uint32_t i = 0; i < kNumSections; ++i) {
-    const uint64_t pad = table[i].offset - written;
-    if (pad > 0 && std::fwrite(zeros, 1, pad, f.get()) != pad) {
-      return Status::IoError("padding write failed: " + path);
-    }
-    if (sections[i].length > 0 &&
-        std::fwrite(sections[i].data, 1, sections[i].length, f.get()) !=
-            sections[i].length) {
-      return Status::IoError("section write failed: " + path);
-    }
-    written = table[i].offset + sections[i].length;
-  }
-  if (std::fflush(f.get()) != 0) {
-    return Status::IoError("flush failed: " + path);
-  }
-  return Status::OK();
+  EN_ASSIGN_OR_RETURN(util::SectionedWriter out,
+                      util::SectionedWriter::Create(path, kEng2));
+  EN_RETURN_IF_ERROR(out.AddSection(g.out_offsets()));
+  EN_RETURN_IF_ERROR(out.AddSection(g.out_targets()));
+  EN_RETURN_IF_ERROR(out.AddSection(g.in_offsets()));
+  EN_RETURN_IF_ERROR(out.AddSection(g.in_targets()));
+  return out.Commit({g.num_nodes(), g.num_edges(), GraphChecksum(g)});
 }
 
 Result<DiGraph> MapBinary(const std::string& path) {
-  EN_RETURN_IF_ERROR(CheckLittleEndianHost());
-  EN_ASSIGN_OR_RETURN(util::MmapFile mapped, util::MmapFile::Open(path));
-  const uint8_t* base = mapped.data();
-  const uint64_t size = mapped.size();
-
-  if (size < sizeof(SnapshotHeaderV2)) {
-    return Status::Corruption("truncated header: " + path);
-  }
-  SnapshotHeaderV2 header;
-  std::memcpy(&header, base, sizeof(header));
-  if (std::memcmp(header.magic, kMagicV2, 4) != 0) {
-    return Status::Corruption("bad magic: " + path);
-  }
-  if (header.version != kVersionV2) {
-    return Status::NotSupported("unsupported ENG2 snapshot version " +
-                                std::to_string(header.version));
-  }
-  const uint64_t n = header.num_nodes;
-  const uint64_t m = header.num_edges;
+  EN_ASSIGN_OR_RETURN(util::SectionedFile file,
+                      util::SectionedFile::Open(path, kEng2));
+  const uint64_t size = file.file_size();
+  const uint64_t n = file.words()[0];
+  const uint64_t m = file.words()[1];
   if (n > UINT32_MAX) return Status::Corruption("node count overflow");
   // The four sections hold 2(n+1) offsets and 2m targets. Bound both
   // counts by the file size before any length arithmetic: an m near 2^62
@@ -263,79 +149,56 @@ Result<DiGraph> MapBinary(const std::string& path) {
       m > size / (2 * sizeof(NodeId))) {
     return Status::Corruption("node/edge counts exceed file size: " + path);
   }
-  if (header.section_count != kNumSections) {
-    return Status::Corruption("unexpected section count");
-  }
-  const uint64_t table_end =
-      sizeof(SnapshotHeaderV2) + kNumSections * sizeof(SectionEntryV2);
-  if (size < table_end) {
-    return Status::Corruption("truncated section table: " + path);
-  }
-  SectionEntryV2 table[kNumSections];
-  std::memcpy(table, base + sizeof(SnapshotHeaderV2), sizeof(table));
-
-  const uint64_t expected_lengths[kNumSections] = {
+  const uint64_t expected_lengths[] = {
       (n + 1) * sizeof(EdgeIdx), m * sizeof(NodeId),
       (n + 1) * sizeof(EdgeIdx), m * sizeof(NodeId)};
-  for (uint32_t i = 0; i < kNumSections; ++i) {
-    const SectionEntryV2& s = table[i];
-    if (s.id != i) return Status::Corruption("section table out of order");
-    if (s.offset % kAlignment != 0) {
-      return Status::Corruption("misaligned section offset");
-    }
-    if (s.length > size || s.offset > size - s.length) {
-      return Status::Corruption("section exceeds file: " + path);
-    }
-    if (s.length != expected_lengths[i]) {
+  for (uint32_t i = 0; i < kEng2.section_count; ++i) {
+    if (file.section(i).size() != expected_lengths[i]) {
       return Status::Corruption("section length disagrees with node/edge "
                                 "counts: " + path);
-    }
-    if (Fnv1a(base + s.offset, s.length, kFnvBasis) != s.checksum) {
-      return Status::Corruption("section checksum mismatch: " + path);
     }
   }
 
   const std::span<const EdgeIdx> out_offsets(
-      reinterpret_cast<const EdgeIdx*>(base + table[0].offset), n + 1);
+      reinterpret_cast<const EdgeIdx*>(file.section(0).data()), n + 1);
   const std::span<const NodeId> out_targets(
-      reinterpret_cast<const NodeId*>(base + table[1].offset), m);
+      reinterpret_cast<const NodeId*>(file.section(1).data()), m);
   const std::span<const EdgeIdx> in_offsets(
-      reinterpret_cast<const EdgeIdx*>(base + table[2].offset), n + 1);
+      reinterpret_cast<const EdgeIdx*>(file.section(2).data()), n + 1);
   const std::span<const NodeId> in_targets(
-      reinterpret_cast<const NodeId*>(base + table[3].offset), m);
+      reinterpret_cast<const NodeId*>(file.section(3).data()), m);
 
   // Whole-graph checksum ties the four sections together (a swapped pair
   // of same-length sections would fool per-section sums alone) and must
   // match what GraphChecksum computes on any other load path — it is the
   // warm-index invalidation key.
-  uint64_t h = kFnvBasis;
+  uint64_t h = util::kFnvBasis;
   h = ChecksumSpan(out_offsets, h);
   h = ChecksumSpan(out_targets, h);
   h = ChecksumSpan(in_offsets, h);
   h = ChecksumSpan(in_targets, h);
-  if (h != header.graph_checksum) {
+  if (h != file.words()[2]) {
     return Status::Corruption("graph checksum mismatch: " + path);
   }
 
   EN_RETURN_IF_ERROR(ValidateCsr(out_offsets, out_targets, in_offsets,
                                  in_targets, n, m));
-
-  auto keepalive = std::make_shared<util::MmapFile>(std::move(mapped));
   return DiGraph::FromBorrowed(out_offsets, out_targets, in_offsets,
-                               in_targets, std::move(keepalive));
+                               in_targets, file.mapping());
 }
 
 namespace {
 
-/// Buffered section writer: batches values, folds every flushed byte into
-/// both the per-section FNV and the whole-graph FNV chain, and tracks the
-/// byte count. One instance per section, in section order, reproduces
-/// exactly the checksums SaveBinaryV2 computes from resident arrays.
+/// Buffered section writer: batches values and, on each flush, folds the
+/// bytes into the whole-graph FNV chain and appends them to the current
+/// container section (which checksums them itself). One instance per
+/// section, in section order, reproduces exactly the checksums
+/// SaveBinaryV2 computes from resident arrays.
 template <typename T>
 class SectionWriter {
  public:
-  SectionWriter(std::FILE* f, uint64_t* graph_hash)
-      : file_(f), graph_hash_(graph_hash), section_hash_(kFnvBasis) {
+  SectionWriter(util::SectionedWriter* out, uint64_t* graph_hash)
+      : out_(out), graph_hash_(graph_hash) {
     buffer_.reserve(kBufferValues);
   }
 
@@ -345,43 +208,28 @@ class SectionWriter {
     return Status::OK();
   }
 
-  Status Flush() {
-    const size_t bytes = buffer_.size() * sizeof(T);
-    if (bytes == 0) return Status::OK();
-    section_hash_ = Fnv1a(buffer_.data(), bytes, section_hash_);
-    *graph_hash_ = Fnv1a(buffer_.data(), bytes, *graph_hash_);
-    if (std::fwrite(buffer_.data(), 1, bytes, file_) != bytes) {
-      return Status::IoError("section write failed");
-    }
-    bytes_written_ += bytes;
-    buffer_.clear();
-    return Status::OK();
+  /// Flushes the tail and closes the section.
+  Status Finish() {
+    EN_RETURN_IF_ERROR(Flush());
+    return out_->EndSection();
   }
-
-  uint64_t section_checksum() const { return section_hash_; }
-  uint64_t bytes_written() const { return bytes_written_; }
 
  private:
   static constexpr size_t kBufferValues = 1 << 20;
 
-  std::FILE* file_;
+  Status Flush() {
+    const size_t bytes = buffer_.size() * sizeof(T);
+    if (bytes == 0) return Status::OK();
+    *graph_hash_ = util::Fnv1a(buffer_.data(), bytes, *graph_hash_);
+    EN_RETURN_IF_ERROR(out_->Append(buffer_.data(), bytes));
+    buffer_.clear();
+    return Status::OK();
+  }
+
+  util::SectionedWriter* out_;
   uint64_t* graph_hash_;
-  uint64_t section_hash_;
-  uint64_t bytes_written_ = 0;
   std::vector<T> buffer_;
 };
-
-Status WritePadding(std::FILE* f, uint64_t from, uint64_t to) {
-  const char zeros[kAlignment] = {};
-  while (from < to) {
-    const uint64_t chunk = std::min<uint64_t>(to - from, kAlignment);
-    if (std::fwrite(zeros, 1, chunk, f) != chunk) {
-      return Status::IoError("padding write failed");
-    }
-    from += chunk;
-  }
-  return Status::OK();
-}
 
 std::string DirOf(const std::string& path) {
   const size_t slash = path.find_last_of('/');
@@ -399,7 +247,6 @@ Result<StreamWriteStats> WriteStreamedV2(util::ExtSorter* forward,
                                          NodeId num_nodes,
                                          const std::string& path,
                                          const StreamWriteOptions& options) {
-  EN_RETURN_IF_ERROR(CheckLittleEndianHost());
   EN_RETURN_IF_ERROR(forward->Finish());
 
   const uint64_t n = num_nodes;
@@ -452,44 +299,23 @@ Result<StreamWriteStats> WriteStreamedV2(util::ExtSorter* forward,
   for (uint64_t i = 1; i <= n; ++i) offsets[i] += offsets[i - 1];
   const uint64_t m = stats.num_edges;
 
-  // Section layout is fully determined by (n, m); checksums arrive as the
-  // payload streams through, and the header + table are back-patched at
-  // the end.
-  SectionEntryV2 table[kNumSections] = {};
-  const uint64_t expected_lengths[kNumSections] = {
-      (n + 1) * sizeof(EdgeIdx), m * sizeof(NodeId),
-      (n + 1) * sizeof(EdgeIdx), m * sizeof(NodeId)};
-  uint64_t offset =
-      AlignUp(sizeof(SnapshotHeaderV2) + kNumSections * sizeof(SectionEntryV2));
-  for (uint32_t i = 0; i < kNumSections; ++i) {
-    table[i].id = i;
-    table[i].offset = offset;
-    table[i].length = expected_lengths[i];
-    offset = AlignUp(offset + expected_lengths[i]);
-  }
-
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) return Status::IoError("cannot open for writing: " + path);
-  uint64_t graph_hash = kFnvBasis;
-  uint64_t written = 0;
+  EN_ASSIGN_OR_RETURN(util::SectionedWriter out,
+                      util::SectionedWriter::Create(path, kEng2));
+  uint64_t graph_hash = util::kFnvBasis;
 
   // Section 0: out_offsets, from the resident O(n) array.
-  EN_RETURN_IF_ERROR(WritePadding(f.get(), written, table[0].offset));
   {
-    SectionWriter<EdgeIdx> w(f.get(), &graph_hash);
+    SectionWriter<EdgeIdx> w(&out, &graph_hash);
     for (EdgeIdx v : offsets) EN_RETURN_IF_ERROR(w.Append(v));
-    EN_RETURN_IF_ERROR(w.Flush());
-    table[0].checksum = w.section_checksum();
-    written = table[0].offset + w.bytes_written();
+    EN_RETURN_IF_ERROR(w.Finish());
   }
 
   // Section 1: out_targets via a second forward merge. Records arrive in
   // (src, dst) order, which *is* CSR placement order — dsts stream
   // straight to disk with no cursor array.
-  EN_RETURN_IF_ERROR(WritePadding(f.get(), written, table[1].offset));
   {
     EN_ASSIGN_OR_RETURN(util::ExtSorter::Stream s, forward->Scan());
-    SectionWriter<NodeId> w(f.get(), &graph_hash);
+    SectionWriter<NodeId> w(&out, &graph_hash);
     uint64_t record = 0;
     bool any = false;
     uint64_t prev = 0;
@@ -503,9 +329,7 @@ Result<StreamWriteStats> WriteStreamedV2(util::ExtSorter* forward,
       EN_RETURN_IF_ERROR(w.Append(dst));
     }
     EN_RETURN_IF_ERROR(s.status());
-    EN_RETURN_IF_ERROR(w.Flush());
-    table[1].checksum = w.section_checksum();
-    written = table[1].offset + w.bytes_written();
+    EN_RETURN_IF_ERROR(w.Finish());
   }
 
   // Section 2: in_offsets by a counting pass over the reverse stream
@@ -518,50 +342,28 @@ Result<StreamWriteStats> WriteStreamedV2(util::ExtSorter* forward,
     EN_RETURN_IF_ERROR(s.status());
   }
   for (uint64_t i = 1; i <= n; ++i) offsets[i] += offsets[i - 1];
-  EN_RETURN_IF_ERROR(WritePadding(f.get(), written, table[2].offset));
   {
-    SectionWriter<EdgeIdx> w(f.get(), &graph_hash);
+    SectionWriter<EdgeIdx> w(&out, &graph_hash);
     for (EdgeIdx v : offsets) EN_RETURN_IF_ERROR(w.Append(v));
-    EN_RETURN_IF_ERROR(w.Flush());
-    table[2].checksum = w.section_checksum();
-    written = table[2].offset + w.bytes_written();
+    EN_RETURN_IF_ERROR(w.Finish());
   }
 
   // Section 3: in_targets (sources) via the second reverse merge.
-  EN_RETURN_IF_ERROR(WritePadding(f.get(), written, table[3].offset));
   {
     EN_ASSIGN_OR_RETURN(util::ExtSorter::Stream s, reverse.Scan());
-    SectionWriter<NodeId> w(f.get(), &graph_hash);
+    SectionWriter<NodeId> w(&out, &graph_hash);
     uint64_t record = 0;
     while (s.Next(&record)) {
       EN_RETURN_IF_ERROR(w.Append(util::PackedDst(record)));
     }
     EN_RETURN_IF_ERROR(s.status());
-    EN_RETURN_IF_ERROR(w.Flush());
-    table[3].checksum = w.section_checksum();
+    EN_RETURN_IF_ERROR(w.Finish());
   }
 
-  // Back-patch the header and section table now that the checksums exist.
-  SnapshotHeaderV2 header = {};
-  std::memcpy(header.magic, kMagicV2, 4);
-  header.version = kVersionV2;
-  header.num_nodes = n;
-  header.num_edges = m;
-  header.graph_checksum = graph_hash;
-  header.section_count = kNumSections;
+  // The container back-patches the header and section table now that
+  // every checksum exists.
+  EN_RETURN_IF_ERROR(out.Commit({n, m, graph_hash}));
   stats.graph_checksum = graph_hash;
-
-  if (std::fseek(f.get(), 0, SEEK_SET) != 0) {
-    return Status::IoError("seek failed: " + path);
-  }
-  if (std::fwrite(&header, sizeof(header), 1, f.get()) != 1 ||
-      std::fwrite(table, sizeof(SectionEntryV2), kNumSections, f.get()) !=
-          kNumSections) {
-    return Status::IoError("header write failed: " + path);
-  }
-  if (std::fflush(f.get()) != 0) {
-    return Status::IoError("flush failed: " + path);
-  }
   return stats;
 }
 

@@ -3,8 +3,9 @@
 // Two formats:
 //  * Text edge list — one "src dst" pair per line, '#' comments, the format
 //    SNAP datasets ship in. Interoperable but slow.
-//  * ENG2 zero-copy snapshot — a 64-byte-aligned, little-endian, sectioned
-//    file (magic, section table, per-section FNV checksums) whose CSR
+//  * ENG2 zero-copy snapshot — a file in the sectioned container of
+//    util/sectioned_file.h (magic, section table, per-section FNV
+//    checksums, 64-byte-aligned little-endian sections) whose CSR
 //    arrays are consumed *in place*: MapBinary mmaps the file read-only
 //    (util/mmap_file.h) and returns a DiGraph whose spans point straight
 //    into the page cache, so cold start pays validation, not
@@ -38,24 +39,23 @@ Result<DiGraph> ReadEdgeListText(const std::string& path,
 /// (serve/warm_index_cache.h).
 uint64_t GraphChecksum(const DiGraph& g);
 
-/// ENG2 sectioned snapshot. Layout (little-endian, every section start
-/// 64-byte aligned):
-///   header (64 B):  magic "ENG2" | u32 version | u64 num_nodes |
-///                   u64 num_edges | u64 graph_checksum |
-///                   u32 section_count | padding
-///   section table:  section_count x 32 B entries
-///                   { u32 id | u32 reserved | u64 offset | u64 length |
-///                     u64 fnv1a_checksum }
-///   payload:        out_offsets | out_targets | in_offsets | in_targets
-/// Section ids are 0..3 in that order. Alignment means a page-aligned
-/// mapping yields correctly aligned u64/u32 array pointers.
+/// ENG2 sectioned snapshot, in the container of util/sectioned_file.h
+/// (64-byte header, 32-byte section entries, 64-byte-aligned sections,
+/// per-section FNV-1a). ENG2 version 2 fills it with:
+///   header words:  num_nodes | num_edges | graph_checksum
+///   sections 0..3: out_offsets | out_targets | in_offsets | in_targets
+/// Alignment means a page-aligned mapping yields correctly aligned
+/// u64/u32 array pointers. Written to `path + ".tmp"` and renamed into
+/// place, so `path` may be the very file `g` is mapped from.
 Status SaveBinaryV2(const DiGraph& g, const std::string& path);
 
 /// Maps an ENG2 snapshot read-only and returns a borrowed-storage DiGraph
 /// over the mapping (kept alive for the graph's lifetime and every copy).
-/// Validates magic, version, the node/edge counts against the file size,
-/// section table bounds and alignment, per-section checksums, the header
-/// graph checksum, and the CSR structural invariants before returning;
+/// The container checks the frame (magic, version, section table,
+/// alignment, bounds, per-section checksums); MapBinary then checks the
+/// node/edge counts against the file size before any length arithmetic,
+/// the section lengths the counts imply, the header graph checksum, and
+/// the CSR structural invariants before returning;
 /// any mismatch is a clean Corruption/NotSupported with no partial graph.
 /// A file in the retired ENG1 format fails the magic check (Corruption).
 Result<DiGraph> MapBinary(const std::string& path);
@@ -94,7 +94,8 @@ struct StreamWriteStats {
 /// never O(m). Duplicate edges coalesce and self-loops drop, matching
 /// GraphBuilder, so the resulting file is byte-identical to
 /// SaveBinaryV2(builder.Build()) over the same edge multiset, at any
-/// memory budget. Finishes `forward` if the caller has not.
+/// memory budget. Writes through a temp file renamed into place, like
+/// SaveBinaryV2. Finishes `forward` if the caller has not.
 Result<StreamWriteStats> WriteStreamedV2(util::ExtSorter* forward,
                                          NodeId num_nodes,
                                          const std::string& path,

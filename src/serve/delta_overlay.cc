@@ -385,19 +385,13 @@ Result<CompactionStats> LiveGraph::Compact(const std::string& path,
       abandon_tail();
       return add_status;
     }
-    // Temp-file + rename: a concurrent cold-start never maps a torn file.
-    const std::string tmp = path + ".compact.tmp";
-    auto written =
-        graph::WriteStreamedV2(&sorter, num_nodes_, tmp, options_.compact_stream);
+    // The writer goes through a temp file renamed into place, so a
+    // concurrent cold start never maps a torn file.
+    auto written = graph::WriteStreamedV2(&sorter, num_nodes_, path,
+                                          options_.compact_stream);
     if (!written.ok()) {
-      std::remove(tmp.c_str());
       abandon_tail();
       return written.status();
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-      std::remove(tmp.c_str());
-      abandon_tail();
-      return Status::IoError("compaction rename to " + path + " failed");
     }
     stats.num_edges = written->num_edges;
     stats.graph_checksum = written->graph_checksum;

@@ -1,15 +1,12 @@
 #include "serve/partition.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstdio>
-#include <cstring>
-#include <memory>
 #include <numeric>
+#include <span>
 
 #include "graph/builder.h"
 #include "graph/io.h"
-#include "util/mmap_file.h"
+#include "util/sectioned_file.h"
 
 namespace elitenet {
 namespace serve {
@@ -19,56 +16,19 @@ using graph::NodeId;
 
 namespace {
 
-constexpr char kMagic[4] = {'P', 'I', 'D', 'X'};
-constexpr uint32_t kVersion = 1;
-constexpr uint64_t kAlignment = 64;
-constexpr uint64_t kFnvBasis = 0xCBF29CE484222325ULL;
-constexpr uint32_t kNumSections = 2;
+// PIDX in the sectioned container (util/sectioned_file.h): header words
+// {graph_checksum, num_nodes, num_shards | hub_count << 32}, sections
+// home (one byte per node) and hubs (u32 ids, ascending).
+constexpr util::SectionedFormat kPidx = {{'P', 'I', 'D', 'X'}, 1, 2};
 
 enum SectionId : uint32_t {
   kHome = 0,
   kHubs = 1,
 };
 
-uint64_t Fnv1a(const void* data, size_t len, uint64_t seed) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  uint64_t h = seed;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001B3ULL;
-  }
-  return h;
+uint64_t ShardsAndHubs(uint32_t num_shards, uint32_t hub_count) {
+  return num_shards | uint64_t{hub_count} << 32;
 }
-
-struct Header {
-  char magic[4];
-  uint32_t version;
-  uint64_t graph_checksum;
-  uint64_t num_nodes;
-  uint32_t num_shards;
-  uint32_t hub_count;
-  uint32_t section_count;
-  uint8_t padding[28];
-};
-static_assert(sizeof(Header) == 64, "PIDX header is 64 bytes");
-
-struct SectionEntry {
-  uint32_t id;
-  uint32_t reserved;
-  uint64_t offset;
-  uint64_t length;
-  uint64_t checksum;
-};
-static_assert(sizeof(SectionEntry) == 32, "PIDX section entry is 32 bytes");
-
-uint64_t AlignUp(uint64_t v) { return (v + kAlignment - 1) & ~(kAlignment - 1); }
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 }  // namespace
 
@@ -166,147 +126,41 @@ std::string PartitionPathFor(const std::string& graph_path) {
 
 Status SavePartition(const std::string& path, const Partition& p,
                      uint32_t hub_count) {
-  struct SectionData {
-    const void* data;
-    uint64_t length;
-  };
-  const SectionData sections[kNumSections] = {
-      {p.home.data(), p.home.size()},
-      {p.hubs.data(), p.hubs.size() * sizeof(NodeId)},
-  };
-
-  Header header = {};
-  std::memcpy(header.magic, kMagic, 4);
-  header.version = kVersion;
-  header.graph_checksum = p.graph_checksum;
-  header.num_nodes = p.home.size();
-  header.num_shards = static_cast<uint32_t>(p.num_shards);
-  header.hub_count = hub_count;
-  header.section_count = kNumSections;
-
-  SectionEntry table[kNumSections] = {};
-  uint64_t offset =
-      AlignUp(sizeof(Header) + kNumSections * sizeof(SectionEntry));
-  for (uint32_t i = 0; i < kNumSections; ++i) {
-    table[i].id = i;
-    table[i].offset = offset;
-    table[i].length = sections[i].length;
-    table[i].checksum = Fnv1a(sections[i].data, sections[i].length, kFnvBasis);
-    offset = AlignUp(offset + sections[i].length);
-  }
-
-  // Temp-file + rename, same as the .widx sidecar: a racing reader sees
-  // either the old partition or the new one, never a torn mix.
-  const std::string tmp = path + ".tmp";
-  {
-    FilePtr f(std::fopen(tmp.c_str(), "wb"));
-    if (!f) return Status::IoError("cannot open for writing: " + tmp);
-    if (std::fwrite(&header, sizeof(header), 1, f.get()) != 1 ||
-        std::fwrite(table, sizeof(SectionEntry), kNumSections, f.get()) !=
-            kNumSections) {
-      return Status::IoError("header write failed: " + tmp);
-    }
-    uint64_t written = sizeof(header) + kNumSections * sizeof(SectionEntry);
-    const char zeros[kAlignment] = {};
-    for (uint32_t i = 0; i < kNumSections; ++i) {
-      const uint64_t pad = table[i].offset - written;
-      if (pad > 0 && std::fwrite(zeros, 1, pad, f.get()) != pad) {
-        return Status::IoError("padding write failed: " + tmp);
-      }
-      if (sections[i].length > 0 &&
-          std::fwrite(sections[i].data, 1, sections[i].length, f.get()) !=
-              sections[i].length) {
-        return Status::IoError("section write failed: " + tmp);
-      }
-      written = table[i].offset + sections[i].length;
-    }
-    if (std::fflush(f.get()) != 0) {
-      return Status::IoError("flush failed: " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError("rename failed: " + path);
-  }
-  return Status::OK();
+  EN_ASSIGN_OR_RETURN(util::SectionedWriter out,
+                      util::SectionedWriter::Create(path, kPidx));
+  EN_RETURN_IF_ERROR(out.AddSection(std::span<const uint8_t>(p.home)));
+  EN_RETURN_IF_ERROR(out.AddSection(std::span<const NodeId>(p.hubs)));
+  return out.Commit(
+      {p.graph_checksum, p.home.size(),
+       ShardsAndHubs(static_cast<uint32_t>(p.num_shards), hub_count)});
 }
 
 Result<Partition> LoadPartition(const std::string& path,
                                 uint64_t graph_checksum, int num_shards,
                                 uint32_t hub_count, NodeId expected_nodes) {
-  if constexpr (std::endian::native != std::endian::little) {
-    return Status::NotSupported(
-        "partition sidecars are little-endian; this host is not");
-  }
-  EN_ASSIGN_OR_RETURN(util::MmapFile mapped, util::MmapFile::Open(path));
-  const uint8_t* base = mapped.data();
-  const uint64_t size = mapped.size();
-
-  if (size < sizeof(Header)) {
-    return Status::Corruption("truncated partition header: " + path);
-  }
-  Header header;
-  std::memcpy(&header, base, sizeof(header));
-  if (std::memcmp(header.magic, kMagic, 4) != 0) {
-    return Status::Corruption("bad partition magic: " + path);
-  }
-  if (header.version != kVersion) {
-    return Status::NotSupported("unsupported partition version " +
-                                std::to_string(header.version));
-  }
-  if (header.graph_checksum != graph_checksum ||
-      header.num_shards != static_cast<uint32_t>(num_shards) ||
-      header.hub_count != hub_count) {
+  EN_ASSIGN_OR_RETURN(util::SectionedFile file,
+                      util::SectionedFile::Open(path, kPidx));
+  if (file.words()[0] != graph_checksum ||
+      file.words()[2] !=
+          ShardsAndHubs(static_cast<uint32_t>(num_shards), hub_count)) {
     return Status::FailedPrecondition(
         "stale partition key (graph, shard count, or hub count changed): " +
         path);
   }
-  if (header.num_nodes != expected_nodes) {
+  if (file.words()[1] != expected_nodes) {
     return Status::FailedPrecondition("partition node count mismatch: " + path);
-  }
-  if (header.section_count != kNumSections) {
-    return Status::Corruption("unexpected partition section count");
-  }
-  const uint64_t table_end =
-      sizeof(Header) + kNumSections * sizeof(SectionEntry);
-  if (size < table_end) {
-    return Status::Corruption("truncated partition section table: " + path);
-  }
-  SectionEntry table[kNumSections];
-  std::memcpy(table, base + sizeof(Header), sizeof(table));
-  for (uint32_t i = 0; i < kNumSections; ++i) {
-    const SectionEntry& s = table[i];
-    if (s.id != i) {
-      return Status::Corruption("partition section table out of order");
-    }
-    if (s.offset % kAlignment != 0) {
-      return Status::Corruption("misaligned partition section");
-    }
-    if (s.length > size || s.offset > size - s.length) {
-      return Status::Corruption("partition section exceeds file: " + path);
-    }
-    if (Fnv1a(base + s.offset, s.length, kFnvBasis) != s.checksum) {
-      return Status::Corruption("partition section checksum mismatch: " + path);
-    }
   }
 
   Partition p;
   p.num_shards = num_shards;
   p.graph_checksum = graph_checksum;
-  if (table[kHome].length != expected_nodes) {
+  if (file.section(kHome).size() != expected_nodes) {
     return Status::Corruption("partition home map has the wrong size");
   }
-  p.home.resize(expected_nodes);
-  if (expected_nodes > 0) {
-    std::memcpy(p.home.data(), base + table[kHome].offset, expected_nodes);
-  }
-  if (table[kHubs].length % sizeof(NodeId) != 0) {
-    return Status::Corruption("partition hub section misaligned");
-  }
-  p.hubs.resize(table[kHubs].length / sizeof(NodeId));
-  if (!p.hubs.empty()) {
-    std::memcpy(p.hubs.data(), base + table[kHubs].offset,
-                table[kHubs].length);
+  EN_RETURN_IF_ERROR(file.CopySection(kHome, &p.home));
+  EN_RETURN_IF_ERROR(file.CopySection(kHubs, &p.hubs));
+  if (p.hubs.size() != std::min<uint64_t>(hub_count, expected_nodes)) {
+    return Status::Corruption("partition hub list disagrees with hub count");
   }
 
   // The same validation a fresh build guarantees by construction.

@@ -86,8 +86,10 @@ Result<graph::DiGraph> BuildShardGraph(const graph::DiGraph& g,
 /// Sidecar path convention: "<graph_path>.pidx".
 std::string PartitionPathFor(const std::string& graph_path);
 
-/// Persists the partition as a checksummed PIDX sidecar (atomic
-/// temp+rename, FNV-1a per section) keyed by (graph checksum, shard
+/// Persists the partition as a PIDX sidecar in the sectioned container
+/// of util/sectioned_file.h (atomic temp+rename, FNV-1a per section):
+/// header words graph checksum | node count | shard count | hub count
+/// << 32, sections home map and hub ids. Keyed by (graph checksum, shard
 /// count, hub count) — a shard-count change misses the key and triggers
 /// a recompute instead of invalidating the (much more expensive) .widx
 /// warm-index sidecar next to it.

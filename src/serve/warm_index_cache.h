@@ -13,13 +13,11 @@
 // and rewrites. Structural damage (truncation, checksum mismatch, version
 // skew) also degrades to a rebuild, never a crash.
 //
-// File layout ("WIDX", little-endian, 64-byte-aligned sections, same
-// conventions as the ENG2 graph snapshot in graph/io.h):
-//   header (64 B): magic "WIDX" | u32 version | u64 graph_checksum |
-//                  u64 config_hash | u64 num_nodes | u32 section_count |
-//                  padding
-//   section table: entries { u32 id | u32 reserved | u64 offset |
-//                  u64 length | u64 fnv1a_checksum }
+// File layout: "WIDX" in the sectioned container of
+// util/sectioned_file.h (64-byte header, 32-byte section entries,
+// 64-byte-aligned sections, per-section FNV-1a, temp file + rename on
+// write — the ENG2 graph snapshot's container too):
+//   header words:  graph_checksum | config_hash | num_nodes
 //   sections:      scalars | mutual_degree | wcc_label | wcc_sizes |
 //                  scc_label | scc_sizes | pagerank | rank_order |
 //                  rank_of | fingerprint_error | hub_out_offsets |
@@ -118,9 +116,9 @@ struct WarmIndexSectionInfo {
   uint64_t bytes = 0;
 };
 
-/// Reads just the header and section table of an existing sidecar and
-/// returns its per-section sizes in file order (the `elitenet_cli warmup`
-/// report). Validates structure but not the key — an inventory of a stale
+/// Returns the per-section sizes of an existing sidecar in file order
+/// (the `elitenet_cli warmup` report). Checks the container frame,
+/// section checksums included, but not the key — an inventory of a stale
 /// sidecar is still an inventory.
 Result<std::vector<WarmIndexSectionInfo>> DescribeWarmIndexes(
     const std::string& path);

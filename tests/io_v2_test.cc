@@ -16,9 +16,9 @@
 #include <gtest/gtest.h>
 
 #include "core/dataset.h"
-#include "eng2_bytes.h"
 #include "gen/generators.h"
 #include "graph/builder.h"
+#include "sectioned_bytes.h"
 #include "util/rng.h"
 
 namespace elitenet {
@@ -178,7 +178,7 @@ TEST(SnapshotV2Test, Eng1FileIsCorruptionNotCrash) {
   // magic cleanly.
   for (const char* name : {"v2_eng1.eng", "v2_eng1.eng2"}) {
     const std::string path = TempPath(name);
-    eng2_bytes::WriteFileBytes(path, bytes);
+    sectioned_bytes::WriteFileBytes(path, bytes);
     EXPECT_EQ(MapBinary(path).status().code(), StatusCode::kCorruption);
     EXPECT_EQ(core::LoadAnyGraph(path).status().code(),
               StatusCode::kCorruption)
@@ -191,7 +191,7 @@ TEST(SnapshotV2Test, EdgeCountWhoseByteLengthWrapsIsCorruption) {
   // sections would match the "expected" lengths. Offsets run 0 -> m, the
   // checksums are valid, and the whole file is 320 bytes — the counts
   // alone must sink it.
-  using namespace eng2_bytes;
+  using namespace sectioned_bytes;
   const uint64_t m = uint64_t{1} << 62;
   std::string bytes(320, '\0');
   std::memcpy(bytes.data(), "ENG2", 4);
@@ -199,9 +199,9 @@ TEST(SnapshotV2Test, EdgeCountWhoseByteLengthWrapsIsCorruption) {
   Put<uint64_t>(&bytes, kNumNodesAt, 1);
   Put<uint64_t>(&bytes, kNumEdgesAt, m);
   Put<uint32_t>(&bytes, kSectionCountAt, 4);
-  const uint64_t offsets[kNumSections] = {192, 256, 256, 320};
-  const uint64_t lengths[kNumSections] = {16, 0, 16, 0};
-  for (uint32_t i = 0; i < kNumSections; ++i) {
+  const uint64_t offsets[kEng2Sections] = {192, 256, 256, 320};
+  const uint64_t lengths[kEng2Sections] = {16, 0, 16, 0};
+  for (uint32_t i = 0; i < kEng2Sections; ++i) {
     Put<uint32_t>(&bytes, EntryAt(i), i);
     Put(&bytes, OffsetAt(i), offsets[i]);
     Put(&bytes, LengthAt(i), lengths[i]);
@@ -210,7 +210,7 @@ TEST(SnapshotV2Test, EdgeCountWhoseByteLengthWrapsIsCorruption) {
     Put<uint64_t>(&bytes, at, 0);
     Put<uint64_t>(&bytes, at + 8, m);
   }
-  Reseal(&bytes);
+  ResealEng2(&bytes);
   const std::string path = TempPath("v2_wrapped_edges.eng2");
   WriteFileBytes(path, bytes);
   const auto mapped = MapBinary(path);
@@ -218,6 +218,37 @@ TEST(SnapshotV2Test, EdgeCountWhoseByteLengthWrapsIsCorruption) {
       << (mapped.ok() ? "mapped with num_edges " +
                             std::to_string(mapped->num_edges())
                       : mapped.status().ToString());
+}
+
+TEST(SnapshotV2Test, OverwritingTheMappedSnapshotKeepsTheGraph) {
+  // Writing a graph back to the file it is mapped from, through both
+  // writers (the streamed one at a budget that forces spills): each must
+  // succeed without disturbing the mapping it reads from, and the file
+  // must map back to the same graph. A writer that truncated the mapped
+  // file in place would fault (SIGBUS) on the next read of the mapping.
+  util::Rng rng(7);
+  auto built = gen::ErdosRenyi(3000, 60000, &rng);
+  ASSERT_TRUE(built.ok());
+  const std::string path = TempPath("v2_overwrite_mapped.eng2");
+  ASSERT_TRUE(SaveBinaryV2(*built, path).ok());
+  for (const bool streamed : {false, true}) {
+    auto mapped = MapBinary(path);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    if (streamed) {
+      StreamWriteOptions opts;
+      opts.sort_budget_bytes = 64 << 10;
+      auto stats = SaveStreamedV2(*mapped, path, opts);
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      EXPECT_GT(stats->forward_spill_runs + stats->reverse_spill_runs, 0u);
+    } else {
+      const Status s = SaveBinaryV2(*mapped, path);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+    }
+    EXPECT_EQ(*mapped, *built) << "streamed " << streamed;
+    auto remapped = MapBinary(path);
+    ASSERT_TRUE(remapped.ok()) << remapped.status().ToString();
+    EXPECT_EQ(*remapped, *built) << "streamed " << streamed;
+  }
 }
 
 TEST(SnapshotV2Test, TruncationAnywhereIsCorruption) {

@@ -1,0 +1,238 @@
+// Sectioned-file container tests: the writer's layout and temp-file +
+// rename behaviour, the decoder's frame checks and their status classes,
+// and golden digests pinning the exact bytes ENG2, WIDX and PIDX files
+// are written with.
+
+#include "util/sectioned_file.h"
+
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "gen/verified_network.h"
+#include "graph/io.h"
+#include "sectioned_bytes.h"
+#include "serve/engine.h"
+#include "serve/partition.h"
+#include "serve/warm_index_cache.h"
+
+namespace elitenet {
+namespace util {
+namespace {
+
+using namespace sectioned_bytes;
+
+constexpr SectionedFormat kTest = {{'T', 'E', 'S', 'T'}, 7, 3};
+
+std::string TempPath(const std::string& name) {
+  return testing::TempDir() + "/" + name;
+}
+
+bool Exists(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f != nullptr) std::fclose(f);
+  return f != nullptr;
+}
+
+// Sections of 5 bytes (AddSection), 0 bytes (a bare EndSection) and 70
+// bytes (two Appends), words {1, 2, 3}.
+Status WriteSample(const std::string& path, char fill) {
+  EN_ASSIGN_OR_RETURN(SectionedWriter out,
+                      SectionedWriter::Create(path, kTest));
+  const std::string first(5, fill);
+  const std::string third(70, static_cast<char>(fill + 1));
+  EN_RETURN_IF_ERROR(out.AddSection(first.data(), first.size()));
+  EN_RETURN_IF_ERROR(out.EndSection());
+  EN_RETURN_IF_ERROR(out.Append(third.data(), 30));
+  EN_RETURN_IF_ERROR(out.Append(third.data() + 30, 40));
+  EN_RETURN_IF_ERROR(out.EndSection());
+  return out.Commit({1, 2, 3});
+}
+
+TEST(SectionedFileTest, WriterLayoutAndRoundTrip) {
+  const std::string path = TempPath("layout.sec");
+  ASSERT_TRUE(WriteSample(path, 'a').ok());
+  EXPECT_FALSE(Exists(path + ".tmp"));
+
+  const std::string bytes = ReadFileBytes(path);
+  // Header + 3 entries = 160 -> first section at 192; the empty one at
+  // 256 (aligned past 197); the last at 256 too, ending the file.
+  ASSERT_EQ(bytes.size(), 256u + 70u);
+  EXPECT_EQ(bytes.substr(0, 4), "TEST");
+  EXPECT_EQ(Get<uint32_t>(bytes, kVersionAt), 7u);
+  EXPECT_EQ(Get<uint32_t>(bytes, kSectionCountAt), 3u);
+  const uint64_t offsets[] = {192, 256, 256};
+  const uint64_t lengths[] = {5, 0, 70};
+  for (uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(Get<uint32_t>(bytes, EntryAt(i)), i);
+    EXPECT_EQ(Get<uint32_t>(bytes, EntryAt(i) + 4), 0u);
+    EXPECT_EQ(Get<uint64_t>(bytes, OffsetAt(i)), offsets[i]);
+    EXPECT_EQ(Get<uint64_t>(bytes, LengthAt(i)), lengths[i]);
+    EXPECT_EQ(Get<uint64_t>(bytes, ChecksumAt(i)),
+              sectioned_bytes::Fnv1a(bytes, offsets[i], lengths[i]));
+  }
+  // Header padding and alignment padding are zero.
+  EXPECT_EQ(bytes.substr(36, 28), std::string(28, '\0'));
+  EXPECT_EQ(bytes.substr(197, 59), std::string(59, '\0'));
+
+  auto file = SectionedFile::Open(path, kTest);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  EXPECT_EQ(file->words(), (HeaderWords{1, 2, 3}));
+  EXPECT_EQ(file->file_size(), bytes.size());
+  ASSERT_EQ(file->section(0).size(), 5u);
+  EXPECT_EQ(file->section(0)[0], 'a');
+  EXPECT_EQ(file->section(1).size(), 0u);
+  std::vector<uint16_t> third;
+  ASSERT_TRUE(file->CopySection(2, &third).ok());
+  EXPECT_EQ(third.size(), 35u);
+  std::vector<uint32_t> odd;
+  EXPECT_EQ(file->CopySection(0, &odd).code(), StatusCode::kCorruption);
+}
+
+TEST(SectionedFileTest, AbandonedWriterLeavesNothingBehind) {
+  const std::string path = TempPath("abandoned.sec");
+  std::remove(path.c_str());
+  {
+    auto out = SectionedWriter::Create(path, kTest);
+    ASSERT_TRUE(out.ok());
+    ASSERT_TRUE(out->AddSection("xyz", 3).ok());
+    EXPECT_TRUE(Exists(path + ".tmp"));
+  }
+  EXPECT_FALSE(Exists(path + ".tmp"));
+  EXPECT_FALSE(Exists(path));
+}
+
+TEST(SectionedFileTest, CommitReplacesAMappedFileWithoutDisturbingIt) {
+  const std::string path = TempPath("replaced.sec");
+  ASSERT_TRUE(WriteSample(path, 'a').ok());
+  auto old_file = SectionedFile::Open(path, kTest);
+  ASSERT_TRUE(old_file.ok());
+  ASSERT_TRUE(WriteSample(path, 'q').ok());
+  // The old mapping still reads the old bytes; the path has the new ones.
+  EXPECT_EQ(old_file->section(0)[4], 'a');
+  auto new_file = SectionedFile::Open(path, kTest);
+  ASSERT_TRUE(new_file.ok());
+  EXPECT_EQ(new_file->section(0)[4], 'q');
+}
+
+TEST(SectionedFileTest, UnwritableTargetIsIoError) {
+  EXPECT_EQ(SectionedWriter::Create("/no/such/dir/x.sec", kTest)
+                .status()
+                .code(),
+            StatusCode::kIoError);
+}
+
+TEST(SectionedFileTest, FrameDamageHasItsStatusClass) {
+  const std::string path = TempPath("frame.sec");
+  ASSERT_TRUE(WriteSample(path, 'a').ok());
+  const std::string good = ReadFileBytes(path);
+  const auto open_code = [&path](const std::string& bytes) {
+    WriteFileBytes(path, bytes);
+    return SectionedFile::Open(path, kTest).status().code();
+  };
+  EXPECT_EQ(SectionedFile::Open(TempPath("missing.sec"), kTest)
+                .status()
+                .code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(open_code(""), StatusCode::kCorruption);
+  EXPECT_EQ(open_code(good.substr(0, 100)), StatusCode::kCorruption);
+
+  std::string bad = good;
+  bad[0] = 'X';
+  EXPECT_EQ(open_code(bad), StatusCode::kCorruption) << "magic";
+  bad = good;
+  Put<uint32_t>(&bad, kVersionAt, 8);
+  EXPECT_EQ(open_code(bad), StatusCode::kNotSupported) << "version";
+  bad = good;
+  Put<uint32_t>(&bad, kSectionCountAt, 2);
+  EXPECT_EQ(open_code(bad), StatusCode::kCorruption) << "section count";
+  bad = good;
+  Put<uint32_t>(&bad, EntryAt(1), 2);
+  EXPECT_EQ(open_code(bad), StatusCode::kCorruption) << "table order";
+  bad = good;
+  Put<uint64_t>(&bad, OffsetAt(0), 200);
+  ResealSections(&bad, 3);
+  EXPECT_EQ(open_code(bad), StatusCode::kCorruption) << "alignment";
+  bad = good;
+  Put<uint64_t>(&bad, LengthAt(2), 71);
+  ResealSections(&bad, 3);
+  EXPECT_EQ(open_code(bad), StatusCode::kCorruption) << "bounds";
+  bad = good;
+  bad[192] ^= 1;
+  EXPECT_EQ(open_code(bad), StatusCode::kCorruption) << "checksum";
+  EXPECT_EQ(open_code(good), StatusCode::kOk);
+}
+
+// Sections must lie after the table, in id order, without overlap: a
+// resealed entry that points back into the header or table, or into an
+// earlier section, would otherwise hand the format bytes that belong to
+// something else. (Found by the WIDX fuzz in io_robustness_test: a
+// mutual-degree section moved to offset 0 decoded the header as degrees.)
+TEST(SectionedFileTest, SectionsOverlappingTheTableOrEachOtherAreCorruption) {
+  const std::string path = TempPath("overlap.sec");
+  ASSERT_TRUE(WriteSample(path, 'a').ok());
+  const std::string good = ReadFileBytes(path);
+  for (const auto& [section, offset] :
+       {std::pair<size_t, uint64_t>{0, 0}, {0, 128}, {2, 192}, {1, 192}}) {
+    std::string bad = good;
+    Put<uint64_t>(&bad, OffsetAt(section), offset);
+    ResealSections(&bad, 3);
+    WriteFileBytes(path, bad);
+    EXPECT_EQ(SectionedFile::Open(path, kTest).status().code(),
+              StatusCode::kCorruption)
+        << "section " << section << " at " << offset;
+  }
+}
+
+// The bytes every format writes, pinned by FNV-1a digests recorded from
+// the writers that preceded the shared container: the 4,000-user
+// generator graph (seed 2018) as ENG2 from the in-memory and the streamed
+// writer, its warm indexes (oracle on) as WIDX, and its 2-shard partition
+// as PIDX. A change to any writer or to the container must keep them.
+TEST(SectionedFileTest, FormatsMatchGoldenDigests) {
+  gen::VerifiedNetworkConfig cfg;
+  cfg.num_users = 4000;
+  auto net = gen::GenerateVerifiedNetwork(cfg);
+  ASSERT_TRUE(net.ok()) << net.status().ToString();
+  const graph::DiGraph& g = net->graph;
+  const auto digest = [](const std::string& path) {
+    const std::string bytes = ReadFileBytes(path);
+    return sectioned_bytes::Fnv1a(bytes, 0, bytes.size());
+  };
+
+  const std::string eng2 = TempPath("golden.eng2");
+  ASSERT_TRUE(graph::SaveBinaryV2(g, eng2).ok());
+  EXPECT_EQ(digest(eng2), 0xce3f1dca56533dc6ULL);
+  const std::string streamed = TempPath("golden_streamed.eng2");
+  graph::StreamWriteOptions stream_opts;
+  stream_opts.sort_budget_bytes = 1 << 20;
+  ASSERT_TRUE(graph::SaveStreamedV2(g, streamed, stream_opts).ok());
+  EXPECT_EQ(digest(streamed), 0xce3f1dca56533dc6ULL);
+
+  const serve::EngineOptions opts;
+  serve::WarmIndexes warm;
+  ASSERT_TRUE(serve::ComputeWarmIndexes(g, opts, &warm).ok());
+  ASSERT_FALSE(warm.hub_labels.empty());
+  const serve::WarmIndexKey key = {
+      graph::GraphChecksum(g),
+      serve::WarmConfigHash(opts.pagerank, opts.fingerprint,
+                            opts.distance_oracle)};
+  const std::string widx = TempPath("golden.widx");
+  ASSERT_TRUE(serve::SaveWarmIndexes(widx, key, warm).ok());
+  EXPECT_EQ(digest(widx), 0xe617713ddb6bca83ULL);
+
+  serve::PartitionOptions part_opts;
+  part_opts.num_shards = 2;
+  auto partition = serve::BuildPartition(g, part_opts);
+  ASSERT_TRUE(partition.ok());
+  const std::string pidx = TempPath("golden.pidx");
+  ASSERT_TRUE(
+      serve::SavePartition(pidx, *partition, part_opts.hub_count).ok());
+  EXPECT_EQ(digest(pidx), 0xf14179aea2d725bcULL);
+}
+
+}  // namespace
+}  // namespace util
+}  // namespace elitenet

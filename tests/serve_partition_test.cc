@@ -17,6 +17,7 @@
 #include "graph/builder.h"
 #include "graph/digraph.h"
 #include "graph/io.h"
+#include "sectioned_bytes.h"
 #include "serve/partition.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -287,6 +288,33 @@ TEST(PartitionTest, SidecarRejectsCorruption) {
   }
   EXPECT_FALSE(
       LoadPartition(path, p->graph_checksum, 2, 4, g.num_nodes()).ok());
+}
+
+// A sidecar keyed for K hubs must carry min(K, n) of them. Found by the
+// PIDX fuzz (io_robustness_test): an empty hub section behind a valid
+// checksum loaded as a partition with no hubs under a key that says 4.
+TEST(PartitionTest, SidecarHubListOfTheWrongSizeIsCorruption) {
+  using namespace sectioned_bytes;
+  const DiGraph g = TestGraph(64);
+  PartitionOptions opts;
+  opts.num_shards = 2;
+  opts.hub_count = 4;
+  auto p = BuildPartition(g, opts);
+  ASSERT_TRUE(p.ok());
+  const std::string path = TempPath("short_hubs.pidx");
+  ASSERT_TRUE(SavePartition(path, *p, opts.hub_count).ok());
+  const std::string good = ReadFileBytes(path);
+  for (const uint64_t hub_bytes : {0, 4, 12}) {
+    std::string bad = good;
+    Put<uint64_t>(&bad, LengthAt(1), hub_bytes);
+    ResealSections(&bad, 2);
+    WriteFileBytes(path, bad);
+    EXPECT_EQ(LoadPartition(path, p->graph_checksum, 2, 4, g.num_nodes())
+                  .status()
+                  .code(),
+              StatusCode::kCorruption)
+        << hub_bytes << " bytes of hubs";
+  }
 }
 
 TEST(PartitionTest, LoadOrBuildReportsCacheState) {
