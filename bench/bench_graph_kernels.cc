@@ -6,7 +6,12 @@
 // Also times the rewired WCC, k-core and clustering kernels against
 // bench-local copies of their pre-kernel implementations (union-find,
 // per-node heap vectors, per-node sorted-row intersection) with full output
-// equality checks. Emits BENCH_graph_kernels.json.
+// equality checks. The serving traversals are timed the same way: the ego
+// walk's reach_2hop over every node and the bounded bidirectional search
+// over the zipf 0.6 mix's dist pairs, each against a bench-local copy of
+// its branchy pre-Mark kernel, with a warm-up pass, alternating repeats
+// (median/min/max) and an output-equality exit. Emits
+// BENCH_graph_kernels.json.
 //
 // MTEPS follows the GAP convention: sources * m / seconds / 1e6 regardless
 // of edges actually probed, so the direction-optimizing kernel's
@@ -21,6 +26,8 @@
 #include <numeric>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "analysis/clustering.h"
@@ -30,6 +37,9 @@
 #include "gen/verified_network.h"
 #include "graph/frontier.h"
 #include "graph/traversal.h"
+#include "serve/bounded_distance.h"
+#include "serve/compute.h"
+#include "util/deadline.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "util/trace.h"
@@ -318,6 +328,211 @@ bool SameClustering(const analysis::ClusteringStats& a,
          a.nodes_evaluated == b.nodes_evaluated;
 }
 
+// The serving traversals before the branch-free mark: a per-edge
+// `if (!Visited(v))` branch, distance and parent writes on every new
+// node, and push_back appends.
+uint64_t BranchyTwoHopReach(const graph::DiGraph& g, graph::NodeId u,
+                            graph::ScratchArena* a) {
+  a->BeginEpoch();
+  a->Visit(u, 0, graph::kNoParent);
+  uint64_t reach = 0;
+  for (graph::NodeId v : g.OutNeighbors(u)) {
+    if (!a->Visited(v)) {
+      a->Visit(v, 1, u);
+      ++reach;
+    }
+  }
+  for (graph::NodeId v : g.OutNeighbors(u)) {
+    for (graph::NodeId w : g.OutNeighbors(v)) {
+      if (!a->Visited(w)) {
+        a->Visit(w, 2, v);
+        ++reach;
+      }
+    }
+  }
+  return reach;
+}
+
+serve::BoundedDistanceResult BranchyBoundedDistance(
+    const graph::DiGraph& g, graph::NodeId source, graph::NodeId target,
+    const util::Deadline& deadline, graph::ScratchArena* fwd,
+    graph::ScratchArena* bwd) {
+  using graph::NodeId;
+  serve::BoundedDistanceResult out;
+  if (source == target) {
+    out.distance = 0;
+    return out;
+  }
+  out.lower_bound = 1;
+  constexpr uint32_t kUnset = UINT32_MAX;
+  fwd->BeginEpoch();
+  bwd->BeginEpoch();
+  std::vector<NodeId>& fwd_frontier = fwd->frontier();
+  std::vector<NodeId>& bwd_frontier = bwd->frontier();
+  fwd_frontier.assign(1, source);
+  bwd_frontier.assign(1, target);
+  fwd->Visit(source, 0, graph::kNoParent);
+  bwd->Visit(target, 0, graph::kNoParent);
+  uint32_t fwd_depth = 0, bwd_depth = 0;
+  while (!fwd_frontier.empty() && !bwd_frontier.empty()) {
+    if (deadline.Expired()) {
+      out.completed = false;
+      return out;
+    }
+    const bool advance_forward = fwd_frontier.size() <= bwd_frontier.size();
+    uint32_t best = kUnset;
+    if (advance_forward) {
+      std::vector<NodeId>& next = fwd->next();
+      next.clear();
+      ++fwd_depth;
+      for (NodeId u : fwd_frontier) {
+        ++out.expanded;
+        for (NodeId v : g.OutNeighbors(u)) {
+          if (fwd->Visited(v)) continue;
+          fwd->Visit(v, fwd_depth, u);
+          if (bwd->Visited(v)) {
+            best = std::min(best, fwd_depth + bwd->Distance(v));
+          }
+          next.push_back(v);
+        }
+      }
+      fwd_frontier.swap(next);
+    } else {
+      std::vector<NodeId>& next = bwd->next();
+      next.clear();
+      ++bwd_depth;
+      for (NodeId u : bwd_frontier) {
+        ++out.expanded;
+        for (NodeId v : g.InNeighbors(u)) {
+          if (bwd->Visited(v)) continue;
+          bwd->Visit(v, bwd_depth, u);
+          if (fwd->Visited(v)) {
+            best = std::min(best, bwd_depth + fwd->Distance(v));
+          }
+          next.push_back(v);
+        }
+      }
+      bwd_frontier.swap(next);
+    }
+    if (best != kUnset) {
+      out.distance = best;
+      out.lower_bound = best;
+      return out;
+    }
+    out.lower_bound = fwd_depth + bwd_depth + 1;
+  }
+  out.lower_bound = kUnset;
+  return out;
+}
+
+// Median, min and max seconds of `repeats` timed passes of the old and
+// the new kernel, alternated after one untimed warm-up pass of each so
+// host drift lands on both alike.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+Spread Summarize(std::vector<double> seconds) {
+  std::sort(seconds.begin(), seconds.end());
+  const size_t n = seconds.size();
+  const double median = n % 2 == 1 ? seconds[n / 2]
+                                   : (seconds[n / 2 - 1] + seconds[n / 2]) / 2;
+  return {median, seconds.front(), seconds.back()};
+}
+
+template <typename OldFn, typename NewFn>
+std::pair<Spread, Spread> TimeOldVsNew(int repeats, OldFn&& old_pass,
+                                       NewFn&& new_pass) {
+  old_pass();
+  new_pass();
+  std::vector<double> old_s, new_s;
+  for (int i = 0; i < repeats; ++i) {
+    util::SpanTimer sw;
+    old_pass();
+    old_s.push_back(sw.Seconds());
+    sw.Reset();
+    new_pass();
+    new_s.push_back(sw.Seconds());
+  }
+  return {Summarize(old_s), Summarize(new_s)};
+}
+
+struct ServingRow {
+  const char* name = "";
+  size_t items = 0;
+  Spread classic, optimized;
+  bool outputs_equal = false;
+};
+
+bool SameDistance(const serve::BoundedDistanceResult& a,
+                  const serve::BoundedDistanceResult& b) {
+  return a.distance == b.distance && a.lower_bound == b.lower_bound &&
+         a.expanded == b.expanded && a.completed == b.completed;
+}
+
+// reach_2hop for every node, and the bounded search over every dist
+// pair of a 65,536-request zipf 0.6 mix (the cold_router skew), on one
+// thread with one pair of arenas, as a serving worker runs them.
+std::vector<ServingRow> RunServingRows(const graph::DiGraph& g,
+                                       uint64_t seed, int repeats) {
+  constexpr size_t kMixSize = 65536;
+  constexpr double kZipf = 0.6;
+  const graph::NodeId n = g.num_nodes();
+  graph::ScratchArena fwd(n), bwd(n);
+  const serve::GraphAdj adj{&g};
+  const util::Deadline never = util::Deadline::Infinite();
+
+  ServingRow ego;
+  ego.name = "ego_reach";
+  ego.items = n;
+  std::vector<uint64_t> old_reach(n), new_reach(n);
+  const auto ego_old = [&] {
+    for (graph::NodeId u = 0; u < n; ++u) {
+      old_reach[u] = BranchyTwoHopReach(g, u, &fwd);
+    }
+  };
+  const auto ego_new = [&] {
+    for (graph::NodeId u = 0; u < n; ++u) {
+      new_reach[u] = serve::TwoHopReach(adj, u, &fwd);
+    }
+  };
+  std::tie(ego.classic, ego.optimized) =
+      TimeOldVsNew(repeats, ego_old, ego_new);
+  ego.outputs_equal = old_reach == new_reach;
+
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs;
+  for (const serve::Request& r :
+       MakeServeRequestMix(g, kMixSize, kZipf, seed)) {
+    if (r.type == serve::RequestType::kDistance) {
+      pairs.emplace_back(r.node, r.target);
+    }
+  }
+  ServingRow dist;
+  dist.name = "bounded_distance";
+  dist.items = pairs.size();
+  std::vector<serve::BoundedDistanceResult> old_d(pairs.size()),
+      new_d(pairs.size());
+  const auto dist_old = [&] {
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      old_d[i] = BranchyBoundedDistance(g, pairs[i].first, pairs[i].second,
+                                        never, &fwd, &bwd);
+    }
+  };
+  const auto dist_new = [&] {
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      new_d[i] = serve::BoundedBidirectionalDistance(
+          adj, pairs[i].first, pairs[i].second, never, &fwd, &bwd);
+    }
+  };
+  std::tie(dist.classic, dist.optimized) =
+      TimeOldVsNew(repeats, dist_old, dist_new);
+  dist.outputs_equal = std::equal(old_d.begin(), old_d.end(), new_d.begin(),
+                                  new_d.end(), SameDistance);
+  return {ego, dist};
+}
+
 }  // namespace
 }  // namespace bench
 }  // namespace elitenet
@@ -478,6 +693,13 @@ int main(int argc, char** argv) {
   const bool clust_equal = bench::SameClustering(clust_classic, clust_opt) &&
                            bench::SameClustering(sampled_classic, sampled_opt);
   util::SetThreadCount(0);
+  constexpr int kServingRepeats = 5;
+  const std::vector<bench::ServingRow> serving =
+      bench::RunServingRows(g, args.seed, kServingRepeats);
+  bool serving_equal = true;
+  for (const bench::ServingRow& row : serving) {
+    serving_equal = serving_equal && row.outputs_equal;
+  }
 
   std::printf("bfs: diropt %.2fx classic (1 thread, original layout); "
               "edges scanned %llu -> %llu; bottom-up levels %llu\n",
@@ -501,6 +723,18 @@ int main(int argc, char** argv) {
               sampled_opt_sec > 0.0 ? sampled_classic_sec / sampled_opt_sec
                                     : 0.0,
               clust_equal ? "equal" : "DIFFER");
+  for (const bench::ServingRow& row : serving) {
+    std::printf("%s: branchy %.4fs [%.4f, %.4f] -> mark %.4fs [%.4f, %.4f] "
+                "(%.2fx, median of %d over %zu items), outputs %s\n",
+                row.name, row.classic.median, row.classic.min,
+                row.classic.max, row.optimized.median, row.optimized.min,
+                row.optimized.max,
+                row.optimized.median > 0.0
+                    ? row.classic.median / row.optimized.median
+                    : 0.0,
+                kServingRepeats, row.items,
+                row.outputs_equal ? "equal" : "DIFFER");
+  }
   std::printf("relabel: %.4fs; checksums identical across grid: %s\n",
               relabel_seconds, checksums_identical ? "yes" : "NO");
 
@@ -557,6 +791,21 @@ int main(int argc, char** argv) {
                sampled_opt_sec > 0.0 ? sampled_classic_sec / sampled_opt_sec
                                      : 0.0,
                clust_equal ? "true" : "false");
+  for (const bench::ServingRow& row : serving) {
+    std::fprintf(
+        f,
+        "  \"%s\": {\"items\": %zu, \"repeats\": %d, "
+        "\"classic_seconds\": %.5f, \"classic_min\": %.5f, "
+        "\"classic_max\": %.5f, \"optimized_seconds\": %.5f, "
+        "\"optimized_min\": %.5f, \"optimized_max\": %.5f, "
+        "\"speedup\": %.3f, \"outputs_equal\": %s},\n",
+        row.name, row.items, kServingRepeats, row.classic.median,
+        row.classic.min, row.classic.max, row.optimized.median,
+        row.optimized.min, row.optimized.max,
+        row.optimized.median > 0.0 ? row.classic.median / row.optimized.median
+                                   : 0.0,
+        row.outputs_equal ? "true" : "false");
+  }
   std::fprintf(f, "  \"relabel_seconds\": %.5f,\n", relabel_seconds);
   std::fprintf(f, "  \"checksums_identical\": %s\n",
                checksums_identical ? "true" : "false");
@@ -564,7 +813,7 @@ int main(int argc, char** argv) {
   std::fclose(f);
   std::printf("wrote %s\n", json_path.c_str());
 
-  const bool ok =
-      checksums_identical && wcc_equal && kcore_equal && clust_equal;
+  const bool ok = checksums_identical && wcc_equal && kcore_equal &&
+                  clust_equal && serving_equal;
   return ok ? 0 : 2;
 }

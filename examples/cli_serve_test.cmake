@@ -4,7 +4,7 @@
 # the edge list to ENG2 in memory and through the streamed writer
 # (byte-identical files), converts a snapshot onto itself, serves the
 # snapshots with identical output, and checks that bad serve and convert
-# flags exit 2 before any graph loads.
+# flags and bad rank counts exit 2 before any graph loads.
 #
 #   cmake -DCLI=<path to elitenet_cli> -DWORK=<scratch dir> -P cli_serve_test.cmake
 
@@ -115,4 +115,19 @@ foreach(bad "--budget-mb=abc" "--budget-mb=-3" "--budget-mb="
 endforeach()
 if(EXISTS "${WORK}/bad.eng2")
   message(FATAL_ERROR "a rejected convert wrote its output")
+endif()
+# rank's k is a count that fits in 32 bits; a good one prints the table.
+foreach(bad "abc" "-5" "" "4294967296" "99999999999999999999")
+  foreach(graph "${WORK}/edges.txt" "${WORK}/missing.txt")
+    execute_process(COMMAND "${CLI}" rank "${graph}" "${bad}"
+      OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 2)
+      message(FATAL_ERROR "rank ${graph} '${bad}' exited ${rc}, want 2")
+    endif()
+  endforeach()
+endforeach()
+execute_process(COMMAND "${CLI}" rank "${WORK}/edges.txt" 4294967295
+  OUTPUT_VARIABLE table ERROR_QUIET RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0 OR NOT table MATCHES "pagerank")
+  message(FATAL_ERROR "rank edges.txt 4294967295 exited ${rc}:\n${table}")
 endif()

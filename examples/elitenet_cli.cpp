@@ -47,7 +47,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -461,6 +460,16 @@ int main(int argc, char** argv) {
       budget_mb = static_cast<int64_t>(mb);
     }
   }
+  // So is rank's k: a count that fits in 32 bits.
+  uint32_t rank_k = 10;
+  if (command == "rank" && argc > 3) {
+    uint64_t k = 0;
+    if (!util::ParseUint64(argv[3], &k) || k > UINT32_MAX) {
+      std::fprintf(stderr, "bad rank k: %s\n", argv[3]);
+      return 2;
+    }
+    rank_k = static_cast<uint32_t>(k);
+  }
   core::GraphLoadInfo load_info;
   auto g = core::LoadAnyGraph(argv[2], &load_info);
   if (!g.ok()) {
@@ -477,11 +486,7 @@ int main(int argc, char** argv) {
   if (command == "powerlaw") return CmdPowerLaw(*g);
   if (command == "distance") return CmdDistance(*g);
   if (command == "fingerprint") return CmdFingerprint(*g);
-  if (command == "rank") {
-    const uint32_t k =
-        argc > 3 ? static_cast<uint32_t>(std::atoi(argv[3])) : 10;
-    return CmdRank(*g, k);
-  }
+  if (command == "rank") return CmdRank(*g, rank_k);
   if (command == "serve") return CmdServe(std::move(*g), serve_opts);
   if (command == "convert") {
     if (argc < 4) {

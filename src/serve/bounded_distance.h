@@ -8,8 +8,8 @@
 // exactly the bytes the analysis kernel would. The adjacency is a
 // template parameter so one definition serves three backings:
 //
-//   * a static DiGraph (engine.cc GraphAdj),
-//   * a live MVCC snapshot (engine.cc SnapAdj),
+//   * a static DiGraph (GraphAdj below),
+//   * a live MVCC snapshot (compute.cc SnapAdj),
 //   * the router's per-level batched gather (router.cc), which fetches
 //     the frontier's rows from each node's home shard in PrepareLevel and
 //     then replays them in frontier order.
@@ -25,10 +25,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <vector>
+#include <span>
+#include <utility>
 
+#include "graph/digraph.h"
 #include "graph/frontier.h"
-#include "graph/traversal.h"
 #include "util/deadline.h"
 
 namespace elitenet {
@@ -44,10 +45,32 @@ struct BoundedDistanceResult {
   bool completed = true;
 };
 
+/// The in-memory DiGraph backing (the live snapshot's is in compute.cc,
+/// the router's in router.cc).
+struct GraphAdj {
+  const graph::DiGraph* g;
+  void PrepareLevel(std::span<const graph::NodeId>, bool) const {}
+  template <typename Fn>
+  void ForEachOut(graph::NodeId u, Fn&& fn) const {
+    for (graph::NodeId v : g->OutNeighbors(u)) fn(v);
+  }
+  template <typename Fn>
+  void ForEachIn(graph::NodeId u, Fn&& fn) const {
+    for (graph::NodeId v : g->InNeighbors(u)) fn(v);
+  }
+};
+
 /// Adjacency contract: ForEachOut/ForEachIn visit neighbors in ascending
 /// id order; PrepareLevel(frontier, forward) is called once before a
 /// level expands (a no-op for in-memory backings, the batched shard
 /// gather for the router).
+///
+/// The per-edge loop has no branch on whether a head is new: the head is
+/// marked (ScratchArena::Mark), stored at the level queue's end, and the
+/// end advances by the fresh flag. A pass over the new level's fresh
+/// nodes then writes their depth and looks for a meeting, whose branch
+/// is rarely taken: a meeting ends the search after this level. Parents
+/// are not recorded: nothing reads them.
 template <typename Adj>
 BoundedDistanceResult BoundedBidirectionalDistance(
     const Adj& g, graph::NodeId source, graph::NodeId target,
@@ -61,59 +84,61 @@ BoundedDistanceResult BoundedBidirectionalDistance(
   }
   out.lower_bound = 1;
 
-  constexpr uint32_t kUnset = UINT32_MAX;
-  fwd->BeginEpoch();
-  bwd->BeginEpoch();
-  std::vector<NodeId>& fwd_frontier = fwd->frontier();
-  std::vector<NodeId>& bwd_frontier = bwd->frontier();
-  fwd_frontier.assign(1, source);
-  bwd_frontier.assign(1, target);
-  fwd->Visit(source, 0, graph::kNoParent);
-  bwd->Visit(target, 0, graph::kNoParent);
-  uint32_t fwd_depth = 0, bwd_depth = 0;
+  // One side of the search: its arena, its current level (`size` nodes
+  // from `frontier`), the queue the next level fills, and its depth.
+  struct Side {
+    graph::ScratchArena* arena;
+    NodeId* frontier;
+    NodeId* next;
+    size_t size;
+    uint32_t depth;
+  };
+  const auto start = [](graph::ScratchArena* a, NodeId root) {
+    a->BeginEpoch();
+    a->Mark(root);
+    a->SetDistance(root, 0);
+    Side side{a, a->level_queue(0), a->level_queue(1), 1, 0};
+    side.frontier[0] = root;
+    return side;
+  };
+  Side fs = start(fwd, source);
+  Side bs = start(bwd, target);
 
-  while (!fwd_frontier.empty() && !bwd_frontier.empty()) {
+  constexpr uint32_t kUnset = UINT32_MAX;
+  while (fs.size > 0 && bs.size > 0) {
     if (deadline.Expired()) {
       out.completed = false;
       return out;
     }
-    const bool advance_forward = fwd_frontier.size() <= bwd_frontier.size();
-    uint32_t best = kUnset;
-    if (advance_forward) {
-      g.PrepareLevel(fwd_frontier, /*forward=*/true);
-      std::vector<NodeId>& next = fwd->next();
-      next.clear();
-      ++fwd_depth;
-      for (NodeId u : fwd_frontier) {
-        ++out.expanded;
-        g.ForEachOut(u, [&](NodeId v) {
-          if (fwd->Visited(v)) return;
-          fwd->Visit(v, fwd_depth, u);
-          if (bwd->Visited(v)) {
-            best = std::min(best, fwd_depth + bwd->Distance(v));
-          }
-          next.push_back(v);
-        });
-      }
-      fwd_frontier.swap(next);
+    const bool forward = fs.size <= bs.size;
+    Side& side = forward ? fs : bs;
+    const graph::ScratchArena& other = *(forward ? bs : fs).arena;
+    const std::span<const NodeId> level(side.frontier, side.size);
+    g.PrepareLevel(level, forward);
+    graph::ScratchArena& a = *side.arena;
+    const uint32_t depth = ++side.depth;
+    NodeId* next = side.next;
+    size_t k = 0;
+    const auto visit = [&](NodeId v) {
+      next[k] = v;
+      k += a.Mark(v);
+    };
+    out.expanded += level.size();
+    if (forward) {
+      for (NodeId u : level) g.ForEachOut(u, visit);
     } else {
-      g.PrepareLevel(bwd_frontier, /*forward=*/false);
-      std::vector<NodeId>& next = bwd->next();
-      next.clear();
-      ++bwd_depth;
-      for (NodeId u : bwd_frontier) {
-        ++out.expanded;
-        g.ForEachIn(u, [&](NodeId v) {
-          if (bwd->Visited(v)) return;
-          bwd->Visit(v, bwd_depth, u);
-          if (fwd->Visited(v)) {
-            best = std::min(best, bwd_depth + fwd->Distance(v));
-          }
-          next.push_back(v);
-        });
-      }
-      bwd_frontier.swap(next);
+      for (NodeId u : level) g.ForEachIn(u, visit);
     }
+    // The new level holds each fresh node once: stamp its depth and look
+    // for a meeting with the other side.
+    uint32_t best = kUnset;
+    for (size_t i = 0; i < k; ++i) {
+      const NodeId v = next[i];
+      a.SetDistance(v, depth);
+      if (other.Visited(v)) best = std::min(best, depth + other.Distance(v));
+    }
+    std::swap(side.frontier, side.next);
+    side.size = k;
     if (best != kUnset) {
       out.distance = best;
       out.lower_bound = best;
@@ -121,7 +146,7 @@ BoundedDistanceResult BoundedBidirectionalDistance(
     }
     // Both levels complete with no meeting: any s->t path is longer than
     // everything explored from either side.
-    out.lower_bound = fwd_depth + bwd_depth + 1;
+    out.lower_bound = fs.depth + bs.depth + 1;
   }
   out.lower_bound = kUnset;  // exhausted a side: provably unreachable
   return out;

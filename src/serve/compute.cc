@@ -31,28 +31,14 @@ void AppendVersionFields(std::string* j, const LiveSnapshot* snap) {
   AppendU64(j, snap->base_version());
 }
 
-// Adjacency adapters so the shared bounded search
-// (serve/bounded_distance.h) runs over either a static DiGraph or a live
-// MVCC snapshot. Both iterate neighbors in ascending id order, so the
-// expansion order — and therefore the bytes of a completed answer — is
-// identical across the two backings. PrepareLevel is the router's
-// batched-gather hook; in-memory backings need none.
-struct GraphAdj {
-  const DiGraph* g;
-  void PrepareLevel(const std::vector<NodeId>&, bool) const {}
-  template <typename Fn>
-  void ForEachOut(NodeId u, Fn&& fn) const {
-    for (NodeId v : g->OutNeighbors(u)) fn(v);
-  }
-  template <typename Fn>
-  void ForEachIn(NodeId u, Fn&& fn) const {
-    for (NodeId v : g->InNeighbors(u)) fn(v);
-  }
-};
-
+// The live MVCC snapshot backing of the shared traversals
+// (serve/bounded_distance.h, TwoHopReach). It iterates neighbors in
+// ascending id order, like GraphAdj, so the expansion order — and
+// therefore the bytes of a completed answer — is identical across the two
+// backings.
 struct SnapAdj {
   const LiveSnapshot* s;
-  void PrepareLevel(const std::vector<NodeId>&, bool) const {}
+  void PrepareLevel(std::span<const NodeId>, bool) const {}
   template <typename Fn>
   void ForEachOut(NodeId u, Fn&& fn) const {
     s->ForEachOut(u, std::forward<Fn>(fn));
@@ -62,31 +48,6 @@ struct SnapAdj {
     s->ForEachIn(u, std::forward<Fn>(fn));
   }
 };
-
-// Distinct nodes within <= 2 follows of u, excluding u, marked in `a`.
-// Both levels expand in ascending id order over either backing, so the
-// count is identical on a static graph and an untouched snapshot.
-template <typename Adj>
-uint64_t TwoHopReach(const Adj& adj, NodeId u, graph::ScratchArena* a) {
-  a->BeginEpoch();
-  a->Visit(u, 0, graph::kNoParent);
-  uint64_t reach = 0;
-  adj.ForEachOut(u, [&](NodeId v) {
-    if (!a->Visited(v)) {
-      a->Visit(v, 1, u);
-      ++reach;
-    }
-  });
-  adj.ForEachOut(u, [&](NodeId v) {
-    adj.ForEachOut(v, [&](NodeId w) {
-      if (!a->Visited(w)) {
-        a->Visit(w, 2, v);
-        ++reach;
-      }
-    });
-  });
-  return reach;
-}
 
 }  // namespace
 

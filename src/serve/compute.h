@@ -102,6 +102,25 @@ class ComputeUnit {
   ScratchPool scratch_;
 };
 
+/// The ego walk's reach_2hop: distinct nodes within <= 2 follows of u,
+/// excluding u, over any backing of the bounded search's adjacency
+/// contract (GraphAdj over the whole graph or a router shard's, or the
+/// live SnapAdj). Every edge's head is counted by its branch-free Mark
+/// flag, so the count is the number of distinct heads whatever the
+/// order; the arena's distances and parents are left unwritten.
+template <typename Adj>
+uint64_t TwoHopReach(const Adj& adj, graph::NodeId u,
+                     graph::ScratchArena* a) {
+  a->BeginEpoch();
+  a->Mark(u);
+  uint64_t reach = 0;
+  adj.ForEachOut(u, [&](graph::NodeId v) { reach += a->Mark(v); });
+  adj.ForEachOut(u, [&](graph::NodeId v) {
+    adj.ForEachOut(v, [&](graph::NodeId w) { reach += a->Mark(w); });
+  });
+  return reach;
+}
+
 /// Renders the "topk" response. `in_out_degrees[i]` carries
 /// {in_degree, out_degree} of warm.rank_order[i] and must cover at least
 /// min(k, rank_order.size()) rows. The compute unit fills it from its

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <future>
+#include <span>
 #include <utility>
 
 #include "serve/bounded_distance.h"
@@ -56,7 +57,7 @@ class ScatterAdj {
   ScatterAdj(const Shards* shards, const std::vector<uint8_t>* home)
       : shards_(shards), home_(home) {}
 
-  void PrepareLevel(const std::vector<NodeId>& frontier, bool forward) const {
+  void PrepareLevel(std::span<const NodeId> frontier, bool forward) const {
     ELITENET_SPAN("serve.router.gather_level");
     rows_.assign(frontier.size(), {});
     cursor_ = 0;

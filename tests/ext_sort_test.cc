@@ -80,8 +80,12 @@ TEST(ExtSortTest, ByteIdenticalAcrossBudgets) {
       i += chunk;
     }
     ASSERT_TRUE(sorter.Finish().ok());
-    if (budget == 1) EXPECT_GT(sorter.spill_run_count(), 3u);
-    if (budget == 0) EXPECT_EQ(sorter.spill_run_count(), 0u);
+    if (budget == 1) {
+      EXPECT_GT(sorter.spill_run_count(), 3u);
+    }
+    if (budget == 0) {
+      EXPECT_EQ(sorter.spill_run_count(), 0u);
+    }
     auto stream = sorter.Scan();
     ASSERT_TRUE(stream.ok());
     EXPECT_EQ(Drain(&*stream), expected) << "budget=" << budget;

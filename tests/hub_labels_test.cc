@@ -42,7 +42,9 @@ DiGraph RandomDigraph(NodeId n, double p, uint64_t seed) {
   util::Rng rng(seed);
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v = 0; v < n; ++v) {
-      if (u != v && rng.Bernoulli(p)) EXPECT_TRUE(b.AddEdge(u, v).ok());
+      if (u != v && rng.Bernoulli(p)) {
+        EXPECT_TRUE(b.AddEdge(u, v).ok());
+      }
     }
   }
   auto g = b.Build();

@@ -2,6 +2,7 @@
 
 #include <future>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -10,9 +11,13 @@
 #include "analysis/bidirectional.h"
 #include "analysis/centrality.h"
 #include "core/dataset.h"
+#include "gen/churn.h"
+#include "gen/verified_network.h"
 #include "graph/builder.h"
 #include "graph/io.h"
+#include "serve/mutation_log.h"
 #include "serve/request.h"
+#include "serve/router.h"
 #include "serve/warm_index_cache.h"
 
 namespace elitenet {
@@ -370,6 +375,106 @@ TEST(QueryEngineTest, OutOfRangeNodesAreCleanErrors) {
   const QueryResponse bad = engine->ExecuteLine("launch missiles");
   EXPECT_FALSE(bad.ok);
   EXPECT_TRUE(Contains(bad.json, "\"type\":\"error\"")) << bad.json;
+}
+
+// Out-rows as sets, so a churn trace can be mirrored edge by edge.
+using OutRows = std::vector<std::set<graph::NodeId>>;
+
+OutRows RowsOf(const graph::DiGraph& g) {
+  OutRows rows(g.num_nodes());
+  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (graph::NodeId v : g.OutNeighbors(u)) rows[u].insert(v);
+  }
+  return rows;
+}
+
+// Distinct nodes within two follows of u, excluding u.
+uint64_t BruteForceReach(const OutRows& rows, graph::NodeId u) {
+  std::set<graph::NodeId> seen;
+  for (graph::NodeId v : rows[u]) {
+    seen.insert(v);
+    seen.insert(rows[v].begin(), rows[v].end());
+  }
+  seen.erase(u);
+  return seen.size();
+}
+
+uint64_t ReachOf(const QueryResponse& r) {
+  const std::string key = "\"reach_2hop\":";
+  const size_t at = r.json.find(key);
+  EXPECT_NE(at, std::string::npos) << r.json;
+  if (at == std::string::npos) return 0;
+  return std::stoull(r.json.substr(at + key.size()));
+}
+
+void ExpectReachOfEveryNode(FrontDoor* front, const OutRows& rows,
+                            const std::string& what) {
+  for (graph::NodeId u = 0; u < rows.size(); ++u) {
+    const QueryResponse r = front->ExecuteLine("ego " + std::to_string(u));
+    ASSERT_TRUE(r.ok) << what << ": " << r.json;
+    ASSERT_EQ(ReachOf(r), BruteForceReach(rows, u)) << what << " node " << u;
+  }
+}
+
+// reach_2hop is pinned to a brute-force count for every node, on the
+// static engine, a 2-shard router and a live engine after churn — not
+// only to the other paths' agreement.
+TEST(QueryEngineTest, Reach2HopMatchesBruteForceOnEveryBacking) {
+  gen::VerifiedNetworkConfig cfg;
+  cfg.num_users = 2000;
+  auto net = gen::GenerateVerifiedNetwork(cfg);
+  ASSERT_TRUE(net.ok()) << net.status().ToString();
+  const graph::DiGraph& g = net->graph;
+  OutRows rows = RowsOf(g);
+
+  // A reciprocal pair u<->v puts u two follows from itself; the count
+  // must still leave u out.
+  size_t reciprocal_roots = 0;
+  for (graph::NodeId u = 0; u < rows.size(); ++u) {
+    for (graph::NodeId v : rows[u]) {
+      if (rows[v].count(u) > 0) {
+        ++reciprocal_roots;
+        break;
+      }
+    }
+  }
+  ASSERT_GT(reciprocal_roots, 0u);
+
+  ExpectReachOfEveryNode(MakeEngine(g).get(), rows, "static");
+
+  RouterOptions ropts;
+  ropts.num_shards = 2;
+  ropts.shard_threads = 1;
+  auto router = ShardedRouter::Create(g, ropts);
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  ExpectReachOfEveryNode(router->get(), rows, "2-shard router");
+
+  auto live = QueryEngine::CreateLive(g, LiveEngineOptions{}, EngineOptions{});
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  gen::MutationTraceConfig tcfg;
+  tcfg.num_mutations = 3000;
+  auto trace = gen::GenerateMutationTrace(g, tcfg);
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  std::set<graph::NodeId> touched;
+  for (const gen::EdgeMutation& m : trace->mutations) {
+    const Mutation mut{m.follow ? MutationOp::kFollow : MutationOp::kUnfollow,
+                       m.src, m.dst};
+    auto applied = (*live)->Apply(mut);
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    ASSERT_TRUE(applied->changed);
+    if (m.follow) {
+      rows[m.src].insert(m.dst);
+    } else {
+      rows[m.src].erase(m.dst);
+    }
+    touched.insert(m.src);
+    touched.insert(m.dst);
+  }
+  // Both kinds of root are covered: walks through changed rows and walks
+  // the churn never reached.
+  ASSERT_GT(touched.size(), 0u);
+  ASSERT_LT(touched.size(), rows.size());
+  ExpectReachOfEveryNode(live->get(), rows, "live after churn");
 }
 
 }  // namespace

@@ -66,7 +66,9 @@ TEST(SketchTest, BucketMapIsMonotoneAndConsistent) {
     EXPECT_LT(v - QuantileSketch::BucketLowerBound(b),
               QuantileSketch::BucketWidth(b))
         << "value " << v;
-    if (i > 0) EXPECT_GE(b, prev_bucket) << "value " << v;
+    if (i > 0) {
+      EXPECT_GE(b, prev_bucket) << "value " << v;
+    }
     prev_bucket = b;
   }
 }

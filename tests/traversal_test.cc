@@ -314,7 +314,9 @@ TEST(TraversalTest, RelabelByDegreeIsDegreeSortedIsomorphism) {
       const uint32_t db = g.OutDegree(r.new_to_old[v + 1]) +
                           g.InDegree(r.new_to_old[v + 1]);
       EXPECT_GE(da, db);
-      if (da == db) EXPECT_LT(r.new_to_old[v], r.new_to_old[v + 1]);
+      if (da == db) {
+        EXPECT_LT(r.new_to_old[v], r.new_to_old[v + 1]);
+      }
     }
 
     // Edge-for-edge isomorphism under the mapping.
