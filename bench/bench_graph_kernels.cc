@@ -10,7 +10,11 @@
 // walk's reach_2hop over every node and the bounded bidirectional search
 // over the zipf 0.6 mix's dist pairs, each against a bench-local copy of
 // its branchy pre-Mark kernel, with a warm-up pass, alternating repeats
-// (median/min/max) and an output-equality exit. Emits
+// (median/min/max) and an output-equality exit. Two warm-build rows
+// follow on one thread: the mutual-degree index by a per-edge HasEdge
+// probe against analysis::MutualDegrees' sorted merge (outputs must be
+// equal), and the heavy-node reach table (serve::ComputeHeavyReach):
+// nodes, their total walk work, and median/min/max seconds. Emits
 // BENCH_graph_kernels.json.
 //
 // MTEPS follows the GAP convention: sources * m / seconds / 1e6 regardless
@@ -33,11 +37,12 @@
 #include "analysis/clustering.h"
 #include "analysis/components.h"
 #include "analysis/kcore.h"
+#include "analysis/reciprocity.h"
 #include "bench_common.h"
 #include "gen/verified_network.h"
+#include "graph/bounded_distance.h"
 #include "graph/frontier.h"
 #include "graph/traversal.h"
-#include "serve/bounded_distance.h"
 #include "serve/compute.h"
 #include "util/deadline.h"
 #include "util/parallel.h"
@@ -353,12 +358,12 @@ uint64_t BranchyTwoHopReach(const graph::DiGraph& g, graph::NodeId u,
   return reach;
 }
 
-serve::BoundedDistanceResult BranchyBoundedDistance(
+graph::BoundedDistanceResult BranchyBoundedDistance(
     const graph::DiGraph& g, graph::NodeId source, graph::NodeId target,
     const util::Deadline& deadline, graph::ScratchArena* fwd,
     graph::ScratchArena* bwd) {
   using graph::NodeId;
-  serve::BoundedDistanceResult out;
+  graph::BoundedDistanceResult out;
   if (source == target) {
     out.distance = 0;
     return out;
@@ -461,13 +466,15 @@ std::pair<Spread, Spread> TimeOldVsNew(int repeats, OldFn&& old_pass,
 
 struct ServingRow {
   const char* name = "";
+  const char* classic_label = "branchy";
+  const char* optimized_label = "mark";
   size_t items = 0;
   Spread classic, optimized;
   bool outputs_equal = false;
 };
 
-bool SameDistance(const serve::BoundedDistanceResult& a,
-                  const serve::BoundedDistanceResult& b) {
+bool SameDistance(const graph::BoundedDistanceResult& a,
+                  const graph::BoundedDistanceResult& b) {
   return a.distance == b.distance && a.lower_bound == b.lower_bound &&
          a.expanded == b.expanded && a.completed == b.completed;
 }
@@ -481,7 +488,7 @@ std::vector<ServingRow> RunServingRows(const graph::DiGraph& g,
   constexpr double kZipf = 0.6;
   const graph::NodeId n = g.num_nodes();
   graph::ScratchArena fwd(n), bwd(n);
-  const serve::GraphAdj adj{&g};
+  const graph::GraphAdj adj{&g};
   const util::Deadline never = util::Deadline::Infinite();
 
   ServingRow ego;
@@ -512,7 +519,7 @@ std::vector<ServingRow> RunServingRows(const graph::DiGraph& g,
   ServingRow dist;
   dist.name = "bounded_distance";
   dist.items = pairs.size();
-  std::vector<serve::BoundedDistanceResult> old_d(pairs.size()),
+  std::vector<graph::BoundedDistanceResult> old_d(pairs.size()),
       new_d(pairs.size());
   const auto dist_old = [&] {
     for (size_t i = 0; i < pairs.size(); ++i) {
@@ -522,7 +529,7 @@ std::vector<ServingRow> RunServingRows(const graph::DiGraph& g,
   };
   const auto dist_new = [&] {
     for (size_t i = 0; i < pairs.size(); ++i) {
-      new_d[i] = serve::BoundedBidirectionalDistance(
+      new_d[i] = graph::BoundedBidirectionalDistance(
           adj, pairs[i].first, pairs[i].second, never, &fwd, &bwd);
     }
   };
@@ -531,6 +538,53 @@ std::vector<ServingRow> RunServingRows(const graph::DiGraph& g,
   dist.outputs_equal = std::equal(old_d.begin(), old_d.end(), new_d.begin(),
                                   new_d.end(), SameDistance);
   return {ego, dist};
+}
+
+// The warm build's mutual-degree index as it was built before the merge:
+// one HasEdge binary search per edge.
+std::vector<uint32_t> ProbedMutualDegrees(const graph::DiGraph& g) {
+  std::vector<uint32_t> mutual(g.num_nodes(), 0);
+  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (graph::NodeId v : g.OutNeighbors(u)) mutual[u] += g.HasEdge(v, u);
+  }
+  return mutual;
+}
+
+ServingRow RunWarmMutualRow(const graph::DiGraph& g, int repeats) {
+  ServingRow row;
+  row.name = "warm_mutual";
+  row.classic_label = "probe";
+  row.optimized_label = "merge";
+  row.items = g.num_nodes();
+  std::vector<uint32_t> probed, merged;
+  std::tie(row.classic, row.optimized) = TimeOldVsNew(
+      repeats, [&] { probed = ProbedMutualDegrees(g); },
+      [&] { merged = analysis::MutualDegrees(g); });
+  row.outputs_equal = probed == merged;
+  return row;
+}
+
+struct HeavyReachRow {
+  size_t nodes = 0;
+  uint64_t work = 0;
+  Spread seconds;
+};
+
+HeavyReachRow RunHeavyReachRow(const graph::DiGraph& g, int repeats) {
+  std::vector<graph::NodeId> ids;
+  std::vector<uint32_t> reach;
+  serve::ComputeHeavyReach(g, &ids, &reach);  // warm-up
+  std::vector<double> seconds;
+  for (int i = 0; i < repeats; ++i) {
+    util::SpanTimer sw;
+    serve::ComputeHeavyReach(g, &ids, &reach);
+    seconds.push_back(sw.Seconds());
+  }
+  HeavyReachRow row;
+  row.nodes = ids.size();
+  for (graph::NodeId u : ids) row.work += serve::EgoWork(g, u);
+  row.seconds = Summarize(seconds);
+  return row;
 }
 
 }  // namespace
@@ -694,8 +748,13 @@ int main(int argc, char** argv) {
                            bench::SameClustering(sampled_classic, sampled_opt);
   util::SetThreadCount(0);
   constexpr int kServingRepeats = 5;
-  const std::vector<bench::ServingRow> serving =
+  std::vector<bench::ServingRow> serving =
       bench::RunServingRows(g, args.seed, kServingRepeats);
+  util::SetThreadCount(1);
+  serving.push_back(bench::RunWarmMutualRow(g, kServingRepeats));
+  const bench::HeavyReachRow heavy =
+      bench::RunHeavyReachRow(g, kServingRepeats);
+  util::SetThreadCount(0);
   bool serving_equal = true;
   for (const bench::ServingRow& row : serving) {
     serving_equal = serving_equal && row.outputs_equal;
@@ -724,17 +783,22 @@ int main(int argc, char** argv) {
                                     : 0.0,
               clust_equal ? "equal" : "DIFFER");
   for (const bench::ServingRow& row : serving) {
-    std::printf("%s: branchy %.4fs [%.4f, %.4f] -> mark %.4fs [%.4f, %.4f] "
+    std::printf("%s: %s %.4fs [%.4f, %.4f] -> %s %.4fs [%.4f, %.4f] "
                 "(%.2fx, median of %d over %zu items), outputs %s\n",
-                row.name, row.classic.median, row.classic.min,
-                row.classic.max, row.optimized.median, row.optimized.min,
-                row.optimized.max,
+                row.name, row.classic_label, row.classic.median,
+                row.classic.min, row.classic.max, row.optimized_label,
+                row.optimized.median, row.optimized.min, row.optimized.max,
                 row.optimized.median > 0.0
                     ? row.classic.median / row.optimized.median
                     : 0.0,
                 kServingRepeats, row.items,
                 row.outputs_equal ? "equal" : "DIFFER");
   }
+  std::printf("heavy_reach: %zu nodes, work %llu (%.1f per edge), %.4fs "
+              "[%.4f, %.4f] (1 thread, median of %d)\n",
+              heavy.nodes, static_cast<unsigned long long>(heavy.work),
+              static_cast<double>(heavy.work) / m, heavy.seconds.median,
+              heavy.seconds.min, heavy.seconds.max, kServingRepeats);
   std::printf("relabel: %.4fs; checksums identical across grid: %s\n",
               relabel_seconds, checksums_identical ? "yes" : "NO");
 
@@ -795,17 +859,26 @@ int main(int argc, char** argv) {
     std::fprintf(
         f,
         "  \"%s\": {\"items\": %zu, \"repeats\": %d, "
+        "\"classic\": \"%s\", \"optimized\": \"%s\", "
         "\"classic_seconds\": %.5f, \"classic_min\": %.5f, "
         "\"classic_max\": %.5f, \"optimized_seconds\": %.5f, "
         "\"optimized_min\": %.5f, \"optimized_max\": %.5f, "
         "\"speedup\": %.3f, \"outputs_equal\": %s},\n",
-        row.name, row.items, kServingRepeats, row.classic.median,
+        row.name, row.items, kServingRepeats, row.classic_label,
+        row.optimized_label, row.classic.median,
         row.classic.min, row.classic.max, row.optimized.median,
         row.optimized.min, row.optimized.max,
         row.optimized.median > 0.0 ? row.classic.median / row.optimized.median
                                    : 0.0,
         row.outputs_equal ? "true" : "false");
   }
+  std::fprintf(f,
+               "  \"heavy_reach\": {\"nodes\": %zu, \"work\": %llu, "
+               "\"threads\": 1, \"repeats\": %d, \"seconds\": %.5f, "
+               "\"min\": %.5f, \"max\": %.5f},\n",
+               heavy.nodes, static_cast<unsigned long long>(heavy.work),
+               kServingRepeats, heavy.seconds.median, heavy.seconds.min,
+               heavy.seconds.max);
   std::fprintf(f, "  \"relabel_seconds\": %.5f,\n", relabel_seconds);
   std::fprintf(f, "  \"checksums_identical\": %s\n",
                checksums_identical ? "true" : "false");

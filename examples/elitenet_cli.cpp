@@ -31,7 +31,9 @@
 //                                       write through an N-MiB external
 //                                       sort — same bytes, bounded RSS)
 //   elitenet_cli warmup <graph>        build/refresh the <graph>.widx
-//                                      warm-index sidecar serve uses
+//                                      warm-index sidecar serve uses;
+//                                      reports the heavy-node reach
+//                                      table and every section's bytes
 //   elitenet_cli mutate <graph> <trace> [--out=PATH]
 //                                      replay an EMUT follow/unfollow
 //                                      trace through the live delta
@@ -60,6 +62,7 @@
 #include "core/dataset.h"
 #include "core/fingerprint.h"
 #include "graph/io.h"
+#include "serve/compute.h"
 #include "serve/delta_overlay.h"
 #include "serve/router.h"
 #include "serve/server.h"
@@ -71,6 +74,7 @@
 #include "util/rss.h"
 #include "util/string_utils.h"
 #include "util/table.h"
+#include "util/trace.h"
 
 namespace {
 
@@ -373,9 +377,20 @@ int CmdMutate(graph::DiGraph g, const std::string& graph_path,
   return 0;
 }
 
+// Seconds of the last recorded span called `name`, or -1 when none ran.
+double SpanSeconds(const char* name) {
+  double seconds = -1.0;
+  for (const util::TraceEvent& e : util::TraceRecorder::Global().snapshot()) {
+    if (e.name == name) seconds = static_cast<double>(e.duration_ns) * 1e-9;
+  }
+  return seconds;
+}
+
 int CmdWarmup(graph::DiGraph g, const std::string& graph_path) {
   serve::EngineOptions opts;
   opts.warm_index_path = serve::WarmIndexPathFor(graph_path);
+  // Spans time the heavy-node build when the sidecar is rebuilt.
+  util::SetTracingEnabled(true);
   auto engine = serve::QueryEngine::Create(std::move(g), opts);
   if (!engine.ok()) {
     std::fprintf(stderr, "warmup failed: %s\n",
@@ -388,6 +403,22 @@ int CmdWarmup(graph::DiGraph g, const std::string& graph_path) {
               opts.warm_index_path.c_str(), (*engine)->warmup_seconds(),
               (*engine)->distance_oracle_active() ? "built"
                                                   : "unavailable");
+  const serve::WarmIndexes& warm = (*engine)->warm_indexes();
+  const graph::DiGraph& graph = (*engine)->graph();
+  uint64_t work = 0;
+  for (graph::NodeId u : warm.heavy_ids) work += serve::EgoWork(graph, u);
+  const double heavy_seconds = SpanSeconds("serve.warm.heavy_reach");
+  std::printf("heavy reach: %zu nodes, ego-walk work %llu edges "
+              "(%.1f per graph edge), ",
+              warm.heavy_ids.size(), static_cast<unsigned long long>(work),
+              graph.num_edges() > 0
+                  ? static_cast<double>(work) / graph.num_edges()
+                  : 0.0);
+  if (heavy_seconds >= 0.0) {
+    std::printf("built in %.3fs\n", heavy_seconds);
+  } else {
+    std::printf("restored, not rebuilt\n");
+  }
   auto sections = serve::DescribeWarmIndexes(opts.warm_index_path);
   if (!sections.ok()) {
     std::fprintf(stderr, "cannot inventory sidecar: %s\n",

@@ -1,10 +1,10 @@
 #include "analysis/bidirectional.h"
 
-#include <algorithm>
 #include <vector>
 
-#include "graph/traversal.h"
+#include "graph/bounded_distance.h"
 #include "util/check.h"
+#include "util/deadline.h"
 
 namespace elitenet {
 namespace analysis {
@@ -12,6 +12,8 @@ namespace analysis {
 using graph::DiGraph;
 using graph::NodeId;
 
+// The serving kernel (graph/bounded_distance.h) with a deadline that
+// never expires: the same expansion, so the same distance and `expanded`.
 PairDistance BidirectionalDistance(const DiGraph& g, NodeId source,
                                    NodeId target,
                                    graph::ScratchArena* fwd,
@@ -21,70 +23,10 @@ PairDistance BidirectionalDistance(const DiGraph& g, NodeId source,
   EN_CHECK(fwd != nullptr && bwd != nullptr);
   EN_CHECK(fwd->num_nodes() == g.num_nodes());
   EN_CHECK(bwd->num_nodes() == g.num_nodes());
-  PairDistance out;
-  if (source == target) {
-    out.distance = 0;
-    return out;
-  }
-
-  constexpr uint32_t kUnset = UINT32_MAX;
-  fwd->BeginEpoch();
-  bwd->BeginEpoch();
-  std::vector<NodeId>& fwd_frontier = fwd->frontier();
-  std::vector<NodeId>& bwd_frontier = bwd->frontier();
-  fwd_frontier.assign(1, source);
-  bwd_frontier.assign(1, target);
-  fwd->Visit(source, 0, graph::kNoParent);
-  bwd->Visit(target, 0, graph::kNoParent);
-  uint32_t fwd_depth = 0, bwd_depth = 0;
-
-  while (!fwd_frontier.empty() && !bwd_frontier.empty()) {
-    // Advance the cheaper side (fewer frontier nodes). A meeting found
-    // mid-level may not be minimal (another node in the same level can
-    // carry a smaller opposite-side label), so the level is completed
-    // and the best meeting taken; BFS level-exactness makes that the
-    // global optimum.
-    const bool advance_forward = fwd_frontier.size() <= bwd_frontier.size();
-    uint32_t best = kUnset;
-    if (advance_forward) {
-      std::vector<NodeId>& next = fwd->next();
-      next.clear();
-      ++fwd_depth;
-      for (NodeId u : fwd_frontier) {
-        ++out.expanded;
-        for (NodeId v : g.OutNeighbors(u)) {
-          if (fwd->Visited(v)) continue;
-          fwd->Visit(v, fwd_depth, u);
-          if (bwd->Visited(v)) {
-            best = std::min(best, fwd_depth + bwd->Distance(v));
-          }
-          next.push_back(v);
-        }
-      }
-      fwd_frontier.swap(next);
-    } else {
-      std::vector<NodeId>& next = bwd->next();
-      next.clear();
-      ++bwd_depth;
-      for (NodeId u : bwd_frontier) {
-        ++out.expanded;
-        for (NodeId v : g.InNeighbors(u)) {
-          if (bwd->Visited(v)) continue;
-          bwd->Visit(v, bwd_depth, u);
-          if (fwd->Visited(v)) {
-            best = std::min(best, bwd_depth + fwd->Distance(v));
-          }
-          next.push_back(v);
-        }
-      }
-      bwd_frontier.swap(next);
-    }
-    if (best != kUnset) {
-      out.distance = best;
-      return out;
-    }
-  }
-  return out;  // unreachable
+  const graph::BoundedDistanceResult d = graph::BoundedBidirectionalDistance(
+      graph::GraphAdj{&g}, source, target, util::Deadline::Infinite(), fwd,
+      bwd);
+  return {d.distance, d.expanded};
 }
 
 PairDistance BidirectionalDistance(const DiGraph& g, NodeId source,

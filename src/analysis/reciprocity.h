@@ -6,6 +6,8 @@
 #define ELITENET_ANALYSIS_RECIPROCITY_H_
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "graph/digraph.h"
 
@@ -22,7 +24,18 @@ struct ReciprocityStats {
   double rate = 0.0;
 };
 
-/// O(m log d) scan using sorted-adjacency binary search.
+/// Per-node count of reciprocated out-edges, |out(u) ∩ in(u)|: one sorted
+/// merge of the two rows per node, O(m) in all, with no per-edge
+/// containment probe. Parallel over nodes; the same array at any thread
+/// count.
+std::vector<uint32_t> MutualDegrees(const graph::DiGraph& g);
+
+/// The stats of a graph with `num_edges` edges whose MutualDegrees are
+/// `mutual`: reciprocated_edges is their sum.
+ReciprocityStats ReciprocityFromMutualDegrees(
+    uint64_t num_edges, std::span<const uint32_t> mutual);
+
+/// ReciprocityFromMutualDegrees over MutualDegrees(g).
 ReciprocityStats ComputeReciprocity(const graph::DiGraph& g);
 
 }  // namespace analysis

@@ -1,18 +1,18 @@
-// Deadline-aware bounded bidirectional search, shared by the query
-// engine's local BFS fallback and the sharded router's scatter-gather
-// one.
+// Deadline-aware bounded bidirectional search: the one expansion behind
+// every point-to-point distance in the library — the analysis kernel
+// (analysis::BidirectionalDistance, a wrapper with a deadline that never
+// expires), the query engine's local BFS fallback and the sharded
+// router's scatter-gather one.
 //
-// Identical expansion order to analysis::BidirectionalDistance (advance
-// the smaller frontier, finish the level, take the best meeting) with one
-// deadline poll per level, so a query that finishes in time returns
-// exactly the bytes the analysis kernel would. The adjacency is a
-// template parameter so one definition serves three backings:
+// Advance the smaller frontier, finish the level, take the best meeting,
+// with one deadline poll per level. The adjacency is a template
+// parameter so one definition serves three backings:
 //
 //   * a static DiGraph (GraphAdj below),
-//   * a live MVCC snapshot (compute.cc SnapAdj),
-//   * the router's per-level batched gather (router.cc), which fetches
-//     the frontier's rows from each node's home shard in PrepareLevel and
-//     then replays them in frontier order.
+//   * a live MVCC snapshot (serve/compute.cc SnapAdj),
+//   * the router's per-level batched gather (serve/router.cc), which
+//     fetches the frontier's rows from each node's home shard in
+//     PrepareLevel and then replays them in frontier order.
 //
 // All three iterate a node's neighbors in ascending id order, so the
 // expansion order — and therefore the bytes of a completed answer and the
@@ -20,8 +20,8 @@
 // backings. That single definition is what the router's byte-identity
 // guarantee leans on: there is no second BFS to drift.
 
-#ifndef ELITENET_SERVE_BOUNDED_DISTANCE_H_
-#define ELITENET_SERVE_BOUNDED_DISTANCE_H_
+#ifndef ELITENET_GRAPH_BOUNDED_DISTANCE_H_
+#define ELITENET_GRAPH_BOUNDED_DISTANCE_H_
 
 #include <algorithm>
 #include <cstdint>
@@ -33,7 +33,7 @@
 #include "util/deadline.h"
 
 namespace elitenet {
-namespace serve {
+namespace graph {
 
 struct BoundedDistanceResult {
   uint32_t distance = UINT32_MAX;
@@ -45,18 +45,18 @@ struct BoundedDistanceResult {
   bool completed = true;
 };
 
-/// The in-memory DiGraph backing (the live snapshot's is in compute.cc,
-/// the router's in router.cc).
+/// The in-memory DiGraph backing (the live snapshot's is in
+/// serve/compute.cc, the router's in serve/router.cc).
 struct GraphAdj {
-  const graph::DiGraph* g;
-  void PrepareLevel(std::span<const graph::NodeId>, bool) const {}
+  const DiGraph* g;
+  void PrepareLevel(std::span<const NodeId>, bool) const {}
   template <typename Fn>
-  void ForEachOut(graph::NodeId u, Fn&& fn) const {
-    for (graph::NodeId v : g->OutNeighbors(u)) fn(v);
+  void ForEachOut(NodeId u, Fn&& fn) const {
+    for (NodeId v : g->OutNeighbors(u)) fn(v);
   }
   template <typename Fn>
-  void ForEachIn(graph::NodeId u, Fn&& fn) const {
-    for (graph::NodeId v : g->InNeighbors(u)) fn(v);
+  void ForEachIn(NodeId u, Fn&& fn) const {
+    for (NodeId v : g->InNeighbors(u)) fn(v);
   }
 };
 
@@ -73,10 +73,8 @@ struct GraphAdj {
 /// are not recorded: nothing reads them.
 template <typename Adj>
 BoundedDistanceResult BoundedBidirectionalDistance(
-    const Adj& g, graph::NodeId source, graph::NodeId target,
-    const util::Deadline& deadline, graph::ScratchArena* fwd,
-    graph::ScratchArena* bwd) {
-  using graph::NodeId;
+    const Adj& g, NodeId source, NodeId target,
+    const util::Deadline& deadline, ScratchArena* fwd, ScratchArena* bwd) {
   BoundedDistanceResult out;
   if (source == target) {
     out.distance = 0;
@@ -87,13 +85,13 @@ BoundedDistanceResult BoundedBidirectionalDistance(
   // One side of the search: its arena, its current level (`size` nodes
   // from `frontier`), the queue the next level fills, and its depth.
   struct Side {
-    graph::ScratchArena* arena;
+    ScratchArena* arena;
     NodeId* frontier;
     NodeId* next;
     size_t size;
     uint32_t depth;
   };
-  const auto start = [](graph::ScratchArena* a, NodeId root) {
+  const auto start = [](ScratchArena* a, NodeId root) {
     a->BeginEpoch();
     a->Mark(root);
     a->SetDistance(root, 0);
@@ -112,10 +110,10 @@ BoundedDistanceResult BoundedBidirectionalDistance(
     }
     const bool forward = fs.size <= bs.size;
     Side& side = forward ? fs : bs;
-    const graph::ScratchArena& other = *(forward ? bs : fs).arena;
+    const ScratchArena& other = *(forward ? bs : fs).arena;
     const std::span<const NodeId> level(side.frontier, side.size);
     g.PrepareLevel(level, forward);
-    graph::ScratchArena& a = *side.arena;
+    ScratchArena& a = *side.arena;
     const uint32_t depth = ++side.depth;
     NodeId* next = side.next;
     size_t k = 0;
@@ -152,7 +150,7 @@ BoundedDistanceResult BoundedBidirectionalDistance(
   return out;
 }
 
-}  // namespace serve
+}  // namespace graph
 }  // namespace elitenet
 
-#endif  // ELITENET_SERVE_BOUNDED_DISTANCE_H_
+#endif  // ELITENET_GRAPH_BOUNDED_DISTANCE_H_

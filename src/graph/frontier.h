@@ -1,7 +1,8 @@
 // Frontier data structures for the traversal kernels (graph/traversal.h):
-// a word-addressed bitmap over node ids and an epoch-stamped ScratchArena
-// that owns every per-traversal buffer (visited stamps, distances, parents,
-// sparse frontier queues, fixed-size level queues, dense frontier bitmaps).
+// a word-addressed bitmap over node ids, epoch-stamped VisitMarks, and the
+// ScratchArena built on them that owns every per-traversal buffer
+// (visited stamps, distances, parents, sparse frontier queues, fixed-size
+// level queues, dense frontier bitmaps).
 //
 // The arena exists so hot loops stop reallocating O(n) std::vector scratch
 // per BFS source: buffers are sized once per graph and recycled across
@@ -17,6 +18,7 @@
 #ifndef ELITENET_GRAPH_FRONTIER_H_
 #define ELITENET_GRAPH_FRONTIER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -58,39 +60,22 @@ class NodeBitmap {
   std::vector<uint64_t> words_;
 };
 
-/// Reusable single-threaded scratch for graph traversals. All state a BFS
-/// needs — visited marks, distances, parents, sparse queues, dense bitmaps
-/// — lives here and survives across sources, so the per-source setup cost
-/// is one epoch bump instead of several O(n) allocations.
-///
-/// Lifetime rules:
-///   * Reset(n) sizes the arena for an n-node graph (full wipe).
-///   * BeginEpoch() starts a new traversal; every Visited/Distance/Parent
-///     fact recorded before it reads as "unvisited" afterwards.
-///   * Results of the *latest* traversal stay readable until the next
-///     BeginEpoch (or Reset), which is how callers consume BFS output
-///     without materializing a dist vector.
-class ScratchArena {
+/// Epoch-stamped visit marks, 4 bytes per node: the part of a traversal's
+/// scratch that the ego walk needs (serve::TwoHopReach), and the base of
+/// ScratchArena. BeginEpoch() invalidates every mark in O(1); the stamps
+/// are rewiped only on 32-bit epoch wraparound.
+class VisitMarks {
  public:
-  ScratchArena() = default;
-  explicit ScratchArena(NodeId num_nodes) { Reset(num_nodes); }
+  VisitMarks() = default;
+  explicit VisitMarks(NodeId num_nodes) { Reset(num_nodes); }
 
-  /// Sizes every buffer for `num_nodes` and wipes all recorded state.
-  /// Stamps hold 0 ("never visited") and the epoch starts at 1, so every
-  /// node reads unvisited even before the first BeginEpoch.
+  /// Sizes the stamps for `num_nodes` and wipes them. Stamps hold 0
+  /// ("never visited") and the epoch starts at 1, so every node reads
+  /// unvisited even before the first BeginEpoch.
   void Reset(NodeId num_nodes) {
     num_nodes_ = num_nodes;
     epoch_ = 1;
     stamp_.assign(num_nodes, 0);
-    dist_.resize(num_nodes);
-    parent_.resize(num_nodes);
-    frontier_.clear();
-    next_.clear();
-    level_queues_[0].reset();
-    level_queues_[1].reset();
-    frontier_bits_.Resize(num_nodes);
-    next_bits_.Resize(num_nodes);
-    unvisited_bits_.Resize(num_nodes);
   }
 
   NodeId num_nodes() const { return num_nodes_; }
@@ -112,19 +97,57 @@ class ScratchArena {
 
   /// Marks `v` visited in the current epoch and returns whether it was
   /// unvisited before, with no branch: a compare, a store and a flag the
-  /// caller adds or masks with (`reach += Mark(w)`). Writes neither the
-  /// distance nor the parent. Serving traversals mark every edge's head
-  /// this way, because a per-edge `if (!Visited(w))` is taken about half
-  /// the time on power-law graphs and mispredicts as often.
+  /// caller adds or masks with (`reach += Mark(w)`). Serving traversals
+  /// mark every edge's head this way, because a per-edge
+  /// `if (!Visited(w))` is taken about half the time on power-law graphs
+  /// and mispredicts as often.
   bool Mark(NodeId v) {
     const bool fresh = stamp_[v] != epoch_;
     stamp_[v] = epoch_;
     return fresh;
   }
 
+ private:
+  NodeId num_nodes_ = 0;
+  uint32_t epoch_ = 0;
+  std::vector<uint32_t> stamp_;
+};
+
+/// Reusable single-threaded scratch for graph traversals. All state a BFS
+/// needs — visited marks, distances, parents, sparse queues, dense bitmaps
+/// — lives here and survives across sources, so the per-source setup cost
+/// is one epoch bump instead of several O(n) allocations.
+///
+/// Lifetime rules:
+///   * Reset(n) sizes the arena for an n-node graph (full wipe).
+///   * BeginEpoch() starts a new traversal; every Visited/Distance/Parent
+///     fact recorded before it reads as "unvisited" afterwards.
+///   * Results of the *latest* traversal stay readable until the next
+///     BeginEpoch (or Reset), which is how callers consume BFS output
+///     without materializing a dist vector.
+///   * Mark (VisitMarks) records a visit without a distance or a parent.
+class ScratchArena : public VisitMarks {
+ public:
+  ScratchArena() = default;
+  explicit ScratchArena(NodeId num_nodes) { Reset(num_nodes); }
+
+  /// Sizes every buffer for `num_nodes` and wipes all recorded state.
+  void Reset(NodeId num_nodes) {
+    VisitMarks::Reset(num_nodes);
+    dist_.resize(num_nodes);
+    parent_.resize(num_nodes);
+    frontier_.clear();
+    next_.clear();
+    level_queues_[0].reset();
+    level_queues_[1].reset();
+    frontier_bits_.Resize(num_nodes);
+    next_bits_.Resize(num_nodes);
+    unvisited_bits_.Resize(num_nodes);
+  }
+
   /// Marks `v` visited in the current epoch at `dist` via `parent`.
   void Visit(NodeId v, uint32_t dist, NodeId parent) {
-    stamp_[v] = epoch_;
+    Mark(v);
     dist_[v] = dist;
     parent_[v] = parent;
   }
@@ -156,7 +179,7 @@ class ScratchArena {
   /// level reaches become resident.
   NodeId* level_queue(int which) {
     std::unique_ptr<NodeId[]>& q = level_queues_[which];
-    if (q == nullptr) q.reset(new NodeId[num_nodes_]);
+    if (q == nullptr) q.reset(new NodeId[num_nodes()]);
     return q.get();
   }
 
@@ -167,9 +190,6 @@ class ScratchArena {
   NodeBitmap& unvisited_bits() { return unvisited_bits_; }
 
  private:
-  NodeId num_nodes_ = 0;
-  uint32_t epoch_ = 0;
-  std::vector<uint32_t> stamp_;
   std::vector<uint32_t> dist_;
   std::vector<NodeId> parent_;
   std::vector<NodeId> frontier_;

@@ -1,8 +1,11 @@
 #include "serve/compute.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 #include "util/metrics.h"
+#include "util/parallel.h"
 #include "util/trace.h"
 
 namespace elitenet {
@@ -32,7 +35,7 @@ void AppendVersionFields(std::string* j, const LiveSnapshot* snap) {
 }
 
 // The live MVCC snapshot backing of the shared traversals
-// (serve/bounded_distance.h, TwoHopReach). It iterates neighbors in
+// (graph/bounded_distance.h, TwoHopReach). It iterates neighbors in
 // ascending id order, like GraphAdj, so the expansion order — and
 // therefore the bytes of a completed answer — is identical across the two
 // backings.
@@ -50,23 +53,6 @@ struct SnapAdj {
 };
 
 }  // namespace
-
-std::unique_ptr<ScratchPool::Scratch> ScratchPool::Borrow() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!pool_.empty()) {
-      std::unique_ptr<Scratch> s = std::move(pool_.back());
-      pool_.pop_back();
-      return s;
-    }
-  }
-  return std::make_unique<Scratch>(num_nodes_);
-}
-
-void ScratchPool::Return(std::unique_ptr<Scratch> s) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  pool_.push_back(std::move(s));
-}
 
 std::string ErrorJson(std::string_view code, std::string_view message,
                       std::optional<std::string_view> request) {
@@ -123,7 +109,7 @@ std::string RenderTopKJson(const WarmIndexes& warm, uint32_t k,
 }
 
 QueryResponse MakeDistanceResponse(const Request& r,
-                                   const BoundedDistanceResult& d,
+                                   const graph::BoundedDistanceResult& d,
                                    const LiveSnapshot* snap) {
   QueryResponse resp;
   resp.degraded = !d.completed;
@@ -159,6 +145,89 @@ QueryResponse MakeDistanceResponse(const Request& r,
   return resp;
 }
 
+uint64_t EgoWork(const DiGraph& g, NodeId u) {
+  uint64_t work = g.OutDegree(u);
+  for (NodeId v : g.OutNeighbors(u)) work += g.OutDegree(v);
+  return work;
+}
+
+void ComputeHeavyReach(const DiGraph& g, std::vector<NodeId>* ids,
+                       std::vector<uint32_t>* reach) {
+  const NodeId n = g.num_nodes();
+  const uint64_t budget = kHeavyReachWorkPerEdge * g.num_edges();
+  // Pass 1: total work per power-of-two bucket (bucket b holds work in
+  // [2^(b-1), 2^b)). Walking down from the top bucket finds the one where
+  // the running total passes the budget; every chosen node has at least
+  // that bucket's floor of work. No n-slot array is kept.
+  using Buckets = std::array<uint64_t, 65>;
+  const Buckets buckets = util::ParallelReduce(
+      size_t{0}, size_t{n}, 0, Buckets{},
+      [&](size_t lo, size_t hi) {
+        Buckets part{};
+        for (size_t u = lo; u < hi; ++u) {
+          const uint64_t w = EgoWork(g, static_cast<NodeId>(u));
+          part[std::bit_width(w)] += w;
+        }
+        return part;
+      },
+      [](Buckets acc, const Buckets& part) {
+        for (size_t b = 0; b < acc.size(); ++b) acc[b] += part[b];
+        return acc;
+      });
+  uint64_t floor_work = 1;
+  uint64_t total = 0;
+  for (int b = 64; b >= 1; --b) {
+    total += buckets[b];
+    if (total > budget) {
+      floor_work = uint64_t{1} << (b - 1);
+      break;
+    }
+  }
+  // Pass 2: the candidates at or above the floor, by descending work
+  // (ties by id); take them while the running total fits the budget.
+  using Candidates = std::vector<std::pair<uint64_t, NodeId>>;
+  Candidates candidates = util::ParallelReduce(
+      size_t{0}, size_t{n}, 0, Candidates{},
+      [&](size_t lo, size_t hi) {
+        Candidates part;
+        for (size_t u = lo; u < hi; ++u) {
+          const uint64_t w = EgoWork(g, static_cast<NodeId>(u));
+          if (w >= floor_work) part.emplace_back(w, static_cast<NodeId>(u));
+        }
+        return part;
+      },
+      [](Candidates acc, const Candidates& part) {
+        acc.insert(acc.end(), part.begin(), part.end());
+        return acc;
+      });
+  std::sort(candidates.begin(), candidates.end(),
+            [](const auto& a, const auto& b) {
+              return a.first != b.first ? a.first > b.first
+                                        : a.second < b.second;
+            });
+  ids->clear();
+  total = 0;
+  for (const auto& [w, u] : candidates) {
+    if (total + w > budget) break;
+    total += w;
+    ids->push_back(u);
+  }
+  std::sort(ids->begin(), ids->end());
+
+  // The walks, one node per task, on marks borrowed per task: at most
+  // one set per concurrent worker ever exists.
+  reach->assign(ids->size(), 0);
+  ScratchPool<graph::VisitMarks> marks_pool(n);
+  util::ParallelFor(0, ids->size(), 1, [&](size_t lo, size_t hi) {
+    std::unique_ptr<graph::VisitMarks> marks = marks_pool.Borrow();
+    for (size_t i = lo; i < hi; ++i) {
+      (*reach)[i] = static_cast<uint32_t>(
+          TwoHopReach(graph::GraphAdj{&g}, (*ids)[i], marks.get()));
+    }
+    marks_pool.Return(std::move(marks));
+  });
+}
+
 ComputeUnit::ComputeUnit(DiGraph g)
     : graph_(std::move(g)), scratch_(graph_.num_nodes()) {}
 
@@ -191,11 +260,18 @@ QueryResponse ComputeUnit::DoEgoSummary(const Request& r,
         r, Status::NotFound("node " + std::to_string(u) + " not in graph"));
   }
   // Two-hop out-reach (distinct nodes within <= 2 follows, excluding u):
-  // the per-user audience estimate verification-style lookups want. Marked
-  // in a pooled arena so hub queries do not allocate O(n) scratch. Live
+  // the per-user audience estimate verification-style lookups want. The
+  // heaviest walks are stored in the warm bundle; the rest are marked in
+  // a pooled arena so hub queries do not allocate O(n) scratch. Live
   // engines traverse the snapshot — exact at the request's version even
   // when only a neighbor-of-a-neighbor was touched.
-  std::unique_ptr<ScratchPool::Scratch> scratch = scratch_.Borrow();
+  const uint32_t* stored = warm.StoredReach(u);
+  const auto walk = [this, u](const auto& adj) {
+    std::unique_ptr<SearchScratch> scratch = scratch_.Borrow();
+    const uint64_t reach = TwoHopReach(adj, u, &scratch->fwd);
+    scratch_.Return(std::move(scratch));
+    return reach;
+  };
   uint32_t out_deg = 0;
   uint32_t in_deg = 0;
   uint64_t reach = 0;
@@ -203,7 +279,18 @@ QueryResponse ComputeUnit::DoEgoSummary(const Request& r,
   // followers changed since the base, the warm count still holds.
   uint64_t mutual = warm.mutual_degree[u];
   if (snap != nullptr) {
-    reach = TwoHopReach(SnapAdj{snap}, u, &scratch->fwd);
+    // The stored count is the epoch base's. It holds at this version when
+    // neither u nor any out-neighbour of u was touched, since then every
+    // row the walk reads is the base's row: an O(deg u) check.
+    const auto base_rows_hold = [snap, u] {
+      if (snap->Touched(u)) return false;
+      for (NodeId v : snap->base().OutNeighbors(u)) {
+        if (snap->Touched(v)) return false;
+      }
+      return true;
+    };
+    reach = stored != nullptr && base_rows_hold() ? *stored
+                                                  : walk(SnapAdj{snap});
     out_deg = snap->OutDegree(u);
     in_deg = snap->InDegree(u);
     if (snap->Touched(u)) {
@@ -215,11 +302,10 @@ QueryResponse ComputeUnit::DoEgoSummary(const Request& r,
       });
     }
   } else {
-    reach = TwoHopReach(GraphAdj{&graph_}, u, &scratch->fwd);
+    reach = stored != nullptr ? *stored : walk(graph::GraphAdj{&graph_});
     out_deg = graph_.OutDegree(u);
     in_deg = graph_.InDegree(u);
   }
-  scratch_.Return(std::move(scratch));
 
   QueryResponse resp;
   std::string& j = resp.json;
@@ -295,7 +381,7 @@ QueryResponse ComputeUnit::DoDistance(const Request& r,
   const bool oracle_ok =
       !warm.hub_labels.empty() &&
       (snap == nullptr || (!snap->Touched(r.node) && !snap->Touched(r.target)));
-  BoundedDistanceResult d;
+  graph::BoundedDistanceResult d;
   if (oracle_ok) {
     // Oracle fast path: exact distance by label intersection, no graph
     // traversal, no deadline interaction — it cannot degrade.
@@ -306,13 +392,15 @@ QueryResponse ComputeUnit::DoDistance(const Request& r,
                        static_cast<uint64_t>(intersect_timer.Seconds() * 1e6));
   } else {
     ELITENET_COUNT("serve.dist.bfs_fallback", 1);
-    std::unique_ptr<ScratchPool::Scratch> scratch = scratch_.Borrow();
+    std::unique_ptr<SearchScratch> scratch = scratch_.Borrow();
     if (snap != nullptr) {
-      d = BoundedBidirectionalDistance(SnapAdj{snap}, r.node, r.target,
-                                       deadline, &scratch->fwd, &scratch->bwd);
+      d = graph::BoundedBidirectionalDistance(SnapAdj{snap}, r.node, r.target,
+                                              deadline, &scratch->fwd,
+                                              &scratch->bwd);
     } else {
-      d = BoundedBidirectionalDistance(GraphAdj{&graph_}, r.node, r.target,
-                                       deadline, &scratch->fwd, &scratch->bwd);
+      d = graph::BoundedBidirectionalDistance(graph::GraphAdj{&graph_}, r.node,
+                                              r.target, deadline,
+                                              &scratch->fwd, &scratch->bwd);
     }
     scratch_.Return(std::move(scratch));
   }

@@ -23,9 +23,9 @@
 #include <utility>
 #include <vector>
 
+#include "graph/bounded_distance.h"
 #include "graph/digraph.h"
 #include "graph/frontier.h"
-#include "serve/bounded_distance.h"
 #include "serve/delta_overlay.h"
 #include "serve/request.h"
 #include "serve/warm_index_cache.h"
@@ -51,27 +51,44 @@ struct QueryResponse {
   bool oracle_fallback = false;
 };
 
-/// Two BFS arenas sized for one graph's node count, pooled across
-/// requests so hub queries do not allocate O(n) scratch.
+/// Scratch objects of type T, each built as T(num_nodes) for one graph,
+/// pooled so that hot paths reuse O(n) buffers instead of allocating
+/// them per request or task. Thread-safe; a pool never holds more
+/// objects than it had concurrent borrowers.
+template <typename T>
 class ScratchPool {
  public:
-  struct Scratch {
-    explicit Scratch(graph::NodeId n) : fwd(n), bwd(n) {}
-    graph::ScratchArena fwd;
-    graph::ScratchArena bwd;
-  };
-
   explicit ScratchPool(graph::NodeId num_nodes) : num_nodes_(num_nodes) {}
 
   /// Borrows a scratch, creating one on first use; hand it back with
   /// Return.
-  std::unique_ptr<Scratch> Borrow();
-  void Return(std::unique_ptr<Scratch> s);
+  std::unique_ptr<T> Borrow() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!pool_.empty()) {
+        std::unique_ptr<T> s = std::move(pool_.back());
+        pool_.pop_back();
+        return s;
+      }
+    }
+    return std::make_unique<T>(num_nodes_);
+  }
+  void Return(std::unique_ptr<T> s) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    pool_.push_back(std::move(s));
+  }
 
  private:
   const graph::NodeId num_nodes_;
   std::mutex mutex_;
-  std::vector<std::unique_ptr<Scratch>> pool_;
+  std::vector<std::unique_ptr<T>> pool_;
+};
+
+/// The two arenas a bounded search needs; the ego walk marks in `fwd`.
+struct SearchScratch {
+  explicit SearchScratch(graph::NodeId n) : fwd(n), bwd(n) {}
+  graph::ScratchArena fwd;
+  graph::ScratchArena bwd;
 };
 
 /// The query handlers over one graph. Thread-safe: Compute only reads
@@ -99,18 +116,18 @@ class ComputeUnit {
                               const LiveSnapshot* snap);
 
   const graph::DiGraph graph_;
-  ScratchPool scratch_;
+  ScratchPool<SearchScratch> scratch_;
 };
 
 /// The ego walk's reach_2hop: distinct nodes within <= 2 follows of u,
 /// excluding u, over any backing of the bounded search's adjacency
-/// contract (GraphAdj over the whole graph or a router shard's, or the
-/// live SnapAdj). Every edge's head is counted by its branch-free Mark
-/// flag, so the count is the number of distinct heads whatever the
-/// order; the arena's distances and parents are left unwritten.
+/// contract (graph::GraphAdj over the whole graph or a router shard's,
+/// or the live SnapAdj). Every edge's head is counted by its branch-free
+/// Mark flag, so the count is the number of distinct heads whatever the
+/// order. Needs only visit marks: a ScratchArena's distances and parents
+/// are left unwritten.
 template <typename Adj>
-uint64_t TwoHopReach(const Adj& adj, graph::NodeId u,
-                     graph::ScratchArena* a) {
+uint64_t TwoHopReach(const Adj& adj, graph::NodeId u, graph::VisitMarks* a) {
   a->BeginEpoch();
   a->Mark(u);
   uint64_t reach = 0;
@@ -120,6 +137,27 @@ uint64_t TwoHopReach(const Adj& adj, graph::NodeId u,
   });
   return reach;
 }
+
+/// The edges the ego walk from u reads: outdeg(u) + Σ outdeg(v) over u's
+/// out-neighbours v.
+uint64_t EgoWork(const graph::DiGraph& g, graph::NodeId u);
+
+/// How much walking the heavy-node table may absorb, in multiples of the
+/// edge count. Out-degree is power-law on the verified graph, so the
+/// walks' work sits on a few hundred hubs: at 40k users this budget
+/// covers 758 nodes and takes ~0.14 s of one CPU to build.
+inline constexpr uint64_t kHeavyReachWorkPerEdge = 24;
+
+/// The heavy-node reach table of WarmIndexes: nodes by descending EgoWork
+/// (ties by id, zero-work nodes never), taken while their running total
+/// of work stays within kHeavyReachWorkPerEdge * m, in ascending id order
+/// in `ids` and with each one's exact TwoHopReach in `reach`. A pure
+/// function of the graph: the same table at any thread count. Parallel
+/// over the chosen nodes; each worker walks with VisitMarks (4 bytes per
+/// node) from a ScratchPool, freed on return.
+void ComputeHeavyReach(const graph::DiGraph& g,
+                       std::vector<graph::NodeId>* ids,
+                       std::vector<uint32_t>* reach);
 
 /// Renders the "topk" response. `in_out_degrees[i]` carries
 /// {in_degree, out_degree} of warm.rank_order[i] and must cover at least
@@ -149,7 +187,7 @@ QueryResponse ErrorResponse(const Request& r, const Status& status);
 /// renderer, so their bytes cannot drift. A non-null `snap` adds the
 /// version fields.
 QueryResponse MakeDistanceResponse(const Request& r,
-                                   const BoundedDistanceResult& d,
+                                   const graph::BoundedDistanceResult& d,
                                    const LiveSnapshot* snap = nullptr);
 
 }  // namespace serve

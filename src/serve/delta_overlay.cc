@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "analysis/reciprocity.h"
 #include "util/ext_sort.h"
 #include "util/metrics.h"
 #include "util/trace.h"
@@ -102,23 +103,21 @@ Result<std::unique_ptr<LiveGraph>> LiveGraph::Create(
   lg->options_ = options;
 
   // Head-version degree/mutual tables start as the base's (O(n) + one
-  // O(m) reciprocity pass — the same cost the warm degree indexes pay).
+  // O(m) merge pass — the one the warm mutual-degree index runs).
   lg->out_degree_.reset(new std::atomic<uint32_t>[n]);
   lg->in_degree_.reset(new std::atomic<uint32_t>[n]);
   lg->mutual_degree_.reset(new std::atomic<uint32_t>[n]);
-  uint64_t reciprocated = 0;
+  const std::vector<uint32_t> mutual = analysis::MutualDegrees(base);
   for (NodeId u = 0; u < n; ++u) {
     lg->out_degree_[u].store(base.OutDegree(u), std::memory_order_relaxed);
     lg->in_degree_[u].store(base.InDegree(u), std::memory_order_relaxed);
-    uint32_t mutual = 0;
-    for (NodeId v : base.OutNeighbors(u)) {
-      if (base.HasEdge(v, u)) ++mutual;
-    }
-    lg->mutual_degree_[u].store(mutual, std::memory_order_relaxed);
-    reciprocated += mutual;
+    lg->mutual_degree_[u].store(mutual[u], std::memory_order_relaxed);
   }
   lg->live_edges_.store(base.num_edges(), std::memory_order_relaxed);
-  lg->reciprocated_.store(reciprocated, std::memory_order_relaxed);
+  lg->reciprocated_.store(
+      analysis::ReciprocityFromMutualDegrees(base.num_edges(), mutual)
+          .reciprocated_edges,
+      std::memory_order_relaxed);
 
   auto epoch = std::make_shared<Epoch>(std::move(base));
   epoch->warm_payload = std::move(warm_payload);

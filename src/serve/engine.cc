@@ -11,14 +11,12 @@
 #include "analysis/reciprocity.h"
 #include "graph/io.h"
 #include "util/metrics.h"
-#include "util/parallel.h"
 #include "util/trace.h"
 
 namespace elitenet {
 namespace serve {
 
 using graph::DiGraph;
-using graph::NodeId;
 
 // The full warm-index build as a pure function of (graph, options) — the
 // Create() path runs it over the loaded base, a live engine's compactor
@@ -30,18 +28,16 @@ Status ComputeWarmIndexes(const DiGraph& g, const EngineOptions& options,
   {
     ELITENET_SPAN("serve.warm.degree");
     warm->degree_stats = analysis::ComputeDegreeStats(g);
-    warm->reciprocity = analysis::ComputeReciprocity(g);
-    warm->mutual_degree.assign(g.num_nodes(), 0);
-    util::ParallelFor(0, g.num_nodes(), 0, [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        const NodeId u = static_cast<NodeId>(i);
-        uint32_t mutual = 0;
-        for (NodeId v : g.OutNeighbors(u)) {
-          if (g.HasEdge(v, u)) ++mutual;
-        }
-        warm->mutual_degree[i] = mutual;
-      }
-    });
+  }
+  {
+    ELITENET_SPAN("serve.warm.mutual");
+    warm->mutual_degree = analysis::MutualDegrees(g);
+    warm->reciprocity = analysis::ReciprocityFromMutualDegrees(
+        g.num_edges(), warm->mutual_degree);
+  }
+  {
+    ELITENET_SPAN("serve.warm.heavy_reach");
+    ComputeHeavyReach(g, &warm->heavy_ids, &warm->heavy_reach);
   }
   {
     ELITENET_SPAN("serve.warm.components");

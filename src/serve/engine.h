@@ -9,7 +9,10 @@
 //   * PageRank scores, the full descending rank order, and each node's
 //     1-based rank position,
 //   * WCC and SCC labelings (component id + size per node),
-//   * per-node mutual-edge counts (reciprocity flags),
+//   * per-node mutual-edge counts (reciprocity flags), from one sorted
+//     merge of each node's out- and in-row,
+//   * the exact reach_2hop of the nodes with the costliest ego walks
+//     (ComputeHeavyReach in serve/compute.h),
 //   * the graph fingerprint and its similarity to the paper's signature,
 //   * the hub-label distance oracle (graph/hub_labels.h).
 //

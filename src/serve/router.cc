@@ -5,7 +5,7 @@
 #include <span>
 #include <utility>
 
-#include "serve/bounded_distance.h"
+#include "graph/bounded_distance.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -200,7 +200,7 @@ QueryResponse ShardedRouter::ScatterDistance(const Request& r,
   ELITENET_SPAN("serve.router.scatter_bfs");
   auto scratch = scratch_.Borrow();
   ScatterAdj adj(&shards_, &partition_.home);
-  const BoundedDistanceResult d = BoundedBidirectionalDistance(
+  const graph::BoundedDistanceResult d = graph::BoundedBidirectionalDistance(
       adj, r.node, r.target, deadline, &scratch->fwd, &scratch->bwd);
   scratch_.Return(std::move(scratch));
   QueryResponse resp = MakeDistanceResponse(r, d);

@@ -28,7 +28,7 @@
 //     the shards in deterministic order: topk degree columns are
 //     fetched from each row's home shard and merged by rank position;
 //     dist falls back to the *shared* bounded bidirectional BFS
-//     (serve/bounded_distance.h), whose PrepareLevel hook batches each
+//     (graph/bounded_distance.h), whose PrepareLevel hook batches each
 //     frontier level into per-home-shard row fetches and replays them
 //     in frontier order — the same expansion order as the local BFS,
 //     hence the same bytes, completed or degraded.
@@ -144,7 +144,7 @@ class ShardedRouter : public FrontDoor {
   bool partition_from_cache_ = false;
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Arenas for the scatter-gather BFS (sized for the global graph).
-  ScratchPool scratch_;
+  ScratchPool<SearchScratch> scratch_;
 };
 
 }  // namespace serve

@@ -1,5 +1,6 @@
 #include "serve/warm_index_cache.h"
 
+#include <algorithm>
 #include <bit>
 #include <span>
 #include <utility>
@@ -13,18 +14,17 @@ namespace {
 
 // WIDX in the sectioned container (util/sectioned_file.h): header words
 // {graph_checksum, config_hash, num_nodes}, sections in SectionId order.
-// v3: each direction's hub labels are three sections — offsets, u32 hub
-// ranks, u8 distances — where v2 had offsets and packed u64 entries.
-// Older readers see version 3 and bail with NotSupported; this reader
-// does the same for v1 and v2 files — both directions of skew degrade to
-// a rebuild.
-constexpr uint32_t kNumSections = 16;
-constexpr util::SectionedFormat kWidx = {{'W', 'I', 'D', 'X'}, 3,
+// v4 appends the heavy-node reach table (u32 ids, u32 reach) to v3's
+// sixteen sections. Older readers see version 4 and bail with
+// NotSupported; this reader does the same for v1–v3 files — both
+// directions of skew degrade to a rebuild.
+constexpr uint32_t kNumSections = 18;
+constexpr util::SectionedFormat kWidx = {{'W', 'I', 'D', 'X'}, 4,
                                          kNumSections};
 /// Bumped whenever the scalar block layout or section set changes, so
 /// sidecars written by an older layout fail the config hash instead of
 /// being misread.
-constexpr uint64_t kFormatGeneration = 3;
+constexpr uint64_t kFormatGeneration = 4;
 
 enum SectionId : uint32_t {
   kScalars = 0,
@@ -43,6 +43,8 @@ enum SectionId : uint32_t {
   kHubInOffsets = 13,
   kHubInRanks = 14,
   kHubInDists = 15,
+  kHeavyIds = 16,
+  kHeavyReach = 17,
 };
 
 constexpr const char* kSectionNames[kNumSections] = {
@@ -50,6 +52,7 @@ constexpr const char* kSectionNames[kNumSections] = {
     "scc_label",   "scc_sizes",       "pagerank",        "rank_order",
     "rank_of",     "fingerprint_error", "hub_out_offsets", "hub_out_ranks",
     "hub_out_dists", "hub_in_offsets",  "hub_in_ranks",    "hub_in_dists",
+    "heavy_ids",   "heavy_reach",
 };
 
 /// Fixed-order u64 slot encoding for the non-array state: explicit
@@ -161,6 +164,12 @@ std::pair<const void*, size_t> Bytes(const V& v) {
 
 }  // namespace
 
+const uint32_t* WarmIndexes::StoredReach(graph::NodeId u) const {
+  const auto it = std::lower_bound(heavy_ids.begin(), heavy_ids.end(), u);
+  if (it == heavy_ids.end() || *it != u) return nullptr;
+  return &heavy_reach[it - heavy_ids.begin()];
+}
+
 uint64_t WarmConfigHash(const analysis::PageRankOptions& pagerank,
                         const core::FingerprintOptions& fingerprint,
                         bool distance_oracle) {
@@ -198,6 +207,7 @@ Status SaveWarmIndexes(const std::string& path, const WarmIndexKey& key,
       Bytes(hub_out.offsets), Bytes(hub_out.ranks),
       Bytes(hub_out.dists),   Bytes(hub_in.offsets),
       Bytes(hub_in.ranks),    Bytes(hub_in.dists),
+      Bytes(w.heavy_ids),     Bytes(w.heavy_reach),
   };
   EN_ASSIGN_OR_RETURN(util::SectionedWriter out,
                       util::SectionedWriter::Create(path, kWidx));
@@ -250,6 +260,8 @@ Result<WarmIndexes> LoadWarmIndexes(const std::string& path,
   EN_RETURN_IF_ERROR(file.CopySection(kHubInDists, &hub_in.dists));
   w.hub_labels =
       graph::HubLabels::FromArrays(std::move(hub_out), std::move(hub_in));
+  EN_RETURN_IF_ERROR(file.CopySection(kHeavyIds, &w.heavy_ids));
+  EN_RETURN_IF_ERROR(file.CopySection(kHeavyReach, &w.heavy_reach));
   EN_RETURN_IF_ERROR(graph::ValidateHubLabels(
       w.hub_labels, static_cast<graph::NodeId>(n)));
   // Internal consistency: every per-node array must cover exactly n nodes
@@ -281,6 +293,22 @@ Result<WarmIndexes> LoadWarmIndexes(const std::string& path,
   for (uint32_t r : w.rank_of) {
     if (r < 1 || r > n) {
       return Status::Corruption("warm-index rank position out of range");
+    }
+  }
+  // The heavy-node table is searched by id and its values are served as
+  // reach_2hop, so ids must be strictly ascending and in range, and no
+  // reach may exceed the n - 1 other nodes.
+  if (w.heavy_ids.size() != w.heavy_reach.size()) {
+    return Status::Corruption("warm-index heavy ids and reach disagree");
+  }
+  for (size_t i = 0; i < w.heavy_ids.size(); ++i) {
+    if (w.heavy_ids[i] >= n ||
+        (i > 0 && w.heavy_ids[i] <= w.heavy_ids[i - 1])) {
+      return Status::Corruption(
+          "warm-index heavy ids out of range or not ascending");
+    }
+    if (w.heavy_reach[i] >= n) {
+      return Status::Corruption("warm-index heavy reach exceeds n - 1");
     }
   }
   return w;

@@ -1,7 +1,7 @@
 // Persisted warm indexes — the serving layer's answer to checkpoint
 // loading. QueryEngine::Create pays O(iterations * m) to build PageRank,
-// component labelings, mutual-edge counts, and the fingerprint before the
-// first query. All of it is a pure function of (graph bytes, index
+// component labelings, mutual-edge counts, the heavy-node reach table
+// and the fingerprint before the first query. All of it is a pure function of (graph bytes, index
 // config), so it can be computed once, written to a `<graph>.widx`
 // sidecar, and on the next cold start mapped + validated instead of
 // recomputed.
@@ -22,18 +22,23 @@
 //                  scc_label | scc_sizes | pagerank | rank_order |
 //                  rank_of | fingerprint_error | hub_out_offsets |
 //                  hub_out_ranks | hub_out_dists | hub_in_offsets |
-//                  hub_in_ranks | hub_in_dists
+//                  hub_in_ranks | hub_in_dists | heavy_ids | heavy_reach
 //   The six hub-label sections are graph::HubLabelArrays per direction:
 //   u64 offsets (n+1, or empty when the oracle is not built), u32 hub
 //   ranks and u8 distances, the last two of equal length offsets[n].
+//   heavy_ids (u32, strictly ascending, < n) and heavy_reach (u32, each
+//   <= n - 1, same length) are the exact reach_2hop of the nodes with the
+//   costliest ego walks (serve/compute.h ComputeHeavyReach); a few
+//   hundred entries at 40k users.
 //
 // Version history: v1 had the first ten sections; v2 added four
 // distance-oracle (hub label) sections, offsets plus packed u64
 // (rank<<32)|dist entries per direction; v3 splits each entry section
 // into a u32 rank and a u8 distance section (5 bytes per label entry
-// instead of 8). Readers reject other versions with NotSupported — the
-// engine treats that exactly like corruption and rebuilds, so version
-// skew in either direction degrades cleanly.
+// instead of 8); v4 adds the two heavy-node reach sections. Readers
+// reject other versions with NotSupported — the engine treats that
+// exactly like corruption and rebuilds, so version skew in either
+// direction degrades cleanly.
 
 #ifndef ELITENET_SERVE_WARM_INDEX_CACHE_H_
 #define ELITENET_SERVE_WARM_INDEX_CACHE_H_
@@ -76,6 +81,16 @@ struct WarmIndexes {
   /// either the oracle is disabled by config or construction blew its
   /// budget — and the engine answers dist with bidirectional BFS instead.
   graph::HubLabels hub_labels;
+  /// The nodes with the costliest ego walks, ascending, and the exact
+  /// reach_2hop of each (serve/compute.h ComputeHeavyReach). Ego answers
+  /// them from here instead of walking; empty is valid and means "walk
+  /// every node".
+  std::vector<graph::NodeId> heavy_ids;
+  std::vector<uint32_t> heavy_reach;
+
+  /// The stored reach_2hop of `u` (binary search over heavy_ids), or null
+  /// when u is not in the table.
+  const uint32_t* StoredReach(graph::NodeId u) const;
 };
 
 /// Identity of a warm-index set: which graph bytes and which index

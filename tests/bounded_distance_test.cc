@@ -1,4 +1,4 @@
-#include "serve/bounded_distance.h"
+#include "graph/bounded_distance.h"
 
 #include <chrono>
 #include <cstdint>
@@ -15,10 +15,8 @@
 #include "util/rng.h"
 
 namespace elitenet {
-namespace serve {
+namespace graph {
 namespace {
-
-using graph::NodeId;
 
 graph::DiGraph Network() {
   gen::VerifiedNetworkConfig cfg;
@@ -120,5 +118,5 @@ TEST(BoundedDistanceTest, DegradedBoundsArePinned) {
 }
 
 }  // namespace
-}  // namespace serve
+}  // namespace graph
 }  // namespace elitenet

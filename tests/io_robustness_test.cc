@@ -134,9 +134,9 @@ Format WidxFormat() {
   const std::string path = TempPath("fuzz_base.widx");
   EXPECT_TRUE(serve::SaveWarmIndexes(path, key, warm).ok());
   f.bytes = ReadFileBytes(path);
-  f.sections = 16;
+  f.sections = 18;
   f.keyed = true;
-  f.reseal = [](std::string* b) { ResealSections(b, 16); };
+  f.reseal = [](std::string* b) { ResealSections(b, 18); };
   const NodeId n = g.num_nodes();
   f.decode = [key, n](const std::string& p) -> Result<std::string> {
     EN_ASSIGN_OR_RETURN(serve::WarmIndexes w,
@@ -145,8 +145,11 @@ Format WidxFormat() {
       return serve::SaveWarmIndexes(out, key, w);
     });
   };
-  // The scalar block's component counts (u64 slots 16 and 17) and the
-  // bounds of both hub-label offset arrays (sections 10 and 13).
+  // The scalar block's component counts (u64 slots 16 and 17), the
+  // bounds of both hub-label offset arrays (sections 10 and 13), and the
+  // first two heavy-node ids (section 16, u32 each, so one u64 write sets
+  // both). A heavy reach is left out, like a PageRank score: an in-range
+  // wrong value behind a resealed checksum is undetectable by design.
   const auto section_at = [&f](size_t i) {
     return static_cast<size_t>(Get<uint64_t>(f.bytes, OffsetAt(i)));
   };
@@ -159,7 +162,8 @@ Format WidxFormat() {
               {"hub_out.offsets[0]", section_at(10)},
               {"hub_out.offsets[n]", section_end(10) - 8},
               {"hub_in.offsets[0]", section_at(13)},
-              {"hub_in.offsets[n]", section_end(13) - 8}};
+              {"hub_in.offsets[n]", section_end(13) - 8},
+              {"heavy_ids[0..1]", section_at(16)}};
   return f;
 }
 

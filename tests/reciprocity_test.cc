@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "gen/verified_network.h"
 #include "graph/builder.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace elitenet {
@@ -20,6 +22,54 @@ DiGraph Build(NodeId n,
   auto g = b.Build();
   EXPECT_TRUE(g.ok());
   return std::move(g).value();
+}
+
+// The per-edge containment-probe formulation the merge replaced.
+std::vector<uint32_t> ProbedMutualDegrees(const DiGraph& g) {
+  std::vector<uint32_t> mutual(g.num_nodes(), 0);
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (NodeId v : g.OutNeighbors(u)) mutual[u] += g.HasEdge(v, u);
+  }
+  return mutual;
+}
+
+void ExpectMergeEqualsProbes(const DiGraph& g) {
+  const std::vector<uint32_t> want = ProbedMutualDegrees(g);
+  uint64_t reciprocated = 0;
+  for (uint32_t m : want) reciprocated += m;
+  for (int threads : {1, 4}) {
+    util::SetThreadCount(threads);
+    EXPECT_EQ(MutualDegrees(g), want) << threads << " threads";
+    const ReciprocityStats s = ComputeReciprocity(g);
+    EXPECT_EQ(s.total_edges, g.num_edges());
+    EXPECT_EQ(s.reciprocated_edges, reciprocated);
+    EXPECT_EQ(s.mutual_pairs, reciprocated / 2);
+    EXPECT_EQ(s.rate, g.num_edges() == 0
+                          ? 0.0
+                          : static_cast<double>(reciprocated) /
+                                static_cast<double>(g.num_edges()));
+  }
+  util::SetThreadCount(0);
+}
+
+// Node 4 has an in-row longer than its out-row and node 5 the other way
+// round; node 3's one edge is not returned.
+TEST(ReciprocityTest, MutualDegreesMergeEqualsProbesOnHandBuiltGraph) {
+  const DiGraph g = Build(7, {{0, 1}, {1, 0}, {0, 2}, {2, 0}, {3, 4},
+                              {5, 4}, {6, 4}, {4, 6}, {5, 0}, {5, 1},
+                              {5, 3}, {1, 5}});
+  ExpectMergeEqualsProbes(g);
+  EXPECT_EQ(MutualDegrees(g),
+            (std::vector<uint32_t>{2, 2, 1, 0, 1, 1, 1}));
+}
+
+TEST(ReciprocityTest, MutualDegreesMergeEqualsProbesOnGeneratedNetwork) {
+  gen::VerifiedNetworkConfig cfg;
+  cfg.num_users = 4000;
+  auto net = gen::GenerateVerifiedNetwork(cfg);
+  ASSERT_TRUE(net.ok()) << net.status().ToString();
+  ExpectMergeEqualsProbes(net->graph);
+  EXPECT_GT(ComputeReciprocity(net->graph).reciprocated_edges, 0u);
 }
 
 TEST(ReciprocityTest, EmptyGraphIsZero) {

@@ -1,5 +1,6 @@
 #include "serve/engine.h"
 
+#include <algorithm>
 #include <future>
 #include <memory>
 #include <set>
@@ -416,15 +417,20 @@ void ExpectReachOfEveryNode(FrontDoor* front, const OutRows& rows,
   }
 }
 
-// reach_2hop is pinned to a brute-force count for every node, on the
-// static engine, a 2-shard router and a live engine after churn — not
-// only to the other paths' agreement.
-TEST(QueryEngineTest, Reach2HopMatchesBruteForceOnEveryBacking) {
+graph::DiGraph Network() {
   gen::VerifiedNetworkConfig cfg;
   cfg.num_users = 2000;
   auto net = gen::GenerateVerifiedNetwork(cfg);
-  ASSERT_TRUE(net.ok()) << net.status().ToString();
-  const graph::DiGraph& g = net->graph;
+  EXPECT_TRUE(net.ok()) << net.status().ToString();
+  return std::move(net->graph);
+}
+
+// reach_2hop is pinned to a brute-force count for every node, on the
+// static engine, a 2-shard router and a live engine before and after
+// churn — not only to the other paths' agreement — and so is every value
+// of the heavy-node table the warm build stores.
+TEST(QueryEngineTest, Reach2HopMatchesBruteForceOnEveryBacking) {
+  const graph::DiGraph g = Network();
   OutRows rows = RowsOf(g);
 
   // A reciprocal pair u<->v puts u two follows from itself; the count
@@ -440,7 +446,17 @@ TEST(QueryEngineTest, Reach2HopMatchesBruteForceOnEveryBacking) {
   }
   ASSERT_GT(reciprocal_roots, 0u);
 
-  ExpectReachOfEveryNode(MakeEngine(g).get(), rows, "static");
+  // The table covers some nodes but not all, so the lookup and the walk
+  // both run below.
+  auto engine = MakeEngine(g);
+  const WarmIndexes& warm = engine->warm_indexes();
+  ASSERT_FALSE(warm.heavy_ids.empty());
+  ASSERT_LT(warm.heavy_ids.size(), rows.size() / 4);
+  for (size_t i = 0; i < warm.heavy_ids.size(); ++i) {
+    EXPECT_EQ(warm.heavy_reach[i], BruteForceReach(rows, warm.heavy_ids[i]))
+        << "stored reach of node " << warm.heavy_ids[i];
+  }
+  ExpectReachOfEveryNode(engine.get(), rows, "static");
 
   RouterOptions ropts;
   ropts.num_shards = 2;
@@ -451,6 +467,7 @@ TEST(QueryEngineTest, Reach2HopMatchesBruteForceOnEveryBacking) {
 
   auto live = QueryEngine::CreateLive(g, LiveEngineOptions{}, EngineOptions{});
   ASSERT_TRUE(live.ok()) << live.status().ToString();
+  ExpectReachOfEveryNode(live->get(), rows, "live before churn");
   gen::MutationTraceConfig tcfg;
   tcfg.num_mutations = 3000;
   auto trace = gen::GenerateMutationTrace(g, tcfg);
@@ -475,6 +492,174 @@ TEST(QueryEngineTest, Reach2HopMatchesBruteForceOnEveryBacking) {
   ASSERT_GT(touched.size(), 0u);
   ASSERT_LT(touched.size(), rows.size());
   ExpectReachOfEveryNode(live->get(), rows, "live after churn");
+}
+
+
+// Drops a live response's `,"version":V,"as_of":A` so its bytes compare
+// with a static engine's.
+std::string WithoutVersionFields(std::string json) {
+  const size_t at = json.find(",\"version\":");
+  if (at == std::string::npos) return json;
+  const size_t end = json.find(',', json.find("\"as_of\":", at));
+  json.erase(at, end - at);
+  return json;
+}
+
+// Writes g's warm indexes under `opts`, after `edit`, as the sidecar at
+// opts.warm_index_path, so an engine started with `opts` serves them.
+template <typename Edit>
+void WriteSidecar(const graph::DiGraph& g, const EngineOptions& opts,
+                  Edit edit) {
+  WarmIndexes warm;
+  ASSERT_TRUE(ComputeWarmIndexes(g, opts, &warm).ok());
+  edit(&warm);
+  const WarmIndexKey key = {
+      graph::GraphChecksum(g),
+      WarmConfigHash(opts.pagerank, opts.fingerprint, opts.distance_oracle)};
+  ASSERT_TRUE(SaveWarmIndexes(opts.warm_index_path, key, warm).ok());
+}
+
+// Every front over g started from the sidecar at opts.warm_index_path:
+// the static engine, a 2-shard router and a live engine, each with a tag.
+std::vector<std::pair<std::string, std::unique_ptr<FrontDoor>>> FrontsOf(
+    const graph::DiGraph& g, const EngineOptions& opts) {
+  std::vector<std::pair<std::string, std::unique_ptr<FrontDoor>>> fronts;
+  auto engine = QueryEngine::Create(g, opts);
+  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+  fronts.emplace_back("static", std::move(*engine));
+  RouterOptions ropts;
+  ropts.engine = opts;
+  ropts.num_shards = 2;
+  ropts.shard_threads = 1;
+  auto router = ShardedRouter::Create(g, ropts);
+  EXPECT_TRUE(router.ok()) << router.status().ToString();
+  fronts.emplace_back("2-shard router", std::move(*router));
+  auto live = QueryEngine::CreateLive(g, LiveEngineOptions{}, opts);
+  EXPECT_TRUE(live.ok()) << live.status().ToString();
+  fronts.emplace_back("live", std::move(*live));
+  for (const auto& [tag, front] : fronts) {
+    EXPECT_TRUE(front->warm_index_from_cache()) << tag;
+  }
+  return fronts;
+}
+
+// Ego bytes do not depend on where reach_2hop came from: the static
+// engine, the router and the live engine answer every heavy node and a
+// spread of light ones identically, with the oracle on and off, from a
+// sidecar with the heavy-node table and from one without it.
+TEST(QueryEngineTest, EgoBytesIdenticalAcrossBackingsWithAndWithoutTable) {
+  const graph::DiGraph g = Network();
+  auto reference = MakeEngine(g);
+  const WarmIndexes& warm = reference->warm_indexes();
+  ASSERT_FALSE(warm.heavy_ids.empty());
+  std::vector<std::string> lines;
+  for (graph::NodeId u : warm.heavy_ids) {
+    lines.push_back("ego " + std::to_string(u));
+  }
+  for (graph::NodeId u = 0; u < g.num_nodes(); u += 7) {
+    lines.push_back("ego " + std::to_string(u));
+  }
+  std::vector<std::string> want;
+  for (const std::string& line : lines) {
+    want.push_back(reference->ExecuteLine(line).json);
+  }
+
+  for (const bool oracle : {true, false}) {
+    for (const bool table : {true, false}) {
+      const std::string what = std::string(oracle ? "oracle on" : "oracle off") +
+                               (table ? ", table" : ", no table");
+      EngineOptions opts;
+      opts.threads = 1;
+      opts.distance_oracle = oracle;
+      opts.warm_index_path = testing::TempDir() + "/ego_bytes.widx";
+      WriteSidecar(g, opts, [table](WarmIndexes* w) {
+        if (table) return;
+        w->heavy_ids.clear();
+        w->heavy_reach.clear();
+      });
+      for (const auto& [tag, front] : FrontsOf(g, opts)) {
+        for (size_t i = 0; i < lines.size(); ++i) {
+          ASSERT_EQ(WithoutVersionFields(front->ExecuteLine(lines[i]).json),
+                    want[i])
+              << what << ", " << tag << ": " << lines[i];
+        }
+      }
+    }
+  }
+}
+
+// The stored value, not a walk, is what every front serves for a heavy
+// node: a sidecar whose table is off by one for one node shows up in the
+// reply of the static engine, the router and an unmutated live engine.
+TEST(QueryEngineTest, HeavyNodesAreAnsweredFromTheTable) {
+  const graph::DiGraph g = Network();
+  EngineOptions opts;
+  opts.threads = 1;
+  opts.warm_index_path = testing::TempDir() + "/planted.widx";
+  graph::NodeId u = 0;
+  uint32_t planted = 0;
+  WriteSidecar(g, opts, [&](WarmIndexes* w) {
+    ASSERT_FALSE(w->heavy_ids.empty());
+    u = w->heavy_ids[0];
+    planted = w->heavy_reach[0] - 1;
+    w->heavy_reach[0] = planted;
+  });
+  for (const auto& [tag, front] : FrontsOf(g, opts)) {
+    EXPECT_EQ(ReachOf(front->ExecuteLine("ego " + std::to_string(u))), planted)
+        << tag;
+  }
+}
+
+// A live engine may serve a stored reach only while the rows the walk
+// reads are the base's. Here u is a heavy node that stays untouched, but
+// one of its out-neighbours gains an out-edge to a node outside u's two
+// hops: the reply must carry the walked count (the stored one plus one).
+// After CompactNow the rebuilt table holds the new count and serves it.
+TEST(QueryEngineTest, LiveHeavyNodeWalksWhenAnOutNeighbourIsTouched) {
+  const graph::DiGraph g = Network();
+  OutRows rows = RowsOf(g);
+  LiveEngineOptions live;
+  live.compact_path = testing::TempDir() + "/heavy_reach_compacted.eng2";
+  auto created = QueryEngine::CreateLive(g, live, EngineOptions{});
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  QueryEngine* engine = created->get();
+  const auto stored_reach = [engine](graph::NodeId u) {
+    const LiveSnapshot snap = engine->live_snapshot();
+    return static_cast<const WarmIndexes*>(snap.warm_payload())
+        ->StoredReach(u);
+  };
+
+  const auto* warm = static_cast<const WarmIndexes*>(
+      engine->live_snapshot().warm_payload());
+  ASSERT_FALSE(warm->heavy_ids.empty());
+  const graph::NodeId u = warm->heavy_ids[0];
+  ASSERT_FALSE(rows[u].empty());
+  const graph::NodeId v = *rows[u].begin();
+  ASSERT_NE(v, u);
+  graph::NodeId w = 0;
+  while (w == u || rows[u].count(w) > 0 ||
+         std::any_of(rows[u].begin(), rows[u].end(),
+                     [&](graph::NodeId x) { return rows[x].count(w) > 0; })) {
+    ++w;
+  }
+  ASSERT_LT(w, rows.size());
+  const uint64_t before = BruteForceReach(rows, u);
+  ASSERT_EQ(*stored_reach(u), before);
+  const std::string line = "ego " + std::to_string(u);
+  ASSERT_EQ(ReachOf(engine->ExecuteLine(line)), before);
+
+  ASSERT_TRUE(engine->Apply({MutationOp::kFollow, v, w}).ok());
+  rows[v].insert(w);
+  ASSERT_FALSE(engine->live_snapshot().Touched(u));
+  const uint64_t after = BruteForceReach(rows, u);
+  ASSERT_EQ(after, before + 1);
+  EXPECT_EQ(ReachOf(engine->ExecuteLine(line)), after);
+  EXPECT_EQ(*stored_reach(u), before) << "the epoch's table is the base's";
+
+  ASSERT_TRUE(engine->CompactNow().ok());
+  ASSERT_NE(stored_reach(u), nullptr) << "u is still heavy after compaction";
+  EXPECT_EQ(*stored_reach(u), after);
+  EXPECT_EQ(ReachOf(engine->ExecuteLine(line)), after);
 }
 
 }  // namespace

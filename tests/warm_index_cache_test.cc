@@ -126,6 +126,9 @@ TEST(WarmIndexCacheTest, RoundTripRestoresEveryIndex) {
   EXPECT_EQ(labels.in().offsets, built.hub_labels.in().offsets);
   EXPECT_EQ(labels.in().ranks, built.hub_labels.in().ranks);
   EXPECT_EQ(labels.in().dists, built.hub_labels.in().dists);
+  ASSERT_FALSE(built.heavy_ids.empty());
+  EXPECT_EQ(restored->heavy_ids, built.heavy_ids);
+  EXPECT_EQ(restored->heavy_reach, built.heavy_reach);
 }
 
 TEST(WarmIndexCacheTest, StaleGraphChecksumIsFailedPrecondition) {
@@ -190,18 +193,18 @@ uint32_t SidecarVersion(const std::string& path) {
 }
 
 // Forward compatibility, old side: a sidecar written by an earlier format
-// generation — version 1 (no hub-label sections) or version 2 (packed u64
-// hub-label entries) — must be refused with NotSupported — never
-// misparsed — and the engine must degrade it to a rebuild that rewrites
-// the file in the current format.
+// generation — version 1 (no hub-label sections), version 2 (packed u64
+// hub-label entries) or version 3 (no heavy-node reach sections) — must
+// be refused with NotSupported — never misparsed — and the engine must
+// degrade it to a rebuild that rewrites the file in the current format.
 TEST(WarmIndexCacheTest, OldFormatSidecarDegradesToRebuildAndRewrite) {
   const graph::DiGraph g = TestGraph();
   const std::string widx = TempPath("old_format.widx");
-  for (const uint32_t old_version : {1u, 2u}) {
+  for (const uint32_t old_version : {1u, 2u, 3u}) {
     std::remove(widx.c_str());
     EngineWithSidecar(g, widx);
 
-    // Rewind the header's version field (u32 at offset 4) from 3,
+    // Rewind the header's version field (u32 at offset 4) from 4,
     // simulating a file left behind by an earlier release.
     {
       std::fstream f(widx, std::ios::in | std::ios::out | std::ios::binary);
@@ -220,26 +223,25 @@ TEST(WarmIndexCacheTest, OldFormatSidecarDegradesToRebuildAndRewrite) {
 
     auto engine = EngineWithSidecar(g, widx);  // must not fail
     EXPECT_FALSE(engine->warm_index_from_cache()) << old_version;
-    EXPECT_EQ(SidecarVersion(widx), 3u) << "the rebuild rewrote v3";
+    EXPECT_EQ(SidecarVersion(widx), 4u) << "the rebuild rewrote v4";
     auto next = EngineWithSidecar(g, widx);
     EXPECT_TRUE(next->warm_index_from_cache()) << old_version;
   }
 }
 
-// Forward compatibility, new side: an oracle-bearing sidecar must be
-// cleanly rejected by readers that predate its hub-label sections. The
-// v1 and v2 readers' first check is `version == 1` or `version == 2`
-// (NotSupported on mismatch), so it suffices that the on-disk version
-// advanced; a reader that only differs in config (oracle disabled) is
-// caught by the key instead.
+// Forward compatibility, new side: a sidecar must be cleanly rejected by
+// readers that predate its sections. The v1–v3 readers' first check is
+// `version == 1`, `2` or `3` (NotSupported on mismatch), so it suffices
+// that the on-disk version advanced; a reader that only differs in
+// config (oracle disabled) is caught by the key instead.
 TEST(WarmIndexCacheTest, NewSectionsAreInvisibleToOldReaders) {
   const graph::DiGraph g = TestGraph();
   const std::string widx = TempPath("new_sections.widx");
   std::remove(widx.c_str());
   EngineWithSidecar(g, widx);
 
-  EXPECT_EQ(SidecarVersion(widx), 3u)
-      << "the split hub-label sections must bump the format version";
+  EXPECT_EQ(SidecarVersion(widx), 4u)
+      << "the heavy-node reach sections must bump the format version";
 
   EngineOptions no_oracle;
   no_oracle.distance_oracle = false;
@@ -264,7 +266,7 @@ TEST(WarmIndexCacheTest, DamageIsCorruption) {
             StatusCode::kCorruption);
 
   // Payload bit flip (first section starts after the 64 B header and the
-  // 16-entry * 32 B table, aligned to 640).
+  // 18-entry * 32 B table, at 640).
   std::remove(widx.c_str());
   EngineWithSidecar(g, widx);
   FlipByte(widx, 640);
@@ -301,34 +303,49 @@ TEST(WarmIndexCacheTest, DamageIsCorruption) {
   auto good = LoadWarmIndexes(widx, key, g.num_nodes());
   ASSERT_TRUE(good.ok()) << good.status().ToString();
   ASSERT_FALSE(good->hub_labels.empty());
-  using A = graph::HubLabelArrays;
   auto rejects = [&](const char* what, auto mutate) {
     WarmIndexes w = *good;
-    A out = w.hub_labels.out();
-    A in = w.hub_labels.in();
-    mutate(out, in);
-    w.hub_labels = graph::HubLabels::FromArrays(std::move(out), std::move(in));
+    mutate(w);
     ASSERT_TRUE(SaveWarmIndexes(widx, key, w).ok()) << what;
     EXPECT_EQ(LoadWarmIndexes(widx, key, g.num_nodes()).status().code(),
               StatusCode::kCorruption)
         << what;
   };
+  using A = graph::HubLabelArrays;
+  auto rejects_labels = [&](const char* what, auto mutate) {
+    rejects(what, [&](WarmIndexes& w) {
+      A out = w.hub_labels.out();
+      A in = w.hub_labels.in();
+      mutate(out, in);
+      w.hub_labels =
+          graph::HubLabels::FromArrays(std::move(out), std::move(in));
+    });
+  };
   const graph::NodeId n = g.num_nodes();
-  rejects("rank and distance lengths differ",
-          [](A& out, A&) { out.ranks.pop_back(); });
-  rejects("distance array longer than the ranks",
-          [](A&, A& in) { in.dists.push_back(1); });
-  rejects("both arrays shorter than offsets[n]", [](A& out, A&) {
+  rejects_labels("rank and distance lengths differ",
+                 [](A& out, A&) { out.ranks.pop_back(); });
+  rejects_labels("distance array longer than the ranks",
+                 [](A&, A& in) { in.dists.push_back(1); });
+  rejects_labels("both arrays shorter than offsets[n]", [](A& out, A&) {
     out.ranks.pop_back();
     out.dists.pop_back();
   });
-  rejects("distance 255", [](A& out, A&) { out.dists[0] = 255; });
-  rejects("rank >= n", [n](A&, A& in) { in.ranks[0] = n; });
-  rejects("ranks not strictly ascending", [](A& out, A&) {
+  rejects_labels("distance 255", [](A& out, A&) { out.dists[0] = 255; });
+  rejects_labels("rank >= n", [n](A&, A& in) { in.ranks[0] = n; });
+  rejects_labels("ranks not strictly ascending", [](A& out, A&) {
     size_t u = 0;
     while (out.offsets[u + 1] - out.offsets[u] < 2) ++u;
     out.ranks[out.offsets[u] + 1] = out.ranks[out.offsets[u]];
   });
+  // The heavy-node reach table is served as reach_2hop by id lookup.
+  ASSERT_GE(good->heavy_ids.size(), 2u);
+  rejects("heavy ids not strictly ascending",
+          [](WarmIndexes& w) { w.heavy_ids[1] = w.heavy_ids[0]; });
+  rejects("heavy id >= n", [n](WarmIndexes& w) { w.heavy_ids.back() = n; });
+  rejects("heavy ids and reach of different lengths",
+          [](WarmIndexes& w) { w.heavy_reach.pop_back(); });
+  rejects("heavy reach > n - 1",
+          [n](WarmIndexes& w) { w.heavy_reach[0] = n; });
   // The round trip of the undamaged copy still loads.
   ASSERT_TRUE(SaveWarmIndexes(widx, key, *good).ok());
   EXPECT_TRUE(LoadWarmIndexes(widx, key, n).ok());
