@@ -149,12 +149,11 @@ ColdStartResult RunColdStart(const std::string& name, const std::string& path,
 
 int main(int argc, char** argv) {
   using namespace elitenet;
-  bench::BenchArgs args = bench::ParseArgs(argc, argv);
-  std::string json_path = "BENCH_cold_start.json";
+  const bench::BenchArgs args =
+      bench::ParseArgs(argc, argv, "BENCH_cold_start.json");
   size_t num_probes = 200;
   double min_speedup = 10.0;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
     if (std::strncmp(argv[i], "--probes=", 9) == 0) {
       num_probes = std::strtoull(argv[i] + 9, nullptr, 10);
     }
@@ -255,42 +254,29 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
+  bench::Json paths = bench::Json::Array();
+  for (const bench::ColdStartResult& r : runs) {
+    paths.Add(bench::Json::Object()
+                  .Set("name", r.name)
+                  .Set("format", r.load_format)
+                  .Set("load_seconds", r.load_seconds)
+                  .Set("warmup_seconds", r.warmup_seconds)
+                  .Set("ttfq_seconds", r.ttfq_seconds)
+                  .Set("total_seconds", r.total_seconds)
+                  .Set("rss_delta_kb", r.rss_delta_kb)
+                  .Set("from_widx", r.from_widx)
+                  .Set("checksum", bench::Hex64(r.checksum)));
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"scale\": %u,\n", args.num_users);
-  std::fprintf(f, "  \"seed\": %llu,\n",
-               static_cast<unsigned long long>(args.seed));
-  std::fprintf(f, "  \"num_nodes\": %u,\n", n);
-  std::fprintf(f, "  \"probes\": %zu,\n", num_probes);
-  bench::WriteEnvironmentJson(f);
-  std::fprintf(f, "  \"paths\": [\n");
-  for (size_t i = 0; i < runs.size(); ++i) {
-    const bench::ColdStartResult& r = runs[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"format\": \"%s\", "
-                 "\"load_seconds\": %.6f, \"warmup_seconds\": %.6f, "
-                 "\"ttfq_seconds\": %.6f, \"total_seconds\": %.6f, "
-                 "\"rss_delta_kb\": %lld, \"from_widx\": %s, "
-                 "\"checksum\": \"%016llx\"}%s\n",
-                 r.name.c_str(), r.load_format.c_str(), r.load_seconds,
-                 r.warmup_seconds, r.ttfq_seconds, r.total_seconds,
-                 static_cast<long long>(r.rss_delta_kb),
-                 r.from_widx ? "true" : "false",
-                 static_cast<unsigned long long>(r.checksum),
-                 i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"responses_identical\": %s,\n",
-               identical ? "true" : "false");
-  std::fprintf(f, "  \"ttfq_speedup_widx_over_eng2\": %.2f,\n", speedup);
-  std::fprintf(f, "  \"min_speedup_required\": %.2f,\n", min_speedup);
-  std::fprintf(f, "  \"pass\": %s\n", ok ? "true" : "false");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", json_path.c_str());
+  bench::Report report;
+  report.Set("scale", args.num_users)
+      .Set("seed", args.seed)
+      .Set("num_nodes", n)
+      .Set("probes", num_probes)
+      .Set("paths", std::move(paths))
+      .Set("responses_identical", identical)
+      .Set("ttfq_speedup_widx_over_eng2", speedup)
+      .Set("min_speedup_required", min_speedup)
+      .Set("pass", ok);
+  if (!report.Write(args.json_path)) return 1;
   return ok ? 0 : 1;
 }

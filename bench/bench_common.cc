@@ -3,11 +3,14 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <thread>
+#include <utility>
 
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -30,9 +33,10 @@ namespace {
 uint64_t g_baseline_rss = 0;
 }  // namespace
 
-BenchArgs ParseArgs(int argc, char** argv) {
+BenchArgs ParseArgs(int argc, char** argv, std::string default_json) {
   if (g_baseline_rss == 0) g_baseline_rss = util::CurrentRssBytes();
   BenchArgs args;
+  args.json_path = std::move(default_json);
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--scale=", 8) == 0) {
@@ -52,6 +56,8 @@ BenchArgs ParseArgs(int argc, char** argv) {
       args.trace_path = arg + 8;
     } else if (std::strncmp(arg, "--metrics=", 10) == 0) {
       args.metrics_path = arg + 10;
+    } else if (std::strncmp(arg, "--json=", 7) == 0) {
+      args.json_path = arg + 7;
     }
   }
   return args;
@@ -96,24 +102,124 @@ std::string CsvPath(const BenchArgs& args, const std::string& name) {
   return args.out_dir + "/" + name;
 }
 
-void WriteEnvironmentJson(std::FILE* f) {
-  std::fprintf(f,
-               "  \"commit\": \"%s\",\n"
-               "  \"hardware_concurrency\": %u,\n  \"nproc\": %d,\n"
-               "  \"threads\": %d,\n",
-               ELITENET_SOURCE_COMMIT, std::thread::hardware_concurrency(),
-               util::AvailableCpus(), util::ThreadCount());
-  const uint64_t current = util::CurrentRssBytes();
-  const uint64_t delta =
-      current > g_baseline_rss ? current - g_baseline_rss : 0;
-  std::fprintf(f,
-               "  \"peak_rss_bytes\": %llu,\n"
-               "  \"resident_delta_bytes\": %llu,\n",
-               static_cast<unsigned long long>(util::PeakRssBytes()),
-               static_cast<unsigned long long>(delta));
+Json::Json(bool b) : text_(b ? "true" : "false") {}
+
+Json::Json(double v) {
+  if (!std::isfinite(v)) return;  // stays null
+  char buf[32];
+  text_.assign(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
-uint64_t PeakRssBytes() { return util::PeakRssBytes(); }
+Json::Json(const char* s) : kind_(Kind::kString), text_(s) {}
+
+Json::Json(std::string s) : kind_(Kind::kString), text_(std::move(s)) {}
+
+Json Json::Array() { return Json(Kind::kArray, ""); }
+
+Json Json::Object() { return Json(Kind::kObject, ""); }
+
+Json& Json::Add(Json v) {
+  items_.push_back(std::move(v));
+  return *this;
+}
+
+Json& Json::Set(std::string_view key, Json v) {
+  for (size_t i = 0; i < keys_.size(); ++i) {
+    if (keys_[i] == key) {
+      items_[i] = std::move(v);
+      return *this;
+    }
+  }
+  keys_.emplace_back(key);
+  items_.push_back(std::move(v));
+  return *this;
+}
+
+std::string Json::Dump() const {
+  std::string out;
+  DumpTo(&out, 0);
+  return out;
+}
+
+void Json::DumpTo(std::string* out, size_t indent) const {
+  if (kind_ == Kind::kLiteral) {
+    *out += text_;
+    return;
+  }
+  if (kind_ == Kind::kString) {
+    *out += '"' + serve::JsonEscape(text_) + '"';
+    return;
+  }
+  const bool object = kind_ == Kind::kObject;
+  const bool flat =
+      std::all_of(items_.begin(), items_.end(), [](const Json& v) {
+        return v.kind_ == Kind::kLiteral || v.kind_ == Kind::kString;
+      });
+  *out += object ? '{' : '[';
+  for (size_t i = 0; i < items_.size(); ++i) {
+    if (i > 0) *out += ',';
+    if (flat) {
+      if (i > 0) *out += ' ';
+    } else {
+      *out += '\n';
+      out->append(indent + 2, ' ');
+    }
+    if (object) *out += '"' + serve::JsonEscape(keys_[i]) + "\": ";
+    items_[i].DumpTo(out, indent + 2);
+  }
+  if (!flat) {
+    *out += '\n';
+    out->append(indent, ' ');
+  }
+  *out += object ? '}' : ']';
+}
+
+Report& Report::Set(std::string_view key, Json v) {
+  fields_.Set(key, std::move(v));
+  return *this;
+}
+
+std::string Report::Dump() const {
+  const uint64_t current = util::CurrentRssBytes();
+  Json doc = fields_;
+  doc.Set("commit", ELITENET_SOURCE_COMMIT)
+      .Set("hardware_concurrency", std::thread::hardware_concurrency())
+      .Set("nproc", util::AvailableCpus())
+      .Set("threads", util::ThreadCount())
+      .Set("peak_rss_bytes", util::PeakRssBytes())
+      .Set("resident_delta_bytes",
+           current > g_baseline_rss ? current - g_baseline_rss : 0);
+  return doc.Dump() + "\n";
+}
+
+bool Report::Write(const std::string& path) const {
+  std::ofstream out(path, std::ios::trunc);
+  out << Dump();
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return true;
+}
+
+std::string Hex64(uint64_t x) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(x));
+  return buf;
+}
+
+Spread Summarize(std::vector<double> samples) {
+  if (samples.empty()) return {};
+  std::sort(samples.begin(), samples.end());
+  const size_t n = samples.size();
+  const double median = n % 2 == 1
+                            ? samples[n / 2]
+                            : (samples[n / 2 - 1] + samples[n / 2]) / 2;
+  return {median, samples.front(), samples.back()};
+}
 
 uint64_t FnvMix(uint64_t h, uint64_t x) {
   h ^= x;

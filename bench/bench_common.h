@@ -1,13 +1,16 @@
 // Shared plumbing for the figure/table reproduction benches: scale
-// parsing, study construction, CSV output location, and the
-// paper-vs-measured comparison printer.
+// parsing, study construction, CSV output location, the
+// paper-vs-measured comparison printer, and the one writer behind every
+// BENCH_*.json (bench::Report).
 
 #ifndef ELITENET_BENCH_BENCH_COMMON_H_
 #define ELITENET_BENCH_BENCH_COMMON_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/study.h"
@@ -33,12 +36,15 @@ struct BenchArgs {
   std::string trace_path;
   /// Metrics snapshot output (`--metrics=FILE`); empty = metrics off.
   std::string metrics_path;
+  /// Where the bench writes its report (`--json=FILE`), default the
+  /// bench's own BENCH_*.json name.
+  std::string json_path;
 };
 
 /// Parses --scale= / --seed= / --out= / --threads= / --trace= / --metrics=
-/// flags; ignores unknown flags so binaries stay runnable under generic
-/// runners.
-BenchArgs ParseArgs(int argc, char** argv);
+/// / --json= flags; ignores unknown flags so binaries stay runnable under
+/// generic runners. `default_json` is json_path when --json= is absent.
+BenchArgs ParseArgs(int argc, char** argv, std::string default_json = "");
 
 /// Study configuration at the requested scale with bench-grade analysis
 /// settings (deeper than quickstart, still minutes not hours).
@@ -51,22 +57,83 @@ core::VerifiedStudy MakeStudy(const BenchArgs& args);
 /// Ensures the output directory exists; returns out_dir + "/" + name.
 std::string CsvPath(const BenchArgs& args, const std::string& name);
 
-/// Writes the execution-environment fields every BENCH_*.json carries —
-/// commit (`git describe --always --dirty` of the source tree when CMake
-/// last configured the build), hardware_concurrency, nproc
-/// (util::AvailableCpus: the CPUs the affinity mask allows), effective
-/// threads, peak_rss_bytes (process high-water mark at write time) and
-/// resident_delta_bytes (RSS growth since ParseArgs) — so a result read in isolation says what
-/// parallelism *and* memory footprint produced it (a 1x speedup on a
-/// single-core container is expected, not a regression; a bench whose
-/// residency doubles is one even when its latency holds). Call inside an
-/// open JSON object, two-space indent, comma included.
-void WriteEnvironmentJson(std::FILE* f);
+/// One JSON value: null, a bool, a number, a string, an array or an
+/// object. Object members keep their insertion order, and Set on a key
+/// already present replaces its value, so no key appears twice. Numbers
+/// keep their exact value: integers in decimal, doubles as the shortest
+/// text that reads back to the same double, non-finite doubles as null.
+class Json {
+ public:
+  Json() = default;  ///< null
+  Json(bool b);
+  template <typename T>
+    requires(std::is_integral_v<T> && !std::is_same_v<T, bool>)
+  Json(T v) : text_(std::to_string(v)) {}
+  Json(double v);
+  Json(const char* s);
+  Json(std::string s);
 
-/// Process peak RSS (VmHWM) in bytes; 0 where unmeasurable. Thin wrapper
-/// over util::PeakRssBytes so benches get the number without a util/rss.h
-/// include.
-uint64_t PeakRssBytes();
+  static Json Array();
+  static Json Object();
+
+  /// Appends `v` to an array.
+  Json& Add(Json v);
+  /// Sets member `key` of an object to `v`.
+  Json& Set(std::string_view key, Json v);
+
+  /// Two-space indented text; a container holding only scalars stays on
+  /// one line.
+  std::string Dump() const;
+
+ private:
+  enum class Kind { kLiteral, kString, kArray, kObject };
+  Json(Kind kind, std::string text) : kind_(kind), text_(std::move(text)) {}
+  void DumpTo(std::string* out, size_t indent) const;
+
+  Kind kind_ = Kind::kLiteral;
+  std::string text_ = "null";      ///< literal text, or the raw string
+  std::vector<std::string> keys_;  ///< object member names
+  std::vector<Json> items_;        ///< array elements / object values
+};
+
+/// A bench's BENCH_*.json: the fields the bench sets, plus the
+/// execution-environment fields every report carries — commit (`git
+/// describe --always --dirty` of the source tree when CMake last
+/// configured the build), hardware_concurrency, nproc
+/// (util::AvailableCpus: the CPUs the affinity mask allows), effective
+/// threads, peak_rss_bytes (process high-water mark when the report is
+/// rendered) and resident_delta_bytes (RSS growth since ParseArgs) — so a
+/// result read in isolation says what parallelism *and* memory footprint
+/// produced it (a 1x speedup on a single-core container is expected, not
+/// a regression; a bench whose residency doubles is one even when its
+/// latency holds). The environment fields are added when the report is
+/// rendered and replace any field of the same name.
+class Report {
+ public:
+  Report& Set(std::string_view key, Json v);
+
+  /// The whole document, environment fields measured now.
+  std::string Dump() const;
+
+  /// Writes Dump() to `path` and prints "wrote <path>"; on failure says
+  /// so on stderr and returns false.
+  bool Write(const std::string& path) const;
+
+ private:
+  Json fields_ = Json::Object();
+};
+
+/// `x` as 16 lower-case hex digits — how reports spell checksums.
+std::string Hex64(uint64_t x);
+
+/// Median (the mean of the middle two for an even count), min and max of
+/// a sample; all zero for an empty one.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+Spread Summarize(std::vector<double> samples);
 
 /// One FNV-1a step folding `x` into hash state `h` — the order-sensitive
 /// combiner the serving benches use for response checksums.

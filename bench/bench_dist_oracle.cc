@@ -58,7 +58,7 @@ struct LatencySummary {
   size_t count = 0;
 };
 
-LatencySummary Summarize(const std::vector<double>& micros) {
+LatencySummary SummarizeLatency(const std::vector<double>& micros) {
   return {Percentile(micros, 0.50), Percentile(micros, 0.95),
           Percentile(micros, 0.99), micros.size()};
 }
@@ -79,13 +79,12 @@ serve::Request DistRequest(graph::NodeId s, graph::NodeId t,
 
 int main(int argc, char** argv) {
   using namespace elitenet;
-  bench::BenchArgs args = bench::ParseArgs(argc, argv);
-  std::string json_path = "BENCH_dist_oracle.json";
+  const bench::BenchArgs args =
+      bench::ParseArgs(argc, argv, "BENCH_dist_oracle.json");
   size_t num_pairs = 2000;
   uint64_t deadline_us = 2000;
   double max_ratio = 2.0;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
     if (std::strncmp(argv[i], "--pairs=", 8) == 0) {
       num_pairs = std::strtoull(argv[i] + 8, nullptr, 10);
     }
@@ -209,9 +208,9 @@ int main(int argc, char** argv) {
     topk_us.push_back(t.Seconds() * 1e6);
   }
 
-  const bench::LatencySummary oracle_lat = bench::Summarize(oracle_us);
-  const bench::LatencySummary bfs_lat = bench::Summarize(bfs_us);
-  const bench::LatencySummary topk_lat = bench::Summarize(topk_us);
+  const bench::LatencySummary oracle_lat = bench::SummarizeLatency(oracle_us);
+  const bench::LatencySummary bfs_lat = bench::SummarizeLatency(bfs_us);
+  const bench::LatencySummary topk_lat = bench::SummarizeLatency(topk_us);
   const double p99_ratio =
       topk_lat.p99 > 0.0 ? oracle_lat.p99 / topk_lat.p99 : 0.0;
   const bool zero_degraded = oracle_degraded == 0;
@@ -238,55 +237,43 @@ int main(int argc, char** argv) {
                  "%.1fx target\n", p99_ratio, max_ratio);
   }
 
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"scale\": %u,\n", args.num_users);
-  std::fprintf(f, "  \"seed\": %llu,\n",
-               static_cast<unsigned long long>(args.seed));
-  std::fprintf(f, "  \"num_edges\": %llu,\n",
-               static_cast<unsigned long long>(g.num_edges()));
-  std::fprintf(f, "  \"pairs\": %zu,\n", num_pairs);
-  std::fprintf(f, "  \"deadline_us\": %llu,\n",
-               static_cast<unsigned long long>(deadline_us));
-  bench::WriteEnvironmentJson(f);
-  std::fprintf(f, "  \"build_seconds\": %.4f,\n", build_seconds);
-  std::fprintf(f,
-               "  \"labels\": {\"avg_out_entries\": %.2f, "
-               "\"avg_in_entries\": %.2f, \"max_out_entries\": %u, "
-               "\"max_in_entries\": %u, \"bytes\": %llu},\n",
-               stats.avg_out_entries, stats.avg_in_entries,
-               stats.max_out_entries, stats.max_in_entries,
-               static_cast<unsigned long long>(stats.bytes));
-  std::fprintf(f,
-               "  \"dist_oracle_us\": {\"count\": %zu, \"p50\": %.2f, "
-               "\"p95\": %.2f, \"p99\": %.2f, \"degraded\": %llu},\n",
-               oracle_lat.count, oracle_lat.p50, oracle_lat.p95,
-               oracle_lat.p99,
-               static_cast<unsigned long long>(oracle_degraded));
-  std::fprintf(f,
-               "  \"dist_bfs_us\": {\"count\": %zu, \"p50\": %.2f, "
-               "\"p95\": %.2f, \"p99\": %.2f, \"degraded\": %llu},\n",
-               bfs_lat.count, bfs_lat.p50, bfs_lat.p95, bfs_lat.p99,
-               static_cast<unsigned long long>(bfs_degraded));
-  std::fprintf(f,
-               "  \"topk_us\": {\"count\": %zu, \"p50\": %.2f, "
-               "\"p95\": %.2f, \"p99\": %.2f},\n",
-               topk_lat.count, topk_lat.p50, topk_lat.p95, topk_lat.p99);
-  std::fprintf(f, "  \"p99_ratio_vs_topk\": %.3f,\n", p99_ratio);
-  std::fprintf(f, "  \"max_ratio\": %.2f,\n", max_ratio);
-  std::fprintf(f,
-               "  \"checks\": {\"byte_identical\": %s, "
-               "\"zero_degraded\": %s, \"ratio_ok\": %s}\n",
-               byte_identical ? "true" : "false",
-               zero_degraded ? "true" : "false",
-               ratio_ok ? "true" : "false");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", json_path.c_str());
+  bench::Report report;
+  report.Set("scale", args.num_users)
+      .Set("seed", args.seed)
+      .Set("num_edges", g.num_edges())
+      .Set("pairs", num_pairs)
+      .Set("deadline_us", deadline_us)
+      .Set("build_seconds", build_seconds)
+      .Set("labels", bench::Json::Object()
+                         .Set("avg_out_entries", stats.avg_out_entries)
+                         .Set("avg_in_entries", stats.avg_in_entries)
+                         .Set("max_out_entries", stats.max_out_entries)
+                         .Set("max_in_entries", stats.max_in_entries)
+                         .Set("bytes", stats.bytes))
+      .Set("dist_oracle_us", bench::Json::Object()
+                                 .Set("count", oracle_lat.count)
+                                 .Set("p50", oracle_lat.p50)
+                                 .Set("p95", oracle_lat.p95)
+                                 .Set("p99", oracle_lat.p99)
+                                 .Set("degraded", oracle_degraded))
+      .Set("dist_bfs_us", bench::Json::Object()
+                              .Set("count", bfs_lat.count)
+                              .Set("p50", bfs_lat.p50)
+                              .Set("p95", bfs_lat.p95)
+                              .Set("p99", bfs_lat.p99)
+                              .Set("degraded", bfs_degraded))
+      .Set("topk_us", bench::Json::Object()
+                          .Set("count", topk_lat.count)
+                          .Set("p50", topk_lat.p50)
+                          .Set("p95", topk_lat.p95)
+                          .Set("p99", topk_lat.p99))
+      .Set("p99_ratio_vs_topk", p99_ratio)
+      .Set("max_ratio", max_ratio)
+      .Set("checks", bench::Json::Object()
+                         .Set("byte_identical", byte_identical)
+                         .Set("zero_degraded", zero_degraded)
+                         .Set("ratio_ok", ratio_ok));
+  if (!report.Write(args.json_path)) return 1;
 
   return (byte_identical && zero_degraded && ratio_ok) ? 0 : 1;
 }

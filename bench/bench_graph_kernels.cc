@@ -433,20 +433,6 @@ graph::BoundedDistanceResult BranchyBoundedDistance(
 // Median, min and max seconds of `repeats` timed passes of the old and
 // the new kernel, alternated after one untimed warm-up pass of each so
 // host drift lands on both alike.
-struct Spread {
-  double median = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-};
-
-Spread Summarize(std::vector<double> seconds) {
-  std::sort(seconds.begin(), seconds.end());
-  const size_t n = seconds.size();
-  const double median = n % 2 == 1 ? seconds[n / 2]
-                                   : (seconds[n / 2 - 1] + seconds[n / 2]) / 2;
-  return {median, seconds.front(), seconds.back()};
-}
-
 template <typename OldFn, typename NewFn>
 std::pair<Spread, Spread> TimeOldVsNew(int repeats, OldFn&& old_pass,
                                        NewFn&& new_pass) {
@@ -593,11 +579,10 @@ HeavyReachRow RunHeavyReachRow(const graph::DiGraph& g, int repeats) {
 
 int main(int argc, char** argv) {
   using namespace elitenet;
-  bench::BenchArgs args = bench::ParseArgs(argc, argv);
-  std::string json_path = "BENCH_graph_kernels.json";
+  const bench::BenchArgs args =
+      bench::ParseArgs(argc, argv, "BENCH_graph_kernels.json");
   uint32_t num_sources = 64;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
     if (std::strncmp(argv[i], "--sources=", 10) == 0) {
       num_sources = static_cast<uint32_t>(std::strtoul(argv[i] + 10, nullptr, 10));
     }
@@ -802,89 +787,76 @@ int main(int argc, char** argv) {
   std::printf("relabel: %.4fs; checksums identical across grid: %s\n",
               relabel_seconds, checksums_identical ? "yes" : "NO");
 
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
+  bench::Json grid = bench::Json::Array();
+  for (const Cell& c : cells) {
+    grid.Add(bench::Json::Object()
+                 .Set("mode", c.mode)
+                 .Set("threads", c.threads)
+                 .Set("layout", c.layout)
+                 .Set("seconds", c.r.seconds)
+                 .Set("mteps",
+                      c.r.seconds > 0.0 ? k * m / c.r.seconds / 1e6 : 0.0)
+                 .Set("edges_scanned", c.r.edges_scanned)
+                 .Set("bottom_up_levels", c.r.bottom_up_levels)
+                 .Set("checksum", bench::Hex64(c.r.checksum)));
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"scale\": %u,\n", args.num_users);
-  std::fprintf(f, "  \"seed\": %llu,\n",
-               static_cast<unsigned long long>(args.seed));
-  std::fprintf(f, "  \"num_edges\": %llu,\n",
-               static_cast<unsigned long long>(g.num_edges()));
-  std::fprintf(f, "  \"sources\": %zu,\n", sources.size());
-  bench::WriteEnvironmentJson(f);
-  std::fprintf(f, "  \"bfs_grid\": [\n");
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    const double mteps = c.r.seconds > 0.0 ? k * m / c.r.seconds / 1e6 : 0.0;
-    std::fprintf(f,
-                 "    {\"mode\": \"%s\", \"threads\": %d, \"layout\": "
-                 "\"%s\", \"seconds\": %.5f, \"mteps\": %.2f, "
-                 "\"edges_scanned\": %llu, \"bottom_up_levels\": %llu, "
-                 "\"checksum\": \"%016llx\"}%s\n",
-                 c.mode, c.threads, c.layout, c.r.seconds, mteps,
-                 static_cast<unsigned long long>(c.r.edges_scanned),
-                 static_cast<unsigned long long>(c.r.bottom_up_levels),
-                 static_cast<unsigned long long>(c.r.checksum),
-                 i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"bfs_diropt_speedup_1t\": %.3f,\n", bfs_speedup);
-  std::fprintf(f, "  \"wcc\": {\"classic_seconds\": %.5f, "
-               "\"optimized_seconds\": %.5f, \"speedup\": %.3f, "
-               "\"outputs_equal\": %s},\n",
-               wcc_classic_sec, wcc_opt_sec,
-               wcc_opt_sec > 0.0 ? wcc_classic_sec / wcc_opt_sec : 0.0,
-               wcc_equal ? "true" : "false");
-  std::fprintf(f, "  \"kcore\": {\"classic_seconds\": %.5f, "
-               "\"optimized_seconds\": %.5f, \"speedup\": %.3f, "
-               "\"outputs_equal\": %s},\n",
-               kcore_classic_sec, kcore_opt_sec,
-               kcore_opt_sec > 0.0 ? kcore_classic_sec / kcore_opt_sec : 0.0,
-               kcore_equal ? "true" : "false");
-  std::fprintf(f, "  \"clustering\": {\"classic_seconds\": %.5f, "
-               "\"optimized_seconds\": %.5f, \"speedup\": %.3f, "
-               "\"samples\": %u, \"sampled_classic_seconds\": %.5f, "
-               "\"sampled_optimized_seconds\": %.5f, "
-               "\"sampled_speedup\": %.3f, \"outputs_equal\": %s},\n",
-               clust_classic_sec, clust_opt_sec,
-               clust_opt_sec > 0.0 ? clust_classic_sec / clust_opt_sec : 0.0,
-               kClusteringSamples, sampled_classic_sec, sampled_opt_sec,
-               sampled_opt_sec > 0.0 ? sampled_classic_sec / sampled_opt_sec
-                                     : 0.0,
-               clust_equal ? "true" : "false");
+  const auto ratio = [](double a, double b) { return b > 0.0 ? a / b : 0.0; };
+  bench::Report report;
+  report.Set("scale", args.num_users)
+      .Set("seed", args.seed)
+      .Set("num_edges", g.num_edges())
+      .Set("sources", sources.size())
+      .Set("bfs_grid", std::move(grid))
+      .Set("bfs_diropt_speedup_1t", bfs_speedup)
+      .Set("wcc", bench::Json::Object()
+                      .Set("classic_seconds", wcc_classic_sec)
+                      .Set("optimized_seconds", wcc_opt_sec)
+                      .Set("speedup", ratio(wcc_classic_sec, wcc_opt_sec))
+                      .Set("outputs_equal", wcc_equal))
+      .Set("kcore", bench::Json::Object()
+                        .Set("classic_seconds", kcore_classic_sec)
+                        .Set("optimized_seconds", kcore_opt_sec)
+                        .Set("speedup", ratio(kcore_classic_sec, kcore_opt_sec))
+                        .Set("outputs_equal", kcore_equal))
+      .Set("clustering",
+           bench::Json::Object()
+               .Set("classic_seconds", clust_classic_sec)
+               .Set("optimized_seconds", clust_opt_sec)
+               .Set("speedup", ratio(clust_classic_sec, clust_opt_sec))
+               .Set("samples", kClusteringSamples)
+               .Set("sampled_classic_seconds", sampled_classic_sec)
+               .Set("sampled_optimized_seconds", sampled_opt_sec)
+               .Set("sampled_speedup",
+                    ratio(sampled_classic_sec, sampled_opt_sec))
+               .Set("outputs_equal", clust_equal));
   for (const bench::ServingRow& row : serving) {
-    std::fprintf(
-        f,
-        "  \"%s\": {\"items\": %zu, \"repeats\": %d, "
-        "\"classic\": \"%s\", \"optimized\": \"%s\", "
-        "\"classic_seconds\": %.5f, \"classic_min\": %.5f, "
-        "\"classic_max\": %.5f, \"optimized_seconds\": %.5f, "
-        "\"optimized_min\": %.5f, \"optimized_max\": %.5f, "
-        "\"speedup\": %.3f, \"outputs_equal\": %s},\n",
-        row.name, row.items, kServingRepeats, row.classic_label,
-        row.optimized_label, row.classic.median,
-        row.classic.min, row.classic.max, row.optimized.median,
-        row.optimized.min, row.optimized.max,
-        row.optimized.median > 0.0 ? row.classic.median / row.optimized.median
-                                   : 0.0,
-        row.outputs_equal ? "true" : "false");
+    report.Set(row.name,
+               bench::Json::Object()
+                   .Set("items", row.items)
+                   .Set("repeats", kServingRepeats)
+                   .Set("classic", row.classic_label)
+                   .Set("optimized", row.optimized_label)
+                   .Set("classic_seconds", row.classic.median)
+                   .Set("classic_min", row.classic.min)
+                   .Set("classic_max", row.classic.max)
+                   .Set("optimized_seconds", row.optimized.median)
+                   .Set("optimized_min", row.optimized.min)
+                   .Set("optimized_max", row.optimized.max)
+                   .Set("speedup",
+                        ratio(row.classic.median, row.optimized.median))
+                   .Set("outputs_equal", row.outputs_equal));
   }
-  std::fprintf(f,
-               "  \"heavy_reach\": {\"nodes\": %zu, \"work\": %llu, "
-               "\"threads\": 1, \"repeats\": %d, \"seconds\": %.5f, "
-               "\"min\": %.5f, \"max\": %.5f},\n",
-               heavy.nodes, static_cast<unsigned long long>(heavy.work),
-               kServingRepeats, heavy.seconds.median, heavy.seconds.min,
-               heavy.seconds.max);
-  std::fprintf(f, "  \"relabel_seconds\": %.5f,\n", relabel_seconds);
-  std::fprintf(f, "  \"checksums_identical\": %s\n",
-               checksums_identical ? "true" : "false");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", json_path.c_str());
+  report.Set("heavy_reach", bench::Json::Object()
+                                .Set("nodes", heavy.nodes)
+                                .Set("work", heavy.work)
+                                .Set("threads", 1)
+                                .Set("repeats", kServingRepeats)
+                                .Set("seconds", heavy.seconds.median)
+                                .Set("min", heavy.seconds.min)
+                                .Set("max", heavy.seconds.max))
+      .Set("relabel_seconds", relabel_seconds)
+      .Set("checksums_identical", checksums_identical);
+  if (!report.Write(args.json_path)) return 1;
 
   const bool ok = checksums_identical && wcc_equal && kcore_equal &&
                   clust_equal && serving_equal;

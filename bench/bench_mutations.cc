@@ -202,12 +202,11 @@ GridRun RunGridPoint(const graph::DiGraph& g,
 
 int main(int argc, char** argv) {
   using namespace elitenet;
-  bench::BenchArgs args = bench::ParseArgs(argc, argv);
-  std::string json_path = "BENCH_mutations.json";
+  const bench::BenchArgs args =
+      bench::ParseArgs(argc, argv, "BENCH_mutations.json");
   uint32_t num_mutations = 60000;
   size_t num_requests = 3000;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
     if (std::strncmp(argv[i], "--mutations=", 12) == 0) {
       num_mutations = static_cast<uint32_t>(std::atoll(argv[i] + 12));
     }
@@ -423,81 +422,56 @@ int main(int argc, char** argv) {
   }
 
   // ---- JSON artifact ---------------------------------------------------
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
+  bench::Json drift_json = bench::Json::Array();
+  for (const auto& d : drift) {
+    drift_json.Add(bench::Json::Object()
+                       .Set("applied", d.applied)
+                       .Set("edges", d.edges)
+                       .Set("reciprocity", d.reciprocity));
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"scale\": %u,\n", args.num_users);
-  std::fprintf(f, "  \"seed\": %llu,\n",
-               static_cast<unsigned long long>(args.seed));
-  std::fprintf(f, "  \"base_edges\": %llu,\n",
-               static_cast<unsigned long long>(g.num_edges()));
-  std::fprintf(f, "  \"mutations\": %zu,\n", muts.size());
-  std::fprintf(f, "  \"requests\": %zu,\n", mix.size());
-  bench::WriteEnvironmentJson(f);
-  std::fprintf(f,
-               "  \"trace\": {\"follows\": %llu, \"unfollows\": %llu, "
-               "\"reciprocal_follows\": %llu, \"base_unfollows\": %llu, "
-               "\"roundtrip_ok\": %s},\n",
-               static_cast<unsigned long long>(trace->follows),
-               static_cast<unsigned long long>(trace->unfollows),
-               static_cast<unsigned long long>(trace->reciprocal_follows),
-               static_cast<unsigned long long>(trace->base_unfollows),
-               trace_roundtrip ? "true" : "false");
-  std::fprintf(f,
-               "  \"apply\": {\"rate_per_sec\": %.0f, \"seconds\": %.4f, "
-               "\"wal\": true, \"hw_rows\": %llu, \"hw_entries\": %llu, "
-               "\"tombstones\": %llu, \"overlay_adds\": %llu, "
-               "\"replay_deterministic\": %s},\n",
-               apply_rate, apply_seconds,
-               static_cast<unsigned long long>(ostats.hw_rows),
-               static_cast<unsigned long long>(ostats.hw_entries),
-               static_cast<unsigned long long>(ostats.tombstones),
-               static_cast<unsigned long long>(ostats.overlay_adds),
-               wal_replay_ok ? "true" : "false");
-  std::fprintf(f, "  \"drift\": [\n");
-  for (size_t i = 0; i < drift.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"applied\": %llu, \"edges\": %llu, "
-                 "\"reciprocity\": %.6f}%s\n",
-                 static_cast<unsigned long long>(drift[i].applied),
-                 static_cast<unsigned long long>(drift[i].edges),
-                 drift[i].reciprocity, i + 1 < drift.size() ? "," : "");
+  bench::Json grid_json = bench::Json::Array();
+  for (const bench::GridRun& r : grid) {
+    grid_json.Add(bench::Json::Object()
+                      .Set("workers", r.workers)
+                      .Set("qps", r.qps)
+                      .Set("wall_seconds", r.wall_seconds)
+                      .Set("pinned_version", r.pinned_version)
+                      .Set("checksum", bench::Hex64(r.checksum)));
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"densified\": %s,\n  \"reciprocity_drifted\": %s,\n",
-               densified ? "true" : "false",
-               recip_drifted ? "true" : "false");
-  std::fprintf(f,
-               "  \"compaction\": {\"edges\": %llu, \"seconds\": %.4f, "
-               "\"tail_replayed\": %llu, \"byte_identical\": %s, "
-               "\"engine_byte_identical\": %s},\n",
-               static_cast<unsigned long long>(cstats->num_edges),
-               cstats->seconds,
-               static_cast<unsigned long long>(cstats->tail_replayed),
-               compact_identical ? "true" : "false",
-               engine_compact_identical ? "true" : "false");
-  std::fprintf(f, "  \"grid\": [\n");
-  for (size_t i = 0; i < grid.size(); ++i) {
-    const bench::GridRun& r = grid[i];
-    std::fprintf(f,
-                 "    {\"workers\": %d, \"qps\": %.1f, \"wall_seconds\": "
-                 "%.4f, \"pinned_version\": %llu, \"checksum\": "
-                 "\"%016llx\"}%s\n",
-                 r.workers, r.qps, r.wall_seconds,
-                 static_cast<unsigned long long>(r.pinned_version),
-                 static_cast<unsigned long long>(r.checksum),
-                 i + 1 < grid.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"checksums_identical\": %s\n",
-               grid_identical ? "true" : "false");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", json_path.c_str());
+  bench::Report report;
+  report.Set("scale", args.num_users)
+      .Set("seed", args.seed)
+      .Set("base_edges", g.num_edges())
+      .Set("mutations", muts.size())
+      .Set("requests", mix.size())
+      .Set("trace", bench::Json::Object()
+                        .Set("follows", trace->follows)
+                        .Set("unfollows", trace->unfollows)
+                        .Set("reciprocal_follows", trace->reciprocal_follows)
+                        .Set("base_unfollows", trace->base_unfollows)
+                        .Set("roundtrip_ok", trace_roundtrip))
+      .Set("apply", bench::Json::Object()
+                        .Set("rate_per_sec", apply_rate)
+                        .Set("seconds", apply_seconds)
+                        .Set("wal", true)
+                        .Set("hw_rows", ostats.hw_rows)
+                        .Set("hw_entries", ostats.hw_entries)
+                        .Set("tombstones", ostats.tombstones)
+                        .Set("overlay_adds", ostats.overlay_adds)
+                        .Set("replay_deterministic", wal_replay_ok))
+      .Set("drift", std::move(drift_json))
+      .Set("densified", densified)
+      .Set("reciprocity_drifted", recip_drifted)
+      .Set("compaction", bench::Json::Object()
+                             .Set("edges", cstats->num_edges)
+                             .Set("seconds", cstats->seconds)
+                             .Set("tail_replayed", cstats->tail_replayed)
+                             .Set("byte_identical", compact_identical)
+                             .Set("engine_byte_identical",
+                                  engine_compact_identical))
+      .Set("grid", std::move(grid_json))
+      .Set("checksums_identical", grid_identical);
+  if (!report.Write(args.json_path)) return 1;
 
   const bool ok = trace_roundtrip && densified && recip_drifted &&
                   wal_replay_ok && compact_identical && grid_identical &&

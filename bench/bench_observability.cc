@@ -31,7 +31,6 @@
 //                            [--serve-requests=R] [--serve-repeats=K]
 //                            [--serve-overhead-limit=PCT]
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -85,11 +84,6 @@ double InstrumentedKernel(const std::vector<double>& data) {
         return s;
       },
       [](double a, double b) { return a + b; });
-}
-
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
 }
 
 // ---------------------------------------------------------------------------
@@ -294,9 +288,10 @@ ServingResults RunServingMode(const graph::DiGraph& g,
 int main(int argc, char** argv) {
   using namespace elitenet;
 
+  const bench::BenchArgs args =
+      bench::ParseArgs(argc, argv, "BENCH_observability.json");
   size_t elements = size_t{1} << 22;
   int repeats = 9;
-  std::string json_path = "BENCH_observability.json";
   bool run_kernel = true;
   uint32_t serve_scale = 60000;
   size_t serve_requests = 12000;
@@ -307,8 +302,6 @@ int main(int argc, char** argv) {
       elements = static_cast<size_t>(std::atoll(argv[i] + 11));
     } else if (std::strncmp(argv[i], "--repeats=", 10) == 0) {
       repeats = std::atoi(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
     } else if (std::strcmp(argv[i], "--skip-kernel") == 0) {
       run_kernel = false;
     } else if (std::strncmp(argv[i], "--serve-scale=", 14) == 0) {
@@ -377,10 +370,10 @@ int main(int argc, char** argv) {
       util::TraceRecorder::Global().Clear();
     }
 
-    plain = bench::Median(plain_s);
-    disabled = bench::Median(disabled_s);
-    metrics_on = bench::Median(metrics_s);
-    full_on = bench::Median(full_s);
+    plain = bench::Summarize(plain_s).median;
+    disabled = bench::Summarize(disabled_s).median;
+    metrics_on = bench::Summarize(metrics_s).median;
+    full_on = bench::Summarize(full_s).median;
     disabled_pct = (disabled / plain - 1.0) * 100.0;
     metrics_pct = (metrics_on / plain - 1.0) * 100.0;
     full_pct = (full_on / plain - 1.0) * 100.0;
@@ -432,7 +425,7 @@ int main(int argc, char** argv) {
                 g.num_nodes(),
                 static_cast<unsigned long long>(g.num_edges()), mix.size(),
                 serve_repeats);
-    const std::string widx_path = json_path + ".widx";
+    const std::string widx_path = args.json_path + ".widx";
     serving = bench::RunServingMode(g, mix, serve_repeats, serve_limit_pct,
                                     widx_path);
     std::remove(widx_path.c_str());
@@ -456,66 +449,48 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  bench::WriteEnvironmentJson(f);
+  bench::Report report;
   if (run_kernel) {
-    std::fprintf(f, "  \"elements\": %zu,\n", elements);
-    std::fprintf(f, "  \"repeats\": %d,\n", repeats);
-    std::fprintf(f, "  \"plain_seconds\": %.6f,\n", plain);
-    std::fprintf(f, "  \"disabled_seconds\": %.6f,\n", disabled);
-    std::fprintf(f, "  \"metrics_on_seconds\": %.6f,\n", metrics_on);
-    std::fprintf(f, "  \"trace_metrics_on_seconds\": %.6f,\n", full_on);
-    std::fprintf(f, "  \"disabled_overhead_pct\": %.4f,\n", disabled_pct);
-    std::fprintf(f, "  \"metrics_on_overhead_pct\": %.4f,\n", metrics_pct);
-    std::fprintf(f, "  \"trace_metrics_on_overhead_pct\": %.4f,\n",
-                 full_pct);
-    std::fprintf(f, "  \"disabled_count_ns_per_call\": %.4f,\n",
-                 disabled_ns_per_call);
-    std::fprintf(f, "  \"disabled_under_1pct\": %s,\n",
-                 under_1pct ? "true" : "false");
-    std::fprintf(f, "  \"sums_identical\": %s%s\n",
-                 sums_match ? "true" : "false", run_serving ? "," : "");
+    report.Set("elements", elements)
+        .Set("repeats", repeats)
+        .Set("plain_seconds", plain)
+        .Set("disabled_seconds", disabled)
+        .Set("metrics_on_seconds", metrics_on)
+        .Set("trace_metrics_on_seconds", full_on)
+        .Set("disabled_overhead_pct", disabled_pct)
+        .Set("metrics_on_overhead_pct", metrics_pct)
+        .Set("trace_metrics_on_overhead_pct", full_pct)
+        .Set("disabled_count_ns_per_call", disabled_ns_per_call)
+        .Set("disabled_under_1pct", under_1pct)
+        .Set("sums_identical", sums_match);
   }
   if (run_serving) {
-    std::fprintf(f, "  \"serving\": {\n");
-    std::fprintf(f, "    \"scale\": %u,\n", serve_scale);
-    std::fprintf(f, "    \"requests\": %zu,\n", serve_requests);
-    std::fprintf(f, "    \"repeats\": %d,\n", serve_repeats);
-    std::fprintf(f, "    \"grid_qps\": {");
+    bench::Json grid_qps = bench::Json::Object();
     size_t cell = 0;
-    for (size_t m = 0; m < 3; ++m) {
-      for (size_t t = 0; t < 4; ++t, ++cell) {
-        std::fprintf(f, "%s\"%s_t%d\": %.0f", cell == 0 ? "" : ", ",
-                     bench::kTelemetryModes[m].name,
-                     bench::kServeThreadCounts[t], serving.grid_qps[cell]);
+    for (const bench::TelemetryMode& mode : bench::kTelemetryModes) {
+      for (int threads : bench::kServeThreadCounts) {
+        grid_qps.Set(std::string(mode.name) + "_t" + std::to_string(threads),
+                     serving.grid_qps[cell++]);
       }
     }
-    std::fprintf(f, "},\n");
-    std::fprintf(f, "    \"checksum\": \"%016llx\",\n",
-                 static_cast<unsigned long long>(serving.checksum));
-    std::fprintf(f, "    \"checksums_identical\": %s,\n",
-                 serving.checksums_identical ? "true" : "false");
-    std::fprintf(f, "    \"qps_telemetry_off\": %.1f,\n", serving.qps_off);
-    std::fprintf(f, "    \"qps_default_sampling\": %.1f,\n",
-                 serving.qps_sampled);
-    std::fprintf(f, "    \"ab_overhead_pct\": %.4f,\n",
-                 serving.ab_overhead_pct);
-    std::fprintf(f, "    \"telemetry_ns_per_request\": %.2f,\n",
-                 serving.telemetry_ns_per_request);
-    std::fprintf(f, "    \"overhead_pct\": %.4f,\n", serving.overhead_pct);
-    std::fprintf(f, "    \"overhead_limit_pct\": %.4f,\n", serve_limit_pct);
-    std::fprintf(f, "    \"under_limit\": %s\n",
-                 serving.under_limit ? "true" : "false");
-    std::fprintf(f, "  }\n");
+    report.Set("serving",
+               bench::Json::Object()
+                   .Set("scale", serve_scale)
+                   .Set("requests", serve_requests)
+                   .Set("repeats", serve_repeats)
+                   .Set("grid_qps", std::move(grid_qps))
+                   .Set("checksum", bench::Hex64(serving.checksum))
+                   .Set("checksums_identical", serving.checksums_identical)
+                   .Set("qps_telemetry_off", serving.qps_off)
+                   .Set("qps_default_sampling", serving.qps_sampled)
+                   .Set("ab_overhead_pct", serving.ab_overhead_pct)
+                   .Set("telemetry_ns_per_request",
+                        serving.telemetry_ns_per_request)
+                   .Set("overhead_pct", serving.overhead_pct)
+                   .Set("overhead_limit_pct", serve_limit_pct)
+                   .Set("under_limit", serving.under_limit));
   }
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", json_path.c_str());
+  if (!report.Write(args.json_path)) return 1;
   const bool kernel_ok = !run_kernel || (under_1pct && sums_match);
   const bool serving_ok =
       !run_serving || (serving.checksums_identical && serving.under_limit);

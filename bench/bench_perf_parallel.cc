@@ -1,6 +1,10 @@
-// Wall-clock scaling of the parallel kernels at 1/2/4/8 worker threads,
+// Wall-clock scaling of the analysis kernels at 1/2/4/8 worker threads,
 // with a cross-thread-count equality audit (the determinism contract says
-// every kernel is bit-identical for any thread count). Emits
+// every kernel is bit-identical for any thread count). Besides the
+// parallel kernels the table times the serial ones the paper's analyses
+// lean on — SCC, the Laplacian matvec, the discrete power-law fit with
+// its xmin scan, and PELT (one run and the penalty sweep) on the
+// activity series — so one file holds every kernel timing. Emits
 // BENCH_parallel.json with per-kernel seconds, speedups, and the
 // scheduler's metrics snapshot (per-thread chunks claimed and busy
 // fractions) for each thread count.
@@ -8,18 +12,22 @@
 // Usage: bench_perf_parallel [--scale=N] [--seed=S] [--json=PATH]
 
 #include <cstdio>
-#include <cstring>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "analysis/centrality.h"
 #include "analysis/clustering.h"
+#include "analysis/components.h"
 #include "analysis/degree.h"
 #include "analysis/distance.h"
+#include "analysis/spectral.h"
 #include "bench_common.h"
+#include "gen/activity.h"
 #include "gen/verified_network.h"
 #include "stats/powerlaw.h"
+#include "timeseries/pelt.h"
 #include "util/metrics.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -131,13 +139,41 @@ std::vector<double> RunKernels(const BenchArgs& args,
   signature->push_back({clus.average_local,
                         static_cast<double>(clus.nodes_evaluated)});
 
-  // bootstrap
+  // scc
+  sw.Reset();
+  const auto scc = analysis::StronglyConnectedComponents(g);
+  seconds.push_back(sw.Seconds());
+  signature->push_back({static_cast<double>(scc.num_components),
+                        static_cast<double>(scc.GiantSize()),
+                        static_cast<double>(scc.label[g.num_nodes() / 2])});
+
+  // laplacian_matvec: kMatvecs products y = L x on one fixed x.
+  constexpr int kMatvecs = 20;
+  const analysis::LaplacianOperator lap(g);
+  std::vector<double> x(lap.dimension()), y(lap.dimension());
+  for (size_t i = 0; i < x.size(); ++i) x[i] = static_cast<double>(i % 7);
+  sw.Reset();
+  for (int i = 0; i < kMatvecs; ++i) lap.Apply(x, &y);
+  seconds.push_back(sw.Seconds());
+  double y_sum = 0.0;
+  for (double v : y) y_sum += v;
+  signature->push_back({y_sum, y[0], y[y.size() / 2]});
+
+  // powerlaw_fit: the CSN fit with its xmin scan on the out-degrees.
   std::vector<double> degrees = analysis::OutDegreeVector(g);
   std::vector<double> positive;
   for (double d : degrees) {
     if (d > 0.0) positive.push_back(d);
   }
+  sw.Reset();
   const auto fit = stats::FitDiscrete(positive);
+  seconds.push_back(sw.Seconds());
+  signature->push_back(
+      fit.ok() ? std::vector<double>{fit->alpha, fit->xmin, fit->ks_distance,
+                                     static_cast<double>(fit->tail_n)}
+               : std::vector<double>{-1.0});
+
+  // bootstrap
   double boot_sec = 0.0;
   std::vector<double> boot_sig = {-1.0, -1.0};
   if (fit.ok()) {
@@ -152,6 +188,39 @@ std::vector<double> RunKernels(const BenchArgs& args,
   seconds.push_back(boot_sec);
   signature->push_back(boot_sig);
 
+  // pelt and pelt_sweep, on the §V daily activity series.
+  const auto activity = gen::GenerateActivity();
+  if (!activity.ok()) {
+    std::fprintf(stderr, "activity generation failed: %s\n",
+                 activity.status().ToString().c_str());
+    std::exit(1);
+  }
+  const std::vector<double>& series = activity->daily_tweets;
+  sw.Reset();
+  const auto pelt = timeseries::Pelt(series);
+  seconds.push_back(sw.Seconds());
+  std::vector<double> pelt_sig = {-1.0};
+  if (pelt.ok()) {
+    pelt_sig = {pelt->total_cost};
+    for (size_t cp : pelt->change_points) {
+      pelt_sig.push_back(static_cast<double>(cp));
+    }
+  }
+  signature->push_back(pelt_sig);
+
+  sw.Reset();
+  const auto sweep = timeseries::PeltPenaltySweep(series);
+  seconds.push_back(sw.Seconds());
+  std::vector<double> sweep_sig = {-1.0};
+  if (sweep.ok()) {
+    sweep_sig = {static_cast<double>(sweep->runs)};
+    for (const timeseries::StableChangePoint& cp : sweep->stable) {
+      sweep_sig.push_back(static_cast<double>(cp.index));
+      sweep_sig.push_back(cp.support);
+    }
+  }
+  signature->push_back(sweep_sig);
+
   return seconds;
 }
 
@@ -161,15 +230,14 @@ std::vector<double> RunKernels(const BenchArgs& args,
 
 int main(int argc, char** argv) {
   using namespace elitenet;
-  bench::BenchArgs args = bench::ParseArgs(argc, argv);
-  std::string json_path = "BENCH_parallel.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
-  }
+  const bench::BenchArgs args =
+      bench::ParseArgs(argc, argv, "BENCH_parallel.json");
 
-  const char* names[] = {"generate", "pagerank",   "betweenness",
-                         "bfs",      "clustering", "bootstrap"};
-  constexpr size_t kNumKernels = 6;
+  const char* names[] = {"generate",     "pagerank",   "betweenness",
+                         "bfs",          "clustering", "scc",
+                         "laplacian_matvec", "powerlaw_fit", "bootstrap",
+                         "pelt",         "pelt_sweep"};
+  constexpr size_t kNumKernels = std::size(names);
   std::vector<bench::KernelResult> results(kNumKernels);
   for (size_t k = 0; k < kNumKernels; ++k) results[k].name = names[k];
 
@@ -193,7 +261,7 @@ int main(int argc, char** argv) {
     for (size_t k = 0; k < kNumKernels; ++k) {
       results[k].seconds[t] = secs[k];
       if (sig[k] != baseline_sig[k]) results[k].identical = false;
-      std::printf("  threads=%d %-12s %8.3fs  speedup=%.2fx%s\n", threads,
+      std::printf("  threads=%d %-16s %8.3fs  speedup=%.2fx%s\n", threads,
                   names[k], secs[k],
                   secs[k] > 0.0 ? results[k].seconds[0] / secs[k] : 0.0,
                   sig[k] == baseline_sig[k] ? "" : "  MISMATCH");
@@ -215,64 +283,50 @@ int main(int argc, char** argv) {
               total_1, total_4, aggregate_speedup_4,
               all_identical ? "yes" : "NO");
 
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
+  bench::Json thread_counts = bench::Json::Array();
+  for (int threads : bench::kThreadCounts) thread_counts.Add(threads);
+  bench::Json kernels = bench::Json::Object();
+  for (const bench::KernelResult& r : results) {
+    bench::Json seconds = bench::Json::Array();
+    for (double s : r.seconds) seconds.Add(s);
+    kernels.Set(r.name,
+                bench::Json::Object()
+                    .Set("seconds", std::move(seconds))
+                    .Set("speedup_4t", r.seconds[2] > 0.0
+                                           ? r.seconds[0] / r.seconds[2]
+                                           : 0.0)
+                    .Set("identical", r.identical));
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"scale\": %u,\n", args.num_users);
-  std::fprintf(f, "  \"seed\": %llu,\n",
-               static_cast<unsigned long long>(args.seed));
-  bench::WriteEnvironmentJson(f);
-  std::fprintf(f, "  \"thread_counts\": [1, 2, 4, 8],\n");
-  std::fprintf(f, "  \"kernels\": {\n");
-  for (size_t k = 0; k < kNumKernels; ++k) {
-    const bench::KernelResult& r = results[k];
-    std::fprintf(f,
-                 "    \"%s\": {\"seconds\": [%.4f, %.4f, %.4f, %.4f], "
-                 "\"speedup_4t\": %.3f, \"identical\": %s}%s\n",
-                 r.name.c_str(), r.seconds[0], r.seconds[1], r.seconds[2],
-                 r.seconds[3],
-                 r.seconds[2] > 0.0 ? r.seconds[0] / r.seconds[2] : 0.0,
-                 r.identical ? "true" : "false",
-                 k + 1 < kNumKernels ? "," : "");
-  }
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"scheduler\": {\n");
+  bench::Json scheduler = bench::Json::Object();
   for (size_t t = 0; t < bench::kNumThreadCounts; ++t) {
     const bench::SchedulerMetrics& m = sched[t];
     uint64_t busy_total = 0;
     for (uint64_t b : m.thread_busy_ns) busy_total += b;
-    std::fprintf(f,
-                 "    \"%d\": {\"for_calls\": %llu, \"chunks_claimed\": "
-                 "%llu, \"threads\": [",
-                 bench::kThreadCounts[t],
-                 static_cast<unsigned long long>(m.for_calls),
-                 static_cast<unsigned long long>(m.chunks_claimed));
+    bench::Json slots = bench::Json::Array();
     for (size_t s = 0; s < m.thread_chunks.size(); ++s) {
-      const double busy_fraction =
-          busy_total > 0
-              ? static_cast<double>(m.thread_busy_ns[s]) /
-                    static_cast<double>(busy_total)
-              : 0.0;
-      std::fprintf(f,
-                   "%s{\"chunks\": %llu, \"busy_ns\": %llu, "
-                   "\"busy_fraction\": %.4f}",
-                   s > 0 ? ", " : "",
-                   static_cast<unsigned long long>(m.thread_chunks[s]),
-                   static_cast<unsigned long long>(m.thread_busy_ns[s]),
-                   busy_fraction);
+      slots.Add(bench::Json::Object()
+                    .Set("chunks", m.thread_chunks[s])
+                    .Set("busy_ns", m.thread_busy_ns[s])
+                    .Set("busy_fraction",
+                         busy_total > 0
+                             ? static_cast<double>(m.thread_busy_ns[s]) /
+                                   static_cast<double>(busy_total)
+                             : 0.0));
     }
-    std::fprintf(f, "]}%s\n",
-                 t + 1 < bench::kNumThreadCounts ? "," : "");
+    scheduler.Set(std::to_string(bench::kThreadCounts[t]),
+                  bench::Json::Object()
+                      .Set("for_calls", m.for_calls)
+                      .Set("chunks_claimed", m.chunks_claimed)
+                      .Set("threads", std::move(slots)));
   }
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"aggregate_speedup_4t\": %.3f,\n", aggregate_speedup_4);
-  std::fprintf(f, "  \"outputs_identical\": %s\n",
-               all_identical ? "true" : "false");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", json_path.c_str());
+  bench::Report report;
+  report.Set("scale", args.num_users)
+      .Set("seed", args.seed)
+      .Set("thread_counts", std::move(thread_counts))
+      .Set("kernels", std::move(kernels))
+      .Set("scheduler", std::move(scheduler))
+      .Set("aggregate_speedup_4t", aggregate_speedup_4)
+      .Set("outputs_identical", all_identical);
+  if (!report.Write(args.json_path)) return 1;
   return all_identical ? 0 : 2;
 }

@@ -75,12 +75,12 @@ double Mib(uint64_t bytes) { return static_cast<double>(bytes) / (1 << 20); }
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchArgs args = bench::ParseArgs(argc, argv);
+  const bench::BenchArgs args =
+      bench::ParseArgs(argc, argv, "BENCH_scale.json");
   uint64_t budget_mb = 64;
   uint64_t rss_limit_mb = 0;  // 0 = derive from scale + budget
   uint32_t verify_scale = 6000;
   size_t requests = 2000;
-  std::string json_path = "BENCH_scale.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--budget-mb=", 12) == 0) {
       budget_mb = std::strtoull(argv[i] + 12, nullptr, 10);
@@ -90,8 +90,6 @@ int main(int argc, char** argv) {
       verify_scale = static_cast<uint32_t>(std::atoi(argv[i] + 15));
     } else if (std::strncmp(argv[i], "--requests=", 11) == 0) {
       requests = static_cast<size_t>(std::atoll(argv[i] + 11));
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
     }
   }
   if (args.threads > 0) util::SetThreadCount(args.threads);
@@ -245,52 +243,37 @@ int main(int argc, char** argv) {
                  Mib(serve_peak), Mib(serve_ceiling));
   }
 
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"scale\": %u,\n", args.num_users);
-  std::fprintf(f, "  \"seed\": %llu,\n",
-               static_cast<unsigned long long>(args.seed));
-  bench::WriteEnvironmentJson(f);
-  std::fprintf(f, "  \"num_edges\": %llu,\n",
-               static_cast<unsigned long long>(m));
-  std::fprintf(f, "  \"snapshot_bytes\": %llu,\n",
-               static_cast<unsigned long long>(snapshot_bytes));
-  std::fprintf(f, "  \"budget_mb\": %llu,\n",
-               static_cast<unsigned long long>(budget_mb));
-  std::fprintf(f,
-               "  \"verify\": {\"scale\": %u, \"num_edges\": %llu, "
-               "\"spill_runs\": %zu, \"byte_identical\": %s},\n",
-               verify_scale, static_cast<unsigned long long>(verify_edges),
-               verify_runs, identical ? "true" : "false");
-  std::fprintf(f,
-               "  \"generate\": {\"seconds\": %.2f, \"input_records\": "
-               "%llu, \"forward_spill_runs\": %zu, \"reverse_spill_runs\": "
-               "%zu, \"peak_rss_bytes\": %llu, \"ceiling_bytes\": %llu, "
-               "\"in_memory_estimate_bytes\": %llu, \"rss_ok\": %s},\n",
-               generate_seconds,
-               static_cast<unsigned long long>(net->write.input_records),
-               net->write.forward_spill_runs, net->write.reverse_spill_runs,
-               static_cast<unsigned long long>(generate_peak),
-               static_cast<unsigned long long>(ceiling_bytes),
-               static_cast<unsigned long long>(in_memory_estimate),
-               rss_ok || generate_peak == 0 ? "true" : "false");
-  std::fprintf(f,
-               "  \"serve\": {\"seconds\": %.2f, \"warmup_seconds\": %.2f, "
-               "\"requests\": %zu, \"replay_seconds\": %.3f, "
-               "\"replay_checksum\": \"%016llx\", \"peak_rss_bytes\": %llu, "
-               "\"ceiling_bytes\": %llu, \"rss_ok\": %s}\n",
-               serve_seconds, warmup_seconds, requests, replay_seconds,
-               static_cast<unsigned long long>(replay_checksum),
-               static_cast<unsigned long long>(serve_peak),
-               static_cast<unsigned long long>(serve_ceiling),
-               serve_rss_ok ? "true" : "false");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", json_path.c_str());
+  bench::Report report;
+  report.Set("scale", args.num_users)
+      .Set("seed", args.seed)
+      .Set("num_edges", m)
+      .Set("snapshot_bytes", snapshot_bytes)
+      .Set("budget_mb", budget_mb)
+      .Set("verify", bench::Json::Object()
+                         .Set("scale", verify_scale)
+                         .Set("num_edges", verify_edges)
+                         .Set("spill_runs", verify_runs)
+                         .Set("byte_identical", identical))
+      .Set("generate",
+           bench::Json::Object()
+               .Set("seconds", generate_seconds)
+               .Set("input_records", net->write.input_records)
+               .Set("forward_spill_runs", net->write.forward_spill_runs)
+               .Set("reverse_spill_runs", net->write.reverse_spill_runs)
+               .Set("peak_rss_bytes", generate_peak)
+               .Set("ceiling_bytes", ceiling_bytes)
+               .Set("in_memory_estimate_bytes", in_memory_estimate)
+               .Set("rss_ok", rss_ok || generate_peak == 0))
+      .Set("serve", bench::Json::Object()
+                        .Set("seconds", serve_seconds)
+                        .Set("warmup_seconds", warmup_seconds)
+                        .Set("requests", requests)
+                        .Set("replay_seconds", replay_seconds)
+                        .Set("replay_checksum", bench::Hex64(replay_checksum))
+                        .Set("peak_rss_bytes", serve_peak)
+                        .Set("ceiling_bytes", serve_ceiling)
+                        .Set("rss_ok", serve_rss_ok));
+  if (!report.Write(args.json_path)) return 1;
 
   std::remove(snapshot.c_str());
   (void)out_dir;

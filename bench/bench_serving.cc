@@ -142,27 +142,45 @@ RunResult ReplayClosedLoop(serve::FrontDoor* server,
   return out;
 }
 
-RunResult RunClosedLoop(const graph::DiGraph& g,
-                        const std::vector<serve::Request>& mix, int threads) {
+// Every engine and router the bench builds serves the same graph, so
+// they share one warm-index sidecar (`sidecar` + ".widx") and the routers
+// one partition sidecar (`sidecar` + ".pidx"): the first build writes
+// each, later builds restore it instead of recomputing the warm bundle,
+// hub labels included. A router with another shard count rebuilds the
+// partition and rewrites the file.
+std::unique_ptr<serve::QueryEngine> MakeEngine(const graph::DiGraph& g,
+                                               int threads,
+                                               const std::string& sidecar) {
   serve::EngineOptions opts;
   opts.threads = threads;
   opts.cache_capacity = 8192;
+  opts.warm_index_path = sidecar + ".widx";
   auto engine = serve::QueryEngine::Create(g, opts);
   if (!engine.ok()) {
     std::fprintf(stderr, "engine startup failed: %s\n",
                  engine.status().ToString().c_str());
     std::exit(1);
   }
-  return ReplayClosedLoop(engine->get(), mix, threads);
+  return std::move(*engine);
+}
+
+RunResult RunClosedLoop(const graph::DiGraph& g,
+                        const std::vector<serve::Request>& mix, int threads,
+                        const std::string& sidecar) {
+  return ReplayClosedLoop(MakeEngine(g, threads, sidecar).get(), mix,
+                          threads);
 }
 
 std::unique_ptr<serve::ShardedRouter> MakeRouter(const graph::DiGraph& g,
                                                  int shards, int workers,
+                                                 const std::string& sidecar,
                                                  size_t batch_cap = 1024) {
   serve::RouterOptions ropts;
   ropts.num_shards = shards;
   ropts.shard_threads = 1;
+  ropts.partition_path = sidecar + ".pidx";
   ropts.engine.threads = workers;
+  ropts.engine.warm_index_path = sidecar + ".widx";
   ropts.engine.cache_capacity = 8192;
   ropts.engine.qos.batch_cap = batch_cap;
   auto router = serve::ShardedRouter::Create(g, ropts);
@@ -176,8 +194,9 @@ std::unique_ptr<serve::ShardedRouter> MakeRouter(const graph::DiGraph& g,
 
 RunResult RunShardedClosedLoop(const graph::DiGraph& g,
                                const std::vector<serve::Request>& mix,
-                               int shards, int workers) {
-  auto router = MakeRouter(g, shards, workers);
+                               int shards, int workers,
+                               const std::string& sidecar) {
+  auto router = MakeRouter(g, shards, workers, sidecar);
   RunResult out = ReplayClosedLoop(router.get(), mix, workers);
   out.shards = shards;
   return out;
@@ -203,7 +222,8 @@ struct OverloadResult {
 };
 
 OverloadResult RunOverload(const graph::DiGraph& g,
-                           const std::vector<serve::Request>& mix) {
+                           const std::vector<serve::Request>& mix,
+                           const std::string& sidecar) {
   constexpr int kShards = 2;
   constexpr int kWorkers = 2;
   constexpr size_t kBatchCap = 256;
@@ -213,9 +233,10 @@ OverloadResult RunOverload(const graph::DiGraph& g,
   // loop. A capacity taken at another worker count measures a different
   // router and puts the ">= 2x capacity" check at the mercy of core count.
   OverloadResult out;
-  out.capacity_qps = RunShardedClosedLoop(g, mix, kShards, kWorkers).qps;
+  out.capacity_qps =
+      RunShardedClosedLoop(g, mix, kShards, kWorkers, sidecar).qps;
 
-  auto router = MakeRouter(g, kShards, kWorkers, kBatchCap);
+  auto router = MakeRouter(g, kShards, kWorkers, sidecar, kBatchCap);
 
   // Interactive-only view of the mix (ego/neighbors — the latency-
   // sensitive single-node lookups a frontend makes).
@@ -310,16 +331,9 @@ struct CacheEfficacy {
   size_t samples = 0;
 };
 
-CacheEfficacy MeasureTopKCache(const graph::DiGraph& g, size_t samples) {
-  serve::EngineOptions opts;
-  opts.threads = 1;
-  opts.cache_capacity = 8192;
-  auto engine = serve::QueryEngine::Create(g, opts);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "engine startup failed: %s\n",
-                 engine.status().ToString().c_str());
-    std::exit(1);
-  }
+CacheEfficacy MeasureTopKCache(const graph::DiGraph& g, size_t samples,
+                               const std::string& sidecar) {
+  const auto engine = MakeEngine(g, 1, sidecar);
 
   CacheEfficacy out;
   out.samples = samples;
@@ -330,7 +344,7 @@ CacheEfficacy MeasureTopKCache(const graph::DiGraph& g, size_t samples) {
 
   auto timed = [&](const serve::Request& r) {
     util::SpanTimer t;
-    const serve::QueryResponse resp = (*engine)->Execute(r);
+    const serve::QueryResponse resp = engine->Execute(r);
     const double us = t.Seconds() * 1e6;
     if (!resp.ok) {
       std::fprintf(stderr, "topk failed: %s\n", resp.json.c_str());
@@ -352,12 +366,8 @@ CacheEfficacy MeasureTopKCache(const graph::DiGraph& g, size_t samples) {
   (void)timed(hot);  // ensure resident
   for (size_t i = 0; i < samples; ++i) hit.push_back(timed(hot));
 
-  auto median = [](std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
-  out.miss_p50_us = median(std::move(miss));
-  out.hit_p50_us = median(std::move(hit));
+  out.miss_p50_us = Summarize(std::move(miss)).median;
+  out.hit_p50_us = Summarize(std::move(hit)).median;
   out.speedup = out.hit_p50_us > 0.0 ? out.miss_p50_us / out.hit_p50_us : 0.0;
   return out;
 }
@@ -371,14 +381,13 @@ const char* kTypeNames[kNumTypes] = {"ego", "topk", "dist", "neighbors",
 
 int main(int argc, char** argv) {
   using namespace elitenet;
-  bench::BenchArgs args = bench::ParseArgs(argc, argv);
-  std::string json_path = "BENCH_serving.json";
+  const bench::BenchArgs args =
+      bench::ParseArgs(argc, argv, "BENCH_serving.json");
   std::string mode = "all";
   size_t num_requests = 12000;
   double zipf_s = 1.1;
   size_t cache_samples = 60;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
     if (std::strncmp(argv[i], "--mode=", 7) == 0) mode = argv[i] + 7;
     if (std::strncmp(argv[i], "--requests=", 11) == 0) {
       num_requests = std::strtoull(argv[i] + 11, nullptr, 10);
@@ -412,12 +421,14 @@ int main(int argc, char** argv) {
 
   const std::vector<serve::Request> mix =
       bench::MakeServeRequestMix(g, num_requests, zipf_s, args.seed ^ 0x5E47E);
+  const std::string& sidecar = args.json_path;
 
   std::vector<bench::RunResult> runs;
   uint64_t baseline_checksum = 0;
   if (run_base) {
     for (size_t t = 0; t < bench::kNumThreadCounts; ++t) {
-      runs.push_back(bench::RunClosedLoop(g, mix, bench::kThreadCounts[t]));
+      runs.push_back(
+          bench::RunClosedLoop(g, mix, bench::kThreadCounts[t], sidecar));
       const bench::RunResult& r = runs.back();
       const double hit_rate =
           r.cache_hits + r.cache_misses > 0
@@ -432,7 +443,7 @@ int main(int argc, char** argv) {
     baseline_checksum = runs[0].checksum;
   } else {
     // Sharded-only mode still needs the unsharded reference bytes.
-    baseline_checksum = bench::RunClosedLoop(g, mix, 1).checksum;
+    baseline_checksum = bench::RunClosedLoop(g, mix, 1, sidecar).checksum;
     std::printf("  unsharded baseline checksum=%016llx\n",
                 static_cast<unsigned long long>(baseline_checksum));
   }
@@ -456,7 +467,7 @@ int main(int argc, char** argv) {
     for (int shards : {1, 2, 4}) {
       for (int workers : {1, 4}) {
         sharded_runs.push_back(
-            bench::RunShardedClosedLoop(g, mix, shards, workers));
+            bench::RunShardedClosedLoop(g, mix, shards, workers, sidecar));
         const bench::RunResult& r = sharded_runs.back();
         if (r.checksum != baseline_checksum) sharded_identical = false;
         std::printf("  shards=%d workers=%d  qps=%9.0f  wall=%6.3fs  "
@@ -472,7 +483,7 @@ int main(int argc, char** argv) {
                    "baseline\n");
     }
 
-    overload = bench::RunOverload(g, mix);
+    overload = bench::RunOverload(g, mix, sidecar);
     const double capacity = overload.capacity_qps;
     const double offered_ratio =
         capacity > 0.0 ? overload.offered_qps / capacity : 0.0;
@@ -497,7 +508,7 @@ int main(int argc, char** argv) {
   bench::CacheEfficacy cache;
   bool cache_fast_enough = true;
   if (run_base) {
-    cache = bench::MeasureTopKCache(g, cache_samples);
+    cache = bench::MeasureTopKCache(g, cache_samples, sidecar);
     std::printf("  topk cache: miss p50 %.1fus, hit p50 %.1fus, %.1fx\n",
                 cache.miss_p50_us, cache.hit_p50_us, cache.speedup);
     cache_fast_enough = cache.speedup >= 5.0;
@@ -509,98 +520,78 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"scale\": %u,\n", args.num_users);
-  std::fprintf(f, "  \"seed\": %llu,\n",
-               static_cast<unsigned long long>(args.seed));
-  std::fprintf(f, "  \"num_edges\": %llu,\n",
-               static_cast<unsigned long long>(g.num_edges()));
-  std::fprintf(f, "  \"requests\": %zu,\n", mix.size());
-  std::fprintf(f, "  \"zipf_exponent\": %.3f,\n", zipf_s);
-  bench::WriteEnvironmentJson(f);
-  auto write_run = [&](const bench::RunResult& r, bool last) {
+  std::remove((sidecar + ".widx").c_str());
+  std::remove((sidecar + ".pidx").c_str());
+
+  const auto run_json = [](const bench::RunResult& r) {
     const uint64_t lookups = r.cache_hits + r.cache_misses;
-    std::fprintf(f, "    {\"threads\": %d, \"shards\": %d, \"qps\": %.1f, "
-                 "\"wall_seconds\": %.4f, \"warmup_seconds\": %.3f,\n",
-                 r.threads, r.shards, r.qps, r.wall_seconds,
-                 r.warmup_seconds);
-    std::fprintf(f, "     \"cache_hits\": %llu, \"cache_misses\": %llu, "
-                 "\"cache_hit_rate\": %.4f, \"degraded\": %llu,\n",
-                 static_cast<unsigned long long>(r.cache_hits),
-                 static_cast<unsigned long long>(r.cache_misses),
-                 lookups > 0 ? static_cast<double>(r.cache_hits) /
-                                   static_cast<double>(lookups)
-                             : 0.0,
-                 static_cast<unsigned long long>(r.degraded));
-    std::fprintf(f, "     \"checksum\": \"%016llx\",\n",
-                 static_cast<unsigned long long>(r.checksum));
-    std::fprintf(f, "     \"latency_us\": {");
+    bench::Json latency = bench::Json::Object();
     for (size_t t = 0; t < bench::kNumTypes; ++t) {
       const bench::TypeLatencies& lat = r.latency[t];
-      std::fprintf(f,
-                   "%s\"%s\": {\"count\": %zu, \"p50\": %.1f, "
-                   "\"p95\": %.1f, \"p99\": %.1f}",
-                   t == 0 ? "" : ", ", bench::kTypeNames[t],
-                   lat.micros.size(), lat.Percentile(0.50),
-                   lat.Percentile(0.95), lat.Percentile(0.99));
+      latency.Set(bench::kTypeNames[t],
+                  bench::Json::Object()
+                      .Set("count", lat.micros.size())
+                      .Set("p50", lat.Percentile(0.50))
+                      .Set("p95", lat.Percentile(0.95))
+                      .Set("p99", lat.Percentile(0.99)));
     }
-    std::fprintf(f, "}}%s\n", last ? "" : ",");
+    return bench::Json::Object()
+        .Set("threads", r.threads)
+        .Set("shards", r.shards)
+        .Set("qps", r.qps)
+        .Set("wall_seconds", r.wall_seconds)
+        .Set("warmup_seconds", r.warmup_seconds)
+        .Set("cache_hits", r.cache_hits)
+        .Set("cache_misses", r.cache_misses)
+        .Set("cache_hit_rate", lookups > 0
+                                   ? static_cast<double>(r.cache_hits) /
+                                         static_cast<double>(lookups)
+                                   : 0.0)
+        .Set("degraded", r.degraded)
+        .Set("checksum", bench::Hex64(r.checksum))
+        .Set("latency_us", std::move(latency));
   };
+  bench::Json grid = bench::Json::Array();
+  for (const bench::RunResult& r : runs) grid.Add(run_json(r));
+  bench::Json sharded_grid = bench::Json::Array();
+  for (const bench::RunResult& r : sharded_runs) sharded_grid.Add(run_json(r));
 
-  std::fprintf(f, "  \"grid\": [\n");
-  for (size_t i = 0; i < runs.size(); ++i) {
-    write_run(runs[i], i + 1 == runs.size());
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"checksums_identical\": %s,\n",
-               checksums_identical ? "true" : "false");
-  std::fprintf(f, "  \"sharded_grid\": [\n");
-  for (size_t i = 0; i < sharded_runs.size(); ++i) {
-    write_run(sharded_runs[i], i + 1 == sharded_runs.size());
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"sharded_checksums_identical\": %s,\n",
-               sharded_identical ? "true" : "false");
+  bench::Report report;
+  report.Set("scale", args.num_users)
+      .Set("seed", args.seed)
+      .Set("num_edges", g.num_edges())
+      .Set("requests", mix.size())
+      .Set("zipf_exponent", zipf_s)
+      .Set("grid", std::move(grid))
+      .Set("checksums_identical", checksums_identical)
+      .Set("sharded_grid", std::move(sharded_grid))
+      .Set("sharded_checksums_identical", sharded_identical)
+      .Set("overload", bench::Json())
+      .Set("topk_cache", bench::Json());
   if (run_sharded) {
-    std::fprintf(f,
-                 "  \"overload\": {\"capacity_qps\": %.1f, "
-                 "\"offered_qps\": %.1f,\n"
-                 "    \"batch_submitted\": %llu, \"batch_shed\": %llu, "
-                 "\"interactive_requests\": %llu, "
-                 "\"interactive_shed\": %llu,\n"
-                 "    \"interactive_p99_us\": %.1f, "
-                 "\"interactive_p99_baseline_us\": %.1f, "
-                 "\"contract_holds\": %s},\n",
-                 overload.capacity_qps, overload.offered_qps,
-                 static_cast<unsigned long long>(overload.batch_submitted),
-                 static_cast<unsigned long long>(overload.batch_shed),
-                 static_cast<unsigned long long>(
-                     overload.interactive_requests),
-                 static_cast<unsigned long long>(overload.interactive_shed),
-                 overload.interactive_p99_us,
-                 overload.interactive_p99_baseline_us,
-                 overload_ok ? "true" : "false");
-  } else {
-    std::fprintf(f, "  \"overload\": null,\n");
+    report.Set("overload",
+               bench::Json::Object()
+                   .Set("capacity_qps", overload.capacity_qps)
+                   .Set("offered_qps", overload.offered_qps)
+                   .Set("batch_submitted", overload.batch_submitted)
+                   .Set("batch_shed", overload.batch_shed)
+                   .Set("interactive_requests", overload.interactive_requests)
+                   .Set("interactive_shed", overload.interactive_shed)
+                   .Set("interactive_p99_us", overload.interactive_p99_us)
+                   .Set("interactive_p99_baseline_us",
+                        overload.interactive_p99_baseline_us)
+                   .Set("contract_holds", overload_ok));
   }
   if (run_base) {
-    std::fprintf(f,
-                 "  \"topk_cache\": {\"k\": %u, \"samples\": %zu, "
-                 "\"miss_p50_us\": %.2f, \"hit_p50_us\": %.2f, "
-                 "\"speedup\": %.2f, \"meets_5x\": %s}\n",
-                 cache.k, cache.samples, cache.miss_p50_us, cache.hit_p50_us,
-                 cache.speedup, cache_fast_enough ? "true" : "false");
-  } else {
-    std::fprintf(f, "  \"topk_cache\": null\n");
+    report.Set("topk_cache", bench::Json::Object()
+                                 .Set("k", cache.k)
+                                 .Set("samples", cache.samples)
+                                 .Set("miss_p50_us", cache.miss_p50_us)
+                                 .Set("hit_p50_us", cache.hit_p50_us)
+                                 .Set("speedup", cache.speedup)
+                                 .Set("meets_5x", cache_fast_enough));
   }
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", json_path.c_str());
+  if (!report.Write(args.json_path)) return 1;
 
   return (checksums_identical && sharded_identical && overload_ok &&
           cache_fast_enough)

@@ -17,7 +17,8 @@
 #              slowdowns, degraded queries, sharded-vs-unsharded checksum
 #              mismatches, interactive shedding under overload, or a
 #              busted streamed-vs-in-memory / compaction-vs-cold-rebuild
-#              byte identity / RSS ceiling.
+#              byte identity / RSS ceiling; then every smoke report and
+#              every checked-in BENCH_*.json must parse as JSON.
 #
 # Usage: scripts/check.sh [--skip-tsan]
 # Runs from any cwd; builds live in build/, build-tsan/ and build-asan/.
@@ -58,5 +59,13 @@ cmake --build build-asan -j "$JOBS"
 
 echo "== perf: smoke benches (kernels, serving, cold start, oracle, telemetry, mutations) =="
 (cd build && ctest -L perf --output-on-failure -j "$JOBS")
+# Every report the smoke benches just wrote, and every checked-in one,
+# must parse as JSON; stop at the first that does not.
+for json in build/bench/BENCH_*_smoke.json BENCH_*.json; do
+  python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$json" || {
+    echo "not valid JSON: $json" >&2
+    exit 1
+  }
+done
 
 echo "== all checks passed =="

@@ -220,6 +220,38 @@ TEST(SnapshotV2Test, EdgeCountWhoseByteLengthWrapsIsCorruption) {
                       : mapped.status().ToString());
 }
 
+TEST(SnapshotV2Test, NodeCountShorterThanOffsetSectionsIsCorruption) {
+  // Node 4 is isolated, so dropping it from the header's n leaves spans
+  // of n + 1 offsets that are still a valid CSR of a 4-node graph. With
+  // the graph checksum recomputed over those shorter spans, only the
+  // section lengths (one offset longer than n + 1) give the file away.
+  using namespace sectioned_bytes;
+  GraphBuilder b(5);
+  ASSERT_TRUE(b.AddEdges({{0, 1}, {1, 2}, {2, 0}, {0, 3}}).ok());
+  const auto g = b.Build();
+  ASSERT_TRUE(g.ok());
+  const std::string path = TempPath("v2_short_n.eng2");
+  ASSERT_TRUE(SaveBinaryV2(*g, path).ok());
+  std::string bytes = ReadFileBytes(path);
+  const uint64_t n = Get<uint64_t>(bytes, kNumNodesAt) - 1;
+  Put<uint64_t>(&bytes, kNumNodesAt, n);
+  uint64_t graph_hash = kFnvBasis;
+  for (size_t i = 0; i < kEng2Sections; ++i) {
+    const uint64_t length = i % 2 == 0 ? (n + 1) * sizeof(EdgeIdx)
+                                       : Get<uint64_t>(bytes, LengthAt(i));
+    graph_hash =
+        Fnv1a(bytes, Get<uint64_t>(bytes, OffsetAt(i)), length, graph_hash);
+  }
+  Put<uint64_t>(&bytes, kGraphChecksumAt, graph_hash);
+  ASSERT_TRUE(ResealSections(&bytes, kEng2Sections));
+  WriteFileBytes(path, bytes);
+  const auto mapped = MapBinary(path);
+  EXPECT_EQ(mapped.status().code(), StatusCode::kCorruption)
+      << (mapped.ok() ? "mapped with num_nodes " +
+                            std::to_string(mapped->num_nodes())
+                      : mapped.status().ToString());
+}
+
 TEST(SnapshotV2Test, OverwritingTheMappedSnapshotKeepsTheGraph) {
   // Writing a graph back to the file it is mapped from, through both
   // writers (the streamed one at a budget that forces spills): each must
