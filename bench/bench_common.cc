@@ -221,6 +221,13 @@ Spread Summarize(std::vector<double> samples) {
   return {median, samples.front(), samples.back()};
 }
 
+double Percentile(std::span<const double> sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  const size_t rank =
+      static_cast<size_t>(std::ceil(q * static_cast<double>(sorted.size())));
+  return sorted[std::min(sorted.size() - 1, rank == 0 ? 0 : rank - 1)];
+}
+
 uint64_t FnvMix(uint64_t h, uint64_t x) {
   h ^= x;
   return h * 0x100000001b3ULL;

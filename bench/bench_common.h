@@ -7,6 +7,7 @@
 #define ELITENET_BENCH_BENCH_COMMON_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -134,6 +135,11 @@ struct Spread {
   double max = 0.0;
 };
 Spread Summarize(std::vector<double> samples);
+
+/// Nearest-rank percentile of an ascending-sorted sample: the smallest
+/// value with at least a fraction q of the sample at or below it (q in
+/// [0, 1]); 0 for an empty sample. Sort once, then read every quantile.
+double Percentile(std::span<const double> sorted, double q);
 
 /// One FNV-1a step folding `x` into hash state `h` — the order-sensitive
 /// combiner the serving benches use for response checksums.

@@ -25,7 +25,6 @@
 //                          [--deadline-us=D] [--max-ratio=R] [--json=PATH]
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -43,14 +42,6 @@ namespace elitenet {
 namespace bench {
 namespace {
 
-double Percentile(std::vector<double> micros, double q) {
-  if (micros.empty()) return 0.0;
-  std::sort(micros.begin(), micros.end());
-  const size_t idx =
-      static_cast<size_t>(std::ceil(q * static_cast<double>(micros.size())));
-  return micros[std::min(micros.size() - 1, idx == 0 ? 0 : idx - 1)];
-}
-
 struct LatencySummary {
   double p50 = 0.0;
   double p95 = 0.0;
@@ -58,7 +49,8 @@ struct LatencySummary {
   size_t count = 0;
 };
 
-LatencySummary SummarizeLatency(const std::vector<double>& micros) {
+LatencySummary SummarizeLatency(std::vector<double> micros) {
+  std::sort(micros.begin(), micros.end());
   return {Percentile(micros, 0.50), Percentile(micros, 0.95),
           Percentile(micros, 0.99), micros.size()};
 }

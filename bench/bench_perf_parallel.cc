@@ -4,10 +4,12 @@
 // parallel kernels the table times the serial ones the paper's analyses
 // lean on — SCC, the Laplacian matvec, the discrete power-law fit with
 // its xmin scan, and PELT (one run and the penalty sweep) on the
-// activity series — so one file holds every kernel timing. Emits
-// BENCH_parallel.json with per-kernel seconds, speedups, and the
+// activity series — so one file holds every kernel timing. One untimed
+// warm-up pass runs first; then each (kernel, thread count) cell is the
+// median of kRepeats timed passes, reported with their min and max.
+// Emits BENCH_parallel.json with per-kernel seconds, speedups, and the
 // scheduler's metrics snapshot (per-thread chunks claimed and busy
-// fractions) for each thread count.
+// fractions, from the last pass) for each thread count.
 //
 // Usage: bench_perf_parallel [--scale=N] [--seed=S] [--json=PATH]
 
@@ -39,11 +41,14 @@ namespace {
 
 constexpr int kThreadCounts[] = {1, 2, 4, 8};
 constexpr size_t kNumThreadCounts = 4;
+// Timed passes per thread count. The serial kernels swing 2-3x between
+// single passes of identical work; the median of five does not.
+constexpr int kRepeats = 5;
 
 struct KernelResult {
   std::string name;
-  double seconds[kNumThreadCounts] = {0, 0, 0, 0};
-  bool identical = true;  // outputs matched the 1-thread run bit for bit
+  Spread seconds[kNumThreadCounts];
+  bool identical = true;  // every pass matched the warm-up bit for bit
 };
 
 // Scheduler metrics for one thread-count run, pulled from the registry
@@ -243,28 +248,36 @@ int main(int argc, char** argv) {
 
   std::printf("parallel kernel scaling at n=%u (hardware_concurrency=%u)\n",
               args.num_users, std::thread::hardware_concurrency());
-  std::vector<std::vector<double>> baseline_sig;
   std::vector<bench::SchedulerMetrics> sched(bench::kNumThreadCounts);
   // Metrics observe the scheduler without perturbing results — the
   // identical-output audit below doubles as a check of that claim.
   util::SetMetricsEnabled(true);
+  // The untimed warm-up pass (one thread) is also the audit's baseline.
+  util::SetThreadCount(1);
+  std::vector<std::vector<double>> baseline_sig;
+  (void)bench::RunKernels(args, &baseline_sig);
   for (size_t t = 0; t < bench::kNumThreadCounts; ++t) {
     const int threads = bench::kThreadCounts[t];
     util::SetThreadCount(threads);
-    util::MetricsRegistry::Global().ResetValues();
-    std::vector<std::vector<double>> sig;
-    const std::vector<double> secs = bench::RunKernels(args, &sig);
-    sched[t] = bench::CollectSchedulerMetrics(threads);
-    if (t == 0) {
-      baseline_sig = sig;
+    std::vector<std::vector<double>> samples(kNumKernels);
+    for (int rep = 0; rep < bench::kRepeats; ++rep) {
+      util::MetricsRegistry::Global().ResetValues();
+      std::vector<std::vector<double>> sig;
+      const std::vector<double> secs = bench::RunKernels(args, &sig);
+      sched[t] = bench::CollectSchedulerMetrics(threads);
+      for (size_t k = 0; k < kNumKernels; ++k) {
+        samples[k].push_back(secs[k]);
+        if (sig[k] != baseline_sig[k]) results[k].identical = false;
+      }
     }
     for (size_t k = 0; k < kNumKernels; ++k) {
-      results[k].seconds[t] = secs[k];
-      if (sig[k] != baseline_sig[k]) results[k].identical = false;
-      std::printf("  threads=%d %-16s %8.3fs  speedup=%.2fx%s\n", threads,
-                  names[k], secs[k],
-                  secs[k] > 0.0 ? results[k].seconds[0] / secs[k] : 0.0,
-                  sig[k] == baseline_sig[k] ? "" : "  MISMATCH");
+      const bench::Spread cell = bench::Summarize(std::move(samples[k]));
+      results[k].seconds[t] = cell;
+      const double base = results[k].seconds[0].median;
+      std::printf("  threads=%d %-16s %8.3fs [%.3f..%.3f]  speedup=%.2fx%s\n",
+                  threads, names[k], cell.median, cell.min, cell.max,
+                  cell.median > 0.0 ? base / cell.median : 0.0,
+                  results[k].identical ? "" : "  MISMATCH");
     }
   }
   util::SetMetricsEnabled(false);
@@ -273,29 +286,36 @@ int main(int argc, char** argv) {
   double total_1 = 0.0, total_4 = 0.0;
   bool all_identical = true;
   for (const bench::KernelResult& r : results) {
-    total_1 += r.seconds[0];
-    total_4 += r.seconds[2];
+    total_1 += r.seconds[0].median;
+    total_4 += r.seconds[2].median;
     all_identical = all_identical && r.identical;
   }
   const double aggregate_speedup_4 = total_4 > 0.0 ? total_1 / total_4 : 0.0;
-  std::printf("aggregate: 1-thread %.3fs, 4-thread %.3fs, speedup %.2fx; "
+  std::printf("aggregate (medians of %d passes): 1-thread %.3fs, 4-thread "
+              "%.3fs, speedup %.2fx; "
               "outputs identical across thread counts: %s\n",
-              total_1, total_4, aggregate_speedup_4,
+              bench::kRepeats, total_1, total_4, aggregate_speedup_4,
               all_identical ? "yes" : "NO");
 
   bench::Json thread_counts = bench::Json::Array();
   for (int threads : bench::kThreadCounts) thread_counts.Add(threads);
   bench::Json kernels = bench::Json::Object();
   for (const bench::KernelResult& r : results) {
-    bench::Json seconds = bench::Json::Array();
-    for (double s : r.seconds) seconds.Add(s);
-    kernels.Set(r.name,
-                bench::Json::Object()
-                    .Set("seconds", std::move(seconds))
-                    .Set("speedup_4t", r.seconds[2] > 0.0
-                                           ? r.seconds[0] / r.seconds[2]
-                                           : 0.0)
-                    .Set("identical", r.identical));
+    bench::Json median = bench::Json::Array();
+    bench::Json min = bench::Json::Array();
+    bench::Json max = bench::Json::Array();
+    for (const bench::Spread& cell : r.seconds) {
+      median.Add(cell.median);
+      min.Add(cell.min);
+      max.Add(cell.max);
+    }
+    const double m1 = r.seconds[0].median, m4 = r.seconds[2].median;
+    kernels.Set(r.name, bench::Json::Object()
+                            .Set("seconds", std::move(median))
+                            .Set("seconds_min", std::move(min))
+                            .Set("seconds_max", std::move(max))
+                            .Set("speedup_4t", m4 > 0.0 ? m1 / m4 : 0.0)
+                            .Set("identical", r.identical));
   }
   bench::Json scheduler = bench::Json::Object();
   for (size_t t = 0; t < bench::kNumThreadCounts; ++t) {
@@ -323,6 +343,8 @@ int main(int argc, char** argv) {
   report.Set("scale", args.num_users)
       .Set("seed", args.seed)
       .Set("thread_counts", std::move(thread_counts))
+      .Set("warmup_passes", 1)
+      .Set("repeats", bench::kRepeats)
       .Set("kernels", std::move(kernels))
       .Set("scheduler", std::move(scheduler))
       .Set("aggregate_speedup_4t", aggregate_speedup_4)

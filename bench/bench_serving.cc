@@ -30,7 +30,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -59,19 +58,6 @@ constexpr size_t kNumTypes = 5;  // matches serve::RequestType values
 // FnvMix / FnvString / the zipf request-mix builder live in bench_common
 // so the observability serving bench replays the identical workload.
 
-struct TypeLatencies {
-  std::vector<double> micros;
-
-  double Percentile(double q) const {
-    if (micros.empty()) return 0.0;
-    std::vector<double> sorted = micros;
-    std::sort(sorted.begin(), sorted.end());
-    const size_t idx = static_cast<size_t>(
-        std::ceil(q * static_cast<double>(sorted.size())));
-    return sorted[std::min(sorted.size() - 1, idx == 0 ? 0 : idx - 1)];
-  }
-};
-
 struct RunResult {
   int threads = 0;
   int shards = 0;  ///< 0 = unsharded QueryEngine; N = router shard count.
@@ -82,7 +68,7 @@ struct RunResult {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t degraded = 0;
-  TypeLatencies latency[kNumTypes];
+  std::vector<double> latency_us[kNumTypes];  ///< Per request type.
 };
 
 // Replays `mix` closed-loop through a front door (engine or router):
@@ -113,7 +99,7 @@ RunResult ReplayClosedLoop(serve::FrontDoor* server,
         std::chrono::duration<double, std::micro>(
             std::chrono::steady_clock::now() - f.submitted)
             .count();
-    out.latency[static_cast<size_t>(mix[f.index].type)].micros.push_back(us);
+    out.latency_us[static_cast<size_t>(mix[f.index].type)].push_back(us);
     if (resp.degraded) ++out.degraded;
     hashes[f.index] = FnvString(resp.json);
   };
@@ -527,13 +513,14 @@ int main(int argc, char** argv) {
     const uint64_t lookups = r.cache_hits + r.cache_misses;
     bench::Json latency = bench::Json::Object();
     for (size_t t = 0; t < bench::kNumTypes; ++t) {
-      const bench::TypeLatencies& lat = r.latency[t];
+      std::vector<double> us = r.latency_us[t];
+      std::sort(us.begin(), us.end());
       latency.Set(bench::kTypeNames[t],
                   bench::Json::Object()
-                      .Set("count", lat.micros.size())
-                      .Set("p50", lat.Percentile(0.50))
-                      .Set("p95", lat.Percentile(0.95))
-                      .Set("p99", lat.Percentile(0.99)));
+                      .Set("count", us.size())
+                      .Set("p50", bench::Percentile(us, 0.50))
+                      .Set("p95", bench::Percentile(us, 0.95))
+                      .Set("p99", bench::Percentile(us, 0.99)));
     }
     return bench::Json::Object()
         .Set("threads", r.threads)

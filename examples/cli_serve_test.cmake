@@ -30,7 +30,7 @@ function(serve_once graph out)
 endfunction()
 
 serve_once(edges.txt unsharded.out 2)
-serve_once(edges.txt sharded.out --shards=2 --shard-threads=2 --hubs=2)
+serve_once(edges.txt sharded.out --shards=2 --shard-threads=2)
 file(READ "${WORK}/unsharded.out" unsharded)
 file(READ "${WORK}/sharded.out" sharded)
 if(NOT unsharded STREQUAL sharded)

@@ -23,7 +23,7 @@
 //                                      scatter-gather router with N
 //                                      degree-partitioned shards —
 //                                      byte-identical responses, plus
-//                                      --shard-threads=N and --hubs=K)
+//                                      --shard-threads=N)
 //   elitenet_cli convert <in> <out>    edge list <-> binary snapshot
 //                                      (.eng2 or .eng = ENG2 zero-copy
 //                                       mmap format, else text;
@@ -447,7 +447,7 @@ void Usage() {
       "    edge list; --budget-mb streams the ENG2 write through an N-MiB\n"
       "    external sort (same bytes, bounded memory)\n"
       "  serve <graph> [N] [--threads=N] [--cache=N] [--no-widx]\n"
-      "    [--shards=N] [--shard-threads=N] [--hubs=K] [--metrics=PATH]\n"
+      "    [--shards=N] [--shard-threads=N] [--metrics=PATH]\n"
       "    [--metrics-interval=MS] [--flight-recorder=K] [--slow-ms=T]\n"
       "    [--sample=N] [--no-telemetry]: line-protocol query server\n"
       "  warmup <graph>: precompute the <graph>.widx warm-index sidecar\n"

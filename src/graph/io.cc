@@ -28,9 +28,17 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
-template <typename T>
-uint64_t ChecksumSpan(std::span<const T> v, uint64_t seed) {
-  return util::Fnv1a(v.data(), v.size() * sizeof(T), seed);
+// FNV-1a chained over the four CSR arrays in section order: the one
+// whole-graph checksum, of resident and of mapped arrays alike.
+uint64_t CsrChecksum(std::span<const EdgeIdx> out_offsets,
+                     std::span<const NodeId> out_targets,
+                     std::span<const EdgeIdx> in_offsets,
+                     std::span<const NodeId> in_targets) {
+  uint64_t h = util::kFnvBasis;
+  h = util::Fnv1a(out_offsets.data(), out_offsets.size_bytes(), h);
+  h = util::Fnv1a(out_targets.data(), out_targets.size_bytes(), h);
+  h = util::Fnv1a(in_offsets.data(), in_offsets.size_bytes(), h);
+  return util::Fnv1a(in_targets.data(), in_targets.size_bytes(), h);
 }
 
 /// The CSR invariants MapBinary must establish before handing the mapping
@@ -63,12 +71,8 @@ Status ValidateCsr(std::span<const EdgeIdx> out_offsets,
 }  // namespace
 
 uint64_t GraphChecksum(const DiGraph& g) {
-  uint64_t h = util::kFnvBasis;
-  h = ChecksumSpan(g.out_offsets(), h);
-  h = ChecksumSpan(g.out_targets(), h);
-  h = ChecksumSpan(g.in_offsets(), h);
-  h = ChecksumSpan(g.in_targets(), h);
-  return h;
+  return CsrChecksum(g.out_offsets(), g.out_targets(), g.in_offsets(),
+                     g.in_targets());
 }
 
 Status WriteEdgeListText(const DiGraph& g, const std::string& path) {
@@ -172,12 +176,8 @@ Result<DiGraph> MapBinary(const std::string& path) {
   // of same-length sections would fool per-section sums alone) and must
   // match what GraphChecksum computes on any other load path — it is the
   // warm-index invalidation key.
-  uint64_t h = util::kFnvBasis;
-  h = ChecksumSpan(out_offsets, h);
-  h = ChecksumSpan(out_targets, h);
-  h = ChecksumSpan(in_offsets, h);
-  h = ChecksumSpan(in_targets, h);
-  if (h != file.words()[2]) {
+  if (CsrChecksum(out_offsets, out_targets, in_offsets, in_targets) !=
+      file.words()[2]) {
     return Status::Corruption("graph checksum mismatch: " + path);
   }
 

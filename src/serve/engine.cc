@@ -79,10 +79,10 @@ Status ComputeWarmIndexes(const DiGraph& g, const EngineOptions& options,
 
 namespace {
 
-// The sidecar identity of `g` warmed under `options`.
-WarmIndexKey WarmKeyFor(const DiGraph& g, const EngineOptions& options) {
+// The sidecar identity of a graph, by checksum, warmed under `options`.
+WarmIndexKey WarmKeyFor(uint64_t graph_checksum, const EngineOptions& options) {
   WarmIndexKey key;
-  key.graph_checksum = graph::GraphChecksum(g);
+  key.graph_checksum = graph_checksum;
   key.config_hash = WarmConfigHash(options.pagerank, options.fingerprint,
                                    options.distance_oracle);
   return key;
@@ -92,11 +92,11 @@ WarmIndexKey WarmKeyFor(const DiGraph& g, const EngineOptions& options) {
 
 Result<WarmIndexes> LoadOrBuildWarmIndexes(const DiGraph& g,
                                            const EngineOptions& options,
+                                           uint64_t graph_checksum,
                                            bool* from_cache) {
   *from_cache = false;
-  WarmIndexKey key;
+  const WarmIndexKey key = WarmKeyFor(graph_checksum, options);
   if (!options.warm_index_path.empty()) {
-    key = WarmKeyFor(g, options);
     ELITENET_SPAN("serve.warm.widx_load");
     auto restored = LoadWarmIndexes(options.warm_index_path, key,
                                     g.num_nodes());
@@ -143,7 +143,11 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Warmed(
   }
   std::unique_ptr<QueryEngine> engine(new QueryEngine(std::move(g), options));
   util::SpanTimer timer("serve.warmup");
-  auto warm = LoadOrBuildWarmIndexes(engine->graph(), options,
+  // Only a sidecar key reads the checksum.
+  const uint64_t checksum = options.warm_index_path.empty()
+                                ? 0
+                                : graph::GraphChecksum(engine->graph());
+  auto warm = LoadOrBuildWarmIndexes(engine->graph(), options, checksum,
                                      &engine->warm_from_cache_);
   if (!warm.ok()) return warm.status();
   engine->warm_ = std::move(*warm);
@@ -255,7 +259,8 @@ Result<CompactionStats> QueryEngine::CompactNow() {
         EN_RETURN_IF_ERROR(ComputeWarmIndexes(g, options_, &w));
         // Best-effort sidecar next to the snapshot: a restart from the
         // compacted file warm-starts instead of recomputing.
-        (void)SaveWarmIndexes(path + ".widx", WarmKeyFor(g, options_), w);
+        (void)SaveWarmIndexes(
+            path + ".widx", WarmKeyFor(graph::GraphChecksum(g), options_), w);
         return std::shared_ptr<const void>(
             std::make_shared<const WarmIndexes>(std::move(w)));
       });

@@ -184,9 +184,12 @@ Status ComputeWarmIndexes(const graph::DiGraph& g, const EngineOptions& options,
 
 /// Sidecar-aware warmup: restore from options.warm_index_path when it is
 /// set and matches (checksum + config), else compute and best-effort
-/// persist. `*from_cache` reports which path ran.
+/// persist. `graph_checksum` is graph::GraphChecksum(g), computed once by
+/// the caller; it is read only when the path is set. `*from_cache`
+/// reports which path ran.
 Result<WarmIndexes> LoadOrBuildWarmIndexes(const graph::DiGraph& g,
                                            const EngineOptions& options,
+                                           uint64_t graph_checksum,
                                            bool* from_cache);
 
 }  // namespace serve

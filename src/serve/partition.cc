@@ -30,10 +30,9 @@ uint64_t ShardsAndHubs(uint32_t num_shards, uint32_t hub_count) {
   return num_shards | uint64_t{hub_count} << 32;
 }
 
-}  // namespace
-
-Result<Partition> BuildPartition(const DiGraph& g,
-                                 const PartitionOptions& options) {
+// BuildPartition over a graph whose checksum the caller already has.
+Result<Partition> Place(const DiGraph& g, const PartitionOptions& options,
+                        uint64_t graph_checksum) {
   if (options.num_shards < 1 || options.num_shards > 255) {
     return Status::InvalidArgument(
         "num_shards must be in 1..255 (one-byte home map), got " +
@@ -57,7 +56,7 @@ Result<Partition> BuildPartition(const DiGraph& g,
 
   Partition p;
   p.num_shards = shards;
-  p.graph_checksum = graph::GraphChecksum(g);
+  p.graph_checksum = graph_checksum;
   p.home.assign(n, 0);
   p.home_nodes.assign(static_cast<size_t>(shards), 0);
 
@@ -81,6 +80,13 @@ Result<Partition> BuildPartition(const DiGraph& g,
     ++p.home_nodes[best];
   }
   return p;
+}
+
+}  // namespace
+
+Result<Partition> BuildPartition(const DiGraph& g,
+                                 const PartitionOptions& options) {
+  return Place(g, options, graph::GraphChecksum(g));
 }
 
 Result<DiGraph> BuildShardGraph(const DiGraph& g, const Partition& p,
@@ -183,19 +189,19 @@ Result<Partition> LoadPartition(const std::string& path,
 
 Result<Partition> LoadOrBuildPartition(const DiGraph& g,
                                        const PartitionOptions& options,
+                                       uint64_t graph_checksum,
                                        const std::string& path,
                                        bool* from_cache) {
   *from_cache = false;
   if (!path.empty()) {
-    auto restored =
-        LoadPartition(path, graph::GraphChecksum(g), options.num_shards,
-                      options.hub_count, g.num_nodes());
+    auto restored = LoadPartition(path, graph_checksum, options.num_shards,
+                                  options.hub_count, g.num_nodes());
     if (restored.ok()) {
       *from_cache = true;
       return restored;
     }
   }
-  auto built = BuildPartition(g, options);
+  auto built = Place(g, options, graph_checksum);
   if (!built.ok()) return built.status();
   if (!path.empty()) {
     // Best-effort, like the warm sidecar: a read-only filesystem must

@@ -1,15 +1,12 @@
-// Degree-aware edge partitioning for the sharded serving tier
-// (serve/router.h): split one ENG2 CSR into N shard subgraphs such that
-// every single-node query (ego, neighbors, mutual counts, 2-hop reach)
-// is answerable *exactly* from one shard, with the top-K hub rows
-// replicated on every shard.
-//
-// Node ids are global on every shard — a shard graph has the same
-// num_nodes as the base and a subset of its edges — so the globally
-// computed warm indexes (PageRank, components, hub labels) index
-// directly into shard responses and out-of-range errors render the same
-// bytes everywhere. What varies per shard is only which CSR rows are
-// *exact* (complete) versus partial:
+// Degree-aware partitioning for the sharded serving tier
+// (serve/router.h): give every node a home shard such that every
+// single-node query (ego, neighbors, mutual counts, 2-hop reach) is
+// answerable *exactly* from the rows one shard holds, with the top-K
+// hub rows on every shard. The router's shards all read the one base
+// graph and the partition only routes; BuildShardGraph materializes a
+// shard's rows as the reference a test serves from. A shard graph keeps
+// the base's num_nodes and global ids, so the globally computed warm
+// indexes index straight into it. Which rows are *exact* (complete):
 //
 //   R1  home(u) == s        → all of u's out-edges   (exact out-rows)
 //   R2  home(v) == s        → every edge u→v         (exact in-rows)
@@ -48,13 +45,14 @@ namespace serve {
 struct PartitionOptions {
   /// Shard count, 1..255 (the home map stores one byte per node).
   int num_shards = 1;
-  /// Top-degree rows replicated on every shard (R3). 0 disables hub
+  /// Top-degree rows every shard holds (R3). Shapes the reference
+  /// materialization and keys the PIDX sidecar; 0 disables hub
   /// replication.
   uint32_t hub_count = 64;
 };
 
 /// A node→shard assignment plus the replicated hub set. Immutable once
-/// built; shared by the router and every shard-graph construction.
+/// built; the router's routing table.
 struct Partition {
   int num_shards = 1;
   /// home[u] = shard that owns node u's exact rows.
@@ -77,9 +75,10 @@ struct Partition {
 Result<Partition> BuildPartition(const graph::DiGraph& g,
                                  const PartitionOptions& options);
 
-/// Materializes shard `s`'s subgraph: same num_nodes as `g`, exactly the
-/// edges selected by rules R1–R4. Deterministic (GraphBuilder sorts and
-/// dedups rows).
+/// The reference materialization of shard `s`: same num_nodes as `g`,
+/// exactly the edges of rules R1–R4 (GraphBuilder sorts and dedups
+/// rows). The router serves from the base instead; the router tests
+/// serve from this to hold it to R1–R4, and servebench times it.
 Result<graph::DiGraph> BuildShardGraph(const graph::DiGraph& g,
                                        const Partition& p, int shard);
 
@@ -105,10 +104,11 @@ Result<Partition> LoadPartition(const std::string& path,
                                 graph::NodeId expected_nodes);
 
 /// Sidecar-aware build: try LoadPartition when `path` is non-empty, else
-/// (or on miss) BuildPartition and best-effort SavePartition.
-/// `*from_cache` reports which path ran.
+/// (or on miss) build and best-effort SavePartition. `graph_checksum` is
+/// graph::GraphChecksum(g). `*from_cache` reports which path ran.
 Result<Partition> LoadOrBuildPartition(const graph::DiGraph& g,
                                        const PartitionOptions& options,
+                                       uint64_t graph_checksum,
                                        const std::string& path,
                                        bool* from_cache);
 

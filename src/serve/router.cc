@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "graph/bounded_distance.h"
+#include "graph/io.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -115,13 +116,15 @@ Result<std::unique_ptr<ShardedRouter>> ShardedRouter::Create(
       new ShardedRouter(options, g.num_nodes(), g.num_edges()));
 
   util::SpanTimer timer("serve.router.warmup");
+  // One hash of the base keys both sidecars.
+  const uint64_t checksum = graph::GraphChecksum(g);
   {
     // One warm build over the *global* graph; every shard answers from
     // this bundle, which is what makes PageRank/component/hub-label
     // bytes identical across shard counts.
     ELITENET_SPAN("serve.router.warm_global");
-    auto warm =
-        LoadOrBuildWarmIndexes(g, options.engine, &router->warm_from_cache_);
+    auto warm = LoadOrBuildWarmIndexes(g, options.engine, checksum,
+                                       &router->warm_from_cache_);
     if (!warm.ok()) return warm.status();
     router->warm_ = std::move(*warm);
   }
@@ -129,23 +132,16 @@ Result<std::unique_ptr<ShardedRouter>> ShardedRouter::Create(
     ELITENET_SPAN("serve.router.partition");
     PartitionOptions popt;
     popt.num_shards = options.num_shards;
-    popt.hub_count = options.hub_count;
-    auto part = LoadOrBuildPartition(g, popt, options.partition_path,
+    auto part = LoadOrBuildPartition(g, popt, checksum, options.partition_path,
                                      &router->partition_from_cache_);
     if (!part.ok()) return part.status();
     router->partition_ = std::move(*part);
   }
   for (int s = 0; s < options.num_shards; ++s) {
-    ELITENET_SPAN("serve.router.build_shard");
-    auto sg = BuildShardGraph(g, router->partition_, s);
-    if (!sg.ok()) return sg.status();
     router->shards_.push_back(
-        std::make_unique<Shard>(std::move(*sg), options.shard_threads));
+        std::make_unique<Shard>(g, options.shard_threads));
   }
   router->warmup_seconds_ = timer.Seconds();
-  // The base CSR dies with `g` here: steady-state memory is the shard
-  // subgraphs plus one warm bundle. Everything the router still needs
-  // from the base graph is its two scalars.
   router->Open();
   return router;
 }
@@ -160,9 +156,9 @@ QueryResponse ShardedRouter::Compute(const Request& r,
   }
   // Single-shard: the home shard's rows (and, for ego's 2-hop reach, its
   // halo rows) are exact; fingerprint and the hub-label oracle read only
-  // the global warm bundle, so any shard renders the same bytes. Shard
-  // graphs share the base num_nodes, so out-of-range nodes (routed to
-  // shard 0) get identical NotFound bytes.
+  // the global warm bundle, so any shard renders the same bytes.
+  // Out-of-range nodes route to shard 0, whose unit renders the engine's
+  // NotFound bytes.
   return shards_[HomeShard(r.node)]->unit.Compute(r, deadline, warm_,
                                                   nullptr);
 }
@@ -214,12 +210,9 @@ void ShardedRouter::AddStats(EngineStatsContext* ctx) const {
   ctx->oracle_active = distance_oracle_active();
   ctx->shards.reserve(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
-    // Shards cache nothing (the front door does), so their cache
-    // tallies stay zero.
     EngineStatsContext::ShardEntry entry;
     entry.id = static_cast<int>(s);
     entry.nodes = partition_.home_nodes[s];
-    entry.edges = shards_[s]->unit.graph().num_edges();
     for (size_t i = 0; i < kNumQosClasses; ++i) {
       const QosClassStats cs = shards_[s]->workers.class_stats(QosClassAt(i));
       entry.queue_depth += cs.queue_depth;

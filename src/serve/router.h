@@ -5,10 +5,15 @@
 // admission plane — QoS executor, result cache, telemetry, admin verbs —
 // sits in front of it exactly as it sits in front of an unsharded
 // QueryEngine, so every request is admitted, counted and cached exactly
-// once. Behind it, each shard is a ComputeUnit (serve/compute.h) over
-// the subgraph a degree-aware partition (serve/partition.h) carves out
-// of one base CSR, plus a small cap-exempt worker pool for fan-out.
-// Shards own no admission plane of their own.
+// once. Behind it, each shard is a ComputeUnit (serve/compute.h) plus a
+// small cap-exempt worker pool for fan-out. Shards own no admission
+// plane of their own.
+//
+// Every shard's unit holds the router's one base graph (a DiGraph copy
+// is an O(1) share of the mapped CSR): memory is one base plus one warm
+// bundle. The degree-aware partition (serve/partition.h) routes, and a
+// unit reads only rows its shard holds exactly under rules R1–R4, which
+// a test holds by serving the same bytes from materialized shard rows.
 //
 // The contract that makes sharding an implementation detail: **response
 // bytes are identical to the unsharded engine's at every shard count**,
@@ -20,9 +25,9 @@
 //     scores, component labels, hub labels, and the fingerprint are the
 //     same bytes everywhere.
 //   * Single-node queries (ego, neighbors) route to the node's home
-//     shard, where the partition guarantees both adjacency rows — and,
-//     via the halo rule, every neighbor's out-row — are exact. The shard
-//     runs the engine's own handlers.
+//     shard, which holds both adjacency rows exactly — and, via the halo
+//     rule, every neighbor's out-row. The shard runs the engine's own
+//     handlers.
 //   * Multi-shard queries reuse the compute unit's renderers
 //     (RenderTopKJson, MakeDistanceResponse) over data gathered from
 //     the shards in deterministic order: topk degree columns are
@@ -42,7 +47,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "graph/digraph.h"
@@ -64,8 +68,6 @@ struct RouterOptions {
   int num_shards = 2;
   /// Worker threads per shard (scatter-gather sub-requests).
   int shard_threads = 1;
-  /// Top-degree rows replicated on every shard (PartitionOptions).
-  uint32_t hub_count = 64;
   /// When non-empty, the partition is restored from / persisted to this
   /// ".pidx" sidecar (PartitionPathFor gives the convention).
   std::string partition_path;
@@ -82,10 +84,9 @@ struct RouterOptions {
 /// front end drives either.
 class ShardedRouter : public FrontDoor {
  public:
-  /// Builds the partition, the global warm bundle, and one compute unit
-  /// per shard. The base CSR is released once the shard subgraphs are
-  /// built: the router retains only its scalars, so steady-state memory
-  /// is the shards plus one warm bundle.
+  /// Builds (or restores) the global warm bundle and the partition, and
+  /// one compute unit per shard over `g` itself. Hashes `g` once, for
+  /// both sidecar keys.
   static Result<std::unique_ptr<ShardedRouter>> Create(
       graph::DiGraph g, const RouterOptions& options = {});
 
@@ -98,10 +99,6 @@ class ShardedRouter : public FrontDoor {
   /// The node→shard map and hub set in force.
   const Partition& partition() const { return partition_; }
 
-  /// Shard `i`'s compute unit (tests: hub-replication and row-exactness
-  /// invariants are asserted against its graph()).
-  const ComputeUnit& shard(int i) const { return shards_[i]->unit; }
-
   /// The global warm bundle every shard serves from.
   const WarmIndexes& warm_indexes() const { return warm_; }
 
@@ -109,11 +106,12 @@ class ShardedRouter : public FrontDoor {
 
   bool partition_from_cache() const { return partition_from_cache_; }
 
-  /// One shard: its compute unit and the cap-exempt workers its fan-out
-  /// runs on (declared last, so they join before the unit dies).
+  /// One shard: its compute unit over the base graph and the cap-exempt
+  /// workers its fan-out runs on (declared last, so they join before the
+  /// unit dies).
   struct Shard {
-    Shard(graph::DiGraph g, int threads)
-        : unit(std::move(g)), workers(threads, QosOptions{}) {}
+    Shard(const graph::DiGraph& base, int threads)
+        : unit(base), workers(threads, QosOptions{}) {}
     ComputeUnit unit;
     QosExecutor workers;
   };

@@ -165,8 +165,6 @@ Status ParseServeArgs(const std::string& graph_path, int argc,
       options->num_shards = static_cast<int>(v);
     } else if (UintFlag(arg, "--shard-threads=", 1, kMaxWorkers, &v)) {
       options->shard_threads = static_cast<int>(v);
-    } else if (UintFlag(arg, "--hubs=", 0, kMaxU32, &v)) {
-      options->hub_count = static_cast<uint32_t>(v);
     } else {
       return Status::InvalidArgument(
           "unknown serve flag or bad value: " + std::string(arg));

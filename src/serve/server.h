@@ -5,7 +5,7 @@
 //
 // The one serve command line lives here too: ParseServeArgs accepts the
 // positional worker count, --threads= --cache= --no-widx --shards=
-// --shard-threads= --hubs=, and the telemetry flags, and rejects
+// --shard-threads=, and the telemetry flags, and rejects
 // unknown flags and non-numeric, overflowing or out-of-range values.
 
 #ifndef ELITENET_SERVE_SERVER_H_

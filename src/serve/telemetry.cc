@@ -400,13 +400,7 @@ std::string RenderStatsJson(const Telemetry& t, const EngineStatsContext& ctx) {
       AppendU64(&j, static_cast<uint64_t>(s.id));
       j += ",\"nodes\":";
       AppendU64(&j, s.nodes);
-      j += ",\"edges\":";
-      AppendU64(&j, s.edges);
-      j += ",\"cache\":{\"hits\":";
-      AppendU64(&j, s.cache_hits);
-      j += ",\"misses\":";
-      AppendU64(&j, s.cache_misses);
-      j += "},\"queue_depth\":";
+      j += ",\"queue_depth\":";
       AppendU64(&j, s.queue_depth);
       j += ",\"executed\":";
       AppendU64(&j, s.executed);

@@ -282,11 +282,7 @@ struct EngineStatsContext {
   /// engine). RenderStatsJson emits a "shards" array when non-empty.
   struct ShardEntry {
     int id = 0;
-    uint64_t nodes = 0;
-    uint64_t edges = 0;  ///< Shard subgraph edges (replicas included).
-    /// Always 0: shards cache nothing (the front door caches once).
-    uint64_t cache_hits = 0;
-    uint64_t cache_misses = 0;
+    uint64_t nodes = 0;  ///< Nodes homed on the shard.
     uint64_t queue_depth = 0;  ///< Shard worker backlog (sub-requests).
     uint64_t executed = 0;     ///< Tasks the shard workers have run.
   };

@@ -1,7 +1,8 @@
 // bench::Json / bench::Report: the one writer behind every BENCH_*.json.
 // Checks the text it renders — string escaping, non-finite doubles as
 // null, nesting, empty containers, key replacement — and that a report
-// carries each environment field exactly once, whatever the bench set.
+// carries each environment field exactly once, whatever the bench set;
+// plus the shared sample summaries (Summarize, Percentile).
 
 #include "bench_common.h"
 
@@ -11,6 +12,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -129,6 +131,21 @@ TEST(BenchSummarizeTest, MedianMinMax) {
   EXPECT_EQ(even.max, 4.0);
   const Spread none = Summarize({});
   EXPECT_EQ(none.median, 0.0);
+}
+
+TEST(BenchPercentileTest, NearestRankOfASortedSample) {
+  std::vector<double> sorted;
+  for (int i = 1; i <= 100; ++i) sorted.push_back(i);
+  EXPECT_EQ(Percentile(sorted, 0.50), 50.0);
+  EXPECT_EQ(Percentile(sorted, 0.95), 95.0);
+  EXPECT_EQ(Percentile(sorted, 0.99), 99.0);
+  EXPECT_EQ(Percentile(sorted, 0.0), 1.0);
+  EXPECT_EQ(Percentile(sorted, 1.0), 100.0);
+  // Nearest rank never interpolates: the 0.5 rank of {1, 2, 3, 4} is 2.
+  const std::vector<double> four = {1.0, 2.0, 3.0, 4.0};
+  EXPECT_EQ(Percentile(four, 0.50), 2.0);
+  EXPECT_EQ(Percentile(four, 0.51), 3.0);
+  EXPECT_EQ(Percentile({}, 0.99), 0.0);
 }
 
 TEST(BenchHexTest, SixteenLowerCaseDigits) {

@@ -325,12 +325,13 @@ TEST(PartitionTest, LoadOrBuildReportsCacheState) {
   const std::string path = TempPath("loadorbuild.pidx");
   std::remove(path.c_str());
 
+  const uint64_t checksum = graph::GraphChecksum(g);
   bool from_cache = true;
-  auto first = LoadOrBuildPartition(g, opts, path, &from_cache);
+  auto first = LoadOrBuildPartition(g, opts, checksum, path, &from_cache);
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE(from_cache);  // built fresh, sidecar written
 
-  auto second = LoadOrBuildPartition(g, opts, path, &from_cache);
+  auto second = LoadOrBuildPartition(g, opts, checksum, path, &from_cache);
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(from_cache);  // restored
   EXPECT_EQ(second->home, first->home);
@@ -340,13 +341,13 @@ TEST(PartitionTest, LoadOrBuildReportsCacheState) {
   // rewrites the sidecar for the new setup).
   opts.num_shards = 2;
   opts.hub_count = 8;
-  auto third = LoadOrBuildPartition(g, opts, path, &from_cache);
+  auto third = LoadOrBuildPartition(g, opts, checksum, path, &from_cache);
   ASSERT_TRUE(third.ok());
   EXPECT_FALSE(from_cache);
   EXPECT_EQ(third->hubs.size(), 8u);
 
   // Empty path: always build, never touch disk.
-  auto direct = LoadOrBuildPartition(g, opts, "", &from_cache);
+  auto direct = LoadOrBuildPartition(g, opts, checksum, "", &from_cache);
   ASSERT_TRUE(direct.ok());
   EXPECT_FALSE(from_cache);
 }

@@ -2,8 +2,8 @@
 // to the unsharded engine's at every shard count × worker count —
 // including error, cached, degraded, and BFS-fallback paths — plus the
 // QoS admission behaviour (batch sheds first, interactive holds) and the
-// hub-replication invariant. The hammer test at the bottom is the TSan
-// target.
+// reference check that a materialized shard serves the same bytes. The
+// hammer test at the bottom is the TSan target.
 
 #include <algorithm>
 #include <atomic>
@@ -117,7 +117,6 @@ std::unique_ptr<ShardedRouter> MakeRouter(const DiGraph& g, int shards,
   RouterOptions ropts;
   ropts.num_shards = shards;
   ropts.shard_threads = 1;
-  ropts.hub_count = 8;
   engine.threads = router_threads;
   ropts.engine = engine;
   auto router = ShardedRouter::Create(g, ropts);
@@ -340,27 +339,52 @@ TEST(ShardedRouterTest, BatchShedsUnderOverloadWhileInteractiveHolds) {
   EXPECT_TRUE(Contains(health, "\"shedding\":[\"batch\"]")) << health;
 }
 
-TEST(ShardedRouterTest, HubRowsReplicatedExactlyOnEveryShard) {
+// The router's shards share the base graph, so nothing in the serving
+// path would notice a handler reading a row its shard could not hold.
+// This is the check that the design stays distributable: a compute unit
+// over shard s's reference materialization (rules R1–R4, hub rows on
+// every shard) answers every node homed on s with the router's bytes.
+// The stored heavy-node reach is cleared, so every ego walks the
+// materialized rows.
+TEST(ShardedRouterTest, MaterializedShardsServeTheRouterBytes) {
   const DiGraph g = BigGraph();
-  auto router = MakeRouter(g, 4, 1);
-  const Partition& p = router->partition();
-  ASSERT_FALSE(p.hubs.empty());
-  for (int s = 0; s < router->num_shards(); ++s) {
-    const DiGraph& sg = router->shard(s).graph();
-    ASSERT_EQ(sg.num_nodes(), g.num_nodes());
-    for (NodeId h : p.hubs) {
-      const auto base_out = g.OutNeighbors(h);
-      const auto shard_out = sg.OutNeighbors(h);
-      ASSERT_EQ(shard_out.size(), base_out.size())
-          << "hub " << h << " out-row, shard " << s;
-      EXPECT_TRUE(std::equal(base_out.begin(), base_out.end(),
-                             shard_out.begin()));
-      const auto base_in = g.InNeighbors(h);
-      const auto shard_in = sg.InNeighbors(h);
-      ASSERT_EQ(shard_in.size(), base_in.size())
-          << "hub " << h << " in-row, shard " << s;
-      EXPECT_TRUE(std::equal(base_in.begin(), base_in.end(),
-                             shard_in.begin()));
+  const std::string all = std::to_string(g.num_nodes());
+  for (int shards : {2, 4}) {
+    auto router = MakeRouter(g, shards, 1);
+    const Partition& p = router->partition();
+    ASSERT_FALSE(p.hubs.empty());
+    WarmIndexes warm = router->warm_indexes();
+    ASSERT_FALSE(warm.heavy_ids.empty());
+    warm.heavy_ids.clear();
+    warm.heavy_reach.clear();
+    for (int s = 0; s < shards; ++s) {
+      auto sg = BuildShardGraph(g, p, s);
+      ASSERT_TRUE(sg.ok()) << sg.status().ToString();
+      ASSERT_EQ(sg->num_nodes(), g.num_nodes());
+      for (NodeId h : p.hubs) {
+        EXPECT_TRUE(std::ranges::equal(sg->OutNeighbors(h), g.OutNeighbors(h)))
+            << "hub " << h << " out-row, shard " << s << "/" << shards;
+        EXPECT_TRUE(std::ranges::equal(sg->InNeighbors(h), g.InNeighbors(h)))
+            << "hub " << h << " in-row, shard " << s << "/" << shards;
+      }
+      ComputeUnit unit(std::move(*sg));
+      uint64_t homed = 0;
+      for (NodeId u = 0; u < g.num_nodes(); ++u) {
+        if (p.home[u] != s) continue;
+        ++homed;
+        const std::string node = std::to_string(u);
+        for (const std::string& line :
+             {"ego " + node, "neighbors " + node + " out " + all,
+              "neighbors " + node + " in " + all}) {
+          auto r = ParseRequest(line);
+          ASSERT_TRUE(r.ok()) << line;
+          const QueryResponse got =
+              unit.Compute(*r, util::Deadline::Infinite(), warm, nullptr);
+          EXPECT_EQ(got.json, router->ExecuteLine(line).json)
+              << line << " (shard " << s << "/" << shards << ")";
+        }
+      }
+      EXPECT_EQ(homed, p.home_nodes[s]);
     }
   }
 }
