@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full verify ladder for elitenet, in increasing strictness:
 #
-#   1. tier-1: Release-ish build + the whole ctest suite (the CI gate);
+#   1. tier-1: Release-ish build (no compiler warnings allowed) + the
+#              whole ctest suite (the CI gate);
 #   2. tsan:   ThreadSanitizer build, "tsan"-labelled tests (parallel
 #              scheduler, traversal kernels, serving cache + executor,
 #              live delta-overlay reader/writer/compactor hammer, QoS
@@ -38,7 +39,13 @@ JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
 echo "== tier-1: build + full test suite =="
 cmake -B build -S . >/dev/null
-cmake --build build -j "$JOBS"
+# The build must stay warning-free, so that a new warning is seen: any
+# "warning:" in the compiler output fails the stage.
+cmake --build build -j "$JOBS" 2>&1 | tee build/build.log
+if grep -q 'warning:' build/build.log; then
+  echo "tier-1 build printed warnings (see build/build.log)" >&2
+  exit 1
+fi
 (cd build && ctest --output-on-failure -j "$JOBS")
 
 if [[ "$SKIP_TSAN" -eq 0 ]]; then

@@ -69,7 +69,6 @@ std::string ErrorJson(std::string_view code, std::string_view message,
 }
 
 QueryResponse ErrorResponse(const Request& r, const Status& status) {
-  ELITENET_COUNT("serve.errors", 1);
   QueryResponse resp;
   resp.ok = false;
   resp.json = ErrorJson(StatusCodeToString(status.code()), status.message(),
@@ -113,7 +112,6 @@ QueryResponse MakeDistanceResponse(const Request& r,
                                    const LiveSnapshot* snap) {
   QueryResponse resp;
   resp.degraded = !d.completed;
-  if (resp.degraded) ELITENET_COUNT("serve.degraded", 1);
   std::string& j = resp.json;
   j = "{\"type\":\"dist\",\"src\":";
   AppendU64(&j, r.node);
@@ -386,12 +384,8 @@ QueryResponse ComputeUnit::DoDistance(const Request& r,
     // Oracle fast path: exact distance by label intersection, no graph
     // traversal, no deadline interaction — it cannot degrade.
     ELITENET_COUNT("serve.dist.oracle_hit", 1);
-    util::SpanTimer intersect_timer;
     d.distance = warm.hub_labels.Distance(r.node, r.target);
-    ELITENET_HISTOGRAM("serve.dist.intersect_us",
-                       static_cast<uint64_t>(intersect_timer.Seconds() * 1e6));
   } else {
-    ELITENET_COUNT("serve.dist.bfs_fallback", 1);
     std::unique_ptr<SearchScratch> scratch = scratch_.Borrow();
     if (snap != nullptr) {
       d = graph::BoundedBidirectionalDistance(SnapAdj{snap}, r.node, r.target,

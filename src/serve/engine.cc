@@ -254,13 +254,14 @@ Result<CompactionStats> QueryEngine::CompactNow() {
   const std::string path = live_options_.compact_path;
   return live_->Compact(
       path,
-      [this, &path](const DiGraph& g) -> Result<std::shared_ptr<const void>> {
+      [this, &path](const DiGraph& g,
+                    uint64_t checksum) -> Result<std::shared_ptr<const void>> {
         WarmIndexes w;
         EN_RETURN_IF_ERROR(ComputeWarmIndexes(g, options_, &w));
         // Best-effort sidecar next to the snapshot: a restart from the
         // compacted file warm-starts instead of recomputing.
-        (void)SaveWarmIndexes(
-            path + ".widx", WarmKeyFor(graph::GraphChecksum(g), options_), w);
+        (void)SaveWarmIndexes(path + ".widx", WarmKeyFor(checksum, options_),
+                              w);
         return std::shared_ptr<const void>(
             std::make_shared<const WarmIndexes>(std::move(w)));
       });

@@ -34,35 +34,9 @@ const char* SpanNameFor(RequestType type) {
   return "serve.unknown";
 }
 
-// Distinct macro call sites per type: the metrics macros cache their
-// metric pointer per call site, so one shared site with a runtime name
-// would bind every type to the first sketch it saw. Sketches (not the
-// power-of-two histograms) so the exported snapshots carry live
-// p50/p95/p99 per type at O(1) memory.
-void RecordLatency(RequestType type, uint64_t micros) {
-  switch (type) {
-    case RequestType::kEgoSummary:
-      ELITENET_SKETCH("serve.latency_us.ego", micros);
-      break;
-    case RequestType::kTopKRank:
-      ELITENET_SKETCH("serve.latency_us.topk", micros);
-      break;
-    case RequestType::kDistance:
-      ELITENET_SKETCH("serve.latency_us.dist", micros);
-      break;
-    case RequestType::kNeighbors:
-      ELITENET_SKETCH("serve.latency_us.neighbors", micros);
-      break;
-    case RequestType::kFingerprint:
-      ELITENET_SKETCH("serve.latency_us.fingerprint", micros);
-      break;
-  }
-}
-
 // The admission-control shed response:
 // {"type":"error","code":"overloaded",...}. Never cached.
 QueryResponse MakeOverloadedResponse(const Request& r) {
-  ELITENET_COUNT("serve.errors", 1);
   QueryResponse resp;
   resp.ok = false;
   resp.json = ErrorJson(
@@ -76,8 +50,6 @@ QueryResponse MakeOverloadedResponse(const Request& r) {
 // The well-formed error response for an unparseable protocol line.
 QueryResponse LineParseErrorResponse(std::string_view line,
                                      const Status& status) {
-  ELITENET_COUNT("serve.requests", 1);
-  ELITENET_COUNT("serve.errors", 1);
   QueryResponse resp;
   resp.ok = false;
   resp.json = ErrorJson(StatusCodeToString(status.code()), status.message(),
@@ -118,7 +90,8 @@ void FrontDoor::Open() {
       std::make_unique<QosExecutor>(std::max(1, options_.threads), options_.qos);
   if (!options_.metrics_path.empty()) {
     // Exposition implies recording: flip the util metrics switch so the
-    // macro-based counters/sketches the snapshots embed are live.
+    // registry counters and sketches the snapshots embed (kernel work,
+    // queue depths, warm-index cache) are live.
     util::SetMetricsEnabled(true);
     exporter_ = std::make_unique<TelemetryExporter>(
         &telemetry_, options_.metrics_path, options_.metrics_interval_ms,
@@ -144,7 +117,10 @@ QueryResponse FrontDoor::Execute(const Request& r,
 
 QueryResponse FrontDoor::ExecuteLine(std::string_view line) {
   auto parsed = ParseRequest(line);
-  if (!parsed.ok()) return LineParseErrorResponse(line, parsed.status());
+  if (!parsed.ok()) {
+    if (telemetry_.enabled()) telemetry_.RecordMalformedLine();
+    return LineParseErrorResponse(line, parsed.status());
+  }
   return Execute(*parsed);
 }
 
@@ -169,7 +145,6 @@ std::future<QueryResponse> FrontDoor::Submit(const Request& r) {
             std::chrono::duration_cast<std::chrono::microseconds>(
                 std::chrono::steady_clock::now() - job->submitted)
                 .count());
-        ELITENET_SKETCH("serve.queue.wait_us", wait_us);
         job->promise.set_value(Run(job->req, job->deadline, job->seq, wait_us,
                                    /*queued=*/true, &*job->admitted));
       });
@@ -177,7 +152,6 @@ std::future<QueryResponse> FrontDoor::Submit(const Request& r) {
     // Shed at admission: the class backlog is at its cap. The request
     // never executes (the scheduler tallied the shed); the caller gets
     // the overloaded error immediately instead of a timeout.
-    ELITENET_COUNT("serve.requests", 1);
     job->promise.set_value(MakeOverloadedResponse(r));
   }
   return fut;
@@ -200,7 +174,6 @@ std::string FrontDoor::CacheKeyFor(const Request& r,
 QueryResponse FrontDoor::Run(const Request& r, const util::Deadline& deadline,
                              uint64_t seq, uint64_t queue_wait_us, bool queued,
                              const Result<LiveSnapshot>* admitted) {
-  ELITENET_COUNT("serve.requests", 1);
   Telemetry* tel = telemetry_.enabled() ? &telemetry_ : nullptr;
   uint64_t trace_id = 0;
   bool sampled = false;
@@ -214,9 +187,7 @@ QueryResponse FrontDoor::Run(const Request& r, const util::Deadline& deadline,
   std::optional<util::SpanCapture> capture;
   if (sampled) capture.emplace();
 
-  const int64_t inflight =
-      inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
-  ELITENET_GAUGE_SET("serve.inflight", inflight);
+  inflight_.fetch_add(1, std::memory_order_relaxed);
   util::SpanTimer timer;
 
   QueryResponse resp;
@@ -234,12 +205,9 @@ QueryResponse FrontDoor::Run(const Request& r, const util::Deadline& deadline,
         key = CacheKeyFor(r, snap);
         std::string cached;
         if (cache_->Get(key, &cached)) {
-          ELITENET_COUNT("serve.cache.hit", 1);
           resp.json = std::move(cached);
           resp.cache_hit = true;
           from_cache = true;
-        } else {
-          ELITENET_COUNT("serve.cache.miss", 1);
         }
       }
       if (!from_cache) {
@@ -251,14 +219,7 @@ QueryResponse FrontDoor::Run(const Request& r, const util::Deadline& deadline,
     }
   }  // root span closes here so a sampled capture sees its duration
 
-  const uint64_t latency_us = static_cast<uint64_t>(timer.Seconds() * 1e6);
-  RecordLatency(r.type, latency_us);
-  // Keep the fetch_sub outside the macro: ELITENET_GAUGE_SET skips its
-  // value argument when metrics are disabled, and the matching fetch_add
-  // above runs unconditionally.
-  const int64_t now_inflight =
-      inflight_.fetch_sub(1, std::memory_order_relaxed) - 1;
-  ELITENET_GAUGE_SET("serve.inflight", now_inflight);
+  inflight_.fetch_sub(1, std::memory_order_relaxed);
   if (tel != nullptr) {
     RequestRecord record;
     record.trace_id = trace_id;
@@ -270,7 +231,7 @@ QueryResponse FrontDoor::Run(const Request& r, const util::Deadline& deadline,
     record.sampled = sampled;
     record.queued = queued;
     record.queue_wait_us = queue_wait_us;
-    record.latency_us = latency_us;
+    record.latency_us = static_cast<uint64_t>(timer.Seconds() * 1e6);
     record.deadline_slack_us = deadline.RemainingMicros();
     record.deadline_missed =
         !deadline.infinite() && record.deadline_slack_us == 0;

@@ -99,8 +99,8 @@ class FrontDoor {
   /// Executor worker threads (0 before the backend has started).
   int threads() const;
 
-  /// Result-cache tallies since startup (also exported as the
-  /// serve.cache.hit / serve.cache.miss metrics counters).
+  /// Result-cache tallies since startup, kept by the cache itself (#stats
+  /// "cache" and the exporter's elitenet_serve_cache_{hits,misses}_total).
   uint64_t cache_hits() const;
   uint64_t cache_misses() const;
 

@@ -7,7 +7,6 @@
 
 #include "graph/bounded_distance.h"
 #include "graph/io.h"
-#include "util/metrics.h"
 #include "util/trace.h"
 
 namespace elitenet {
@@ -192,7 +191,6 @@ QueryResponse ShardedRouter::ScatterDistance(const Request& r,
   // adjacency — same expansion order as an unsharded engine's local BFS,
   // rendered by the same function, so completed *and* degraded bytes
   // match at every shard count.
-  ELITENET_COUNT("serve.dist.bfs_fallback", 1);
   ELITENET_SPAN("serve.router.scatter_bfs");
   auto scratch = scratch_.Borrow();
   ScatterAdj adj(&shards_, &partition_.home);

@@ -38,13 +38,12 @@ bool QosExecutor::Submit(QosClass cls, const util::Deadline& deadline,
     const size_t cap = options_.cap(cls);
     if (cap > 0 && depth_[idx] >= cap) {
       ++shed_[idx];
-      ELITENET_COUNT("serve.qos.shed", 1);
       return false;
     }
     task.seq = next_seq_++;
     ++depth_[idx];
     ++submitted_[idx];
-    ELITENET_HISTOGRAM("serve.queue_depth", queue_.size());
+    ELITENET_SKETCH("serve.queue_depth", queue_.size());
     queue_.Push(std::move(task));
   }
   cv_.notify_one();
@@ -79,7 +78,7 @@ void QosExecutor::WorkerLoop() {
       ++executed_[task.class_index];
       // Drain-side depth sample: together with the submission-side one,
       // the distribution sees both arrival and departure backlog views.
-      ELITENET_HISTOGRAM("serve.queue_depth", queue_.size());
+      ELITENET_SKETCH("serve.queue_depth", queue_.size());
     }
     task.fn();
   }

@@ -17,6 +17,14 @@ void AppendU64(std::string* out, uint64_t v) { *out += std::to_string(v); }
 
 void AppendBool(std::string* out, bool v) { *out += v ? "true" : "false"; }
 
+// "#<verb><what>", built by appends: GCC 12 at -O3 misreads
+// `"#" + std::string(verb)` as an overlapping copy (-Wrestrict).
+std::string VerbMessage(std::string_view verb, std::string_view what) {
+  std::string msg = "#";
+  msg.append(verb).append(what);
+  return msg;
+}
+
 // Ring size: `v` rounded up to a power of two, minimum 1. The cap keeps
 // the doubling loop finite and the slot array allocatable.
 size_t RingCapacity(size_t v) {
@@ -202,8 +210,7 @@ Result<AdminCommand> ParseAdminLine(std::string_view line) {
                : verb == "version" ? AdminCommand::Kind::kVersion
                                    : AdminCommand::Kind::kOverlay;
     if (!rest.empty()) {
-      return Status::InvalidArgument("#" + std::string(verb) +
-                                     " takes no arguments");
+      return Status::InvalidArgument(VerbMessage(verb, " takes no arguments"));
     }
     return cmd;
   }
@@ -212,17 +219,17 @@ Result<AdminCommand> ParseAdminLine(std::string_view line) {
                                 : AdminCommand::Kind::kSlow;
     if (!rest.empty()) {
       if (rest.find_first_not_of("0123456789") != std::string_view::npos) {
-        return Status::InvalidArgument("#" + std::string(verb) +
-                                       " count must be a non-negative "
-                                       "integer, got \"" +
-                                       std::string(rest) + "\"");
+        std::string msg =
+            VerbMessage(verb, " count must be a non-negative integer, got \"");
+        msg.append(rest).append("\"");
+        return Status::InvalidArgument(msg);
       }
       errno = 0;
       const unsigned long long n = std::strtoull(std::string(rest).c_str(),
                                                  nullptr, 10);
       if (errno != 0) {
-        return Status::InvalidArgument("#" + std::string(verb) +
-                                       " count out of range");
+        return Status::InvalidArgument(
+            VerbMessage(verb, " count out of range"));
       }
       cmd.n = static_cast<size_t>(n);
     }
@@ -353,6 +360,8 @@ std::string RenderStatsJson(const Telemetry& t, const EngineStatsContext& ctx) {
   AppendSloJson(&j, t.totals());
   j += ",\"oracle_fallbacks\":";
   AppendU64(&j, t.oracle_fallbacks());
+  j += ",\"malformed_lines\":";
+  AppendU64(&j, t.malformed_lines());
   j += ",\"per_type\":{";
   for (size_t i = 0; i < kNumRequestTypes; ++i) {
     const RequestType type = static_cast<RequestType>(i);
@@ -662,6 +671,8 @@ Status WriteFileAtomic(const std::string& path, const std::string& body) {
   return Status::OK();
 }
 
+// The registry's families, then the serving plane's. Every per-request
+// number lives here once, under one family name.
 std::string RenderPrometheusText(const Telemetry& t,
                                  const EngineStatsContext& ctx) {
   std::string out = util::MetricsRegistry::Global().Snapshot()
@@ -673,34 +684,54 @@ std::string RenderPrometheusText(const Telemetry& t,
                   static_cast<unsigned long long>(v));
     out += buf;
   };
+  // One summary's samples: quantiles plus _count. `labels` is empty or
+  // one `key="value"` pair.
+  auto summary = [&](const char* name, std::string labels,
+                     const util::QuantileSketch& s) {
+    const std::string prefix = labels.empty() ? labels : labels + ',';
+    for (double q : {0.5, 0.95, 0.99}) {
+      std::snprintf(buf, sizeof(buf), "%s{%squantile=\"%g\"} %.1f\n", name,
+                    prefix.c_str(), q, s.Quantile(q));
+      out += buf;
+    }
+    if (!labels.empty()) labels = '{' + labels + '}';
+    std::snprintf(buf, sizeof(buf), "%s_count%s %llu\n", name, labels.c_str(),
+                  static_cast<unsigned long long>(s.count()));
+    out += buf;
+  };
   const SloCounters totals = t.totals();
   counter("elitenet_serve_slo_requests_total", totals.requests);
   counter("elitenet_serve_slo_errors_total", totals.errors);
   counter("elitenet_serve_slo_degraded_total", totals.degraded);
   counter("elitenet_serve_slo_deadline_miss_total", totals.deadline_miss);
   counter("elitenet_serve_slo_oracle_fallback_total", t.oracle_fallbacks());
+  counter("elitenet_serve_malformed_lines_total", t.malformed_lines());
+  counter("elitenet_serve_cache_hits_total", ctx.cache_hits);
+  counter("elitenet_serve_cache_misses_total", ctx.cache_misses);
   std::snprintf(buf, sizeof(buf),
                 "# TYPE elitenet_serve_inflight gauge\n"
                 "elitenet_serve_inflight %lld\n",
                 static_cast<long long>(ctx.inflight));
   out += buf;
+  if (ctx.qos) {
+    out += "# TYPE elitenet_serve_qos_shed_total counter\n";
+    for (size_t i = 0; i < kNumQosClasses; ++i) {
+      std::snprintf(buf, sizeof(buf),
+                    "elitenet_serve_qos_shed_total{class=\"%s\"} %llu\n",
+                    QosClassName(QosClassAt(i)),
+                    static_cast<unsigned long long>(ctx.classes[i].shed));
+      out += buf;
+    }
+  }
   out += "# TYPE elitenet_serve_latency_us summary\n";
   for (size_t i = 0; i < kNumRequestTypes; ++i) {
     const RequestType type = static_cast<RequestType>(i);
-    const util::QuantileSketch& s = t.latency_sketch(type);
-    for (double q : {0.5, 0.95, 0.99}) {
-      std::snprintf(buf, sizeof(buf),
-                    "elitenet_serve_latency_us{rtype=\"%s\",quantile=\"%g\"}"
-                    " %.1f\n",
-                    RequestTypeName(type), q, s.Quantile(q));
-      out += buf;
-    }
-    std::snprintf(buf, sizeof(buf),
-                  "elitenet_serve_latency_us_count{rtype=\"%s\"} %llu\n",
-                  RequestTypeName(type),
-                  static_cast<unsigned long long>(s.count()));
-    out += buf;
+    summary("elitenet_serve_latency_us",
+            std::string("rtype=\"") + RequestTypeName(type) + '"',
+            t.latency_sketch(type));
   }
+  out += "# TYPE elitenet_serve_queue_wait_us summary\n";
+  summary("elitenet_serve_queue_wait_us", "", t.queue_wait_sketch());
   return out;
 }
 

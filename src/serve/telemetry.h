@@ -190,6 +190,15 @@ class Telemetry {
     return oracle_fallbacks_.load(std::memory_order_relaxed);
   }
 
+  /// Protocol lines that failed to parse. They get an error response but
+  /// no record: a malformed line has no request type to file it under.
+  void RecordMalformedLine() {
+    malformed_lines_.fetch_add(1, std::memory_order_relaxed);
+  }
+  uint64_t malformed_lines() const {
+    return malformed_lines_.load(std::memory_order_relaxed);
+  }
+
   /// Completed requests / deadline misses for one QoS class (folded from
   /// each record's request.qos). Shed requests never execute, so they are
   /// counted by the scheduler, not here.
@@ -221,6 +230,7 @@ class Telemetry {
   std::atomic<uint64_t> next_seq_{1};
   AtomicSlo per_type_[kNumRequestTypes];
   std::atomic<uint64_t> oracle_fallbacks_{0};
+  std::atomic<uint64_t> malformed_lines_{0};
   std::atomic<uint64_t> class_requests_[kNumQosClasses] = {};
   std::atomic<uint64_t> class_deadline_miss_[kNumQosClasses] = {};
   util::QuantileSketch latency_[kNumRequestTypes];

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <utility>
 
 namespace elitenet {
 namespace util {
@@ -59,20 +60,6 @@ bool MetricsEnabled() {
 void SetMetricsEnabled(bool enabled) {
   std::call_once(g_metrics_env_once, ResolveMetricsEnv);
   g_metrics_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-void Histogram::Observe(uint64_t v) {
-  // Bucket = bit width: 0 for v == 0, else 1 + floor(log2(v)).
-  const int b = std::bit_width(v);
-  buckets_[b].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(v, std::memory_order_relaxed);
-}
-
-void Histogram::Reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
 }
 
 size_t QuantileSketch::BucketIndex(uint64_t v) {
@@ -168,7 +155,6 @@ struct MetricsRegistry::Impl {
   mutable std::mutex mutex;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms;
   std::map<std::string, std::unique_ptr<QuantileSketch>, std::less<>> sketches;
 };
 
@@ -209,18 +195,6 @@ Gauge* MetricsRegistry::GetGauge(std::string_view name) {
   return it->second.get();
 }
 
-Histogram* MetricsRegistry::GetHistogram(std::string_view name) {
-  Impl* m = impl();
-  std::lock_guard<std::mutex> lock(m->mutex);
-  auto it = m->histograms.find(name);
-  if (it == m->histograms.end()) {
-    it = m->histograms
-             .emplace(std::string(name), std::make_unique<Histogram>())
-             .first;
-  }
-  return it->second.get();
-}
-
 QuantileSketch* MetricsRegistry::GetSketch(std::string_view name) {
   Impl* m = impl();
   std::lock_guard<std::mutex> lock(m->mutex);
@@ -245,18 +219,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   for (const auto& [name, gauge] : m->gauges) {
     snap.gauges.push_back({name, gauge->value()});
   }
-  snap.histograms.reserve(m->histograms.size());
-  for (const auto& [name, histogram] : m->histograms) {
-    MetricsSnapshot::HistogramValue h;
-    h.name = name;
-    h.count = histogram->count();
-    h.sum = histogram->sum();
-    for (int b = 0; b < Histogram::kNumBuckets; ++b) {
-      const uint64_t c = histogram->bucket(b);
-      if (c > 0) h.buckets.emplace_back(b, c);
-    }
-    snap.histograms.push_back(std::move(h));
-  }
   snap.sketches.reserve(m->sketches.size());
   for (const auto& [name, sketch] : m->sketches) {
     MetricsSnapshot::SketchValue s;
@@ -276,7 +238,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   auto by_name = [](const auto& a, const auto& b) { return a.name < b.name; };
   std::sort(snap.counters.begin(), snap.counters.end(), by_name);
   std::sort(snap.gauges.begin(), snap.gauges.end(), by_name);
-  std::sort(snap.histograms.begin(), snap.histograms.end(), by_name);
   std::sort(snap.sketches.begin(), snap.sketches.end(), by_name);
   return snap;
 }
@@ -286,7 +247,6 @@ void MetricsRegistry::ResetValues() {
   std::lock_guard<std::mutex> lock(m->mutex);
   for (auto& [name, counter] : m->counters) counter->Reset();
   for (auto& [name, gauge] : m->gauges) gauge->Reset();
-  for (auto& [name, histogram] : m->histograms) histogram->Reset();
   for (auto& [name, sketch] : m->sketches) sketch->Reset();
 }
 
@@ -319,26 +279,6 @@ std::string MetricsSnapshot::ToJson() const {
     out += buf;
   }
   out += gauges.empty() ? "},\n" : "\n  },\n";
-  out += "  \"histograms\": {";
-  for (size_t i = 0; i < histograms.size(); ++i) {
-    const HistogramValue& h = histograms[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    \"";
-    AppendEscaped(&out, h.name);
-    std::snprintf(buf, sizeof(buf), "\": {\"count\": %llu, \"sum\": %llu",
-                  static_cast<unsigned long long>(h.count),
-                  static_cast<unsigned long long>(h.sum));
-    out += buf;
-    out += ", \"buckets\": {";
-    for (size_t b = 0; b < h.buckets.size(); ++b) {
-      if (b > 0) out += ", ";
-      std::snprintf(buf, sizeof(buf), "\"%d\": %llu", h.buckets[b].first,
-                    static_cast<unsigned long long>(h.buckets[b].second));
-      out += buf;
-    }
-    out += "}}";
-  }
-  out += histograms.empty() ? "},\n" : "\n  },\n";
   out += "  \"sketches\": {";
   for (size_t i = 0; i < sketches.size(); ++i) {
     const SketchValue& s = sketches[i];
@@ -394,26 +334,23 @@ std::string MetricsSnapshot::ToPrometheusText() const {
                   static_cast<long long>(g.value));
     out += buf;
   }
-  for (const HistogramValue& h : histograms) {
-    const std::string n = PromName(h.name);
-    out += "# TYPE " + n + " summary\n";
-    std::snprintf(buf, sizeof(buf), "%s_count %llu\n%s_sum %llu\n",
-                  n.c_str(), static_cast<unsigned long long>(h.count),
-                  n.c_str(), static_cast<unsigned long long>(h.sum));
-    out += buf;
-  }
   for (const SketchValue& s : sketches) {
     const std::string n = PromName(s.name);
     out += "# TYPE " + n + " summary\n";
-    std::snprintf(buf, sizeof(buf),
-                  "%s{quantile=\"0.5\"} %.1f\n%s{quantile=\"0.9\"} %.1f\n"
-                  "%s{quantile=\"0.95\"} %.1f\n%s{quantile=\"0.99\"} %.1f\n",
-                  n.c_str(), s.p50, n.c_str(), s.p90, n.c_str(), s.p95,
-                  n.c_str(), s.p99);
+    // One sample per snprintf: four quantile lines of a long name would
+    // overflow `buf` and cut the family's last line in half.
+    const std::pair<const char*, double> quantiles[] = {
+        {"0.5", s.p50}, {"0.9", s.p90}, {"0.95", s.p95}, {"0.99", s.p99}};
+    for (const auto& [q, v] : quantiles) {
+      std::snprintf(buf, sizeof(buf), "%s{quantile=\"%s\"} %.1f\n",
+                    n.c_str(), q, v);
+      out += buf;
+    }
+    std::snprintf(buf, sizeof(buf), "%s_count %llu\n", n.c_str(),
+                  static_cast<unsigned long long>(s.count));
     out += buf;
-    std::snprintf(buf, sizeof(buf), "%s_count %llu\n%s_sum %llu\n",
-                  n.c_str(), static_cast<unsigned long long>(s.count),
-                  n.c_str(), static_cast<unsigned long long>(s.sum));
+    std::snprintf(buf, sizeof(buf), "%s_sum %llu\n", n.c_str(),
+                  static_cast<unsigned long long>(s.sum));
     out += buf;
   }
   return out;

@@ -1,9 +1,9 @@
-// Named counters, gauges, and histograms for the study pipeline and the
-// parallel scheduler.
+// Named counters, gauges, and quantile sketches for the study pipeline
+// and the parallel scheduler.
 //
 //   ELITENET_COUNT("edges_emitted", n);      // monotonic add
 //   ELITENET_GAUGE_SET("pagerank.iters", k); // last-write-wins value
-//   ELITENET_HISTOGRAM("parallel.grain", g); // power-of-two bucketed
+//   ELITENET_SKETCH("parallel.grain", g);    // log-linear quantiles
 //
 // Metrics are off by default. Enable programmatically
 // (SetMetricsEnabled), through StudyConfig::metrics_path, or process-wide
@@ -64,30 +64,6 @@ class Gauge {
 
  private:
   std::atomic<int64_t> value_{0};
-};
-
-/// Power-of-two bucketed distribution of non-negative integer samples:
-/// bucket b counts samples whose bit width is b (bucket 0 holds zeros, so
-/// bucket b >= 1 covers [2^(b-1), 2^b)). Coarse by design — grain sizes,
-/// chunk widths, and queue depths only need order-of-magnitude shape —
-/// which keeps Observe lock-free and allocation-free.
-class Histogram {
- public:
-  static constexpr int kNumBuckets = 65;
-
-  void Observe(uint64_t v);
-
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-  uint64_t bucket(int b) const {
-    return buckets_[b].load(std::memory_order_relaxed);
-  }
-  void Reset();
-
- private:
-  std::atomic<uint64_t> buckets_[kNumBuckets] = {};
-  std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> sum_{0};
 };
 
 /// Mergeable log-linear quantile sketch for non-negative integer samples
@@ -163,13 +139,6 @@ struct MetricsSnapshot {
     std::string name;
     int64_t value = 0;
   };
-  struct HistogramValue {
-    std::string name;
-    uint64_t count = 0;
-    uint64_t sum = 0;
-    /// (bit width, count) for non-empty buckets, ascending.
-    std::vector<std::pair<int, uint64_t>> buckets;
-  };
   struct SketchValue {
     std::string name;
     uint64_t count = 0;
@@ -188,7 +157,6 @@ struct MetricsSnapshot {
   /// tests may diff it directly).
   std::vector<CounterValue> counters;
   std::vector<GaugeValue> gauges;
-  std::vector<HistogramValue> histograms;
   std::vector<SketchValue> sketches;
 
   /// Value of a counter by exact name; 0 when absent.
@@ -212,7 +180,6 @@ class MetricsRegistry {
 
   Counter* GetCounter(std::string_view name);
   Gauge* GetGauge(std::string_view name);
-  Histogram* GetHistogram(std::string_view name);
   QuantileSketch* GetSketch(std::string_view name);
 
   MetricsSnapshot Snapshot() const;
@@ -253,18 +220,6 @@ class MetricsRegistry {
           ::elitenet::util::MetricsRegistry::Global().GetGauge(name);       \
       ELITENET_METRICS_CONCAT(elitenet_gauge_, __LINE__)                    \
           ->Set(static_cast<int64_t>(v));                                   \
-    }                                                                       \
-  } while (0)
-
-/// Records one sample `v` in the histogram `name`.
-#define ELITENET_HISTOGRAM(name, v)                                         \
-  do {                                                                      \
-    if (::elitenet::util::MetricsEnabled()) {                               \
-      static ::elitenet::util::Histogram* ELITENET_METRICS_CONCAT(          \
-          elitenet_histogram_, __LINE__) =                                  \
-          ::elitenet::util::MetricsRegistry::Global().GetHistogram(name);   \
-      ELITENET_METRICS_CONCAT(elitenet_histogram_, __LINE__)                \
-          ->Observe(static_cast<uint64_t>(v));                              \
     }                                                                       \
   } while (0)
 

@@ -252,7 +252,7 @@ void ParallelFor(size_t begin, size_t end, size_t grain,
   if (metrics) {
     ELITENET_COUNT("parallel.for_calls", 1);
     ELITENET_COUNT("parallel.chunks", chunks);
-    ELITENET_HISTOGRAM("parallel.grain", step);
+    ELITENET_SKETCH("parallel.grain", step);
   }
   const uint64_t t0 = metrics ? NowNs() : 0;
 

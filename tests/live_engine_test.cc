@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include "graph/builder.h"
+#include "graph/io.h"
 #include "serve/delta_overlay.h"
 #include "serve/engine.h"
 #include "serve/request.h"
 #include "serve/server.h"
+#include "serve/warm_index_cache.h"
 
 namespace elitenet {
 namespace serve {
@@ -285,6 +287,8 @@ TEST(LiveEngineTest, CompactNowFoldsOverlayAndKeepsServing) {
   const graph::DiGraph g = TestGraph();
   LiveEngineOptions live;
   live.compact_path = TmpPath("live_engine_compacted.eng2");
+  const std::string widx_path = live.compact_path + ".widx";
+  std::remove(widx_path.c_str());
   auto engine = MakeLiveEngine(g, 2, live);
   ASSERT_TRUE(engine->Apply(Follow(5, 1)).ok());
   ASSERT_TRUE(engine->Apply(Unfollow(2, 3)).ok());
@@ -294,6 +298,19 @@ TEST(LiveEngineTest, CompactNowFoldsOverlayAndKeepsServing) {
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->folded_version, 2u);
   EXPECT_EQ(stats->num_edges, 6u);
+
+  // The compacted base's sidecar is keyed by the checksum of the file
+  // the compaction wrote, so a restart from that file warm-starts.
+  auto mapped = graph::MapBinary(live.compact_path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  const EngineOptions defaults;
+  WarmIndexKey key;
+  key.graph_checksum = graph::GraphChecksum(*mapped);
+  key.config_hash = WarmConfigHash(defaults.pagerank, defaults.fingerprint,
+                                   defaults.distance_oracle);
+  EXPECT_EQ(key.graph_checksum, stats->graph_checksum);
+  auto restored = LoadWarmIndexes(widx_path, key, mapped->num_nodes());
+  EXPECT_TRUE(restored.ok()) << restored.status().ToString();
 
   // Same logical graph after the swap; as_of advances to the new base.
   const QueryResponse after = engine->ExecuteLine("ego 5");

@@ -1,7 +1,8 @@
 // Unit tests of the metrics registry: counter atomicity under
 // ParallelFor, enable-disable gating, snapshot ordering and determinism,
-// histogram bit-width bucketing, metric-pointer stability across
-// ResetValues, and JSON snapshot validity.
+// metric-pointer stability across ResetValues, the sketch macro's
+// quantiles, and JSON and Prometheus snapshot validity. The three
+// primitives are counters, gauges and quantile sketches.
 
 #include "util/metrics.h"
 
@@ -113,36 +114,6 @@ TEST_F(MetricsTest, GaugeLastWriteWins) {
   EXPECT_TRUE(found);
 }
 
-TEST_F(MetricsTest, HistogramBucketsByBitWidth) {
-  Histogram* h = MetricsRegistry::Global().GetHistogram("metrics_test.hist");
-  h->Observe(0);     // bucket 0
-  h->Observe(1);     // bucket 1
-  h->Observe(2);     // bucket 2: [2, 4)
-  h->Observe(3);     // bucket 2
-  h->Observe(1024);  // bucket 11: [1024, 2048)
-  EXPECT_EQ(h->count(), 5u);
-  EXPECT_EQ(h->sum(), 1030u);
-  EXPECT_EQ(h->bucket(0), 1u);
-  EXPECT_EQ(h->bucket(1), 1u);
-  EXPECT_EQ(h->bucket(2), 2u);
-  EXPECT_EQ(h->bucket(11), 1u);
-  EXPECT_EQ(h->bucket(3), 0u);
-
-  const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
-  bool found = false;
-  for (const auto& hv : snap.histograms) {
-    if (hv.name != "metrics_test.hist") continue;
-    found = true;
-    EXPECT_EQ(hv.count, 5u);
-    EXPECT_EQ(hv.sum, 1030u);
-    // Only non-empty buckets, ascending by bit width.
-    const std::vector<std::pair<int, uint64_t>> expected = {
-        {0, 1}, {1, 1}, {2, 2}, {11, 1}};
-    EXPECT_EQ(hv.buckets, expected);
-  }
-  EXPECT_TRUE(found);
-}
-
 TEST_F(MetricsTest, PointersSurviveResetValues) {
   Counter* c = MetricsRegistry::Global().GetCounter("metrics_test.stable");
   c->Add(9);
@@ -166,13 +137,14 @@ TEST_F(MetricsTest, CounterOr0ForUnknownName) {
 TEST_F(MetricsTest, JsonSnapshotIsWellFormed) {
   ELITENET_COUNT("metrics_test.json \"quoted\"", 1);
   ELITENET_GAUGE_SET("metrics_test.json_gauge", 12);
-  ELITENET_HISTOGRAM("metrics_test.json_hist", 77);
   ELITENET_SKETCH("metrics_test.json_sketch", 300);
   const std::string json = MetricsRegistry::Global().Snapshot().ToJson();
   EXPECT_TRUE(JsonBalanced(json)) << json;
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+  // Sketches replaced the power-of-two histograms; no empty section is
+  // left behind for a consumer to mistake for data.
+  EXPECT_EQ(json.find("\"histograms\""), std::string::npos);
   EXPECT_NE(json.find("\"sketches\""), std::string::npos);
   EXPECT_NE(json.find("metrics_test.json \\\"quoted\\\""), std::string::npos);
   EXPECT_NE(json.find("metrics_test.json_sketch"), std::string::npos);
@@ -215,6 +187,11 @@ TEST_F(MetricsTest, PrometheusTextIsSane) {
             std::string::npos)
       << text;
   EXPECT_NE(text.find("elitenet_metrics_test_prom_sketch_count 1"),
+            std::string::npos)
+      << text;
+  // Every sample line is whole, the last quantile too.
+  EXPECT_NE(text.find("elitenet_metrics_test_prom_sketch{quantile=\"0.99\"} "
+                      "42.0\n"),
             std::string::npos)
       << text;
   // Every line is "name[{labels}] value" or a # comment.

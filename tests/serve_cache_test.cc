@@ -97,7 +97,8 @@ TEST(LruCacheTest, ConcurrentMixedWorkloadIsSafe) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&cache, t] {
       for (int i = 0; i < kOpsPerThread; ++i) {
-        const std::string key = "k" + std::to_string((t * 7 + i) % 200);
+        std::string key = "k";
+        key += std::to_string((t * 7 + i) % 200);
         if (i % 3 == 0) {
           cache.Put(key, "v" + key);
         } else {

@@ -57,10 +57,11 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Values<uint64_t>(1, 10, 100)),
     [](const testing::TestParamInfo<PowerLawRecoveryTest::ParamType>&
            info) {
-      return "a" +
-             std::to_string(
-                 static_cast<int>(std::get<0>(info.param) * 100)) +
-             "_k" + std::to_string(std::get<1>(info.param));
+      std::string name = "a";
+      name += std::to_string(static_cast<int>(std::get<0>(info.param) * 100));
+      name += "_k";
+      name += std::to_string(std::get<1>(info.param));
+      return name;
     });
 
 // ---- ADF decision grid -----------------------------------------------------
@@ -113,8 +114,10 @@ TEST_P(PeltShiftTest, ShiftLocationWithinTolerance) {
 INSTANTIATE_TEST_SUITE_P(ShiftGrid, PeltShiftTest,
                          testing::Values(2.0, 4.0, 8.0),
                          [](const auto& info) {
-                           return "d" + std::to_string(static_cast<int>(
-                                            info.param * 10));
+                           std::string name = "d";
+                           name += std::to_string(
+                               static_cast<int>(info.param * 10));
+                           return name;
                          });
 
 // ---- Estimator invariances --------------------------------------------------

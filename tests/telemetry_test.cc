@@ -1,16 +1,23 @@
 // Tests of the serving telemetry plane: deterministic trace ids, the
 // flight-recorder ring (wrap, ordering, lookup, concurrent hammer), slow
-// -query pinning, admin-command parsing round-trips, and the engine-level
+// -query pinning, admin-command parsing round-trips, the engine-level
 // correctness bar — response bytes identical with telemetry off, sampled,
-// and full, at 1/2/4 workers. Carries the serve and tsan labels.
+// and full, at 1/2/4 workers — and the exporter's files (each Prometheus
+// family declared once, one count per request). Carries the serve and
+// tsan labels.
 
 #include "serve/telemetry.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <future>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -445,6 +452,108 @@ TEST_F(TelemetryEngineTest, AdminResponsesAreOneLineJson) {
   const std::string json = (*engine)->AdminResponse(*cmd);
   EXPECT_NE(json.find(TraceIdHex(recent[0].trace_id)), std::string::npos);
   EXPECT_NE(json.find("\"type\":\"trace\""), std::string::npos);
+}
+
+// --------------------------------------------------------------------------
+// Exporter: every per-request number has one family, counted once.
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+// Balanced braces and brackets outside strings, and no open string.
+bool JsonBalanced(const std::string& s) {
+  int depth = 0;
+  bool in_string = false, escaped = false;
+  for (char c : s) {
+    if (in_string) {
+      if (escaped) {
+        escaped = false;
+      } else if (c == '\\') {
+        escaped = true;
+      } else if (c == '"') {
+        in_string = false;
+      }
+      continue;
+    }
+    if (c == '"') in_string = true;
+    if (c == '{' || c == '[') ++depth;
+    if (c == '}' || c == ']') --depth;
+    if (depth < 0) return false;
+  }
+  return depth == 0 && !in_string;
+}
+
+TEST_F(TelemetryEngineTest, ExporterDeclaresEachFamilyOnce) {
+  const std::string path = testing::TempDir() + "/telemetry_exporter.json";
+  std::remove(path.c_str());
+  std::remove((path + ".prom").c_str());
+  EngineOptions opts;
+  opts.threads = 2;
+  opts.metrics_path = path;
+  opts.metrics_interval_ms = 3600 * 1000;  // only the final write at stop
+  std::string stats;
+  {
+    auto engine = QueryEngine::Create(*graph_, opts);
+    ASSERT_TRUE(engine.ok());
+    for (const char* line :
+         {"ego 1", "dist 1 2", "topk 5", "ego 1", "no such verb"}) {
+      (*engine)->ExecuteLine(line);
+    }
+    Request r;
+    r.type = RequestType::kNeighbors;
+    r.node = 3;
+    (*engine)->Submit(r).get();
+    stats = (*engine)->AdminResponse(AdminCommand{});
+  }  // the engine stops its exporter, which writes once more
+
+  EXPECT_NE(stats.find("\"malformed_lines\":1,"), std::string::npos)
+      << stats;
+  EXPECT_NE(stats.find("\"totals\":{\"requests\":5,"), std::string::npos)
+      << stats;
+
+  const std::string prom = ReadFile(path + ".prom");
+  ASSERT_FALSE(prom.empty());
+  std::map<std::string, int> declared;  // family -> # TYPE lines
+  std::istringstream lines(prom);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      std::istringstream fields(line.substr(7));
+      std::string name;
+      fields >> name;
+      ++declared[name];
+    }
+  }
+  for (const auto& [name, times] : declared) {
+    EXPECT_EQ(times, 1) << name << " declared " << times << " times";
+  }
+  lines = std::istringstream(prom);
+  while (std::getline(lines, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::string name = line.substr(0, line.find_first_of("{ "));
+    // A summary's _count and _sum samples belong to the summary family.
+    for (const std::string_view suffix : {"_count", "_sum"}) {
+      if (declared.count(name) == 0 && name.ends_with(suffix)) {
+        name.resize(name.size() - suffix.size());
+      }
+    }
+    EXPECT_EQ(declared.count(name), 1u) << "undeclared sample: " << line;
+  }
+  EXPECT_NE(prom.find("\nelitenet_serve_malformed_lines_total 1\n"),
+            std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("\nelitenet_serve_queue_wait_us_count 1\n"),
+            std::string::npos)
+      << prom;
+
+  const std::string json = ReadFile(path);
+  ASSERT_FALSE(json.empty());
+  EXPECT_TRUE(JsonBalanced(json)) << json;
+  EXPECT_NE(json.find("\"malformed_lines\":1,"), std::string::npos) << json;
 }
 
 }  // namespace
