@@ -176,7 +176,9 @@ Status ReadActivity(const std::string& path, StudyDataset* d) {
     if (ymd.size() != 3 || !util::ParseUint64(ymd[0], &y) ||
         !util::ParseUint64(ymd[1], &m) || !util::ParseUint64(ymd[2], &day) ||
         !util::ParseDouble(fields[1], &value)) {
-      return Status::Corruption("bad activity row: " + std::string(line));
+      std::string msg = "bad activity row: ";
+      msg.append(line);
+      return Status::Corruption(msg);
     }
     if (first) {
       d->activity.start = {static_cast<int>(y), static_cast<int>(m),

@@ -124,6 +124,14 @@ QueryResponse FrontDoor::ExecuteLine(std::string_view line) {
   return Execute(*parsed);
 }
 
+QueryResponse FrontDoor::RejectLine(const Status& status) {
+  if (telemetry_.enabled()) telemetry_.RecordMalformedLine();
+  QueryResponse resp;
+  resp.ok = false;
+  resp.json = ErrorJson(StatusCodeToString(status.code()), status.message());
+  return resp;
+}
+
 std::future<QueryResponse> FrontDoor::Submit(const Request& r) {
   auto job = std::make_shared<Job>();
   job->req = r;
@@ -188,7 +196,10 @@ QueryResponse FrontDoor::Run(const Request& r, const util::Deadline& deadline,
   if (sampled) capture.emplace();
 
   inflight_.fetch_add(1, std::memory_order_relaxed);
-  util::SpanTimer timer;
+  // Only the telemetry record reads the latency, so only it pays the
+  // clock.
+  std::chrono::steady_clock::time_point start;
+  if (tel != nullptr) start = std::chrono::steady_clock::now();
 
   QueryResponse resp;
   {
@@ -231,7 +242,10 @@ QueryResponse FrontDoor::Run(const Request& r, const util::Deadline& deadline,
     record.sampled = sampled;
     record.queued = queued;
     record.queue_wait_us = queue_wait_us;
-    record.latency_us = static_cast<uint64_t>(timer.Seconds() * 1e6);
+    record.latency_us = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
     record.deadline_slack_us = deadline.RemainingMicros();
     record.deadline_missed =
         !deadline.infinite() && record.deadline_slack_us == 0;

@@ -88,6 +88,11 @@ class FrontDoor {
   /// well-formed error responses (never a crash or empty line).
   QueryResponse ExecuteLine(std::string_view line);
 
+  /// Answers a protocol line refused before parsing (ServeLines' line
+  /// bound) with the error `status`. It counts as a malformed line, like
+  /// an unparseable one, but the line is not echoed back.
+  QueryResponse RejectLine(const Status& status);
+
   /// Enqueues `r` for the worker pool, subject to QoS admission control:
   /// a request whose class backlog is at its cap is shed — the future
   /// resolves immediately with the "overloaded" error response and the

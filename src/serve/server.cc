@@ -1,7 +1,12 @@
 #include "serve/server.h"
 
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -13,53 +18,114 @@
 namespace elitenet {
 namespace serve {
 
+namespace {
+
+// Bytes asked of one read(2). The input buffer holds at most one line
+// bound plus one chunk.
+constexpr size_t kReadChunk = size_t{64} << 10;
+
+// Writes all of `bytes` to `fd`, retrying EINTR and short writes. False
+// once the descriptor fails (the reader has gone).
+bool WriteAll(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    bytes.remove_prefix(static_cast<size_t>(n));
+  }
+  return true;
+}
+
+}  // namespace
+
 ServeStats ServeLines(FrontDoor* front, std::FILE* in, std::FILE* out) {
   EN_CHECK(front != nullptr);
   EN_CHECK(in != nullptr);
   EN_CHECK(out != nullptr);
+  const int in_fd = ::fileno(in);
+  const int out_fd = ::fileno(out);
+  EN_CHECK(in_fd >= 0 && out_fd >= 0);
+  std::fflush(out);  // what the caller buffered on `out` goes first
+
   ServeStats stats;
-  std::string line;
-  int c;
-  bool eof = false;
-  while (!eof) {
-    line.clear();
-    while ((c = std::fgetc(in)) != EOF && c != '\n') {
-      line += static_cast<char>(c);
-    }
-    if (c == EOF) {
-      eof = true;
-      if (line.empty()) break;
-    }
-    const std::string_view stripped = util::StripAsciiWhitespace(line);
-    if (stripped.empty()) continue;
-    if (stripped.front() == '#') {
-      // Admin channel: recognized verbs are answered (off the query fast
-      // path — they only read telemetry rings and counters); anything
-      // else keeps working as a comment.
-      auto cmd = ParseAdminLine(stripped);
-      if (cmd.ok()) {
-        ++stats.admin;
-        const std::string json = front->AdminResponse(*cmd);
-        std::fprintf(out, "%s\n", json.c_str());
-        std::fflush(out);
-      } else if (cmd.status().code() == StatusCode::kInvalidArgument) {
-        ++stats.admin;
-        ++stats.errors;
-        const std::string json = ErrorJson(
-            StatusCodeToString(cmd.status().code()), cmd.status().message());
-        std::fprintf(out, "%s\n", json.c_str());
-        std::fflush(out);
+  std::string replies;  // this batch's answers, written in one go
+  auto reply = [&replies](std::string_view json) {
+    replies.append(json);
+    replies.push_back('\n');
+  };
+  // Answers one line (its '\n' cut off) into `replies`; false on "quit".
+  auto answer = [&](std::string_view line) {
+    QueryResponse resp;
+    if (line.size() > kMaxLineBytes) {
+      std::string msg = "line longer than ";
+      msg.append(std::to_string(kMaxLineBytes)).append(" bytes");
+      resp = front->RejectLine(Status::InvalidArgument(msg));
+    } else {
+      const std::string_view stripped = util::StripAsciiWhitespace(line);
+      if (stripped.empty()) return true;
+      if (stripped.front() == '#') {
+        // Admin channel: recognized verbs are answered (off the query
+        // fast path — they only read telemetry rings and counters);
+        // anything else keeps working as a comment.
+        auto cmd = ParseAdminLine(stripped);
+        if (cmd.ok()) {
+          ++stats.admin;
+          reply(front->AdminResponse(*cmd));
+        } else if (cmd.status().code() == StatusCode::kInvalidArgument) {
+          ++stats.admin;
+          ++stats.errors;
+          reply(ErrorJson(StatusCodeToString(cmd.status().code()),
+                          cmd.status().message()));
+        }
+        return true;
       }
-      continue;
+      if (stripped == "quit") return false;
+      resp = front->ExecuteLine(stripped);
     }
-    if (stripped == "quit") break;
-    const QueryResponse resp = front->ExecuteLine(stripped);
     ++stats.requests;
     if (!resp.ok) ++stats.errors;
     if (resp.degraded) ++stats.degraded;
-    std::fprintf(out, "%s\n", resp.json.c_str());
-    std::fflush(out);
+    reply(resp.json);
+    return true;
+  };
+
+  // buf[0, held) is the stream's unanswered tail: a line without its
+  // '\n' yet, at most kMaxLineBytes long.
+  const std::unique_ptr<char[]> buf(new char[kMaxLineBytes + kReadChunk]);
+  size_t held = 0;
+  bool skipping = false;  // dropping the rest of a rejected overlong line
+  for (;;) {
+    // The batch's replies leave before the read that may block.
+    if (!WriteAll(out_fd, replies)) return stats;
+    replies.clear();
+    const ssize_t n = ::read(in_fd, buf.get() + held, kReadChunk);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;  // EOF; a read error ends the session the same way
+    const size_t total = held + static_cast<size_t>(n);
+    size_t begin = 0;     // start of the current line
+    size_t from = held;   // the held tail has no '\n'
+    while (const void* nl = std::memchr(buf.get() + from, '\n', total - from)) {
+      const size_t eol = static_cast<size_t>(static_cast<const char*>(nl) -
+                                             buf.get());
+      if (skipping) {
+        skipping = false;
+      } else if (!answer({buf.get() + begin, eol - begin})) {
+        WriteAll(out_fd, replies);
+        return stats;
+      }
+      begin = from = eol + 1;
+    }
+    held = skipping ? 0 : total - begin;
+    if (held > kMaxLineBytes) {
+      answer({buf.get() + begin, held});  // rejected before its '\n'
+      skipping = true;
+      held = 0;
+    }
+    std::memmove(buf.get(), buf.get() + begin, held);
   }
+  // A last line without '\n'.
+  if (held > 0) answer({buf.get(), held});
+  WriteAll(out_fd, replies);
   return stats;
 }
 
@@ -135,9 +201,11 @@ Status ApplyServeEnv(EngineOptions* options) {
   for (const auto& [env, flag] : kEnvFlags) {
     const char* value = std::getenv(env);
     if (value == nullptr || *value == '\0') continue;
-    if (!ParseServeFlag(std::string(flag) + value, options)) {
-      return Status::InvalidArgument(std::string("bad value in ") + env +
-                                     ": " + value);
+    std::string arg = flag;
+    if (!ParseServeFlag(arg.append(value), options)) {
+      std::string msg = "bad value in ";
+      msg.append(env).append(": ").append(value);
+      return Status::InvalidArgument(msg);
     }
   }
   return Status::OK();
@@ -166,8 +234,9 @@ Status ParseServeArgs(const std::string& graph_path, int argc,
     } else if (UintFlag(arg, "--shard-threads=", 1, kMaxWorkers, &v)) {
       options->shard_threads = static_cast<int>(v);
     } else {
-      return Status::InvalidArgument(
-          "unknown serve flag or bad value: " + std::string(arg));
+      std::string msg = "unknown serve flag or bad value: ";
+      msg.append(arg);
+      return Status::InvalidArgument(msg);
     }
   }
   if (widx) {

@@ -11,6 +11,7 @@
 #ifndef ELITENET_SERVE_SERVER_H_
 #define ELITENET_SERVE_SERVER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -30,16 +31,33 @@ struct ServeStats {
   uint64_t admin = 0;  ///< '#'-prefixed admin commands answered.
 };
 
+/// Longest request line ServeLines answers, in bytes without the '\n'.
+/// Requests are under 100 bytes; the bound keeps one connection's input
+/// buffer at this plus one read chunk.
+inline constexpr size_t kMaxLineBytes = size_t{64} << 10;
+
 /// Reads requests from `in` until EOF or a "quit" line, answering each on
-/// `out` (flushed per line so interactive pipes see responses
-/// immediately). Blank lines are skipped. '#' lines are admin commands
+/// `out`. Blank lines are skipped. '#' lines are admin commands
 /// when the verb is recognized (#stats, #healthz, #recent [n], #slow [n],
 /// #trace <id> — each answered with one JSON line off the query fast
 /// path) and comments otherwise, preserving the old comment syntax.
 /// Malformed requests and bad admin arguments produce
-/// {"type":"error",...} lines, never a crash or a silent drop. Returns
-/// tallies for the session. By the router's contract, a QueryEngine and
-/// a ShardedRouter over the same graph write identical lines.
+/// {"type":"error",...} lines, never a crash or a silent drop. A line
+/// longer than kMaxLineBytes gets one InvalidArgument error line, is
+/// counted as a malformed request, and is skipped through its '\n'. A
+/// last line without '\n' is answered at EOF. Returns tallies for the
+/// session. By the router's contract, a QueryEngine and a ShardedRouter
+/// over the same graph write identical lines.
+///
+/// The loop works in batches on the descriptors under the FILE*s: one
+/// read(2) of `in` brings a batch, its complete lines are answered in
+/// order, and their replies leave in one write(2) of `out` — before
+/// every read that may block, and at EOF or "quit". So an interactive
+/// pipe still sees each reply at once, and a client with many lines in
+/// flight costs one read and one write per batch. `in` must not have
+/// been read through stdio (its FILE buffer would be skipped); `out` is
+/// flushed once on entry, so what the caller wrote to it comes first.
+/// A failed write ends the session.
 ServeStats ServeLines(FrontDoor* front, std::FILE* in, std::FILE* out);
 
 /// Parses one telemetry-related command-line flag into `options`:

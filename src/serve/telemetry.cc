@@ -238,15 +238,17 @@ Result<AdminCommand> ParseAdminLine(std::string_view line) {
   if (verb == "trace") {
     cmd.kind = AdminCommand::Kind::kTrace;
     if (rest.empty() || !ParseTraceId(rest, &cmd.trace_id)) {
-      return Status::InvalidArgument(
-          "#trace needs a 16-hex-digit trace id, got \"" + std::string(rest) +
-          "\"");
+      std::string msg = "#trace needs a 16-hex-digit trace id, got \"";
+      msg.append(rest).append("\"");
+      return Status::InvalidArgument(msg);
     }
     return cmd;
   }
   // Anything else after '#' is a comment, exactly as before this command
   // channel existed.
-  return Status::NotFound("not an admin verb: " + std::string(verb));
+  std::string msg = "not an admin verb: ";
+  msg.append(verb);
+  return Status::NotFound(msg);
 }
 
 // ---------------------------------------------------------------------------
@@ -609,17 +611,18 @@ std::string RenderTraceJson(const Telemetry& t, uint64_t trace_id) {
 
 std::string RenderSummaryText(const Telemetry& t) {
   std::string out = "serve telemetry summary:\n";
-  char buf[160];
+  char buf[256];
   const SloCounters totals = t.totals();
   std::snprintf(buf, sizeof(buf),
                 "  requests=%llu errors=%llu degraded=%llu deadline_miss=%llu"
-                " cache_hits=%llu oracle_fallbacks=%llu\n",
+                " cache_hits=%llu oracle_fallbacks=%llu malformed_lines=%llu\n",
                 static_cast<unsigned long long>(totals.requests),
                 static_cast<unsigned long long>(totals.errors),
                 static_cast<unsigned long long>(totals.degraded),
                 static_cast<unsigned long long>(totals.deadline_miss),
                 static_cast<unsigned long long>(totals.cache_hits),
-                static_cast<unsigned long long>(t.oracle_fallbacks()));
+                static_cast<unsigned long long>(t.oracle_fallbacks()),
+                static_cast<unsigned long long>(t.malformed_lines()));
   out += buf;
   for (size_t i = 0; i < kNumRequestTypes; ++i) {
     const RequestType type = static_cast<RequestType>(i);

@@ -454,6 +454,22 @@ TEST_F(TelemetryEngineTest, AdminResponsesAreOneLineJson) {
   EXPECT_NE(json.find("\"type\":\"trace\""), std::string::npos);
 }
 
+TEST_F(TelemetryEngineTest, SummaryTextCountsMalformedLines) {
+  EngineOptions opts;
+  opts.threads = 1;
+  auto engine = QueryEngine::Create(*graph_, opts);
+  ASSERT_TRUE(engine.ok());
+  for (const char* line : {"ego 1", "dist 1 2", "topk 5", "no such verb",
+                           "ego 1", "neighbors 3 out"}) {
+    (*engine)->ExecuteLine(line);
+  }
+  const std::string summary = RenderSummaryText((*engine)->telemetry());
+  EXPECT_NE(summary.find("  requests=5 errors=0 "), std::string::npos)
+      << summary;
+  EXPECT_NE(summary.find(" malformed_lines=1\n"), std::string::npos)
+      << summary;
+}
+
 // --------------------------------------------------------------------------
 // Exporter: every per-request number has one family, counted once.
 
