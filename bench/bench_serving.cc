@@ -11,7 +11,7 @@
 // p50/p95/p99 latency per query type at every thread count, plus a
 // cache-efficacy microbench (top-k miss path vs hit path). With
 // --mode=all (default) or --mode=sharded it additionally replays the
-// identical mix through the scatter-gather router (serve/router.h) over
+// identical mix through the sharded router (serve/router.h) over
 // a shard grid {1, 2, 4} x router workers {1, 4}, and runs an overload
 // scenario: a batch flood offered at >= 2x the router's measured
 // capacity while a closed-loop interactive client records its p99.
@@ -163,7 +163,6 @@ std::unique_ptr<serve::ShardedRouter> MakeRouter(const graph::DiGraph& g,
                                                  size_t batch_cap = 1024) {
   serve::RouterOptions ropts;
   ropts.num_shards = shards;
-  ropts.shard_threads = 1;
   ropts.partition_path = sidecar + ".pidx";
   ropts.engine.threads = workers;
   ropts.engine.warm_index_path = sidecar + ".widx";

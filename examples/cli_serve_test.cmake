@@ -30,7 +30,7 @@ function(serve_once graph out)
 endfunction()
 
 serve_once(edges.txt unsharded.out 2)
-serve_once(edges.txt sharded.out --shards=2 --shard-threads=2)
+serve_once(edges.txt sharded.out --shards=2 --threads=2)
 file(READ "${WORK}/unsharded.out" unsharded)
 file(READ "${WORK}/sharded.out" sharded)
 if(NOT unsharded STREQUAL sharded)
@@ -91,7 +91,8 @@ endif()
 # Bad flags fail with exit 2 — even when the graph does not exist, since
 # flags are parsed before the graph loads.
 foreach(bad "--shards=abc" "--threads=0" "--sample=4294967296"
-            "--flight-recorder=99999999999999999999" "--bogus")
+            "--flight-recorder=99999999999999999999" "--shard-threads=2"
+            "--bogus")
   foreach(graph "${WORK}/edges.txt" "${WORK}/missing.txt")
     execute_process(COMMAND "${CLI}" serve "${graph}" ${bad}
       INPUT_FILE "${WORK}/requests.txt"

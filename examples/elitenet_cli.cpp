@@ -20,10 +20,9 @@
 //                                      lines #stats/#healthz/#recent/#slow/
 //                                      #trace <id> answer with JSON;
 //                                      --shards=N serves through the
-//                                      scatter-gather router with N
-//                                      degree-partitioned shards —
-//                                      byte-identical responses, plus
-//                                      --shard-threads=N)
+//                                      router with N degree-partitioned
+//                                      shards — byte-identical
+//                                      responses)
 //   elitenet_cli convert <in> <out>    edge list <-> binary snapshot
 //                                      (.eng2 or .eng = ENG2 zero-copy
 //                                       mmap format, else text;
@@ -218,15 +217,15 @@ int CmdServe(graph::DiGraph g, const serve::RouterOptions& opts) {
   Status started;
   char shape[128] = "";
   if (opts.num_shards > 0) {
-    // Scatter-gather path: N shard compute units behind the QoS router,
-    // with byte-identical responses (serve/router.h).
+    // Sharded path: N shard compute units behind the QoS router, with
+    // byte-identical responses (serve/router.h).
     auto router = serve::ShardedRouter::Create(std::move(g), opts);
     if (router.ok()) {
       std::snprintf(shape, sizeof(shape),
-                    ", %s; %d shards x %d threads, %llu hub replicas",
+                    ", %s; %d shards, %llu hub replicas",
                     (*router)->partition_from_cache() ? "partition restored"
                                                       : "partition built",
-                    (*router)->num_shards(), opts.shard_threads,
+                    (*router)->num_shards(),
                     static_cast<unsigned long long>(
                         (*router)->partition().hubs.size()));
       front = std::move(*router);
@@ -447,9 +446,9 @@ void Usage() {
       "    edge list; --budget-mb streams the ENG2 write through an N-MiB\n"
       "    external sort (same bytes, bounded memory)\n"
       "  serve <graph> [N] [--threads=N] [--cache=N] [--no-widx]\n"
-      "    [--shards=N] [--shard-threads=N] [--metrics=PATH]\n"
-      "    [--metrics-interval=MS] [--flight-recorder=K] [--slow-ms=T]\n"
-      "    [--sample=N] [--no-telemetry]: line-protocol query server\n"
+      "    [--shards=N] [--metrics=PATH] [--metrics-interval=MS]\n"
+      "    [--flight-recorder=K] [--slow-ms=T] [--sample=N]\n"
+      "    [--no-telemetry]: line-protocol query server\n"
       "  warmup <graph>: precompute the <graph>.widx warm-index sidecar\n"
       "  mutate <graph> <trace> [--out=PATH]: replay an EMUT\n"
       "    follow/unfollow trace through the live delta overlay and\n"

@@ -31,9 +31,17 @@ std::string GraphFingerprint::ToString() const {
 Result<GraphFingerprint> ComputeFingerprint(
     const graph::DiGraph& g, const FingerprintOptions& options) {
   if (g.num_nodes() == 0) return Status::InvalidArgument("empty graph");
+  return ComputeFingerprint(g, analysis::StronglyConnectedComponents(g),
+                            analysis::ComputeReciprocity(g).rate, options);
+}
+
+Result<GraphFingerprint> ComputeFingerprint(
+    const graph::DiGraph& g, const analysis::ComponentLabeling& scc,
+    double reciprocity, const FingerprintOptions& options) {
+  if (g.num_nodes() == 0) return Status::InvalidArgument("empty graph");
   GraphFingerprint fp;
   fp.density = g.Density();
-  fp.reciprocity = analysis::ComputeReciprocity(g).rate;
+  fp.reciprocity = reciprocity;
 
   util::Rng rng(options.seed);
   fp.clustering =
@@ -42,7 +50,6 @@ Result<GraphFingerprint> ComputeFingerprint(
   fp.assortativity =
       analysis::DegreeAssortativity(g, analysis::DegreeMode::kOutIn);
 
-  const auto scc = analysis::StronglyConnectedComponents(g);
   fp.giant_scc_fraction = scc.GiantFraction();
   fp.attracting_fraction =
       static_cast<double>(analysis::FindAttractingComponents(g, scc).count) /

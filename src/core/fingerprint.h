@@ -12,6 +12,7 @@
 
 #include <string>
 
+#include "analysis/components.h"
 #include "graph/digraph.h"
 #include "util/status.h"
 
@@ -43,6 +44,13 @@ struct FingerprintOptions {
 /// Measures the fingerprint of an arbitrary directed graph.
 Result<GraphFingerprint> ComputeFingerprint(
     const graph::DiGraph& g, const FingerprintOptions& options = {});
+
+/// The same fingerprint, bit for bit, from `g`'s strongly connected
+/// components and reciprocity rate, which the caller has already
+/// computed (the serving warm build holds both).
+Result<GraphFingerprint> ComputeFingerprint(
+    const graph::DiGraph& g, const analysis::ComponentLabeling& scc,
+    double reciprocity, const FingerprintOptions& options = {});
 
 /// The fingerprint the paper reports for the English verified network.
 GraphFingerprint PaperFingerprint();

@@ -1,24 +1,25 @@
 // Deadline-aware bounded bidirectional search: the one expansion behind
 // every point-to-point distance in the library — the analysis kernel
 // (analysis::BidirectionalDistance, a wrapper with a deadline that never
-// expires), the query engine's local BFS fallback and the sharded
-// router's scatter-gather one.
+// expires) and the serving BFS fallback, which the query engine and every
+// router shard run through the same compute unit.
 //
 // Advance the smaller frontier, finish the level, take the best meeting,
 // with one deadline poll per level. The adjacency is a template
-// parameter so one definition serves three backings:
+// parameter so one definition serves two backings:
 //
-//   * a static DiGraph (GraphAdj below),
-//   * a live MVCC snapshot (serve/compute.cc SnapAdj),
-//   * the router's per-level batched gather (serve/router.cc), which
-//     fetches the frontier's rows from each node's home shard in
-//     PrepareLevel and then replays them in frontier order.
+//   * a static DiGraph (GraphAdj below) — the engine's graph, or the
+//     router's shared base graph,
+//   * a live MVCC snapshot (serve/compute.cc SnapAdj).
 //
-// All three iterate a node's neighbors in ascending id order, so the
-// expansion order — and therefore the bytes of a completed answer and the
+// Both iterate a node's neighbors in ascending id order, so the expansion
+// order — and therefore the bytes of a completed answer and the
 // (lower_bound, expanded) pair of a degraded one — is identical across
-// backings. That single definition is what the router's byte-identity
-// guarantee leans on: there is no second BFS to drift.
+// backings. There is no second BFS to drift.
+//
+// PrepareLevel(frontier, forward) is the per-level seam: a no-op for both
+// backings, it is where a backing may act once before a level expands
+// (tests use it to run a deadline out at a fixed level).
 
 #ifndef ELITENET_GRAPH_BOUNDED_DISTANCE_H_
 #define ELITENET_GRAPH_BOUNDED_DISTANCE_H_
@@ -46,7 +47,7 @@ struct BoundedDistanceResult {
 };
 
 /// The in-memory DiGraph backing (the live snapshot's is in
-/// serve/compute.cc, the router's in serve/router.cc).
+/// serve/compute.cc).
 struct GraphAdj {
   const DiGraph* g;
   void PrepareLevel(std::span<const NodeId>, bool) const {}
@@ -62,8 +63,7 @@ struct GraphAdj {
 
 /// Adjacency contract: ForEachOut/ForEachIn visit neighbors in ascending
 /// id order; PrepareLevel(frontier, forward) is called once before a
-/// level expands (a no-op for in-memory backings, the batched shard
-/// gather for the router).
+/// level expands (a no-op for both serving backings).
 ///
 /// The per-edge loop has no branch on whether a head is new: the head is
 /// marked (ScratchArena::Mark), stored at the level queue's end, and the

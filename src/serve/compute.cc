@@ -345,8 +345,7 @@ QueryResponse ComputeUnit::DoTopKRank(const Request& r,
       std::min<uint32_t>(r.k, static_cast<uint32_t>(warm.rank_order.size()));
   // Ordering and scores are as-of the warm bundle (the epoch base on a
   // live engine, "as_of"); the degree columns are read off this unit's
-  // graph, or exact at the snapshot version. The router instead gathers
-  // the same columns per home shard, merging into the very same bytes.
+  // graph, or exact at the snapshot version.
   std::vector<std::pair<uint32_t, uint32_t>> degs;
   degs.reserve(returned);
   for (uint32_t i = 0; i < returned; ++i) {

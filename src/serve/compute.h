@@ -162,8 +162,7 @@ void ComputeHeavyReach(const graph::DiGraph& g,
 /// Renders the "topk" response. `in_out_degrees[i]` carries
 /// {in_degree, out_degree} of warm.rank_order[i] and must cover at least
 /// min(k, rank_order.size()) rows. The compute unit fills it from its
-/// graph (or snapshot); the router gathers it from each node's home
-/// shard. A non-null `snap` adds the version fields.
+/// graph (or snapshot). A non-null `snap` adds the version fields.
 std::string RenderTopKJson(const WarmIndexes& warm, uint32_t k,
                            std::span<const std::pair<uint32_t, uint32_t>>
                                in_out_degrees,
@@ -182,10 +181,9 @@ std::string ErrorJson(std::string_view code, std::string_view message,
 QueryResponse ErrorResponse(const Request& r, const Status& status);
 
 /// Renders the "dist" response from a bounded-search result — completed
-/// (reachable/distance) or degraded (lower_bound/expanded). The oracle,
-/// the local BFS and the router's scatter-gather BFS all feed this one
-/// renderer, so their bytes cannot drift. A non-null `snap` adds the
-/// version fields.
+/// (reachable/distance) or degraded (lower_bound/expanded). The oracle
+/// and the BFS fallback both feed this one renderer, so their bytes
+/// cannot drift. A non-null `snap` adds the version fields.
 QueryResponse MakeDistanceResponse(const Request& r,
                                    const graph::BoundedDistanceResult& d,
                                    const LiveSnapshot* snap = nullptr);

@@ -64,7 +64,10 @@ Status ComputeWarmIndexes(const DiGraph& g, const EngineOptions& options,
   }
   {
     ELITENET_SPAN("serve.warm.fingerprint");
-    auto fp = core::ComputeFingerprint(g, options.fingerprint);
+    // The SCC labelling and reciprocity were built above; the fingerprint
+    // reuses them.
+    auto fp = core::ComputeFingerprint(g, warm->scc, warm->reciprocity.rate,
+                                       options.fingerprint);
     if (fp.ok()) {
       warm->fingerprint = *fp;
       warm->fingerprint_similarity =

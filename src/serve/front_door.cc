@@ -165,6 +165,10 @@ std::future<QueryResponse> FrontDoor::Submit(const Request& r) {
   return fut;
 }
 
+void FrontDoor::SubmitExempt(std::function<void()> fn) {
+  executor_->SubmitExempt(std::move(fn));
+}
+
 Result<LiveSnapshot> FrontDoor::Admit(const Request& r) const {
   if (r.version != 0) {
     return Status::FailedPrecondition(

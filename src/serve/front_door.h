@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -100,6 +101,12 @@ class FrontDoor {
   /// so time spent queued burns budget — the behaviour a latency SLO
   /// wants.
   std::future<QueryResponse> Submit(const Request& r);
+
+  /// Runs `fn` on an executor worker, cap-exempt at interactive priority
+  /// (QosExecutor::SubmitExempt): plumbing that must never shed, such as
+  /// a barrier that parks a worker so admission can be driven step by
+  /// step. Only between start-up and shutdown.
+  void SubmitExempt(std::function<void()> fn);
 
   /// Executor worker threads (0 before the backend has started).
   int threads() const;

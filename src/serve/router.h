@@ -1,45 +1,32 @@
-// Scale-out serving: N shard compute units behind one scatter-gather
-// router.
+// Scale-out serving: N shard compute units behind one router.
 //
 // The router is a FrontDoor backend (serve/front_door.h): the one
 // admission plane — QoS executor, result cache, telemetry, admin verbs —
 // sits in front of it exactly as it sits in front of an unsharded
 // QueryEngine, so every request is admitted, counted and cached exactly
-// once. Behind it, each shard is a ComputeUnit (serve/compute.h) plus a
-// small cap-exempt worker pool for fan-out. Shards own no admission
-// plane of their own.
+// once. Behind it, each shard is a ComputeUnit (serve/compute.h) and
+// nothing more: shards own no admission plane and no workers of their
+// own, and every request is answered inline on the router worker that
+// dequeued it.
 //
 // Every shard's unit holds the router's one base graph (a DiGraph copy
 // is an O(1) share of the mapped CSR): memory is one base plus one warm
-// bundle. The degree-aware partition (serve/partition.h) routes, and a
-// unit reads only rows its shard holds exactly under rules R1–R4, which
-// a test holds by serving the same bytes from materialized shard rows.
+// bundle. The degree-aware partition (serve/partition.h) only routes:
+// each request goes to the home shard of its node, whose unit runs the
+// engine's own handler. For ego and neighbors the unit reads only rows
+// its shard holds exactly under rules R1–R4, which a test holds by
+// serving the same bytes from materialized shard rows. dist and topk
+// read the shared base inline — the bounded bidirectional search over
+// graph::GraphAdj and the degree columns of the ranked rows — exactly as
+// an unsharded engine does.
 //
 // The contract that makes sharding an implementation detail: **response
 // bytes are identical to the unsharded engine's at every shard count**,
-// including error, degraded, and cached paths. Three mechanisms carry
-// it:
-//
-//   * Warm indexes are computed once, over the *global* graph, and every
-//     shard's compute unit answers from that one bundle — so PageRank
-//     scores, component labels, hub labels, and the fingerprint are the
-//     same bytes everywhere.
-//   * Single-node queries (ego, neighbors) route to the node's home
-//     shard, which holds both adjacency rows exactly — and, via the halo
-//     rule, every neighbor's out-row. The shard runs the engine's own
-//     handlers.
-//   * Multi-shard queries reuse the compute unit's renderers
-//     (RenderTopKJson, MakeDistanceResponse) over data gathered from
-//     the shards in deterministic order: topk degree columns are
-//     fetched from each row's home shard and merged by rank position;
-//     dist falls back to the *shared* bounded bidirectional BFS
-//     (graph/bounded_distance.h), whose PrepareLevel hook batches each
-//     frontier level into per-home-shard row fetches and replays them
-//     in frontier order — the same expansion order as the local BFS,
-//     hence the same bytes, completed or degraded.
-//
-// Fan-out runs on the per-shard workers, never on the router's workers,
-// so a saturated router queue cannot deadlock its own sub-requests.
+// including error, degraded, and cached paths. It holds by construction:
+// warm indexes are computed once, over the *global* graph, and every
+// request runs the same ComputeUnit handler over the same base graph and
+// bundle as the unsharded engine. Out-of-range nodes route to shard 0,
+// whose unit renders the engine's NotFound bytes.
 
 #ifndef ELITENET_SERVE_ROUTER_H_
 #define ELITENET_SERVE_ROUTER_H_
@@ -55,7 +42,6 @@
 #include "serve/front_door.h"
 #include "serve/partition.h"
 #include "serve/request.h"
-#include "serve/scheduler.h"
 #include "util/deadline.h"
 #include "util/status.h"
 
@@ -66,7 +52,8 @@ struct RouterOptions {
   /// Shard count, 1..255. One shard is legal (and byte-identical to an
   /// unsharded engine — the degenerate case the identity tests pin).
   int num_shards = 2;
-  /// Worker threads per shard (scatter-gather sub-requests).
+  /// No effect: shards run no workers of their own. Kept so existing
+  /// callers that set it still compile.
   int shard_threads = 1;
   /// When non-empty, the partition is restored from / persisted to this
   /// ".pidx" sidecar (PartitionPathFor gives the convention).
@@ -79,9 +66,9 @@ struct RouterOptions {
   EngineOptions engine;
 };
 
-/// The scatter-gather router. Thread-safe; one instance per served
-/// graph, like QueryEngine — both are FrontDoors, so the line-protocol
-/// front end drives either.
+/// The sharded router. Thread-safe; one instance per served graph, like
+/// QueryEngine — both are FrontDoors, so the line-protocol front end
+/// drives either.
 class ShardedRouter : public FrontDoor {
  public:
   /// Builds (or restores) the global warm bundle and the partition, and
@@ -106,18 +93,8 @@ class ShardedRouter : public FrontDoor {
 
   bool partition_from_cache() const { return partition_from_cache_; }
 
-  /// One shard: its compute unit over the base graph and the cap-exempt
-  /// workers its fan-out runs on (declared last, so they join before the
-  /// unit dies).
-  struct Shard {
-    Shard(const graph::DiGraph& base, int threads)
-        : unit(base), workers(threads, QosOptions{}) {}
-    ComputeUnit unit;
-    QosExecutor workers;
-  };
-
  protected:
-  /// The routing table (see file comment) — the front door's miss path.
+  /// Routes `r` to its node's home shard — the front door's miss path.
   QueryResponse Compute(const Request& r, const util::Deadline& deadline,
                         const LiveSnapshot& snap) override;
   /// Global graph identity, oracle, and one ShardEntry per shard.
@@ -130,19 +107,13 @@ class ShardedRouter : public FrontDoor {
     return u < num_nodes_ ? partition_.home[u] : 0;
   }
 
-  QueryResponse DoTopK(const Request& r);
-  /// dist without the oracle: the shared bounded BFS over shard rows.
-  QueryResponse ScatterDistance(const Request& r,
-                                const util::Deadline& deadline);
-
   const uint64_t num_nodes_;
   const uint64_t num_edges_;
   WarmIndexes warm_;
   Partition partition_;
   bool partition_from_cache_ = false;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  /// Arenas for the scatter-gather BFS (sized for the global graph).
-  ScratchPool<SearchScratch> scratch_;
+  /// One compute unit per shard, each over the shared base graph.
+  std::vector<std::unique_ptr<ComputeUnit>> shards_;
 };
 
 }  // namespace serve

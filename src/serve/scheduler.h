@@ -8,8 +8,8 @@
 //      its cap and returns false without enqueueing; the caller renders
 //      the "overloaded" error. Interactive defaults to uncapped (never
 //      shed); batch has the smallest cap, so it is the first class to
-//      shed when the server saturates. Internal work (router sub-
-//      requests, test barriers) uses SubmitExempt and bypasses the caps.
+//      shed when the server saturates. Internal work (barriers that
+//      park a worker) uses SubmitExempt and bypasses the caps.
 //
 //   2. *Priority dispatch.* Workers drain one shared heap ordered by the
 //      strict total order (class priority, deadline, admission seq):
@@ -96,8 +96,8 @@ class QosExecutor {
   bool Submit(QosClass cls, const util::Deadline& deadline,
               std::function<void()> fn);
 
-  /// Cap-exempt enqueue at interactive priority: internal sub-requests
-  /// (scatter-gather fan-out) and engine plumbing that must never shed.
+  /// Cap-exempt enqueue at interactive priority: engine plumbing that
+  /// must never shed.
   void SubmitExempt(std::function<void()> fn);
 
   int threads() const { return static_cast<int>(workers_.size()); }

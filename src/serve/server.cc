@@ -134,9 +134,9 @@ namespace {
 constexpr uint64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
 constexpr uint64_t kMaxU64 = std::numeric_limits<uint64_t>::max();
 constexpr uint64_t kMaxInt = std::numeric_limits<int>::max();
-// Worker-count ceiling for --threads, the positional count and
-// --shard-threads: far above any core count, low enough that a typo
-// cannot ask for millions of threads.
+// Worker-count ceiling for --threads and the positional count: far above
+// any core count, low enough that a typo cannot ask for millions of
+// threads.
 constexpr uint64_t kMaxWorkers = 1024;
 
 // "--flag=<uint>" value parse: false on empty, non-numeric, overflowing
@@ -231,8 +231,6 @@ Status ParseServeArgs(const std::string& graph_path, int argc,
       options->engine.cache_capacity = static_cast<size_t>(v);
     } else if (UintFlag(arg, "--shards=", 0, 255, &v)) {
       options->num_shards = static_cast<int>(v);
-    } else if (UintFlag(arg, "--shard-threads=", 1, kMaxWorkers, &v)) {
-      options->shard_threads = static_cast<int>(v);
     } else {
       std::string msg = "unknown serve flag or bad value: ";
       msg.append(arg);

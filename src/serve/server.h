@@ -4,9 +4,9 @@
 // to stdin/stdout; a socket accept loop can hand its FILE*s straight in.
 //
 // The one serve command line lives here too: ParseServeArgs accepts the
-// positional worker count, --threads= --cache= --no-widx --shards=
-// --shard-threads=, and the telemetry flags, and rejects
-// unknown flags and non-numeric, overflowing or out-of-range values.
+// positional worker count, --threads= --cache= --no-widx --shards=, and
+// the telemetry flags, and rejects unknown flags and non-numeric,
+// overflowing or out-of-range values.
 
 #ifndef ELITENET_SERVE_SERVER_H_
 #define ELITENET_SERVE_SERVER_H_

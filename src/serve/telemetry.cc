@@ -411,10 +411,6 @@ std::string RenderStatsJson(const Telemetry& t, const EngineStatsContext& ctx) {
       AppendU64(&j, static_cast<uint64_t>(s.id));
       j += ",\"nodes\":";
       AppendU64(&j, s.nodes);
-      j += ",\"queue_depth\":";
-      AppendU64(&j, s.queue_depth);
-      j += ",\"executed\":";
-      AppendU64(&j, s.executed);
       j += '}';
     }
     j += "],\"hub_replicas\":";

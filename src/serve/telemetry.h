@@ -293,8 +293,6 @@ struct EngineStatsContext {
   struct ShardEntry {
     int id = 0;
     uint64_t nodes = 0;  ///< Nodes homed on the shard.
-    uint64_t queue_depth = 0;  ///< Shard worker backlog (sub-requests).
-    uint64_t executed = 0;     ///< Tasks the shard workers have run.
   };
   std::vector<ShardEntry> shards;
   /// Hub rows replicated on every shard (router only; 0 otherwise).

@@ -1,7 +1,12 @@
 #include "core/fingerprint.h"
 
+#include <array>
+#include <cstring>
+
 #include <gtest/gtest.h>
 
+#include "analysis/components.h"
+#include "analysis/reciprocity.h"
 #include "gen/generators.h"
 #include "gen/verified_network.h"
 #include "util/rng.h"
@@ -71,6 +76,32 @@ TEST(FingerprintTest, VerifiedNetworkScoresAbovePlainGenerators) {
   auto fp_ws = ComputeFingerprint(*ws);
   ASSERT_TRUE(fp_ws.ok());
   EXPECT_GT(s_verified, FingerprintSimilarity(*fp_ws, paper));
+}
+
+// The form that takes a precomputed SCC labelling and reciprocity rate
+// (the serving warm build's) draws the same random numbers in the same
+// order, so every component matches the self-contained form bit for bit.
+TEST(FingerprintTest, PrecomputedSccAndReciprocityGiveTheSameBits) {
+  gen::VerifiedNetworkConfig vcfg;
+  vcfg.num_users = 3000;
+  auto verified = gen::GenerateVerifiedNetwork(vcfg);
+  ASSERT_TRUE(verified.ok());
+  const graph::DiGraph& g = verified->graph;
+  auto whole = ComputeFingerprint(g);
+  auto reused = ComputeFingerprint(g, analysis::StronglyConnectedComponents(g),
+                                   analysis::ComputeReciprocity(g).rate);
+  ASSERT_TRUE(whole.ok());
+  ASSERT_TRUE(reused.ok());
+  const auto fields = [](const GraphFingerprint& f) {
+    return std::array<double, 8>{f.density,          f.reciprocity,
+                                 f.clustering,       f.assortativity,
+                                 f.giant_scc_fraction, f.mean_distance,
+                                 f.powerlaw_alpha,   f.attracting_fraction};
+  };
+  const std::array<double, 8> a = fields(*whole);
+  const std::array<double, 8> b = fields(*reused);
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), sizeof(a)), 0)
+      << whole->ToString() << "\n" << reused->ToString();
 }
 
 TEST(FingerprintTest, ToStringNamesComponents) {

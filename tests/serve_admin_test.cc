@@ -258,18 +258,15 @@ TEST(ServeAdminTest, ServeArgsParseTheWholeFlagSet) {
 
   RouterOptions ropts;
   ASSERT_TRUE(
-      parse({"--threads=2", "--shards=4", "--shard-threads=3", "--no-widx"},
-            &ropts)
-          .ok());
+      parse({"--threads=2", "--shards=4", "--no-widx"}, &ropts).ok());
   EXPECT_EQ(ropts.num_shards, 4);
-  EXPECT_EQ(ropts.shard_threads, 3);
   EXPECT_EQ(ropts.engine.threads, 2);
   EXPECT_TRUE(ropts.engine.warm_index_path.empty());
   EXPECT_TRUE(ropts.partition_path.empty());
 
   for (const char* bad :
        {"--shards=abc", "--shards=256", "--shards=-1", "--threads=0",
-        "--threads=4294967297", "--shard-threads=",
+        "--threads=4294967297", "--shard-threads=", "--shard-threads=3",
         "--cache=18446744073709551616", "abc", "0", "--sample=4294967296",
         "--flight-recorder=18446744073709551615", "--bogus"}) {
     RouterOptions o;

@@ -460,7 +460,6 @@ TEST(QueryEngineTest, Reach2HopMatchesBruteForceOnEveryBacking) {
 
   RouterOptions ropts;
   ropts.num_shards = 2;
-  ropts.shard_threads = 1;
   auto router = ShardedRouter::Create(g, ropts);
   ASSERT_TRUE(router.ok()) << router.status().ToString();
   ExpectReachOfEveryNode(router->get(), rows, "2-shard router");
@@ -530,7 +529,6 @@ std::vector<std::pair<std::string, std::unique_ptr<FrontDoor>>> FrontsOf(
   RouterOptions ropts;
   ropts.engine = opts;
   ropts.num_shards = 2;
-  ropts.shard_threads = 1;
   auto router = ShardedRouter::Create(g, ropts);
   EXPECT_TRUE(router.ok()) << router.status().ToString();
   fronts.emplace_back("2-shard router", std::move(*router));

@@ -2,7 +2,6 @@
 // priority dispatch, and admission-control shed behaviour.
 
 #include <atomic>
-#include <condition_variable>
 #include <future>
 #include <mutex>
 #include <string>
@@ -15,6 +14,7 @@
 #include "serve/request.h"
 #include "serve/scheduler.h"
 #include "util/deadline.h"
+#include "worker_gate.h"
 
 namespace elitenet {
 namespace serve {
@@ -78,38 +78,13 @@ TEST(QosClassTest, IndexAndNameAreInverse) {
 }
 
 // ---------------------------------------------------------------------------
-// Executor: a one-worker pool with the worker parked on a barrier task,
+// Executor: a one-worker pool with the worker parked on a gate task,
 // so the submission pattern (and the dispatch order we then observe) is
 // fully deterministic — no scheduling luck.
 
-class Barrier {
- public:
-  void Arrive() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    arrived_ = true;
-    cv_.notify_all();
-    cv_.wait(lock, [this] { return released_; });
-  }
-  void AwaitArrival() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this] { return arrived_; });
-  }
-  void Release() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    released_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool arrived_ = false;
-  bool released_ = false;
-};
-
 TEST(QosExecutorTest, DispatchesByClassPriorityThenSeq) {
   QosExecutor exec(1, QosOptions{});
-  Barrier gate;
+  WorkerGate gate;
   exec.SubmitExempt([&gate] { gate.Arrive(); });
   gate.AwaitArrival();  // worker parked; queue is now under our control
 
@@ -142,7 +117,7 @@ TEST(QosExecutorTest, DispatchesByClassPriorityThenSeq) {
 
 TEST(QosExecutorTest, EarlierDeadlineDispatchesFirstWithinClass) {
   QosExecutor exec(1, QosOptions{});
-  Barrier gate;
+  WorkerGate gate;
   exec.SubmitExempt([&gate] { gate.Arrive(); });
   gate.AwaitArrival();
 
@@ -175,7 +150,7 @@ TEST(QosExecutorTest, ShedsAtClassCapAndCountsIt) {
   QosOptions opts;
   opts.batch_cap = 2;
   QosExecutor exec(1, opts);
-  Barrier gate;
+  WorkerGate gate;
   exec.SubmitExempt([&gate] { gate.Arrive(); });
   gate.AwaitArrival();
 
@@ -222,7 +197,7 @@ TEST(QosExecutorTest, ExemptBypassesCapsAtInteractivePriority) {
   opts.batch_cap = 1;
   opts.analytics_cap = 1;
   QosExecutor exec(1, opts);
-  Barrier gate;
+  WorkerGate gate;
   exec.SubmitExempt([&gate] { gate.Arrive(); });
   gate.AwaitArrival();
 

@@ -28,6 +28,7 @@
 #include "serve/telemetry.h"
 #include "util/deadline.h"
 #include "util/rng.h"
+#include "worker_gate.h"
 
 namespace elitenet {
 namespace serve {
@@ -75,9 +76,9 @@ DiGraph BigGraph(uint32_t n = 300, uint64_t seed = 2018) {
   return std::move(*g);
 }
 
-// Every routing path: single-shard (ego/neighbors), scatter-gather
-// (topk/dist), shard-0 (fingerprint), out-of-range errors, parse errors,
-// and QoS-tagged lines (class never changes bytes).
+// Every request type (ego, neighbors, topk, dist, fingerprint),
+// out-of-range errors, parse errors, and QoS-tagged lines (class never
+// changes bytes).
 std::vector<std::string> RequestMix(uint32_t n) {
   std::vector<std::string> mix = {
       "ego 0",
@@ -116,7 +117,6 @@ std::unique_ptr<ShardedRouter> MakeRouter(const DiGraph& g, int shards,
                                           EngineOptions engine = {}) {
   RouterOptions ropts;
   ropts.num_shards = shards;
-  ropts.shard_threads = 1;
   engine.threads = router_threads;
   ropts.engine = engine;
   auto router = ShardedRouter::Create(g, ropts);
@@ -178,22 +178,56 @@ TEST(ShardedRouterTest, VersionPinErrorBytesMatchEngine) {
   EXPECT_FALSE(got.ok);
 }
 
+// Every ordered pair of a fixed 24-node sample, one endpoint out of
+// range, at every shard × router-thread count: the router's BFS answers
+// (completed, unreachable, src == dst and NotFound alike) are the
+// engine's bytes.
 TEST(ShardedRouterTest, BfsFallbackDistanceBytesMatchEngine) {
   const DiGraph g = BigGraph();
+  const uint32_t n = g.num_nodes();
   EngineOptions no_oracle;
   no_oracle.distance_oracle = false;
+  no_oracle.cache_capacity = 0;  // every line computes
   auto baseline = Baseline(g, no_oracle);
   ASSERT_FALSE(baseline->distance_oracle_active());
 
-  for (int shards : {2, 4}) {
-    auto router = MakeRouter(g, shards, 1, no_oracle);
-    ASSERT_FALSE(router->distance_oracle_active());
-    for (const char* line :
-         {"dist 0 1", "dist 1 299", "dist 299 1", "dist 5 123"}) {
-      const QueryResponse want = baseline->ExecuteLine(line);
-      const QueryResponse got = router->ExecuteLine(line);
-      EXPECT_EQ(got.json, want.json) << line << " shards=" << shards;
-      EXPECT_TRUE(Contains(got.json, "\"degraded\":false")) << got.json;
+  // Node 0 is everyone's out-neighbour and has out-degree 0 in BigGraph,
+  // so every "dist 0 v" with v != 0 is unreachable.
+  std::vector<uint32_t> sample = {0, 1, 2, 5, n - 1, n + 3};
+  util::Rng rng(25);
+  while (sample.size() < 24) {
+    const uint32_t v = static_cast<uint32_t>(rng.UniformU64(n));
+    if (std::ranges::find(sample, v) == sample.end()) sample.push_back(v);
+  }
+  std::vector<std::string> lines;
+  std::vector<QueryResponse> want;
+  size_t unreachable = 0, same = 0, missing = 0;
+  for (uint32_t s : sample) {
+    for (uint32_t t : sample) {
+      lines.push_back("dist " + std::to_string(s) + " " + std::to_string(t));
+      want.push_back(baseline->ExecuteLine(lines.back()));
+      ASSERT_TRUE(Contains(want.back().json, "\"degraded\":false") ||
+                  !want.back().ok)
+          << want.back().json;
+      unreachable += Contains(want.back().json, "\"reachable\":false");
+      same += s == t;
+      missing += !want.back().ok;
+    }
+  }
+  EXPECT_GT(unreachable, 0u);
+  EXPECT_EQ(same, sample.size());
+  EXPECT_EQ(missing, 2 * sample.size() - 1);  // pairs naming node n + 3
+
+  for (int shards : {1, 2, 4}) {
+    for (int threads : {1, 4}) {
+      auto router = MakeRouter(g, shards, threads, no_oracle);
+      ASSERT_FALSE(router->distance_oracle_active());
+      for (size_t i = 0; i < lines.size(); ++i) {
+        const QueryResponse got = router->ExecuteLine(lines[i]);
+        EXPECT_EQ(got.json, want[i].json)
+            << lines[i] << " shards=" << shards << " threads=" << threads;
+        EXPECT_EQ(got.ok, want[i].ok) << lines[i];
+      }
     }
   }
 }
@@ -203,7 +237,6 @@ TEST(ShardedRouterTest, DegradedDistanceBytesMatchEngine) {
   EngineOptions no_oracle;
   no_oracle.distance_oracle = false;
   auto baseline = Baseline(g, no_oracle);
-  auto router = MakeRouter(g, 4, 1, no_oracle);
 
   auto r = ParseRequest("dist 1 299");
   ASSERT_TRUE(r.ok());
@@ -212,9 +245,12 @@ TEST(ShardedRouterTest, DegradedDistanceBytesMatchEngine) {
   // count and lower bound) must agree.
   const util::Deadline expired = util::Deadline::After(0);
   const QueryResponse want = baseline->Execute(*r, expired);
-  const QueryResponse got = router->Execute(*r, expired);
   ASSERT_TRUE(Contains(want.json, "\"degraded\":true")) << want.json;
-  EXPECT_EQ(got.json, want.json);
+  for (int shards : {1, 2, 4}) {
+    auto router = MakeRouter(g, shards, 1, no_oracle);
+    const QueryResponse got = router->Execute(*r, expired);
+    EXPECT_EQ(got.json, want.json) << "shards=" << shards;
+  }
 }
 
 // Runs `script` through one ServeLines session over `front`; returns the
@@ -283,8 +319,10 @@ TEST(ShardedRouterTest, ServeLinesMatchesEngineLineForLine) {
 }
 
 TEST(ShardedRouterTest, BatchShedsUnderOverloadWhileInteractiveHolds) {
-  // A long chain makes `dist 0 <end>` a slow BFS (no oracle), pinning
-  // the single router worker while the test fills the batch queue.
+  // The single router worker is parked on a gate while the test fills
+  // the queue, so admission sees the backlog it was built to see whatever
+  // the search speed; the chain's `dist 0 <end>` (no oracle) then walks
+  // every level once the gate opens.
   constexpr uint32_t kChain = 10000;
   graph::GraphBuilder b(kChain);
   for (uint32_t u = 0; u + 1 < kChain; ++u) {
@@ -298,14 +336,17 @@ TEST(ShardedRouterTest, BatchShedsUnderOverloadWhileInteractiveHolds) {
   engine.cache_capacity = 0;  // no cache shortcuts around the executor
   engine.qos.batch_cap = 1;
   auto router = MakeRouter(*chain, 2, 1, engine);
+  WorkerGate gate;
+  router->SubmitExempt([&gate] { gate.Arrive(); });
+  gate.AwaitArrival();
 
   auto slow = ParseRequest("dist 0 " + std::to_string(kChain - 1));
   ASSERT_TRUE(slow.ok());
   std::future<QueryResponse> slow_fut = router->Submit(*slow);
 
-  // The worker is (or will be) occupied by the slow interactive request;
-  // batch admission is a pure function of the batch backlog, so the
-  // second batch submit sheds regardless of scheduling.
+  // The worker is parked, so the slow request and the first batch
+  // request both wait in the queue; batch admission is a pure function of
+  // the batch backlog, so the second batch submit sheds.
   auto batch1 = ParseRequest("ego 1 !batch");
   auto batch2 = ParseRequest("ego 2 !batch");
   auto inter = ParseRequest("ego 3");
@@ -320,6 +361,7 @@ TEST(ShardedRouterTest, BatchShedsUnderOverloadWhileInteractiveHolds) {
   EXPECT_FALSE(shed.ok);
   EXPECT_TRUE(Contains(shed.json, "\"code\":\"overloaded\"")) << shed.json;
   EXPECT_TRUE(Contains(shed.json, "batch")) << shed.json;
+  gate.Release();
 
   const QueryResponse admitted = ok_fut.get();
   EXPECT_TRUE(admitted.ok) << admitted.json;
@@ -403,8 +445,16 @@ TEST(ShardedRouterTest, StatsCarryShardsAndClassSections) {
   for (const char* cls : {"interactive", "analytics", "batch"}) {
     EXPECT_TRUE(Contains(json, std::string("\"") + cls + "\"")) << json;
   }
-  // One entry per shard, each naming its home-node count.
-  EXPECT_TRUE(Contains(json, "\"nodes\":")) << json;
+  // One entry per shard, each naming only its home-node count.
+  const Partition& p = router->partition();
+  std::string rows = "\"shards\":[";
+  for (int s = 0; s < 3; ++s) {
+    if (s > 0) rows += ',';
+    rows += "{\"id\":" + std::to_string(s) +
+            ",\"nodes\":" + std::to_string(p.home_nodes[s]) + "}";
+  }
+  rows += "],\"hub_replicas\":" + std::to_string(p.hubs.size());
+  EXPECT_TRUE(Contains(json, rows)) << json << "\nwant " << rows;
 
   const EngineStatsContext ctx = router->StatsContext();
   ASSERT_EQ(ctx.shards.size(), 3u);
