@@ -69,26 +69,16 @@ int main(int argc, char** argv) {
   }
 
   if (stream || verify_stream) {
-    const graph::DiGraph& g = study.network().graph;
-    // A window a few cache-sized blocks of nodes wide; any value gives
-    // identical results, this one exercises multi-window bookkeeping.
-    const graph::NodeId window = g.num_nodes() >= 8 ? g.num_nodes() / 8 : 1;
     const analysis::StreamedBasicStats streamed =
-        analysis::ComputeStreamedBasicStats(g, window);
+        analysis::ComputeStreamedBasicStats(study.network().graph);
     if (verify_stream) {
-      for (graph::NodeId w : {graph::NodeId{0}, graph::NodeId{1}, window,
-                              g.num_nodes() + 7}) {
-        const auto probe = analysis::ComputeStreamedBasicStats(g, w);
-        if (!SameStreamedStats(*basic, probe)) {
-          std::fprintf(stderr,
-                       "streamed stats diverged from standalone kernels at "
-                       "window=%u\n",
-                       w);
-          return 1;
-        }
+      if (!SameStreamedStats(*basic, streamed)) {
+        std::fprintf(stderr,
+                     "streamed stats diverged from standalone kernels\n");
+        return 1;
       }
       std::printf("verify-stream: fused pass bit-identical to standalone "
-                  "kernels at 4 window sizes\n");
+                  "kernels\n");
     }
     // Report the fused results (bit-identical, so the CSV below is
     // unchanged; the streamed path is what a 10M-node mmapped snapshot
@@ -96,8 +86,7 @@ int main(int argc, char** argv) {
     basic->degrees = streamed.degrees;
     basic->reciprocity = streamed.reciprocity;
     basic->assortativity = streamed.assortativity;
-    std::printf("streamed basic stats: one fused CSR sweep in %llu windows\n",
-                static_cast<unsigned long long>(streamed.windows));
+    std::printf("streamed basic stats: one fused CSR sweep\n");
   }
   const double scale = static_cast<double>(args.num_users) /
                        static_cast<double>(paper::kUsersEnglish);

@@ -95,25 +95,21 @@ int main(int argc, char** argv) {
 
   // Degree summary: streamed or in-memory per --stream, but always
   // verified byte-identical against the in-memory kernel first — the
-  // flag changes the access pattern (one fused windowed sweep), never
+  // flag changes the access pattern (one fused sweep), never
   // the CSV bytes.
   const graph::DiGraph& g = study.network().graph;
   const analysis::DegreeStats in_memory = analysis::ComputeDegreeStats(g);
   analysis::DegreeStats reported = in_memory;
   if (stream) {
-    const graph::NodeId window = g.num_nodes() >= 8 ? g.num_nodes() / 8 : 1;
-    const analysis::StreamedBasicStats streamed =
-        analysis::ComputeStreamedBasicStats(g, window);
-    reported = streamed.degrees;
+    reported = analysis::ComputeStreamedBasicStats(g).degrees;
     if (DegreeSummaryRows(reported) != DegreeSummaryRows(in_memory)) {
       std::fprintf(stderr,
                    "--stream degree_summary diverged from the in-memory "
                    "kernel\n");
       return 1;
     }
-    std::printf("\nstreamed degree summary: fused sweep in %llu windows, "
-                "byte-identical to the in-memory pass\n",
-                static_cast<unsigned long long>(streamed.windows));
+    std::printf("\nstreamed degree summary: fused sweep, byte-identical to "
+                "the in-memory pass\n");
   }
   for (const std::vector<std::string>& row : DegreeSummaryRows(reported)) {
     csv.WriteRow({row[0], row[1], row[2], row[3]}).ok();

@@ -132,11 +132,6 @@ GridRun RunGridPoint(const graph::DiGraph& g,
   serve::EngineOptions opts;
   opts.threads = workers;
   opts.cache_capacity = 8192;
-  // The grid measures mutation/query interaction, and under this much
-  // churn most nodes are touched, so pinned dist requests route to the
-  // overlay-aware BFS regardless — skip the hub-label build (minutes at
-  // 40k x 4 grid points) instead of paying it per worker count.
-  opts.distance_oracle = false;
   serve::LiveEngineOptions live;
   live.compact_path = compact_path;
   auto engine = serve::QueryEngine::CreateLive(g, live, opts);

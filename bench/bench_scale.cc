@@ -193,8 +193,7 @@ int main(int argc, char** argv) {
   }
 
   // ---- Phase 2: serve from the mapped snapshot --------------------------
-  // Warm config sized for a bounded pass: no distance oracle (its labels
-  // are superlinear and have their own bench), fewer PageRank sweeps.
+  // Warm config sized for a bounded pass: fewer PageRank sweeps.
   // Mapped CSR pages the kernels touch are file-backed but resident, so
   // this phase's ceiling legitimately includes the snapshot size.
   util::ResetPeakRss();
@@ -208,7 +207,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     serve::EngineOptions eopts;
-    eopts.distance_oracle = false;
     eopts.pagerank.max_iterations = 30;
     eopts.telemetry.enabled = false;
     auto engine = serve::QueryEngine::Create(std::move(*g), eopts);

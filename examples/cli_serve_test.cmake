@@ -3,8 +3,9 @@
 # file through the unsharded engine and through a 2-shard router, converts
 # the edge list to ENG2 in memory and through the streamed writer
 # (byte-identical files), converts a snapshot onto itself, serves the
-# snapshots with identical output, and checks that bad serve and convert
-# flags and bad rank counts exit 2 before any graph loads.
+# snapshots with identical output, checks that an ELITENET_METRICS serve
+# leaves the exporter's snapshot behind, and checks that bad serve and
+# convert flags and bad rank counts exit 2 before any graph loads.
 #
 #   cmake -DCLI=<path to elitenet_cli> -DWORK=<scratch dir> -P cli_serve_test.cmake
 
@@ -41,6 +42,25 @@ list(LENGTH lines n)
 if(NOT n EQUAL 13)
   message(FATAL_ERROR "expected 13 response lines, got ${n}:\n${unsharded}")
 endif()
+
+# ELITENET_METRICS names the exporter's file, and the exporter is its one
+# writer: after an env-driven serve exits, the file still holds the final
+# serving snapshot, not a bare registry dump written over it.
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E env "ELITENET_METRICS=${WORK}/m.json"
+          "${CLI}" serve "${WORK}/edges.txt" 1 --no-widx
+  INPUT_FILE "${WORK}/requests.txt"
+  OUTPUT_QUIET ERROR_VARIABLE err RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "ELITENET_METRICS serve exited ${rc}:\n${err}")
+endif()
+file(READ "${WORK}/m.json" metrics)
+foreach(key "\"stats\"" "\"burn_rates\"" "\"metrics\"")
+  string(FIND "${metrics}" "${key}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "ELITENET_METRICS file lacks ${key}:\n${metrics}")
+  endif()
+endforeach()
 
 # convert: the in-memory and the streamed (1 MiB budget) ENG2 writers must
 # produce the same bytes, and the snapshot must serve what the text did.

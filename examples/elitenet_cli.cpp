@@ -397,11 +397,8 @@ int CmdWarmup(graph::DiGraph g, const std::string& graph_path) {
     return 1;
   }
   const bool reused = (*engine)->warm_index_from_cache();
-  std::printf("%s %s in %.2fs (dist oracle: %s)\n",
-              reused ? "reused existing" : "rebuilt",
-              opts.warm_index_path.c_str(), (*engine)->warmup_seconds(),
-              (*engine)->distance_oracle_active() ? "built"
-                                                  : "unavailable");
+  std::printf("%s %s in %.2fs\n", reused ? "reused existing" : "rebuilt",
+              opts.warm_index_path.c_str(), (*engine)->warmup_seconds());
   const serve::WarmIndexes& warm = (*engine)->warm_indexes();
   const graph::DiGraph& graph = (*engine)->graph();
   uint64_t work = 0;

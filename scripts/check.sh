@@ -12,11 +12,11 @@
 #              "perf"-labelled smoke benches;
 #   4. perf:   the "perf"-labelled ctest smoke benches (graph kernels,
 #              serving load, sharded serving + QoS overload, cold start,
-#              distance oracle, telemetry overhead, out-of-core scale,
-#              live mutations) — each is a hard-asserting harness that
-#              fails on response divergence, cache/oracle/telemetry
-#              slowdowns, degraded queries, sharded-vs-unsharded checksum
-#              mismatches, interactive shedding under overload, or a
+#              telemetry overhead, out-of-core scale, live mutations) —
+#              each is a hard-asserting harness that fails on response
+#              divergence, cache/telemetry slowdowns, degraded queries,
+#              sharded-vs-unsharded checksum mismatches, interactive
+#              shedding under overload, or a
 #              busted streamed-vs-in-memory / compaction-vs-cold-rebuild
 #              byte identity / RSS ceiling; then every smoke report and
 #              every checked-in BENCH_*.json must parse as JSON.
@@ -64,7 +64,7 @@ cmake --build build-asan -j "$JOBS"
 (cd build-asan && UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
   ctest -LE perf --output-on-failure -j "$JOBS")
 
-echo "== perf: smoke benches (kernels, serving, cold start, oracle, telemetry, mutations) =="
+echo "== perf: smoke benches (kernels, serving, cold start, telemetry, mutations) =="
 (cd build && ctest -L perf --output-on-failure -j "$JOBS")
 # Every report the smoke benches just wrote, and every checked-in one,
 # must parse as JSON; stop at the first that does not.

@@ -39,79 +39,73 @@ struct Moments {
 
 }  // namespace
 
-StreamedBasicStats ComputeStreamedBasicStats(const DiGraph& g,
-                                             NodeId window_nodes) {
+StreamedBasicStats ComputeStreamedBasicStats(const DiGraph& g) {
   StreamedBasicStats s;
   const NodeId n = g.num_nodes();
   s.reciprocity.total_edges = g.num_edges();
   if (n == 0) return s;
-  if (window_nodes == 0) window_nodes = n;
 
   s.degrees.min_out_degree = std::numeric_limits<uint32_t>::max();
   s.degrees.min_in_degree = std::numeric_limits<uint32_t>::max();
   uint64_t out_sum = 0, in_sum = 0;
   Moments out_in, out_out, in_in, in_out, total;
 
-  for (NodeId lo = 0; lo < n; lo += window_nodes) {
-    const NodeId hi = lo + window_nodes < n ? lo + window_nodes : n;
-    ++s.windows;
-    for (NodeId u = lo; u < hi; ++u) {
-      const uint32_t od = g.OutDegree(u);
-      const uint32_t id = g.InDegree(u);
+  for (NodeId u = 0; u < n; ++u) {
+    const uint32_t od = g.OutDegree(u);
+    const uint32_t id = g.InDegree(u);
 
-      // -- degree tallies (ComputeDegreeStats' comparisons verbatim, so
-      // argmax tie-breaking matches: first strict maximum wins).
-      out_sum += od;
-      in_sum += id;
-      if (od < s.degrees.min_out_degree) s.degrees.min_out_degree = od;
-      if (od > s.degrees.max_out_degree) {
-        s.degrees.max_out_degree = od;
-        s.degrees.argmax_out_degree = u;
-      }
-      if (id < s.degrees.min_in_degree) s.degrees.min_in_degree = id;
-      if (id > s.degrees.max_in_degree) {
-        s.degrees.max_in_degree = id;
-        s.degrees.argmax_in_degree = u;
-      }
-      if (od == 0 && id == 0) ++s.degrees.isolated_nodes;
-      if (od == 0 && id > 0) ++s.degrees.sink_nodes;
-      if (id == 0 && od > 0) ++s.degrees.source_nodes;
+    // -- degree tallies (ComputeDegreeStats' comparisons verbatim, so
+    // argmax tie-breaking matches: first strict maximum wins).
+    out_sum += od;
+    in_sum += id;
+    if (od < s.degrees.min_out_degree) s.degrees.min_out_degree = od;
+    if (od > s.degrees.max_out_degree) {
+      s.degrees.max_out_degree = od;
+      s.degrees.argmax_out_degree = u;
+    }
+    if (id < s.degrees.min_in_degree) s.degrees.min_in_degree = id;
+    if (id > s.degrees.max_in_degree) {
+      s.degrees.max_in_degree = id;
+      s.degrees.argmax_in_degree = u;
+    }
+    if (od == 0 && id == 0) ++s.degrees.isolated_nodes;
+    if (od == 0 && id > 0) ++s.degrees.sink_nodes;
+    if (id == 0 && od > 0) ++s.degrees.source_nodes;
 
-      const auto outs = g.OutNeighbors(u);
-      const auto ins = g.InNeighbors(u);
+    const auto outs = g.OutNeighbors(u);
+    const auto ins = g.InNeighbors(u);
 
-      // -- reciprocity: merge-count |out(u) ∩ in(u)|.
-      {
-        size_t i = 0, j = 0;
-        while (i < outs.size() && j < ins.size()) {
-          if (outs[i] < ins[j]) {
-            ++i;
-          } else if (outs[i] > ins[j]) {
-            ++j;
-          } else {
-            ++s.reciprocity.reciprocated_edges;
-            ++i;
-            ++j;
-          }
+    // -- reciprocity: merge-count |out(u) ∩ in(u)|.
+    {
+      size_t i = 0, j = 0;
+      while (i < outs.size() && j < ins.size()) {
+        if (outs[i] < ins[j]) {
+          ++i;
+        } else if (outs[i] > ins[j]) {
+          ++j;
+        } else {
+          ++s.reciprocity.reciprocated_edges;
+          ++i;
+          ++j;
         }
       }
+    }
 
-      // -- assortativity: all five flavours per edge, each flavour's
-      // sums touched in the same order its standalone pass would.
-      const double x_out = od;
-      const double x_in = id;
-      const double x_total = static_cast<double>(od) + id;
-      for (NodeId v : outs) {
-        const double y_out = g.OutDegree(v);
-        const double y_in = g.InDegree(v);
-        const double y_total = static_cast<double>(g.OutDegree(v)) +
-                               g.InDegree(v);
-        out_in.Add(x_out, y_in);
-        out_out.Add(x_out, y_out);
-        in_in.Add(x_in, y_in);
-        in_out.Add(x_in, y_out);
-        total.Add(x_total, y_total);
-      }
+    // -- assortativity: all five flavours per edge, each flavour's
+    // sums touched in the same order its standalone pass would.
+    const double x_out = od;
+    const double x_in = id;
+    const double x_total = static_cast<double>(od) + id;
+    for (NodeId v : outs) {
+      const double y_out = g.OutDegree(v);
+      const double y_in = g.InDegree(v);
+      const double y_total = static_cast<double>(g.OutDegree(v)) +
+                             g.InDegree(v);
+      out_in.Add(x_out, y_in);
+      out_out.Add(x_out, y_out);
+      in_in.Add(x_in, y_in);
+      in_out.Add(x_in, y_out);
+      total.Add(x_total, y_total);
     }
   }
 

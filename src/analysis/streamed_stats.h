@@ -1,22 +1,21 @@
-// Fused, windowed basic statistics over the CSR — one sweep instead of
-// seven.
+// Fused basic statistics over the CSR — one sweep instead of seven.
 //
 // ComputeDegreeStats, ComputeReciprocity, and ComputeAssortativity are
 // each already sequential CSR scans, but running them separately walks
 // the edge arrays seven times (assortativity alone makes five passes,
 // one per degree-mode flavour). On an mmapped 10M-node snapshot that is
 // seven trips through the page cache for one report. This kernel fuses
-// all of them into a single windowed pass: nodes are processed in blocks
-// of `window_nodes`, each CSR row is read exactly once, and the only
-// state between windows is O(1) accumulators — no O(n) or O(m) scratch.
+// all of them into a single pass: nodes are processed in ascending order,
+// each CSR row is read exactly once, and the only state carried from one
+// node to the next is O(1) accumulators — no O(n) or O(m) scratch.
 //
 // Bit-identity contract: the fused pass accumulates every statistic in
 // exactly the order the standalone kernels do — nodes ascending, out-
 // edges in CSR order, and each assortativity mode's floating-point sums
 // updated per edge in that same sequence. Identical addition order means
 // identical rounding, so the results equal the standalone kernels' to
-// the last bit, at any window size (asserted by streamed_stats_test and
-// bench_basic_stats --verify-stream).
+// the last bit (asserted by streamed_stats_test and bench_basic_stats
+// --verify-stream).
 
 #ifndef ELITENET_ANALYSIS_STREAMED_STATS_H_
 #define ELITENET_ANALYSIS_STREAMED_STATS_H_
@@ -36,16 +35,11 @@ struct StreamedBasicStats {
   DegreeStats degrees;
   ReciprocityStats reciprocity;
   AssortativityReport assortativity;
-  /// Windows the pass was split into (diagnostic).
-  uint64_t windows = 0;
 };
 
-/// One fused pass over `g` in node windows of `window_nodes` (0 selects
-/// the whole graph as a single window). Results are bit-identical to
-/// ComputeDegreeStats + ComputeReciprocity + ComputeAssortativity for
-/// every window size.
-StreamedBasicStats ComputeStreamedBasicStats(const graph::DiGraph& g,
-                                             graph::NodeId window_nodes = 0);
+/// One fused pass over `g`. Results are bit-identical to
+/// ComputeDegreeStats + ComputeReciprocity + ComputeAssortativity.
+StreamedBasicStats ComputeStreamedBasicStats(const graph::DiGraph& g);
 
 }  // namespace analysis
 }  // namespace elitenet

@@ -207,13 +207,6 @@ HubLabelStats HubLabels::Stats() const {
   return stats;
 }
 
-HubLabels HubLabels::FromArrays(HubLabelArrays out, HubLabelArrays in) {
-  HubLabels labels;
-  labels.out_ = std::move(out);
-  labels.in_ = std::move(in);
-  return labels;
-}
-
 HubLabels BuildHubLabels(const DiGraph& g, const HubLabelOptions& options) {
   HubLabels labels;
   const NodeId n = g.num_nodes();

@@ -24,9 +24,10 @@
 // bit-identical at any thread count.
 //
 // The flat representation is CSR-shaped (offsets + two parallel entry
-// arrays per direction) specifically so the serving layer can persist it
-// as checksummed `.widx` sections and mmap it back without re-deriving
-// anything (serve/warm_index_cache.h).
+// arrays per direction). The serving stack no longer builds or reads the
+// labeling — its dist query runs the bounded bidirectional search
+// (graph/bounded_distance.h) — so it remains only as a library for the
+// servebench layer rows that time its build and queries.
 
 #ifndef ELITENET_GRAPH_HUB_LABELS_H_
 #define ELITENET_GRAPH_HUB_LABELS_H_
@@ -117,14 +118,10 @@ class HubLabels {
   HubLabelRow OutLabels(NodeId u) const { return Row(out_, u); }
   HubLabelRow InLabels(NodeId u) const { return Row(in_, u); }
 
-  /// Raw arrays for persistence (serve/warm_index_cache.cc). Rows are
-  /// indexed by *original* node id; entries carry hub ranks.
+  /// Raw arrays. Rows are indexed by *original* node id; entries carry
+  /// hub ranks.
   const HubLabelArrays& out() const { return out_; }
   const HubLabelArrays& in() const { return in_; }
-
-  /// Adopts restored arrays (the sidecar load path). The caller must have
-  /// run ValidateHubLabels first; this does no checking of its own.
-  static HubLabels FromArrays(HubLabelArrays out, HubLabelArrays in);
 
  private:
   friend HubLabels BuildHubLabels(const DiGraph& g,
@@ -147,12 +144,11 @@ class HubLabels {
 HubLabels BuildHubLabels(const DiGraph& g,
                          const HubLabelOptions& options = {});
 
-/// Structural validation for labelings restored from disk: offsets are
-/// monotone and sized n+1, the rank and distance arrays both have
-/// offsets[n] entries, hub ranks are < n, distances are < n and at most
-/// kMaxHubLabelDist, and every row is strictly ascending by hub rank. An
-/// empty labeling (all six arrays empty) is valid — it means "oracle not
-/// built".
+/// Structural invariants of a labeling: offsets are monotone and sized
+/// n+1, the rank and distance arrays both have offsets[n] entries, hub
+/// ranks are < n, distances are < n and at most kMaxHubLabelDist, and
+/// every row is strictly ascending by hub rank. An empty labeling (all
+/// six arrays empty) is valid — it means "oracle not built".
 Status ValidateHubLabels(const HubLabels& labels, NodeId expected_nodes);
 
 }  // namespace graph

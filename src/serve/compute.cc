@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 
-#include "util/metrics.h"
 #include "util/parallel.h"
 #include "util/trace.h"
 
@@ -120,18 +119,19 @@ QueryResponse MakeDistanceResponse(const Request& r,
   AppendVersionFields(&j, snap);
   if (d.completed) {
     // Note: no traversal-cost field here — a completed answer must be a
-    // pure function of (graph, request) so the oracle and BFS paths stay
-    // byte-identical (and cacheable interchangeably).
+    // pure function of (graph, request) so every backing (whole graph,
+    // router shard, live snapshot) gives the same bytes and the cache
+    // may serve them.
     const bool reachable = d.distance != UINT32_MAX;
     j += ",\"reachable\":";
     AppendBool(&j, reachable);
     j += ",\"distance\":";
     AppendI64(&j, reachable ? static_cast<int64_t>(d.distance) : -1);
   } else {
-    // Deadline hit (BFS fallback only): the true distance is unknown but
-    // provably at least lower_bound (every completed level failed to
-    // meet). Degraded responses are never cached, so the diagnostic
-    // expansion count is safe to include.
+    // Deadline hit: the true distance is unknown but provably at least
+    // lower_bound (every completed level failed to meet). Degraded
+    // responses are never cached, so the diagnostic expansion count is
+    // safe to include.
     j += ",\"reachable\":null,\"distance\":-1,\"lower_bound\":";
     AppendU64(&j, d.lower_bound);
     j += ",\"expanded\":";
@@ -240,7 +240,7 @@ QueryResponse ComputeUnit::Compute(const Request& r,
     case RequestType::kTopKRank:
       return DoTopKRank(r, warm, snap);
     case RequestType::kDistance:
-      return DoDistance(r, deadline, warm, snap);
+      return DoDistance(r, deadline, snap);
     case RequestType::kNeighbors:
       return DoNeighbors(r, snap);
     case RequestType::kFingerprint:
@@ -363,43 +363,26 @@ QueryResponse ComputeUnit::DoTopKRank(const Request& r,
 
 QueryResponse ComputeUnit::DoDistance(const Request& r,
                                       const util::Deadline& deadline,
-                                      const WarmIndexes& warm,
                                       const LiveSnapshot* snap) {
   if (r.node >= graph_.num_nodes() || r.target >= graph_.num_nodes()) {
     return ErrorResponse(r, Status::NotFound("distance endpoint not in graph"));
   }
-  // The hub-label oracle answers as-of the epoch base. On a live engine
-  // it stays in charge only while both endpoints are untouched at the
-  // snapshot version (bounded staleness: intermediate churn may shift the
-  // true distance, endpoint churn may not go unseen); a touched endpoint
-  // routes to the overlay-aware BFS, exact at the snapshot version. The
-  // choice is a pure function of (epoch, version, request), so pinned
-  // replays stay deterministic.
-  const bool oracle_ok =
-      !warm.hub_labels.empty() &&
-      (snap == nullptr || (!snap->Touched(r.node) && !snap->Touched(r.target)));
+  // Exact at the snapshot version on a live engine, over this unit's
+  // graph otherwise. The verified graph's short diameter keeps the
+  // search within a few levels; a deadline can still cut it short.
   graph::BoundedDistanceResult d;
-  if (oracle_ok) {
-    // Oracle fast path: exact distance by label intersection, no graph
-    // traversal, no deadline interaction — it cannot degrade.
-    ELITENET_COUNT("serve.dist.oracle_hit", 1);
-    d.distance = warm.hub_labels.Distance(r.node, r.target);
+  std::unique_ptr<SearchScratch> scratch = scratch_.Borrow();
+  if (snap != nullptr) {
+    d = graph::BoundedBidirectionalDistance(SnapAdj{snap}, r.node, r.target,
+                                            deadline, &scratch->fwd,
+                                            &scratch->bwd);
   } else {
-    std::unique_ptr<SearchScratch> scratch = scratch_.Borrow();
-    if (snap != nullptr) {
-      d = graph::BoundedBidirectionalDistance(SnapAdj{snap}, r.node, r.target,
-                                              deadline, &scratch->fwd,
-                                              &scratch->bwd);
-    } else {
-      d = graph::BoundedBidirectionalDistance(graph::GraphAdj{&graph_}, r.node,
-                                              r.target, deadline,
-                                              &scratch->fwd, &scratch->bwd);
-    }
-    scratch_.Return(std::move(scratch));
+    d = graph::BoundedBidirectionalDistance(graph::GraphAdj{&graph_}, r.node,
+                                            r.target, deadline, &scratch->fwd,
+                                            &scratch->bwd);
   }
-  QueryResponse resp = MakeDistanceResponse(r, d, snap);
-  resp.oracle_fallback = !oracle_ok;
-  return resp;
+  scratch_.Return(std::move(scratch));
+  return MakeDistanceResponse(r, d, snap);
 }
 
 QueryResponse ComputeUnit::DoNeighbors(const Request& r,

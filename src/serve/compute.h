@@ -45,10 +45,6 @@ struct QueryResponse {
   /// True when served from the result cache (diagnostic only — the bytes
   /// are identical either way, so this flag never appears in json).
   bool cache_hit = false;
-  /// True when a dist query was answered by bidirectional BFS instead of
-  /// the hub-label oracle (diagnostic only, like cache_hit) — the choice
-  /// the compute path actually made, which the front door records.
-  bool oracle_fallback = false;
 };
 
 /// Scratch objects of type T, each built as T(num_nodes) for one graph,
@@ -110,7 +106,7 @@ class ComputeUnit {
   QueryResponse DoTopKRank(const Request& r, const WarmIndexes& warm,
                            const LiveSnapshot* snap);
   QueryResponse DoDistance(const Request& r, const util::Deadline& deadline,
-                           const WarmIndexes& warm, const LiveSnapshot* snap);
+                           const LiveSnapshot* snap);
   QueryResponse DoNeighbors(const Request& r, const LiveSnapshot* snap);
   QueryResponse DoFingerprint(const WarmIndexes& warm,
                               const LiveSnapshot* snap);
@@ -181,8 +177,8 @@ std::string ErrorJson(std::string_view code, std::string_view message,
 QueryResponse ErrorResponse(const Request& r, const Status& status);
 
 /// Renders the "dist" response from a bounded-search result — completed
-/// (reachable/distance) or degraded (lower_bound/expanded). The oracle
-/// and the BFS fallback both feed this one renderer, so their bytes
+/// (reachable/distance) or degraded (lower_bound/expanded). Static,
+/// shard and live searches all feed this one renderer, so their bytes
 /// cannot drift. A non-null `snap` adds the version fields.
 QueryResponse MakeDistanceResponse(const Request& r,
                                    const graph::BoundedDistanceResult& d,

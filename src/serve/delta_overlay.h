@@ -167,8 +167,8 @@ class LiveSnapshot {
   const void* warm_payload() const;
 
   /// True when `u` has overlay history visible at this version, in either
-  /// direction — the "touched since last compaction" predicate the
-  /// distance oracle's staleness contract keys on.
+  /// direction — the "touched since last compaction" predicate that
+  /// decides whether the ego walk may use a warm-index fact.
   bool Touched(graph::NodeId u) const;
 
   uint32_t OutDegree(graph::NodeId u) const;

@@ -55,13 +55,6 @@ Status ComputeWarmIndexes(const DiGraph& g, const EngineOptions& options,
       warm->rank_of[warm->rank_order[i]] = static_cast<uint32_t>(i + 1);
     }
   }
-  if (options.distance_oracle) {
-    // May return an unbuilt (empty) labeling when the pruned-label budget
-    // is exceeded; dist then serves via the BFS fallback. Either outcome
-    // is persisted as-is, so a restored engine behaves identically.
-    ELITENET_SPAN("serve.warm.dist_oracle");
-    warm->hub_labels = graph::BuildHubLabels(g);
-  }
   {
     ELITENET_SPAN("serve.warm.fingerprint");
     // The SCC labelling and reciprocity were built above; the fingerprint
@@ -86,8 +79,7 @@ namespace {
 WarmIndexKey WarmKeyFor(uint64_t graph_checksum, const EngineOptions& options) {
   WarmIndexKey key;
   key.graph_checksum = graph_checksum;
-  key.config_hash = WarmConfigHash(options.pagerank, options.fingerprint,
-                                   options.distance_oracle);
+  key.config_hash = WarmConfigHash(options.pagerank, options.fingerprint);
   return key;
 }
 
@@ -223,15 +215,6 @@ QueryResponse QueryEngine::Compute(const Request& r,
                        &snap);
 }
 
-bool QueryEngine::distance_oracle_active() const {
-  if (live_ != nullptr) {
-    const LiveSnapshot snap = live_->Snapshot();
-    const auto* warm = static_cast<const WarmIndexes*>(snap.warm_payload());
-    return warm != nullptr && !warm->hub_labels.empty();
-  }
-  return !warm_.hub_labels.empty();
-}
-
 Result<ApplyOutcome> QueryEngine::Apply(const Mutation& m) {
   if (live_ == nullptr) {
     return Status::FailedPrecondition(
@@ -307,7 +290,6 @@ LiveSnapshot QueryEngine::live_snapshot() const {
 void QueryEngine::AddStats(EngineStatsContext* ctx) const {
   ctx->nodes = graph().num_nodes();
   ctx->edges = graph().num_edges();
-  ctx->oracle_active = distance_oracle_active();
   if (live_ != nullptr) {
     ctx->live = true;
     ctx->overlay = live_->Stats();

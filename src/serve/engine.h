@@ -13,17 +13,14 @@
 //     merge of each node's out- and in-row,
 //   * the exact reach_2hop of the nodes with the costliest ego walks
 //     (ComputeHeavyReach in serve/compute.h),
-//   * the graph fingerprint and its similarity to the paper's signature,
-//   * the hub-label distance oracle (graph/hub_labels.h).
+//   * the graph fingerprint and its similarity to the paper's signature.
 //
 // The engine is a FrontDoor backend (serve/front_door.h): the front door
 // owns the QoS executor, the result cache, per-request deadlines and
 // telemetry; the engine supplies admission (the live MVCC snapshot),
 // the cache key, and compute through its ComputeUnit
-// (serve/compute.h). Distance queries answer from the oracle by label
-// intersection — exact and microseconds, never degraded. When the
-// oracle is disabled or its construction blew the label budget, they
-// fall back to bidirectional BFS, polling the deadline per level and
+// (serve/compute.h). Distance queries run the bounded bidirectional
+// search (graph/bounded_distance.h), polling the deadline per level and
 // degrading to the best lower bound found with degraded=true.
 //
 // Determinism: every non-degraded response is a pure function of the
@@ -95,9 +92,8 @@ class QueryEngine : public FrontDoor {
   /// version) and `"as_of"` (the base version the expensive warm indexes
   /// were computed at — the staleness bound for PageRank/component/rank
   /// fields). Cheap facts (degrees, neighbor lists, mutual counts, 2-hop
-  /// reach) are exact at the snapshot version; dist falls back from the
-  /// hub-label oracle to overlay-aware bidirectional BFS when either
-  /// endpoint was touched since the base was built.
+  /// reach) are exact at the snapshot version, and so is dist, whose
+  /// bidirectional search walks the snapshot's merged rows.
   static Result<std::unique_ptr<QueryEngine>> CreateLive(
       graph::DiGraph g, const LiveEngineOptions& live,
       const EngineOptions& options = {});
@@ -135,12 +131,6 @@ class QueryEngine : public FrontDoor {
   /// a live engine hangs its bundle off the current epoch (so compaction
   /// can swap base and indexes atomically) and this returns an empty one.
   const WarmIndexes& warm_indexes() const { return warm_; }
-
-  /// True when dist queries are answered by the hub-label oracle; false
-  /// when it is disabled by options or construction blew its budget (in
-  /// which case dist uses the bidirectional-BFS fallback). Live engines
-  /// consult the current epoch's bundle.
-  bool distance_oracle_active() const;
 
  protected:
   Result<LiveSnapshot> Admit(const Request& r) const override;

@@ -253,7 +253,6 @@ QueryResponse FrontDoor::Run(const Request& r, const util::Deadline& deadline,
     record.deadline_slack_us = deadline.RemainingMicros();
     record.deadline_missed =
         !deadline.infinite() && record.deadline_slack_us == 0;
-    record.oracle_fallback = resp.oracle_fallback;
     if (capture.has_value()) {
       record.spans = capture->Take();
       record.spans_truncated = capture->truncated();

@@ -50,10 +50,9 @@ struct EngineOptions {
   size_t cache_capacity = 4096;
   analysis::PageRankOptions pagerank;
   core::FingerprintOptions fingerprint;
-  /// Build the hub-label distance oracle at warmup so dist answers by
-  /// label intersection instead of traversing. Construction falls back
-  /// cleanly (dist reverts to bidirectional BFS) if the pruned labeling
-  /// exceeds its size budget — see graph::HubLabelOptions.
+  /// No effect: dist always runs the bounded bidirectional search and no
+  /// warm index depends on it. Kept so existing callers that set it
+  /// still compile.
   bool distance_oracle = true;
   /// When non-empty, Create() tries to restore the warm indexes from this
   /// `.widx` sidecar (keyed by graph checksum + index config) before
@@ -174,8 +173,8 @@ class FrontDoor {
                                 const util::Deadline& deadline,
                                 const LiveSnapshot& snap) = 0;
 
-  /// Step 4: fills the backend's facts (graph identity, oracle, live
-  /// overlay, shards) into `ctx`.
+  /// Step 4: fills the backend's facts (graph identity, live overlay,
+  /// shards) into `ctx`.
   virtual void AddStats(EngineStatsContext* ctx) const = 0;
 
   const EngineOptions options_;

@@ -70,7 +70,6 @@ QueryResponse ShardedRouter::Compute(const Request& r,
 void ShardedRouter::AddStats(EngineStatsContext* ctx) const {
   ctx->nodes = num_nodes_;
   ctx->edges = num_edges_;
-  ctx->oracle_active = distance_oracle_active();
   ctx->shards.reserve(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
     ctx->shards.push_back({static_cast<int>(s), partition_.home_nodes[s]});

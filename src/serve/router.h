@@ -61,8 +61,8 @@ struct RouterOptions {
   /// Front-door options: `threads` sizes the router's QoS executor,
   /// `qos` sets its admission caps, `cache_capacity` its result cache,
   /// `telemetry`/`metrics_path` its observability; `warm_index_path`
-  /// and the index-shaping fields (pagerank, fingerprint,
-  /// distance_oracle) shape the *global* warm bundle.
+  /// and the index-shaping fields (pagerank, fingerprint) shape the
+  /// *global* warm bundle.
   EngineOptions engine;
 };
 
@@ -89,15 +89,13 @@ class ShardedRouter : public FrontDoor {
   /// The global warm bundle every shard serves from.
   const WarmIndexes& warm_indexes() const { return warm_; }
 
-  bool distance_oracle_active() const { return !warm_.hub_labels.empty(); }
-
   bool partition_from_cache() const { return partition_from_cache_; }
 
  protected:
   /// Routes `r` to its node's home shard — the front door's miss path.
   QueryResponse Compute(const Request& r, const util::Deadline& deadline,
                         const LiveSnapshot& snap) override;
-  /// Global graph identity, oracle, and one ShardEntry per shard.
+  /// Global graph identity and one ShardEntry per shard.
   void AddStats(EngineStatsContext* ctx) const override;
 
  private:

@@ -29,7 +29,6 @@ bool QosExecutor::Submit(QosClass cls, const util::Deadline& deadline,
                          std::function<void()> fn) {
   const size_t idx = QosClassIndex(cls);
   Task task;
-  task.class_rank = idx;
   task.class_index = idx;
   task.deadline = deadline;
   task.fn = std::move(fn);
@@ -53,7 +52,6 @@ bool QosExecutor::Submit(QosClass cls, const util::Deadline& deadline,
 void QosExecutor::SubmitExempt(std::function<void()> fn) {
   const size_t idx = QosClassIndex(QosClass::kInteractive);
   Task task;
-  task.class_rank = idx;
   task.class_index = idx;
   task.fn = std::move(fn);
   {

@@ -114,23 +114,24 @@ class QosExecutor {
 
  private:
   struct Task {
-    size_t class_rank = 0;  ///< QosClassIndex — lower dispatches first.
+    /// QosClassIndex — lower dispatches first; also indexes the tallies.
+    size_t class_index = 0;
     util::Deadline deadline;
     uint64_t seq = 0;  ///< Admission order; the total-order tie-break.
-    size_t class_index = 0;
     std::function<void()> fn;
   };
 
   struct TaskBefore {
     bool operator()(const Task& a, const Task& b) const {
-      if (a.class_rank != b.class_rank) return a.class_rank < b.class_rank;
+      if (a.class_index != b.class_index) {
+        return a.class_index < b.class_index;
+      }
       if (a.deadline.ExpiresBefore(b.deadline)) return true;
       if (b.deadline.ExpiresBefore(a.deadline)) return false;
       return a.seq < b.seq;
     }
   };
 
-  void Enqueue(Task task);
   void WorkerLoop();
 
   const QosOptions options_;

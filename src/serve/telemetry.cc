@@ -130,7 +130,7 @@ Telemetry::Telemetry(const TelemetryOptions& options)
     : options_(options),
       enabled_(options.enabled),
       recent_(options.recorder_capacity),
-      slow_(options.slow_capacity) {}
+      slow_(kSlowRingCapacity) {}
 
 void Telemetry::Record(RequestRecord record) {
   const size_t type = static_cast<size_t>(record.request.type);
@@ -143,9 +143,6 @@ void Telemetry::Record(RequestRecord record) {
     slo.deadline_miss.fetch_add(1, std::memory_order_relaxed);
   }
   if (record.cache_hit) slo.cache_hits.fetch_add(1, std::memory_order_relaxed);
-  if (record.oracle_fallback) {
-    oracle_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  }
   const size_t cls = QosClassIndex(record.request.qos);
   class_requests_[cls].fetch_add(1, std::memory_order_relaxed);
   if (record.deadline_missed) {
@@ -348,8 +345,6 @@ std::string RenderStatsJson(const Telemetry& t, const EngineStatsContext& ctx) {
   AppendU64(&j, static_cast<uint64_t>(ctx.workers));
   j += ",\"inflight\":";
   j += std::to_string(ctx.inflight);
-  j += ",\"oracle_active\":";
-  AppendBool(&j, ctx.oracle_active);
   j += ",\"warmup_seconds\":";
   j += JsonDouble(ctx.warmup_seconds);
   j += ",\"warm_from_cache\":";
@@ -360,8 +355,6 @@ std::string RenderStatsJson(const Telemetry& t, const EngineStatsContext& ctx) {
   AppendU64(&j, ctx.cache_misses);
   j += "},\"totals\":";
   AppendSloJson(&j, t.totals());
-  j += ",\"oracle_fallbacks\":";
-  AppendU64(&j, t.oracle_fallbacks());
   j += ",\"malformed_lines\":";
   AppendU64(&j, t.malformed_lines());
   j += ",\"per_type\":{";
@@ -611,13 +604,12 @@ std::string RenderSummaryText(const Telemetry& t) {
   const SloCounters totals = t.totals();
   std::snprintf(buf, sizeof(buf),
                 "  requests=%llu errors=%llu degraded=%llu deadline_miss=%llu"
-                " cache_hits=%llu oracle_fallbacks=%llu malformed_lines=%llu\n",
+                " cache_hits=%llu malformed_lines=%llu\n",
                 static_cast<unsigned long long>(totals.requests),
                 static_cast<unsigned long long>(totals.errors),
                 static_cast<unsigned long long>(totals.degraded),
                 static_cast<unsigned long long>(totals.deadline_miss),
                 static_cast<unsigned long long>(totals.cache_hits),
-                static_cast<unsigned long long>(t.oracle_fallbacks()),
                 static_cast<unsigned long long>(t.malformed_lines()));
   out += buf;
   for (size_t i = 0; i < kNumRequestTypes; ++i) {
@@ -703,7 +695,6 @@ std::string RenderPrometheusText(const Telemetry& t,
   counter("elitenet_serve_slo_errors_total", totals.errors);
   counter("elitenet_serve_slo_degraded_total", totals.degraded);
   counter("elitenet_serve_slo_deadline_miss_total", totals.deadline_miss);
-  counter("elitenet_serve_slo_oracle_fallback_total", t.oracle_fallbacks());
   counter("elitenet_serve_malformed_lines_total", t.malformed_lines());
   counter("elitenet_serve_cache_hits_total", ctx.cache_hits);
   counter("elitenet_serve_cache_misses_total", ctx.cache_misses);
@@ -743,7 +734,12 @@ TelemetryExporter::TelemetryExporter(
       path_(std::move(path)),
       interval_ms_(std::max(1, interval_ms)),
       stats_fn_(std::move(stats_fn)),
-      thread_([this] { Loop(); }) {}
+      thread_([this] { Loop(); }) {
+  // Every snapshot embeds the registry under "metrics", so an
+  // ELITENET_METRICS exit dump to the same file would only overwrite the
+  // final snapshot with less.
+  util::ClaimMetricsExitDump(path_);
+}
 
 TelemetryExporter::~TelemetryExporter() { Stop(); }
 

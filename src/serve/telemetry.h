@@ -66,6 +66,9 @@ bool ParseTraceId(std::string_view s, uint64_t* out);
 /// larger --flight-recorder / ELITENET_FLIGHT_RECORDER values.
 inline constexpr size_t kMaxRecorderCapacity = size_t{1} << 20;
 
+/// Slow-query ring capacity, in records (a power of two).
+inline constexpr size_t kSlowRingCapacity = 64;
+
 struct TelemetryOptions {
   /// Master switch: when false, requests skip recording entirely (the
   /// engine still answers identically — asserted by tests).
@@ -76,8 +79,6 @@ struct TelemetryOptions {
   /// Flight-recorder ring capacity (rounded up to a power of two; at
   /// most kMaxRecorderCapacity).
   size_t recorder_capacity = 256;
-  /// Slow-query ring capacity (rounded up to a power of two).
-  size_t slow_capacity = 64;
   /// A request at or over this latency is pinned into the slow ring
   /// (deadline misses are always pinned). 0 pins everything.
   uint64_t slow_us = 50000;
@@ -94,7 +95,6 @@ struct RequestRecord {
   bool sampled = false;
   bool queued = false;  ///< Went through Submit (vs synchronous Execute).
   bool deadline_missed = false;
-  bool oracle_fallback = false;  ///< dist answered by BFS, not the oracle.
   uint64_t latency_us = 0;
   uint64_t queue_wait_us = 0;  ///< Submit-to-drain delay (queued only).
   /// Deadline budget left at completion; UINT64_MAX = no deadline.
@@ -186,9 +186,6 @@ class Telemetry {
   /// Counters for one request type / summed over all types.
   SloCounters type_counters(RequestType type) const;
   SloCounters totals() const;
-  uint64_t oracle_fallbacks() const {
-    return oracle_fallbacks_.load(std::memory_order_relaxed);
-  }
 
   /// Protocol lines that failed to parse. They get an error response but
   /// no record: a malformed line has no request type to file it under.
@@ -229,7 +226,6 @@ class Telemetry {
   std::atomic<bool> enabled_{true};
   std::atomic<uint64_t> next_seq_{1};
   AtomicSlo per_type_[kNumRequestTypes];
-  std::atomic<uint64_t> oracle_fallbacks_{0};
   std::atomic<uint64_t> malformed_lines_{0};
   std::atomic<uint64_t> class_requests_[kNumQosClasses] = {};
   std::atomic<uint64_t> class_deadline_miss_[kNumQosClasses] = {};
@@ -269,7 +265,6 @@ struct EngineStatsContext {
   uint64_t nodes = 0;
   uint64_t edges = 0;
   int workers = 1;
-  bool oracle_active = false;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   double warmup_seconds = 0.0;
@@ -327,7 +322,9 @@ std::string RenderSummaryText(const Telemetry& t);
 /// burn rates + the util::MetricsRegistry snapshot) to `path` and a
 /// Prometheus text-format snapshot to `path + ".prom"`. Writes are
 /// atomic (temp file + rename) so scrapers never see a torn file. The
-/// exporter thread touches only telemetry state — never the query path.
+/// exporter is the one writer of `path`: it takes over an ELITENET_METRICS
+/// exit dump to the same file. The exporter thread touches only
+/// telemetry state — never the query path.
 class TelemetryExporter {
  public:
   /// `stats_fn` supplies the engine-side context per snapshot; it must

@@ -14,17 +14,17 @@ namespace {
 
 // WIDX in the sectioned container (util/sectioned_file.h): header words
 // {graph_checksum, config_hash, num_nodes}, sections in SectionId order.
-// v4 appends the heavy-node reach table (u32 ids, u32 reach) to v3's
-// sixteen sections. Older readers see version 4 and bail with
-// NotSupported; this reader does the same for v1–v3 files — both
+// v5 drops v4's six hub-label sections, keeping the heavy-node reach
+// table (u32 ids, u32 reach) last. Older readers see version 5 and bail
+// with NotSupported; this reader does the same for v1–v4 files — both
 // directions of skew degrade to a rebuild.
-constexpr uint32_t kNumSections = 18;
-constexpr util::SectionedFormat kWidx = {{'W', 'I', 'D', 'X'}, 4,
+constexpr uint32_t kNumSections = 12;
+constexpr util::SectionedFormat kWidx = {{'W', 'I', 'D', 'X'}, 5,
                                          kNumSections};
 /// Bumped whenever the scalar block layout or section set changes, so
 /// sidecars written by an older layout fail the config hash instead of
 /// being misread.
-constexpr uint64_t kFormatGeneration = 4;
+constexpr uint64_t kFormatGeneration = 5;
 
 enum SectionId : uint32_t {
   kScalars = 0,
@@ -37,22 +37,14 @@ enum SectionId : uint32_t {
   kRankOrder = 7,
   kRankOf = 8,
   kFingerprintError = 9,
-  kHubOutOffsets = 10,
-  kHubOutRanks = 11,
-  kHubOutDists = 12,
-  kHubInOffsets = 13,
-  kHubInRanks = 14,
-  kHubInDists = 15,
-  kHeavyIds = 16,
-  kHeavyReach = 17,
+  kHeavyIds = 10,
+  kHeavyReach = 11,
 };
 
 constexpr const char* kSectionNames[kNumSections] = {
-    "scalars",     "mutual_degree",   "wcc_label",       "wcc_sizes",
-    "scc_label",   "scc_sizes",       "pagerank",        "rank_order",
-    "rank_of",     "fingerprint_error", "hub_out_offsets", "hub_out_ranks",
-    "hub_out_dists", "hub_in_offsets",  "hub_in_ranks",    "hub_in_dists",
-    "heavy_ids",   "heavy_reach",
+    "scalars",   "mutual_degree",     "wcc_label", "wcc_sizes",
+    "scc_label", "scc_sizes",         "pagerank",  "rank_order",
+    "rank_of",   "fingerprint_error", "heavy_ids", "heavy_reach",
 };
 
 /// Fixed-order u64 slot encoding for the non-array state: explicit
@@ -172,7 +164,7 @@ const uint32_t* WarmIndexes::StoredReach(graph::NodeId u) const {
 
 uint64_t WarmConfigHash(const analysis::PageRankOptions& pagerank,
                         const core::FingerprintOptions& fingerprint,
-                        bool distance_oracle) {
+                        bool) {
   const uint64_t fields[] = {
       kFormatGeneration,
       std::bit_cast<uint64_t>(pagerank.damping),
@@ -181,7 +173,6 @@ uint64_t WarmConfigHash(const analysis::PageRankOptions& pagerank,
       fingerprint.distance_sources,
       fingerprint.clustering_samples,
       fingerprint.seed,
-      distance_oracle ? uint64_t{1} : uint64_t{0},
   };
   return util::Fnv1a(fields, sizeof(fields));
 }
@@ -195,8 +186,6 @@ std::string WarmIndexPathFor(const std::string& graph_path) {
 Status SaveWarmIndexes(const std::string& path, const WarmIndexKey& key,
                        const WarmIndexes& w) {
   const std::vector<uint64_t> scalars = EncodeScalars(w);
-  const graph::HubLabelArrays& hub_out = w.hub_labels.out();
-  const graph::HubLabelArrays& hub_in = w.hub_labels.in();
   // In SectionId order.
   const std::pair<const void*, size_t> sections[kNumSections] = {
       Bytes(scalars),         Bytes(w.mutual_degree),
@@ -204,9 +193,6 @@ Status SaveWarmIndexes(const std::string& path, const WarmIndexKey& key,
       Bytes(w.scc.label),     Bytes(w.scc.sizes),
       Bytes(w.pagerank),      Bytes(w.rank_order),
       Bytes(w.rank_of),       Bytes(w.fingerprint_error),
-      Bytes(hub_out.offsets), Bytes(hub_out.ranks),
-      Bytes(hub_out.dists),   Bytes(hub_in.offsets),
-      Bytes(hub_in.ranks),    Bytes(hub_in.dists),
       Bytes(w.heavy_ids),     Bytes(w.heavy_reach),
   };
   EN_ASSIGN_OR_RETURN(util::SectionedWriter out,
@@ -250,20 +236,8 @@ Result<WarmIndexes> LoadWarmIndexes(const std::string& path,
   w.fingerprint_error.assign(reinterpret_cast<const char*>(error.data()),
                              error.size());
 
-  graph::HubLabelArrays hub_out;
-  graph::HubLabelArrays hub_in;
-  EN_RETURN_IF_ERROR(file.CopySection(kHubOutOffsets, &hub_out.offsets));
-  EN_RETURN_IF_ERROR(file.CopySection(kHubOutRanks, &hub_out.ranks));
-  EN_RETURN_IF_ERROR(file.CopySection(kHubOutDists, &hub_out.dists));
-  EN_RETURN_IF_ERROR(file.CopySection(kHubInOffsets, &hub_in.offsets));
-  EN_RETURN_IF_ERROR(file.CopySection(kHubInRanks, &hub_in.ranks));
-  EN_RETURN_IF_ERROR(file.CopySection(kHubInDists, &hub_in.dists));
-  w.hub_labels =
-      graph::HubLabels::FromArrays(std::move(hub_out), std::move(hub_in));
   EN_RETURN_IF_ERROR(file.CopySection(kHeavyIds, &w.heavy_ids));
   EN_RETURN_IF_ERROR(file.CopySection(kHeavyReach, &w.heavy_reach));
-  EN_RETURN_IF_ERROR(graph::ValidateHubLabels(
-      w.hub_labels, static_cast<graph::NodeId>(n)));
   // Internal consistency: every per-node array must cover exactly n nodes
   // and every stored id must be in range, so query-time lookups can index
   // without bounds checks — exactly the guarantees a fresh build gives.

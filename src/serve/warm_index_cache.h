@@ -1,10 +1,10 @@
 // Persisted warm indexes — the serving layer's answer to checkpoint
 // loading. QueryEngine::Create pays O(iterations * m) to build PageRank,
 // component labelings, mutual-edge counts, the heavy-node reach table
-// and the fingerprint before the first query. All of it is a pure function of (graph bytes, index
-// config), so it can be computed once, written to a `<graph>.widx`
-// sidecar, and on the next cold start mapped + validated instead of
-// recomputed.
+// and the fingerprint before the first query. All of it is a pure
+// function of (graph bytes, index config), so it can be computed once,
+// written to a `<graph>.widx` sidecar, and on the next cold start mapped
+// + validated instead of recomputed.
 //
 // Invalidation key: the pair (GraphChecksum of the CSR arrays,
 // WarmConfigHash of every option that feeds an index). A key mismatch is
@@ -20,12 +20,7 @@
 //   header words:  graph_checksum | config_hash | num_nodes
 //   sections:      scalars | mutual_degree | wcc_label | wcc_sizes |
 //                  scc_label | scc_sizes | pagerank | rank_order |
-//                  rank_of | fingerprint_error | hub_out_offsets |
-//                  hub_out_ranks | hub_out_dists | hub_in_offsets |
-//                  hub_in_ranks | hub_in_dists | heavy_ids | heavy_reach
-//   The six hub-label sections are graph::HubLabelArrays per direction:
-//   u64 offsets (n+1, or empty when the oracle is not built), u32 hub
-//   ranks and u8 distances, the last two of equal length offsets[n].
+//                  rank_of | fingerprint_error | heavy_ids | heavy_reach
 //   heavy_ids (u32, strictly ascending, < n) and heavy_reach (u32, each
 //   <= n - 1, same length) are the exact reach_2hop of the nodes with the
 //   costliest ego walks (serve/compute.h ComputeHeavyReach); a few
@@ -35,10 +30,12 @@
 // distance-oracle (hub label) sections, offsets plus packed u64
 // (rank<<32)|dist entries per direction; v3 splits each entry section
 // into a u32 rank and a u8 distance section (5 bytes per label entry
-// instead of 8); v4 adds the two heavy-node reach sections. Readers
-// reject other versions with NotSupported — the engine treats that
-// exactly like corruption and rebuilds, so version skew in either
-// direction degrades cleanly.
+// instead of 8); v4 adds the two heavy-node reach sections; v5 drops the
+// six hub-label sections, since dist always runs the bidirectional
+// search and no longer reads a distance oracle. Readers reject other
+// versions with NotSupported — the engine treats that exactly like
+// corruption and rebuilds, so version skew in either direction degrades
+// cleanly.
 
 #ifndef ELITENET_SERVE_WARM_INDEX_CACHE_H_
 #define ELITENET_SERVE_WARM_INDEX_CACHE_H_
@@ -53,7 +50,6 @@
 #include "analysis/reciprocity.h"
 #include "core/fingerprint.h"
 #include "graph/digraph.h"
-#include "graph/hub_labels.h"
 #include "util/status.h"
 
 namespace elitenet {
@@ -77,10 +73,6 @@ struct WarmIndexes {
   core::GraphFingerprint fingerprint;
   double fingerprint_similarity = 0.0;
   std::string fingerprint_error;
-  /// The dist query's 2-hop distance oracle. empty() means "not built" —
-  /// either the oracle is disabled by config or construction blew its
-  /// budget — and the engine answers dist with bidirectional BFS instead.
-  graph::HubLabels hub_labels;
   /// The nodes with the costliest ego walks, ascending, and the exact
   /// reach_2hop of each (serve/compute.h ComputeHeavyReach). Ego answers
   /// them from here instead of walking; empty is valid and means "walk
@@ -103,9 +95,11 @@ struct WarmIndexKey {
 /// FNV-1a over every option that changes an index's value, plus an
 /// internal format-generation constant — bump-on-change lives in the
 /// implementation, so stale sidecars from older layouts never validate.
+/// The trailing flag (EngineOptions::distance_oracle) is accepted and
+/// ignored: no index depends on it any more.
 uint64_t WarmConfigHash(const analysis::PageRankOptions& pagerank,
                         const core::FingerprintOptions& fingerprint,
-                        bool distance_oracle);
+                        bool = false);
 
 /// Conventional sidecar path for a graph file: "<path>.widx" (trailing
 /// slashes stripped first, so dataset dirs get "<dir>.widx").

@@ -17,17 +17,23 @@ namespace {
 
 std::atomic<bool> g_metrics_enabled{false};
 std::once_flag g_metrics_env_once;
+// The ELITENET_METRICS path (null when unset) and whether another writer
+// of that file took over its exit dump.
+const std::string* g_exit_dump_path = nullptr;
+std::atomic<bool> g_exit_dump_claimed{false};
 
 // ELITENET_METRICS=<path>: enable metrics now and dump the JSON snapshot
-// to <path> when the process exits.
+// to <path> when the process exits, unless ClaimMetricsExitDump took the
+// file over.
 void ResolveMetricsEnv() {
   const char* env = std::getenv("ELITENET_METRICS");
   if (env == nullptr || *env == '\0') return;
-  static std::string* path = new std::string(env);
+  g_exit_dump_path = new std::string(env);
   g_metrics_enabled.store(true, std::memory_order_relaxed);
   std::atexit([] {
+    if (g_exit_dump_claimed.load(std::memory_order_acquire)) return;
     const Status s =
-        MetricsRegistry::Global().Snapshot().WriteJson(*path);
+        MetricsRegistry::Global().Snapshot().WriteJson(*g_exit_dump_path);
     if (!s.ok()) {
       std::fprintf(stderr, "elitenet: metrics dump failed: %s\n",
                    s.ToString().c_str());
@@ -60,6 +66,13 @@ bool MetricsEnabled() {
 void SetMetricsEnabled(bool enabled) {
   std::call_once(g_metrics_env_once, ResolveMetricsEnv);
   g_metrics_enabled.store(enabled, std::memory_order_relaxed);
+}
+
+void ClaimMetricsExitDump(const std::string& path) {
+  std::call_once(g_metrics_env_once, ResolveMetricsEnv);
+  if (g_exit_dump_path != nullptr && *g_exit_dump_path == path) {
+    g_exit_dump_claimed.store(true, std::memory_order_release);
+  }
 }
 
 size_t QuantileSketch::BucketIndex(uint64_t v) {

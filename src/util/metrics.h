@@ -44,6 +44,11 @@ bool MetricsEnabled();
 /// across toggles; see MetricsRegistry::ResetValues.
 void SetMetricsEnabled(bool enabled);
 
+/// Gives `path` one writer: when it is the file ELITENET_METRICS names,
+/// the registry's exit dump to it is cancelled, because the caller
+/// writes that file itself (with the registry inside).
+void ClaimMetricsExitDump(const std::string& path);
+
 /// Monotonically increasing counter. Lock-free.
 class Counter {
  public:

@@ -122,21 +122,19 @@ Format Eng2Format() {
 
 Format WidxFormat() {
   const DiGraph g = SidecarGraph();
-  const serve::EngineOptions opts;  // oracle on
+  const serve::EngineOptions opts;
   serve::WarmIndexes warm;
   EXPECT_TRUE(serve::ComputeWarmIndexes(g, opts, &warm).ok());
-  EXPECT_FALSE(warm.hub_labels.empty());
   const serve::WarmIndexKey key = {
-      GraphChecksum(g), serve::WarmConfigHash(opts.pagerank, opts.fingerprint,
-                                              opts.distance_oracle)};
+      GraphChecksum(g), serve::WarmConfigHash(opts.pagerank, opts.fingerprint)};
   Format f;
   f.name = "widx";
   const std::string path = TempPath("fuzz_base.widx");
   EXPECT_TRUE(serve::SaveWarmIndexes(path, key, warm).ok());
   f.bytes = ReadFileBytes(path);
-  f.sections = 18;
+  f.sections = 12;
   f.keyed = true;
-  f.reseal = [](std::string* b) { ResealSections(b, 18); };
+  f.reseal = [](std::string* b) { ResealSections(b, 12); };
   const NodeId n = g.num_nodes();
   f.decode = [key, n](const std::string& p) -> Result<std::string> {
     EN_ASSIGN_OR_RETURN(serve::WarmIndexes w,
@@ -145,25 +143,16 @@ Format WidxFormat() {
       return serve::SaveWarmIndexes(out, key, w);
     });
   };
-  // The scalar block's component counts (u64 slots 16 and 17), the
-  // bounds of both hub-label offset arrays (sections 10 and 13), and the
-  // first two heavy-node ids (section 16, u32 each, so one u64 write sets
+  // The scalar block's component counts (u64 slots 16 and 17) and the
+  // first two heavy-node ids (section 10, u32 each, so one u64 write sets
   // both). A heavy reach is left out, like a PageRank score: an in-range
   // wrong value behind a resealed checksum is undetectable by design.
   const auto section_at = [&f](size_t i) {
     return static_cast<size_t>(Get<uint64_t>(f.bytes, OffsetAt(i)));
   };
-  const auto section_end = [&f, &section_at](size_t i) {
-    return section_at(i) +
-           static_cast<size_t>(Get<uint64_t>(f.bytes, LengthAt(i)));
-  };
   f.fields = {{"wcc.num_components", section_at(0) + 16 * 8},
               {"scc.num_components", section_at(0) + 17 * 8},
-              {"hub_out.offsets[0]", section_at(10)},
-              {"hub_out.offsets[n]", section_end(10) - 8},
-              {"hub_in.offsets[0]", section_at(13)},
-              {"hub_in.offsets[n]", section_end(13) - 8},
-              {"heavy_ids[0..1]", section_at(16)}};
+              {"heavy_ids[0..1]", section_at(10)}};
   return f;
 }
 

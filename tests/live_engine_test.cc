@@ -170,7 +170,7 @@ TEST(LiveEngineTest, CacheDoesNotServeStaleVersions) {
   EXPECT_EQ(r1again.json, r1.json);
 }
 
-TEST(LiveEngineTest, DistanceFallsBackToExactBfsForTouchedNodes) {
+TEST(LiveEngineTest, DistanceIsExactForTouchedEndpoints) {
   const graph::DiGraph g = TestGraph();
   auto engine = MakeLiveEngine(g);
   const QueryResponse before = engine->ExecuteLine("dist 0 3");
@@ -187,25 +187,29 @@ TEST(LiveEngineTest, DistanceFallsBackToExactBfsForTouchedNodes) {
   EXPECT_TRUE(Contains(back.json, "\"distance\":3")) << back.json;
 }
 
-// oracle_fallback telemetry follows the path dist actually took: the
-// oracle stays active engine-wide, yet a touched endpoint forces the
-// overlay-aware BFS, and only that request counts as a fallback.
-TEST(LiveEngineTest, OracleFallbackTelemetryFollowsTheBfsChoice) {
-  const graph::DiGraph g = TestGraph();
-  auto engine = MakeLiveEngine(g);
-  ASSERT_TRUE(engine->distance_oracle_active());
-  ASSERT_TRUE(engine->ExecuteLine("dist 0 3").ok);
-  EXPECT_EQ(engine->telemetry().oracle_fallbacks(), 0u);
+// Unfollow(1, 2) touches 1 and 2 but neither endpoint of `dist 0 3`,
+// whose only path ran through that edge: the live answer must still be
+// exact at the snapshot version, the bytes a static engine over the edge
+// set without 1->2 gives, plus the version fields.
+TEST(LiveEngineTest, DistanceIsExactWhenOnlyAnIntermediateNodeWasTouched) {
+  auto engine = MakeLiveEngine(TestGraph());
+  ASSERT_TRUE(engine->Apply(Unfollow(1, 2)).ok());
+  const QueryResponse live = engine->ExecuteLine("dist 0 3");
+  ASSERT_TRUE(live.ok) << live.json;
+  EXPECT_TRUE(Contains(live.json, "\"reachable\":false,\"distance\":-1"))
+      << live.json;
 
-  ASSERT_TRUE(engine->Apply(Follow(0, 3)).ok());
-  const QueryResponse touched = engine->ExecuteLine("dist 0 3");
-  ASSERT_TRUE(touched.ok) << touched.json;
-  EXPECT_EQ(engine->telemetry().oracle_fallbacks(), 1u);
-
-  // Neither 1 nor 2 was touched: the oracle answers, the tally holds.
-  const QueryResponse untouched = engine->ExecuteLine("dist 1 2");
-  ASSERT_TRUE(untouched.ok) << untouched.json;
-  EXPECT_EQ(engine->telemetry().oracle_fallbacks(), 1u);
+  graph::GraphBuilder b(6);
+  ASSERT_TRUE(b.AddEdges({{0, 1}, {1, 0}, {2, 0}, {2, 3}, {3, 4}}).ok());
+  auto without = b.Build();
+  ASSERT_TRUE(without.ok());
+  auto reference = QueryEngine::Create(std::move(*without));
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  std::string expected = (*reference)->ExecuteLine("dist 0 3").json;
+  const std::string dst = "\"dst\":3";
+  expected.insert(expected.find(dst) + dst.size(),
+                  ",\"version\":1,\"as_of\":0");
+  EXPECT_EQ(live.json, expected);
 }
 
 TEST(LiveEngineTest, PinnedResponsesByteIdenticalAcrossWorkerCounts) {
@@ -306,8 +310,7 @@ TEST(LiveEngineTest, CompactNowFoldsOverlayAndKeepsServing) {
   const EngineOptions defaults;
   WarmIndexKey key;
   key.graph_checksum = graph::GraphChecksum(*mapped);
-  key.config_hash = WarmConfigHash(defaults.pagerank, defaults.fingerprint,
-                                   defaults.distance_oracle);
+  key.config_hash = WarmConfigHash(defaults.pagerank, defaults.fingerprint);
   EXPECT_EQ(key.graph_checksum, stats->graph_checksum);
   auto restored = LoadWarmIndexes(widx_path, key, mapped->num_nodes());
   EXPECT_TRUE(restored.ok()) << restored.status().ToString();

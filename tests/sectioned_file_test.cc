@@ -189,11 +189,13 @@ TEST(SectionedFileTest, SectionsOverlappingTheTableOrEachOtherAreCorruption) {
 // The bytes every format writes, pinned by FNV-1a digests recorded from
 // the writers that preceded the shared container: the 4,000-user
 // generator graph (seed 2018) as ENG2 from the in-memory and the streamed
-// writer, its warm indexes (oracle on) as WIDX, and its 2-shard partition
-// as PIDX. A change to any writer or to the container must keep them.
-// The WIDX digest was re-recorded for v4, whose first sixteen sections
-// are byte-for-byte v3's; the version, the config hash and the two
-// heavy-node reach sections are what changed.
+// writer, its warm indexes as WIDX, and its 2-shard partition as PIDX. A
+// change to any writer or to the container must keep them. The WIDX
+// digest was re-recorded for v4, whose first sixteen sections are
+// byte-for-byte v3's (the version, the config hash and the two heavy-node
+// reach sections changed), and again for v5, which keeps v4's sections
+// byte for byte less the six hub-label ones (the version, the section
+// count and the config hash changed).
 TEST(SectionedFileTest, FormatsMatchGoldenDigests) {
   gen::VerifiedNetworkConfig cfg;
   cfg.num_users = 4000;
@@ -217,14 +219,12 @@ TEST(SectionedFileTest, FormatsMatchGoldenDigests) {
   const serve::EngineOptions opts;
   serve::WarmIndexes warm;
   ASSERT_TRUE(serve::ComputeWarmIndexes(g, opts, &warm).ok());
-  ASSERT_FALSE(warm.hub_labels.empty());
   const serve::WarmIndexKey key = {
       graph::GraphChecksum(g),
-      serve::WarmConfigHash(opts.pagerank, opts.fingerprint,
-                            opts.distance_oracle)};
+      serve::WarmConfigHash(opts.pagerank, opts.fingerprint)};
   const std::string widx = TempPath("golden.widx");
   ASSERT_TRUE(serve::SaveWarmIndexes(widx, key, warm).ok());
-  EXPECT_EQ(digest(widx), 0x2af0e196e14ae9adULL);
+  EXPECT_EQ(digest(widx), 0xbd05422737a30bc7ULL);
 
   serve::PartitionOptions part_opts;
   part_opts.num_shards = 2;

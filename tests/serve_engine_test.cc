@@ -115,7 +115,6 @@ TEST(QueryEngineTest, TopKMatchesAnalysisRanking) {
 TEST(QueryEngineTest, DistanceMatchesBidirectionalKernel) {
   const graph::DiGraph g = TestGraph();
   auto engine = MakeEngine(g);
-  ASSERT_TRUE(engine->distance_oracle_active());
   const auto expect = analysis::BidirectionalDistance(g, 0, 4);
   ASSERT_EQ(expect.distance, 4u);  // 0 -> 1 -> 2 -> 3 -> 4
 
@@ -128,35 +127,36 @@ TEST(QueryEngineTest, DistanceMatchesBidirectionalKernel) {
       << r.json;
 }
 
-TEST(QueryEngineTest, OracleAndBfsFallbackAreByteIdentical) {
+// The dist reply a completed search over g must give for (u, v), from the
+// reference kernel analysis::BidirectionalDistance.
+std::string ReferenceDistJson(const graph::DiGraph& g, graph::NodeId u,
+                              graph::NodeId v) {
+  const uint32_t d = analysis::BidirectionalDistance(g, u, v).distance;
+  const bool reachable = d != UINT32_MAX;
+  return "{\"type\":\"dist\",\"src\":" + std::to_string(u) +
+         ",\"dst\":" + std::to_string(v) +
+         ",\"reachable\":" + (reachable ? "true" : "false") +
+         ",\"distance\":" + (reachable ? std::to_string(d) : "-1") +
+         ",\"degraded\":false}";
+}
+
+TEST(QueryEngineTest, DistanceBytesMatchTheReferenceKernelOnEveryPair) {
   const graph::DiGraph g = TestGraph();
-  auto oracle = MakeEngine(g);
-  ASSERT_TRUE(oracle->distance_oracle_active());
-
-  EngineOptions bfs_opts;
-  bfs_opts.threads = 1;
-  bfs_opts.distance_oracle = false;
-  auto bfs = QueryEngine::Create(g, bfs_opts);
-  ASSERT_TRUE(bfs.ok()) << bfs.status().ToString();
-  ASSERT_FALSE((*bfs)->distance_oracle_active());
-
+  auto engine = MakeEngine(g);
   for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
     for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
       const std::string line =
           "dist " + std::to_string(u) + " " + std::to_string(v);
-      const QueryResponse a = oracle->ExecuteLine(line);
-      const QueryResponse b = (*bfs)->ExecuteLine(line);
+      const QueryResponse a = engine->ExecuteLine(line);
       ASSERT_TRUE(a.ok) << line << ": " << a.json;
-      ASSERT_TRUE(b.ok) << line << ": " << b.json;
-      EXPECT_EQ(a.json, b.json) << line;
+      EXPECT_EQ(a.json, ReferenceDistJson(g, u, v)) << line;
     }
   }
 }
 
-// A 300-node directed path needs label distances past the one-byte cap,
-// so the oracle is not built and dist answers by BFS — with the same
-// bytes an engine with the oracle switched off gives.
-TEST(QueryEngineTest, PathPastLabelDepthCapAnswersByBfs) {
+// A 300-node directed path: distances far past what a one-byte label
+// could hold, each the reference kernel's answer.
+TEST(QueryEngineTest, LongPathDistancesMatchTheReferenceKernel) {
   constexpr graph::NodeId kLen = 300;
   graph::GraphBuilder b(kLen);
   for (graph::NodeId u = 0; u + 1 < kLen; ++u) {
@@ -164,26 +164,18 @@ TEST(QueryEngineTest, PathPastLabelDepthCapAnswersByBfs) {
   }
   auto g = b.Build();
   ASSERT_TRUE(g.ok());
-  auto capped = MakeEngine(*g);
-  EXPECT_FALSE(capped->distance_oracle_active());
-
-  EngineOptions bfs_opts;
-  bfs_opts.threads = 1;
-  bfs_opts.distance_oracle = false;
-  auto bfs = QueryEngine::Create(*g, bfs_opts);
-  ASSERT_TRUE(bfs.ok()) << bfs.status().ToString();
+  auto engine = MakeEngine(*g);
 
   for (graph::NodeId u = 0; u < kLen; u += 23) {
     for (graph::NodeId v = 0; v < kLen; ++v) {
       const std::string line =
           "dist " + std::to_string(u) + " " + std::to_string(v);
-      const QueryResponse a = capped->ExecuteLine(line);
+      const QueryResponse a = engine->ExecuteLine(line);
       ASSERT_TRUE(a.ok) << line << ": " << a.json;
-      EXPECT_EQ(a.json, (*bfs)->ExecuteLine(line).json) << line;
+      EXPECT_EQ(a.json, ReferenceDistJson(*g, u, v)) << line;
     }
   }
-  // The far end of the path: a distance no u8 label could hold.
-  EXPECT_TRUE(Contains(capped->ExecuteLine("dist 0 299").json,
+  EXPECT_TRUE(Contains(engine->ExecuteLine("dist 0 299").json,
                        "\"distance\":299"));
 }
 
@@ -212,11 +204,6 @@ TEST(QueryEngineTest, TinyDeadlineDegradesGracefully) {
   auto g = b.Build();
   ASSERT_TRUE(g.ok());
   auto engine = MakeEngine(*g);
-  // A chain is pathological for hub labeling (quadratic label growth),
-  // so the builder's budget abort must have kicked in and left dist on
-  // the BFS path — otherwise the oracle would answer without expanding
-  // and this test could not exercise deadline degradation.
-  ASSERT_FALSE(engine->distance_oracle_active());
 
   const QueryResponse r = engine->ExecuteLine("dist 0 19999 1");
   ASSERT_TRUE(r.ok) << r.json;
@@ -514,7 +501,7 @@ void WriteSidecar(const graph::DiGraph& g, const EngineOptions& opts,
   edit(&warm);
   const WarmIndexKey key = {
       graph::GraphChecksum(g),
-      WarmConfigHash(opts.pagerank, opts.fingerprint, opts.distance_oracle)};
+      WarmConfigHash(opts.pagerank, opts.fingerprint)};
   ASSERT_TRUE(SaveWarmIndexes(opts.warm_index_path, key, warm).ok());
 }
 
@@ -543,8 +530,8 @@ std::vector<std::pair<std::string, std::unique_ptr<FrontDoor>>> FrontsOf(
 
 // Ego bytes do not depend on where reach_2hop came from: the static
 // engine, the router and the live engine answer every heavy node and a
-// spread of light ones identically, with the oracle on and off, from a
-// sidecar with the heavy-node table and from one without it.
+// spread of light ones identically, from a sidecar with the heavy-node
+// table and from one without it.
 TEST(QueryEngineTest, EgoBytesIdenticalAcrossBackingsWithAndWithoutTable) {
   const graph::DiGraph g = Network();
   auto reference = MakeEngine(g);
@@ -562,25 +549,21 @@ TEST(QueryEngineTest, EgoBytesIdenticalAcrossBackingsWithAndWithoutTable) {
     want.push_back(reference->ExecuteLine(line).json);
   }
 
-  for (const bool oracle : {true, false}) {
-    for (const bool table : {true, false}) {
-      const std::string what = std::string(oracle ? "oracle on" : "oracle off") +
-                               (table ? ", table" : ", no table");
-      EngineOptions opts;
-      opts.threads = 1;
-      opts.distance_oracle = oracle;
-      opts.warm_index_path = testing::TempDir() + "/ego_bytes.widx";
-      WriteSidecar(g, opts, [table](WarmIndexes* w) {
-        if (table) return;
-        w->heavy_ids.clear();
-        w->heavy_reach.clear();
-      });
-      for (const auto& [tag, front] : FrontsOf(g, opts)) {
-        for (size_t i = 0; i < lines.size(); ++i) {
-          ASSERT_EQ(WithoutVersionFields(front->ExecuteLine(lines[i]).json),
-                    want[i])
-              << what << ", " << tag << ": " << lines[i];
-        }
+  for (const bool table : {true, false}) {
+    const std::string what = table ? "table" : "no table";
+    EngineOptions opts;
+    opts.threads = 1;
+    opts.warm_index_path = testing::TempDir() + "/ego_bytes.widx";
+    WriteSidecar(g, opts, [table](WarmIndexes* w) {
+      if (table) return;
+      w->heavy_ids.clear();
+      w->heavy_reach.clear();
+    });
+    for (const auto& [tag, front] : FrontsOf(g, opts)) {
+      for (size_t i = 0; i < lines.size(); ++i) {
+        ASSERT_EQ(WithoutVersionFields(front->ExecuteLine(lines[i]).json),
+                  want[i])
+            << what << ", " << tag << ": " << lines[i];
       }
     }
   }

@@ -179,17 +179,15 @@ TEST(ShardedRouterTest, VersionPinErrorBytesMatchEngine) {
 }
 
 // Every ordered pair of a fixed 24-node sample, one endpoint out of
-// range, at every shard × router-thread count: the router's BFS answers
+// range, at every shard × router-thread count: the router's answers
 // (completed, unreachable, src == dst and NotFound alike) are the
 // engine's bytes.
-TEST(ShardedRouterTest, BfsFallbackDistanceBytesMatchEngine) {
+TEST(ShardedRouterTest, DistanceBytesMatchEngine) {
   const DiGraph g = BigGraph();
   const uint32_t n = g.num_nodes();
-  EngineOptions no_oracle;
-  no_oracle.distance_oracle = false;
-  no_oracle.cache_capacity = 0;  // every line computes
-  auto baseline = Baseline(g, no_oracle);
-  ASSERT_FALSE(baseline->distance_oracle_active());
+  EngineOptions uncached;
+  uncached.cache_capacity = 0;  // every line computes
+  auto baseline = Baseline(g, uncached);
 
   // Node 0 is everyone's out-neighbour and has out-degree 0 in BigGraph,
   // so every "dist 0 v" with v != 0 is unreachable.
@@ -220,8 +218,7 @@ TEST(ShardedRouterTest, BfsFallbackDistanceBytesMatchEngine) {
 
   for (int shards : {1, 2, 4}) {
     for (int threads : {1, 4}) {
-      auto router = MakeRouter(g, shards, threads, no_oracle);
-      ASSERT_FALSE(router->distance_oracle_active());
+      auto router = MakeRouter(g, shards, threads, uncached);
       for (size_t i = 0; i < lines.size(); ++i) {
         const QueryResponse got = router->ExecuteLine(lines[i]);
         EXPECT_EQ(got.json, want[i].json)
@@ -234,9 +231,7 @@ TEST(ShardedRouterTest, BfsFallbackDistanceBytesMatchEngine) {
 
 TEST(ShardedRouterTest, DegradedDistanceBytesMatchEngine) {
   const DiGraph g = BigGraph();
-  EngineOptions no_oracle;
-  no_oracle.distance_oracle = false;
-  auto baseline = Baseline(g, no_oracle);
+  auto baseline = Baseline(g, EngineOptions{});
 
   auto r = ParseRequest("dist 1 299");
   ASSERT_TRUE(r.ok());
@@ -247,7 +242,7 @@ TEST(ShardedRouterTest, DegradedDistanceBytesMatchEngine) {
   const QueryResponse want = baseline->Execute(*r, expired);
   ASSERT_TRUE(Contains(want.json, "\"degraded\":true")) << want.json;
   for (int shards : {1, 2, 4}) {
-    auto router = MakeRouter(g, shards, 1, no_oracle);
+    auto router = MakeRouter(g, shards, 1, EngineOptions{});
     const QueryResponse got = router->Execute(*r, expired);
     EXPECT_EQ(got.json, want.json) << "shards=" << shards;
   }
@@ -321,8 +316,8 @@ TEST(ShardedRouterTest, ServeLinesMatchesEngineLineForLine) {
 TEST(ShardedRouterTest, BatchShedsUnderOverloadWhileInteractiveHolds) {
   // The single router worker is parked on a gate while the test fills
   // the queue, so admission sees the backlog it was built to see whatever
-  // the search speed; the chain's `dist 0 <end>` (no oracle) then walks
-  // every level once the gate opens.
+  // the search speed; the chain's `dist 0 <end>` then walks every level
+  // once the gate opens.
   constexpr uint32_t kChain = 10000;
   graph::GraphBuilder b(kChain);
   for (uint32_t u = 0; u + 1 < kChain; ++u) {
@@ -332,7 +327,6 @@ TEST(ShardedRouterTest, BatchShedsUnderOverloadWhileInteractiveHolds) {
   ASSERT_TRUE(chain.ok());
 
   EngineOptions engine;
-  engine.distance_oracle = false;
   engine.cache_capacity = 0;  // no cache shortcuts around the executor
   engine.qos.batch_cap = 1;
   auto router = MakeRouter(*chain, 2, 1, engine);

@@ -32,8 +32,8 @@ DiGraph Build(NodeId n,
 // Bit-exact comparison against the three standalone kernels. The fused
 // pass promises byte-identical CSV output, so every floating-point field
 // is compared with == (through EXPECT_EQ), not a tolerance.
-void ExpectMatchesKernels(const DiGraph& g, NodeId window_nodes) {
-  const StreamedBasicStats s = ComputeStreamedBasicStats(g, window_nodes);
+void ExpectMatchesKernels(const DiGraph& g) {
+  const StreamedBasicStats s = ComputeStreamedBasicStats(g);
   const DegreeStats d = ComputeDegreeStats(g);
   const ReciprocityStats r = ComputeReciprocity(g);
   const AssortativityReport a = ComputeAssortativity(g);
@@ -63,57 +63,33 @@ void ExpectMatchesKernels(const DiGraph& g, NodeId window_nodes) {
   EXPECT_EQ(s.assortativity.total, a.total);
 }
 
-TEST(StreamedStatsTest, EmptyGraph) {
-  const DiGraph g;
-  for (NodeId w : {NodeId{0}, NodeId{1}, NodeId{64}}) {
-    ExpectMatchesKernels(g, w);
-    EXPECT_EQ(ComputeStreamedBasicStats(g, w).windows, 0u);
-  }
-}
+TEST(StreamedStatsTest, EmptyGraph) { ExpectMatchesKernels(DiGraph()); }
 
 TEST(StreamedStatsTest, SingleIsolatedNode) {
-  const DiGraph g = Build(1, {});
-  ExpectMatchesKernels(g, 0);
-  ExpectMatchesKernels(g, 1);
-  EXPECT_EQ(ComputeStreamedBasicStats(g, 1).windows, 1u);
+  ExpectMatchesKernels(Build(1, {}));
 }
 
-TEST(StreamedStatsTest, SmallMixedGraphAtEveryWindowSize) {
+TEST(StreamedStatsTest, SmallMixedGraph) {
   // Mutual pair, a chain, a sink, a source, and an isolated node — every
   // degree-stat branch is exercised.
-  const DiGraph g = Build(
-      7, {{0, 1}, {1, 0}, {1, 2}, {2, 3}, {3, 4}, {5, 0}});
-  for (NodeId w = 0; w <= 8; ++w) ExpectMatchesKernels(g, w);
+  ExpectMatchesKernels(
+      Build(7, {{0, 1}, {1, 0}, {1, 2}, {2, 3}, {3, 4}, {5, 0}}));
 }
 
-TEST(StreamedStatsTest, WindowCountIsCeilOfNodesOverWindow) {
-  const DiGraph g = Build(10, {{0, 1}});
-  EXPECT_EQ(ComputeStreamedBasicStats(g, 0).windows, 1u);   // 0 = one pass
-  EXPECT_EQ(ComputeStreamedBasicStats(g, 10).windows, 1u);
-  EXPECT_EQ(ComputeStreamedBasicStats(g, 3).windows, 4u);
-  EXPECT_EQ(ComputeStreamedBasicStats(g, 1).windows, 10u);
-  EXPECT_EQ(ComputeStreamedBasicStats(g, 999).windows, 1u);  // window > n
-}
-
-TEST(StreamedStatsTest, RandomGraphBitIdenticalAcrossWindowSizes) {
+TEST(StreamedStatsTest, RandomGraphBitIdentical) {
   util::Rng rng(2018);
   auto g = gen::ErdosRenyi(500, 4000, &rng);
   ASSERT_TRUE(g.ok());
-  for (NodeId w : {NodeId{0}, NodeId{1}, NodeId{7}, NodeId{64},
-                   NodeId{500}, NodeId{1000}}) {
-    ExpectMatchesKernels(*g, w);
-  }
+  ExpectMatchesKernels(*g);
 }
 
-TEST(StreamedStatsTest, SkewedGraphBitIdenticalAcrossWindowSizes) {
+TEST(StreamedStatsTest, SkewedGraphBitIdentical) {
   // Preferential attachment gives heavy-tailed degrees, the regime where
   // naive accumulation-order changes would show up in the correlations.
   util::Rng rng(7);
   auto g = gen::PreferentialAttachment(800, 5, &rng);
   ASSERT_TRUE(g.ok());
-  for (NodeId w : {NodeId{0}, NodeId{1}, NodeId{13}, NodeId{100}}) {
-    ExpectMatchesKernels(*g, w);
-  }
+  ExpectMatchesKernels(*g);
 }
 
 }  // namespace

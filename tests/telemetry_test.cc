@@ -185,7 +185,6 @@ TEST(TelemetryTest, SloCountersBreakDownByType) {
   ego.cache_hit = true;
   RequestRecord dist = MakeRecord(2, RequestType::kDistance);
   dist.ok = false;
-  dist.oracle_fallback = true;
   RequestRecord topk = MakeRecord(3, RequestType::kTopKRank);
   topk.degraded = true;
   tel.Record(ego);
@@ -195,7 +194,6 @@ TEST(TelemetryTest, SloCountersBreakDownByType) {
   EXPECT_EQ(tel.type_counters(RequestType::kEgoSummary).cache_hits, 1u);
   EXPECT_EQ(tel.type_counters(RequestType::kDistance).errors, 1u);
   EXPECT_EQ(tel.type_counters(RequestType::kTopKRank).degraded, 1u);
-  EXPECT_EQ(tel.oracle_fallbacks(), 1u);
   const SloCounters totals = tel.totals();
   EXPECT_EQ(totals.requests, 3u);
   EXPECT_EQ(totals.errors, 1u);

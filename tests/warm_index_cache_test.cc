@@ -41,8 +41,7 @@ graph::DiGraph TestGraph() {
 
 WarmIndexKey KeyFor(const graph::DiGraph& g, const EngineOptions& opts) {
   return {graph::GraphChecksum(g),
-          WarmConfigHash(opts.pagerank, opts.fingerprint,
-                         opts.distance_oracle)};
+          WarmConfigHash(opts.pagerank, opts.fingerprint)};
 }
 
 void FlipByte(const std::string& path, long offset) {
@@ -74,21 +73,16 @@ TEST(WarmIndexPathTest, AppendsWidxAndStripsTrailingSlashes) {
 TEST(WarmConfigHashTest, SensitiveToEveryIndexOption) {
   analysis::PageRankOptions pr;
   core::FingerprintOptions fp;
-  const uint64_t base = WarmConfigHash(pr, fp, true);
-  EXPECT_EQ(WarmConfigHash(pr, fp, true), base);
+  const uint64_t base = WarmConfigHash(pr, fp);
+  EXPECT_EQ(WarmConfigHash(pr, fp), base);
 
   analysis::PageRankOptions pr2 = pr;
   pr2.damping += 0.01;
-  EXPECT_NE(WarmConfigHash(pr2, fp, true), base);
+  EXPECT_NE(WarmConfigHash(pr2, fp), base);
 
   core::FingerprintOptions fp2 = fp;
   fp2.seed += 1;
-  EXPECT_NE(WarmConfigHash(pr, fp2, true), base);
-
-  // Toggling the distance oracle changes the key: a sidecar built without
-  // the oracle never validates for an engine that expects one (and vice
-  // versa) — it degrades to a rebuild instead of serving without labels.
-  EXPECT_NE(WarmConfigHash(pr, fp, false), base);
+  EXPECT_NE(WarmConfigHash(pr, fp2), base);
 }
 
 TEST(WarmIndexCacheTest, RoundTripRestoresEveryIndex) {
@@ -118,14 +112,6 @@ TEST(WarmIndexCacheTest, RoundTripRestoresEveryIndex) {
   EXPECT_EQ(restored->fingerprint_ok, built.fingerprint_ok);
   EXPECT_EQ(restored->fingerprint_error, built.fingerprint_error);
   EXPECT_EQ(restored->fingerprint_similarity, built.fingerprint_similarity);
-  ASSERT_FALSE(built.hub_labels.empty());
-  const graph::HubLabels& labels = restored->hub_labels;
-  EXPECT_EQ(labels.out().offsets, built.hub_labels.out().offsets);
-  EXPECT_EQ(labels.out().ranks, built.hub_labels.out().ranks);
-  EXPECT_EQ(labels.out().dists, built.hub_labels.out().dists);
-  EXPECT_EQ(labels.in().offsets, built.hub_labels.in().offsets);
-  EXPECT_EQ(labels.in().ranks, built.hub_labels.in().ranks);
-  EXPECT_EQ(labels.in().dists, built.hub_labels.in().dists);
   ASSERT_FALSE(built.heavy_ids.empty());
   EXPECT_EQ(restored->heavy_ids, built.heavy_ids);
   EXPECT_EQ(restored->heavy_reach, built.heavy_reach);
@@ -194,17 +180,18 @@ uint32_t SidecarVersion(const std::string& path) {
 
 // Forward compatibility, old side: a sidecar written by an earlier format
 // generation — version 1 (no hub-label sections), version 2 (packed u64
-// hub-label entries) or version 3 (no heavy-node reach sections) — must
-// be refused with NotSupported — never misparsed — and the engine must
+// hub-label entries), version 3 (no heavy-node reach sections) or
+// version 4 (hub-label sections before the reach table) — must be
+// refused with NotSupported — never misparsed — and the engine must
 // degrade it to a rebuild that rewrites the file in the current format.
 TEST(WarmIndexCacheTest, OldFormatSidecarDegradesToRebuildAndRewrite) {
   const graph::DiGraph g = TestGraph();
   const std::string widx = TempPath("old_format.widx");
-  for (const uint32_t old_version : {1u, 2u, 3u}) {
+  for (const uint32_t old_version : {1u, 2u, 3u, 4u}) {
     std::remove(widx.c_str());
     EngineWithSidecar(g, widx);
 
-    // Rewind the header's version field (u32 at offset 4) from 4,
+    // Rewind the header's version field (u32 at offset 4) from 5,
     // simulating a file left behind by an earlier release.
     {
       std::fstream f(widx, std::ios::in | std::ios::out | std::ios::binary);
@@ -223,33 +210,24 @@ TEST(WarmIndexCacheTest, OldFormatSidecarDegradesToRebuildAndRewrite) {
 
     auto engine = EngineWithSidecar(g, widx);  // must not fail
     EXPECT_FALSE(engine->warm_index_from_cache()) << old_version;
-    EXPECT_EQ(SidecarVersion(widx), 4u) << "the rebuild rewrote v4";
+    EXPECT_EQ(SidecarVersion(widx), 5u) << "the rebuild rewrote v5";
     auto next = EngineWithSidecar(g, widx);
     EXPECT_TRUE(next->warm_index_from_cache()) << old_version;
   }
 }
 
 // Forward compatibility, new side: a sidecar must be cleanly rejected by
-// readers that predate its sections. The v1–v3 readers' first check is
-// `version == 1`, `2` or `3` (NotSupported on mismatch), so it suffices
-// that the on-disk version advanced; a reader that only differs in
-// config (oracle disabled) is caught by the key instead.
+// readers that predate its section set. The v1–v4 readers' first check
+// is `version == 1` … `4` (NotSupported on mismatch), so it suffices
+// that the on-disk version advanced.
 TEST(WarmIndexCacheTest, NewSectionsAreInvisibleToOldReaders) {
   const graph::DiGraph g = TestGraph();
   const std::string widx = TempPath("new_sections.widx");
   std::remove(widx.c_str());
   EngineWithSidecar(g, widx);
 
-  EXPECT_EQ(SidecarVersion(widx), 4u)
-      << "the heavy-node reach sections must bump the format version";
-
-  EngineOptions no_oracle;
-  no_oracle.distance_oracle = false;
-  EXPECT_EQ(
-      LoadWarmIndexes(widx, KeyFor(g, no_oracle), g.num_nodes())
-          .status()
-          .code(),
-      StatusCode::kFailedPrecondition);
+  EXPECT_EQ(SidecarVersion(widx), 5u)
+      << "dropping the hub-label sections must bump the format version";
 }
 
 TEST(WarmIndexCacheTest, DamageIsCorruption) {
@@ -266,10 +244,10 @@ TEST(WarmIndexCacheTest, DamageIsCorruption) {
             StatusCode::kCorruption);
 
   // Payload bit flip (first section starts after the 64 B header and the
-  // 18-entry * 32 B table, at 640).
+  // 12-entry * 32 B table, at 448).
   std::remove(widx.c_str());
   EngineWithSidecar(g, widx);
-  FlipByte(widx, 640);
+  FlipByte(widx, 448);
   EXPECT_EQ(LoadWarmIndexes(widx, key, g.num_nodes()).status().code(),
             StatusCode::kCorruption);
 
@@ -297,12 +275,11 @@ TEST(WarmIndexCacheTest, DamageIsCorruption) {
   EXPECT_EQ(LoadWarmIndexes(widx, key, g.num_nodes()).status().code(),
             StatusCode::kIoError);
 
-  // Damaged hub-label arrays behind valid checksums: the decoder itself
-  // must reject them, not just the section checksums.
+  // Damaged arrays behind valid checksums: the decoder itself must
+  // reject them, not just the section checksums.
   EngineWithSidecar(g, widx);
   auto good = LoadWarmIndexes(widx, key, g.num_nodes());
   ASSERT_TRUE(good.ok()) << good.status().ToString();
-  ASSERT_FALSE(good->hub_labels.empty());
   auto rejects = [&](const char* what, auto mutate) {
     WarmIndexes w = *good;
     mutate(w);
@@ -311,32 +288,7 @@ TEST(WarmIndexCacheTest, DamageIsCorruption) {
               StatusCode::kCorruption)
         << what;
   };
-  using A = graph::HubLabelArrays;
-  auto rejects_labels = [&](const char* what, auto mutate) {
-    rejects(what, [&](WarmIndexes& w) {
-      A out = w.hub_labels.out();
-      A in = w.hub_labels.in();
-      mutate(out, in);
-      w.hub_labels =
-          graph::HubLabels::FromArrays(std::move(out), std::move(in));
-    });
-  };
   const graph::NodeId n = g.num_nodes();
-  rejects_labels("rank and distance lengths differ",
-                 [](A& out, A&) { out.ranks.pop_back(); });
-  rejects_labels("distance array longer than the ranks",
-                 [](A&, A& in) { in.dists.push_back(1); });
-  rejects_labels("both arrays shorter than offsets[n]", [](A& out, A&) {
-    out.ranks.pop_back();
-    out.dists.pop_back();
-  });
-  rejects_labels("distance 255", [](A& out, A&) { out.dists[0] = 255; });
-  rejects_labels("rank >= n", [n](A&, A& in) { in.ranks[0] = n; });
-  rejects_labels("ranks not strictly ascending", [](A& out, A&) {
-    size_t u = 0;
-    while (out.offsets[u + 1] - out.offsets[u] < 2) ++u;
-    out.ranks[out.offsets[u] + 1] = out.ranks[out.offsets[u]];
-  });
   // The heavy-node reach table is served as reach_2hop by id lookup.
   ASSERT_GE(good->heavy_ids.size(), 2u);
   rejects("heavy ids not strictly ascending",
