@@ -7,16 +7,18 @@
 //
 // TTFQ = LoadAnyGraph + QueryEngine::Create + the first query answered —
 // the metric a restarting server actually feels. Each path also reports
-// the load/warmup split and the VmRSS delta (mmapped paths only fault in
-// pages the queries touch).
+// the load/warmup split and its first run's VmRSS delta (mmapped paths
+// only fault in pages the queries touch). Every path runs kRepeats times, the paths
+// taking turns so a drift in the host's speed touches all three alike;
+// each timed figure is the median with its min and max.
 //
 // Two hard assertions make the bench a correctness harness:
-//   * all three paths produce byte-identical responses to the same probe
-//     request stream (order-sensitive FNV over the JSON bytes) — the
-//     snapshot and sidecar formats may change *where* bytes come from,
-//     never *what* is served;
-//   * eng2+widx TTFQ is at least `--min-speedup=` (default 10) times
-//     faster than the eng2 full-rebuild path.
+//   * every run of all three paths produces byte-identical responses to
+//     the same probe request stream (order-sensitive FNV over the JSON
+//     bytes) — the snapshot and sidecar formats may change *where* bytes
+//     come from, never *what* is served;
+//   * the median eng2+widx TTFQ is at least `--min-speedup=` (default 10)
+//     times faster than the median eng2 full-rebuild TTFQ.
 // Either failing exits non-zero; the ctest smoke run (label "perf")
 // turns that into CI coverage.
 //
@@ -24,6 +26,7 @@
 //                         [--probes=N] [--min-speedup=X]
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -42,6 +45,10 @@
 namespace elitenet {
 namespace bench {
 namespace {
+
+// Cold starts per path. One start swings by ~10% with the host; the
+// median of five does not.
+constexpr int kRepeats = 5;
 
 // Deterministic probe stream touching every query type, spread across the
 // id space so component/rank/degree lookups exercise varied nodes.
@@ -87,7 +94,6 @@ struct ColdStartResult {
   double load_seconds = 0.0;
   double warmup_seconds = 0.0;
   double ttfq_seconds = 0.0;
-  double total_seconds = 0.0;  // load + warmup + all probes
   int64_t rss_delta_kb = 0;
   uint64_t checksum = 0;
   std::string load_format;  // what LoadAnyGraph detected
@@ -137,7 +143,6 @@ ColdStartResult RunColdStart(const std::string& name, const std::string& path,
     checksum = FnvMix(checksum, FnvString(resp.json));
   }
   out.checksum = checksum;
-  out.total_seconds = total.Seconds();
   out.rss_delta_kb =
       (static_cast<int64_t>(util::CurrentRssBytes()) - rss_before) / 1024;
   return out;
@@ -195,9 +200,9 @@ int main(int argc, char** argv) {
   std::remove(widx_path.c_str());  // the widx run below must write it fresh
 
   const graph::NodeId n = canonical->num_nodes();
-  std::printf("cold-start bench: n=%u m=%llu probes=%zu\n", n,
+  std::printf("cold-start bench: n=%u m=%llu probes=%zu repeats=%d\n", n,
               static_cast<unsigned long long>(canonical->num_edges()),
-              num_probes);
+              num_probes, bench::kRepeats);
   canonical = graph::DiGraph();  // benched paths reload from disk
 
   const std::vector<serve::Request> probes =
@@ -214,39 +219,79 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<bench::ColdStartResult> runs;
-  runs.push_back(bench::RunColdStart("edge-list", edges_path, "", probes));
-  runs.push_back(bench::RunColdStart("eng2", eng2_path, "", probes));
-  runs.push_back(
-      bench::RunColdStart("eng2+widx", eng2_path, widx_path, probes));
-  for (const bench::ColdStartResult& r : runs) {
-    std::printf("  %-10s load=%8.4fs warm=%8.4fs ttfq=%8.4fs rss=%+7lld KB "
-                "checksum=%016llx%s\n",
-                r.name.c_str(), r.load_seconds, r.warmup_seconds,
-                r.ttfq_seconds, static_cast<long long>(r.rss_delta_kb),
-                static_cast<unsigned long long>(r.checksum),
-                r.from_widx ? " (widx hit)" : "");
-  }
-
+  struct Path {
+    const char* name;
+    std::string path;
+    std::string widx;
+    std::vector<double> load = {}, warmup = {}, ttfq = {};  // per start
+    bench::ColdStartResult first = {};  // format, RSS, checksum
+    bool from_widx = true;              // every start restored the sidecar
+    double ttfq_median = 0.0;
+  };
+  Path paths[] = {{"edge-list", edges_path, ""},
+                  {"eng2", eng2_path, ""},
+                  {"eng2+widx", eng2_path, widx_path}};
   bool ok = true;
   bool identical = true;
-  if (!runs.back().from_widx) {
-    std::fprintf(stderr, "FAIL: eng2+widx run did not restore the sidecar\n");
-    ok = false;
-  }
-  for (const bench::ColdStartResult& r : runs) {
-    if (r.checksum != runs[0].checksum) {
-      std::fprintf(stderr,
-                   "FAIL: %s responses differ from the edge-list path\n",
-                   r.name.c_str());
-      identical = false;
-      ok = false;
+  for (int rep = 0; rep < bench::kRepeats; ++rep) {
+    for (Path& p : paths) {
+      const bench::ColdStartResult r =
+          bench::RunColdStart(p.name, p.path, p.widx, probes);
+      if (rep == 0) p.first = r;
+      p.load.push_back(r.load_seconds);
+      p.warmup.push_back(r.warmup_seconds);
+      p.ttfq.push_back(r.ttfq_seconds);
+      p.from_widx = p.from_widx && r.from_widx;
+      if (r.checksum != paths[0].first.checksum) {
+        std::fprintf(stderr,
+                     "FAIL: %s run %d responses differ from the first "
+                     "edge-list run\n",
+                     p.name, rep);
+        identical = false;
+        ok = false;
+      }
     }
   }
-  const double speedup = runs[2].ttfq_seconds > 0.0
-                             ? runs[1].ttfq_seconds / runs[2].ttfq_seconds
+  if (!paths[2].from_widx) {
+    std::fprintf(stderr,
+                 "FAIL: an eng2+widx run did not restore the sidecar\n");
+    ok = false;
+  }
+
+  std::printf("  median [min, max] of %d runs per path\n", bench::kRepeats);
+  const auto spread_json = [](const bench::Spread& s) {
+    return bench::Json::Object()
+        .Set("median", s.median)
+        .Set("min", s.min)
+        .Set("max", s.max);
+  };
+  bench::Json path_rows = bench::Json::Array();
+  for (Path& p : paths) {
+    const bench::Spread load = bench::Summarize(p.load);
+    const bench::Spread warmup = bench::Summarize(p.warmup);
+    const bench::Spread ttfq = bench::Summarize(p.ttfq);
+    p.ttfq_median = ttfq.median;
+    std::printf("  %-10s load=%8.4fs warm=%8.4fs ttfq=%8.4fs [%.4f, %.4f] "
+                "rss=%+7lld KB checksum=%016llx%s\n",
+                p.name, load.median, warmup.median, ttfq.median, ttfq.min,
+                ttfq.max, static_cast<long long>(p.first.rss_delta_kb),
+                static_cast<unsigned long long>(p.first.checksum),
+                p.from_widx ? " (widx hit)" : "");
+    path_rows.Add(bench::Json::Object()
+                      .Set("name", p.name)
+                      .Set("format", p.first.load_format)
+                      .Set("load_seconds", spread_json(load))
+                      .Set("warmup_seconds", spread_json(warmup))
+                      .Set("ttfq_seconds", spread_json(ttfq))
+                      .Set("rss_delta_kb", p.first.rss_delta_kb)
+                      .Set("from_widx", p.from_widx)
+                      .Set("checksum", bench::Hex64(p.first.checksum)));
+  }
+  const double speedup = paths[2].ttfq_median > 0.0
+                             ? paths[1].ttfq_median / paths[2].ttfq_median
                              : 0.0;
-  std::printf("  TTFQ speedup eng2+widx over eng2: %.1fx (need >= %.1fx)\n",
+  std::printf("  TTFQ speedup eng2+widx over eng2 (medians): %.1fx "
+              "(need >= %.1fx)\n",
               speedup, min_speedup);
   if (speedup < min_speedup) {
     std::fprintf(stderr, "FAIL: cold-start speedup %.1fx below %.1fx\n",
@@ -254,25 +299,13 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  bench::Json paths = bench::Json::Array();
-  for (const bench::ColdStartResult& r : runs) {
-    paths.Add(bench::Json::Object()
-                  .Set("name", r.name)
-                  .Set("format", r.load_format)
-                  .Set("load_seconds", r.load_seconds)
-                  .Set("warmup_seconds", r.warmup_seconds)
-                  .Set("ttfq_seconds", r.ttfq_seconds)
-                  .Set("total_seconds", r.total_seconds)
-                  .Set("rss_delta_kb", r.rss_delta_kb)
-                  .Set("from_widx", r.from_widx)
-                  .Set("checksum", bench::Hex64(r.checksum)));
-  }
   bench::Report report;
   report.Set("scale", args.num_users)
       .Set("seed", args.seed)
       .Set("num_nodes", n)
       .Set("probes", num_probes)
-      .Set("paths", std::move(paths))
+      .Set("repeats", bench::kRepeats)
+      .Set("paths", std::move(path_rows))
       .Set("responses_identical", identical)
       .Set("ttfq_speedup_widx_over_eng2", speedup)
       .Set("min_speedup_required", min_speedup)

@@ -55,7 +55,8 @@ DiGraph DiGraph::FromBorrowed(std::span<const EdgeIdx> out_offsets,
                               std::span<const NodeId> out_targets,
                               std::span<const EdgeIdx> in_offsets,
                               std::span<const NodeId> in_targets,
-                              std::shared_ptr<const void> keepalive) {
+                              std::shared_ptr<const void> keepalive,
+                              std::optional<uint64_t> checksum) {
   EN_CHECK(!out_offsets.empty());
   EN_CHECK(out_offsets.size() == in_offsets.size());
   EN_CHECK(out_offsets.front() == 0);
@@ -70,6 +71,7 @@ DiGraph DiGraph::FromBorrowed(std::span<const EdgeIdx> out_offsets,
   g.in_targets_ = in_targets;
   g.keepalive_ = std::move(keepalive);
   g.borrowed_ = true;
+  g.checksum_ = checksum;
   return g;
 }
 
@@ -79,7 +81,8 @@ DiGraph::DiGraph(DiGraph&& other) noexcept
       in_offsets_(other.in_offsets_),
       in_targets_(other.in_targets_),
       keepalive_(std::move(other.keepalive_)),
-      borrowed_(other.borrowed_) {
+      borrowed_(other.borrowed_),
+      checksum_(std::exchange(other.checksum_, std::nullopt)) {
   // Leave the source in the valid empty state rather than with views into
   // storage it no longer keeps alive.
   other.out_offsets_ = std::span<const EdgeIdx>(kEmptyOffsets, 1);
@@ -97,6 +100,7 @@ DiGraph& DiGraph::operator=(DiGraph&& other) noexcept {
     in_targets_ = other.in_targets_;
     keepalive_ = std::move(other.keepalive_);
     borrowed_ = other.borrowed_;
+    checksum_ = std::exchange(other.checksum_, std::nullopt);
     other.out_offsets_ = std::span<const EdgeIdx>(kEmptyOffsets, 1);
     other.in_offsets_ = std::span<const EdgeIdx>(kEmptyOffsets, 1);
     other.out_targets_ = {};
@@ -144,7 +148,7 @@ uint64_t DiGraph::CountIsolated() const {
 
 DiGraph DiGraph::Transpose() const {
   DiGraph t = FromBorrowed(in_offsets_, in_targets_, out_offsets_,
-                           out_targets_, keepalive_);
+                           out_targets_, keepalive_, std::nullopt);
   t.borrowed_ = borrowed_;  // sharing owned vectors is not a file borrow
   return t;
 }

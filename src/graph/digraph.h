@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -50,12 +51,16 @@ class DiGraph {
   /// a read-only mmap of an ENG2 snapshot). `keepalive` is retained for
   /// the graph's lifetime — and the lifetime of every copy — so the
   /// views can never dangle. The caller must have validated the same CSR
-  /// invariants the owning constructor documents.
+  /// invariants the owning constructor documents. `checksum`, when
+  /// given, is graph::GraphChecksum of these exact spans, already
+  /// verified against their bytes (MapBinary passes the chain it checked
+  /// while mapping); the graph carries it so GraphChecksum is O(1).
   static DiGraph FromBorrowed(std::span<const EdgeIdx> out_offsets,
                               std::span<const NodeId> out_targets,
                               std::span<const EdgeIdx> in_offsets,
                               std::span<const NodeId> in_targets,
-                              std::shared_ptr<const void> keepalive);
+                              std::shared_ptr<const void> keepalive,
+                              std::optional<uint64_t> checksum);
 
   /// Copies share the immutable backing block: O(1).
   DiGraph(const DiGraph&) = default;
@@ -117,6 +122,12 @@ class DiGraph {
   /// mapping) rather than heap vectors built by this process.
   bool borrows_storage() const { return borrowed_; }
 
+  /// The whole-graph checksum handed to FromBorrowed, if any. Copies and
+  /// moves keep it; the owning constructor, Transpose() (whose halves
+  /// are swapped, so its bytes hash differently) and a moved-from graph
+  /// have none. Read it through graph::GraphChecksum.
+  std::optional<uint64_t> carried_checksum() const { return checksum_; }
+
   /// Returns the transpose graph (every edge reversed). O(1): shares the
   /// backing block with the two CSR halves swapped.
   DiGraph Transpose() const;
@@ -141,6 +152,7 @@ class DiGraph {
   /// mapping, or (for the empty graph) nothing.
   std::shared_ptr<const void> keepalive_;
   bool borrowed_ = false;
+  std::optional<uint64_t> checksum_;
 };
 
 /// A degree-ordered relabeling of a DiGraph: the permuted graph plus both

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -27,19 +28,6 @@ struct FileCloser {
   }
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-// FNV-1a chained over the four CSR arrays in section order: the one
-// whole-graph checksum, of resident and of mapped arrays alike.
-uint64_t CsrChecksum(std::span<const EdgeIdx> out_offsets,
-                     std::span<const NodeId> out_targets,
-                     std::span<const EdgeIdx> in_offsets,
-                     std::span<const NodeId> in_targets) {
-  uint64_t h = util::kFnvBasis;
-  h = util::Fnv1a(out_offsets.data(), out_offsets.size_bytes(), h);
-  h = util::Fnv1a(out_targets.data(), out_targets.size_bytes(), h);
-  h = util::Fnv1a(in_offsets.data(), in_offsets.size_bytes(), h);
-  return util::Fnv1a(in_targets.data(), in_targets.size_bytes(), h);
-}
 
 /// The CSR invariants MapBinary must establish before handing the mapping
 /// to DiGraph: offsets monotone from 0 to m on both sides, all targets
@@ -70,9 +58,18 @@ Status ValidateCsr(std::span<const EdgeIdx> out_offsets,
 
 }  // namespace
 
+// FNV-1a chained over the four CSR arrays in section order, of resident
+// and of mapped arrays alike. The container's chained_checksum() is the
+// same chain over an ENG2's sections, which a mapped graph carries.
 uint64_t GraphChecksum(const DiGraph& g) {
-  return CsrChecksum(g.out_offsets(), g.out_targets(), g.in_offsets(),
-                     g.in_targets());
+  if (const std::optional<uint64_t> carried = g.carried_checksum()) {
+    return *carried;
+  }
+  uint64_t h = util::kFnvBasis;
+  h = util::Fnv1a(g.out_offsets().data(), g.out_offsets().size_bytes(), h);
+  h = util::Fnv1a(g.out_targets().data(), g.out_targets().size_bytes(), h);
+  h = util::Fnv1a(g.in_offsets().data(), g.in_offsets().size_bytes(), h);
+  return util::Fnv1a(g.in_targets().data(), g.in_targets().size_bytes(), h);
 }
 
 Status WriteEdgeListText(const DiGraph& g, const std::string& path) {
@@ -136,7 +133,7 @@ Status SaveBinaryV2(const DiGraph& g, const std::string& path) {
   EN_RETURN_IF_ERROR(out.AddSection(g.out_targets()));
   EN_RETURN_IF_ERROR(out.AddSection(g.in_offsets()));
   EN_RETURN_IF_ERROR(out.AddSection(g.in_targets()));
-  return out.Commit({g.num_nodes(), g.num_edges(), GraphChecksum(g)});
+  return out.Commit({g.num_nodes(), g.num_edges(), out.chained_checksum()});
 }
 
 Result<DiGraph> MapBinary(const std::string& path) {
@@ -175,30 +172,31 @@ Result<DiGraph> MapBinary(const std::string& path) {
   // Whole-graph checksum ties the four sections together (a swapped pair
   // of same-length sections would fool per-section sums alone) and must
   // match what GraphChecksum computes on any other load path — it is the
-  // warm-index invalidation key.
-  if (CsrChecksum(out_offsets, out_targets, in_offsets, in_targets) !=
-      file.words()[2]) {
+  // warm-index invalidation key. With the lengths checked above, the
+  // container's chain over the sections is GraphChecksum's chain over
+  // these spans, hashed in the pass that verified the per-section sums.
+  const uint64_t checksum = file.chained_checksum();
+  if (checksum != file.words()[2]) {
     return Status::Corruption("graph checksum mismatch: " + path);
   }
 
   EN_RETURN_IF_ERROR(ValidateCsr(out_offsets, out_targets, in_offsets,
                                  in_targets, n, m));
   return DiGraph::FromBorrowed(out_offsets, out_targets, in_offsets,
-                               in_targets, file.mapping());
+                               in_targets, file.mapping(), checksum);
 }
 
 namespace {
 
-/// Buffered section writer: batches values and, on each flush, folds the
-/// bytes into the whole-graph FNV chain and appends them to the current
-/// container section (which checksums them itself). One instance per
-/// section, in section order, reproduces exactly the checksums
-/// SaveBinaryV2 computes from resident arrays.
+/// Buffered section writer: batches values and, on each flush, appends
+/// them to the current container section, which folds them into both the
+/// section checksum and the whole-graph chain. One instance per section,
+/// in section order, reproduces exactly the checksums SaveBinaryV2
+/// computes from resident arrays.
 template <typename T>
 class SectionWriter {
  public:
-  SectionWriter(util::SectionedWriter* out, uint64_t* graph_hash)
-      : out_(out), graph_hash_(graph_hash) {
+  explicit SectionWriter(util::SectionedWriter* out) : out_(out) {
     buffer_.reserve(kBufferValues);
   }
 
@@ -220,14 +218,12 @@ class SectionWriter {
   Status Flush() {
     const size_t bytes = buffer_.size() * sizeof(T);
     if (bytes == 0) return Status::OK();
-    *graph_hash_ = util::Fnv1a(buffer_.data(), bytes, *graph_hash_);
     EN_RETURN_IF_ERROR(out_->Append(buffer_.data(), bytes));
     buffer_.clear();
     return Status::OK();
   }
 
   util::SectionedWriter* out_;
-  uint64_t* graph_hash_;
   std::vector<T> buffer_;
 };
 
@@ -301,11 +297,10 @@ Result<StreamWriteStats> WriteStreamedV2(util::ExtSorter* forward,
 
   EN_ASSIGN_OR_RETURN(util::SectionedWriter out,
                       util::SectionedWriter::Create(path, kEng2));
-  uint64_t graph_hash = util::kFnvBasis;
 
   // Section 0: out_offsets, from the resident O(n) array.
   {
-    SectionWriter<EdgeIdx> w(&out, &graph_hash);
+    SectionWriter<EdgeIdx> w(&out);
     for (EdgeIdx v : offsets) EN_RETURN_IF_ERROR(w.Append(v));
     EN_RETURN_IF_ERROR(w.Finish());
   }
@@ -315,7 +310,7 @@ Result<StreamWriteStats> WriteStreamedV2(util::ExtSorter* forward,
   // straight to disk with no cursor array.
   {
     EN_ASSIGN_OR_RETURN(util::ExtSorter::Stream s, forward->Scan());
-    SectionWriter<NodeId> w(&out, &graph_hash);
+    SectionWriter<NodeId> w(&out);
     uint64_t record = 0;
     bool any = false;
     uint64_t prev = 0;
@@ -343,7 +338,7 @@ Result<StreamWriteStats> WriteStreamedV2(util::ExtSorter* forward,
   }
   for (uint64_t i = 1; i <= n; ++i) offsets[i] += offsets[i - 1];
   {
-    SectionWriter<EdgeIdx> w(&out, &graph_hash);
+    SectionWriter<EdgeIdx> w(&out);
     for (EdgeIdx v : offsets) EN_RETURN_IF_ERROR(w.Append(v));
     EN_RETURN_IF_ERROR(w.Finish());
   }
@@ -351,7 +346,7 @@ Result<StreamWriteStats> WriteStreamedV2(util::ExtSorter* forward,
   // Section 3: in_targets (sources) via the second reverse merge.
   {
     EN_ASSIGN_OR_RETURN(util::ExtSorter::Stream s, reverse.Scan());
-    SectionWriter<NodeId> w(&out, &graph_hash);
+    SectionWriter<NodeId> w(&out);
     uint64_t record = 0;
     while (s.Next(&record)) {
       EN_RETURN_IF_ERROR(w.Append(util::PackedDst(record)));
@@ -362,8 +357,8 @@ Result<StreamWriteStats> WriteStreamedV2(util::ExtSorter* forward,
 
   // The container back-patches the header and section table now that
   // every checksum exists.
-  EN_RETURN_IF_ERROR(out.Commit({n, m, graph_hash}));
-  stats.graph_checksum = graph_hash;
+  stats.graph_checksum = out.chained_checksum();
+  EN_RETURN_IF_ERROR(out.Commit({n, m, stats.graph_checksum}));
   return stats;
 }
 

@@ -36,7 +36,10 @@ Result<DiGraph> ReadEdgeListText(const std::string& path,
 /// 64-bit FNV-1a chained over the four CSR arrays — the identity of a
 /// graph's exact byte content. Stored in the ENG2 header and used
 /// as the invalidation key for persisted warm indexes
-/// (serve/warm_index_cache.h).
+/// (serve/warm_index_cache.h) and partitions (serve/partition.h).
+/// O(1) for a graph that carries its checksum (DiGraph::carried_checksum:
+/// a MapBinary graph and its copies, which carry the value MapBinary
+/// verified); every other graph is hashed, O(n + m).
 uint64_t GraphChecksum(const DiGraph& g);
 
 /// ENG2 sectioned snapshot, in the container of util/sectioned_file.h
@@ -58,6 +61,10 @@ Status SaveBinaryV2(const DiGraph& g, const std::string& path);
 /// the CSR structural invariants before returning;
 /// any mismatch is a clean Corruption/NotSupported with no partial graph.
 /// A file in the retired ENG1 format fails the magic check (Corruption).
+/// The CSR bytes are hashed once: the container's verify pass computes
+/// the per-section sums and the chained graph checksum together, and the
+/// returned graph carries that checksum, so GraphChecksum on it (and on
+/// its copies) hashes nothing.
 Result<DiGraph> MapBinary(const std::string& path);
 
 /// Tuning for the out-of-core ENG2 writer.

@@ -405,7 +405,7 @@ Result<CompactionStats> LiveGraph::Compact(const std::string& path,
   }
   std::shared_ptr<const void> payload;
   if (warm_builder != nullptr) {
-    auto built = warm_builder(*mapped, stats.graph_checksum);
+    auto built = warm_builder(*mapped);
     if (!built.ok()) {
       abandon_tail();
       return built.status();

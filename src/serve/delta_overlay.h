@@ -245,15 +245,13 @@ class LiveGraph {
   /// Merges base + overlay at the current version into a fresh ENG2
   /// snapshot at `path` (written to a temp file, renamed into place),
   /// maps it back, optionally builds a warm payload for it, and swaps in
-  /// the new epoch. The builder also gets the checksum the writer
-  /// computed (CompactionStats::graph_checksum), so it never hashes the
-  /// new base again. Mutations applied while the merge runs are recorded
+  /// the new epoch. Mutations applied while the merge runs are recorded
   /// and re-applied to the new epoch at their original versions, so
   /// Apply() stays available throughout (blocked only for the brief
   /// swap). Serialized against itself; safe concurrently with Apply()
   /// and snapshots.
   using WarmBuilder = std::function<Result<std::shared_ptr<const void>>(
-      const graph::DiGraph&, uint64_t graph_checksum)>;
+      const graph::DiGraph&)>;
   Result<CompactionStats> Compact(const std::string& path,
                                   const WarmBuilder& warm_builder = nullptr);
 

@@ -138,7 +138,8 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Warmed(
   }
   std::unique_ptr<QueryEngine> engine(new QueryEngine(std::move(g), options));
   util::SpanTimer timer("serve.warmup");
-  // Only a sidecar key reads the checksum.
+  // Only a sidecar key reads the checksum (carried by a mapped graph,
+  // hashed for a resident one).
   const uint64_t checksum = options.warm_index_path.empty()
                                 ? 0
                                 : graph::GraphChecksum(engine->graph());
@@ -240,13 +241,14 @@ Result<CompactionStats> QueryEngine::CompactNow() {
   const std::string path = live_options_.compact_path;
   return live_->Compact(
       path,
-      [this, &path](const DiGraph& g,
-                    uint64_t checksum) -> Result<std::shared_ptr<const void>> {
+      [this, &path](const DiGraph& g) -> Result<std::shared_ptr<const void>> {
         WarmIndexes w;
         EN_RETURN_IF_ERROR(ComputeWarmIndexes(g, options_, &w));
         // Best-effort sidecar next to the snapshot: a restart from the
-        // compacted file warm-starts instead of recomputing.
-        (void)SaveWarmIndexes(path + ".widx", WarmKeyFor(checksum, options_),
+        // compacted file warm-starts instead of recomputing. `g` is the
+        // mapped new base, so its checksum is the one MapBinary verified.
+        (void)SaveWarmIndexes(path + ".widx",
+                              WarmKeyFor(graph::GraphChecksum(g), options_),
                               w);
         return std::shared_ptr<const void>(
             std::make_shared<const WarmIndexes>(std::move(w)));

@@ -29,7 +29,8 @@ Result<std::unique_ptr<ShardedRouter>> ShardedRouter::Create(
       new ShardedRouter(options, g.num_nodes(), g.num_edges()));
 
   util::SpanTimer timer("serve.router.warmup");
-  // One hash of the base keys both sidecars.
+  // One checksum keys both sidecars: O(1) on a mapped base, which carries
+  // the value MapBinary verified; one hash of a resident one.
   const uint64_t checksum = graph::GraphChecksum(g);
   {
     // One warm build over the *global* graph; every shard answers from

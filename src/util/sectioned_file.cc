@@ -11,6 +11,7 @@ namespace util {
 namespace {
 
 constexpr uint64_t kAlignment = 64;
+constexpr uint64_t kFnvPrime = 0x100000001B3ULL;
 
 struct Header {
   char magic[4];
@@ -44,9 +45,21 @@ uint64_t Fnv1a(const void* data, size_t len, uint64_t seed) {
   uint64_t h = seed;
   for (size_t i = 0; i < len; ++i) {
     h ^= p[i];
-    h *= 0x100000001B3ULL;
+    h *= kFnvPrime;
   }
   return h;
+}
+
+void Fnv1aPair(const void* data, size_t len, uint64_t* a, uint64_t* b) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  uint64_t ha = *a;
+  uint64_t hb = *b;
+  for (size_t i = 0; i < len; ++i) {
+    ha = (ha ^ p[i]) * kFnvPrime;
+    hb = (hb ^ p[i]) * kFnvPrime;
+  }
+  *a = ha;
+  *b = hb;
 }
 
 Result<SectionedWriter> SectionedWriter::Create(
@@ -83,7 +96,8 @@ SectionedWriter::SectionedWriter(SectionedWriter&& other) noexcept
       table_(std::move(other.table_)),
       current_(other.current_),
       open_(other.open_),
-      written_(other.written_) {}
+      written_(other.written_),
+      chained_(other.chained_) {}
 
 SectionedWriter::~SectionedWriter() {
   if (file_ != nullptr) {
@@ -117,7 +131,7 @@ Status SectionedWriter::Append(const void* data, size_t len) {
   if (std::fwrite(data, 1, len, file_) != len) {
     return Fail("section write failed");
   }
-  current_.checksum = Fnv1a(data, len, current_.checksum);
+  Fnv1aPair(data, len, &current_.checksum, &chained_);
   current_.length += len;
   written_ += len;
   return Status::OK();
@@ -191,6 +205,7 @@ Result<SectionedFile> SectionedFile::Open(const std::string& path,
   SectionedFile file;
   file.sections_.reserve(format.section_count);
   uint64_t prev_end = table_end;
+  uint64_t chained = kFnvBasis;
   for (uint32_t i = 0; i < format.section_count; ++i) {
     SectionEntry s;
     std::memcpy(&s, base + sizeof(Header) + i * sizeof(SectionEntry),
@@ -203,7 +218,9 @@ Result<SectionedFile> SectionedFile::Open(const std::string& path,
     // The writer lays sections out after the table, in id order; any
     // other placement would alias the header, the table or a sibling.
     if (s.offset < prev_end) return corrupt("sections overlap");
-    if (Fnv1a(base + s.offset, s.length) != s.checksum) {
+    uint64_t section_sum = kFnvBasis;
+    Fnv1aPair(base + s.offset, s.length, &section_sum, &chained);
+    if (section_sum != s.checksum) {
       return corrupt("section checksum mismatch");
     }
     file.sections_.emplace_back(base + s.offset, s.length);
@@ -211,6 +228,7 @@ Result<SectionedFile> SectionedFile::Open(const std::string& path,
   }
   file.path_ = path;
   file.magic_ = format.magic;
+  file.chained_ = chained;
   for (size_t i = 0; i < file.words_.size(); ++i) {
     file.words_[i] = header.words[i];
   }

@@ -46,6 +46,12 @@ inline constexpr uint64_t kFnvBasis = 0xCBF29CE484222325ULL;
 /// 64-bit FNV-1a over `len` bytes, continuing from `seed`.
 uint64_t Fnv1a(const void* data, size_t len, uint64_t seed = kFnvBasis);
 
+/// Two FNV-1a chains over the same bytes in one loop: afterwards `*a` is
+/// Fnv1a(data, len, old *a) and `*b` is Fnv1a(data, len, old *b). The
+/// loop waits on each multiply's latency, and the two chains' multiplies
+/// are independent, so it runs about as fast as one Fnv1a.
+void Fnv1aPair(const void* data, size_t len, uint64_t* a, uint64_t* b);
+
 /// Identity of one file format: what the header's first eight bytes and
 /// section count must say.
 struct SectionedFormat {
@@ -68,7 +74,8 @@ struct SectionEntry {
 static_assert(sizeof(SectionEntry) == 32, "section entry is 32 bytes");
 
 /// Streams sections, in id order, into `path + ".tmp"`, checksumming the
-/// bytes as it writes them; Commit back-patches the header and section
+/// bytes as it writes them (each section's FNV-1a and the chain across
+/// sections, in one pass); Commit back-patches the header and section
 /// table and renames the file over `path`. A writer destroyed without a
 /// successful Commit removes its temp file.
 class SectionedWriter {
@@ -93,6 +100,11 @@ class SectionedWriter {
     return AddSection(values.data(), values.size_bytes());
   }
 
+  /// FNV-1a chained over every byte appended so far, across sections in
+  /// id order: what SectionedFile::chained_checksum() reads back. A
+  /// format that stores it in a header word passes it to Commit.
+  uint64_t chained_checksum() const { return chained_; }
+
   /// Writes the header and section table, flushes, and renames the temp
   /// file over the target. Every section must have been written.
   Status Commit(const HeaderWords& words);
@@ -111,6 +123,7 @@ class SectionedWriter {
   SectionEntry current_ = {};
   bool open_ = false;
   uint64_t written_ = 0;  ///< bytes in the file so far
+  uint64_t chained_ = kFnvBasis;
 };
 
 /// A mapped, frame-checked sectioned file. Section spans point into the
@@ -122,11 +135,17 @@ class SectionedFile {
   /// (Corruption), version (NotSupported), section count, table order
   /// (ids 0..count-1, each section after the table and after its
   /// predecessor), 64-byte alignment, in-file bounds and every section's
-  /// checksum (Corruption). A missing file is an IoError.
+  /// checksum (Corruption). A missing file is an IoError. Each section
+  /// byte is hashed once, for its own checksum and the chain together.
   static Result<SectionedFile> Open(const std::string& path,
                                     const SectionedFormat& format);
 
   const HeaderWords& words() const { return words_; }
+  /// FNV-1a chained over all sections' bytes in id order, computed in the
+  /// same pass that verified the per-section checksums. The container
+  /// stores no copy of it; a format that keeps one in a header word
+  /// compares the two.
+  uint64_t chained_checksum() const { return chained_; }
   std::span<const uint8_t> section(uint32_t id) const { return sections_[id]; }
   uint64_t file_size() const { return mapping_->size(); }
 
@@ -152,6 +171,7 @@ class SectionedFile {
   std::array<char, 4> magic_ = {};
   std::shared_ptr<const MmapFile> mapping_;
   HeaderWords words_ = {};
+  uint64_t chained_ = kFnvBasis;
   std::vector<std::span<const uint8_t>> sections_;
 };
 

@@ -20,6 +20,7 @@
 #include "graph/builder.h"
 #include "sectioned_bytes.h"
 #include "util/rng.h"
+#include "util/sectioned_file.h"
 
 namespace elitenet {
 namespace graph {
@@ -68,6 +69,97 @@ TEST(SnapshotV2Test, RoundTrip) {
   EXPECT_TRUE(mapped->borrows_storage());
   EXPECT_FALSE(g.borrows_storage());
   EXPECT_EQ(GraphChecksum(*mapped), GraphChecksum(g));
+}
+
+// FNV-1a chained over the four CSR spans, hashed afresh from the bytes
+// `g` views — what GraphChecksum must return, carried or not.
+uint64_t RecomputedChecksum(const DiGraph& g) {
+  uint64_t h = util::kFnvBasis;
+  h = util::Fnv1a(g.out_offsets().data(), g.out_offsets().size_bytes(), h);
+  h = util::Fnv1a(g.out_targets().data(), g.out_targets().size_bytes(), h);
+  h = util::Fnv1a(g.in_offsets().data(), g.in_offsets().size_bytes(), h);
+  return util::Fnv1a(g.in_targets().data(), g.in_targets().size_bytes(), h);
+}
+
+TEST(SnapshotV2Test, MappedGraphCarriesTheChecksumItWasVerifiedWith) {
+  util::Rng rng(5);
+  auto built = gen::ErdosRenyi(300, 2000, &rng);
+  ASSERT_TRUE(built.ok());
+  const std::string path = TempPath("v2_carried.eng2");
+  ASSERT_TRUE(SaveBinaryV2(*built, path).ok());
+  auto mapped = MapBinary(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  ASSERT_TRUE(mapped->carried_checksum().has_value());
+  EXPECT_EQ(GraphChecksum(*mapped), RecomputedChecksum(*mapped));
+  EXPECT_EQ(GraphChecksum(*mapped), RecomputedChecksum(*built));
+
+  // A resident graph carries nothing and is hashed.
+  EXPECT_FALSE(built->carried_checksum().has_value());
+  EXPECT_EQ(GraphChecksum(*built), RecomputedChecksum(*built));
+
+  const DiGraph copy = *mapped;
+  EXPECT_TRUE(copy.carried_checksum().has_value());
+  EXPECT_EQ(GraphChecksum(copy), RecomputedChecksum(copy));
+  DiGraph assigned;
+  assigned = copy;
+  EXPECT_EQ(GraphChecksum(assigned), RecomputedChecksum(assigned));
+
+  DiGraph moved = std::move(*mapped);
+  EXPECT_TRUE(moved.carried_checksum().has_value());
+  EXPECT_EQ(GraphChecksum(moved), RecomputedChecksum(moved));
+  // NOLINTBEGIN(bugprone-use-after-move)
+  EXPECT_FALSE(mapped->carried_checksum().has_value());
+  EXPECT_EQ(GraphChecksum(*mapped), GraphChecksum(DiGraph()));
+  EXPECT_EQ(GraphChecksum(*mapped), RecomputedChecksum(*mapped));
+  // NOLINTEND(bugprone-use-after-move)
+  DiGraph move_assigned;
+  move_assigned = std::move(moved);
+  EXPECT_EQ(GraphChecksum(move_assigned), RecomputedChecksum(move_assigned));
+  EXPECT_EQ(GraphChecksum(moved),  // NOLINT(bugprone-use-after-move)
+            GraphChecksum(DiGraph()));
+
+  // The transpose shares the mapping with its halves swapped: its bytes
+  // hash differently, so the carried value must not leak into it.
+  const DiGraph t = copy.Transpose();
+  EXPECT_FALSE(t.carried_checksum().has_value());
+  EXPECT_EQ(GraphChecksum(t), RecomputedChecksum(t));
+  EXPECT_NE(GraphChecksum(t), GraphChecksum(copy));
+  EXPECT_EQ(GraphChecksum(t.Transpose()), GraphChecksum(copy));
+}
+
+TEST(SnapshotV2Test, SwappedSameLengthSectionsAreCorruption) {
+  // out_targets and in_targets trade places, each with its own section
+  // checksum, so every per-section sum still holds and both spans stay
+  // in range: only the chained graph checksum gives the swap away.
+  using namespace sectioned_bytes;
+  const std::string path = TempPath("v2_swapped.eng2");
+  ASSERT_TRUE(SaveBinaryV2(SmallGraph(), path).ok());
+  std::string bytes = ReadFileBytes(path);
+  const uint64_t length = Get<uint64_t>(bytes, LengthAt(1));
+  ASSERT_EQ(length, Get<uint64_t>(bytes, LengthAt(3)));
+  const uint64_t a = Get<uint64_t>(bytes, OffsetAt(1));
+  const uint64_t b = Get<uint64_t>(bytes, OffsetAt(3));
+  const std::string first = bytes.substr(a, length);
+  ASSERT_NE(first, bytes.substr(b, length));
+  bytes.replace(a, length, bytes.substr(b, length));
+  bytes.replace(b, length, first);
+  const uint64_t sum = Get<uint64_t>(bytes, ChecksumAt(1));
+  Put(&bytes, ChecksumAt(1), Get<uint64_t>(bytes, ChecksumAt(3)));
+  Put(&bytes, ChecksumAt(3), sum);
+  WriteFileBytes(path, bytes);
+  const auto mapped = MapBinary(path);
+  EXPECT_EQ(mapped.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(mapped.status().ToString().find("graph checksum mismatch"),
+            std::string::npos)
+      << mapped.status().ToString();
+
+  // Resealing the graph checksum makes the same bytes a valid snapshot
+  // of a different graph: the chain was the only check that failed.
+  ResealEng2(&bytes);
+  WriteFileBytes(path, bytes);
+  const auto resealed = MapBinary(path);
+  ASSERT_TRUE(resealed.ok()) << resealed.status().ToString();
+  EXPECT_NE(*resealed, SmallGraph());
 }
 
 TEST(SnapshotV2Test, RoundTripLargerRandomGraph) {

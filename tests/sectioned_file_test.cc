@@ -165,6 +165,54 @@ TEST(SectionedFileTest, FrameDamageHasItsStatusClass) {
   EXPECT_EQ(open_code(good), StatusCode::kOk);
 }
 
+// The writer and the reader hash each section byte once, for the section
+// checksum and the chain across sections together. Both must equal
+// separate Fnv1a calls at every length around the word and cache-line
+// sizes, and the writer's split Appends must not change them.
+TEST(SectionedFileTest, OnePassSumsMatchSeparateHashes) {
+  const size_t lengths[] = {0, 1, 7, 63, 64, 65};
+  constexpr SectionedFormat kSix = {{'F', 'U', 'S', 'E'}, 1, 6};
+  std::string data(65, '\0');
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<char>(i * 37 + 11);
+  }
+
+  for (const size_t len : lengths) {
+    uint64_t section = kFnvBasis;
+    uint64_t chain = 0x1234567890ABCDEFULL;
+    Fnv1aPair(data.data(), len, &section, &chain);
+    EXPECT_EQ(section, util::Fnv1a(data.data(), len)) << len;
+    EXPECT_EQ(chain, util::Fnv1a(data.data(), len, 0x1234567890ABCDEFULL))
+        << len;
+  }
+
+  const std::string path = TempPath("one_pass.sec");
+  uint64_t chain = kFnvBasis;
+  {
+    auto out = SectionedWriter::Create(path, kSix);
+    ASSERT_TRUE(out.ok());
+    for (const size_t len : lengths) {
+      ASSERT_TRUE(out->Append(data.data(), len / 2).ok());
+      ASSERT_TRUE(out->Append(data.data() + len / 2, len - len / 2).ok());
+      ASSERT_TRUE(out->EndSection().ok());
+      chain = util::Fnv1a(data.data(), len, chain);
+    }
+    EXPECT_EQ(out->chained_checksum(), chain);
+    ASSERT_TRUE(out->Commit({chain, 0, 0}).ok());
+  }
+  const std::string bytes = ReadFileBytes(path);
+  auto file = SectionedFile::Open(path, kSix);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  EXPECT_EQ(file->chained_checksum(), chain);
+  EXPECT_EQ(file->words()[0], chain);
+  for (uint32_t i = 0; i < kSix.section_count; ++i) {
+    ASSERT_EQ(file->section(i).size(), lengths[i]);
+    EXPECT_EQ(Get<uint64_t>(bytes, ChecksumAt(i)),
+              util::Fnv1a(data.data(), lengths[i]))
+        << "section " << i;
+  }
+}
+
 // Sections must lie after the table, in id order, without overlap: a
 // resealed entry that points back into the header or table, or into an
 // earlier section, would otherwise hand the format bytes that belong to
