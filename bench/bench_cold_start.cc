@@ -7,10 +7,14 @@
 //
 // TTFQ = LoadAnyGraph + QueryEngine::Create + the first query answered —
 // the metric a restarting server actually feels. Each path also reports
-// the load/warmup split and its first run's VmRSS delta (mmapped paths
-// only fault in pages the queries touch). Every path runs kRepeats times, the paths
-// taking turns so a drift in the host's speed touches all three alike;
-// each timed figure is the median with its min and max.
+// the load/warmup split and its first run's peak RSS growth: every cold
+// start runs in its own forked child (bench::RunInChild), and the growth
+// is the child's ru_maxrss minus the RSS it inherited (mmapped paths only
+// fault in pages the queries touch). The inputs are made in a child too,
+// so the parent stays single-threaded and small. Every path runs
+// kRepeats times, the paths taking turns so a drift in the host's speed
+// touches all three alike; each timed figure is the median with its min
+// and max.
 //
 // Two hard assertions make the bench a correctness harness:
 //   * every run of all three paths produces byte-identical responses to
@@ -39,7 +43,6 @@
 #include "serve/engine.h"
 #include "serve/warm_index_cache.h"
 #include "util/rng.h"
-#include "util/rss.h"
 #include "util/trace.h"
 
 namespace elitenet {
@@ -89,62 +92,69 @@ std::vector<serve::Request> MakeProbes(graph::NodeId n, size_t count,
   return probes;
 }
 
+// One cold start's figures, sent back from its child.
 struct ColdStartResult {
-  std::string name;
   double load_seconds = 0.0;
   double warmup_seconds = 0.0;
   double ttfq_seconds = 0.0;
-  int64_t rss_delta_kb = 0;
+  int64_t rss_delta_kb = 0;  // filled by the parent from the child's RSS
   uint64_t checksum = 0;
-  std::string load_format;  // what LoadAnyGraph detected
+  char load_format[16] = {};  // what LoadAnyGraph detected
   bool from_widx = false;
 };
 
-// One full cold start: load `path` through the public dispatch, stand up
-// the engine (optionally against a .widx sidecar), answer every probe.
-ColdStartResult RunColdStart(const std::string& name, const std::string& path,
+// One full cold start in a forked child: load `path` through the public
+// dispatch, stand up the engine (optionally against a .widx sidecar),
+// answer every probe. Exits the bench if the start fails.
+ColdStartResult RunColdStart(const char* name, const std::string& path,
                              const std::string& widx_path,
                              const std::vector<serve::Request>& probes) {
   ColdStartResult out;
-  out.name = name;
-  // VmRSS is 0 where unreadable (non-Linux): rss_delta then reads 0.
-  const int64_t rss_before = static_cast<int64_t>(util::CurrentRssBytes());
-  util::SpanTimer total;
-
-  core::GraphLoadInfo info;
-  auto g = core::LoadAnyGraph(path, &info);
-  if (!g.ok()) {
-    std::fprintf(stderr, "[%s] load failed: %s\n", name.c_str(),
-                 g.status().ToString().c_str());
-    std::exit(1);
-  }
-  out.load_seconds = info.seconds;
-  out.load_format = info.format;
-
-  serve::EngineOptions opts;
-  opts.warm_index_path = widx_path;
-  auto engine = serve::QueryEngine::Create(std::move(*g), opts);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "[%s] engine startup failed: %s\n", name.c_str(),
-                 engine.status().ToString().c_str());
-    std::exit(1);
-  }
-  out.warmup_seconds = (*engine)->warmup_seconds();
-  out.from_widx = (*engine)->warm_index_from_cache();
-
-  uint64_t checksum = 0xcbf29ce484222325ULL;
-  bool first = true;
-  for (const serve::Request& r : probes) {
-    const serve::QueryResponse resp = (*engine)->Execute(r);
-    if (first) {
-      out.ttfq_seconds = total.Seconds();
-      first = false;
+  const ChildRun run = RunInChild(&out, [&](ColdStartResult* r) {
+    util::SpanTimer total;
+    core::GraphLoadInfo info;
+    auto g = core::LoadAnyGraph(path, &info);
+    if (!g.ok()) {
+      std::fprintf(stderr, "[%s] load failed: %s\n", name,
+                   g.status().ToString().c_str());
+      return 1;
     }
-    checksum = FnvMix(checksum, FnvString(resp.json));
+    r->load_seconds = info.seconds;
+    std::snprintf(r->load_format, sizeof(r->load_format), "%s",
+                  info.format.c_str());
+
+    serve::EngineOptions opts;
+    opts.warm_index_path = widx_path;
+    auto engine = serve::QueryEngine::Create(std::move(*g), opts);
+    if (!engine.ok()) {
+      std::fprintf(stderr, "[%s] engine startup failed: %s\n", name,
+                   engine.status().ToString().c_str());
+      return 1;
+    }
+    r->warmup_seconds = (*engine)->warmup_seconds();
+    r->from_widx = (*engine)->warm_index_from_cache();
+
+    uint64_t checksum = 0xcbf29ce484222325ULL;
+    bool first = true;
+    for (const serve::Request& req : probes) {
+      const serve::QueryResponse resp = (*engine)->Execute(req);
+      if (first) {
+        r->ttfq_seconds = total.Seconds();
+        first = false;
+      }
+      checksum = FnvMix(checksum, FnvString(resp.json));
+    }
+    r->checksum = checksum;
+    return 0;
+  });
+  if (run.exit_code != 0) {
+    std::fprintf(stderr, "FAIL: [%s] cold start did not finish\n", name);
+    std::exit(1);
   }
-  out.checksum = checksum;
-  out.rss_delta_kb =
-      (static_cast<int64_t>(util::CurrentRssBytes()) - rss_before) / 1024;
+  // The child's peak over the RSS it inherited from this parent.
+  out.rss_delta_kb = (static_cast<int64_t>(run.peak_rss_bytes) -
+                      static_cast<int64_t>(run.start_rss_bytes)) /
+                     1024;
   return out;
 }
 
@@ -167,43 +177,51 @@ int main(int argc, char** argv) {
     }
   }
 
-  gen::VerifiedNetworkConfig gcfg;
-  gcfg.num_users = args.num_users;
-  gcfg.seed = args.seed;
-  auto net = gen::GenerateVerifiedNetwork(gcfg);
-  if (!net.ok()) {
-    std::fprintf(stderr, "generation failed: %s\n",
-                 net.status().ToString().c_str());
-    return 1;
-  }
-
   // Artifacts. The canonical graph is the *edge-list roundtrip* of the
   // generated one (text is the lossiest format: it cannot represent
   // trailing isolated nodes), so every path serves exactly the same graph.
   const std::string edges_path = bench::CsvPath(args, "cold_start.edges");
   const std::string eng2_path = bench::CsvPath(args, "cold_start.eng2");
   const std::string widx_path = serve::WarmIndexPathFor(eng2_path);
-  if (Status s = graph::WriteEdgeListText(net->graph, edges_path); !s.ok()) {
-    std::fprintf(stderr, "write failed: %s\n", s.ToString().c_str());
-    return 1;
-  }
-  auto canonical = graph::ReadEdgeListText(edges_path);
-  if (!canonical.ok()) {
-    std::fprintf(stderr, "roundtrip failed: %s\n",
-                 canonical.status().ToString().c_str());
-    return 1;
-  }
-  if (Status s = graph::SaveBinaryV2(*canonical, eng2_path); !s.ok()) {
-    std::fprintf(stderr, "eng2 write failed: %s\n", s.ToString().c_str());
-    return 1;
-  }
+  struct Inputs {
+    graph::NodeId n = 0;
+    uint64_t m = 0;
+  } inputs;
+  const bench::ChildRun made = bench::RunInChild(&inputs, [&](Inputs* in) {
+    gen::VerifiedNetworkConfig gcfg;
+    gcfg.num_users = args.num_users;
+    gcfg.seed = args.seed;
+    auto net = gen::GenerateVerifiedNetwork(gcfg);
+    if (!net.ok()) {
+      std::fprintf(stderr, "generation failed: %s\n",
+                   net.status().ToString().c_str());
+      return 1;
+    }
+    if (Status s = graph::WriteEdgeListText(net->graph, edges_path); !s.ok()) {
+      std::fprintf(stderr, "write failed: %s\n", s.ToString().c_str());
+      return 1;
+    }
+    auto canonical = graph::ReadEdgeListText(edges_path);
+    if (!canonical.ok()) {
+      std::fprintf(stderr, "roundtrip failed: %s\n",
+                   canonical.status().ToString().c_str());
+      return 1;
+    }
+    if (Status s = graph::SaveBinaryV2(*canonical, eng2_path); !s.ok()) {
+      std::fprintf(stderr, "eng2 write failed: %s\n", s.ToString().c_str());
+      return 1;
+    }
+    in->n = canonical->num_nodes();
+    in->m = canonical->num_edges();
+    return 0;
+  });
+  if (made.exit_code != 0) return 1;
   std::remove(widx_path.c_str());  // the widx run below must write it fresh
 
-  const graph::NodeId n = canonical->num_nodes();
+  const graph::NodeId n = inputs.n;
   std::printf("cold-start bench: n=%u m=%llu probes=%zu repeats=%d\n", n,
-              static_cast<unsigned long long>(canonical->num_edges()),
-              num_probes, bench::kRepeats);
-  canonical = graph::DiGraph();  // benched paths reload from disk
+              static_cast<unsigned long long>(inputs.m), num_probes,
+              bench::kRepeats);
 
   const std::vector<serve::Request> probes =
       bench::MakeProbes(n, num_probes, args.seed ^ 0xC01D);
@@ -279,7 +297,7 @@ int main(int argc, char** argv) {
                 p.from_widx ? " (widx hit)" : "");
     path_rows.Add(bench::Json::Object()
                       .Set("name", p.name)
-                      .Set("format", p.first.load_format)
+                      .Set("format", std::string(p.first.load_format))
                       .Set("load_seconds", spread_json(load))
                       .Set("warmup_seconds", spread_json(warmup))
                       .Set("ttfq_seconds", spread_json(ttfq))

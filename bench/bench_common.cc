@@ -1,13 +1,18 @@
 #include "bench_common.h"
 
+#include <sys/resource.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <thread>
 #include <utility>
@@ -202,6 +207,77 @@ bool Report::Write(const std::string& path) const {
   }
   std::printf("wrote %s\n", path.c_str());
   return true;
+}
+
+ChildRun RunInChildBytes(void* result, size_t size,
+                         const std::function<int()>& phase) {
+  ChildRun run;
+  std::error_code ec;
+  const auto tasks = std::distance(
+      std::filesystem::directory_iterator("/proc/self/task", ec),
+      std::filesystem::directory_iterator());
+  if (ec || tasks != 1) {
+    std::fprintf(stderr, "RunInChild: the parent must be single-threaded\n");
+    return run;
+  }
+  int fds[2];
+  if (pipe(fds) != 0) return run;
+  // Whatever the parent has buffered must not be printed twice.
+  std::fflush(stdout);
+  std::fflush(stderr);
+  const pid_t pid = fork();
+  if (pid < 0) {
+    close(fds[0]);
+    close(fds[1]);
+    return run;
+  }
+  if (pid == 0) {
+    close(fds[0]);
+    const uint64_t start_rss = util::CurrentRssBytes();
+    const int code = phase();
+    std::string msg(sizeof(code) + sizeof(start_rss) + size, '\0');
+    std::memcpy(msg.data(), &code, sizeof(code));
+    std::memcpy(msg.data() + sizeof(code), &start_rss, sizeof(start_rss));
+    std::memcpy(msg.data() + sizeof(code) + sizeof(start_rss), result, size);
+    for (size_t off = 0; off < msg.size();) {
+      const ssize_t w = write(fds[1], msg.data() + off, msg.size() - off);
+      if (w <= 0) break;
+      off += static_cast<size_t>(w);
+    }
+    std::fflush(stdout);
+    std::fflush(stderr);
+    // _exit: the parent's exit handlers (trace and metrics dumps) are its
+    // own to run.
+    _exit(code);
+  }
+  close(fds[1]);
+  std::string msg;
+  char buf[4096];
+  for (;;) {
+    const ssize_t r = read(fds[0], buf, sizeof(buf));
+    if (r > 0) {
+      msg.append(buf, static_cast<size_t>(r));
+    } else if (r == 0 || errno != EINTR) {
+      break;
+    }
+  }
+  close(fds[0]);
+  int status = 0;
+  rusage usage{};
+  while (wait4(pid, &status, 0, &usage) < 0 && errno == EINTR) {
+  }
+  run.peak_rss_bytes = static_cast<uint64_t>(usage.ru_maxrss) * 1024;
+  int code = -1;
+  if (msg.size() == sizeof(code) + sizeof(run.start_rss_bytes) + size &&
+      WIFEXITED(status)) {
+    std::memcpy(&code, msg.data(), sizeof(code));
+    std::memcpy(&run.start_rss_bytes, msg.data() + sizeof(code),
+                sizeof(run.start_rss_bytes));
+    std::memcpy(result, msg.data() + sizeof(code) + sizeof(run.start_rss_bytes),
+                size);
+    run.exit_code = code;
+  }
+  return run;
 }
 
 std::string Hex64(uint64_t x) {

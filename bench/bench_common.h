@@ -7,6 +7,7 @@
 #define ELITENET_BENCH_BENCH_COMMON_H_
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -157,6 +158,35 @@ uint64_t FnvString(const std::string& s);
 std::vector<serve::Request> MakeServeRequestMix(const graph::DiGraph& g,
                                                 size_t count, double zipf_s,
                                                 uint64_t seed);
+
+/// How a phase run by RunInChild went, besides the numbers it sent back.
+struct ChildRun {
+  /// The phase's return value; -1 when the child could not be started,
+  /// died, or sent back less than a whole result.
+  int exit_code = -1;
+  /// The child's VmRSS when the phase began (what it inherited).
+  uint64_t start_rss_bytes = 0;
+  /// The child's peak RSS, ru_maxrss as wait4 reports it.
+  uint64_t peak_rss_bytes = 0;
+};
+
+/// Runs `phase` in a forked child, so each phase's peak RSS is its own
+/// (read from wait4, with no write under /proc). `phase` fills `*result`
+/// in the child and returns an exit code; the child sends `*result`'s
+/// bytes back over a pipe, and they are in the parent's `*result`
+/// whenever the returned exit_code is not -1. The child's peak starts
+/// from the RSS it inherits, so the parent should hold little. The parent
+/// must still be single-threaded (no worker pool started by a
+/// util::ParallelFor): fork copies only the calling thread, and a child
+/// of a single-threaded parent starts its own pool. A multi-threaded
+/// parent gets exit_code -1 without a fork.
+template <typename T, typename Phase>
+  requires std::is_trivially_copyable_v<T>
+ChildRun RunInChild(T* result, Phase&& phase) {
+  return RunInChildBytes(result, sizeof(T), [&] { return phase(result); });
+}
+ChildRun RunInChildBytes(void* result, size_t size,
+                         const std::function<int()>& phase);
 
 /// Relative deviation |measured - paper| / |paper|.
 double RelDev(double measured, double paper);

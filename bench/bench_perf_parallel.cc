@@ -4,9 +4,11 @@
 // parallel kernels the table times the serial ones the paper's analyses
 // lean on — SCC, the Laplacian matvec, the discrete power-law fit with
 // its xmin scan, and PELT (one run and the penalty sweep) on the
-// activity series — so one file holds every kernel timing. One untimed
-// warm-up pass runs first; then each (kernel, thread count) cell is the
-// median of kRepeats timed passes, reported with their min and max.
+// activity series — and the serving warm build's fingerprint stage
+// (`core::ComputeFingerprint`), so one file holds every kernel timing.
+// One untimed warm-up pass runs first; then each (kernel, thread count)
+// cell is the median of kRepeats timed passes, reported with their min
+// and max.
 // Emits BENCH_parallel.json with per-kernel seconds, speedups, and the
 // scheduler's metrics snapshot (per-thread chunks claimed and busy
 // fractions, from the last pass) for each thread count.
@@ -26,6 +28,7 @@
 #include "analysis/distance.h"
 #include "analysis/spectral.h"
 #include "bench_common.h"
+#include "core/fingerprint.h"
 #include "gen/activity.h"
 #include "gen/verified_network.h"
 #include "stats/powerlaw.h"
@@ -193,6 +196,19 @@ std::vector<double> RunKernels(const BenchArgs& args,
   seconds.push_back(boot_sec);
   signature->push_back(boot_sig);
 
+  // fingerprint: the warm build's fingerprint stage, SCC and reciprocity
+  // included.
+  sw.Reset();
+  const auto fp = core::ComputeFingerprint(g);
+  seconds.push_back(sw.Seconds());
+  signature->push_back(
+      fp.ok() ? std::vector<double>{fp->density, fp->reciprocity,
+                                    fp->clustering, fp->assortativity,
+                                    fp->giant_scc_fraction, fp->mean_distance,
+                                    fp->powerlaw_alpha,
+                                    fp->attracting_fraction}
+              : std::vector<double>{-1.0});
+
   // pelt and pelt_sweep, on the §V daily activity series.
   const auto activity = gen::GenerateActivity();
   if (!activity.ok()) {
@@ -241,7 +257,7 @@ int main(int argc, char** argv) {
   const char* names[] = {"generate",     "pagerank",   "betweenness",
                          "bfs",          "clustering", "scc",
                          "laplacian_matvec", "powerlaw_fit", "bootstrap",
-                         "pelt",         "pelt_sweep"};
+                         "fingerprint",  "pelt",       "pelt_sweep"};
   constexpr size_t kNumKernels = std::size(names);
   std::vector<bench::KernelResult> results(kNumKernels);
   for (size_t k = 0; k < kNumKernels; ++k) results[k].name = names[k];

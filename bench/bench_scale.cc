@@ -1,7 +1,8 @@
 // Out-of-core scale bench: generate -> convert -> serve at sizes whose
 // edge list does not fit the memory the in-memory pipeline would need,
-// with the residency *asserted*, not eyeballed. Three phases, each with
-// its own peak-RSS attribution (util::ResetPeakRss between phases):
+// with the residency *asserted*, not eyeballed. Three phases, each run
+// in its own forked child (bench::RunInChild), so each has its own peak
+// RSS (ru_maxrss) and nothing is written under /proc:
 //
 //   verify    at a CI-sized N, the streamed pipeline's snapshot is
 //             byte-compared against SaveBinaryV2 of the in-memory
@@ -35,7 +36,6 @@
 #include "graph/io.h"
 #include "serve/engine.h"
 #include "util/parallel.h"
-#include "util/rss.h"
 #include "util/table.h"
 #include "util/trace.h"
 
@@ -72,6 +72,26 @@ uint64_t FileBytes(const std::string& path) {
 
 double Mib(uint64_t bytes) { return static_cast<double>(bytes) / (1 << 20); }
 
+// What each phase's child sends back.
+struct VerifyResult {
+  bool identical = false;
+  uint64_t edges = 0;
+  size_t spill_runs = 0;
+};
+struct GenerateResult {
+  double seconds = 0.0;
+  uint64_t edges = 0;
+  uint64_t input_records = 0;
+  size_t forward_spill_runs = 0;
+  size_t reverse_spill_runs = 0;
+};
+struct ServeResult {
+  double seconds = 0.0;
+  double warmup_seconds = 0.0;
+  double replay_seconds = 0.0;
+  uint64_t replay_checksum = 0;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -102,59 +122,80 @@ int main(int argc, char** argv) {
   // tiny enough to force spill runs. This is the correctness gate that
   // makes the RSS numbers below meaningful: bounded memory is only
   // interesting if the bytes are the same ones.
-  bool identical = true;
-  uint64_t verify_edges = 0;
-  size_t verify_runs = 0;
+  VerifyResult verify;
+  verify.identical = true;
   if (verify_scale > 0) {
-    const gen::VerifiedNetworkConfig vcfg = ScaleConfig(verify_scale, args.seed);
-    const std::string mem_path = bench::CsvPath(args, "scale_verify_mem.eng2");
-    const std::string str_path = bench::CsvPath(args, "scale_verify_str.eng2");
-    auto mem = gen::GenerateVerifiedNetwork(vcfg);
-    if (!mem.ok()) {
-      std::fprintf(stderr, "verify generate failed: %s\n",
-                   mem.status().ToString().c_str());
-      return 1;
-    }
-    if (const Status s = graph::SaveBinaryV2(mem->graph, mem_path); !s.ok()) {
-      std::fprintf(stderr, "verify save failed: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    gen::StreamedGenerateOptions vopt;
-    vopt.sort_budget_bytes = 128 << 10;  // 16k-record runs: forces spills
-    vopt.window_sources = 512;
-    auto streamed = gen::GenerateVerifiedNetworkToSnapshot(vcfg, str_path, vopt);
-    if (!streamed.ok()) {
-      std::fprintf(stderr, "verify streamed failed: %s\n",
-                   streamed.status().ToString().c_str());
-      return 1;
-    }
-    verify_edges = streamed->write.num_edges;
-    verify_runs = streamed->write.forward_spill_runs;
-    const std::string a = Slurp(mem_path), b = Slurp(str_path);
-    identical = !a.empty() && a == b;
+    const bench::ChildRun run =
+        bench::RunInChild(&verify, [&](VerifyResult* v) {
+          const gen::VerifiedNetworkConfig vcfg =
+              ScaleConfig(verify_scale, args.seed);
+          const std::string mem_path =
+              bench::CsvPath(args, "scale_verify_mem.eng2");
+          const std::string str_path =
+              bench::CsvPath(args, "scale_verify_str.eng2");
+          auto mem = gen::GenerateVerifiedNetwork(vcfg);
+          if (!mem.ok()) {
+            std::fprintf(stderr, "verify generate failed: %s\n",
+                         mem.status().ToString().c_str());
+            return 1;
+          }
+          if (const Status s = graph::SaveBinaryV2(mem->graph, mem_path);
+              !s.ok()) {
+            std::fprintf(stderr, "verify save failed: %s\n",
+                         s.ToString().c_str());
+            return 1;
+          }
+          gen::StreamedGenerateOptions vopt;
+          // 16k-record runs: forces spills.
+          vopt.sort_budget_bytes = 128 << 10;
+          vopt.window_sources = 512;
+          auto streamed =
+              gen::GenerateVerifiedNetworkToSnapshot(vcfg, str_path, vopt);
+          if (!streamed.ok()) {
+            std::fprintf(stderr, "verify streamed failed: %s\n",
+                         streamed.status().ToString().c_str());
+            return 1;
+          }
+          v->edges = streamed->write.num_edges;
+          v->spill_runs = streamed->write.forward_spill_runs;
+          const std::string a = Slurp(mem_path), b = Slurp(str_path);
+          v->identical = !a.empty() && a == b;
+          std::remove(mem_path.c_str());
+          std::remove(str_path.c_str());
+          return 0;
+        });
+    if (run.exit_code != 0) return 1;
     std::printf("verify: n=%u m=%llu spill_runs=%zu streamed %s in-memory\n",
-                verify_scale, static_cast<unsigned long long>(verify_edges),
-                verify_runs, identical ? "==" : "DIFFERS FROM");
-    std::remove(mem_path.c_str());
-    std::remove(str_path.c_str());
-    if (!identical) return 2;
+                verify_scale, static_cast<unsigned long long>(verify.edges),
+                verify.spill_runs,
+                verify.identical ? "==" : "DIFFERS FROM");
+    if (!verify.identical) return 2;
   }
 
   // ---- Phase 1: streamed generate + convert at scale --------------------
-  const gen::VerifiedNetworkConfig cfg = ScaleConfig(args.num_users, args.seed);
-  util::ResetPeakRss();
-  util::SpanTimer gen_timer("bench.scale.generate");
-  gen::StreamedGenerateOptions opt;
-  opt.sort_budget_bytes = budget_bytes;
-  auto net = gen::GenerateVerifiedNetworkToSnapshot(cfg, snapshot, opt);
-  const double generate_seconds = gen_timer.Seconds();
-  if (!net.ok()) {
-    std::fprintf(stderr, "streamed generation failed: %s\n",
-                 net.status().ToString().c_str());
-    return 1;
-  }
-  const uint64_t generate_peak = util::PeakRssBytes();
-  const uint64_t m = net->write.num_edges;
+  GenerateResult generate;
+  const bench::ChildRun generate_run =
+      bench::RunInChild(&generate, [&](GenerateResult* r) {
+        util::SpanTimer gen_timer("bench.scale.generate");
+        gen::StreamedGenerateOptions opt;
+        opt.sort_budget_bytes = budget_bytes;
+        auto net = gen::GenerateVerifiedNetworkToSnapshot(
+            ScaleConfig(args.num_users, args.seed), snapshot, opt);
+        r->seconds = gen_timer.Seconds();
+        if (!net.ok()) {
+          std::fprintf(stderr, "streamed generation failed: %s\n",
+                       net.status().ToString().c_str());
+          return 1;
+        }
+        r->edges = net->write.num_edges;
+        r->input_records = net->write.input_records;
+        r->forward_spill_runs = net->write.forward_spill_runs;
+        r->reverse_spill_runs = net->write.reverse_spill_runs;
+        return 0;
+      });
+  if (generate_run.exit_code != 0) return 1;
+  const uint64_t generate_peak = generate_run.peak_rss_bytes;
+  const uint64_t m = generate.edges;
   const uint64_t snapshot_bytes = FileBytes(snapshot);
 
   // The ceiling: O(n) generator/writer state (roles, popularity, degree
@@ -177,9 +218,9 @@ int main(int argc, char** argv) {
       "(%zu+%zu spill runs), peak RSS %.1f MiB (ceiling %.1f MiB, "
       "in-memory pipeline would need ~%.1f MiB)\n",
       util::FormatWithCommas(args.num_users).c_str(),
-      util::FormatWithCommas(m).c_str(), generate_seconds,
+      util::FormatWithCommas(m).c_str(), generate.seconds,
       static_cast<unsigned long long>(budget_mb),
-      net->write.forward_spill_runs, net->write.reverse_spill_runs,
+      generate.forward_spill_runs, generate.reverse_spill_runs,
       Mib(generate_peak), Mib(ceiling_bytes), Mib(in_memory_estimate));
 
   const bool rss_ok = generate_peak > 0 && generate_peak <= ceiling_bytes;
@@ -196,45 +237,48 @@ int main(int argc, char** argv) {
   // Warm config sized for a bounded pass: fewer PageRank sweeps.
   // Mapped CSR pages the kernels touch are file-backed but resident, so
   // this phase's ceiling legitimately includes the snapshot size.
-  util::ResetPeakRss();
-  util::SpanTimer serve_timer("bench.scale.serve");
-  double warmup_seconds = 0.0, replay_seconds = 0.0;
-  uint64_t replay_checksum = 0;
-  {
-    auto g = graph::MapBinary(snapshot);
-    if (!g.ok()) {
-      std::fprintf(stderr, "map failed: %s\n", g.status().ToString().c_str());
-      return 1;
-    }
-    serve::EngineOptions eopts;
-    eopts.pagerank.max_iterations = 30;
-    eopts.telemetry.enabled = false;
-    auto engine = serve::QueryEngine::Create(std::move(*g), eopts);
-    if (!engine.ok()) {
-      std::fprintf(stderr, "engine startup failed: %s\n",
-                   engine.status().ToString().c_str());
-      return 1;
-    }
-    warmup_seconds = (*engine)->warmup_seconds();
-    const auto mix = bench::MakeServeRequestMix((*engine)->graph(), requests,
-                                                1.1, args.seed);
-    util::SpanTimer replay_timer("bench.scale.replay");
-    for (const serve::Request& r : mix) {
-      const serve::QueryResponse resp = (*engine)->Execute(r);
-      replay_checksum = bench::FnvMix(replay_checksum,
-                                      bench::FnvString(resp.json));
-    }
-    replay_seconds = replay_timer.Seconds();
-  }
-  const double serve_seconds = serve_timer.Seconds();
-  const uint64_t serve_peak = util::PeakRssBytes();
+  ServeResult serve;
+  const bench::ChildRun serve_run =
+      bench::RunInChild(&serve, [&](ServeResult* r) {
+        util::SpanTimer serve_timer("bench.scale.serve");
+        auto g = graph::MapBinary(snapshot);
+        if (!g.ok()) {
+          std::fprintf(stderr, "map failed: %s\n",
+                       g.status().ToString().c_str());
+          return 1;
+        }
+        serve::EngineOptions eopts;
+        eopts.pagerank.max_iterations = 30;
+        eopts.telemetry.enabled = false;
+        auto engine = serve::QueryEngine::Create(std::move(*g), eopts);
+        if (!engine.ok()) {
+          std::fprintf(stderr, "engine startup failed: %s\n",
+                       engine.status().ToString().c_str());
+          return 1;
+        }
+        r->warmup_seconds = (*engine)->warmup_seconds();
+        const auto mix = bench::MakeServeRequestMix(
+            (*engine)->graph(), requests, 1.1, args.seed);
+        util::SpanTimer replay_timer("bench.scale.replay");
+        for (const serve::Request& req : mix) {
+          const serve::QueryResponse resp = (*engine)->Execute(req);
+          r->replay_checksum = bench::FnvMix(r->replay_checksum,
+                                             bench::FnvString(resp.json));
+        }
+        r->replay_seconds = replay_timer.Seconds();
+        engine->reset();
+        r->seconds = serve_timer.Seconds();
+        return 0;
+      });
+  if (serve_run.exit_code != 0) return 1;
+  const uint64_t serve_peak = serve_run.peak_rss_bytes;
   const uint64_t serve_ceiling = ceiling_bytes + snapshot_bytes;
   const bool serve_rss_ok = serve_peak == 0 || serve_peak <= serve_ceiling;
   std::printf(
       "serve: warm %.1fs, %zu requests in %.2fs, checksum %016llx, peak "
       "RSS %.1f MiB (ceiling %.1f MiB incl. %.1f MiB mapped snapshot)\n",
-      warmup_seconds, requests, replay_seconds,
-      static_cast<unsigned long long>(replay_checksum), Mib(serve_peak),
+      serve.warmup_seconds, requests, serve.replay_seconds,
+      static_cast<unsigned long long>(serve.replay_checksum), Mib(serve_peak),
       Mib(serve_ceiling), Mib(snapshot_bytes));
   if (!serve_rss_ok) {
     std::fprintf(stderr, "FAIL: serve peak RSS %.1f MiB exceeds %.1f MiB\n",
@@ -249,25 +293,26 @@ int main(int argc, char** argv) {
       .Set("budget_mb", budget_mb)
       .Set("verify", bench::Json::Object()
                          .Set("scale", verify_scale)
-                         .Set("num_edges", verify_edges)
-                         .Set("spill_runs", verify_runs)
-                         .Set("byte_identical", identical))
+                         .Set("num_edges", verify.edges)
+                         .Set("spill_runs", verify.spill_runs)
+                         .Set("byte_identical", verify.identical))
       .Set("generate",
            bench::Json::Object()
-               .Set("seconds", generate_seconds)
-               .Set("input_records", net->write.input_records)
-               .Set("forward_spill_runs", net->write.forward_spill_runs)
-               .Set("reverse_spill_runs", net->write.reverse_spill_runs)
+               .Set("seconds", generate.seconds)
+               .Set("input_records", generate.input_records)
+               .Set("forward_spill_runs", generate.forward_spill_runs)
+               .Set("reverse_spill_runs", generate.reverse_spill_runs)
                .Set("peak_rss_bytes", generate_peak)
                .Set("ceiling_bytes", ceiling_bytes)
                .Set("in_memory_estimate_bytes", in_memory_estimate)
                .Set("rss_ok", rss_ok || generate_peak == 0))
       .Set("serve", bench::Json::Object()
-                        .Set("seconds", serve_seconds)
-                        .Set("warmup_seconds", warmup_seconds)
+                        .Set("seconds", serve.seconds)
+                        .Set("warmup_seconds", serve.warmup_seconds)
                         .Set("requests", requests)
-                        .Set("replay_seconds", replay_seconds)
-                        .Set("replay_checksum", bench::Hex64(replay_checksum))
+                        .Set("replay_seconds", serve.replay_seconds)
+                        .Set("replay_checksum",
+                             bench::Hex64(serve.replay_checksum))
                         .Set("peak_rss_bytes", serve_peak)
                         .Set("ceiling_bytes", serve_ceiling)
                         .Set("rss_ok", serve_rss_ok));
@@ -275,6 +320,7 @@ int main(int argc, char** argv) {
 
   std::remove(snapshot.c_str());
   (void)out_dir;
-  const bool ok = identical && (rss_ok || generate_peak == 0) && serve_rss_ok;
+  const bool ok =
+      verify.identical && (rss_ok || generate_peak == 0) && serve_rss_ok;
   return ok ? 0 : 2;
 }

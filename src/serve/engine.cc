@@ -18,34 +18,55 @@ namespace serve {
 
 using graph::DiGraph;
 
+namespace {
+
+// One warm-build stage: its trace span and, when the caller asked for
+// them, its seconds.
+class WarmStageScope {
+ public:
+  WarmStageScope(WarmStage stage, WarmStageSeconds* stages)
+      : span_(WarmStageSpan(stage)), stage_(stage), stages_(stages) {}
+  ~WarmStageScope() {
+    if (stages_ != nullptr) (*stages_)[stage_] = timer_.Seconds();
+  }
+
+ private:
+  util::ScopedSpan span_;
+  util::SpanTimer timer_;
+  WarmStage stage_;
+  WarmStageSeconds* stages_;
+};
+
+}  // namespace
+
 // The full warm-index build as a pure function of (graph, options) — the
 // Create() path runs it over the loaded base, a live engine's compactor
 // runs the very same code over each freshly compacted base, and the
 // sharded router runs it once over the global graph, so every consumer
 // serves exactly the same warm bytes.
 Status ComputeWarmIndexes(const DiGraph& g, const EngineOptions& options,
-                          WarmIndexes* warm) {
+                          WarmIndexes* warm, WarmStageSeconds* stages) {
   {
-    ELITENET_SPAN("serve.warm.degree");
+    WarmStageScope stage(kWarmDegree, stages);
     warm->degree_stats = analysis::ComputeDegreeStats(g);
   }
   {
-    ELITENET_SPAN("serve.warm.mutual");
+    WarmStageScope stage(kWarmMutual, stages);
     warm->mutual_degree = analysis::MutualDegrees(g);
     warm->reciprocity = analysis::ReciprocityFromMutualDegrees(
         g.num_edges(), warm->mutual_degree);
   }
   {
-    ELITENET_SPAN("serve.warm.heavy_reach");
+    WarmStageScope stage(kWarmHeavyReach, stages);
     ComputeHeavyReach(g, &warm->heavy_ids, &warm->heavy_reach);
   }
   {
-    ELITENET_SPAN("serve.warm.components");
+    WarmStageScope stage(kWarmComponents, stages);
     warm->wcc = analysis::WeaklyConnectedComponents(g);
     warm->scc = analysis::StronglyConnectedComponents(g);
   }
   {
-    ELITENET_SPAN("serve.warm.pagerank");
+    WarmStageScope stage(kWarmPageRank, stages);
     auto pr = analysis::PageRank(g, options.pagerank);
     if (!pr.ok()) return pr.status();
     warm->pagerank = std::move(pr->scores);
@@ -56,7 +77,7 @@ Status ComputeWarmIndexes(const DiGraph& g, const EngineOptions& options,
     }
   }
   {
-    ELITENET_SPAN("serve.warm.fingerprint");
+    WarmStageScope stage(kWarmFingerprint, stages);
     // The SCC labelling and reciprocity were built above; the fingerprint
     // reuses them.
     auto fp = core::ComputeFingerprint(g, warm->scc, warm->reciprocity.rate,
@@ -88,7 +109,8 @@ WarmIndexKey WarmKeyFor(uint64_t graph_checksum, const EngineOptions& options) {
 Result<WarmIndexes> LoadOrBuildWarmIndexes(const DiGraph& g,
                                            const EngineOptions& options,
                                            uint64_t graph_checksum,
-                                           bool* from_cache) {
+                                           bool* from_cache,
+                                           WarmStageSeconds* stages) {
   *from_cache = false;
   const WarmIndexKey key = WarmKeyFor(graph_checksum, options);
   if (!options.warm_index_path.empty()) {
@@ -103,7 +125,7 @@ Result<WarmIndexes> LoadOrBuildWarmIndexes(const DiGraph& g,
     ELITENET_COUNT("serve.widx.miss", 1);
   }
   WarmIndexes warm;
-  EN_RETURN_IF_ERROR(ComputeWarmIndexes(g, options, &warm));
+  EN_RETURN_IF_ERROR(ComputeWarmIndexes(g, options, &warm, stages));
   if (!options.warm_index_path.empty()) {
     // Best-effort: a read-only filesystem must not fail engine startup.
     ELITENET_SPAN("serve.warm.widx_write");
@@ -144,7 +166,8 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Warmed(
                                 ? 0
                                 : graph::GraphChecksum(engine->graph());
   auto warm = LoadOrBuildWarmIndexes(engine->graph(), options, checksum,
-                                     &engine->warm_from_cache_);
+                                     &engine->warm_from_cache_,
+                                     &engine->warm_stages_);
   if (!warm.ok()) return warm.status();
   engine->warm_ = std::move(*warm);
   engine->warmup_seconds_ = timer.Seconds();

@@ -168,19 +168,23 @@ class QueryEngine : public FrontDoor {
 
 /// The full warm-index build as a pure function of (graph, options): the
 /// engine's Create() path, the live compactor, and the router's one-time
-/// global warmup all run this same code.
+/// global warmup all run this same code. `stages`, when set, receives
+/// each stage's seconds.
 Status ComputeWarmIndexes(const graph::DiGraph& g, const EngineOptions& options,
-                          WarmIndexes* warm);
+                          WarmIndexes* warm,
+                          WarmStageSeconds* stages = nullptr);
 
 /// Sidecar-aware warmup: restore from options.warm_index_path when it is
 /// set and matches (checksum + config), else compute and best-effort
 /// persist. `graph_checksum` is graph::GraphChecksum(g), computed once by
 /// the caller; it is read only when the path is set. `*from_cache`
-/// reports which path ran.
+/// reports which path ran; on a build, `*stages` receives each stage's
+/// seconds.
 Result<WarmIndexes> LoadOrBuildWarmIndexes(const graph::DiGraph& g,
                                            const EngineOptions& options,
                                            uint64_t graph_checksum,
-                                           bool* from_cache);
+                                           bool* from_cache,
+                                           WarmStageSeconds* stages);
 
 }  // namespace serve
 }  // namespace elitenet

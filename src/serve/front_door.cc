@@ -285,6 +285,7 @@ EngineStatsContext FrontDoor::StatsContext() const {
   ctx.cache_misses = cache_misses();
   ctx.warmup_seconds = warmup_seconds_;
   ctx.warm_from_cache = warm_from_cache_;
+  ctx.warm_stages = warm_stages_;
   ctx.inflight = inflight_.load(std::memory_order_relaxed);
   if (executor_ != nullptr) {
     ctx.qos = true;

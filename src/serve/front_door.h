@@ -181,6 +181,7 @@ class FrontDoor {
   // Set by the backend's warmup.
   double warmup_seconds_ = 0.0;
   bool warm_from_cache_ = false;
+  WarmStageSeconds warm_stages_ = {};
 
  private:
   struct Job;

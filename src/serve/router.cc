@@ -38,7 +38,8 @@ Result<std::unique_ptr<ShardedRouter>> ShardedRouter::Create(
     // bytes identical across shard counts.
     ELITENET_SPAN("serve.router.warm_global");
     auto warm = LoadOrBuildWarmIndexes(g, options.engine, checksum,
-                                       &router->warm_from_cache_);
+                                       &router->warm_from_cache_,
+                                       &router->warm_stages_);
     if (!warm.ok()) return warm.status();
     router->warm_ = std::move(*warm);
   }

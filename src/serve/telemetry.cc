@@ -336,6 +336,18 @@ std::string RenderRecordJson(const RequestRecord& r) {
   return j;
 }
 
+namespace {
+
+constexpr const char* kWarmStageSpans[kNumWarmStages] = {
+    "serve.warm.degree",     "serve.warm.mutual",   "serve.warm.heavy_reach",
+    "serve.warm.components", "serve.warm.pagerank", "serve.warm.fingerprint",
+};
+constexpr size_t kWarmSpanPrefix = sizeof("serve.warm.") - 1;
+
+}  // namespace
+
+const char* WarmStageSpan(WarmStage stage) { return kWarmStageSpans[stage]; }
+
 std::string RenderStatsJson(const Telemetry& t, const EngineStatsContext& ctx) {
   std::string j = "{\"type\":\"stats\",\"graph\":{\"nodes\":";
   AppendU64(&j, ctx.nodes);
@@ -349,6 +361,17 @@ std::string RenderStatsJson(const Telemetry& t, const EngineStatsContext& ctx) {
   j += JsonDouble(ctx.warmup_seconds);
   j += ",\"warm_from_cache\":";
   AppendBool(&j, ctx.warm_from_cache);
+  if (!ctx.warm_from_cache) {
+    j += ",\"warm_stage_seconds\":{";
+    for (size_t i = 0; i < kNumWarmStages; ++i) {
+      if (i > 0) j += ',';
+      j += '"';
+      j += kWarmStageSpans[i] + kWarmSpanPrefix;
+      j += "\":";
+      j += JsonDouble(ctx.warm_stages[i]);
+    }
+    j += '}';
+  }
   j += ",\"cache\":{\"hits\":";
   AppendU64(&j, ctx.cache_hits);
   j += ",\"misses\":";

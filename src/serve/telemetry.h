@@ -25,6 +25,7 @@
 #ifndef ELITENET_SERVE_TELEMETRY_H_
 #define ELITENET_SERVE_TELEMETRY_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -260,6 +261,23 @@ struct AdminCommand {
 /// error line).
 Result<AdminCommand> ParseAdminLine(std::string_view line);
 
+/// The stages of the warm-index build (serve::ComputeWarmIndexes), in
+/// build order. Each runs under the trace span WarmStageSpan(stage),
+/// "serve.warm.<name>".
+enum WarmStage : size_t {
+  kWarmDegree,
+  kWarmMutual,
+  kWarmHeavyReach,
+  kWarmComponents,
+  kWarmPageRank,
+  kWarmFingerprint,
+  kNumWarmStages,
+};
+const char* WarmStageSpan(WarmStage stage);
+
+/// Seconds of each warm-build stage, indexed by WarmStage.
+using WarmStageSeconds = std::array<double, kNumWarmStages>;
+
 /// Engine-side facts the renderers need but Telemetry does not own.
 struct EngineStatsContext {
   uint64_t nodes = 0;
@@ -269,6 +287,9 @@ struct EngineStatsContext {
   uint64_t cache_misses = 0;
   double warmup_seconds = 0.0;
   bool warm_from_cache = false;
+  /// Per-stage seconds of the warm build; RenderStatsJson reports them
+  /// only when the indexes were built, not restored from the sidecar.
+  WarmStageSeconds warm_stages = {};
   int64_t inflight = 0;
   /// Live-engine facts (engine.cc fills them from LiveGraph::Stats).
   /// When false the #version/#overlay verbs still answer — with

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "stats/optimize.h"
 #include "stats/special.h"
@@ -15,13 +16,24 @@ namespace stats {
 
 namespace {
 
+// P(X >= x) of a discrete fit whose normalizer ζ(α, xmin) the caller has
+// already evaluated; PowerLawSurvival and the KS pass share this formula.
+double DiscreteSurvival(const PowerLawFit& fit, double zeta_xmin, double x) {
+  if (x <= fit.xmin) return 1.0;
+  // P(X >= x) = ζ(α, ceil(x)) / ζ(α, xmin).
+  return HurwitzZeta(fit.alpha, std::ceil(x)) / zeta_xmin;
+}
+
 // KS distance between the sorted empirical tail and the fitted model CDF.
 // Ties are grouped: for discrete data the empirical CDF steps once per
 // distinct value, and the model CDF F(k) = P(X <= k) = 1 - S(k + 1) is
 // compared at the step. (Comparing per-index stairs against the left
 // limit would report a spurious distance of up to pmf(xmin) on heavily
-// tied discrete samples.)
-double KsDistance(const std::vector<double>& tail, const PowerLawFit& fit) {
+// tied discrete samples.) `zeta_xmin` is ζ(α, xmin) for a discrete fit
+// and unused otherwise. The pass stops as soon as the running maximum
+// reaches `cutoff`, returning that partial maximum (>= cutoff).
+double KsDistance(std::span<const double> tail, const PowerLawFit& fit,
+                  double zeta_xmin, double cutoff) {
   const double n = static_cast<double>(tail.size());
   double worst = 0.0;
   size_t i = 0;
@@ -33,38 +45,93 @@ double KsDistance(const std::vector<double>& tail, const PowerLawFit& fit) {
     const double emp_after = static_cast<double>(j + 1) / n;
     double model_cdf;
     if (fit.discrete) {
-      model_cdf = 1.0 - PowerLawSurvival(fit, value + 1.0);
+      model_cdf = 1.0 - DiscreteSurvival(fit, zeta_xmin, value + 1.0);
     } else {
       model_cdf = 1.0 - PowerLawSurvival(fit, value);
       // Continuous CDF is compared against both stair edges.
       worst = std::max(worst, std::fabs(model_cdf - emp_before));
     }
     worst = std::max(worst, std::fabs(model_cdf - emp_after));
+    if (worst >= cutoff) return worst;
     i = j + 1;
   }
   return worst;
 }
 
-double DiscreteLogLikelihood(const std::vector<double>& tail, double alpha,
-                             double xmin) {
+constexpr double kNoCutoff = std::numeric_limits<double>::infinity();
+
+// The per-tail fits. `tail` is ascending and holds exactly the
+// observations >= xmin. Every sum runs over it in order, so a suffix of
+// one sorted array gives the same bits as a freshly sorted copy of the
+// tail. `ks_cutoff` is passed to KsDistance: a fit whose KS pass stopped
+// early has a partial ks_distance >= ks_cutoff and is only good for
+// losing a strict `<` comparison.
+Result<PowerLawFit> FitDiscreteTail(std::span<const double> tail, double xmin,
+                                    const PowerLawOptions& opts,
+                                    double ks_cutoff) {
+  if (xmin < 1.0) {
+    return Status::InvalidArgument("discrete fit requires xmin >= 1");
+  }
+  if (tail.empty()) return Status::InvalidArgument("empty tail");
+
   double sum_log = 0.0;
   for (double x : tail) sum_log += std::log(x);
   const double n = static_cast<double>(tail.size());
-  return -n * std::log(HurwitzZeta(alpha, xmin)) - alpha * sum_log;
+
+  // Maximize the log-likelihood over alpha (negate for the minimizer).
+  const auto neg_ll = [&](double a) {
+    return n * std::log(HurwitzZeta(a, xmin)) + a * sum_log;
+  };
+  const ScalarMin m =
+      MinimizeGoldenSection(neg_ll, opts.alpha_min, opts.alpha_max, 1e-8);
+
+  PowerLawFit fit;
+  fit.alpha = m.x;
+  fit.xmin = xmin;
+  fit.discrete = true;
+  fit.tail_n = tail.size();
+  // L = -n ln ζ(α, xmin) - α Σ ln x_i.
+  const double zeta_xmin = HurwitzZeta(fit.alpha, xmin);
+  fit.log_likelihood = -n * std::log(zeta_xmin) - fit.alpha * sum_log;
+  fit.ks_distance = KsDistance(tail, fit, zeta_xmin, ks_cutoff);
+  return fit;
 }
 
-double ContinuousLogLikelihood(const std::vector<double>& tail, double alpha,
-                               double xmin) {
+Result<PowerLawFit> FitContinuousTail(std::span<const double> tail,
+                                      double xmin, const PowerLawOptions& opts,
+                                      double ks_cutoff) {
+  if (xmin <= 0.0) {
+    return Status::InvalidArgument("continuous fit requires xmin > 0");
+  }
+  if (tail.empty()) return Status::InvalidArgument("empty tail");
+
   double sum_log_ratio = 0.0;
   for (double x : tail) sum_log_ratio += std::log(x / xmin);
+  if (sum_log_ratio <= 0.0) {
+    return Status::FailedPrecondition("degenerate tail (all values == xmin)");
+  }
   const double n = static_cast<double>(tail.size());
-  return n * std::log((alpha - 1.0) / xmin) - alpha * sum_log_ratio;
+  PowerLawFit fit;
+  fit.alpha = 1.0 + n / sum_log_ratio;
+  fit.alpha = std::clamp(fit.alpha, opts.alpha_min, opts.alpha_max);
+  fit.xmin = xmin;
+  fit.discrete = false;
+  fit.tail_n = tail.size();
+  // L = n ln((α - 1) / xmin) - α Σ ln(x_i / xmin).
+  fit.log_likelihood =
+      n * std::log((fit.alpha - 1.0) / xmin) - fit.alpha * sum_log_ratio;
+  fit.ks_distance = KsDistance(tail, fit, 0.0, ks_cutoff);
+  return fit;
 }
 
-// Shared xmin-scan driver; `fit_at` performs the per-xmin alpha fit.
-template <typename FitFn>
+// The xmin scan. The data are sorted once; each candidate is the first
+// index of a distinct value, and its tail is the suffix from there. A
+// candidate's KS pass stops once it reaches the best KS so far: under the
+// strict `<` below it could no longer win, so the earliest of tied
+// candidates still wins and the winner's fit is always complete.
+template <typename FitTailFn>
 Result<PowerLawFit> ScanXmin(std::span<const double> data,
-                             const PowerLawOptions& opts, FitFn fit_at) {
+                             const PowerLawOptions& opts, FitTailFn fit_tail) {
   if (data.empty()) return Status::InvalidArgument("empty sample");
 
   std::vector<double> sorted(data.begin(), data.end());
@@ -73,42 +140,38 @@ Result<PowerLawFit> ScanXmin(std::span<const double> data,
     return Status::InvalidArgument("power-law fit requires positive data");
   }
 
-  std::vector<double> candidates;
-  candidates.push_back(sorted.front());
-  for (size_t i = 1; i < sorted.size(); ++i) {
-    if (sorted[i] != sorted[i - 1]) candidates.push_back(sorted[i]);
+  // Start index of each distinct value whose tail keeps min_tail_n
+  // observations (the largest values leave too small a tail).
+  std::vector<size_t> starts;
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    if ((i == 0 || sorted[i] != sorted[i - 1]) &&
+        sorted.size() - i >= opts.min_tail_n) {
+      starts.push_back(i);
+    }
   }
-  // The largest values leave too small a tail; drop candidates violating
-  // the min_tail_n constraint.
-  {
-    std::vector<double> kept;
-    for (double c : candidates) {
-      const size_t tail_n =
-          sorted.end() - std::lower_bound(sorted.begin(), sorted.end(), c);
-      if (tail_n >= opts.min_tail_n) kept.push_back(c);
-    }
-    if (kept.empty()) {
-      return Status::FailedPrecondition(
-          "no xmin candidate leaves enough tail observations");
-    }
-    candidates.swap(kept);
+  if (starts.empty()) {
+    return Status::FailedPrecondition(
+        "no xmin candidate leaves enough tail observations");
   }
   if (opts.max_xmin_candidates > 0 &&
-      candidates.size() > opts.max_xmin_candidates) {
-    std::vector<double> sub;
+      starts.size() > opts.max_xmin_candidates) {
+    std::vector<size_t> sub;
     sub.reserve(opts.max_xmin_candidates);
-    const double stride = static_cast<double>(candidates.size()) /
+    const double stride = static_cast<double>(starts.size()) /
                           static_cast<double>(opts.max_xmin_candidates);
     for (size_t i = 0; i < opts.max_xmin_candidates; ++i) {
-      sub.push_back(candidates[static_cast<size_t>(i * stride)]);
+      sub.push_back(starts[static_cast<size_t>(i * stride)]);
     }
-    candidates.swap(sub);
+    starts.swap(sub);
   }
 
+  const std::span<const double> all(sorted);
   PowerLawFit best;
   bool have_best = false;
-  for (double xmin : candidates) {
-    Result<PowerLawFit> fit = fit_at(data, xmin);
+  for (size_t start : starts) {
+    Result<PowerLawFit> fit =
+        fit_tail(all.subspan(start), sorted[start], opts,
+                 have_best ? best.ks_distance : kNoCutoff);
     if (!fit.ok()) continue;
     if (!have_best || fit->ks_distance < best.ks_distance) {
       best = *fit;
@@ -135,80 +198,29 @@ std::vector<double> TailOf(std::span<const double> data, double xmin) {
 Result<PowerLawFit> FitDiscreteAlpha(std::span<const double> data,
                                      double xmin,
                                      const PowerLawOptions& opts) {
-  if (xmin < 1.0) {
-    return Status::InvalidArgument("discrete fit requires xmin >= 1");
-  }
-  std::vector<double> tail = TailOf(data, xmin);
-  if (tail.empty()) return Status::InvalidArgument("empty tail");
-
-  double sum_log = 0.0;
-  for (double x : tail) sum_log += std::log(x);
-  const double n = static_cast<double>(tail.size());
-
-  // Maximize the log-likelihood over alpha (negate for the minimizer).
-  const auto neg_ll = [&](double a) {
-    return n * std::log(HurwitzZeta(a, xmin)) + a * sum_log;
-  };
-  const ScalarMin m =
-      MinimizeGoldenSection(neg_ll, opts.alpha_min, opts.alpha_max, 1e-8);
-
-  PowerLawFit fit;
-  fit.alpha = m.x;
-  fit.xmin = xmin;
-  fit.discrete = true;
-  fit.tail_n = tail.size();
-  fit.log_likelihood = DiscreteLogLikelihood(tail, fit.alpha, xmin);
-  fit.ks_distance = KsDistance(tail, fit);
-  return fit;
+  return FitDiscreteTail(TailOf(data, xmin), xmin, opts, kNoCutoff);
 }
 
 Result<PowerLawFit> FitContinuousAlpha(std::span<const double> data,
                                        double xmin,
                                        const PowerLawOptions& opts) {
-  if (xmin <= 0.0) {
-    return Status::InvalidArgument("continuous fit requires xmin > 0");
-  }
-  std::vector<double> tail = TailOf(data, xmin);
-  if (tail.empty()) return Status::InvalidArgument("empty tail");
-
-  double sum_log_ratio = 0.0;
-  for (double x : tail) sum_log_ratio += std::log(x / xmin);
-  if (sum_log_ratio <= 0.0) {
-    return Status::FailedPrecondition("degenerate tail (all values == xmin)");
-  }
-  PowerLawFit fit;
-  fit.alpha = 1.0 + static_cast<double>(tail.size()) / sum_log_ratio;
-  fit.alpha = std::clamp(fit.alpha, opts.alpha_min, opts.alpha_max);
-  fit.xmin = xmin;
-  fit.discrete = false;
-  fit.tail_n = tail.size();
-  fit.log_likelihood = ContinuousLogLikelihood(tail, fit.alpha, xmin);
-  fit.ks_distance = KsDistance(tail, fit);
-  return fit;
+  return FitContinuousTail(TailOf(data, xmin), xmin, opts, kNoCutoff);
 }
 
 Result<PowerLawFit> FitDiscrete(std::span<const double> data,
                                 const PowerLawOptions& opts) {
-  return ScanXmin(data, opts,
-                  [&opts](std::span<const double> d, double xmin) {
-                    return FitDiscreteAlpha(d, xmin, opts);
-                  });
+  return ScanXmin(data, opts, FitDiscreteTail);
 }
 
 Result<PowerLawFit> FitContinuous(std::span<const double> data,
                                   const PowerLawOptions& opts) {
-  return ScanXmin(data, opts,
-                  [&opts](std::span<const double> d, double xmin) {
-                    return FitContinuousAlpha(d, xmin, opts);
-                  });
+  return ScanXmin(data, opts, FitContinuousTail);
 }
 
 double PowerLawSurvival(const PowerLawFit& fit, double x) {
   if (x <= fit.xmin) return 1.0;
   if (fit.discrete) {
-    // P(X >= x) = ζ(α, ceil(x)) / ζ(α, xmin).
-    return HurwitzZeta(fit.alpha, std::ceil(x)) /
-           HurwitzZeta(fit.alpha, fit.xmin);
+    return DiscreteSurvival(fit, HurwitzZeta(fit.alpha, fit.xmin), x);
   }
   return std::pow(x / fit.xmin, 1.0 - fit.alpha);
 }

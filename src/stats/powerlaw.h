@@ -7,6 +7,18 @@
 // distance between the empirical tail and the fitted model; (3) assess
 // goodness of fit with a parametric bootstrap p-value (p > 0.1 ⇒ the
 // power law is plausible).
+//
+// The xmin scan sorts the data once. Each candidate is a distinct value,
+// and its tail is the suffix of that one sorted array from the value's
+// first index: the same values in the same order as a sorted copy of the
+// tail, so every sum is bit-identical to fitting that copy. Per
+// candidate, Σ ln x is summed once (for the MLE and the log-likelihood),
+// and a discrete fit evaluates ζ(α, xmin) once (for the log-likelihood
+// and every KS step). A candidate's KS pass stops as soon as its running
+// maximum reaches the best KS so far: the scan keeps a candidate only if
+// its KS is strictly smaller, so the stopped one could not have won. The
+// winner's fit is always complete, and the earliest of tied candidates
+// wins.
 
 #ifndef ELITENET_STATS_POWERLAW_H_
 #define ELITENET_STATS_POWERLAW_H_
@@ -48,19 +60,25 @@ struct PowerLawOptions {
 
 /// Fits alpha for a *fixed* xmin by discrete MLE: maximizes
 /// L(a) = -n ln ζ(a, xmin) - a Σ ln x_i over the tail x >= xmin.
-/// Requires at least one tail observation with x >= xmin >= 1.
+/// Requires at least one tail observation with x >= xmin >= 1. Sorts
+/// the tail (TailOf), then runs the scan's own per-tail fit with the full
+/// KS pass, so a fit at the xmin the scan chose equals its result bit
+/// for bit.
 Result<PowerLawFit> FitDiscreteAlpha(std::span<const double> data,
                                      double xmin,
                                      const PowerLawOptions& opts = {});
 
 /// Fits alpha for a fixed xmin by the continuous closed form
-/// a = 1 + n / Σ ln(x_i / xmin).
+/// a = 1 + n / Σ ln(x_i / xmin), through the same per-tail fit as the
+/// scan.
 Result<PowerLawFit> FitContinuousAlpha(std::span<const double> data,
                                        double xmin,
                                        const PowerLawOptions& opts = {});
 
 /// Full CSN fit with xmin scan (discrete data: integer-valued counts such
-/// as degrees).
+/// as degrees). Candidates are the distinct values leaving at least
+/// `min_tail_n` tail observations, evenly subsampled to
+/// `max_xmin_candidates`; the result is the smallest KS, earliest first.
 Result<PowerLawFit> FitDiscrete(std::span<const double> data,
                                 const PowerLawOptions& opts = {});
 

@@ -9,8 +9,10 @@
 //   * PeakRssBytes    — VmHWM, the high-water mark since process start
 //                       (or since the last ResetPeakRss);
 //   * ResetPeakRss    — writes "5" to /proc/self/clear_refs, resetting
-//                       VmHWM so per-phase peaks can be attributed
-//                       (generate vs convert vs serve).
+//                       VmHWM so per-phase peaks can be attributed in
+//                       one process (servebench's set-ups). The benches
+//                       run each phase in a forked child instead
+//                       (bench::RunInChild) and write nothing there.
 //
 // All three are best-effort: on kernels or sandboxes where the proc files
 // are unavailable the getters return 0 and the reset returns false, and

@@ -134,6 +134,45 @@ TEST(ServeAdminTest, AdminLinesAnswerOffTheQueryPath) {
   EXPECT_NE(r.lines[4].find("\"ego 1\""), std::string::npos);
 }
 
+TEST(ServeAdminTest, StatsReportWarmStagesOnlyWhenBuilt) {
+  const graph::DiGraph g = TestGraph();
+  EngineOptions opts;
+  opts.warm_index_path = testing::TempDir() + "/admin_warm_stages.widx";
+  std::remove(opts.warm_index_path.c_str());
+  auto cmd = ParseAdminLine("#stats");
+  ASSERT_TRUE(cmd.ok());
+
+  // A build reports every stage, in build order, next to warmup_seconds.
+  auto built = QueryEngine::Create(g, opts);
+  ASSERT_TRUE(built.ok());
+  const std::string built_stats = (*built)->AdminResponse(*cmd);
+  const size_t stages = built_stats.find(
+      "\"warm_from_cache\":false,\"warm_stage_seconds\":{\"degree\":");
+  ASSERT_NE(stages, std::string::npos) << built_stats;
+  size_t at = stages;
+  for (const char* name :
+       {"mutual", "heavy_reach", "components", "pagerank", "fingerprint"}) {
+    std::string key = "\"";
+    key.append(name).append("\":");
+    const size_t next = built_stats.find(key, at);
+    ASSERT_NE(next, std::string::npos) << name << " in " << built_stats;
+    at = next;
+  }
+  EXPECT_LT(at, built_stats.find("\"cache\":{"));
+  EXPECT_TRUE(JsonBalanced(built_stats)) << built_stats;
+
+  // A restore from the sidecar has no stage rows.
+  auto restored = QueryEngine::Create(g, opts);
+  ASSERT_TRUE(restored.ok());
+  ASSERT_TRUE((*restored)->warm_index_from_cache());
+  const std::string restored_stats = (*restored)->AdminResponse(*cmd);
+  EXPECT_NE(restored_stats.find("\"warm_from_cache\":true,\"cache\":{"),
+            std::string::npos)
+      << restored_stats;
+  EXPECT_EQ(restored_stats.find("warm_stage_seconds"), std::string::npos);
+  std::remove(opts.warm_index_path.c_str());
+}
+
 TEST(ServeAdminTest, PlainCommentsAreSkippedSilently) {
   const SessionResult r = RunSession(
       "# a comment, not an admin verb\n"
