@@ -19,8 +19,10 @@ namespace {
 
 // ENG2 in the sectioned container (util/sectioned_file.h): header words
 // {num_nodes, num_edges, graph_checksum}, sections out_offsets,
-// out_targets, in_offsets, in_targets.
-constexpr util::SectionedFormat kEng2 = {{'E', 'N', 'G', '2'}, 2, 4};
+// out_targets, in_offsets, in_targets. v3 has v2's payload bytes with
+// XXH64 section digests and graph checksum in place of FNV-1a; a v2 file
+// is NotSupported.
+constexpr util::SectionedFormat kEng2 = {{'E', 'N', 'G', '2'}, 3, 4};
 
 struct FileCloser {
   void operator()(std::FILE* f) const {
@@ -58,18 +60,21 @@ Status ValidateCsr(std::span<const EdgeIdx> out_offsets,
 
 }  // namespace
 
-// FNV-1a chained over the four CSR arrays in section order, of resident
-// and of mapped arrays alike. The container's chained_checksum() is the
-// same chain over an ENG2's sections, which a mapped graph carries.
+// The XXH64 digests of the four CSR arrays, folded in section order, of
+// resident and of mapped arrays alike. The container's chained_checksum()
+// is the same fold over an ENG2's section digests, which a mapped graph
+// carries.
 uint64_t GraphChecksum(const DiGraph& g) {
   if (const std::optional<uint64_t> carried = g.carried_checksum()) {
     return *carried;
   }
-  uint64_t h = util::kFnvBasis;
-  h = util::Fnv1a(g.out_offsets().data(), g.out_offsets().size_bytes(), h);
-  h = util::Fnv1a(g.out_targets().data(), g.out_targets().size_bytes(), h);
-  h = util::Fnv1a(g.in_offsets().data(), g.in_offsets().size_bytes(), h);
-  return util::Fnv1a(g.in_targets().data(), g.in_targets().size_bytes(), h);
+  const auto digest = [](auto span) {
+    return util::Xxh64(span.data(), span.size_bytes());
+  };
+  const uint64_t digests[] = {digest(g.out_offsets()),
+                              digest(g.out_targets()),
+                              digest(g.in_offsets()), digest(g.in_targets())};
+  return util::ChainDigests(digests);
 }
 
 Status WriteEdgeListText(const DiGraph& g, const std::string& path) {
@@ -173,8 +178,8 @@ Result<DiGraph> MapBinary(const std::string& path) {
   // of same-length sections would fool per-section sums alone) and must
   // match what GraphChecksum computes on any other load path — it is the
   // warm-index invalidation key. With the lengths checked above, the
-  // container's chain over the sections is GraphChecksum's chain over
-  // these spans, hashed in the pass that verified the per-section sums.
+  // container's fold of the section digests is GraphChecksum's fold over
+  // these spans, from the pass that verified the per-section digests.
   const uint64_t checksum = file.chained_checksum();
   if (checksum != file.words()[2]) {
     return Status::Corruption("graph checksum mismatch: " + path);
@@ -189,10 +194,10 @@ Result<DiGraph> MapBinary(const std::string& path) {
 namespace {
 
 /// Buffered section writer: batches values and, on each flush, appends
-/// them to the current container section, which folds them into both the
-/// section checksum and the whole-graph chain. One instance per section,
-/// in section order, reproduces exactly the checksums SaveBinaryV2
-/// computes from resident arrays.
+/// them to the current container section, which streams them into the
+/// section's XXH64. One instance per section, in section order,
+/// reproduces exactly the digests SaveBinaryV2 computes from resident
+/// arrays.
 template <typename T>
 class SectionWriter {
  public:

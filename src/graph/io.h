@@ -4,8 +4,8 @@
 //  * Text edge list — one "src dst" pair per line, '#' comments, the format
 //    SNAP datasets ship in. Interoperable but slow.
 //  * ENG2 zero-copy snapshot — a file in the sectioned container of
-//    util/sectioned_file.h (magic, section table, per-section FNV
-//    checksums, 64-byte-aligned little-endian sections) whose CSR
+//    util/sectioned_file.h (magic, section table, per-section XXH64
+//    digests, 64-byte-aligned little-endian sections) whose CSR
 //    arrays are consumed *in place*: MapBinary mmaps the file read-only
 //    (util/mmap_file.h) and returns a DiGraph whose spans point straight
 //    into the page cache, so cold start pays validation, not
@@ -33,8 +33,10 @@ Status WriteEdgeListText(const DiGraph& g, const std::string& path);
 Result<DiGraph> ReadEdgeListText(const std::string& path,
                                  NodeId num_nodes = 0);
 
-/// 64-bit FNV-1a chained over the four CSR arrays — the identity of a
-/// graph's exact byte content. Stored in the ENG2 header and used
+/// The XXH64 digests of the four CSR arrays folded in order
+/// (util::ChainDigests) — the identity of a graph's exact byte content,
+/// equal to the container's chain over an ENG2's sections. Stored in the
+/// ENG2 header and used
 /// as the invalidation key for persisted warm indexes
 /// (serve/warm_index_cache.h) and partitions (serve/partition.h).
 /// O(1) for a graph that carries its checksum (DiGraph::carried_checksum:
@@ -44,12 +46,14 @@ uint64_t GraphChecksum(const DiGraph& g);
 
 /// ENG2 sectioned snapshot, in the container of util/sectioned_file.h
 /// (64-byte header, 32-byte section entries, 64-byte-aligned sections,
-/// per-section FNV-1a). ENG2 version 2 fills it with:
+/// per-section XXH64). ENG2 version 3 fills it with:
 ///   header words:  num_nodes | num_edges | graph_checksum
 ///   sections 0..3: out_offsets | out_targets | in_offsets | in_targets
 /// Alignment means a page-aligned mapping yields correctly aligned
 /// u64/u32 array pointers. Written to `path + ".tmp"` and renamed into
-/// place, so `path` may be the very file `g` is mapped from.
+/// place, so `path` may be the very file `g` is mapped from. Version 2
+/// had the same payload bytes under FNV-1a checksums; MapBinary refuses
+/// it (NotSupported).
 Status SaveBinaryV2(const DiGraph& g, const std::string& path);
 
 /// Maps an ENG2 snapshot read-only and returns a borrowed-storage DiGraph
@@ -62,9 +66,9 @@ Status SaveBinaryV2(const DiGraph& g, const std::string& path);
 /// any mismatch is a clean Corruption/NotSupported with no partial graph.
 /// A file in the retired ENG1 format fails the magic check (Corruption).
 /// The CSR bytes are hashed once: the container's verify pass computes
-/// the per-section sums and the chained graph checksum together, and the
-/// returned graph carries that checksum, so GraphChecksum on it (and on
-/// its copies) hashes nothing.
+/// each section's XXH64 and folds the digests into the graph checksum,
+/// and the returned graph carries that checksum, so GraphChecksum on it
+/// (and on its copies) hashes nothing.
 Result<DiGraph> MapBinary(const std::string& path);
 
 /// Tuning for the out-of-core ENG2 writer.

@@ -18,8 +18,10 @@ namespace {
 
 // PIDX in the sectioned container (util/sectioned_file.h): header words
 // {graph_checksum, num_nodes, num_shards | hub_count << 32}, sections
-// home (one byte per node) and hubs (u32 ids, ascending).
-constexpr util::SectionedFormat kPidx = {{'P', 'I', 'D', 'X'}, 1, 2};
+// home (one byte per node) and hubs (u32 ids, ascending). v2 has v1's
+// payload bytes under XXH64 digests; a v1 sidecar is a miss and is
+// rewritten.
+constexpr util::SectionedFormat kPidx = {{'P', 'I', 'D', 'X'}, 2, 2};
 
 enum SectionId : uint32_t {
   kHome = 0,

@@ -86,7 +86,7 @@ Result<graph::DiGraph> BuildShardGraph(const graph::DiGraph& g,
 std::string PartitionPathFor(const std::string& graph_path);
 
 /// Persists the partition as a PIDX sidecar in the sectioned container
-/// of util/sectioned_file.h (atomic temp+rename, FNV-1a per section):
+/// of util/sectioned_file.h (atomic temp+rename, XXH64 per section):
 /// header words graph checksum | node count | shard count | hub count
 /// << 32, sections home map and hub ids. Keyed by (graph checksum, shard
 /// count, hub count) — a shard-count change misses the key and triggers

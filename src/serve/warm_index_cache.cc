@@ -15,11 +15,12 @@ namespace {
 // WIDX in the sectioned container (util/sectioned_file.h): header words
 // {graph_checksum, config_hash, num_nodes}, sections in SectionId order.
 // v5 drops v4's six hub-label sections, keeping the heavy-node reach
-// table (u32 ids, u32 reach) last. Older readers see version 5 and bail
-// with NotSupported; this reader does the same for v1–v4 files — both
-// directions of skew degrade to a rebuild.
+// table (u32 ids, u32 reach) last; v6 is v5's sections under XXH64
+// digests. Older readers see version 6 and bail with NotSupported; this
+// reader does the same for v1–v5 files — both directions of skew degrade
+// to a rebuild.
 constexpr uint32_t kNumSections = 12;
-constexpr util::SectionedFormat kWidx = {{'W', 'I', 'D', 'X'}, 5,
+constexpr util::SectionedFormat kWidx = {{'W', 'I', 'D', 'X'}, 6,
                                          kNumSections};
 /// Bumped whenever the scalar block layout or section set changes, so
 /// sidecars written by an older layout fail the config hash instead of
@@ -174,7 +175,7 @@ uint64_t WarmConfigHash(const analysis::PageRankOptions& pagerank,
       fingerprint.clustering_samples,
       fingerprint.seed,
   };
-  return util::Fnv1a(fields, sizeof(fields));
+  return util::Xxh64(fields, sizeof(fields));
 }
 
 std::string WarmIndexPathFor(const std::string& graph_path) {

@@ -15,7 +15,7 @@
 //
 // File layout: "WIDX" in the sectioned container of
 // util/sectioned_file.h (64-byte header, 32-byte section entries,
-// 64-byte-aligned sections, per-section FNV-1a, temp file + rename on
+// 64-byte-aligned sections, per-section XXH64, temp file + rename on
 // write — the ENG2 graph snapshot's container too):
 //   header words:  graph_checksum | config_hash | num_nodes
 //   sections:      scalars | mutual_degree | wcc_label | wcc_sizes |
@@ -32,8 +32,9 @@
 // into a u32 rank and a u8 distance section (5 bytes per label entry
 // instead of 8); v4 adds the two heavy-node reach sections; v5 drops the
 // six hub-label sections, since dist always runs the bidirectional
-// search and no longer reads a distance oracle. Readers reject other
-// versions with NotSupported — the engine treats that exactly like
+// search and no longer reads a distance oracle; v6 keeps v5's section
+// bytes, with XXH64 digests and keys in place of FNV-1a. Readers reject
+// other versions with NotSupported — the engine treats that exactly like
 // corruption and rebuilds, so version skew in either direction degrades
 // cleanly.
 
@@ -92,7 +93,7 @@ struct WarmIndexKey {
   uint64_t config_hash = 0;
 };
 
-/// FNV-1a over every option that changes an index's value, plus an
+/// XXH64 of every option that changes an index's value, plus an
 /// internal format-generation constant — bump-on-change lives in the
 /// implementation, so stale sidecars from older layouts never validate.
 /// The trailing flag (EngineOptions::distance_oracle) is accepted and

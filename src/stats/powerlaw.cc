@@ -60,14 +60,23 @@ double KsDistance(std::span<const double> tail, const PowerLawFit& fit,
 
 constexpr double kNoCutoff = std::numeric_limits<double>::infinity();
 
+std::vector<double> Logs(std::span<const double> values) {
+  std::vector<double> logs;
+  logs.reserve(values.size());
+  for (double x : values) logs.push_back(std::log(x));
+  return logs;
+}
+
 // The per-tail fits. `tail` is ascending and holds exactly the
-// observations >= xmin. Every sum runs over it in order, so a suffix of
-// one sorted array gives the same bits as a freshly sorted copy of the
-// tail. `ks_cutoff` is passed to KsDistance: a fit whose KS pass stopped
-// early has a partial ks_distance >= ks_cutoff and is only good for
-// losing a strict `<` comparison.
-Result<PowerLawFit> FitDiscreteTail(std::span<const double> tail, double xmin,
-                                    const PowerLawOptions& opts,
+// observations >= xmin; `tail_logs` holds log x of each, in the same
+// order. Every sum runs over them in order, so a suffix of one sorted
+// array (and of its logs) gives the same bits as a freshly sorted copy
+// of the tail. `ks_cutoff` is passed to KsDistance: a fit whose KS pass
+// stopped early has a partial ks_distance >= ks_cutoff and is only good
+// for losing a strict `<` comparison.
+Result<PowerLawFit> FitDiscreteTail(std::span<const double> tail,
+                                    std::span<const double> tail_logs,
+                                    double xmin, const PowerLawOptions& opts,
                                     double ks_cutoff) {
   if (xmin < 1.0) {
     return Status::InvalidArgument("discrete fit requires xmin >= 1");
@@ -75,7 +84,7 @@ Result<PowerLawFit> FitDiscreteTail(std::span<const double> tail, double xmin,
   if (tail.empty()) return Status::InvalidArgument("empty tail");
 
   double sum_log = 0.0;
-  for (double x : tail) sum_log += std::log(x);
+  for (double log_x : tail_logs) sum_log += log_x;
   const double n = static_cast<double>(tail.size());
 
   // Maximize the log-likelihood over alpha (negate for the minimizer).
@@ -124,22 +133,25 @@ Result<PowerLawFit> FitContinuousTail(std::span<const double> tail,
   return fit;
 }
 
-// The xmin scan. The data are sorted once; each candidate is the first
-// index of a distinct value, and its tail is the suffix from there. A
-// candidate's KS pass stops once it reaches the best KS so far: under the
-// strict `<` below it could no longer win, so the earliest of tied
-// candidates still wins and the winner's fit is always complete.
-template <typename FitTailFn>
-Result<PowerLawFit> ScanXmin(std::span<const double> data,
-                             const PowerLawOptions& opts, FitTailFn fit_tail) {
+// The sample sorted ascending, for ScanXmin.
+Result<std::vector<double>> SortedSample(std::span<const double> data) {
   if (data.empty()) return Status::InvalidArgument("empty sample");
-
   std::vector<double> sorted(data.begin(), data.end());
   std::sort(sorted.begin(), sorted.end());
   if (sorted.front() <= 0.0) {
     return Status::InvalidArgument("power-law fit requires positive data");
   }
+  return sorted;
+}
 
+// The xmin scan over the sorted sample: each candidate is the first
+// index of a distinct value, and its tail is the suffix from there. A
+// candidate's KS pass stops once it reaches the best KS so far: under the
+// strict `<` below it could no longer win, so the earliest of tied
+// candidates still wins and the winner's fit is always complete.
+template <typename FitTailFn>
+Result<PowerLawFit> ScanXmin(std::span<const double> sorted,
+                             const PowerLawOptions& opts, FitTailFn fit_tail) {
   // Start index of each distinct value whose tail keeps min_tail_n
   // observations (the largest values leave too small a tail).
   std::vector<size_t> starts;
@@ -165,12 +177,11 @@ Result<PowerLawFit> ScanXmin(std::span<const double> data,
     starts.swap(sub);
   }
 
-  const std::span<const double> all(sorted);
   PowerLawFit best;
   bool have_best = false;
   for (size_t start : starts) {
     Result<PowerLawFit> fit =
-        fit_tail(all.subspan(start), sorted[start], opts,
+        fit_tail(sorted.subspan(start), sorted[start], opts,
                  have_best ? best.ks_distance : kNoCutoff);
     if (!fit.ok()) continue;
     if (!have_best || fit->ks_distance < best.ks_distance) {
@@ -198,7 +209,8 @@ std::vector<double> TailOf(std::span<const double> data, double xmin) {
 Result<PowerLawFit> FitDiscreteAlpha(std::span<const double> data,
                                      double xmin,
                                      const PowerLawOptions& opts) {
-  return FitDiscreteTail(TailOf(data, xmin), xmin, opts, kNoCutoff);
+  const std::vector<double> tail = TailOf(data, xmin);
+  return FitDiscreteTail(tail, Logs(tail), xmin, opts, kNoCutoff);
 }
 
 Result<PowerLawFit> FitContinuousAlpha(std::span<const double> data,
@@ -209,12 +221,22 @@ Result<PowerLawFit> FitContinuousAlpha(std::span<const double> data,
 
 Result<PowerLawFit> FitDiscrete(std::span<const double> data,
                                 const PowerLawOptions& opts) {
-  return ScanXmin(data, opts, FitDiscreteTail);
+  EN_ASSIGN_OR_RETURN(const std::vector<double> sorted, SortedSample(data));
+  // log x of the whole sample, taken once; a tail's logs are its suffix.
+  const std::vector<double> logs = Logs(sorted);
+  const std::span<const double> all_logs(logs);
+  return ScanXmin(sorted, opts,
+                  [&](std::span<const double> tail, double xmin,
+                      const PowerLawOptions& o, double cutoff) {
+                    return FitDiscreteTail(tail, all_logs.last(tail.size()),
+                                           xmin, o, cutoff);
+                  });
 }
 
 Result<PowerLawFit> FitContinuous(std::span<const double> data,
                                   const PowerLawOptions& opts) {
-  return ScanXmin(data, opts, FitContinuousTail);
+  EN_ASSIGN_OR_RETURN(const std::vector<double> sorted, SortedSample(data));
+  return ScanXmin(sorted, opts, FitContinuousTail);
 }
 
 double PowerLawSurvival(const PowerLawFit& fit, double x) {

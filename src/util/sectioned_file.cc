@@ -1,5 +1,6 @@
 #include "util/sectioned_file.h"
 
+#include <algorithm>
 #include <bit>
 #include <utility>
 
@@ -11,7 +12,14 @@ namespace util {
 namespace {
 
 constexpr uint64_t kAlignment = 64;
-constexpr uint64_t kFnvPrime = 0x100000001B3ULL;
+
+// XXH64's primes.
+constexpr uint64_t kP1 = 0x9E3779B185EBCA87ULL;
+constexpr uint64_t kP2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr uint64_t kP3 = 0x165667B19E3779F9ULL;
+constexpr uint64_t kP4 = 0x85EBCA77C2B2AE63ULL;
+constexpr uint64_t kP5 = 0x27D4EB2F165667C5ULL;
+constexpr size_t kStripe = 32;
 
 struct Header {
   char magic[4];
@@ -30,6 +38,33 @@ uint64_t TableEnd(uint32_t section_count) {
   return sizeof(Header) + uint64_t{section_count} * sizeof(SectionEntry);
 }
 
+// Host-order loads: XXH64 reads its lanes little-endian, which every
+// host the file formats run on is (CheckLittleEndianHost).
+template <typename T>
+T Load(const uint8_t* p) {
+  T v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+uint64_t Round(uint64_t acc, uint64_t lane) {
+  return std::rotl(acc + lane * kP2, 31) * kP1;
+}
+
+// Folds `stripes` whole 32-byte stripes from `p` into the four lanes.
+void HashStripes(std::array<uint64_t, 4>* lanes, const uint8_t* p,
+                 size_t stripes) {
+  uint64_t v0 = (*lanes)[0], v1 = (*lanes)[1];
+  uint64_t v2 = (*lanes)[2], v3 = (*lanes)[3];
+  for (; stripes > 0; --stripes, p += kStripe) {
+    v0 = Round(v0, Load<uint64_t>(p));
+    v1 = Round(v1, Load<uint64_t>(p + 8));
+    v2 = Round(v2, Load<uint64_t>(p + 16));
+    v3 = Round(v3, Load<uint64_t>(p + 24));
+  }
+  *lanes = {v0, v1, v2, v3};
+}
+
 Status CheckLittleEndianHost() {
   if constexpr (std::endian::native != std::endian::little) {
     return Status::NotSupported(
@@ -40,26 +75,60 @@ Status CheckLittleEndianHost() {
 
 }  // namespace
 
-uint64_t Fnv1a(const void* data, size_t len, uint64_t seed) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  uint64_t h = seed;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
+Xxh64Stream::Xxh64Stream() : lanes_{kP1 + kP2, kP2, 0, 0 - kP1} {}
+
+void Xxh64Stream::Update(const void* data, size_t len) {
+  if (len == 0) return;
+  const auto* p = static_cast<const uint8_t*>(data);
+  total_ += len;
+  if (carry_len_ > 0) {
+    const size_t take = std::min(len, kStripe - carry_len_);
+    std::memcpy(carry_.data() + carry_len_, p, take);
+    carry_len_ += take;
+    p += take;
+    len -= take;
+    if (carry_len_ < kStripe) return;
+    HashStripes(&lanes_, carry_.data(), 1);
   }
-  return h;
+  HashStripes(&lanes_, p, len / kStripe);
+  carry_len_ = len % kStripe;
+  std::memcpy(carry_.data(), p + len - carry_len_, carry_len_);
 }
 
-void Fnv1aPair(const void* data, size_t len, uint64_t* a, uint64_t* b) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  uint64_t ha = *a;
-  uint64_t hb = *b;
-  for (size_t i = 0; i < len; ++i) {
-    ha = (ha ^ p[i]) * kFnvPrime;
-    hb = (hb ^ p[i]) * kFnvPrime;
+uint64_t Xxh64Stream::Digest() const {
+  uint64_t h;
+  if (total_ >= kStripe) {
+    const auto& v = lanes_;
+    h = std::rotl(v[0], 1) + std::rotl(v[1], 7) + std::rotl(v[2], 12) +
+        std::rotl(v[3], 18);
+    for (const uint64_t lane : v) h = (h ^ Round(0, lane)) * kP1 + kP4;
+  } else {
+    h = kP5;
   }
-  *a = ha;
-  *b = hb;
+  h += total_;
+  const uint8_t* p = carry_.data();
+  const uint8_t* const end = p + carry_len_;
+  for (; end - p >= 8; p += 8) {
+    h = std::rotl(h ^ Round(0, Load<uint64_t>(p)), 27) * kP1 + kP4;
+  }
+  if (end - p >= 4) {
+    h = std::rotl(h ^ Load<uint32_t>(p) * kP1, 23) * kP2 + kP3;
+    p += 4;
+  }
+  for (; p < end; ++p) h = std::rotl(h ^ *p * kP5, 11) * kP1;
+  h = (h ^ (h >> 33)) * kP2;
+  h = (h ^ (h >> 29)) * kP3;
+  return h ^ (h >> 32);
+}
+
+uint64_t Xxh64(const void* data, size_t len) {
+  Xxh64Stream stream;
+  stream.Update(data, len);
+  return stream.Digest();
+}
+
+uint64_t ChainDigests(std::span<const uint64_t> digests) {
+  return Xxh64(digests.data(), digests.size_bytes());
 }
 
 Result<SectionedWriter> SectionedWriter::Create(
@@ -95,9 +164,9 @@ SectionedWriter::SectionedWriter(SectionedWriter&& other) noexcept
       file_(std::exchange(other.file_, nullptr)),
       table_(std::move(other.table_)),
       current_(other.current_),
+      current_hash_(other.current_hash_),
       open_(other.open_),
-      written_(other.written_),
-      chained_(other.chained_) {}
+      written_(other.written_) {}
 
 SectionedWriter::~SectionedWriter() {
   if (file_ != nullptr) {
@@ -120,7 +189,8 @@ Status SectionedWriter::OpenSection() {
     return Fail("padding write failed");
   }
   written_ = start;
-  current_ = {static_cast<uint32_t>(table_.size()), 0, start, 0, kFnvBasis};
+  current_ = {static_cast<uint32_t>(table_.size()), 0, start, 0, 0};
+  current_hash_ = Xxh64Stream();
   open_ = true;
   return Status::OK();
 }
@@ -131,7 +201,7 @@ Status SectionedWriter::Append(const void* data, size_t len) {
   if (std::fwrite(data, 1, len, file_) != len) {
     return Fail("section write failed");
   }
-  Fnv1aPair(data, len, &current_.checksum, &chained_);
+  current_hash_.Update(data, len);
   current_.length += len;
   written_ += len;
   return Status::OK();
@@ -139,9 +209,17 @@ Status SectionedWriter::Append(const void* data, size_t len) {
 
 Status SectionedWriter::EndSection() {
   EN_RETURN_IF_ERROR(OpenSection());
+  current_.checksum = current_hash_.Digest();
   table_.push_back(current_);
   open_ = false;
   return Status::OK();
+}
+
+uint64_t SectionedWriter::chained_checksum() const {
+  std::vector<uint64_t> digests;
+  digests.reserve(table_.size());
+  for (const SectionEntry& s : table_) digests.push_back(s.checksum);
+  return ChainDigests(digests);
 }
 
 Status SectionedWriter::AddSection(const void* data, size_t len) {
@@ -205,7 +283,8 @@ Result<SectionedFile> SectionedFile::Open(const std::string& path,
   SectionedFile file;
   file.sections_.reserve(format.section_count);
   uint64_t prev_end = table_end;
-  uint64_t chained = kFnvBasis;
+  std::vector<uint64_t> digests;
+  digests.reserve(format.section_count);
   for (uint32_t i = 0; i < format.section_count; ++i) {
     SectionEntry s;
     std::memcpy(&s, base + sizeof(Header) + i * sizeof(SectionEntry),
@@ -218,17 +297,15 @@ Result<SectionedFile> SectionedFile::Open(const std::string& path,
     // The writer lays sections out after the table, in id order; any
     // other placement would alias the header, the table or a sibling.
     if (s.offset < prev_end) return corrupt("sections overlap");
-    uint64_t section_sum = kFnvBasis;
-    Fnv1aPair(base + s.offset, s.length, &section_sum, &chained);
-    if (section_sum != s.checksum) {
-      return corrupt("section checksum mismatch");
-    }
+    const uint64_t digest = Xxh64(base + s.offset, s.length);
+    if (digest != s.checksum) return corrupt("section checksum mismatch");
+    digests.push_back(digest);
     file.sections_.emplace_back(base + s.offset, s.length);
     prev_end = s.offset + s.length;
   }
   file.path_ = path;
   file.magic_ = format.magic;
-  file.chained_ = chained;
+  file.chained_ = ChainDigests(digests);
   for (size_t i = 0; i < file.words_.size(); ++i) {
     file.words_[i] = header.words[i];
   }

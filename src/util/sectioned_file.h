@@ -7,16 +7,20 @@
 //                   u32 section_count | 28 zero bytes
 //   section table:  section_count x 32 B entries
 //                   { u32 id | u32 reserved (0) | u64 offset |
-//                     u64 length | u64 fnv1a_checksum }
+//                     u64 length | u64 xxh64_digest }
 //   sections:       in id order, each starting on a 64-byte boundary,
 //                   zero padding before each; nothing after the last.
+//
+// A section's digest is XXH64 (seed 0) of its bytes, padding excluded.
+// The whole-file checksum is ChainDigests of the section digests in id
+// order, so each payload byte is hashed once for both.
 //
 // All fields are little-endian. The three header words belong to the
 // format (ENG2: node count, edge count, graph checksum; WIDX: graph
 // checksum, config hash, node count; PIDX: graph checksum, node count,
 // shard count | hub count << 32). The container checks the frame —
 // magic, version, section count, table order, alignment, in-file bounds
-// and per-section FNV-1a — and each format checks what the words and
+// and per-section digests — and each format checks what the words and
 // sections mean (keys, expected lengths, content).
 //
 // Writes go to `path + ".tmp"`, renamed over `path` on Commit: a reader
@@ -41,16 +45,31 @@
 namespace elitenet {
 namespace util {
 
-inline constexpr uint64_t kFnvBasis = 0xCBF29CE484222325ULL;
+/// XXH64 (seed 0), the 64-bit xxHash of the published specification,
+/// fed in any number of pieces: the digest equals Xxh64 of the pieces
+/// concatenated.
+/// Keeps the four lane accumulators, a carry of up to one 32-byte stripe
+/// and the total length; Update hashes whole stripes in place.
+class Xxh64Stream {
+ public:
+  Xxh64Stream();
+  void Update(const void* data, size_t len);
+  /// The digest of everything fed so far; the stream may go on after.
+  uint64_t Digest() const;
 
-/// 64-bit FNV-1a over `len` bytes, continuing from `seed`.
-uint64_t Fnv1a(const void* data, size_t len, uint64_t seed = kFnvBasis);
+ private:
+  uint64_t total_ = 0;
+  std::array<uint64_t, 4> lanes_;
+  std::array<uint8_t, 32> carry_ = {};
+  size_t carry_len_ = 0;
+};
 
-/// Two FNV-1a chains over the same bytes in one loop: afterwards `*a` is
-/// Fnv1a(data, len, old *a) and `*b` is Fnv1a(data, len, old *b). The
-/// loop waits on each multiply's latency, and the two chains' multiplies
-/// are independent, so it runs about as fast as one Fnv1a.
-void Fnv1aPair(const void* data, size_t len, uint64_t* a, uint64_t* b);
+/// XXH64 (seed 0) of `len` bytes.
+uint64_t Xxh64(const void* data, size_t len);
+
+/// Order-dependent fold of section digests: XXH64 of the digests as
+/// little-endian u64s in the given order.
+uint64_t ChainDigests(std::span<const uint64_t> digests);
 
 /// Identity of one file format: what the header's first eight bytes and
 /// section count must say.
@@ -73,11 +92,10 @@ struct SectionEntry {
 };
 static_assert(sizeof(SectionEntry) == 32, "section entry is 32 bytes");
 
-/// Streams sections, in id order, into `path + ".tmp"`, checksumming the
-/// bytes as it writes them (each section's FNV-1a and the chain across
-/// sections, in one pass); Commit back-patches the header and section
-/// table and renames the file over `path`. A writer destroyed without a
-/// successful Commit removes its temp file.
+/// Streams sections, in id order, into `path + ".tmp"`, hashing each
+/// section's bytes as it writes them; Commit back-patches the header and
+/// section table and renames the file over `path`. A writer destroyed
+/// without a successful Commit removes its temp file.
 class SectionedWriter {
  public:
   static Result<SectionedWriter> Create(const std::string& path,
@@ -100,10 +118,10 @@ class SectionedWriter {
     return AddSection(values.data(), values.size_bytes());
   }
 
-  /// FNV-1a chained over every byte appended so far, across sections in
-  /// id order: what SectionedFile::chained_checksum() reads back. A
-  /// format that stores it in a header word passes it to Commit.
-  uint64_t chained_checksum() const { return chained_; }
+  /// ChainDigests of the sections closed so far, in id order: what
+  /// SectionedFile::chained_checksum() reads back. A format that stores
+  /// it in a header word passes it to Commit.
+  uint64_t chained_checksum() const;
 
   /// Writes the header and section table, flushes, and renames the temp
   /// file over the target. Every section must have been written.
@@ -121,9 +139,9 @@ class SectionedWriter {
   std::FILE* file_;
   std::vector<SectionEntry> table_;  ///< closed sections
   SectionEntry current_ = {};
+  Xxh64Stream current_hash_;
   bool open_ = false;
   uint64_t written_ = 0;  ///< bytes in the file so far
-  uint64_t chained_ = kFnvBasis;
 };
 
 /// A mapped, frame-checked sectioned file. Section spans point into the
@@ -135,16 +153,15 @@ class SectionedFile {
   /// (Corruption), version (NotSupported), section count, table order
   /// (ids 0..count-1, each section after the table and after its
   /// predecessor), 64-byte alignment, in-file bounds and every section's
-  /// checksum (Corruption). A missing file is an IoError. Each section
-  /// byte is hashed once, for its own checksum and the chain together.
+  /// digest (Corruption). A missing file is an IoError. Each section
+  /// byte is hashed once; the chain folds the section digests.
   static Result<SectionedFile> Open(const std::string& path,
                                     const SectionedFormat& format);
 
   const HeaderWords& words() const { return words_; }
-  /// FNV-1a chained over all sections' bytes in id order, computed in the
-  /// same pass that verified the per-section checksums. The container
-  /// stores no copy of it; a format that keeps one in a header word
-  /// compares the two.
+  /// ChainDigests of all sections' digests in id order, from the pass
+  /// that verified them. The container stores no copy of it; a format
+  /// that keeps one in a header word compares the two.
   uint64_t chained_checksum() const { return chained_; }
   std::span<const uint8_t> section(uint32_t id) const { return sections_[id]; }
   uint64_t file_size() const { return mapping_->size(); }
@@ -171,7 +188,7 @@ class SectionedFile {
   std::array<char, 4> magic_ = {};
   std::shared_ptr<const MmapFile> mapping_;
   HeaderWords words_ = {};
-  uint64_t chained_ = kFnvBasis;
+  uint64_t chained_ = 0;
   std::vector<std::span<const uint8_t>> sections_;
 };
 

@@ -325,7 +325,7 @@ TEST(IoRobustnessTest, HugeClaimedCountsRejectedWithoutAllocation) {
   // fast, not size anything by the claimed counts.
   std::string bytes(TableEnd(kEng2Sections), '\0');
   std::memcpy(bytes.data(), "ENG2", 4);
-  Put<uint32_t>(&bytes, 4, 2);
+  Put<uint32_t>(&bytes, kVersionAt, 3);
   Put<uint64_t>(&bytes, kNumNodesAt, uint64_t{1} << 62);
   Put<uint64_t>(&bytes, kNumEdgesAt, uint64_t{1} << 62);
   Put<uint32_t>(&bytes, kSectionCountAt, kEng2Sections);

@@ -71,14 +71,17 @@ TEST(SnapshotV2Test, RoundTrip) {
   EXPECT_EQ(GraphChecksum(*mapped), GraphChecksum(g));
 }
 
-// FNV-1a chained over the four CSR spans, hashed afresh from the bytes
-// `g` views — what GraphChecksum must return, carried or not.
+// The reference XXH64 of each of the four CSR spans, folded in order,
+// hashed afresh from the bytes `g` views — what GraphChecksum must
+// return, carried or not.
 uint64_t RecomputedChecksum(const DiGraph& g) {
-  uint64_t h = util::kFnvBasis;
-  h = util::Fnv1a(g.out_offsets().data(), g.out_offsets().size_bytes(), h);
-  h = util::Fnv1a(g.out_targets().data(), g.out_targets().size_bytes(), h);
-  h = util::Fnv1a(g.in_offsets().data(), g.in_offsets().size_bytes(), h);
-  return util::Fnv1a(g.in_targets().data(), g.in_targets().size_bytes(), h);
+  const auto digest = [](auto span) {
+    return sectioned_bytes::Xxh64(std::string(
+        reinterpret_cast<const char*>(span.data()), span.size_bytes()));
+  };
+  return sectioned_bytes::ChainDigests(
+      {digest(g.out_offsets()), digest(g.out_targets()),
+       digest(g.in_offsets()), digest(g.in_targets())});
 }
 
 TEST(SnapshotV2Test, MappedGraphCarriesTheChecksumItWasVerifiedWith) {
@@ -242,6 +245,23 @@ TEST(SnapshotV2Test, VersionSkewIsNotSupported) {
   EXPECT_EQ(MapBinary(path).status().code(), StatusCode::kNotSupported);
 }
 
+// Version 2 had version 3's payload bytes under FNV-1a checksums. There
+// is no reader for it: a v2 header is refused before any section is
+// hashed, whatever its checksums say.
+TEST(SnapshotV2Test, Version2SnapshotIsNotSupported) {
+  using namespace sectioned_bytes;
+  const std::string path = TempPath("v2_old_version.eng2");
+  ASSERT_TRUE(SaveBinaryV2(SmallGraph(), path).ok());
+  std::string bytes = ReadFileBytes(path);
+  ASSERT_EQ(Get<uint32_t>(bytes, kVersionAt), 3u);
+  Put<uint32_t>(&bytes, kVersionAt, 2);
+  WriteFileBytes(path, bytes);
+  const auto mapped = MapBinary(path);
+  EXPECT_EQ(mapped.status().code(), StatusCode::kNotSupported);
+  EXPECT_NE(mapped.status().ToString().find("version 2"), std::string::npos)
+      << mapped.status().ToString();
+}
+
 TEST(SnapshotV2Test, Eng1FileIsCorruptionNotCrash) {
   // A file in the retired ENG1 format, written by hand: the 36-byte
   // header (magic | u32 version | u32 reserved | u64 n | u64 m |
@@ -287,7 +307,7 @@ TEST(SnapshotV2Test, EdgeCountWhoseByteLengthWrapsIsCorruption) {
   const uint64_t m = uint64_t{1} << 62;
   std::string bytes(320, '\0');
   std::memcpy(bytes.data(), "ENG2", 4);
-  Put<uint32_t>(&bytes, 4, 2);
+  Put<uint32_t>(&bytes, kVersionAt, 3);
   Put<uint64_t>(&bytes, kNumNodesAt, 1);
   Put<uint64_t>(&bytes, kNumEdgesAt, m);
   Put<uint32_t>(&bytes, kSectionCountAt, 4);
@@ -327,14 +347,13 @@ TEST(SnapshotV2Test, NodeCountShorterThanOffsetSectionsIsCorruption) {
   std::string bytes = ReadFileBytes(path);
   const uint64_t n = Get<uint64_t>(bytes, kNumNodesAt) - 1;
   Put<uint64_t>(&bytes, kNumNodesAt, n);
-  uint64_t graph_hash = kFnvBasis;
+  std::vector<uint64_t> digests;
   for (size_t i = 0; i < kEng2Sections; ++i) {
     const uint64_t length = i % 2 == 0 ? (n + 1) * sizeof(EdgeIdx)
                                        : Get<uint64_t>(bytes, LengthAt(i));
-    graph_hash =
-        Fnv1a(bytes, Get<uint64_t>(bytes, OffsetAt(i)), length, graph_hash);
+    digests.push_back(Xxh64(bytes, Get<uint64_t>(bytes, OffsetAt(i)), length));
   }
-  Put<uint64_t>(&bytes, kGraphChecksumAt, graph_hash);
+  Put<uint64_t>(&bytes, kGraphChecksumAt, ChainDigests(digests));
   ASSERT_TRUE(ResealSections(&bytes, kEng2Sections));
   WriteFileBytes(path, bytes);
   const auto mapped = MapBinary(path);

@@ -6,6 +6,7 @@
 #include "util/sectioned_file.h"
 
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,16 @@ Status WriteSample(const std::string& path, char fill) {
   return out.Commit({1, 2, 3});
 }
 
+// The reference hash against the published XXH64 values.
+TEST(SectionedFileTest, ReferenceXxh64MatchesPublishedValues) {
+  EXPECT_EQ(sectioned_bytes::Xxh64(""), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(sectioned_bytes::Xxh64("a"), 0xD24EC4F1A98C6E5BULL);
+  EXPECT_EQ(sectioned_bytes::Xxh64("abc"), 0x44BC2CF5AD770999ULL);
+  EXPECT_EQ(
+      sectioned_bytes::Xxh64("Nobody inspects the spammish repetition"),
+      0xFBCEA83C8A378BF1ULL);
+}
+
 TEST(SectionedFileTest, WriterLayoutAndRoundTrip) {
   const std::string path = TempPath("layout.sec");
   ASSERT_TRUE(WriteSample(path, 'a').ok());
@@ -71,7 +82,7 @@ TEST(SectionedFileTest, WriterLayoutAndRoundTrip) {
     EXPECT_EQ(Get<uint64_t>(bytes, OffsetAt(i)), offsets[i]);
     EXPECT_EQ(Get<uint64_t>(bytes, LengthAt(i)), lengths[i]);
     EXPECT_EQ(Get<uint64_t>(bytes, ChecksumAt(i)),
-              sectioned_bytes::Fnv1a(bytes, offsets[i], lengths[i]));
+              sectioned_bytes::Xxh64(bytes, offsets[i], lengths[i]));
   }
   // Header padding and alignment padding are zero.
   EXPECT_EQ(bytes.substr(36, 28), std::string(28, '\0'));
@@ -165,52 +176,101 @@ TEST(SectionedFileTest, FrameDamageHasItsStatusClass) {
   EXPECT_EQ(open_code(good), StatusCode::kOk);
 }
 
-// The writer and the reader hash each section byte once, for the section
-// checksum and the chain across sections together. Both must equal
-// separate Fnv1a calls at every length around the word and cache-line
-// sizes, and the writer's split Appends must not change them.
-TEST(SectionedFileTest, OnePassSumsMatchSeparateHashes) {
-  const size_t lengths[] = {0, 1, 7, 63, 64, 65};
-  constexpr SectionedFormat kSix = {{'F', 'U', 'S', 'E'}, 1, 6};
-  std::string data(65, '\0');
-  for (size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<char>(i * 37 + 11);
-  }
+std::string PatternBytes(size_t len) {
+  std::string data(len, '\0');
+  for (size_t i = 0; i < len; ++i) data[i] = static_cast<char>(i * 37 + 11);
+  return data;
+}
 
-  for (const size_t len : lengths) {
-    uint64_t section = kFnvBasis;
-    uint64_t chain = 0x1234567890ABCDEFULL;
-    Fnv1aPair(data.data(), len, &section, &chain);
-    EXPECT_EQ(section, util::Fnv1a(data.data(), len)) << len;
-    EXPECT_EQ(chain, util::Fnv1a(data.data(), len, 0x1234567890ABCDEFULL))
+// XXH64 against its published digest of the empty input, and against
+// the reference in sectioned_bytes.h on one buffer of every length 0-129:
+// under, at and over one 32-byte stripe, with every tail length.
+TEST(SectionedFileTest, Xxh64MatchesTheReference) {
+  EXPECT_EQ(util::Xxh64(nullptr, 0), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(Xxh64Stream().Digest(), 0xEF46DB3751D8E999ULL);
+  const std::string data = PatternBytes(129);
+  for (size_t len = 0; len <= data.size(); ++len) {
+    EXPECT_EQ(util::Xxh64(data.data(), len),
+              sectioned_bytes::Xxh64(data, 0, len))
         << len;
   }
+}
 
-  const std::string path = TempPath("one_pass.sec");
-  uint64_t chain = kFnvBasis;
+// A stream's digest depends on its bytes, not on how they were split:
+// at every split point of every length 0-129, in one, two and three
+// Updates (the carry across stripes is the part that can go wrong).
+TEST(SectionedFileTest, StreamedXxh64MatchesOneShotAtEverySplit) {
+  const std::string data = PatternBytes(129);
+  for (size_t len = 0; len <= data.size(); ++len) {
+    const uint64_t whole = util::Xxh64(data.data(), len);
+    Xxh64Stream once;
+    once.Update(data.data(), len);
+    EXPECT_EQ(once.Digest(), whole) << len;
+    for (size_t a = 0; a <= len; ++a) {
+      Xxh64Stream two;
+      two.Update(data.data(), a);
+      two.Update(data.data() + a, len - a);
+      EXPECT_EQ(two.Digest(), whole) << len << " split at " << a;
+      for (size_t b = a; b <= len; ++b) {
+        Xxh64Stream three;
+        three.Update(data.data(), a);
+        three.Update(data.data() + a, b - a);
+        three.Update(data.data() + b, len - b);
+        ASSERT_EQ(three.Digest(), whole)
+            << len << " split at " << a << " and " << b;
+      }
+    }
+  }
+}
+
+// The writer streams each section's digest across its Appends, and the
+// reader hashes each section once; both must give the reference digests
+// and their fold at every length around the stripe and cache-line sizes.
+TEST(SectionedFileTest, WriterAndReaderDigestsMatchTheReference) {
+  const size_t lengths[] = {0, 1, 7, 31, 32, 33, 63, 64, 65};
+  constexpr uint32_t kSections = std::size(lengths);
+  constexpr SectionedFormat kMany = {{'F', 'U', 'S', 'E'}, 1, kSections};
+  const std::string data = PatternBytes(65);
+  std::vector<uint64_t> digests;
+  for (const size_t len : lengths) {
+    digests.push_back(sectioned_bytes::Xxh64(data, 0, len));
+  }
+  const uint64_t chain = sectioned_bytes::ChainDigests(digests);
+  EXPECT_EQ(util::ChainDigests(digests), chain);
+
+  const std::string path = TempPath("digests.sec");
   {
-    auto out = SectionedWriter::Create(path, kSix);
+    auto out = SectionedWriter::Create(path, kMany);
     ASSERT_TRUE(out.ok());
     for (const size_t len : lengths) {
-      ASSERT_TRUE(out->Append(data.data(), len / 2).ok());
+      ASSERT_TRUE(out->Append(data.data(), len / 3).ok());
+      ASSERT_TRUE(out->Append(data.data() + len / 3, len / 2 - len / 3).ok());
       ASSERT_TRUE(out->Append(data.data() + len / 2, len - len / 2).ok());
       ASSERT_TRUE(out->EndSection().ok());
-      chain = util::Fnv1a(data.data(), len, chain);
     }
     EXPECT_EQ(out->chained_checksum(), chain);
     ASSERT_TRUE(out->Commit({chain, 0, 0}).ok());
   }
   const std::string bytes = ReadFileBytes(path);
-  auto file = SectionedFile::Open(path, kSix);
+  auto file = SectionedFile::Open(path, kMany);
   ASSERT_TRUE(file.ok()) << file.status().ToString();
   EXPECT_EQ(file->chained_checksum(), chain);
   EXPECT_EQ(file->words()[0], chain);
-  for (uint32_t i = 0; i < kSix.section_count; ++i) {
+  for (uint32_t i = 0; i < kSections; ++i) {
     ASSERT_EQ(file->section(i).size(), lengths[i]);
-    EXPECT_EQ(Get<uint64_t>(bytes, ChecksumAt(i)),
-              util::Fnv1a(data.data(), lengths[i]))
+    EXPECT_EQ(Get<uint64_t>(bytes, ChecksumAt(i)), digests[i])
         << "section " << i;
   }
+}
+
+// The chain is order-dependent: two sections' digests trading places
+// change it, so a swap the per-section digests accept still shows.
+TEST(SectionedFileTest, ChainDependsOnSectionOrder) {
+  const uint64_t a = util::Xxh64("first", 5);
+  const uint64_t b = util::Xxh64("second", 6);
+  const uint64_t ab[] = {a, b};
+  const uint64_t ba[] = {b, a};
+  EXPECT_NE(util::ChainDigests(ab), util::ChainDigests(ba));
 }
 
 // Sections must lie after the table, in id order, without overlap: a
@@ -234,16 +294,18 @@ TEST(SectionedFileTest, SectionsOverlappingTheTableOrEachOtherAreCorruption) {
   }
 }
 
-// The bytes every format writes, pinned by FNV-1a digests recorded from
-// the writers that preceded the shared container: the 4,000-user
-// generator graph (seed 2018) as ENG2 from the in-memory and the streamed
-// writer, its warm indexes as WIDX, and its 2-shard partition as PIDX. A
-// change to any writer or to the container must keep them. The WIDX
-// digest was re-recorded for v4, whose first sixteen sections are
-// byte-for-byte v3's (the version, the config hash and the two heavy-node
-// reach sections changed), and again for v5, which keeps v4's sections
-// byte for byte less the six hub-label ones (the version, the section
-// count and the config hash changed).
+// The bytes every format writes: the 4,000-user generator graph (seed
+// 2018) as ENG2 from the in-memory and the streamed writer, its warm
+// indexes as WIDX, and its 2-shard partition as PIDX. A change to any
+// writer or to the container must keep them. Two digests per file:
+//  * the payload digest covers each section's length and bytes, not the
+//    header or table. It was recorded from the FNV-1a container (ENG2 v2,
+//    WIDX v5, PIDX v1) and still holds for the XXH64 one (ENG2 v3, WIDX
+//    v6, PIDX v2): the hash change moved no payload byte.
+//  * the whole-file digest covers every byte, so it also pins the version,
+//    the section digests and the checksum header words. It was
+//    re-recorded for the XXH64 container; before that for WIDX v4 (new
+//    heavy-node reach sections) and v5 (hub-label sections dropped).
 TEST(SectionedFileTest, FormatsMatchGoldenDigests) {
   gen::VerifiedNetworkConfig cfg;
   cfg.num_users = 4000;
@@ -251,18 +313,31 @@ TEST(SectionedFileTest, FormatsMatchGoldenDigests) {
   ASSERT_TRUE(net.ok()) << net.status().ToString();
   const graph::DiGraph& g = net->graph;
   const auto digest = [](const std::string& path) {
+    return sectioned_bytes::Xxh64(ReadFileBytes(path));
+  };
+  // Each section's u64 length and payload in id order, hashed together:
+  // the bytes a format means, less the header, table and padding.
+  const auto payload = [](const std::string& path, size_t sections) {
     const std::string bytes = ReadFileBytes(path);
-    return sectioned_bytes::Fnv1a(bytes, 0, bytes.size());
+    std::string payloads;
+    for (size_t i = 0; i < sections; ++i) {
+      const uint64_t length = Get<uint64_t>(bytes, LengthAt(i));
+      payloads.append(bytes, LengthAt(i), 8);
+      payloads.append(bytes, Get<uint64_t>(bytes, OffsetAt(i)), length);
+    }
+    return sectioned_bytes::Xxh64(payloads);
   };
 
   const std::string eng2 = TempPath("golden.eng2");
   ASSERT_TRUE(graph::SaveBinaryV2(g, eng2).ok());
-  EXPECT_EQ(digest(eng2), 0xce3f1dca56533dc6ULL);
+  EXPECT_EQ(digest(eng2), 0x504c37cdf260e287ULL);
+  EXPECT_EQ(payload(eng2, 4), 0xfba417885572aae5ULL);
   const std::string streamed = TempPath("golden_streamed.eng2");
   graph::StreamWriteOptions stream_opts;
   stream_opts.sort_budget_bytes = 1 << 20;
   ASSERT_TRUE(graph::SaveStreamedV2(g, streamed, stream_opts).ok());
-  EXPECT_EQ(digest(streamed), 0xce3f1dca56533dc6ULL);
+  EXPECT_EQ(digest(streamed), 0x504c37cdf260e287ULL);
+  EXPECT_EQ(payload(streamed, 4), 0xfba417885572aae5ULL);
 
   const serve::EngineOptions opts;
   serve::WarmIndexes warm;
@@ -272,7 +347,8 @@ TEST(SectionedFileTest, FormatsMatchGoldenDigests) {
       serve::WarmConfigHash(opts.pagerank, opts.fingerprint)};
   const std::string widx = TempPath("golden.widx");
   ASSERT_TRUE(serve::SaveWarmIndexes(widx, key, warm).ok());
-  EXPECT_EQ(digest(widx), 0xbd05422737a30bc7ULL);
+  EXPECT_EQ(digest(widx), 0xcac142689cfbb562ULL);
+  EXPECT_EQ(payload(widx, 12), 0xc892d8174861be25ULL);
 
   serve::PartitionOptions part_opts;
   part_opts.num_shards = 2;
@@ -281,7 +357,8 @@ TEST(SectionedFileTest, FormatsMatchGoldenDigests) {
   const std::string pidx = TempPath("golden.pidx");
   ASSERT_TRUE(
       serve::SavePartition(pidx, *partition, part_opts.hub_count).ok());
-  EXPECT_EQ(digest(pidx), 0xf14179aea2d725bcULL);
+  EXPECT_EQ(digest(pidx), 0x91340e08b0dfd286ULL);
+  EXPECT_EQ(payload(pidx, 2), 0x0bb30f269622a4cfULL);
 }
 
 }  // namespace

@@ -352,6 +352,38 @@ TEST(PartitionTest, LoadOrBuildReportsCacheState) {
   EXPECT_FALSE(from_cache);
 }
 
+// PIDX v1 had v2's payload bytes under FNV-1a digests. A v1 sidecar is
+// NotSupported, which LoadOrBuildPartition treats as a miss: it rebuilds
+// and rewrites the file as v2, which the next start restores.
+TEST(PartitionTest, Version1SidecarIsRebuiltAndRewritten) {
+  using namespace sectioned_bytes;
+  const DiGraph g = TestGraph(64);
+  PartitionOptions opts;
+  opts.num_shards = 2;
+  opts.hub_count = 4;
+  const std::string path = TempPath("old_version.pidx");
+  std::remove(path.c_str());
+  const uint64_t checksum = graph::GraphChecksum(g);
+  bool from_cache = true;
+  ASSERT_TRUE(LoadOrBuildPartition(g, opts, checksum, path, &from_cache).ok());
+
+  std::string bytes = ReadFileBytes(path);
+  ASSERT_EQ(Get<uint32_t>(bytes, kVersionAt), 2u);
+  Put<uint32_t>(&bytes, kVersionAt, 1);
+  WriteFileBytes(path, bytes);
+  EXPECT_EQ(LoadPartition(path, checksum, opts.num_shards, opts.hub_count,
+                          g.num_nodes())
+                .status()
+                .code(),
+            StatusCode::kNotSupported);
+
+  ASSERT_TRUE(LoadOrBuildPartition(g, opts, checksum, path, &from_cache).ok());
+  EXPECT_FALSE(from_cache);
+  EXPECT_EQ(Get<uint32_t>(ReadFileBytes(path), kVersionAt), 2u);
+  ASSERT_TRUE(LoadOrBuildPartition(g, opts, checksum, path, &from_cache).ok());
+  EXPECT_TRUE(from_cache);
+}
+
 }  // namespace
 }  // namespace serve
 }  // namespace elitenet

@@ -180,18 +180,19 @@ uint32_t SidecarVersion(const std::string& path) {
 
 // Forward compatibility, old side: a sidecar written by an earlier format
 // generation — version 1 (no hub-label sections), version 2 (packed u64
-// hub-label entries), version 3 (no heavy-node reach sections) or
-// version 4 (hub-label sections before the reach table) — must be
-// refused with NotSupported — never misparsed — and the engine must
-// degrade it to a rebuild that rewrites the file in the current format.
+// hub-label entries), version 3 (no heavy-node reach sections), version
+// 4 (hub-label sections before the reach table) or version 5 (v6's
+// sections under FNV-1a digests) — must be refused with NotSupported —
+// never misparsed — and the engine must degrade it to a rebuild that
+// rewrites the file in the current format, which the next start restores.
 TEST(WarmIndexCacheTest, OldFormatSidecarDegradesToRebuildAndRewrite) {
   const graph::DiGraph g = TestGraph();
   const std::string widx = TempPath("old_format.widx");
-  for (const uint32_t old_version : {1u, 2u, 3u, 4u}) {
+  for (const uint32_t old_version : {1u, 2u, 3u, 4u, 5u}) {
     std::remove(widx.c_str());
     EngineWithSidecar(g, widx);
 
-    // Rewind the header's version field (u32 at offset 4) from 5,
+    // Rewind the header's version field (u32 at offset 4) from 6,
     // simulating a file left behind by an earlier release.
     {
       std::fstream f(widx, std::ios::in | std::ios::out | std::ios::binary);
@@ -210,24 +211,24 @@ TEST(WarmIndexCacheTest, OldFormatSidecarDegradesToRebuildAndRewrite) {
 
     auto engine = EngineWithSidecar(g, widx);  // must not fail
     EXPECT_FALSE(engine->warm_index_from_cache()) << old_version;
-    EXPECT_EQ(SidecarVersion(widx), 5u) << "the rebuild rewrote v5";
+    EXPECT_EQ(SidecarVersion(widx), 6u) << "the rebuild rewrote v6";
     auto next = EngineWithSidecar(g, widx);
     EXPECT_TRUE(next->warm_index_from_cache()) << old_version;
   }
 }
 
 // Forward compatibility, new side: a sidecar must be cleanly rejected by
-// readers that predate its section set. The v1–v4 readers' first check
-// is `version == 1` … `4` (NotSupported on mismatch), so it suffices
-// that the on-disk version advanced.
+// readers that predate its section set or its hash. The v1–v5 readers'
+// first check is `version == 1` … `5` (NotSupported on mismatch), so it
+// suffices that the on-disk version advanced.
 TEST(WarmIndexCacheTest, NewSectionsAreInvisibleToOldReaders) {
   const graph::DiGraph g = TestGraph();
   const std::string widx = TempPath("new_sections.widx");
   std::remove(widx.c_str());
   EngineWithSidecar(g, widx);
 
-  EXPECT_EQ(SidecarVersion(widx), 5u)
-      << "dropping the hub-label sections must bump the format version";
+  EXPECT_EQ(SidecarVersion(widx), 6u)
+      << "the XXH64 digests must bump the format version";
 }
 
 TEST(WarmIndexCacheTest, DamageIsCorruption) {
