@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "analysis/reciprocity.h"
+#include "graph/io.h"
 #include "util/ext_sort.h"
 #include "util/metrics.h"
 #include "util/trace.h"
@@ -98,26 +99,12 @@ Result<std::unique_ptr<LiveGraph>> LiveGraph::Create(
     return Status::InvalidArgument("cannot overlay an empty graph");
   }
   std::unique_ptr<LiveGraph> lg(new LiveGraph());
-  const NodeId n = base.num_nodes();
-  lg->num_nodes_ = n;
+  lg->num_nodes_ = base.num_nodes();
   lg->options_ = options;
 
-  // Head-version degree/mutual tables start as the base's (O(n) + one
-  // O(m) merge pass — the one the warm mutual-degree index runs).
-  lg->out_degree_.reset(new std::atomic<uint32_t>[n]);
-  lg->in_degree_.reset(new std::atomic<uint32_t>[n]);
-  lg->mutual_degree_.reset(new std::atomic<uint32_t>[n]);
-  const std::vector<uint32_t> mutual = analysis::MutualDegrees(base);
-  for (NodeId u = 0; u < n; ++u) {
-    lg->out_degree_[u].store(base.OutDegree(u), std::memory_order_relaxed);
-    lg->in_degree_[u].store(base.InDegree(u), std::memory_order_relaxed);
-    lg->mutual_degree_[u].store(mutual[u], std::memory_order_relaxed);
-  }
   lg->live_edges_.store(base.num_edges(), std::memory_order_relaxed);
-  lg->reciprocated_.store(
-      analysis::ReciprocityFromMutualDegrees(base.num_edges(), mutual)
-          .reciprocated_edges,
-      std::memory_order_relaxed);
+  lg->reciprocated_.store(analysis::ComputeReciprocity(base).reciprocated_edges,
+                          std::memory_order_relaxed);
 
   auto epoch = std::make_shared<Epoch>(std::move(base));
   epoch->warm_payload = std::move(warm_payload);
@@ -277,19 +264,11 @@ Result<ApplyOutcome> LiveGraph::ApplyInternal(const Mutation& m,
     (follow ? follows_ : unfollows_).fetch_add(1, std::memory_order_relaxed);
     live_edges_.fetch_add(static_cast<uint64_t>(static_cast<int64_t>(delta)),
                           std::memory_order_relaxed);
-    out_degree_[m.src].fetch_add(static_cast<uint32_t>(delta),
-                                 std::memory_order_relaxed);
-    in_degree_[m.dst].fetch_add(static_cast<uint32_t>(delta),
-                                std::memory_order_relaxed);
     // The reverse edge is untouched by this mutation, so reciprocity
     // changes iff dst -> src exists at the head.
     if (HeadHasEdge(*epoch, m.dst, m.src)) {
       reciprocated_.fetch_add(static_cast<uint64_t>(2 * delta),
                               std::memory_order_relaxed);
-      mutual_degree_[m.src].fetch_add(static_cast<uint32_t>(delta),
-                                      std::memory_order_relaxed);
-      mutual_degree_[m.dst].fetch_add(static_cast<uint32_t>(delta),
-                                      std::memory_order_relaxed);
     }
     // Current tombstone/add tallies (forward direction only, so an edge
     // counts once): a toggled base edge is a tombstone while absent, a
@@ -361,8 +340,6 @@ Result<CompactionStats> LiveGraph::Compact(const std::string& path,
     ELITENET_SPAN("serve.overlay.compact.merge");
     LiveSnapshot snap(old_epoch, fold_version);
     util::ExtSortOptions sort_options;
-    sort_options.budget_bytes = options_.compact_stream.sort_budget_bytes;
-    sort_options.temp_dir = options_.compact_stream.temp_dir;
     sort_options.temp_prefix = "compact";
     util::ExtSorter sorter(sort_options);
     std::vector<uint64_t> batch;
@@ -386,8 +363,7 @@ Result<CompactionStats> LiveGraph::Compact(const std::string& path,
     }
     // The writer goes through a temp file renamed into place, so a
     // concurrent cold start never maps a torn file.
-    auto written = graph::WriteStreamedV2(&sorter, num_nodes_, path,
-                                          options_.compact_stream);
+    auto written = graph::WriteStreamedV2(&sorter, num_nodes_, path);
     if (!written.ok()) {
       abandon_tail();
       return written.status();

@@ -58,7 +58,6 @@
 #include <vector>
 
 #include "graph/digraph.h"
-#include "graph/io.h"
 #include "serve/mutation_log.h"
 #include "util/status.h"
 
@@ -206,8 +205,6 @@ struct LiveGraphOptions {
   std::string log_path;
   /// fsync the WAL after every append (crash-durable, syscall-bound).
   bool sync_log = false;
-  /// Sorter budget/temp dir for the compaction writer.
-  graph::StreamWriteOptions compact_stream;
 };
 
 /// The mutable graph: immutable base + overlay + WAL + compactor.
@@ -228,7 +225,7 @@ class LiveGraph {
   LiveGraph& operator=(const LiveGraph&) = delete;
 
   /// Applies one mutation: validates ids, assigns the next version,
-  /// journals, updates overlay rows + incremental counters. Thread-safe
+  /// journals, updates overlay rows + the Stats() tallies. Thread-safe
   /// (internally serialized). InvalidArgument for out-of-range ids or
   /// self-follows — rejected mutations consume no version and are not
   /// journaled.
@@ -270,19 +267,6 @@ class LiveGraph {
   double current_reciprocity() const;
   /// Mutations replayed from the WAL at Create().
   uint64_t recovered() const { return recovered_; }
-
-  /// Per-node degrees / reciprocated-out-edge counts at the head version
-  /// (incrementally maintained, relaxed reads — admin/stats accuracy, not
-  /// snapshot consistency).
-  uint32_t head_out_degree(graph::NodeId u) const {
-    return out_degree_[u].load(std::memory_order_relaxed);
-  }
-  uint32_t head_in_degree(graph::NodeId u) const {
-    return in_degree_[u].load(std::memory_order_relaxed);
-  }
-  uint32_t head_mutual_degree(graph::NodeId u) const {
-    return mutual_degree_[u].load(std::memory_order_relaxed);
-  }
 
   OverlayStats Stats() const;
 
@@ -346,10 +330,8 @@ class LiveGraph {
   /// Serializes whole compactions against each other.
   std::mutex compact_mutex_;
 
-  // ---- incrementally maintained head-version counters ----
-  std::unique_ptr<std::atomic<uint32_t>[]> out_degree_;
-  std::unique_ptr<std::atomic<uint32_t>[]> in_degree_;
-  std::unique_ptr<std::atomic<uint32_t>[]> mutual_degree_;
+  // ---- Stats() tallies, kept up to date by Apply (relaxed: admin
+  // accuracy, not snapshot consistency) ----
   std::atomic<uint64_t> live_edges_{0};
   std::atomic<uint64_t> reciprocated_{0};
   std::atomic<uint64_t> follows_{0};

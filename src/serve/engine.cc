@@ -195,7 +195,6 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::CreateLive(
   LiveGraphOptions lopt;
   lopt.log_path = live.log_path;
   lopt.sync_log = live.sync_log;
-  lopt.compact_stream = live.compact_stream;
   // DiGraph copies share storage, so the overlay's base is the same CSR
   // the engine's graph() exposes — no second copy of the graph.
   auto lg = LiveGraph::Create(engine->graph(), lopt,

@@ -64,8 +64,6 @@ struct LiveEngineOptions {
   /// sidecar rides next to it). Required for CompactNow / auto
   /// compaction.
   std::string compact_path;
-  /// Sorter budget / temp dir for the compaction writer.
-  graph::StreamWriteOptions compact_stream;
   /// Auto-compaction trigger: the background compactor folds the overlay
   /// once this many versions sit above the epoch base. 0 = manual
   /// CompactNow() only (no compactor thread).

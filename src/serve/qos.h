@@ -7,11 +7,9 @@
 // and *whether* it is admitted under load (per-class queue caps;
 // oversubscribed classes shed with an "overloaded" error JSON).
 //
-// The enum is a bitmask (util/enum_bits.h — the Capability-flags idiom)
-// so scheduling policy can name *sets* of classes in one word: the
-// admission controller's "sheddable under pressure" mask is
-// kBatch | kAnalytics, and healthz reports degraded when any class in
-// the shedding set has dropped traffic.
+// The enum is dense and declared in dispatch order, so a class's value
+// is both its priority (lower runs first) and its slot in per-class
+// arrays:
 //
 //   * interactive — per-user lookups on the latency SLO (the default;
 //                   never shed, always dispatched first).
@@ -23,90 +21,47 @@
 #ifndef ELITENET_SERVE_QOS_H_
 #define ELITENET_SERVE_QOS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
-
-#include "util/enum_bits.h"
 
 namespace elitenet {
 namespace serve {
 
-enum class QosClass : uint32_t {
-  kNone = 0,
-  kInteractive = 1u << 0,
-  kBatch = 1u << 1,
-  kAnalytics = 1u << 2,
-};
+enum class QosClass : uint8_t { kInteractive, kAnalytics, kBatch };
 
-/// Number of concrete classes (array sizing for per-class stats).
+/// Number of classes (array sizing for per-class stats).
 inline constexpr size_t kNumQosClasses = 3;
 
-/// Dense index for per-class arrays, in *dispatch priority* order:
-/// interactive = 0, analytics = 1, batch = 2. Lower index runs first
-/// when the executor has a choice; batch is last because it is the
-/// first class the admission controller sheds.
-constexpr size_t QosClassIndex(QosClass c) {
-  switch (c) {
-    case QosClass::kInteractive:
-      return 0;
-    case QosClass::kAnalytics:
-      return 1;
-    case QosClass::kBatch:
-      return 2;
-    default:
-      return 0;  // kNone / unknown masks schedule as interactive
-  }
-}
+/// Slot in per-class arrays; also the dispatch priority.
+constexpr size_t QosClassIndex(QosClass c) { return static_cast<size_t>(c); }
 
-/// Inverse of QosClassIndex.
+/// Inverse of QosClassIndex (`index < kNumQosClasses`).
 constexpr QosClass QosClassAt(size_t index) {
-  switch (index) {
-    case 1:
-      return QosClass::kAnalytics;
-    case 2:
-      return QosClass::kBatch;
-    default:
-      return QosClass::kInteractive;
-  }
+  return static_cast<QosClass>(index);
 }
 
-/// Wire name ("interactive" / "batch" / "analytics").
+/// Wire names, in QosClassIndex order.
+inline constexpr const char* kQosClassNames[kNumQosClasses] = {
+    "interactive", "analytics", "batch"};
+
+/// Wire name ("interactive" / "analytics" / "batch").
 constexpr const char* QosClassName(QosClass c) {
-  switch (c) {
-    case QosClass::kInteractive:
-      return "interactive";
-    case QosClass::kBatch:
-      return "batch";
-    case QosClass::kAnalytics:
-      return "analytics";
-    default:
-      return "interactive";
-  }
+  return kQosClassNames[QosClassIndex(c)];
 }
 
 /// Parses a wire name; false (and `*out` untouched) for anything else.
 constexpr bool ParseQosClass(std::string_view name, QosClass* out) {
-  if (name == "interactive") {
-    *out = QosClass::kInteractive;
-    return true;
-  }
-  if (name == "batch") {
-    *out = QosClass::kBatch;
-    return true;
-  }
-  if (name == "analytics") {
-    *out = QosClass::kAnalytics;
-    return true;
+  for (size_t i = 0; i < kNumQosClasses; ++i) {
+    if (name == kQosClassNames[i]) {
+      *out = QosClassAt(i);
+      return true;
+    }
   }
   return false;
 }
 
 }  // namespace serve
-}  // namespace elitenet
-
-namespace elitenet {
-template <>
-struct is_bitmask_enum<serve::QosClass> : std::true_type {};
 }  // namespace elitenet
 
 #endif  // ELITENET_SERVE_QOS_H_

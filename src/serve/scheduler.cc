@@ -1,5 +1,6 @@
 #include "serve/scheduler.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/metrics.h"
@@ -43,7 +44,8 @@ bool QosExecutor::Submit(QosClass cls, const util::Deadline& deadline,
     ++depth_[idx];
     ++submitted_[idx];
     ELITENET_SKETCH("serve.queue_depth", queue_.size());
-    queue_.Push(std::move(task));
+    queue_.push_back(std::move(task));
+    std::push_heap(queue_.begin(), queue_.end(), RunsLater);
   }
   cv_.notify_one();
   return true;
@@ -59,7 +61,8 @@ void QosExecutor::SubmitExempt(std::function<void()> fn) {
     task.seq = next_seq_++;
     ++depth_[idx];
     ++submitted_[idx];
-    queue_.Push(std::move(task));
+    queue_.push_back(std::move(task));
+    std::push_heap(queue_.begin(), queue_.end(), RunsLater);
   }
   cv_.notify_one();
 }
@@ -71,7 +74,9 @@ void QosExecutor::WorkerLoop() {
       std::unique_lock<std::mutex> lock(mutex_);
       cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
       if (queue_.empty()) return;  // shutdown with nothing pending
-      task = queue_.Pop();
+      std::pop_heap(queue_.begin(), queue_.end(), RunsLater);
+      task = std::move(queue_.back());
+      queue_.pop_back();
       --depth_[task.class_index];
       ++executed_[task.class_index];
       // Drain-side depth sample: together with the submission-side one,
@@ -92,11 +97,6 @@ QosClassStats QosExecutor::class_stats(QosClass cls) const {
   out.shed = shed_[idx];
   out.queue_depth = depth_[idx];
   return out;
-}
-
-size_t QosExecutor::TotalDepth() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
 }
 
 uint64_t QosExecutor::TotalShed() const {

@@ -41,7 +41,6 @@
 
 #include "serve/qos.h"
 #include "util/deadline.h"
-#include "util/priority_queue.h"
 
 namespace elitenet {
 namespace serve {
@@ -106,9 +105,6 @@ class QosExecutor {
   /// lock, so depth and counters are mutually consistent.
   QosClassStats class_stats(QosClass cls) const;
 
-  /// Queued-but-undispatched tasks across all classes.
-  size_t TotalDepth() const;
-
   /// Total sheds across all classes.
   uint64_t TotalShed() const;
 
@@ -121,6 +117,8 @@ class QosExecutor {
     std::function<void()> fn;
   };
 
+  /// Strict total order: `a` dispatches before `b`. Any correct heap
+  /// over it pops one sequence, a pure function of the pushes.
   struct TaskBefore {
     bool operator()(const Task& a, const Task& b) const {
       if (a.class_index != b.class_index) {
@@ -132,13 +130,19 @@ class QosExecutor {
     }
   };
 
+  /// std::push_heap/pop_heap keep the greatest element in front; under
+  /// "runs later" that is the task that dispatches first.
+  static bool RunsLater(const Task& a, const Task& b) {
+    return TaskBefore{}(b, a);
+  }
+
   void WorkerLoop();
 
   const QosOptions options_;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;
-  util::BinaryMinHeap<Task, TaskBefore> queue_;
+  std::vector<Task> queue_;  ///< A heap under RunsLater.
   uint64_t next_seq_ = 0;            ///< Guarded by mutex_.
   uint64_t depth_[kNumQosClasses] = {0, 0, 0};
   uint64_t submitted_[kNumQosClasses] = {0, 0, 0};

@@ -141,13 +141,10 @@ void Telemetry::Record(RequestRecord record) {
   if (record.degraded) slo.degraded.fetch_add(1, std::memory_order_relaxed);
   if (record.deadline_missed) {
     slo.deadline_miss.fetch_add(1, std::memory_order_relaxed);
+    class_deadline_miss_[QosClassIndex(record.request.qos)].fetch_add(
+        1, std::memory_order_relaxed);
   }
   if (record.cache_hit) slo.cache_hits.fetch_add(1, std::memory_order_relaxed);
-  const size_t cls = QosClassIndex(record.request.qos);
-  class_requests_[cls].fetch_add(1, std::memory_order_relaxed);
-  if (record.deadline_missed) {
-    class_deadline_miss_[cls].fetch_add(1, std::memory_order_relaxed);
-  }
   latency_[type].Observe(record.latency_us);
   if (record.queued) queue_wait_.Observe(record.queue_wait_us);
 

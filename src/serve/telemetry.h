@@ -197,12 +197,9 @@ class Telemetry {
     return malformed_lines_.load(std::memory_order_relaxed);
   }
 
-  /// Completed requests / deadline misses for one QoS class (folded from
-  /// each record's request.qos). Shed requests never execute, so they are
-  /// counted by the scheduler, not here.
-  uint64_t class_requests(QosClass cls) const {
-    return class_requests_[QosClassIndex(cls)].load(std::memory_order_relaxed);
-  }
+  /// Deadline misses for one QoS class (folded from each record's
+  /// request.qos). Per-class request and shed tallies are the
+  /// scheduler's (QosExecutor::class_stats).
   uint64_t class_deadline_miss(QosClass cls) const {
     return class_deadline_miss_[QosClassIndex(cls)].load(
         std::memory_order_relaxed);
@@ -228,7 +225,6 @@ class Telemetry {
   std::atomic<uint64_t> next_seq_{1};
   AtomicSlo per_type_[kNumRequestTypes];
   std::atomic<uint64_t> malformed_lines_{0};
-  std::atomic<uint64_t> class_requests_[kNumQosClasses] = {};
   std::atomic<uint64_t> class_deadline_miss_[kNumQosClasses] = {};
   util::QuantileSketch latency_[kNumRequestTypes];
   util::QuantileSketch queue_wait_;

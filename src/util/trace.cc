@@ -1,10 +1,8 @@
 #include "util/trace.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <numeric>
 
 namespace elitenet {
 namespace util {
@@ -73,21 +71,6 @@ void AppendEscaped(std::string* out, const std::string& s) {
   }
 }
 
-std::string FormatDuration(uint64_t ns) {
-  char buf[32];
-  if (ns >= 1000000000ULL) {
-    std::snprintf(buf, sizeof(buf), "%.2fs", static_cast<double>(ns) / 1e9);
-  } else if (ns >= 1000000ULL) {
-    std::snprintf(buf, sizeof(buf), "%.2fms", static_cast<double>(ns) / 1e6);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.1fus", static_cast<double>(ns) / 1e3);
-  }
-  return buf;
-}
-
-}  // namespace
-
-namespace {
 // The innermost SpanCapture installed on this thread (nullptr = none).
 thread_local SpanCapture* g_active_capture = nullptr;
 }  // namespace
@@ -237,36 +220,6 @@ std::string TraceRecorder::ToChromeJson() const {
     out += buf;
   }
   out += "]}\n";
-  return out;
-}
-
-std::string TraceRecorder::ToTextTree() const {
-  std::vector<TraceEvent> events = snapshot();
-  // Stable order: by thread, then start time (events were appended in
-  // begin order, which interleaves threads).
-  std::vector<size_t> order(events.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (events[a].thread_id != events[b].thread_id) {
-      return events[a].thread_id < events[b].thread_id;
-    }
-    return events[a].start_ns < events[b].start_ns;
-  });
-
-  std::string out;
-  uint32_t current_thread = UINT32_MAX;
-  for (size_t idx : order) {
-    const TraceEvent& e = events[idx];
-    if (e.thread_id != current_thread) {
-      current_thread = e.thread_id;
-      out += "thread " + std::to_string(current_thread) + "\n";
-    }
-    out.append(2 + 2 * static_cast<size_t>(e.depth), ' ');
-    out += e.name;
-    out += "  ";
-    out += FormatDuration(e.duration_ns);
-    out += '\n';
-  }
   return out;
 }
 

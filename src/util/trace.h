@@ -77,9 +77,6 @@ class TraceRecorder {
   /// timestamps); loadable in chrome://tracing and Perfetto.
   std::string ToChromeJson() const;
 
-  /// Indented per-thread tree with durations, for terminal output.
-  std::string ToTextTree() const;
-
   Status WriteChromeJson(const std::string& path) const;
 
  private:
@@ -163,9 +160,9 @@ class ScopedSpan {
 
 /// Wall-clock phase timer that doubles as a trace span: the span covers
 /// construction (or the last Reset) to destruction (or the next Reset).
-/// Subsumes the old util::Stopwatch — Seconds()/Millis() work whether or
-/// not tracing is enabled, so examples and benches keep their progress
-/// printing while contributing spans to the trace for free.
+/// Seconds() works whether or not tracing is enabled, so examples and
+/// benches keep their progress printing while contributing spans to the
+/// trace for free.
 class SpanTimer {
  public:
   /// `name == nullptr` times without recording a span.
@@ -191,8 +188,6 @@ class SpanTimer {
                                          start_)
         .count();
   }
-
-  double Millis() const { return Seconds() * 1e3; }
 
  private:
   void End() {

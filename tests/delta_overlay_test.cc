@@ -182,6 +182,17 @@ TEST(DeltaOverlayTest, VersionedReadsMatchReferenceSimulator) {
       edges.erase({src, dst});
     }
     history.push_back(edges);
+
+    // The head tallies Apply maintains match a recount of the reference.
+    uint64_t reciprocated = 0;
+    for (const auto& [a, b] : edges) reciprocated += edges.count({b, a});
+    EXPECT_EQ(live->Stats().reciprocated_edges, reciprocated) << "step " << i;
+    EXPECT_EQ(live->current_edges(), edges.size()) << "step " << i;
+    EXPECT_DOUBLE_EQ(live->current_reciprocity(),
+                     edges.empty() ? 0.0
+                                   : static_cast<double>(reciprocated) /
+                                         static_cast<double>(edges.size()))
+        << "step " << i;
   }
 
   for (uint64_t v = 0; v < history.size(); v += 7) {

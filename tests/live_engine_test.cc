@@ -142,6 +142,21 @@ TEST(LiveEngineTest, VersionPinReplaysHistory) {
   EXPECT_TRUE(Contains(future.json, "\"type\":\"error\"")) << future.json;
 }
 
+// A pin far past the applied version is a client error with fixed bytes;
+// one past 2^64-1 does not parse.
+TEST(LiveEngineTest, DeepVersionPinRepliesArePinned) {
+  auto engine = MakeLiveEngine(TestGraph());
+  ASSERT_TRUE(engine->Apply(Follow(5, 1)).ok());
+  EXPECT_EQ(engine->ExecuteLine("ego 1 @18446744073709551615").json,
+            "{\"type\":\"error\",\"code\":\"FailedPrecondition\","
+            "\"message\":\"version 18446744073709551615 not applied yet "
+            "(head is 1)\",\"request\":\"ego 1 @18446744073709551615\"}");
+  EXPECT_EQ(engine->ExecuteLine("ego 1 @18446744073709551616").json,
+            "{\"type\":\"error\",\"code\":\"InvalidArgument\","
+            "\"message\":\"bad version pin: @18446744073709551616\","
+            "\"request\":\"ego 1 @18446744073709551616\"}");
+}
+
 TEST(LiveEngineTest, StaticEngineRejectsVersionPins) {
   auto engine = QueryEngine::Create(TestGraph());
   ASSERT_TRUE(engine.ok());

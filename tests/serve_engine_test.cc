@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -363,6 +364,57 @@ TEST(QueryEngineTest, OutOfRangeNodesAreCleanErrors) {
   const QueryResponse bad = engine->ExecuteLine("launch missiles");
   EXPECT_FALSE(bad.ok);
   EXPECT_TRUE(Contains(bad.json, "\"type\":\"error\"")) << bad.json;
+}
+
+// The wire's integer bounds, pinned by exact reply bytes: a k far past n
+// answers as k = n, node ids n and 2^32-1 are NotFound, 2^32 does not
+// parse, and a QoS class token never changes a reply.
+TEST(QueryEngineTest, ResourceBoundRepliesArePinned) {
+  auto engine = MakeEngine(TestGraph());
+  auto error = [](const std::string& code, const std::string& message,
+                  const std::string& request) {
+    return "{\"type\":\"error\",\"code\":\"" + code + "\",\"message\":\"" +
+           message + "\",\"request\":\"" + request + "\"}";
+  };
+  const std::string not_found = "NotFound";
+  const std::string bad = "InvalidArgument";
+  const std::string no_endpoint = "distance endpoint not in graph";
+  std::string topk_all = engine->ExecuteLine("topk 6").json;
+  ASSERT_TRUE(Contains(topk_all, "\"k\":6,\"returned\":6,")) << topk_all;
+  topk_all.replace(topk_all.find("\"k\":6"), 5, "\"k\":4294967295");
+  const std::string topk2 = engine->ExecuteLine("topk 2").json;
+  ASSERT_TRUE(Contains(topk2, "\"returned\":2,")) << topk2;
+
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"topk 4294967295", topk_all},
+      {"topk 4294967296",
+       error(bad, "bad k: 4294967296", "topk 4294967296")},
+      {"ego 6", error(not_found, "node 6 not in graph", "ego 6")},
+      {"ego 4294967295",
+       error(not_found, "node 4294967295 not in graph", "ego 4294967295")},
+      {"ego 4294967296",
+       error(bad, "bad node id: 4294967296", "ego 4294967296")},
+      {"neighbors 6 out",
+       error(not_found, "node 6 not in graph", "neighbors 6 out 32")},
+      {"neighbors 4294967295 in",
+       error(not_found, "node 4294967295 not in graph",
+             "neighbors 4294967295 in 32")},
+      {"dist 0 6", error(not_found, no_endpoint, "dist 0 6")},
+      {"dist 6 0", error(not_found, no_endpoint, "dist 6 0")},
+      {"dist 0 4294967295",
+       error(not_found, no_endpoint, "dist 0 4294967295")},
+      {"dist 4294967295 4294967295",
+       error(not_found, no_endpoint, "dist 4294967295 4294967295")},
+      {"topk 2 !interactive", topk2},
+      {"topk 2 !analytics", topk2},
+      {"topk 2 !batch", topk2},
+      {"topk 2 !urgent",
+       error(bad, "bad qos class (want interactive|batch|analytics): !urgent",
+             "topk 2 !urgent")},
+  };
+  for (const auto& [line, want] : cases) {
+    EXPECT_EQ(engine->ExecuteLine(line).json, want) << line;
+  }
 }
 
 // Out-rows as sets, so a churn trace can be mirrored edge by edge.

@@ -1,11 +1,13 @@
 // QoS plane tests: wire-form parsing of "!<class>", deterministic
 // priority dispatch, and admission-control shed behaviour.
 
+#include <algorithm>
 #include <atomic>
 #include <future>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include "serve/request.h"
 #include "serve/scheduler.h"
 #include "util/deadline.h"
+#include "util/rng.h"
 #include "worker_gate.h"
 
 namespace elitenet {
@@ -71,7 +74,7 @@ TEST(QosClassTest, IndexAndNameAreInverse) {
   for (size_t i = 0; i < kNumQosClasses; ++i) {
     const QosClass c = QosClassAt(i);
     EXPECT_EQ(QosClassIndex(c), i);
-    QosClass parsed = QosClass::kNone;
+    QosClass parsed = QosClassAt((i + 1) % kNumQosClasses);
     ASSERT_TRUE(ParseQosClass(QosClassName(c), &parsed));
     EXPECT_EQ(parsed, c);
   }
@@ -144,6 +147,61 @@ TEST(QosExecutorTest, EarlierDeadlineDispatchesFirstWithinClass) {
   drained.get_future().wait();
 
   EXPECT_EQ(order, (std::vector<int>{1, 0, 2}));  // EDF; infinite last
+}
+
+// The dispatch order is a pure function of the submissions: a seeded
+// mix of classes and shared deadlines, some finite and some infinite,
+// runs in exactly the order a sort by (class priority, deadline,
+// submission order) gives.
+TEST(QosExecutorTest, SeededSubmissionsRunInSortedOrder) {
+  QosExecutor exec(1, QosOptions{});
+  WorkerGate gate;
+  exec.SubmitExempt([&gate] { gate.Arrive(); });
+  gate.AwaitArrival();
+
+  // Ranks 0-3 are finite deadlines, ascending; rank 4 is infinite.
+  std::vector<util::Deadline> deadlines;
+  for (uint64_t j = 0; j < 4; ++j) {
+    deadlines.push_back(util::Deadline::After((60 + j) * 1000000));
+  }
+  deadlines.push_back(util::Deadline::Infinite());
+
+  std::mutex order_mutex;
+  std::vector<int> order;
+  struct Submitted {
+    uint64_t cls;
+    uint64_t rank;
+    int id;
+  };
+  std::vector<Submitted> submitted;
+  util::Rng rng(30);
+  for (int id = 0; id < 200; ++id) {
+    const Submitted s{rng.UniformU64(kNumQosClasses),
+                      rng.UniformU64(deadlines.size()), id};
+    submitted.push_back(s);
+    ASSERT_TRUE(exec.Submit(QosClassAt(s.cls), deadlines[s.rank],
+                            [&order_mutex, &order, id] {
+                              std::lock_guard<std::mutex> lock(order_mutex);
+                              order.push_back(id);
+                            }));
+  }
+
+  // Batch, infinite, latest seq: the sentinel dispatches last.
+  std::promise<void> drained;
+  exec.Submit(QosClass::kBatch, util::Deadline::Infinite(),
+              [&drained] { drained.set_value(); });
+  gate.Release();
+  drained.get_future().wait();
+
+  std::sort(submitted.begin(), submitted.end(),
+            [](const Submitted& a, const Submitted& b) {
+              return std::tie(a.cls, a.rank, a.id) <
+                     std::tie(b.cls, b.rank, b.id);
+            });
+  std::vector<int> expected;
+  for (const Submitted& s : submitted) expected.push_back(s.id);
+  std::lock_guard<std::mutex> lock(order_mutex);
+  EXPECT_EQ(order, expected);
 }
 
 TEST(QosExecutorTest, ShedsAtClassCapAndCountsIt) {

@@ -110,7 +110,7 @@ TEST_F(TraceTest, SpanTimerChainsSiblingPhases) {
     EXPECT_GE(timer.Seconds(), 0.0);
     timer.Reset("phase2");
     timer.Reset();  // plain timing, no third span
-    EXPECT_GE(timer.Millis(), 0.0);
+    EXPECT_GE(timer.Seconds(), 0.0);
   }
   const std::vector<TraceEvent> events = TraceRecorder::Global().snapshot();
   ASSERT_EQ(events.size(), 2u);
@@ -156,10 +156,6 @@ TEST_F(TraceTest, ChromeJsonIsWellFormed) {
   // The quote and backslash in the name must arrive escaped.
   EXPECT_NE(json.find("beta \\\"quoted\\\"\\\\slash"), std::string::npos);
   EXPECT_EQ(json.find('\n', json.size() - 2), json.size() - 1);
-
-  const std::string tree = TraceRecorder::Global().ToTextTree();
-  EXPECT_NE(tree.find("alpha"), std::string::npos);
-  EXPECT_NE(tree.find("par"), std::string::npos);
 }
 
 }  // namespace
