@@ -1,63 +1,17 @@
 // Section IV-A reproduction: density, degrees, isolated users, giant SCC,
 // component counts, clustering, assortativity — the paper's "basic
 // analysis" battery in one report (plus Section III dataset shape).
-//
-// --stream         compute degrees/reciprocity/assortativity with the
-//                  fused windowed kernel (one CSR sweep, O(1) inter-
-//                  window state) instead of the seven standalone passes.
-// --verify-stream  run both paths at several window sizes and require
-//                  bit-identical results before reporting.
 
 #include <cstdio>
-#include <cstring>
 
-#include "analysis/streamed_stats.h"
 #include "bench_common.h"
 #include "core/paper_reference.h"
 #include "util/csv.h"
 #include "util/table.h"
 
-namespace {
-
-// Exact comparison on purpose: the streamed kernel's contract is
-// bit-identity, not tolerance.
-bool SameStreamedStats(const elitenet::core::BasicReport& ref,
-                       const elitenet::analysis::StreamedBasicStats& s) {
-  const auto& d = ref.degrees;
-  const auto& sd = s.degrees;
-  return d.min_out_degree == sd.min_out_degree &&
-         d.max_out_degree == sd.max_out_degree &&
-         d.argmax_out_degree == sd.argmax_out_degree &&
-         d.avg_out_degree == sd.avg_out_degree &&
-         d.min_in_degree == sd.min_in_degree &&
-         d.max_in_degree == sd.max_in_degree &&
-         d.argmax_in_degree == sd.argmax_in_degree &&
-         d.avg_in_degree == sd.avg_in_degree &&
-         d.isolated_nodes == sd.isolated_nodes &&
-         d.sink_nodes == sd.sink_nodes &&
-         d.source_nodes == sd.source_nodes && d.density == sd.density &&
-         ref.reciprocity.total_edges == s.reciprocity.total_edges &&
-         ref.reciprocity.reciprocated_edges ==
-             s.reciprocity.reciprocated_edges &&
-         ref.reciprocity.mutual_pairs == s.reciprocity.mutual_pairs &&
-         ref.reciprocity.rate == s.reciprocity.rate &&
-         ref.assortativity.out_in == s.assortativity.out_in &&
-         ref.assortativity.out_out == s.assortativity.out_out &&
-         ref.assortativity.in_in == s.assortativity.in_in &&
-         ref.assortativity.in_out == s.assortativity.in_out &&
-         ref.assortativity.total == s.assortativity.total;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace elitenet;
   const bench::BenchArgs args = bench::ParseArgs(argc, argv);
-  bool stream = false, verify_stream = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--stream") == 0) stream = true;
-    if (std::strcmp(argv[i], "--verify-stream") == 0) verify_stream = true;
-  }
   util::PrintBanner("Section IV-A: basic analysis of the verified network");
   core::VerifiedStudy study = bench::MakeStudy(args);
 
@@ -68,26 +22,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (stream || verify_stream) {
-    const analysis::StreamedBasicStats streamed =
-        analysis::ComputeStreamedBasicStats(study.network().graph);
-    if (verify_stream) {
-      if (!SameStreamedStats(*basic, streamed)) {
-        std::fprintf(stderr,
-                     "streamed stats diverged from standalone kernels\n");
-        return 1;
-      }
-      std::printf("verify-stream: fused pass bit-identical to standalone "
-                  "kernels\n");
-    }
-    // Report the fused results (bit-identical, so the CSV below is
-    // unchanged; the streamed path is what a 10M-node mmapped snapshot
-    // would use to avoid seven trips through the page cache).
-    basic->degrees = streamed.degrees;
-    basic->reciprocity = streamed.reciprocity;
-    basic->assortativity = streamed.assortativity;
-    std::printf("streamed basic stats: one fused CSR sweep\n");
-  }
   const double scale = static_cast<double>(args.num_users) /
                        static_cast<double>(paper::kUsersEnglish);
 

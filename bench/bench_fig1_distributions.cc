@@ -2,20 +2,12 @@
 // public list memberships and status counts across the verified cohort.
 // The paper plots four histograms; we print log-binned ASCII histograms
 // and dump the binned series as CSV.
-//
-// --stream  compute the trailing degree_summary CSV section with the
-//           fused windowed kernel (analysis/streamed_stats.h) instead of
-//           the in-memory degree pass. The rendered rows are compared
-//           byte-for-byte against the in-memory kernel before writing —
-//           the CSV is identical either way, or the run fails.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "analysis/degree.h"
-#include "analysis/streamed_stats.h"
 #include "bench_common.h"
 #include "gen/profiles.h"
 #include "util/csv.h"
@@ -46,24 +38,19 @@ void Panel(const bench::BenchArgs& args, const char* name,
 }
 
 // The trailing degree_summary section: graph-side context for the four
-// profile panels, rendered through one formatter so the streamed and
-// in-memory paths can be byte-compared as CSV rows.
-std::vector<std::vector<std::string>> DegreeSummaryRows(
-    const analysis::DegreeStats& d) {
-  auto row = [](const char* metric, std::string value) {
-    return std::vector<std::string>{"degree_summary", metric,
-                                    std::move(value), ""};
+// profile panels.
+void DegreeSummary(const analysis::DegreeStats& d, util::CsvWriter* csv) {
+  auto row = [csv](const char* metric, const std::string& value) {
+    csv->WriteRow({"degree_summary", metric, value, ""}).ok();
   };
-  return {
-      row("avg_out_degree", util::FormatNumber(d.avg_out_degree, 8)),
-      row("max_out_degree", std::to_string(d.max_out_degree)),
-      row("avg_in_degree", util::FormatNumber(d.avg_in_degree, 8)),
-      row("max_in_degree", std::to_string(d.max_in_degree)),
-      row("isolated_nodes", std::to_string(d.isolated_nodes)),
-      row("sink_nodes", std::to_string(d.sink_nodes)),
-      row("source_nodes", std::to_string(d.source_nodes)),
-      row("density", util::FormatNumber(d.density, 8)),
-  };
+  row("avg_out_degree", util::FormatNumber(d.avg_out_degree, 8));
+  row("max_out_degree", std::to_string(d.max_out_degree));
+  row("avg_in_degree", util::FormatNumber(d.avg_in_degree, 8));
+  row("max_in_degree", std::to_string(d.max_in_degree));
+  row("isolated_nodes", std::to_string(d.isolated_nodes));
+  row("sink_nodes", std::to_string(d.sink_nodes));
+  row("source_nodes", std::to_string(d.source_nodes));
+  row("density", util::FormatNumber(d.density, 8));
 }
 
 }  // namespace
@@ -71,10 +58,6 @@ std::vector<std::vector<std::string>> DegreeSummaryRows(
 int main(int argc, char** argv) {
   using namespace elitenet;
   const bench::BenchArgs args = bench::ParseArgs(argc, argv);
-  bool stream = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--stream") == 0) stream = true;
-  }
   util::PrintBanner(
       "Fig. 1: distributions of friends / followers / lists / statuses");
   core::VerifiedStudy study = bench::MakeStudy(args);
@@ -93,27 +76,7 @@ int main(int argc, char** argv) {
   Panel(args, "list memberships", gen::ListedColumn(profiles), &csv);
   Panel(args, "statuses", gen::StatusesColumn(profiles), &csv);
 
-  // Degree summary: streamed or in-memory per --stream, but always
-  // verified byte-identical against the in-memory kernel first — the
-  // flag changes the access pattern (one fused sweep), never
-  // the CSV bytes.
-  const graph::DiGraph& g = study.network().graph;
-  const analysis::DegreeStats in_memory = analysis::ComputeDegreeStats(g);
-  analysis::DegreeStats reported = in_memory;
-  if (stream) {
-    reported = analysis::ComputeStreamedBasicStats(g).degrees;
-    if (DegreeSummaryRows(reported) != DegreeSummaryRows(in_memory)) {
-      std::fprintf(stderr,
-                   "--stream degree_summary diverged from the in-memory "
-                   "kernel\n");
-      return 1;
-    }
-    std::printf("\nstreamed degree summary: fused sweep, byte-identical to "
-                "the in-memory pass\n");
-  }
-  for (const std::vector<std::string>& row : DegreeSummaryRows(reported)) {
-    csv.WriteRow({row[0], row[1], row[2], row[3]}).ok();
-  }
+  DegreeSummary(analysis::ComputeDegreeStats(study.network().graph), &csv);
   csv.Close().ok();
 
   std::printf(

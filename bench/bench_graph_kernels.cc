@@ -333,13 +333,31 @@ bool SameClustering(const analysis::ClusteringStats& a,
          a.nodes_evaluated == b.nodes_evaluated;
 }
 
+// A ScratchArena with the per-node parent array graph::ScratchArena
+// carried when the kernels below were its serving kernels, so the
+// baseline still stores a parent on every visit.
+class ParentedArena : public graph::ScratchArena {
+ public:
+  explicit ParentedArena(graph::NodeId num_nodes)
+      : graph::ScratchArena(num_nodes), parent_(num_nodes) {}
+  void Visit(graph::NodeId v, uint32_t dist, graph::NodeId parent) {
+    graph::ScratchArena::Visit(v, dist);
+    parent_[v] = parent;
+  }
+
+ private:
+  std::vector<graph::NodeId> parent_;
+};
+
+constexpr graph::NodeId kUnsetParent = UINT32_MAX;
+
 // The serving traversals before the branch-free mark: a per-edge
 // `if (!Visited(v))` branch, distance and parent writes on every new
 // node, and push_back appends.
 uint64_t BranchyTwoHopReach(const graph::DiGraph& g, graph::NodeId u,
-                            graph::ScratchArena* a) {
+                            ParentedArena* a) {
   a->BeginEpoch();
-  a->Visit(u, 0, graph::kNoParent);
+  a->Visit(u, 0, kUnsetParent);
   uint64_t reach = 0;
   for (graph::NodeId v : g.OutNeighbors(u)) {
     if (!a->Visited(v)) {
@@ -360,8 +378,7 @@ uint64_t BranchyTwoHopReach(const graph::DiGraph& g, graph::NodeId u,
 
 graph::BoundedDistanceResult BranchyBoundedDistance(
     const graph::DiGraph& g, graph::NodeId source, graph::NodeId target,
-    const util::Deadline& deadline, graph::ScratchArena* fwd,
-    graph::ScratchArena* bwd) {
+    const util::Deadline& deadline, ParentedArena* fwd, ParentedArena* bwd) {
   using graph::NodeId;
   graph::BoundedDistanceResult out;
   if (source == target) {
@@ -376,8 +393,8 @@ graph::BoundedDistanceResult BranchyBoundedDistance(
   std::vector<NodeId>& bwd_frontier = bwd->frontier();
   fwd_frontier.assign(1, source);
   bwd_frontier.assign(1, target);
-  fwd->Visit(source, 0, graph::kNoParent);
-  bwd->Visit(target, 0, graph::kNoParent);
+  fwd->Visit(source, 0, kUnsetParent);
+  bwd->Visit(target, 0, kUnsetParent);
   uint32_t fwd_depth = 0, bwd_depth = 0;
   while (!fwd_frontier.empty() && !bwd_frontier.empty()) {
     if (deadline.Expired()) {
@@ -473,7 +490,7 @@ std::vector<ServingRow> RunServingRows(const graph::DiGraph& g,
   constexpr size_t kMixSize = 65536;
   constexpr double kZipf = 0.6;
   const graph::NodeId n = g.num_nodes();
-  graph::ScratchArena fwd(n), bwd(n);
+  ParentedArena fwd(n), bwd(n);
   const graph::GraphAdj adj{&g};
   const util::Deadline never = util::Deadline::Infinite();
 

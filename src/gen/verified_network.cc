@@ -14,6 +14,7 @@
 #include "util/metrics.h"
 #include "util/parallel.h"
 #include "util/rng.h"
+#include "util/string_utils.h"
 #include "util/trace.h"
 
 namespace elitenet {
@@ -515,20 +516,6 @@ Result<VerifiedNetwork> GenerateVerifiedNetwork(
   return out;
 }
 
-namespace {
-
-std::string DirOfPath(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? std::string(".") : path.substr(0, slash);
-}
-
-std::string BaseOfPath(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
-}  // namespace
-
 Result<StreamedNetwork> GenerateVerifiedNetworkToSnapshot(
     const VerifiedNetworkConfig& config, const std::string& snapshot_path,
     const StreamedGenerateOptions& options) {
@@ -542,9 +529,10 @@ Result<StreamedNetwork> GenerateVerifiedNetworkToSnapshot(
 
   util::ExtSortOptions sort_options;
   sort_options.budget_bytes = options.sort_budget_bytes;
-  sort_options.temp_dir = options.temp_dir.empty() ? DirOfPath(snapshot_path)
-                                                   : options.temp_dir;
-  sort_options.temp_prefix = BaseOfPath(snapshot_path) + ".fwd";
+  sort_options.temp_dir = options.temp_dir.empty()
+                              ? util::DirName(snapshot_path)
+                              : options.temp_dir;
+  sort_options.temp_prefix = util::BaseName(snapshot_path) + ".fwd";
   util::ExtSorter sorter(sort_options);
   std::vector<bool> has_in_edge(ctx.n, false);
 

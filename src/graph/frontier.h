@@ -1,14 +1,14 @@
 // Frontier data structures for the traversal kernels (graph/traversal.h):
 // a word-addressed bitmap over node ids, epoch-stamped VisitMarks, and the
 // ScratchArena built on them that owns every per-traversal buffer
-// (visited stamps, distances, parents, sparse frontier queues, fixed-size
-// level queues, dense frontier bitmaps).
+// (visited stamps, distances, sparse frontier queues, fixed-size level
+// queues, dense frontier bitmaps).
 //
 // The arena exists so hot loops stop reallocating O(n) std::vector scratch
 // per BFS source: buffers are sized once per graph and recycled across
 // traversals. "Cleared" state is represented by an epoch counter instead of
 // a memset — BeginEpoch bumps the counter, instantly invalidating every
-// visited/dist/parent entry stamped in earlier epochs (a full wipe happens
+// visited/dist entry stamped in earlier epochs (a full wipe happens
 // only on 32-bit epoch wraparound, once every ~4 billion traversals).
 //
 // Arenas are strictly single-threaded: parallel sweeps give each worker
@@ -114,18 +114,18 @@ class VisitMarks {
 };
 
 /// Reusable single-threaded scratch for graph traversals. All state a BFS
-/// needs — visited marks, distances, parents, sparse queues, dense bitmaps
-/// — lives here and survives across sources, so the per-source setup cost
+/// needs — visited marks, distances, sparse queues, dense bitmaps — lives
+/// here and survives across sources, so the per-source setup cost
 /// is one epoch bump instead of several O(n) allocations.
 ///
 /// Lifetime rules:
 ///   * Reset(n) sizes the arena for an n-node graph (full wipe).
-///   * BeginEpoch() starts a new traversal; every Visited/Distance/Parent
-///     fact recorded before it reads as "unvisited" afterwards.
+///   * BeginEpoch() starts a new traversal; every Visited/Distance fact
+///     recorded before it reads as "unvisited" afterwards.
 ///   * Results of the *latest* traversal stay readable until the next
 ///     BeginEpoch (or Reset), which is how callers consume BFS output
 ///     without materializing a dist vector.
-///   * Mark (VisitMarks) records a visit without a distance or a parent.
+///   * Mark (VisitMarks) records a visit without a distance.
 class ScratchArena : public VisitMarks {
  public:
   ScratchArena() = default;
@@ -135,7 +135,6 @@ class ScratchArena : public VisitMarks {
   void Reset(NodeId num_nodes) {
     VisitMarks::Reset(num_nodes);
     dist_.resize(num_nodes);
-    parent_.resize(num_nodes);
     frontier_.clear();
     next_.clear();
     level_queues_[0].reset();
@@ -145,11 +144,10 @@ class ScratchArena : public VisitMarks {
     unvisited_bits_.Resize(num_nodes);
   }
 
-  /// Marks `v` visited in the current epoch at `dist` via `parent`.
-  void Visit(NodeId v, uint32_t dist, NodeId parent) {
+  /// Marks `v` visited in the current epoch at `dist`.
+  void Visit(NodeId v, uint32_t dist) {
     Mark(v);
     dist_[v] = dist;
-    parent_[v] = parent;
   }
 
   /// Distance of a visited node (unchecked: caller guarantees Visited).
@@ -158,13 +156,6 @@ class ScratchArena : public VisitMarks {
     return Visited(v) ? dist_[v] : fallback;
   }
 
-  /// Parent of a visited node; the source's parent is itself. Only
-  /// meaningful when the traversal ran with compute_parents.
-  NodeId Parent(NodeId v) const { return parent_[v]; }
-  NodeId ParentOr(NodeId v, NodeId fallback) const {
-    return Visited(v) ? parent_[v] : fallback;
-  }
-  void SetParent(NodeId v, NodeId p) { parent_[v] = p; }
   void SetDistance(NodeId v, uint32_t d) { dist_[v] = d; }
 
   /// Sparse frontier queues (current level / next level).
@@ -191,7 +182,6 @@ class ScratchArena : public VisitMarks {
 
  private:
   std::vector<uint32_t> dist_;
-  std::vector<NodeId> parent_;
   std::vector<NodeId> frontier_;
   std::vector<NodeId> next_;
   std::unique_ptr<NodeId[]> level_queues_[2];

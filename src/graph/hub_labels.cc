@@ -88,7 +88,7 @@ bool PrunedBfs(const DiGraph& rg, NodeId root, bool forward, LabelRows& rows,
                const std::vector<uint8_t>& root_dist, ScratchArena& arena,
                std::vector<NodeId>& candidates, uint64_t* appended) {
   arena.BeginEpoch();
-  arena.Visit(root, 0, root);
+  arena.Visit(root, 0);
   // The root is never prunable: hubs before it cannot certify distance 0.
   rows.Append(root, root, 0);
   ++*appended;
@@ -104,7 +104,7 @@ bool PrunedBfs(const DiGraph& rg, NodeId root, bool forward, LabelRows& rows,
       for (const NodeId v :
            forward ? rg.OutNeighbors(u) : rg.InNeighbors(u)) {
         if (!arena.Visited(v)) {
-          arena.Visit(v, depth, v);
+          arena.Visit(v, depth);
           candidates.push_back(v);
         }
       }

@@ -232,16 +232,6 @@ class SectionWriter {
   std::vector<T> buffer_;
 };
 
-std::string DirOf(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? std::string(".") : path.substr(0, slash);
-}
-
-std::string BaseOf(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
 }  // namespace
 
 Result<StreamWriteStats> WriteStreamedV2(util::ExtSorter* forward,
@@ -259,8 +249,8 @@ Result<StreamWriteStats> WriteStreamedV2(util::ExtSorter* forward,
   util::ExtSortOptions rev_options;
   rev_options.budget_bytes = options.sort_budget_bytes;
   rev_options.temp_dir =
-      options.temp_dir.empty() ? DirOf(path) : options.temp_dir;
-  rev_options.temp_prefix = BaseOf(path) + ".rev";
+      options.temp_dir.empty() ? util::DirName(path) : options.temp_dir;
+  rev_options.temp_prefix = util::BaseName(path) + ".rev";
   util::ExtSorter reverse(rev_options);
 
   // Pass 1 (forward, counting): per-source degrees -> out_offsets, with
@@ -373,8 +363,8 @@ Result<StreamWriteStats> SaveStreamedV2(const DiGraph& g,
   util::ExtSortOptions fwd_options;
   fwd_options.budget_bytes = options.sort_budget_bytes;
   fwd_options.temp_dir =
-      options.temp_dir.empty() ? DirOf(path) : options.temp_dir;
-  fwd_options.temp_prefix = BaseOf(path) + ".fwd";
+      options.temp_dir.empty() ? util::DirName(path) : options.temp_dir;
+  fwd_options.temp_prefix = util::BaseName(path) + ".fwd";
   util::ExtSorter forward(fwd_options);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     for (NodeId v : g.OutNeighbors(u)) {

@@ -15,9 +15,16 @@ namespace {
 // Edge-set adapters. Each direction supplies the successor iteration used
 // by top-down levels, the predecessor probe used by bottom-up levels, and
 // the successor-degree bookkeeping behind the Beamer switch heuristic.
-// Bottom-up probes scan predecessor lists in ascending id order and stop
-// at the first frontier hit, which is exactly the canonical minimum-id
-// parent — early exit and determinism come from the same scan order.
+// A bottom-up probe (ProbeRow) answers only whether some predecessor is
+// in the frontier: it stops at the first hit and returns how many edges
+// it read.
+std::pair<bool, uint64_t> ProbeRow(std::span<const NodeId> row,
+                                   const NodeBitmap& frontier) {
+  for (size_t i = 0; i < row.size(); ++i) {
+    if (frontier.Test(row[i])) return {true, i + 1};
+  }
+  return {false, row.size()};
+}
 
 struct ForwardAdj {
   const DiGraph& g;
@@ -27,14 +34,9 @@ struct ForwardAdj {
   void ForEachSucc(NodeId u, Fn&& fn) const {
     for (NodeId v : g.OutNeighbors(u)) fn(v);
   }
-  std::pair<NodeId, uint64_t> FindFrontierPred(
+  std::pair<bool, uint64_t> FindFrontierPred(
       NodeId v, const NodeBitmap& frontier) const {
-    uint64_t probes = 0;
-    for (NodeId u : g.InNeighbors(v)) {
-      ++probes;
-      if (frontier.Test(u)) return {u, probes};
-    }
-    return {kNoParent, probes};
+    return ProbeRow(g.InNeighbors(v), frontier);
   }
 };
 
@@ -46,14 +48,9 @@ struct ReverseAdj {
   void ForEachSucc(NodeId u, Fn&& fn) const {
     for (NodeId v : g.InNeighbors(u)) fn(v);
   }
-  std::pair<NodeId, uint64_t> FindFrontierPred(
+  std::pair<bool, uint64_t> FindFrontierPred(
       NodeId v, const NodeBitmap& frontier) const {
-    uint64_t probes = 0;
-    for (NodeId u : g.OutNeighbors(v)) {
-      ++probes;
-      if (frontier.Test(u)) return {u, probes};
-    }
-    return {kNoParent, probes};
+    return ProbeRow(g.OutNeighbors(v), frontier);
   }
 };
 
@@ -68,28 +65,13 @@ struct UndirectedAdj {
     for (NodeId v : g.OutNeighbors(u)) fn(v);
     for (NodeId v : g.InNeighbors(u)) fn(v);
   }
-  // Minimum-id frontier neighbor over the union: take the first hit of
-  // each sorted list (each an early-exit scan) and keep the smaller.
-  std::pair<NodeId, uint64_t> FindFrontierPred(
+  // The out-row first, then the in-row, stopping at the first hit.
+  std::pair<bool, uint64_t> FindFrontierPred(
       NodeId v, const NodeBitmap& frontier) const {
-    uint64_t probes = 0;
-    NodeId best = kNoParent;
-    for (NodeId u : g.OutNeighbors(v)) {
-      ++probes;
-      if (frontier.Test(u)) {
-        best = u;
-        break;
-      }
-    }
-    for (NodeId u : g.InNeighbors(v)) {
-      if (u >= best) break;  // sorted: no smaller hit possible past here
-      ++probes;
-      if (frontier.Test(u)) {
-        best = u;
-        break;
-      }
-    }
-    return {best, probes};
+    const auto [found, probes] = ProbeRow(g.OutNeighbors(v), frontier);
+    if (found) return {true, probes};
+    const auto [in_found, in_probes] = ProbeRow(g.InNeighbors(v), frontier);
+    return {in_found, probes + in_probes};
   }
 };
 
@@ -110,7 +92,7 @@ BfsStats BfsImpl(const DiGraph& g, NodeId source, ScratchArena* arena,
   frontier.clear();
   next.clear();
 
-  arena->Visit(source, 0, source);
+  arena->Visit(source, 0);
   frontier.push_back(source);
   stats.nodes_visited = 1;
   if (opt.visit_order != nullptr) opt.visit_order->push_back(source);
@@ -163,13 +145,9 @@ BfsStats BfsImpl(const DiGraph& g, NodeId source, ScratchArena* arena,
         adj.ForEachSucc(u, [&](NodeId v) {
           ++stats.edges_scanned;
           if (!arena->Visited(v)) {
-            arena->Visit(v, level, u);
+            arena->Visit(v, level);
             next.push_back(v);
             next_degree += adj.SuccDegree(v);
-          } else if (opt.compute_parents && arena->Distance(v) == level &&
-                     u < arena->Parent(v)) {
-            // Canonical tie-break: keep the minimum-id predecessor.
-            arena->SetParent(v, u);
           }
         });
       }
@@ -206,10 +184,10 @@ BfsStats BfsImpl(const DiGraph& g, NodeId source, ScratchArena* arena,
           const NodeId v =
               static_cast<NodeId>(wi * 64 + std::countr_zero(w));
           w &= w - 1;
-          const auto [parent, probes] = adj.FindFrontierPred(v, fbits);
+          const auto [found, probes] = adj.FindFrontierPred(v, fbits);
           stats.edges_scanned += probes;
-          if (parent != kNoParent) {
-            arena->Visit(v, level, parent);
+          if (found) {
+            arena->Visit(v, level);
             next.push_back(v);
             nbits.Set(v);
             ubits.Clear(v);

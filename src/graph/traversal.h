@@ -7,21 +7,20 @@
 // network (mean separation 2.74, power-law degrees) — the middle levels
 // hold most of the graph, and it is far cheaper to flip direction: iterate
 // the *unvisited* nodes (a bitmap) and probe their in-edges until any
-// parent in the current frontier is found, short-circuiting the rest of
-// the row. The kernel switches per level with the standard edge-count
+// predecessor in the current frontier is found, short-circuiting the rest
+// of the row. The kernel switches per level with the standard edge-count
 // heuristics:
 //
 //   top-down -> bottom-up  when  frontier_out_degree > unvisited_degree/alpha
 //   bottom-up -> top-down  when  |frontier| < n / beta
 //
 // Determinism: distances are level-exact and therefore identical in every
-// mode. Parents use a canonical tie-break — parent(v) is the *minimum-id*
-// predecessor at distance dist(v)-1 — which top-down enforces with a min
-// update and bottom-up gets for free from ascending in-neighbor scans, so
-// {classic, direction-optimizing, forced bottom-up} produce bit-identical
-// trees. Visit order, when collected, is canonicalized to ascending id
-// within each level. Each traversal runs on one thread against one
-// ScratchArena; callers parallelize across sources with per-block arenas.
+// mode, and so are the level sets and the visited count. Visit order, when
+// collected, is canonicalized to ascending id within each level, so
+// {classic, direction-optimizing, forced bottom-up} agree on it too. No
+// BFS tree is recorded: nothing reads one. Each traversal runs on one
+// thread against one ScratchArena; callers parallelize across sources
+// with per-block arenas.
 
 #ifndef ELITENET_GRAPH_TRAVERSAL_H_
 #define ELITENET_GRAPH_TRAVERSAL_H_
@@ -38,8 +37,6 @@ namespace graph {
 
 /// Sentinel distance for unreached nodes (matches analysis::kUnreachable).
 inline constexpr uint32_t kInfiniteDistance = UINT32_MAX;
-/// Sentinel parent id.
-inline constexpr NodeId kNoParent = UINT32_MAX;
 
 enum class BfsMode : uint8_t {
   /// Classic top-down queue BFS at every level (the reference baseline).
@@ -60,9 +57,6 @@ enum class TraversalDirection : uint8_t {
 struct BfsOptions {
   BfsMode mode = BfsMode::kDirectionOptimizing;
   TraversalDirection direction = TraversalDirection::kForward;
-
-  /// Record canonical parents (min-id predecessor one level closer).
-  bool compute_parents = false;
 
   /// When non-null, visited nodes are *appended* level by level, ascending
   /// id within each level (the canonical order Brandes consumes).
@@ -95,7 +89,7 @@ struct BfsStats {
   uint32_t bottom_up_levels = 0;
 };
 
-/// Single-source BFS from `source`. Results (visited/dist/parent) live in
+/// Single-source BFS from `source`. Results (visited/dist) live in
 /// `arena` until its next BeginEpoch/Reset; read them with
 /// arena->DistanceOr(v, kInfiniteDistance) etc. The arena must be sized
 /// for `g` (arena->num_nodes() == g.num_nodes()).

@@ -9,6 +9,7 @@
 #include "graph/io.h"
 #include "util/ext_sort.h"
 #include "util/metrics.h"
+#include "util/string_utils.h"
 #include "util/trace.h"
 
 namespace elitenet {
@@ -339,8 +340,10 @@ Result<CompactionStats> LiveGraph::Compact(const std::string& path,
   {
     ELITENET_SPAN("serve.overlay.compact.merge");
     LiveSnapshot snap(old_epoch, fold_version);
+    // Spill next to the snapshot, named after it, as the generator does.
     util::ExtSortOptions sort_options;
-    sort_options.temp_prefix = "compact";
+    sort_options.temp_dir = util::DirName(path);
+    sort_options.temp_prefix = util::BaseName(path) + ".fwd";
     util::ExtSorter sorter(sort_options);
     std::vector<uint64_t> batch;
     batch.reserve(4096);

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "analysis/components.h"
-#include "analysis/degree.h"
 #include "analysis/reciprocity.h"
 #include "graph/io.h"
 #include "util/metrics.h"
@@ -46,15 +45,14 @@ class WarmStageScope {
 // serves exactly the same warm bytes.
 Status ComputeWarmIndexes(const DiGraph& g, const EngineOptions& options,
                           WarmIndexes* warm, WarmStageSeconds* stages) {
-  {
-    WarmStageScope stage(kWarmDegree, stages);
-    warm->degree_stats = analysis::ComputeDegreeStats(g);
-  }
+  // Only the fingerprint reads the reciprocity rate; it is not kept.
+  double reciprocity = 0.0;
   {
     WarmStageScope stage(kWarmMutual, stages);
     warm->mutual_degree = analysis::MutualDegrees(g);
-    warm->reciprocity = analysis::ReciprocityFromMutualDegrees(
-        g.num_edges(), warm->mutual_degree);
+    reciprocity = analysis::ReciprocityFromMutualDegrees(g.num_edges(),
+                                                         warm->mutual_degree)
+                      .rate;
   }
   {
     WarmStageScope stage(kWarmHeavyReach, stages);
@@ -80,7 +78,7 @@ Status ComputeWarmIndexes(const DiGraph& g, const EngineOptions& options,
     WarmStageScope stage(kWarmFingerprint, stages);
     // The SCC labelling and reciprocity were built above; the fingerprint
     // reuses them.
-    auto fp = core::ComputeFingerprint(g, warm->scc, warm->reciprocity.rate,
+    auto fp = core::ComputeFingerprint(g, warm->scc, reciprocity,
                                        options.fingerprint);
     if (fp.ok()) {
       warm->fingerprint = *fp;

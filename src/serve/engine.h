@@ -5,7 +5,6 @@
 // latency from those indexes.
 //
 // Warm indexes built by Create():
-//   * degree tables + overall DegreeStats,
 //   * PageRank scores, the full descending rank order, and each node's
 //     1-based rank position,
 //   * WCC and SCC labelings (component id + size per node),

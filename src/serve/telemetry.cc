@@ -336,8 +336,8 @@ std::string RenderRecordJson(const RequestRecord& r) {
 namespace {
 
 constexpr const char* kWarmStageSpans[kNumWarmStages] = {
-    "serve.warm.degree",     "serve.warm.mutual",   "serve.warm.heavy_reach",
-    "serve.warm.components", "serve.warm.pagerank", "serve.warm.fingerprint",
+    "serve.warm.mutual",   "serve.warm.heavy_reach", "serve.warm.components",
+    "serve.warm.pagerank", "serve.warm.fingerprint",
 };
 constexpr size_t kWarmSpanPrefix = sizeof("serve.warm.") - 1;
 

@@ -261,7 +261,6 @@ Result<AdminCommand> ParseAdminLine(std::string_view line);
 /// build order. Each runs under the trace span WarmStageSpan(stage),
 /// "serve.warm.<name>".
 enum WarmStage : size_t {
-  kWarmDegree,
   kWarmMutual,
   kWarmHeavyReach,
   kWarmComponents,

@@ -16,16 +16,17 @@ namespace {
 // {graph_checksum, config_hash, num_nodes}, sections in SectionId order.
 // v5 drops v4's six hub-label sections, keeping the heavy-node reach
 // table (u32 ids, u32 reach) last; v6 is v5's sections under XXH64
-// digests. Older readers see version 6 and bail with NotSupported; this
-// reader does the same for v1–v5 files — both directions of skew degrade
-// to a rebuild.
+// digests; v7's scalar block drops v6's 16 degree and reciprocity slots.
+// Older readers see version 7 and bail with NotSupported; this reader
+// does the same for v1–v6 files — both directions of skew degrade to a
+// rebuild.
 constexpr uint32_t kNumSections = 12;
-constexpr util::SectionedFormat kWidx = {{'W', 'I', 'D', 'X'}, 6,
+constexpr util::SectionedFormat kWidx = {{'W', 'I', 'D', 'X'}, 7,
                                          kNumSections};
 /// Bumped whenever the scalar block layout or section set changes, so
 /// sidecars written by an older layout fail the config hash instead of
 /// being misread.
-constexpr uint64_t kFormatGeneration = 5;
+constexpr uint64_t kFormatGeneration = 6;
 
 enum SectionId : uint32_t {
   kScalars = 0,
@@ -83,22 +84,6 @@ class ScalarReader {
 
 std::vector<uint64_t> EncodeScalars(const WarmIndexes& w) {
   ScalarWriter s;
-  s.U64(w.degree_stats.min_out_degree);
-  s.U64(w.degree_stats.max_out_degree);
-  s.U64(w.degree_stats.argmax_out_degree);
-  s.F64(w.degree_stats.avg_out_degree);
-  s.U64(w.degree_stats.min_in_degree);
-  s.U64(w.degree_stats.max_in_degree);
-  s.U64(w.degree_stats.argmax_in_degree);
-  s.F64(w.degree_stats.avg_in_degree);
-  s.U64(w.degree_stats.isolated_nodes);
-  s.U64(w.degree_stats.sink_nodes);
-  s.U64(w.degree_stats.source_nodes);
-  s.F64(w.degree_stats.density);
-  s.U64(w.reciprocity.total_edges);
-  s.U64(w.reciprocity.reciprocated_edges);
-  s.U64(w.reciprocity.mutual_pairs);
-  s.F64(w.reciprocity.rate);
   s.U64(w.wcc.num_components);
   s.U64(w.scc.num_components);
   s.F64(w.fingerprint.density);
@@ -116,22 +101,6 @@ std::vector<uint64_t> EncodeScalars(const WarmIndexes& w) {
 
 Status DecodeScalars(std::span<const uint64_t> slots, WarmIndexes* w) {
   ScalarReader s(slots);
-  w->degree_stats.min_out_degree = static_cast<uint32_t>(s.U64());
-  w->degree_stats.max_out_degree = static_cast<uint32_t>(s.U64());
-  w->degree_stats.argmax_out_degree = static_cast<graph::NodeId>(s.U64());
-  w->degree_stats.avg_out_degree = s.F64();
-  w->degree_stats.min_in_degree = static_cast<uint32_t>(s.U64());
-  w->degree_stats.max_in_degree = static_cast<uint32_t>(s.U64());
-  w->degree_stats.argmax_in_degree = static_cast<graph::NodeId>(s.U64());
-  w->degree_stats.avg_in_degree = s.F64();
-  w->degree_stats.isolated_nodes = s.U64();
-  w->degree_stats.sink_nodes = s.U64();
-  w->degree_stats.source_nodes = s.U64();
-  w->degree_stats.density = s.F64();
-  w->reciprocity.total_edges = s.U64();
-  w->reciprocity.reciprocated_edges = s.U64();
-  w->reciprocity.mutual_pairs = s.U64();
-  w->reciprocity.rate = s.F64();
   w->wcc.num_components = static_cast<uint32_t>(s.U64());
   w->scc.num_components = static_cast<uint32_t>(s.U64());
   w->fingerprint.density = s.F64();

@@ -33,7 +33,9 @@
 // instead of 8); v4 adds the two heavy-node reach sections; v5 drops the
 // six hub-label sections, since dist always runs the bidirectional
 // search and no longer reads a distance oracle; v6 keeps v5's section
-// bytes, with XXH64 digests and keys in place of FNV-1a. Readers reject
+// bytes, with XXH64 digests and keys in place of FNV-1a; v7 drops the
+// degree statistics and the reciprocity figures from the scalar block,
+// since no handler reads them. Readers reject
 // other versions with NotSupported — the engine treats that exactly like
 // corruption and rebuilds, so version skew in either direction degrades
 // cleanly.
@@ -47,8 +49,6 @@
 
 #include "analysis/centrality.h"
 #include "analysis/components.h"
-#include "analysis/degree.h"
-#include "analysis/reciprocity.h"
 #include "core/fingerprint.h"
 #include "graph/digraph.h"
 #include "util/status.h"
@@ -59,8 +59,6 @@ namespace serve {
 /// Every index QueryEngine builds at warmup, gathered so the whole set
 /// can be persisted and restored as one unit.
 struct WarmIndexes {
-  analysis::DegreeStats degree_stats;
-  analysis::ReciprocityStats reciprocity;
   /// Per-node count of reciprocated out-edges.
   std::vector<uint32_t> mutual_degree;
   analysis::ComponentLabeling wcc;

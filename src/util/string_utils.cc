@@ -70,6 +70,18 @@ std::string Join(const std::vector<std::string>& parts,
   return out;
 }
 
+std::string DirName(std::string_view path) {
+  const size_t slash = path.rfind('/');
+  if (slash == std::string_view::npos) return ".";
+  return std::string(path.substr(0, slash == 0 ? 1 : slash));
+}
+
+std::string BaseName(std::string_view path) {
+  const size_t slash = path.rfind('/');
+  return std::string(slash == std::string_view::npos ? path
+                                                     : path.substr(slash + 1));
+}
+
 bool ParseUint64(std::string_view s, uint64_t* out) {
   if (s.empty()) return false;
   uint64_t v = 0;

@@ -31,6 +31,13 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 std::string Join(const std::vector<std::string>& parts,
                  std::string_view sep);
 
+/// The directory part and the file-name part of a '/'-separated path:
+/// "a/b/c.eng2" -> "a/b" and "c.eng2", "c.eng2" -> "." and "c.eng2",
+/// "/c" -> "/" and "c". Writers put their spill files in DirName(path),
+/// named after BaseName(path).
+std::string DirName(std::string_view path);
+std::string BaseName(std::string_view path);
+
 /// Parses a non-negative integer; returns false on any non-digit or
 /// overflow. Used by the edge-list reader.
 bool ParseUint64(std::string_view s, uint64_t* out);

@@ -143,15 +143,15 @@ Format WidxFormat() {
       return serve::SaveWarmIndexes(out, key, w);
     });
   };
-  // The scalar block's component counts (u64 slots 16 and 17) and the
+  // The scalar block's component counts (u64 slots 0 and 1) and the
   // first two heavy-node ids (section 10, u32 each, so one u64 write sets
   // both). A heavy reach is left out, like a PageRank score: an in-range
   // wrong value behind a resealed checksum is undetectable by design.
   const auto section_at = [&f](size_t i) {
     return static_cast<size_t>(Get<uint64_t>(f.bytes, OffsetAt(i)));
   };
-  f.fields = {{"wcc.num_components", section_at(0) + 16 * 8},
-              {"scc.num_components", section_at(0) + 17 * 8},
+  f.fields = {{"wcc.num_components", section_at(0)},
+              {"scc.num_components", section_at(0) + 1 * 8},
               {"heavy_ids[0..1]", section_at(10)}};
   return f;
 }

@@ -301,11 +301,14 @@ TEST(SectionedFileTest, SectionsOverlappingTheTableOrEachOtherAreCorruption) {
 //  * the payload digest covers each section's length and bytes, not the
 //    header or table. It was recorded from the FNV-1a container (ENG2 v2,
 //    WIDX v5, PIDX v1) and still holds for the XXH64 one (ENG2 v3, WIDX
-//    v6, PIDX v2): the hash change moved no payload byte.
+//    v6, PIDX v2): the hash change moved no payload byte. WIDX's was
+//    re-recorded for v7, whose scalar block dropped the degree and
+//    reciprocity slots; its other eleven sections kept their bytes.
 //  * the whole-file digest covers every byte, so it also pins the version,
 //    the section digests and the checksum header words. It was
-//    re-recorded for the XXH64 container; before that for WIDX v4 (new
-//    heavy-node reach sections) and v5 (hub-label sections dropped).
+//    re-recorded for the XXH64 container and for WIDX v7; before that for
+//    WIDX v4 (new heavy-node reach sections) and v5 (hub-label sections
+//    dropped).
 TEST(SectionedFileTest, FormatsMatchGoldenDigests) {
   gen::VerifiedNetworkConfig cfg;
   cfg.num_users = 4000;
@@ -347,8 +350,8 @@ TEST(SectionedFileTest, FormatsMatchGoldenDigests) {
       serve::WarmConfigHash(opts.pagerank, opts.fingerprint)};
   const std::string widx = TempPath("golden.widx");
   ASSERT_TRUE(serve::SaveWarmIndexes(widx, key, warm).ok());
-  EXPECT_EQ(digest(widx), 0xcac142689cfbb562ULL);
-  EXPECT_EQ(payload(widx, 12), 0xc892d8174861be25ULL);
+  EXPECT_EQ(digest(widx), 0x1642b15193295324ULL);
+  EXPECT_EQ(payload(widx, 12), 0x5cfed19f253a9373ULL);
 
   serve::PartitionOptions part_opts;
   part_opts.num_shards = 2;

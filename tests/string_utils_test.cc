@@ -61,6 +61,15 @@ TEST(ParseUint64Test, ValidNumbers) {
   EXPECT_EQ(v, UINT64_MAX);
 }
 
+TEST(PathPartsTest, SplitsAtTheLastSlash) {
+  EXPECT_EQ(DirName("a/b/c.eng2"), "a/b");
+  EXPECT_EQ(BaseName("a/b/c.eng2"), "c.eng2");
+  EXPECT_EQ(DirName("c.eng2"), ".");
+  EXPECT_EQ(BaseName("c.eng2"), "c.eng2");
+  EXPECT_EQ(DirName("/c"), "/");
+  EXPECT_EQ(BaseName("/c"), "c");
+}
+
 TEST(ParseUint64Test, RejectsBadInput) {
   uint64_t v = 0;
   EXPECT_FALSE(ParseUint64("", &v));

@@ -50,12 +50,10 @@ std::vector<NodeId> Successors(const DiGraph& g, NodeId u,
   return {};
 }
 
-// Level-synchronous textbook BFS with the canonical conventions the kernel
-// promises: minimum-id parent one level closer, visit order ascending
-// within each level.
+// Level-synchronous textbook BFS with the canonical convention the kernel
+// promises: visit order ascending within each level.
 struct RefBfs {
   std::vector<uint32_t> dist;
-  std::vector<NodeId> parent;
   std::vector<NodeId> order;
 };
 
@@ -63,9 +61,7 @@ RefBfs ReferenceBfs(const DiGraph& g, NodeId source,
                     graph::TraversalDirection dir) {
   RefBfs out;
   out.dist.assign(g.num_nodes(), UINT32_MAX);
-  out.parent.assign(g.num_nodes(), graph::kNoParent);
   out.dist[source] = 0;
-  out.parent[source] = source;
   std::vector<NodeId> level{source};
   while (!level.empty()) {
     out.order.insert(out.order.end(), level.begin(), level.end());
@@ -74,10 +70,7 @@ RefBfs ReferenceBfs(const DiGraph& g, NodeId source,
       for (NodeId v : Successors(g, u, dir)) {
         if (out.dist[v] == UINT32_MAX) {
           out.dist[v] = out.dist[u] + 1;
-          out.parent[v] = u;
           next.push_back(v);
-        } else if (out.dist[v] == out.dist[u] + 1 && u < out.parent[v]) {
-          out.parent[v] = u;
         }
       }
     }
@@ -106,7 +99,6 @@ void CheckAllModes(const DiGraph& g, NodeId source) {
       graph::BfsOptions opts;
       opts.mode = mode;
       opts.direction = dir;
-      opts.compute_parents = true;
       opts.visit_order = &order;
       // Low thresholds so direction-optimizing actually flips on tiny
       // test graphs instead of staying top-down throughout.
@@ -117,9 +109,6 @@ void CheckAllModes(const DiGraph& g, NodeId source) {
       for (NodeId v = 0; v < g.num_nodes(); ++v) {
         ASSERT_EQ(arena.DistanceOr(v, UINT32_MAX), ref.dist[v])
             << "dist of node " << v << " from " << source << " mode "
-            << static_cast<int>(mode) << " dir " << static_cast<int>(dir);
-        ASSERT_EQ(arena.ParentOr(v, graph::kNoParent), ref.parent[v])
-            << "parent of node " << v << " from " << source << " mode "
             << static_cast<int>(mode) << " dir " << static_cast<int>(dir);
         if (ref.dist[v] != UINT32_MAX) ++reached;
       }

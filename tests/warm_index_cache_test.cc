@@ -106,9 +106,7 @@ TEST(WarmIndexCacheTest, RoundTripRestoresEveryIndex) {
   EXPECT_EQ(restored->wcc.num_components, built.wcc.num_components);
   EXPECT_EQ(restored->scc.label, built.scc.label);
   EXPECT_EQ(restored->scc.sizes, built.scc.sizes);
-  EXPECT_EQ(restored->degree_stats.density, built.degree_stats.density);
-  EXPECT_EQ(restored->reciprocity.mutual_pairs,
-            built.reciprocity.mutual_pairs);
+  EXPECT_EQ(restored->fingerprint.reciprocity, built.fingerprint.reciprocity);
   EXPECT_EQ(restored->fingerprint_ok, built.fingerprint_ok);
   EXPECT_EQ(restored->fingerprint_error, built.fingerprint_error);
   EXPECT_EQ(restored->fingerprint_similarity, built.fingerprint_similarity);
@@ -181,18 +179,19 @@ uint32_t SidecarVersion(const std::string& path) {
 // Forward compatibility, old side: a sidecar written by an earlier format
 // generation — version 1 (no hub-label sections), version 2 (packed u64
 // hub-label entries), version 3 (no heavy-node reach sections), version
-// 4 (hub-label sections before the reach table) or version 5 (v6's
-// sections under FNV-1a digests) — must be refused with NotSupported —
+// 4 (hub-label sections before the reach table), version 5 (v6's
+// sections under FNV-1a digests) or version 6 (degree and reciprocity
+// slots in the scalar block) — must be refused with NotSupported —
 // never misparsed — and the engine must degrade it to a rebuild that
 // rewrites the file in the current format, which the next start restores.
 TEST(WarmIndexCacheTest, OldFormatSidecarDegradesToRebuildAndRewrite) {
   const graph::DiGraph g = TestGraph();
   const std::string widx = TempPath("old_format.widx");
-  for (const uint32_t old_version : {1u, 2u, 3u, 4u, 5u}) {
+  for (const uint32_t old_version : {1u, 2u, 3u, 4u, 5u, 6u}) {
     std::remove(widx.c_str());
     EngineWithSidecar(g, widx);
 
-    // Rewind the header's version field (u32 at offset 4) from 6,
+    // Rewind the header's version field (u32 at offset 4) from 7,
     // simulating a file left behind by an earlier release.
     {
       std::fstream f(widx, std::ios::in | std::ios::out | std::ios::binary);
@@ -211,24 +210,24 @@ TEST(WarmIndexCacheTest, OldFormatSidecarDegradesToRebuildAndRewrite) {
 
     auto engine = EngineWithSidecar(g, widx);  // must not fail
     EXPECT_FALSE(engine->warm_index_from_cache()) << old_version;
-    EXPECT_EQ(SidecarVersion(widx), 6u) << "the rebuild rewrote v6";
+    EXPECT_EQ(SidecarVersion(widx), 7u) << "the rebuild rewrote v7";
     auto next = EngineWithSidecar(g, widx);
     EXPECT_TRUE(next->warm_index_from_cache()) << old_version;
   }
 }
 
 // Forward compatibility, new side: a sidecar must be cleanly rejected by
-// readers that predate its section set or its hash. The v1–v5 readers'
-// first check is `version == 1` … `5` (NotSupported on mismatch), so it
-// suffices that the on-disk version advanced.
+// readers that predate its section set, its hash or its scalar block. The
+// v1–v6 readers' first check is `version == 1` … `6` (NotSupported on
+// mismatch), so it suffices that the on-disk version advanced.
 TEST(WarmIndexCacheTest, NewSectionsAreInvisibleToOldReaders) {
   const graph::DiGraph g = TestGraph();
   const std::string widx = TempPath("new_sections.widx");
   std::remove(widx.c_str());
   EngineWithSidecar(g, widx);
 
-  EXPECT_EQ(SidecarVersion(widx), 6u)
-      << "the XXH64 digests must bump the format version";
+  EXPECT_EQ(SidecarVersion(widx), 7u)
+      << "the smaller scalar block must bump the format version";
 }
 
 TEST(WarmIndexCacheTest, DamageIsCorruption) {
